@@ -474,6 +474,9 @@ func BenchmarkFullILPEvaluate(b *testing.B) {
 				plans[i] = p
 			}
 			var nodes int64
+			// B/op is the memory guard: problem build, basis factors and
+			// the branch-and-bound frontier are all allocations.
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k, inst := range instances {

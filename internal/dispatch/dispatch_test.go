@@ -300,3 +300,51 @@ func TestHeartbeatReapsSilentWorker(t *testing.T) {
 	}
 	t.Fatalf("heartbeat never reaped the silent worker: %+v", p.Stats())
 }
+
+// TestCloseDuringDial closes a pool while one slot is mid-dial. Close
+// sweeps the slots once, in order; slot 0's dial is gated on slot 1's
+// connection being swept, so it returns a transport after the sweep has
+// already passed slot 0. Close must still own that transport: the slot
+// manager re-checks closed after installing and tears it down, instead
+// of parking a readLoop that nobody will ever unblock.
+func TestCloseDuringDial(t *testing.T) {
+	dialing := make(chan struct{})
+	swept := &silentTransport{done: make(chan struct{})}
+	late := &silentTransport{done: make(chan struct{})}
+	p, err := dispatch.New(dispatch.Options{
+		Workers: 2,
+		Dialer: func(slot, attempt int) (dispatch.Transport, error) {
+			if slot == 1 {
+				return swept, nil
+			}
+			close(dialing)
+			<-swept.done
+			return late, nil
+		},
+		HeartbeatEvery: time.Hour, // the silent transports must die by Close, not by probe
+		RespawnBudget:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-dialing
+	for p.Stats().LiveWorkers != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		late.Close() // unblock the stranded readLoop so the test binary can exit
+		t.Fatal("Close hung: a transport installed across the sweep was never closed")
+	}
+	select {
+	case <-late.done:
+	default:
+		t.Fatal("Close returned but the late transport is still open")
+	}
+}

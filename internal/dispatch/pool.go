@@ -639,6 +639,14 @@ func (p *Pool) manage(s *slot) {
 			s.respawns.Add(1)
 		}
 		s.install(tr)
+		// Close sweeps killSlot once. A dial that straddles the sweep
+		// publishes a transport the sweep never saw, so re-check here:
+		// either the sweep sees the transport or this sees closed.
+		if p.closed.Load() {
+			p.teardown(s, errors.New("pool closing"))
+			p.retire(s)
+			return
+		}
 		p.opts.Logf("level=info msg=\"worker up\" slot=%d pid=%d attempt=%d", s.id, s.pidLocked(), attempt)
 		p.enqueue(s)
 		rerr := p.readLoop(s, tr)

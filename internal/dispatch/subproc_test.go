@@ -1,16 +1,21 @@
 package dispatch_test
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"fast/internal/arch"
+	"fast/internal/core"
 	"fast/internal/dispatch"
 	"fast/internal/dispatch/chaos"
+	"fast/internal/search"
 )
 
 // workerBin builds cmd/fast-worker once per test process and returns
@@ -95,42 +100,30 @@ func TestSubprocessKillRespawn(t *testing.T) {
 	}
 	defer p.Close()
 
-	// Assassin: as soon as a worker has done remote work, kill it.
-	killed := make(chan int, 1)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
+	// The kill is a seam, not a timer: the second batch call SIGKILLs a
+	// live worker before it forwards its batch, so the death always lands
+	// while the study still has work to ship.
+	var calls atomic.Int32
+	var killed atomic.Int64
+	assassin := func(ctx context.Context, spec core.EvalSpec, local search.BatchObjective) search.BatchObjective {
+		inner := p.Dispatch()(ctx, spec, local)
+		return func(idxs [][arch.NumParams]int) []search.Evaluation {
+			if calls.Add(1) == 2 {
+				killed.Store(int64(killLiveWorker(t, p)))
 			}
-			st := p.Stats()
-			if st.RemoteChunks == 0 {
-				continue
-			}
-			for _, w := range st.PerWorker {
-				if w.Live && w.Pid > 0 {
-					syscall.Kill(w.Pid, syscall.SIGKILL) //nolint:errcheck // the kill is the test
-					select {
-					case killed <- w.Pid:
-					default:
-					}
-					return
-				}
-			}
+			return inner(idxs)
 		}
-	}()
-
-	got := runDispatched(t, tc, p)
-	sameResult(t, "kill-respawn", want, got)
-	select {
-	case pid := <-killed:
-		t.Logf("killed worker pid %d mid-study", pid)
-	default:
-		t.Fatal("assassin never found a live worker to kill")
 	}
+	got, err := tc.study().Run(context.Background(),
+		core.WithParallelism(4), core.WithBatchSize(16), core.WithDispatch(assassin))
+	if err != nil {
+		t.Fatalf("dispatched run: %v", err)
+	}
+	sameResult(t, "kill-respawn", want, got)
+	if killed.Load() == 0 {
+		t.Fatalf("study made %d batch calls; the assassin needs two", calls.Load())
+	}
+	t.Logf("killed worker pid %d mid-study", killed.Load())
 	// The death must have been noticed: either the worker respawned, or
 	// the remaining worker absorbed the rest of the study.
 	st := p.Stats()
@@ -138,6 +131,23 @@ func TestSubprocessKillRespawn(t *testing.T) {
 	if st.Respawns == 0 && st.LiveWorkers == len(st.PerWorker) {
 		t.Fatalf("worker kill left no trace in the pool: %+v", st)
 	}
+}
+
+// killLiveWorker SIGKILLs the first connected subprocess worker and
+// returns its pid, waiting for a slot to come up if none has yet
+// (workers dial asynchronously; the first chunk may still be queued).
+func killLiveWorker(t *testing.T, p *dispatch.Pool) int {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, w := range p.Stats().PerWorker {
+			if w.Live && w.Pid > 0 {
+				syscall.Kill(w.Pid, syscall.SIGKILL) //nolint:errcheck // the kill is the test
+				return w.Pid
+			}
+		}
+	}
+	t.Error("no live subprocess worker to kill within 30s")
+	return 0
 }
 
 // TestSubprocessChaosMatrix is the full chaos matrix against real

@@ -258,14 +258,102 @@ func resetI64(s *[]int64, n int) []int64 {
 	return out
 }
 
-// solveILP builds the reduced Figure 8 ILP and solves it with
-// branch-and-bound. Variables: w_i (weight pin), e_i (edge residency,
-// consumer-indexed), h_i (KV-cache hold, pin-like: charges every
-// capacity row), and shifted continuous T'_i = T_i - TMin_i ≥ 0.
+// fusionILP is the reduced Figure 8 problem plus the maps from region to
+// variable (-1: no such variable) that decode its solution. Variables:
+// w_i (weight pin), e_i (edge residency, consumer-indexed), h_i
+// (KV-cache hold, pin-like: charges every capacity row), and shifted
+// continuous T'_i = T_i - TMin_i ≥ 0.
+type fusionILP struct {
+	prob                   ilp.Problem
+	wIdx, eIdx, hIdx, tIdx []int
+}
+
+// rowArena accumulates sparse constraint rows back to back in two flat
+// arrays, so a problem with r rows costs a handful of allocations, not
+// r.
+type rowArena struct {
+	idx   []int32
+	val   []float64
+	ends  []int
+	start int // first entry of the row under construction
+}
+
+// sub applies row[j] -= v to the row under construction, whose entries
+// all start at zero — the dense builder's statement, entry for entry.
+func (a *rowArena) sub(j int, v float64) {
+	for k := a.start; k < len(a.idx); k++ {
+		if a.idx[k] == int32(j) {
+			a.val[k] -= v
+			return
+		}
+	}
+	a.idx = append(a.idx, int32(j))
+	a.val = append(a.val, 0-v)
+}
+
+// endRow closes the row under construction: columns ascending, zero
+// coefficients dropped.
+func (a *rowArena) endRow() {
+	lo := a.start
+	for p := lo; p < len(a.idx); p++ {
+		j, v := a.idx[p], a.val[p]
+		q := p
+		for ; q > lo && a.idx[q-1] > j; q-- {
+			a.idx[q], a.val[q] = a.idx[q-1], a.val[q-1]
+		}
+		a.idx[q], a.val[q] = j, v
+	}
+	n := lo
+	for p := lo; p < len(a.idx); p++ {
+		if a.val[p] != 0 {
+			a.idx[n], a.val[n] = a.idx[p], a.val[p]
+			n++
+		}
+	}
+	a.idx, a.val = a.idx[:n], a.val[:n]
+	a.ends = append(a.ends, n)
+	a.start = n
+}
+
+// rows slices the arena into the problem's rows.
+func (a *rowArena) rows() []ilp.Row {
+	out := make([]ilp.Row, len(a.ends))
+	lo := 0
+	for i, hi := range a.ends {
+		out[i] = ilp.Row{Idx: a.idx[lo:hi:hi], Val: a.val[lo:hi:hi]}
+		lo = hi
+	}
+	return out
+}
+
+// groupBy buckets the indices j in [0, n) with 0 ≤ key(j) < n by key:
+// bucket k is items[ptr[k]:ptr[k+1]], ascending.
+func groupBy(n int, key func(j int) int) (ptr, items []int32) {
+	ptr = make([]int32, n+2)
+	for j := 0; j < n; j++ {
+		if k := key(j); k >= 0 {
+			ptr[k+2]++
+		}
+	}
+	for k := 0; k < n; k++ {
+		ptr[k+2] += ptr[k+1]
+	}
+	items = make([]int32, ptr[n+1])
+	for j := 0; j < n; j++ {
+		if k := key(j); k >= 0 {
+			items[ptr[k+1]] = int32(j)
+			ptr[k+1]++
+		}
+	}
+	return ptr[:n+1], items
+}
+
+// buildILP builds the reduced Figure 8 ILP in sparse form; ok is false
+// when no placement decision exists.
 //
-// The formulation is presolved before it reaches the dense simplex —
-// whose per-pivot cost scales with rows × columns, so dead dimensions
-// are pure overhead at cubic weight:
+// The formulation is presolved before it reaches the simplex, whose
+// per-pivot cost scales with the non-zeros of the rows and basis
+// columns it touches, so dead dimensions are pure overhead:
 //
 //   - fixed-zero binaries (non-pinnable or weightless regions, edges
 //     outside the residency window) are dropped instead of carried as
@@ -279,55 +367,48 @@ func resetI64(s *[]int64, n int) []int64 {
 // The reduction is exact: the feasible set over the live binaries and
 // the optimal objective are unchanged, only tie-breaking among equally
 // optimal assignments may differ from the unreduced formulation.
-func solveILP(regions []RegionCost, usable []bool, capacity int64,
-	warmPin, warmKeep, warmHold []bool, deadline time.Duration, dense bool) (Assignment, bool) {
-
+func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, bool) {
 	n := len(regions)
-	if n == 0 {
-		return Assignment{}, false
-	}
 	// Live binary variables, reduced-index maps.
-	wIdx := make([]int, n)
-	eIdx := make([]int, n)
+	f := fusionILP{wIdx: make([]int, n), eIdx: make([]int, n), hIdx: make([]int, n), tIdx: make([]int, n)}
 	vars := 0
 	for i := range regions {
-		wIdx[i] = -1
+		f.wIdx[i] = -1
 		if regions[i].PinnableWeights && regions[i].DWeight > 0 {
-			wIdx[i] = vars
+			f.wIdx[i] = vars
 			vars++
 		}
 	}
-	for i := range regions {
-		eIdx[i] = -1
-		if usable[i] {
-			eIdx[i] = vars
+	for j := range regions {
+		f.eIdx[j] = -1
+		if usable[j] {
+			f.eIdx[j] = vars
 			vars++
 		}
 	}
-	hIdx := make([]int, n)
+	// Per producer, the regions whose live edge it feeds.
+	cptr, cons := groupBy(n, func(j int) int {
+		if p := regions[j].EdgeProducer; f.eIdx[j] >= 0 && p < n {
+			return p
+		}
+		return -1
+	})
 	for i := range regions {
-		hIdx[i] = -1
+		f.hIdx[i] = -1
 		if regions[i].KVBytes > 0 && regions[i].TKVRead > 0 {
-			hIdx[i] = vars
+			f.hIdx[i] = vars
 			vars++
 		}
 	}
 	if vars == 0 {
-		return Assignment{}, false
+		return fusionILP{}, false
 	}
 	// T'_i stays a variable only where a live binary can lower it.
-	tIdx := make([]int, n)
 	nv := vars
 	for i := range regions {
-		tIdx[i] = -1
-		touched := wIdx[i] >= 0 || eIdx[i] >= 0 || hIdx[i] >= 0
-		for j := range regions {
-			if eIdx[j] >= 0 && regions[j].EdgeProducer == i {
-				touched = true
-			}
-		}
-		if touched {
-			tIdx[i] = nv
+		f.tIdx[i] = -1
+		if f.wIdx[i] >= 0 || f.eIdx[i] >= 0 || f.hIdx[i] >= 0 || cptr[i+1] > cptr[i] {
+			f.tIdx[i] = nv
 			nv++
 		}
 	}
@@ -340,67 +421,84 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 		u[i] = 1
 	}
 	for i := range regions {
-		if ti := tIdx[i]; ti >= 0 {
+		if ti := f.tIdx[i]; ti >= 0 {
 			c[ti] = 1 // minimize Σ live T'
 			u[ti] = math.Inf(1)
 		}
 	}
 
-	var a [][]float64
+	var a rowArena
 	var b []float64
 
-	// T'_i ≥ (TMax-TMin) - TWeight·w_i - TEdgeRead·e_i - Σ_{j: prod(j)=i} TEdgeWrite_j·e_j.
+	// T'_i ≥ (TMax-TMin) - TWeight·w_i - TEdgeRead·e_i - TKVRead·h_i
+	//        - Σ_{j: prod(j)=i} TEdgeWrite_j·e_j.
 	for i, r := range regions {
-		ti := tIdx[i]
+		ti := f.tIdx[i]
 		if ti < 0 {
 			continue
 		}
-		row := make([]float64, nv)
-		row[ti] = -1
-		if wIdx[i] >= 0 {
-			row[wIdx[i]] = -r.TWeight
+		a.sub(ti, 1)
+		if f.wIdx[i] >= 0 {
+			a.sub(f.wIdx[i], r.TWeight)
 		}
-		if eIdx[i] >= 0 {
-			row[eIdx[i]] -= r.TEdgeRead
+		if f.eIdx[i] >= 0 {
+			a.sub(f.eIdx[i], r.TEdgeRead)
 		}
-		if hIdx[i] >= 0 {
-			row[hIdx[i]] -= r.TKVRead
+		if f.hIdx[i] >= 0 {
+			a.sub(f.hIdx[i], r.TKVRead)
 		}
-		for j, rj := range regions {
-			if eIdx[j] >= 0 && rj.EdgeProducer == i {
-				row[eIdx[j]] -= rj.TEdgeWrite
-			}
+		for _, j := range cons[cptr[i]:cptr[i+1]] {
+			a.sub(f.eIdx[j], regions[j].TEdgeWrite)
 		}
-		a = append(a, row)
+		a.endRow()
 		b = append(b, -(r.TMax - r.TMin))
 	}
 
 	// Capacity per region k: Σ_j W_j w_j + Σ_{edges spanning k} bytes·e_j
-	// ≤ C - B_k. Consecutive regions often see the identical left-hand
-	// side (pins charge every row; an edge charges its whole residency
-	// interval), so identical rows keep only their tightest bound.
-	tight := make(map[string]int) // row signature → index into a/b
-	sig := make([]byte, 0, vars*8)
+	// + Σ_j KV_j h_j ≤ C - B_k. Pins and held caches charge every row, an
+	// edge charges its whole residency interval [producer, consumer], so
+	// the rows differ only in which edges are live: sweep k with the live
+	// edges kept in consumer (= column) order. Consecutive regions often
+	// see the identical left-hand side; identical rows keep only their
+	// tightest bound.
+	var pinIdx, holdIdx []int32
+	var pinVal, holdVal []float64
+	for j, rj := range regions {
+		if f.wIdx[j] >= 0 {
+			pinIdx = append(pinIdx, int32(f.wIdx[j]))
+			pinVal = append(pinVal, float64(rj.DWeight))
+		}
+		if f.hIdx[j] >= 0 {
+			holdIdx = append(holdIdx, int32(f.hIdx[j]))
+			holdVal = append(holdVal, float64(rj.KVBytes))
+		}
+	}
+	// Per region, the edges (by consumer) whose residency begins there.
+	sptr, starts := groupBy(n, func(j int) int {
+		if p := max(regions[j].EdgeProducer, 0); f.eIdx[j] >= 0 && regions[j].EdgeResidentBytes != 0 && p <= j {
+			return p
+		}
+		return -1
+	})
+	tight := make(map[string]int) // live-edge signature → row index
+	var live []int32              // consumers of the edges spanning k, ascending
+	var sig []byte
 	for k, rk := range regions {
-		row := make([]float64, nv)
-		for j, rj := range regions {
-			if wIdx[j] >= 0 {
-				row[wIdx[j]] = float64(rj.DWeight)
+		for len(live) > 0 && int(live[0]) < k {
+			live = live[1:]
+		}
+		for _, j := range starts[sptr[k]:sptr[k+1]] {
+			q := len(live)
+			live = append(live, j)
+			for ; q > 0 && live[q-1] > j; q-- {
+				live[q] = live[q-1]
 			}
-			if hIdx[j] >= 0 {
-				// Held caches persist across the step: every row.
-				row[hIdx[j]] = float64(rj.KVBytes)
-			}
-			if eIdx[j] >= 0 && rj.EdgeProducer <= k && k <= j {
-				row[eIdx[j]] += float64(rj.EdgeResidentBytes)
-			}
+			live[q] = j
 		}
 		rhs := float64(capacity - rk.BaseGM)
 		sig = sig[:0]
-		for i := 0; i < vars; i++ {
-			bits := math.Float64bits(row[i])
-			sig = append(sig, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-				byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+		for _, j := range live {
+			sig = append(sig, byte(j), byte(j>>8), byte(j>>16), byte(j>>24))
 		}
 		if prev, dup := tight[string(sig)]; dup {
 			if rhs < b[prev] {
@@ -408,12 +506,39 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 			}
 			continue
 		}
-		tight[string(sig)] = len(a)
-		a = append(a, row)
+		tight[string(sig)] = len(b)
+		a.idx = append(a.idx, pinIdx...)
+		a.val = append(a.val, pinVal...)
+		for _, j := range live {
+			a.idx = append(a.idx, int32(f.eIdx[j]))
+			a.val = append(a.val, float64(regions[j].EdgeResidentBytes))
+		}
+		a.idx = append(a.idx, holdIdx...)
+		a.val = append(a.val, holdVal...)
+		a.endRow()
 		b = append(b, rhs)
 	}
 
-	warm := make([]float64, nv)
+	f.prob = ilp.Problem{C: c, A: a.rows(), B: b, U: u, Binary: bin}
+	return f, true
+}
+
+// solveILP solves the reduced Figure 8 ILP with branch-and-bound, warm
+// started from the greedy placement.
+func solveILP(regions []RegionCost, usable []bool, capacity int64,
+	warmPin, warmKeep, warmHold []bool, deadline time.Duration, dense bool) (Assignment, bool) {
+
+	n := len(regions)
+	if n == 0 {
+		return Assignment{}, false
+	}
+	f, ok := buildILP(regions, usable, capacity)
+	if !ok {
+		return Assignment{}, false
+	}
+	wIdx, eIdx, hIdx, tIdx := f.wIdx, f.eIdx, f.hIdx, f.tIdx
+
+	warm := make([]float64, len(f.prob.C))
 	saved := savedByRegion(regions, warmPin, warmKeep, warmHold)
 	for i, r := range regions {
 		if warmPin[i] && wIdx[i] >= 0 {
@@ -430,7 +555,7 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 		}
 	}
 
-	res, err := ilp.Solve(ilp.Problem{C: c, A: a, B: b, U: u, Binary: bin}, ilp.Options{
+	res, err := ilp.Solve(f.prob, ilp.Options{
 		//fast:allow nondetsource sets the ILP budget deadline; a timeout falls back to the deterministic greedy placement
 		Deadline:  time.Now().Add(deadline),
 		WarmStart: warm,

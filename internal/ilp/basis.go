@@ -2,7 +2,7 @@ package ilp
 
 import "math"
 
-// Basis factorization for the revised simplex: a dense LU of a
+// Basis factorization for the revised simplex: a sparse LU of a
 // reference basis plus a list of product-form (eta) rank-one updates.
 // Each simplex pivot appends one eta instead of re-eliminating the
 // whole tableau; the LU is recomputed only at refactorization points
@@ -12,17 +12,26 @@ import "math"
 // FTRAN solves B x = v (apply LU, then etas in creation order); BTRAN
 // solves Bᵀ y = v (apply eta transposes in reverse, then the LU
 // transpose). The basis dimension m counts constraint rows only —
-// variable upper bounds live in the bound arrays, never as rows — so
-// for the fusion instances m is a fraction of the dense solver's
-// tableau height.
+// variable upper bounds live in the bound arrays, never as rows.
+//
+// Every kernel here is an order-preserving sparsification of the dense
+// row-major LU it replaced (kept as the frozen reference in
+// reference_test.go): each accumulator receives the same non-zero
+// products, in the same order, through the same `x -= a*b` expression,
+// so results agree bit for bit. Skipping a product with a zero operand
+// only drops a ±0 term, which can flip the sign of an exactly-zero
+// result and nothing else; no comparison, ratio or pivot reads the sign
+// of a zero. Fusion bases hold ~2 non-zeros per row (efficientnet-b7:
+// m=548, nnz(LU)≈1100), so the solves cost O(m + nnz) where the dense
+// ones walked m² entries.
 
 const (
 	// maxEtas bounds the product-form update list before the basis is
-	// refactorized from scratch. Applying an eta costs O(m) against the
-	// O(m²) triangular solves of the base LU, so a long list stays cheap;
-	// the bound exists to limit accumulated numerical drift (and the
-	// FTRAN/BTRAN cross-check forces an early refactorization when drift
-	// shows up sooner).
+	// refactorized from scratch. Applying an eta costs its non-zero
+	// count, the same order as the sparse triangular solves of the base
+	// LU, so a long list stays cheap; the bound exists to limit
+	// accumulated numerical drift (and the FTRAN/BTRAN cross-check forces
+	// an early refactorization when drift shows up sooner).
 	maxEtas = 192
 	// luPivTol is the smallest acceptable LU pivot magnitude.
 	luPivTol = 1e-11
@@ -31,148 +40,310 @@ const (
 )
 
 // eta is one product-form update: basis row r was replaced by a column
-// whose FTRAN'd image was w (with pivot w[r]).
+// whose FTRAN'd image had pivot piv at r and the non-zeros
+// eidx/eval[lo:hi] (ascending row, pivot included).
 type eta struct {
-	r   int32
-	piv float64
-	w   []float64
+	r      int32
+	lo, hi int32
+	piv    float64
 }
 
-// factor is the LU + eta representation of the current basis inverse.
+// factor is the LU + eta representation of the current basis inverse,
+// P·B = L·U with P the row swaps in ipiv.
 type factor struct {
 	m    int
-	lu   []float64 // m×m row-major; unit-L strictly below, U on/above
-	ipiv []int32   // LAPACK-style row swaps
+	ipiv []int32 // LAPACK-style row swaps
+
+	// L is unit lower triangular; its strict part is stored by columns,
+	// column k spanning [lptr[k], lptr[k+1]) with ascending row indices.
+	lptr, lidx []int32
+	lval       []float64
+	// U's strict upper part is stored by rows, row k spanning
+	// [uptr[k], uptr[k+1]) with ascending column indices; udiag holds
+	// the pivots.
+	uptr, uidx []int32
+	uval       []float64
+	udiag      []float64
+
 	etas []eta
-	free [][]float64 // recycled eta buffers
+	eidx []int32
+	eval []float64
+
+	// factorize scratch, all O(m + nnz(U)).
+	x                  []float64 // work column, indexed by original row
+	mark               []bool    // original row is in pat
+	pat                []int32   // original rows x may be non-zero at
+	steps              []int32   // min-heap of pivot steps still to apply
+	rowAt, posOf, step []int32   // position ↔ original row; pivot step of a row, or -1
+	prow               []int32   // original row pivoted at each step
+	tuRow, tuCol       []int32   // U entries in column-major creation order
+	tuVal              []float64
 }
 
-func (f *factor) reset(m int) {
-	f.m = m
-	if cap(f.lu) < m*m {
-		f.lu = make([]float64, m*m)
+func growI32(p *[]int32, n int) []int32 {
+	if cap(*p) < n {
+		*p = make([]int32, n)
 	}
-	f.lu = f.lu[:m*m]
-	if cap(f.ipiv) < m {
-		f.ipiv = make([]int32, m)
+	*p = (*p)[:n]
+	return *p
+}
+
+func growF64(p *[]float64, n int) []float64 {
+	if cap(*p) < n {
+		*p = make([]float64, n)
 	}
-	f.ipiv = f.ipiv[:m]
-	f.dropEtas()
+	*p = (*p)[:n]
+	return *p
 }
 
 func (f *factor) dropEtas() {
-	for i := range f.etas {
-		f.free = append(f.free, f.etas[i].w)
-		f.etas[i].w = nil
-	}
 	f.etas = f.etas[:0]
-}
-
-func (f *factor) etaBuf() []float64 {
-	if n := len(f.free); n > 0 {
-		w := f.free[n-1]
-		f.free = f.free[:n-1]
-		if cap(w) >= f.m {
-			return w[:f.m]
-		}
-	}
-	return make([]float64, f.m)
+	f.eidx = f.eidx[:0]
+	f.eval = f.eval[:0]
 }
 
 // factorize builds the LU of the basis whose columns are the
 // full-system columns basis[0..m) of c. Returns false on a (numerically)
 // singular basis.
+//
+// The elimination is left-looking: column k of the basis is scattered
+// into a work vector, the earlier pivot steps that reach it are applied
+// in ascending step order, and the partial pivot is chosen among the
+// rows not yet pivoted — largest magnitude, ties to the row that
+// currently sits highest, which is the first maximum a top-down scan of
+// a row-swapped dense array finds. An entry (i, j) thus receives the
+// updates l_ik·u_kj for ascending k, exactly as right-looking dense
+// elimination delivers them, and L, U and ipiv come out identical
+// without an m×m array.
 func (f *factor) factorize(c *csc, basis []int32) bool {
 	m := len(basis)
-	f.reset(m)
-	lu := f.lu
-	for i := range lu {
-		lu[i] = 0
+	f.m = m
+	f.dropEtas()
+	ipiv := growI32(&f.ipiv, m)
+	lptr := growI32(&f.lptr, m+1)
+	udiag := growF64(&f.udiag, m)
+	x := growF64(&f.x, m)
+	rowAt, posOf := growI32(&f.rowAt, m), growI32(&f.posOf, m)
+	step, prow := growI32(&f.step, m), growI32(&f.prow, m)
+	if cap(f.mark) < m {
+		f.mark = make([]bool, m)
 	}
-	// Column k of the basis matrix lands in lu[:, k].
-	for k, j := range basis {
-		if int(j) < c.n {
+	f.mark = f.mark[:m]
+	mark := f.mark
+	for i := 0; i < m; i++ {
+		x[i] = 0
+		mark[i] = false
+		rowAt[i], posOf[i] = int32(i), int32(i)
+		step[i] = -1
+	}
+	f.lidx, f.lval = f.lidx[:0], f.lval[:0]
+	f.tuRow, f.tuCol, f.tuVal = f.tuRow[:0], f.tuCol[:0], f.tuVal[:0]
+	f.steps = f.steps[:0]
+
+	lptr[0] = 0
+	for k, col := range basis {
+		f.pat = f.pat[:0]
+		if j := int(col); j < c.n {
 			for p := c.ptr[j]; p < c.ptr[j+1]; p++ {
-				lu[int(c.row[p])*m+k] = c.val[p]
+				x[c.row[p]] = c.val[p]
+				f.touch(c.row[p])
 			}
 		} else {
-			lu[(int(j)-c.n)*m+k] = 1
+			x[j-c.n] = 1
+			f.touch(int32(j - c.n))
 		}
-	}
-	for k := 0; k < m; k++ {
-		// Partial pivoting.
-		p, best := k, math.Abs(lu[k*m+k])
-		for i := k + 1; i < m; i++ {
-			if a := math.Abs(lu[i*m+k]); a > best {
-				p, best = i, a
+		for len(f.steps) > 0 {
+			st := f.popStep()
+			u := x[prow[st]]
+			if u == 0 {
+				continue // cancelled exactly: the dense update subtracts l·0
+			}
+			f.tuRow = append(f.tuRow, st)
+			f.tuCol = append(f.tuCol, int32(k))
+			f.tuVal = append(f.tuVal, u)
+			for p := lptr[st]; p < lptr[st+1]; p++ {
+				i := f.lidx[p]
+				if i < 0 {
+					continue // underflowed multiplier: stored, never applied
+				}
+				if !mark[i] {
+					f.touch(i)
+				}
+				x[i] -= f.lval[p] * u
+			}
+		}
+
+		// Partial pivoting over the rows without a pivot step yet.
+		piv, best := int32(-1), 0.0
+		for _, i := range f.pat {
+			if step[i] >= 0 {
+				continue
+			}
+			if a := math.Abs(x[i]); a > best || (a == best && piv >= 0 && posOf[i] < posOf[piv]) {
+				piv, best = i, a
 			}
 		}
 		if best < luPivTol {
 			return false
 		}
-		f.ipiv[k] = int32(p)
-		if p != k {
-			rk, rp := lu[k*m:k*m+m], lu[p*m:p*m+m]
-			for j := 0; j < m; j++ {
-				rk[j], rp[j] = rp[j], rk[j]
+		p := posOf[piv]
+		ipiv[k] = p
+		other := rowAt[k]
+		rowAt[k], rowAt[p] = piv, other
+		posOf[piv], posOf[other] = int32(k), p
+		step[piv], prow[k] = int32(k), piv
+		udiag[k] = x[piv]
+		inv := 1 / x[piv]
+		for _, i := range f.pat {
+			if a := x[i]; step[i] < 0 && a != 0 {
+				if l := a * inv; l != 0 {
+					f.lidx = append(f.lidx, i)
+					f.lval = append(f.lval, l)
+				} else {
+					// The dense elimination skips a multiplier that
+					// underflows to zero but leaves the raw entry in L's
+					// slot, where the solves still read it. Keep that: the
+					// complemented index hides it from later updates.
+					f.lidx = append(f.lidx, ^i)
+					f.lval = append(f.lval, a)
+				}
 			}
+			x[i] = 0
+			mark[i] = false
 		}
-		inv := 1 / lu[k*m+k]
-		for i := k + 1; i < m; i++ {
-			l := lu[i*m+k] * inv
-			if l == 0 {
-				continue
+		lptr[k+1] = int32(len(f.lidx))
+	}
+
+	// L's rows move to their final positions; ascending within a column.
+	lidx, lval := f.lidx, f.lval
+	for k := 0; k < m; k++ {
+		lo, hi := int(lptr[k]), int(lptr[k+1])
+		for p := lo; p < hi; p++ {
+			i := lidx[p]
+			if i < 0 {
+				i = ^i
 			}
-			lu[i*m+k] = l
-			ri, rk := lu[i*m:i*m+m], lu[k*m:k*m+m]
-			for j := k + 1; j < m; j++ {
-				ri[j] -= l * rk[j]
+			pi, v := posOf[i], lval[p]
+			q := p
+			for ; q > lo && lidx[q-1] > pi; q-- {
+				lidx[q], lval[q] = lidx[q-1], lval[q-1]
 			}
+			lidx[q], lval[q] = pi, v
 		}
+	}
+	// U by rows: the entries were created column by column, so a stable
+	// counting pass leaves each row's columns ascending.
+	uptr := growI32(&f.uptr, m+1)
+	for i := range uptr {
+		uptr[i] = 0
+	}
+	for _, r := range f.tuRow {
+		uptr[r+1]++
+	}
+	for k := 0; k < m; k++ {
+		uptr[k+1] += uptr[k]
+	}
+	uidx, uval := growI32(&f.uidx, len(f.tuRow)), growF64(&f.uval, len(f.tuRow))
+	next := rowAt // positions are final; reuse the storage as fill cursors
+	copy(next, uptr[:m])
+	for e, r := range f.tuRow {
+		uidx[next[r]] = f.tuCol[e]
+		uval[next[r]] = f.tuVal[e]
+		next[r]++
 	}
 	return true
 }
 
+// touch adds original row i to the work pattern of the column being
+// eliminated; a row that already has a pivot step queues that step on
+// the min-heap for application.
+func (f *factor) touch(i int32) {
+	f.mark[i] = true
+	f.pat = append(f.pat, i)
+	st := f.step[i]
+	if st < 0 {
+		return
+	}
+	h := append(f.steps, st)
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if h[p] <= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		c = p
+	}
+	f.steps = h
+}
+
+// popStep removes the smallest queued pivot step.
+func (f *factor) popStep() int32 {
+	h := f.steps
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	f.steps = h
+	for i := 0; ; {
+		l, r, min := 2*i+1, 2*i+2, i
+		if l < last && h[l] < h[min] {
+			min = l
+		}
+		if r < last && h[r] < h[min] {
+			min = r
+		}
+		if min == i {
+			return top
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
 // ftran solves B x = v in place (v has length m).
 func (f *factor) ftran(v []float64) {
-	m := f.m
-	lu := f.lu
-	for k := 0; k < m; k++ {
-		if p := int(f.ipiv[k]); p != k {
+	v = v[:f.m]
+	for k, p := range f.ipiv {
+		if int(p) != k {
 			v[k], v[p] = v[p], v[k]
 		}
 	}
-	// L (unit lower) forward substitution.
-	for i := 1; i < m; i++ {
-		ri := lu[i*m : i*m+i]
-		s := v[i]
-		for j, l := range ri {
-			if l != 0 {
-				s -= l * v[j]
-			}
+	// L (unit lower) forward substitution, column-oriented: v[i] still
+	// receives its l_ij·v[j] in ascending j, and a zero v[j] — most of
+	// them, for the unit vectors and single columns the simplex solves
+	// for — costs one compare.
+	lptr, lidx, lval := f.lptr, f.lidx, f.lval
+	for j, vj := range v {
+		if vj == 0 {
+			continue
 		}
-		v[i] = s
+		lo, hi := lptr[j], lptr[j+1]
+		val := lval[lo:hi]
+		for p, i := range lidx[lo:hi] {
+			v[i] -= val[p] * vj
+		}
 	}
-	// U back substitution.
-	for i := m - 1; i >= 0; i-- {
-		ri := lu[i*m : i*m+m]
+	// U back substitution, row-oriented over the stored non-zeros. (The
+	// column form would deliver row i's terms in descending j and round
+	// differently.)
+	uptr, uidx, uval := f.uptr, f.uidx, f.uval
+	for i := len(v) - 1; i >= 0; i-- {
 		s := v[i]
-		for j := i + 1; j < m; j++ {
-			if u := ri[j]; u != 0 {
-				s -= u * v[j]
-			}
+		lo, hi := uptr[i], uptr[i+1]
+		val := uval[lo:hi]
+		for p, j := range uidx[lo:hi] {
+			s -= val[p] * v[j]
 		}
-		v[i] = s / ri[i]
+		v[i] = s / f.udiag[i]
 	}
 	// Product-form updates in creation order.
 	for k := range f.etas {
 		e := &f.etas[k]
 		t := v[e.r] / e.piv
 		if t != 0 {
-			for i, wi := range e.w {
-				if wi != 0 {
-					v[i] -= wi * t
-				}
+			val := f.eval[e.lo:e.hi]
+			for p, i := range f.eidx[e.lo:e.hi] {
+				v[i] -= val[p] * t
 			}
 		}
 		v[e.r] = t
@@ -181,41 +352,49 @@ func (f *factor) ftran(v []float64) {
 
 // btran solves Bᵀ y = v in place (v has length m).
 func (f *factor) btran(v []float64) {
-	m := f.m
+	v = v[:f.m]
 	// Eta transposes in reverse order.
 	for k := len(f.etas) - 1; k >= 0; k-- {
 		e := &f.etas[k]
 		var s float64
-		for i, wi := range e.w {
-			if wi != 0 {
-				s += wi * v[i]
-			}
+		val := f.eval[e.lo:e.hi]
+		for p, i := range f.eidx[e.lo:e.hi] {
+			s += val[p] * v[i]
 		}
 		// s includes the pivot term piv·v[r]; remove it.
 		v[e.r] = (v[e.r] - (s - e.piv*v[e.r])) / e.piv
 	}
-	lu := f.lu
-	// Uᵀ forward substitution.
-	for i := 0; i < m; i++ {
-		s := v[i]
-		for j := 0; j < i; j++ {
-			if u := lu[j*m+i]; u != 0 {
-				s -= u * v[j]
-			}
+	// Uᵀ forward substitution, column-oriented over U's rows: v[i] still
+	// receives its u_ji·v[j] in ascending j; zero v[j] are skipped.
+	uptr, uidx, uval := f.uptr, f.uidx, f.uval
+	for j := range v {
+		if v[j] == 0 {
+			continue
 		}
-		v[i] = s / lu[i*m+i]
+		vj := v[j] / f.udiag[j]
+		v[j] = vj
+		lo, hi := uptr[j], uptr[j+1]
+		val := uval[lo:hi]
+		for p, i := range uidx[lo:hi] {
+			v[i] -= val[p] * vj
+		}
 	}
-	// Lᵀ (unit) back substitution.
-	for i := m - 2; i >= 0; i-- {
+	// Lᵀ (unit) back substitution, row-oriented over L's columns (again
+	// the orientation that keeps ascending j per accumulator).
+	lptr, lidx, lval := f.lptr, f.lidx, f.lval
+	for i := len(v) - 2; i >= 0; i-- {
+		lo, hi := lptr[i], lptr[i+1]
+		if lo == hi {
+			continue
+		}
 		s := v[i]
-		for j := i + 1; j < m; j++ {
-			if l := lu[j*m+i]; l != 0 {
-				s -= l * v[j]
-			}
+		val := lval[lo:hi]
+		for p, j := range lidx[lo:hi] {
+			s -= val[p] * v[j]
 		}
 		v[i] = s
 	}
-	for k := m - 1; k >= 0; k-- {
+	for k := len(v) - 1; k >= 0; k-- {
 		if p := int(f.ipiv[k]); p != k {
 			v[k], v[p] = v[p], v[k]
 		}
@@ -223,9 +402,15 @@ func (f *factor) btran(v []float64) {
 }
 
 // update appends the product-form eta for a pivot that replaced basis
-// row r with a column whose FTRAN'd image is w. w is copied.
+// row r with a column whose FTRAN'd image is w; w's non-zeros are
+// copied.
 func (f *factor) update(r int, w []float64) {
-	buf := f.etaBuf()
-	copy(buf, w)
-	f.etas = append(f.etas, eta{r: int32(r), piv: w[r], w: buf})
+	lo := int32(len(f.eidx))
+	for i, wi := range w {
+		if wi != 0 {
+			f.eidx = append(f.eidx, int32(i))
+			f.eval = append(f.eval, wi)
+		}
+	}
+	f.etas = append(f.etas, eta{r: int32(r), lo: lo, hi: int32(len(f.eidx)), piv: w[r]})
 }

@@ -24,7 +24,7 @@ func solveDense(p Problem, o Options) (Result, error) {
 	// variable fixings as extra rows.
 	baseA := make([][]float64, 0, len(p.A)+n)
 	baseB := make([]float64, 0, len(p.B)+n)
-	baseA = append(baseA, p.A...)
+	baseA = append(baseA, p.dense()...)
 	baseB = append(baseB, p.B...)
 	for i := 0; i < n; i++ {
 		u := math.Inf(1)

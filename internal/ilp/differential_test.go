@@ -44,7 +44,7 @@ func randMixedProblem(r *rand.Rand) Problem {
 				row[i] = math.Round(10 * (r.Float64() - 0.2))
 			}
 		}
-		p.A = append(p.A, row)
+		p.A = append(p.A, denseRow(row))
 		p.B = append(p.B, math.Round(8*float64(n)*(r.Float64()-0.1)))
 	}
 	return p
@@ -186,13 +186,13 @@ func TestDegenerateTiesTerminate(t *testing.T) {
 		}
 		rhs := float64(1 + r.Intn(n))
 		for k := 0; k < 3; k++ {
-			p.A = append(p.A, append([]float64(nil), row...))
+			p.A = append(p.A, denseRow(row))
 			p.B = append(p.B, rhs)
 		}
 		for i := 0; i < n; i++ {
 			one := make([]float64, n)
 			one[i] = 1
-			p.A = append(p.A, one)
+			p.A = append(p.A, denseRow(one))
 			p.B = append(p.B, 1)
 		}
 		got, err := Solve(p, Options{})
@@ -214,7 +214,7 @@ func TestDegenerateTiesTerminate(t *testing.T) {
 func TestInfeasibleAfterBranching(t *testing.T) {
 	p := Problem{
 		C:      []float64{-1, -2},
-		A:      [][]float64{{1, 1}, {-1, -1}},
+		A:      DenseRows([][]float64{{1, 1}, {-1, -1}}),
 		B:      []float64{1.5, -1.5}, // x1 + x2 = 1.5 exactly
 		Binary: []bool{true, true},
 	}
@@ -238,7 +238,7 @@ func TestTightUpperBounds(t *testing.T) {
 	// active at optimum, z ≤ 4 active via the row z ≤ 4.
 	p := Problem{
 		C:      []float64{-3, -2, -1},
-		A:      [][]float64{{1, 1, 0}, {0, 0, 1}},
+		A:      DenseRows([][]float64{{1, 1, 0}, {0, 0, 1}}),
 		B:      []float64{10, 4},
 		U:      []float64{0, 2.5, math.Inf(1)},
 		Binary: []bool{true, false, false},
@@ -265,7 +265,7 @@ func TestTightUpperBounds(t *testing.T) {
 func TestDeadlineGapReported(t *testing.T) {
 	p := Problem{
 		C:      []float64{-60, -100, -120},
-		A:      [][]float64{{10, 20, 30}},
+		A:      DenseRows([][]float64{{10, 20, 30}}),
 		B:      []float64{50},
 		Binary: []bool{true, true, true},
 	}
@@ -345,7 +345,7 @@ func fusionShapedProblem(r *rand.Rand, nRegions, window int) (Problem, []float64
 		if eIdx[i] >= 0 {
 			row[eIdx[i]] -= rg.te
 		}
-		p.A = append(p.A, row)
+		p.A = append(p.A, denseRow(row))
 		p.B = append(p.B, -rg.tmax)
 	}
 	capacity := int64(1+r.Intn(64)) << 14
@@ -359,7 +359,7 @@ func fusionShapedProblem(r *rand.Rand, nRegions, window int) (Problem, []float64
 				row[eIdx[j]] += float64(rg.de)
 			}
 		}
-		p.A = append(p.A, row)
+		p.A = append(p.A, denseRow(row))
 		p.B = append(p.B, float64(capacity))
 	}
 	// Greedy-ish warm start: take binaries while capacity allows.
@@ -392,7 +392,7 @@ func TestUnboundedRelaxation(t *testing.T) {
 	// min -x0 + x1 with only -x0 + x1 ≤ 1: x0 grows without bound.
 	p := Problem{
 		C: []float64{-1, 1},
-		A: [][]float64{{-1, 1}},
+		A: DenseRows([][]float64{{-1, 1}}),
 		B: []float64{1},
 	}
 	sp, err := Solve(p, Options{})
@@ -413,7 +413,7 @@ func TestUnboundedRelaxation(t *testing.T) {
 	// incumbent survives but optimality still cannot be proven.
 	p2 := Problem{
 		C:      []float64{-1, -5},
-		A:      [][]float64{{-1, 1}},
+		A:      DenseRows([][]float64{{-1, 1}}),
 		B:      []float64{1},
 		U:      []float64{math.Inf(1), 1},
 		Binary: []bool{false, true},

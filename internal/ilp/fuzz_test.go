@@ -10,13 +10,18 @@ import (
 // against the frozen dense reference (and, when the binary count
 // permits, brute-force enumeration) on randomized mixed 0/1 problems.
 // The fuzz inputs seed the generator, so go test runs the corpus
-// deterministically and `go test -fuzz` explores fresh instances.
+// deterministically and `go test -fuzz` explores fresh instances. shape
+// picks the sparsity pattern: half-full rows, hypersparse rows (about
+// one non-zero each, so most solves touch a zero), or a dense first
+// column under sparse others (one long L/U column, fill-in).
 func FuzzILPSparseVsDense(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(2))
-	f.Add(int64(42), uint8(8), uint8(5))
-	f.Add(int64(7), uint8(3), uint8(1))
-	f.Add(int64(99), uint8(9), uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, n, m uint8) {
+	f.Add(int64(1), uint8(4), uint8(2), uint8(0))
+	f.Add(int64(42), uint8(8), uint8(5), uint8(0))
+	f.Add(int64(7), uint8(3), uint8(1), uint8(0))
+	f.Add(int64(99), uint8(9), uint8(4), uint8(0))
+	f.Add(int64(5), uint8(8), uint8(5), uint8(1))
+	f.Add(int64(6), uint8(8), uint8(5), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, n, m, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
 		nv := 1 + int(n)%9
 		nr := 1 + int(m)%6
@@ -40,11 +45,20 @@ func FuzzILPSparseVsDense(f *testing.F) {
 		for j := 0; j < nr; j++ {
 			row := make([]float64, nv)
 			for i := range row {
-				if r.Intn(2) == 0 {
+				var fill bool
+				switch shape % 3 {
+				case 0:
+					fill = r.Intn(2) == 0
+				case 1:
+					fill = r.Intn(nv) == 0
+				default:
+					fill = i == 0 || r.Intn(8) == 0
+				}
+				if fill {
 					row[i] = math.Round(10 * (r.Float64() - 0.2))
 				}
 			}
-			p.A = append(p.A, row)
+			p.A = append(p.A, denseRow(row))
 			p.B = append(p.B, math.Round(8*float64(nv)*(r.Float64()-0.1)))
 		}
 

@@ -60,7 +60,7 @@ func TestSolveKnapsack(t *testing.T) {
 	// best 220 (items 2,3). As min of negative value.
 	p := Problem{
 		C:      []float64{-60, -100, -120},
-		A:      [][]float64{{10, 20, 30}},
+		A:      DenseRows([][]float64{{10, 20, 30}}),
 		B:      []float64{50},
 		Binary: []bool{true, true, true},
 	}
@@ -84,7 +84,7 @@ func TestSolveMixedIntegerWithContinuous(t *testing.T) {
 	// objective -4.
 	p := Problem{
 		C:      []float64{-3, -2},
-		A:      [][]float64{{1, 1}},
+		A:      DenseRows([][]float64{{1, 1}}),
 		B:      []float64{1.5},
 		U:      []float64{1, math.Inf(1)},
 		Binary: []bool{true, false},
@@ -114,7 +114,7 @@ func TestSolveMatchesBruteForceRandom(t *testing.T) {
 			for i := range row {
 				row[i] = math.Round(10 * r.Float64())
 			}
-			p.A = append(p.A, row)
+			p.A = append(p.A, denseRow(row))
 			p.B = append(p.B, math.Round(5*float64(n)*r.Float64()))
 		}
 		got, err := Solve(p, Options{})
@@ -136,7 +136,7 @@ func TestDeadlineReturnsIncumbent(t *testing.T) {
 	// return the warm start as a non-optimal incumbent.
 	p := Problem{
 		C:      []float64{-60, -100, -120},
-		A:      [][]float64{{10, 20, 30}},
+		A:      DenseRows([][]float64{{10, 20, 30}}),
 		B:      []float64{50},
 		Binary: []bool{true, true, true},
 	}
@@ -160,7 +160,7 @@ func TestWarmStartValidated(t *testing.T) {
 	// An infeasible warm start must be ignored.
 	p := Problem{
 		C:      []float64{-1},
-		A:      [][]float64{{1}},
+		A:      DenseRows([][]float64{{1}}),
 		B:      []float64{0.5},
 		Binary: []bool{true},
 	}
@@ -174,15 +174,27 @@ func TestWarmStartValidated(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	_, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}, Options{})
+	_, err := Solve(Problem{C: []float64{1}, A: DenseRows([][]float64{{1, 2}}), B: []float64{1}}, Options{})
 	if err == nil {
 		t.Error("expected dimension error")
 	}
-	_, err = Solve(Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}}, Options{})
+	_, err = Solve(Problem{C: []float64{1}, A: DenseRows([][]float64{{1}}), B: []float64{1, 2}}, Options{})
 	if err == nil {
 		t.Error("expected rhs mismatch error")
 	}
+	for name, row := range map[string]Row{
+		"unsorted":  {Idx: []int32{1, 0}, Val: []float64{1, 1}},
+		"duplicate": {Idx: []int32{0, 0}, Val: []float64{1, 1}},
+		"ragged":    {Idx: []int32{0, 1}, Val: []float64{1}},
+	} {
+		if _, err := Solve(Problem{C: []float64{1, 1}, A: []Row{row}, B: []float64{1}}, Options{}); err == nil {
+			t.Errorf("%s row: expected an error", name)
+		}
+	}
 }
+
+// denseRow converts one dense row to the sparse form.
+func denseRow(row []float64) Row { return DenseRows([][]float64{row})[0] }
 
 func TestGreedyKnapsack(t *testing.T) {
 	chosen := GreedyKnapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
@@ -201,7 +213,7 @@ func TestGreedyKnapsack(t *testing.T) {
 func TestSolveInfeasibleProblem(t *testing.T) {
 	p := Problem{
 		C:      []float64{1},
-		A:      [][]float64{{1}, {-1}},
+		A:      DenseRows([][]float64{{1}, {-1}}),
 		B:      []float64{0.4, -0.6}, // 0.6 <= x <= 0.4: infeasible
 		Binary: []bool{true},
 	}
@@ -217,7 +229,7 @@ func TestSolveInfeasibleProblem(t *testing.T) {
 func TestNodesCounted(t *testing.T) {
 	p := Problem{
 		C:      []float64{-1, -1, -1},
-		A:      [][]float64{{1, 1, 1}},
+		A:      DenseRows([][]float64{{1, 1, 1}}),
 		B:      []float64{1.5},
 		Binary: []bool{true, true, true},
 	}
@@ -227,5 +239,30 @@ func TestNodesCounted(t *testing.T) {
 	}
 	if !r.Optimal || r.Objective != -1 {
 		t.Errorf("result: %+v", r)
+	}
+}
+
+// TestDenseFallbackKeepsSparseProgress: when the sparse search hands
+// over to the dense solver mid-way (numerical failure), the answer is
+// the dense solver's but the nodes already explored still count, and a
+// proven optimum is still the optimum.
+func TestDenseFallbackKeepsSparseProgress(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	p, _ := fusionShapedProblem(r, 9, 4)
+	clean, err := Solve(p, Options{})
+	if err != nil || !clean.Optimal || clean.Nodes < 4 {
+		t.Fatalf("need a proven multi-node instance, got %+v (%v)", clean, err)
+	}
+	testHook.failNode = 3
+	defer func() { testHook.failNode = 0 }()
+	got, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Optimal || math.Abs(got.Objective-clean.Objective) > 1e-9*(1+math.Abs(clean.Objective)) {
+		t.Fatalf("fallback result %+v, want optimal objective %.12g", got, clean.Objective)
+	}
+	if got.Nodes <= 3 {
+		t.Fatalf("fallback reports %d nodes: the 3 sparse nodes were dropped", got.Nodes)
 	}
 }

@@ -1,0 +1,109 @@
+package ilp_test
+
+// Tests on real fusion instances. They live in the external test
+// package because the instances come from the simulator, which imports
+// ilp.
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"fast/internal/arch"
+	"fast/internal/ilp"
+	"fast/internal/models"
+	"fast/internal/sim"
+)
+
+// exactReport simulates model on cfg with the exact fusion solve on, as
+// fast-sim does.
+func exactReport(t testing.TB, model string, cfg *arch.Config) *sim.Result {
+	t.Helper()
+	g, err := models.Build(model, cfg.NativeBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.FASTOptions()
+	opts.Fusion.GreedyOnly = false
+	opts.Fusion.Deadline = time.Minute
+	r, err := sim.Simulate(g, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestKernelsMatchDenseOnFusionInstances holds the sparse kernels to
+// the frozen dense LU, bit for bit, on bases of the problems the fusion
+// pass really builds — including efficientnet-b7's, the largest
+// (m=548), whose capacity rows put ~140 non-zeros in a row.
+func TestKernelsMatchDenseOnFusionInstances(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"ocr-rpn", "fast-small"},
+		{"bert-128", "fast-small"},
+		{"efficientnet-b7", "fast-large"},
+	} {
+		t.Run(tc[0]+"/"+tc[1], func(t *testing.T) {
+			// A report solves its softmax variants side by side.
+			var mu sync.Mutex
+			var problems []ilp.Problem
+			restore := ilp.CaptureProblems(func(p ilp.Problem) {
+				mu.Lock()
+				problems = append(problems, p)
+				mu.Unlock()
+			})
+			exactReport(t, tc[0], arch.ByName(tc[1]))
+			restore()
+			if len(problems) == 0 {
+				t.Fatal("the report ran no exact solve")
+			}
+			for i, p := range problems {
+				ilp.CheckKernelsOnProblem(t, p, int64(i))
+			}
+		})
+	}
+}
+
+// TestOpenNodeBytes is the memory guard for branch-and-bound: on the
+// efficientnet-b0 seed-9 winner (report_hard's instance, never proven
+// inside any deadline) the search is cut at a fixed node count and the
+// heap bytes that dropping the open frontier frees, per open node, must
+// stay under 160 — a path + basis + bitset copy per node was ~4 KB.
+// Under a wall-clock deadline a faster solver turns speed into frontier;
+// this bound is what keeps that from becoming peak RSS.
+func TestOpenNodeBytes(t *testing.T) {
+	cfg, err := arch.LoadFile("../../cmd/fast-bench/testdata/b0_seed9_winner.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 20000
+	var solves, open int
+	var freed uint64
+	restore := ilp.StopAtNodes(cut, func(n int, release func()) {
+		solves++ // efficientnet has no softmax: one solve, nothing concurrent
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		release()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		open, freed = n, before.HeapAlloc-after.HeapAlloc
+	})
+	defer restore()
+	r := exactReport(t, "efficientnet-b0", cfg)
+	if r.Fusion.Nodes != cut || r.Fusion.Method != "ilp-incumbent" {
+		t.Fatalf("solve ended %s after %d nodes; the guard needs the cut-off at %d", r.Fusion.Method, r.Fusion.Nodes, cut)
+	}
+	if solves != 1 {
+		t.Fatalf("%d solves reached the cut-off, want 1", solves)
+	}
+	if open < cut/10 {
+		t.Fatalf("only %d open nodes at the cut-off; too few to measure", open)
+	}
+	perNode := float64(freed) / float64(open)
+	t.Logf("%d open nodes after %d explored: %.1f retained bytes a node", open, cut, perNode)
+	if perNode > 160 {
+		t.Errorf("an open node retains %.1f bytes, want ≤ 160", perNode)
+	}
+}

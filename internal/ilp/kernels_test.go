@@ -1,0 +1,419 @@
+package ilp
+
+// Kernel differentials: the sparse factorization, FTRAN/BTRAN, eta file
+// and pivot-row kernels against the frozen dense reference
+// (reference_test.go), compared on bits. The two zeros are identified:
+// skipping a zero operand drops a ±0 term, which can only flip the sign
+// of an exactly-zero result (see basis.go).
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+func compareVec(t testing.TB, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: entry %d: sparse %v (%#x) != dense %v (%#x)", label, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// compareFactors densifies the sparse L, U and pivots and holds them to
+// the reference's m×m array entry by entry.
+func compareFactors(t testing.TB, f *factor, ref *refFactor) {
+	t.Helper()
+	m := f.m
+	for k := 0; k < m; k++ {
+		if f.ipiv[k] != ref.ipiv[k] {
+			t.Fatalf("ipiv[%d]: sparse %d != dense %d", k, f.ipiv[k], ref.ipiv[k])
+		}
+	}
+	lu := make([]float64, m*m)
+	for k := 0; k < m; k++ {
+		lu[k*m+k] = f.udiag[k]
+		prev := int32(k)
+		for p := f.lptr[k]; p < f.lptr[k+1]; p++ {
+			if f.lidx[p] <= prev {
+				t.Fatalf("L column %d: row indices not ascending below the diagonal", k)
+			}
+			prev = f.lidx[p]
+			lu[int(f.lidx[p])*m+k] = f.lval[p]
+		}
+		prev = int32(k)
+		for p := f.uptr[k]; p < f.uptr[k+1]; p++ {
+			if f.uidx[p] <= prev {
+				t.Fatalf("U row %d: column indices not ascending right of the diagonal", k)
+			}
+			prev = f.uidx[p]
+			lu[k*m+int(f.uidx[p])] = f.uval[p]
+		}
+	}
+	for i := range lu {
+		if !sameBits(lu[i], ref.lu[i]) {
+			t.Fatalf("LU[%d,%d]: sparse %v != dense %v", i/m, i%m, lu[i], ref.lu[i])
+		}
+	}
+}
+
+// checkKernels factorizes one basis with both implementations, then
+// walks both through the same nEtas column replacements, comparing the
+// factors, every entering column's FTRAN, and FTRAN/BTRAN/pivot rows of
+// probe vectors along the way.
+func checkKernels(t testing.TB, c *csc, basis []int32, nEtas int, rng *rand.Rand) {
+	t.Helper()
+	m := c.m
+	var f factor
+	var ref refFactor
+	ok, refOK := f.factorize(c, basis), ref.factorize(c, basis)
+	if ok != refOK {
+		t.Fatalf("factorize: sparse ok=%v, dense ok=%v", ok, refOK)
+	}
+	if !ok {
+		return
+	}
+	compareFactors(t, &f, &ref)
+
+	basis = append([]int32(nil), basis...)
+	basic := make(map[int32]bool, m)
+	for _, j := range basis {
+		basic[j] = true
+	}
+	a, b := make([]float64, m), make([]float64, m)
+	alpha := make([]float64, c.n+m)
+	probes := func(label string) {
+		t.Helper()
+		for trial := 0; trial < 6; trial++ {
+			switch trial {
+			case 0, 1: // unit vector: the pivot-row BTRAN
+				for i := range a {
+					a[i] = 0
+				}
+				a[rng.Intn(m)] = 1
+			case 2, 3: // one column: the entering-column FTRAN
+				c.scatter(rng.Intn(c.n+m), a)
+			case 4: // dense, as the rhs and cost vectors are
+				for i := range a {
+					a[i] = rng.NormFloat64()
+				}
+			default: // half empty, with negative zeros
+				for i := range a {
+					a[i] = math.Copysign(0, -1)
+					if rng.Intn(2) == 0 {
+						a[i] = float64(rng.Intn(7) - 3)
+					}
+				}
+			}
+			in := append([]float64(nil), a...)
+			copy(b, a)
+			f.ftran(a)
+			ref.ftran(b)
+			compareVec(t, label+" ftran", a, b)
+			copy(a, in)
+			copy(b, in)
+			f.btran(a)
+			ref.btran(b)
+			compareVec(t, label+" btran", a, b)
+			// Pivot row from rows vs column dots, over the same ρ.
+			c.mulRow(b, alpha)
+			for j := range alpha {
+				if want := refDot(c, j, b); !sameBits(alpha[j], want) {
+					t.Fatalf("%s pivot row: column %d: rows %v != dots %v", label, j, alpha[j], want)
+				}
+			}
+		}
+	}
+	probes("fresh")
+	for e := 0; e < nEtas; e++ {
+		q := int32(rng.Intn(c.n + m))
+		if basic[q] {
+			continue
+		}
+		c.scatter(int(q), a)
+		copy(b, a)
+		f.ftran(a)
+		ref.ftran(b)
+		compareVec(t, "entering column", a, b)
+		r := 0
+		for i := range a {
+			if math.Abs(a[i]) > math.Abs(a[r]) {
+				r = i
+			}
+		}
+		if math.Abs(a[r]) < 1e-6 {
+			continue
+		}
+		f.update(r, a)
+		ref.update(r, b)
+		delete(basic, basis[r])
+		basis[r], basic[q] = q, true
+		if e%24 == 0 {
+			probes("mid-eta")
+		}
+	}
+	if len(f.etas) != len(ref.etas) {
+		t.Fatalf("eta count: sparse %d != dense %d", len(f.etas), len(ref.etas))
+	}
+	probes("final")
+}
+
+// randSparseMatrix draws an m×n matrix with about perCol non-zeros a
+// column on top of a non-zero diagonal. Values come from a small
+// quantized set plus a few byte-count and microsecond magnitudes, so
+// pivot ties (the first-maximum rule), exact cancellation and the
+// fusion problems' scaling all occur.
+func randSparseMatrix(rng *rand.Rand, m, n int, perCol float64) *csc {
+	rows := make([][]float64, m)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+	}
+	value := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return float64(int64(1+rng.Intn(64)) << 12)
+		case 1:
+			return -1e-5 * (0.1 + rng.Float64())
+		}
+		return []float64{-2, -1, 1, 2}[rng.Intn(4)]
+	}
+	for j := 0; j < n; j++ {
+		if j < m {
+			rows[j][j] = value()
+		}
+		for k := int(rng.ExpFloat64() * perCol); k > 0; k-- {
+			rows[rng.Intn(m)][j] = value()
+		}
+	}
+	return newCSC(DenseRows(rows), n)
+}
+
+// randBasis covers each row with its slack or its diagonal column (a
+// structurally nonsingular choice, slack-heavy the way fusion bases
+// are) and shuffles the column order so the row swaps get exercised.
+func randBasis(rng *rand.Rand, c *csc, slackShare float64) []int32 {
+	basis := make([]int32, c.m)
+	for i := range basis {
+		basis[i] = int32(c.n + i)
+		if i < c.n && rng.Float64() >= slackShare {
+			basis[i] = int32(i)
+		}
+	}
+	rng.Shuffle(len(basis), func(a, b int) { basis[a], basis[b] = basis[b], basis[a] })
+	return basis
+}
+
+// TestKernelsMatchDenseRandom: seeded random sparse bases, hypersparse
+// to nearly dense, with 0–192 etas on top.
+func TestKernelsMatchDenseRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	factored := 0
+	for trial := 0; trial < 120; trial++ {
+		m := 1 + rng.Intn(60)
+		n := 1 + rng.Intn(90)
+		c := randSparseMatrix(rng, m, n, []float64{0.3, 1.5, 6, float64(m)}[trial%4])
+		basis := randBasis(rng, c, []float64{0.9, 0.5, 0.1}[trial%3])
+		var probe factor
+		if probe.factorize(c, basis) {
+			factored++
+		}
+		checkKernels(t, c, basis, []int{0, 7, 64, maxEtas}[trial%4], rng)
+	}
+	if factored < 90 {
+		t.Fatalf("only %d of 120 random bases were nonsingular — the differential has no teeth", factored)
+	}
+}
+
+// TestKernelsUnderflowedMultiplier pins the corner where a multiplier
+// underflows to zero: the dense elimination skips the row update but
+// leaves the raw entry in L's slot, and the solves read it.
+func TestKernelsUnderflowedMultiplier(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	c := newCSC(DenseRows([][]float64{
+		{1e9, 2, 0},
+		{tiny, 1, 3},
+		{0, 4, 1},
+	}), 3)
+	basis := []int32{0, 1, 2}
+	var f factor
+	var ref refFactor
+	if !f.factorize(c, basis) || !ref.factorize(c, basis) {
+		t.Fatal("basis must factorize")
+	}
+	compareFactors(t, &f, &ref)
+	if f.lptr[1] != 1 || f.lval[0] != tiny {
+		t.Fatalf("raw multiplier not kept in L: lptr=%v lval=%v", f.lptr, f.lval)
+	}
+	for _, v := range [][]float64{{1e300, 0, 0}, {1, 1, 1}, {0, 0, 1e300}} {
+		a, b := append([]float64(nil), v...), append([]float64(nil), v...)
+		f.ftran(a)
+		ref.ftran(b)
+		compareVec(t, "ftran", a, b)
+		a, b = append(a[:0], v...), append(b[:0], v...)
+		f.btran(a)
+		ref.btran(b)
+		compareVec(t, "btran", a, b)
+	}
+}
+
+// checkKernelsOnProblem runs the kernel differential on bases the
+// simplex itself reaches on p: the root optimum and the optima of a
+// short dive that rounds the first fractional binary each time.
+// Exported to the external tests (export_test.go), which feed it real
+// fusion instances.
+func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
+	t.Helper()
+	ls := new(lpState)
+	ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.U, p.Binary)
+	ls.installSlackBasis()
+	ls.computeXB()
+	ls.computeDuals()
+	rng := rand.New(rand.NewSource(seed))
+	bases := 0
+	for depth := 0; depth < 4; depth++ {
+		if ls.dualSimplex(20000, time.Time{}) != lpOptimal {
+			break
+		}
+		bases++
+		checkKernels(t, ls.c, ls.basis, []int{0, 48, maxEtas, 16}[depth], rng)
+		ls.extract()
+		j := selectBranch(ls.x, p.Binary, nil, nil, make([]int32, ls.n), make([]int32, ls.n))
+		if j < 0 {
+			break
+		}
+		ls.fixBinary(j, math.Round(ls.x[j]))
+	}
+	if bases == 0 {
+		t.Fatal("root LP did not solve")
+	}
+}
+
+// fakeState is the slice of lpState the snapshot deltas read.
+func fakeState(m, n int) *lpState {
+	s := &lpState{m: m, n: n, N: n + m}
+	s.basis = make([]int32, m)
+	s.pos = make([]int32, s.N)
+	s.atUp = make([]bool, s.N)
+	for j := range s.pos {
+		s.pos[j] = -1
+	}
+	for i := range s.basis {
+		s.basis[i] = int32(n + i)
+		s.pos[n+i] = int32(i)
+	}
+	return s
+}
+
+// TestNodeDeltasMaterialise grows a random branch-and-bound tree over a
+// mutating basis and checks that every node record, materialised by
+// walking to the root, reproduces the full snapshot taken when it was
+// recorded: basis, effective at-upper bitset and fixing path.
+func TestNodeDeltasMaterialise(t *testing.T) {
+	const m, n = 23, 41
+	rng := rand.New(rand.NewSource(11))
+	type full struct {
+		rec   *nodeRec
+		basis []int32
+		up    []uint64
+		fixes []int8 // per structural column: the fixed value, or -1
+	}
+	s := fakeState(m, n)
+	var sn snapshot
+	sn.reset(m, n)
+	snap := func(parent *full, fix int32) *full {
+		fl := &full{basis: append([]int32(nil), s.basis...), up: make([]uint64, len(sn.up)), fixes: make([]int8, n)}
+		for j := range fl.fixes {
+			fl.fixes[j] = -1
+		}
+		for j := 0; j < s.N; j++ {
+			if s.pos[j] < 0 && s.atUp[j] {
+				fl.up[j>>6] |= 1 << (j & 63)
+			}
+		}
+		var prec *nodeRec
+		if parent != nil {
+			prec = parent.rec
+			copy(fl.fixes, parent.fixes)
+		}
+		if fix >= 0 {
+			fl.fixes[fix>>1] = int8(fix & 1)
+		}
+		fl.rec = sn.record(prec, fix, s)
+		return fl
+	}
+	pivot := func() {
+		r, q := rng.Intn(m), rng.Intn(s.N)
+		if s.pos[q] >= 0 {
+			return
+		}
+		out := s.basis[r]
+		s.basis[r], s.pos[q], s.pos[out] = int32(q), int32(r), -1
+		s.atUp[out] = rng.Intn(2) == 0
+	}
+	nodes := []*full{snap(nil, -1)}
+	for len(nodes) < 200 {
+		// Jump to a random recorded node (a pop), reinstall its snapshot,
+		// pivot a little, branch.
+		parent := nodes[rng.Intn(len(nodes))]
+		sn.materialise(parent.rec, n)
+		copy(s.basis, sn.basis)
+		for j := range s.pos {
+			s.pos[j] = -1
+			s.atUp[j] = sn.up[j>>6]&(1<<(j&63)) != 0
+		}
+		for i, j := range s.basis {
+			s.pos[j] = int32(i)
+		}
+		for dive := 0; dive < 1+rng.Intn(3); dive++ {
+			for k := rng.Intn(5); k > 0; k-- {
+				pivot()
+			}
+			if rng.Intn(4) == 0 { // a stale flag on a basic column must not leak
+				s.atUp[s.basis[rng.Intn(m)]] = true
+			}
+			// Like the solver, never fix a variable twice on one path.
+			j := rng.Intn(n)
+			for tries := 0; parent.fixes[j] >= 0 && tries < 4*n; tries++ {
+				j = rng.Intn(n)
+			}
+			if parent.fixes[j] >= 0 {
+				break
+			}
+			parent = snap(parent, int32(j)<<1|int32(rng.Intn(2)))
+			nodes = append(nodes, parent)
+		}
+	}
+	for k, fl := range nodes {
+		sn.materialise(fl.rec, n)
+		for i := range fl.basis {
+			if sn.basis[i] != fl.basis[i] {
+				t.Fatalf("node %d: basis row %d materialised %d, snapshot %d", k, i, sn.basis[i], fl.basis[i])
+			}
+		}
+		for w := range fl.up {
+			if sn.up[w] != fl.up[w] {
+				t.Fatalf("node %d: at-upper word %d materialised %#x, snapshot %#x", k, w, sn.up[w], fl.up[w])
+			}
+		}
+		got := make([]int8, n)
+		for j := range got {
+			got[j] = -1
+		}
+		for r := fl.rec; r != nil && r.delta[0] != noFix; r = r.parent {
+			j, v := unfix(r.delta[0])
+			got[j] = int8(v)
+		}
+		for j := range got {
+			if got[j] != fl.fixes[j] {
+				t.Fatalf("node %d: column %d fixed to %d by the walk, %d in the snapshot", k, j, got[j], fl.fixes[j])
+			}
+		}
+	}
+}

@@ -69,10 +69,12 @@ type lpState struct {
 	d  []float64 // len N: reduced costs
 
 	f factor
+	// ref is branch-and-bound's warm-start reference (see snapshot).
+	ref snapshot
 
 	// scratch
-	rho, w, alpha, colBuf, x []float64
-	touched                  []int32
+	rho, w, alpha, x []float64
+	touched          []int32
 
 	bland bool
 	degen int
@@ -87,40 +89,26 @@ func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
 	s.m = c.m
 	s.n = c.n
 	s.N = c.n + c.m
-	grow := func(p *[]float64, n int) []float64 {
-		if cap(*p) < n {
-			*p = make([]float64, n)
-		}
-		*p = (*p)[:n]
-		return *p
-	}
-	s.b = grow(&s.b, s.m)
+	growF64(&s.b, s.m)
 	copy(s.b, b)
-	s.cost = grow(&s.cost, s.N)
-	s.lo = grow(&s.lo, s.N)
-	s.up = grow(&s.up, s.N)
-	s.baseUp = grow(&s.baseUp, s.n)
-	s.xB = grow(&s.xB, s.m)
-	s.d = grow(&s.d, s.N)
-	s.rho = grow(&s.rho, s.m)
-	s.w = grow(&s.w, s.m)
-	s.colBuf = grow(&s.colBuf, s.m)
-	s.alpha = grow(&s.alpha, s.N)
-	s.x = grow(&s.x, s.n)
+	growF64(&s.cost, s.N)
+	growF64(&s.lo, s.N)
+	growF64(&s.up, s.N)
+	growF64(&s.baseUp, s.n)
+	growF64(&s.xB, s.m)
+	growF64(&s.d, s.N)
+	growF64(&s.rho, s.m)
+	growF64(&s.w, s.m)
+	growF64(&s.alpha, s.N)
+	growF64(&s.x, s.n)
 	if cap(s.art) < s.N {
 		s.art = make([]bool, s.N)
 		s.atUp = make([]bool, s.N)
 	}
 	s.art = s.art[:s.N]
 	s.atUp = s.atUp[:s.N]
-	if cap(s.basis) < s.m {
-		s.basis = make([]int32, s.m)
-	}
-	s.basis = s.basis[:s.m]
-	if cap(s.pos) < s.N {
-		s.pos = make([]int32, s.N)
-	}
-	s.pos = s.pos[:s.N]
+	growI32(&s.basis, s.m)
+	growI32(&s.pos, s.N)
 	if cap(s.touched) < s.N {
 		s.touched = make([]int32, 0, s.N)
 	}
@@ -192,9 +180,9 @@ func (s *lpState) installSlackBasis() {
 // Best-first pops usually land close to the previously solved node, so
 // the snapshot differs from the in-state basis in a handful of columns.
 // Those are swapped in as product-form updates (one FTRAN each) against
-// the existing factors — the full O(m³) refactorization runs only when
-// the diff is large, an update pivot is too small, or the factors are
-// already carrying a long eta list.
+// the existing factors — a refactorization runs only when the diff is
+// large, an update pivot is too small, or the factors are already
+// carrying a long eta list.
 func (s *lpState) installBasis(basis []int32, atUp []uint64) bool {
 	repaired := s.repairBasis(basis)
 	copy(s.basis, basis)
@@ -241,8 +229,7 @@ func (s *lpState) repairBasis(target []int32) bool {
 		next := pending[:0]
 		for _, r32 := range pending {
 			r := int(r32)
-			s.c.scatter(int(target[r]), s.colBuf)
-			copy(s.w, s.colBuf)
+			s.c.scatter(int(target[r]), s.w)
 			s.f.ftran(s.w)
 			if math.Abs(s.w[r]) < 100*etaPivTol {
 				next = append(next, r32)
@@ -290,11 +277,12 @@ func (s *lpState) computeDuals() {
 		s.rho[i] = s.cost[j]
 	}
 	s.f.btran(s.rho)
+	s.c.mulRow(s.rho, s.alpha)
 	for j := 0; j < s.N; j++ {
 		if s.pos[j] >= 0 {
 			s.d[j] = 0
 		} else {
-			s.d[j] = s.cost[j] - s.c.dot(j, s.rho)
+			s.d[j] = s.cost[j] - s.alpha[j]
 		}
 	}
 }
@@ -364,12 +352,14 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		}
 		jr := int(s.basis[r])
 
-		// α row: ρ = B⁻ᵀ e_r, α_j = ρ·A_j for every nonbasic column.
+		// α row: ρ = B⁻ᵀ e_r, α = ρᵀ[A I] scattered from the rows ρ
+		// touches; the ratio test then reads it for every nonbasic column.
 		for i := range s.rho {
 			s.rho[i] = 0
 		}
 		s.rho[r] = 1
 		s.f.btran(s.rho)
+		s.c.mulRow(s.rho, s.alpha)
 		s.touched = s.touched[:0]
 		q := -1
 		bestRatio := math.Inf(1)
@@ -378,11 +368,10 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 			if s.pos[j] >= 0 {
 				continue
 			}
-			a := s.c.dot(j, s.rho)
+			a := s.alpha[j]
 			if a == 0 {
 				continue
 			}
-			s.alpha[j] = a
 			s.touched = append(s.touched, int32(j))
 			if s.lo[j] == s.up[j] {
 				continue // fixed: never enters
@@ -422,8 +411,7 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		aq := s.alpha[q]
 		// Fresh FTRAN of the entering column; cross-check against the
 		// BTRAN-derived pivot to catch factorization drift.
-		s.c.scatter(q, s.colBuf)
-		copy(s.w, s.colBuf)
+		s.c.scatter(q, s.w)
 		s.f.ftran(s.w)
 		if math.Abs(s.w[r]-aq) > 1e-7*(1+math.Abs(aq)) || math.Abs(s.w[r]) < etaPivTol {
 			if justRefreshed {

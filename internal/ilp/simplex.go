@@ -9,7 +9,6 @@
 package ilp
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -215,17 +214,4 @@ func simplexDeadline(c []float64, a [][]float64, b []float64, maxIter int, deadl
 		objVal += c[j] * x[j]
 	}
 	return lpResult{x: x, objective: objVal, feasible: true, iterations: iter}
-}
-
-// validate checks structural consistency of a problem definition.
-func validate(c []float64, a [][]float64, b []float64) error {
-	for i, row := range a {
-		if len(row) != len(c) {
-			return fmt.Errorf("ilp: row %d has %d coefficients, want %d", i, len(row), len(c))
-		}
-	}
-	if len(a) != len(b) {
-		return fmt.Errorf("ilp: %d rows but %d rhs entries", len(a), len(b))
-	}
-	return nil
 }

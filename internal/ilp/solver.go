@@ -8,11 +8,12 @@ import (
 )
 
 // Problem is min C·x subject to A·x ≤ B, 0 ≤ x ≤ U, and x[i] ∈ {0,1} for
-// every i in Binary. Upper bounds default to 1 for binary variables and
-// +inf for continuous ones when U is nil.
+// every i in Binary. The constraint rows are sparse (DenseRows converts
+// dense ones). Upper bounds default to 1 for binary variables and +inf
+// for continuous ones when U is nil.
 type Problem struct {
 	C      []float64
-	A      [][]float64
+	A      []Row
 	B      []float64
 	U      []float64
 	Binary []bool
@@ -62,7 +63,7 @@ type Options struct {
 // basis, and pseudo-cost/most-fractional branching over the sparse
 // revised-simplex core.
 func Solve(p Problem, o Options) (Result, error) {
-	if err := validate(p.C, p.A, p.B); err != nil {
+	if err := validate(p); err != nil {
 		return Result{}, err
 	}
 	if o.Dense {
@@ -80,33 +81,173 @@ func Solve(p Problem, o Options) (Result, error) {
 	if res.Feasible {
 		o.WarmStart = res.X
 	}
-	return solveDense(p, o)
+	de, err := solveDense(p, o)
+	if err != nil {
+		return de, err
+	}
+	// The dense solver tracks no bound and counts its own nodes only;
+	// what the sparse search had explored and proven when it failed
+	// still holds.
+	de.Nodes += res.Nodes
+	if !de.Optimal && res.BestBound > de.BestBound {
+		de.BestBound = res.BestBound
+		if de.Feasible {
+			de.Gap = relGap(de.Objective, de.BestBound)
+		}
+	}
+	return de, nil
 }
 
-// statePool recycles the revised-simplex working state (basis, LU
-// factors, pricing buffers) across solves; the parallel full-ILP
-// reporting paths run many instances concurrently and per-instance
-// allocation of m×m factor storage would dominate.
+// relGap is the relative optimality gap of an incumbent against a lower
+// bound, clamped at zero.
+func relGap(objective, bound float64) float64 {
+	return math.Max(0, (objective-bound)/math.Max(1, math.Abs(objective)))
+}
+
+// statePool recycles the revised-simplex working state (basis, sparse
+// LU factors and eta file, pricing buffers) across solves; the parallel
+// full-ILP reporting paths run many instances concurrently, and every
+// buffer in it is O(rows + columns + nnz(LU)).
 var statePool = sync.Pool{New: func() any { return new(lpState) }}
 
-// bbNode is one open branch-and-bound subproblem.
+// testHook holds seams only _test.go files set (via export_test.go);
+// production code leaves it zero.
+var testHook struct {
+	// problem observes every problem entering the sparse solver.
+	problem func(Problem)
+	// nodeLimit > 0 stops branch-and-bound once that many nodes have
+	// been explored, as an expired deadline would; atNodeLimit then sees
+	// the open frontier before it is folded into the result.
+	nodeLimit   int
+	atNodeLimit func(open *nodeHeap)
+	// failNode > 0 makes that node's LP report a numerical failure, the
+	// hand-over to the dense solver.
+	failNode int
+}
+
+// bbNode is one open branch-and-bound subproblem: the parent whose
+// optimum it warm-starts from, plus the one fixing that tells it apart.
+// Nodes live by value in the heap, 40 bytes each.
 type bbNode struct {
 	// bound is the parent's LP objective: a valid lower bound on every
 	// integer point under this node.
 	bound float64
-	seq   int
-	// fixVar/fixVal is the path of binary fixings from the root.
-	fixVar []int32
-	fixVal []int8
-	// basis/atUp snapshot the parent's optimal basis for the dual warm
-	// start; nil basis means start from the all-slack basis.
-	basis []int32
-	atUp  []uint64
-	// branch bookkeeping for pseudo-cost updates.
-	branchVar  int
+	// branchFrac is the branched variable's fractional part at the
+	// parent optimum, for the pseudo-cost update.
 	branchFrac float64
-	branchUp   bool
-	parentObj  float64
+	// parent records the solved node this one branched off; nil only for
+	// the root, which starts from the all-slack basis.
+	parent *nodeRec
+	seq    int32
+	// depth is the number of fixings on the path from the root.
+	depth int32
+	// fix is this node's own fixing, var<<1|value; noFix at the root.
+	fix int32
+}
+
+const noFix = -1
+
+// unfix decodes a fixing.
+func unfix(fix int32) (j int, v float64) { return int(fix >> 1), float64(fix & 1) }
+
+// nodeRec is what a solved node that branched leaves behind for its
+// subtree: its own fixing, and how its optimal basis and nonbasic
+// at-upper flags differ from its parent's optimum (from the all-slack
+// basis with no flag set, for the root). Both children and all their
+// descendants share it, so an open node retains O(pivots) bytes where a
+// full path + basis + bitset copy was O(depth + rows + columns).
+//
+// delta is one int32 stream: the node's fixing (as bbNode.fix), the
+// count s of basis rows that changed, s (row, column) pairs, then one
+// col<<1|flag entry per at-upper flag that changed.
+type nodeRec struct {
+	parent *nodeRec
+	delta  []int32
+}
+
+// snapshot is the warm-start reference of a branch-and-bound run: the
+// optimal basis and effective at-upper flags (nonbasic and at upper) of
+// the most recently recorded or materialised node.
+type snapshot struct {
+	basis []int32  // len m
+	up    []uint64 // bitset over n+m columns
+	chain []*nodeRec
+	buf   []int32
+}
+
+func (sn *snapshot) reset(m, n int) {
+	growI32(&sn.basis, m)
+	words := (n + m + 63) / 64
+	if cap(sn.up) < words {
+		sn.up = make([]uint64, words)
+	}
+	sn.up = sn.up[:words]
+	sn.slack(n)
+}
+
+// slack sets the reference every root delta is taken against.
+func (sn *snapshot) slack(n int) {
+	for i := range sn.basis {
+		sn.basis[i] = int32(n + i)
+	}
+	for w := range sn.up {
+		sn.up[w] = 0
+	}
+}
+
+// record diffs the state's current basis and flags against the
+// reference, advances the reference to them, and returns the delta as a
+// node record under parent. fix is the solved node's own fixing.
+func (sn *snapshot) record(parent *nodeRec, fix int32, s *lpState) *nodeRec {
+	d := append(sn.buf[:0], fix, 0)
+	for i, j := range s.basis {
+		if sn.basis[i] != j {
+			d = append(d, int32(i), j)
+			sn.basis[i] = j
+		}
+	}
+	d[1] = int32(len(d)-2) / 2
+	for j := 0; j < s.N; j++ {
+		word, bit := &sn.up[j>>6], uint64(1)<<(j&63)
+		if up := s.pos[j] < 0 && s.atUp[j]; up != (*word&bit != 0) {
+			*word ^= bit
+			e := int32(j) << 1
+			if up {
+				e |= 1
+			}
+			d = append(d, e)
+		}
+	}
+	sn.buf = d
+	return &nodeRec{parent: parent, delta: append([]int32(nil), d...)}
+}
+
+// materialise rebuilds the reference as rec's optimum by replaying the
+// deltas from the root down (so the nearest record wins); nil is the
+// all-slack basis.
+func (sn *snapshot) materialise(rec *nodeRec, n int) {
+	sn.slack(n)
+	chain := sn.chain[:0]
+	for r := rec; r != nil; r = r.parent {
+		chain = append(chain, r)
+	}
+	for k := len(chain) - 1; k >= 0; k-- {
+		d := chain[k].delta
+		flags := d[2+2*d[1]:]
+		for p := d[2 : 2+2*d[1]]; len(p) > 0; p = p[2:] {
+			sn.basis[p[0]] = p[1]
+		}
+		for _, e := range flags {
+			word, bit := &sn.up[e>>7], uint64(1)<<(e>>1&63)
+			if e&1 != 0 {
+				*word |= bit
+			} else {
+				*word &^= bit
+			}
+		}
+		chain[k] = nil
+	}
+	sn.chain = chain[:0]
 }
 
 // nodeHeap is a best-first min-heap on (bound, depth desc, seq). The
@@ -116,19 +257,19 @@ type bbNode struct {
 // the search degrades to depth-first plunging instead of a
 // breadth-first frontier explosion, while genuinely better bounds
 // still jump the queue. seq keeps the order deterministic.
-type nodeHeap []*bbNode
+type nodeHeap []bbNode
 
 func (h nodeHeap) less(a, b int) bool {
 	if h[a].bound != h[b].bound {
 		return h[a].bound < h[b].bound
 	}
-	if da, db := len(h[a].fixVar), len(h[b].fixVar); da != db {
+	if da, db := h[a].depth, h[b].depth; da != db {
 		return da > db
 	}
 	return h[a].seq > h[b].seq
 }
 
-func (h *nodeHeap) push(nd *bbNode) {
+func (h *nodeHeap) push(nd bbNode) {
 	*h = append(*h, nd)
 	i := len(*h) - 1
 	for i > 0 {
@@ -141,12 +282,12 @@ func (h *nodeHeap) push(nd *bbNode) {
 	}
 }
 
-func (h *nodeHeap) pop() *bbNode {
+func (h *nodeHeap) pop() bbNode {
 	old := *h
 	nd := old[0]
 	last := len(old) - 1
 	old[0] = old[last]
-	old[last] = nil
+	old[last] = bbNode{}
 	*h = old[:last]
 	i := 0
 	for {
@@ -169,6 +310,9 @@ func (h *nodeHeap) pop() *bbNode {
 // solveSparse is the sparse branch-and-bound; ok=false requests the
 // dense fallback.
 func solveSparse(p Problem, o Options) (Result, bool) {
+	if testHook.problem != nil {
+		testHook.problem(p)
+	}
 	n := len(p.C)
 	maxIter := o.MaxSimplexIters
 	if maxIter == 0 {
@@ -177,6 +321,8 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 	ls := statePool.Get().(*lpState)
 	defer statePool.Put(ls)
 	ls.init(newCSC(p.A, n), p.C, p.B, p.U, p.Binary)
+	ref := &ls.ref
+	ref.reset(ls.m, ls.n)
 
 	res := Result{Feasible: false, Objective: math.Inf(1), BestBound: math.Inf(-1)}
 	if o.WarmStart != nil && integerFeasible(p, o.WarmStart) {
@@ -201,38 +347,49 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 	}
 
 	var heap nodeHeap
-	seq := 0
-	heap.push(&bbNode{bound: math.Inf(-1), branchVar: -1})
-	// dive, when non-nil, is a child whose bounds and warm basis are
+	var seq int32
+	heap.push(bbNode{bound: math.Inf(-1), fix: noFix})
+	// dive, when diving, is a child whose bounds and warm basis are
 	// already installed in ls (depth-first plunging): it skips the pop +
 	// reinstall entirely, so consecutive nodes share LU factors.
-	var dive *bbNode
-	provedOptimal := true
+	var dive bbNode
+	diving := false
+	provedOptimal, failed := true, false
 	// openBound folds the bounds of nodes abandoned on early exit so
 	// BestBound stays valid.
 	openBound := math.Inf(1)
 
-	for dive != nil || len(heap) > 0 {
+	for diving || len(heap) > 0 {
 		if expired() {
 			provedOptimal = false
 			break
 		}
-		var nd *bbNode
-		if dive != nil {
-			nd, dive = dive, nil
+		if lim := testHook.nodeLimit; lim > 0 && res.Nodes >= lim {
+			provedOptimal = false
+			if testHook.atNodeLimit != nil {
+				testHook.atNodeLimit(&heap)
+			}
+			break
+		}
+		var nd bbNode
+		if diving {
+			nd, diving = dive, false
 		} else {
 			nd = heap.pop()
 			if res.Feasible && nd.bound >= res.Objective-1e-9 {
 				continue // cannot beat the incumbent
 			}
 			// Reinstall this subproblem: base bounds + path fixings,
-			// parent basis (or the all-slack basis when the snapshot
-			// fails to factorize).
+			// parent optimum (or the all-slack basis when the snapshot
+			// fails to factorize). The reference keeps the parent optimum
+			// either way, so the delta this node records stays relative
+			// to its parent.
 			ls.resetBounds()
-			for k, v := range nd.fixVar {
-				ls.fixBinary(int(v), float64(nd.fixVal[k]))
+			for fix, r := nd.fix, nd.parent; fix != noFix; fix, r = r.delta[0], r.parent {
+				ls.fixBinary(unfix(fix))
 			}
-			if nd.basis == nil || !ls.installBasis(nd.basis, nd.atUp) {
+			ref.materialise(nd.parent, ls.n)
+			if nd.parent == nil || !ls.installBasis(ref.basis, ref.up) {
 				ls.installSlackBasis()
 			}
 			ls.computeXB()
@@ -240,16 +397,22 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 		}
 		res.Nodes++
 
-		switch ls.dualSimplex(maxIter, o.Deadline) {
-		case lpDeadline:
+		status := ls.dualSimplex(maxIter, o.Deadline)
+		if res.Nodes == testHook.failNode {
+			status = lpFail
+		}
+		switch status {
+		case lpDeadline, lpFail:
+			// Abandon the search: on a deadline the incumbent (if any) is
+			// the answer, on a numerical failure the dense solver takes
+			// over. Either way the bound over every subproblem still open
+			// — this one included — stays valid.
+			failed = status == lpFail
 			provedOptimal = false
 			if nd.bound < openBound {
 				openBound = nd.bound
 			}
-			// Abandon the search; the incumbent (if any) is the answer.
 			goto done
-		case lpFail:
-			return res, false
 		case lpInfeasible:
 			continue
 		}
@@ -261,18 +424,19 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 				provedOptimal = false
 				continue
 			}
-			if nd.branchVar >= 0 && pcDn != nil {
+			if nd.fix != noFix && pcDn != nil {
 				// Pseudo-cost update: how much the LP bound degraded per
-				// unit of fraction rounded away at the parent's branching.
-				if deg := obj - nd.parentObj; deg > 0 && !math.IsInf(nd.parentObj, -1) {
-					if nd.branchUp {
+				// unit of fraction rounded away at the parent's branching
+				// (nd.bound is the parent's objective).
+				if deg := obj - nd.bound; deg > 0 && !math.IsInf(nd.bound, -1) {
+					if j, up := unfix(nd.fix); up == 1 {
 						f := 1 - nd.branchFrac
-						pcUp[nd.branchVar] += (deg/f - pcUp[nd.branchVar]) / float64(cntUp[nd.branchVar]+1)
-						cntUp[nd.branchVar]++
+						pcUp[j] += (deg/f - pcUp[j]) / float64(cntUp[j]+1)
+						cntUp[j]++
 					} else {
 						f := nd.branchFrac
-						pcDn[nd.branchVar] += (deg/f - pcDn[nd.branchVar]) / float64(cntDn[nd.branchVar]+1)
-						cntDn[nd.branchVar]++
+						pcDn[j] += (deg/f - pcDn[j]) / float64(cntDn[j]+1)
+						cntDn[j]++
 					}
 				}
 			}
@@ -300,53 +464,44 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 			near := math.Round(ls.x[branch])
 			far := 1 - near
 			seq++
-			heap.push(&bbNode{
-				bound:     obj,
-				seq:       seq,
-				fixVar:    append(append([]int32(nil), nd.fixVar...), int32(branch)),
-				fixVal:    append(append([]int8(nil), nd.fixVal...), int8(far)),
-				basis:     append([]int32(nil), ls.basis...),
-				atUp:      ls.snapshotAtUp(),
-				branchVar: branch, branchFrac: frac, branchUp: far == 1,
-				parentObj: obj,
-			})
+			child := bbNode{
+				bound:      obj,
+				branchFrac: frac,
+				parent:     ref.record(nd.parent, nd.fix, ls),
+				seq:        seq,
+				depth:      nd.depth + 1,
+				fix:        int32(branch)<<1 | int32(far),
+			}
+			heap.push(child)
 			// Plunge into the nearer rounding with the current basis and
 			// factors still warm: only the branched variable's bounds
 			// change, and the parent optimum stays dual feasible.
 			ls.fixBinary(branch, near)
-			dive = &bbNode{
-				bound:     obj,
-				fixVar:    append(append([]int32(nil), nd.fixVar...), int32(branch)),
-				fixVal:    append(append([]int8(nil), nd.fixVal...), int8(near)),
-				branchVar: branch, branchFrac: frac, branchUp: near == 1,
-				parentObj: obj,
-			}
+			child.fix ^= 1
+			dive, diving = child, true
 		}
 	}
 done:
-	if dive != nil && dive.bound < openBound {
+	if diving && dive.bound < openBound {
 		openBound = dive.bound
 	}
-	for _, nd := range heap {
-		if nd.bound < openBound {
-			openBound = nd.bound
+	for i := range heap {
+		if heap[i].bound < openBound {
+			openBound = heap[i].bound
 		}
 	}
-	res.Optimal = res.Feasible && provedOptimal && len(heap) == 0 && dive == nil
+	res.Optimal = res.Feasible && provedOptimal && len(heap) == 0 && !diving
 	if res.Optimal {
 		res.BestBound = res.Objective
 	} else if !math.IsInf(openBound, 1) {
 		res.BestBound = openBound
 		if res.Feasible {
-			res.Gap = (res.Objective - res.BestBound) / math.Max(1, math.Abs(res.Objective))
-			if res.Gap < 0 {
-				res.Gap = 0
-			}
+			res.Gap = relGap(res.Objective, res.BestBound)
 		}
 	} else if res.Feasible && !provedOptimal {
 		res.Gap = math.Inf(1)
 	}
-	return res, true
+	return res, !failed
 }
 
 // selectBranch picks the branching variable among fractional binaries:
@@ -408,17 +563,6 @@ func (s *lpState) fixBinary(j int, v float64) {
 	s.up[j] = v
 }
 
-// snapshotAtUp packs the nonbasic at-upper flags into a bitset.
-func (s *lpState) snapshotAtUp() []uint64 {
-	out := make([]uint64, (s.N+63)/64)
-	for j := 0; j < s.N; j++ {
-		if s.pos[j] < 0 && s.atUp[j] {
-			out[j>>6] |= 1 << (j & 63)
-		}
-	}
-	return out
-}
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -445,7 +589,7 @@ func integerFeasible(p Problem, x []float64) bool {
 		}
 	}
 	for r, row := range p.A {
-		if dot(row, x) > p.B[r]+feasEps*(1+math.Abs(p.B[r])) {
+		if row.dot(x) > p.B[r]+feasEps*(1+math.Abs(p.B[r])) {
 			return false
 		}
 	}
@@ -463,10 +607,11 @@ func BruteForce(p Problem) Result {
 		}
 	}
 	best := Result{Objective: math.Inf(1)}
+	dense := p.dense()
 	total := 1 << len(binIdx)
 	for mask := 0; mask < total; mask++ {
 		// Fix binaries, solve the continuous remainder by LP.
-		a := append([][]float64(nil), p.A...)
+		a := append([][]float64(nil), dense...)
 		b := append([]float64(nil), p.B...)
 		for k, v := range binIdx {
 			val := float64((mask >> k) & 1)

@@ -1,52 +1,119 @@
 package ilp
 
+import "fmt"
+
 // Sparse problem storage for the revised simplex.
 //
 // The fusion ILPs this package exists for are extremely sparse: a T'
 // row touches its own shifted-time variable plus the handful of
 // binaries that can lower it, and a capacity row touches the pinnable
-// weights plus the edges spanning that region. The revised simplex
-// prices columns against a dense row multiplier, so the constraint
-// matrix is stored once in compressed-sparse-column form and every
-// per-iteration pass costs O(nnz) instead of O(rows × cols).
+// weights plus the edges spanning that region. Problems therefore
+// arrive as sparse rows, and the simplex keeps the constraint matrix in
+// both orientations — by columns for FTRAN inputs and basis
+// factorization, by rows for pricing — so every per-iteration pass
+// costs O(nnz touched) instead of O(rows × cols).
+
+// Row is one constraint row in sparse form: Val[k] is the coefficient
+// of column Idx[k]. Idx is strictly ascending.
+type Row struct {
+	Idx []int32
+	Val []float64
+}
+
+// DenseRows converts dense constraint rows to the sparse form Problem
+// carries, dropping zero coefficients.
+func DenseRows(a [][]float64) []Row {
+	rows := make([]Row, len(a))
+	for i, r := range a {
+		for j, v := range r {
+			if v != 0 {
+				rows[i].Idx = append(rows[i].Idx, int32(j))
+				rows[i].Val = append(rows[i].Val, v)
+			}
+		}
+	}
+	return rows
+}
+
+// dense expands the constraint rows to dense form, for the frozen
+// dense-tableau solver and BruteForce.
+func (p Problem) dense() [][]float64 {
+	a := make([][]float64, len(p.A))
+	for i, r := range p.A {
+		a[i] = make([]float64, len(p.C))
+		for k, j := range r.Idx {
+			a[i][j] = r.Val[k]
+		}
+	}
+	return a
+}
+
+// dot returns the row's inner product with a dense vector.
+func (r Row) dot(x []float64) float64 {
+	var s float64
+	for k, j := range r.Idx {
+		s += r.Val[k] * x[j]
+	}
+	return s
+}
+
+// validate checks structural consistency of a problem definition.
+func validate(p Problem) error {
+	if len(p.A) != len(p.B) {
+		return fmt.Errorf("ilp: %d rows but %d rhs entries", len(p.A), len(p.B))
+	}
+	for i, r := range p.A {
+		if len(r.Idx) != len(r.Val) {
+			return fmt.Errorf("ilp: row %d has %d indices but %d coefficients", i, len(r.Idx), len(r.Val))
+		}
+		prev := int32(-1)
+		for _, j := range r.Idx {
+			if j <= prev || int(j) >= len(p.C) {
+				return fmt.Errorf("ilp: row %d column index %d out of order or range (%d columns)", i, j, len(p.C))
+			}
+			prev = j
+		}
+	}
+	return nil
+}
 
 // csc is the structural constraint matrix A (rows m × cols n) in
-// compressed-sparse-column form. Slack columns (the identity appended
-// by A·x + s = b) are implicit: variable j ≥ n is the slack of row
-// j - n.
+// compressed-sparse-column form, plus the caller's rows as the
+// row-major view. Slack columns (the identity appended by A·x + s = b)
+// are implicit: variable j ≥ n is the slack of row j - n.
 type csc struct {
 	m, n int
 	ptr  []int32 // len n+1: column j spans [ptr[j], ptr[j+1])
-	row  []int32
+	row  []int32 // ascending within a column
 	val  []float64
+	rows []Row // the same matrix by rows (may carry explicit zeros)
 }
 
-// newCSC compresses the dense row-major constraint matrix.
-func newCSC(a [][]float64, n int) *csc {
-	m := len(a)
-	nnz := 0
-	for _, r := range a {
-		for _, v := range r {
-			if v != 0 {
-				nnz++
+// newCSC transposes sparse rows into column form, dropping explicit
+// zeros.
+func newCSC(rows []Row, n int) *csc {
+	c := &csc{m: len(rows), n: n, ptr: make([]int32, n+1), rows: rows}
+	for _, r := range rows {
+		for k, j := range r.Idx {
+			if r.Val[k] != 0 {
+				c.ptr[j+1]++
 			}
 		}
-	}
-	c := &csc{
-		m:   m,
-		n:   n,
-		ptr: make([]int32, n+1),
-		row: make([]int32, 0, nnz),
-		val: make([]float64, 0, nnz),
 	}
 	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			if v := a[i][j]; v != 0 {
-				c.row = append(c.row, int32(i))
-				c.val = append(c.val, v)
+		c.ptr[j+1] += c.ptr[j]
+	}
+	c.row = make([]int32, c.ptr[n])
+	c.val = make([]float64, c.ptr[n])
+	next := append([]int32(nil), c.ptr[:n]...)
+	for i, r := range rows {
+		for k, j := range r.Idx {
+			if v := r.Val[k]; v != 0 {
+				c.row[next[j]] = int32(i)
+				c.val[next[j]] = v
+				next[j]++
 			}
 		}
-		c.ptr[j+1] = int32(len(c.row))
 	}
 	return c
 }
@@ -66,15 +133,25 @@ func (c *csc) scatter(j int, out []float64) {
 	}
 }
 
-// dot returns ρ · A_j for full-system column j against a dense row
-// multiplier ρ (len m).
-func (c *csc) dot(j int, rho []float64) float64 {
-	if j >= c.n {
-		return rho[j-c.n]
+// mulRow computes out = ρᵀ[A I] for a dense row multiplier ρ (len m):
+// out[j] = ρ·A_j for structural columns, out[n+i] = ρ_i for slacks.
+// Only rows with ρ_i ≠ 0 are visited, in ascending i, so every out[j]
+// receives its products in the row order a column dot would — the sum
+// is bit-identical, and a skipped ρ_i = 0 term adds nothing to an
+// accumulator that started at +0.
+func (c *csc) mulRow(rho, out []float64) {
+	head := out[:c.n]
+	for j := range head {
+		head[j] = 0
 	}
-	var s float64
-	for k := c.ptr[j]; k < c.ptr[j+1]; k++ {
-		s += rho[c.row[k]] * c.val[k]
+	for i, ri := range rho {
+		if ri == 0 {
+			continue
+		}
+		r := &c.rows[i]
+		for k, j := range r.Idx {
+			head[j] += ri * r.Val[k]
+		}
 	}
-	return s
+	copy(out[c.n:], rho)
 }

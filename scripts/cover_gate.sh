@@ -24,7 +24,7 @@ fi
 FLOOR=${COVER_GATE_FLOOR:-80.0}
 PROFILE=${COVER_GATE_PROFILE:-coverage.out}
 
-go test -count=1 -coverprofile="$PROFILE" ./...
+go test -count=1 -timeout 300s -coverprofile="$PROFILE" ./...
 
 # The fastlint CLI wiring (flag parsing, vet-protocol plumbing in
 # cmd/fastlint) is exercised end-to-end by the fastlint CI job rather
