@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"fast/internal/arch"
@@ -38,11 +37,16 @@ const (
 	TDP
 	// Area minimizes the die area (mm²). Multi-objective studies only.
 	Area
+
+	numObjectiveKinds = int(Area) + 1
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. An out-of-range kind renders as a
+// name ParseObjective rejects, so it cannot pass spec validation.
 func (o ObjectiveKind) String() string {
 	switch o {
+	case PerfPerTDP:
+		return "perf-per-tdp"
 	case Perf:
 		return "perf"
 	case TDP:
@@ -50,7 +54,7 @@ func (o ObjectiveKind) String() string {
 	case Area:
 		return "area"
 	}
-	return "perf-per-tdp"
+	return fmt.Sprintf("objective(%d)", int(o))
 }
 
 // Maximize reports the objective's direction: true for the performance
@@ -243,66 +247,40 @@ func WithBudget(b power.Budget) Option {
 }
 
 // Run executes the study until the trial budget is exhausted or ctx is
-// canceled. Cancellation is graceful: in-flight evaluations finish, and
-// the partial trial history — with Best/BestValue populated from it —
-// is returned together with ctx.Err(); the per-workload final
-// re-simulation is skipped.
+// canceled. Every study takes the same path: the Study's defaults
+// resolve into an EvalSpec, BuildBatchEvaluator compiles it, an optional
+// DispatchFunc wraps the evaluator, one Runner drives the optimizer, and
+// finalReport re-simulates the winner (or the whole front) with the
+// exact fusion solve. Cancellation is graceful: in-flight evaluations
+// finish, and the partial trial history — with Best/BestValue (and the
+// front of the partial history) populated from it — is returned together
+// with ctx.Err(); the final re-simulation is skipped.
 func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 	var rc runConfig
 	for _, o := range opts {
 		o(&rc)
 	}
-	if len(s.Workloads) == 0 {
-		return nil, fmt.Errorf("core: study needs at least one workload")
-	}
 	if s.Trials <= 0 {
 		return nil, fmt.Errorf("core: trials must be positive")
 	}
-	for _, w := range s.Workloads {
-		if err := models.Validate(w); err != nil {
-			return nil, err
-		}
+	spec := s.evalSpec(rc.budget)
+	evaluate, err := BuildBatchEvaluator(spec)
+	if err != nil {
+		return nil, err
 	}
-	base := s.Base
-	if base == nil {
-		base = DefaultPlatform()
-	}
-	pm := s.PowerModel
-	if pm == nil {
-		pm = power.Default()
-	}
-	budget := s.Budget
-	if budget.MaxTDPW == 0 {
-		budget = power.DefaultBudget(pm)
-	}
-	if rc.budget != nil {
-		budget = *rc.budget
-	}
-	simOpts := sim.FASTOptions()
-	if s.SimOptions != nil {
-		simOpts = *s.SimOptions
-	}
-	simOpts.PowerModel = pm
-
-	if len(s.Objectives) > 0 {
-		return s.runMulti(ctx, rc, base, pm, budget, simOpts)
-	}
-	if !s.Objective.Maximize() {
-		return nil, fmt.Errorf("core: scalar studies maximize perf or perf-per-tdp; use Objectives for %s", s.Objective)
-	}
-
-	// The options fingerprint is constant across the study; render it
-	// once so the per-trial hot path only does a map lookup.
-	objective, batchObjective := s.makeObjectives(base, pm, budget, simOpts, simOpts.Fingerprint())
 	if rc.dispatch != nil {
-		batchObjective = rc.dispatch(ctx, s.evalSpec(base, budget, simOpts), batchObjective)
+		evaluate = rc.dispatch(ctx, spec, evaluate)
 	}
 
-	alg := s.Algorithm
-	if alg == "" {
-		alg = search.AlgLCS
+	multi := len(s.Objectives) > 0
+	primary, alg := s.Objective, search.AlgLCS
+	if multi {
+		primary, alg = s.Objectives[0], search.AlgNSGA2
 	}
-	runner, prior, err := s.buildRunner(rc, alg, objective, batchObjective)
+	if s.Algorithm != "" {
+		alg = s.Algorithm
+	}
+	runner, prior, err := s.buildRunner(rc, alg, evaluate)
 	if err != nil {
 		return nil, err
 	}
@@ -310,247 +288,79 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 	sr = mergePrior(prior, sr)
 
 	out := &StudyResult{Search: sr}
-	if !sr.Best.Feasible {
-		return out, runErr
+	if sr.Best.Feasible {
+		out.BestValue = rawValue(primary, sr.Best.Value)
+		out.Best = arch.Space{}.Decode(sr.Best.Index, spec.Base)
+		out.Best.Name = fmt.Sprintf("fast-%s-%s", primary, shortName(s.Workloads))
 	}
-	out.BestValue = sr.Best.Value
-	out.Best = arch.Space{}.Decode(sr.Best.Index, base)
-	out.Best.Name = fmt.Sprintf("fast-%s-%s", s.Objective, shortName(s.Workloads))
+	var designs []*arch.Config // what finalReport re-simulates
+	if multi {
+		out.front = s.paretoFront(sr.History, spec.Base)
+		for _, pt := range out.front {
+			designs = append(designs, pt.Design)
+		}
+	} else if out.Best != nil {
+		designs = []*arch.Config{out.Best}
+	}
 	if runErr != nil {
 		// Canceled: hand back the partial history and best-so-far design
-		// without the (potentially slow) final re-simulation.
+		// (or front) without the potentially slow final re-simulation.
 		return out, runErr
 	}
 
-	// Final evaluation with the full ILP fusion solve, through the
-	// process-wide plan cache: the compiled plan (and its memoized
-	// mapping/fusion stages) is shared with later re-evaluations of the
-	// same winner — EvaluateDesign, repeated studies — so only the first
-	// pass pays the ILP. The per-workload solves are independent exact
-	// ILPs, so they fan out across the Run's worker-pool bound.
-	finalOpts := simOpts
+	finalOpts := spec.SimOptions
 	finalOpts.Fusion.GreedyOnly = false
-	pw, err := evaluateParallel(rc.parallelism, s.Workloads, out.Best, finalOpts)
+	reports, err := finalReport(rc.parallelism, designs, s.Workloads, finalOpts)
 	if err != nil {
 		return nil, err
 	}
-	out.PerWorkload = pw
+	if multi {
+		for i := range out.front {
+			out.front[i].PerWorkload = reports[i]
+		}
+	} else if len(reports) > 0 {
+		out.PerWorkload = reports[0]
+	}
 	return out, nil
 }
 
-// evaluateParallel simulates one design on every workload with opts,
-// fanning the independent (workload) jobs — full-ILP fusion solves on
-// the re-simulation paths — across a ForEach pool. Results keep
-// workload order regardless of parallelism.
-func evaluateParallel(parallelism int, workloads []string, cfg *arch.Config, opts sim.Options) ([]WorkloadResult, error) {
+// finalReport simulates every design on every workload with opts — the
+// full exact-ILP fusion solve on the reporting paths — through the
+// process-wide plan cache: one compile per (workload, batch), fusion
+// placements memoized across designs that share the relevant parameter
+// sub-tuple, and everything shared with later re-evaluations of the
+// same design. The (design, workload) pairs are independent solves, so
+// the whole cross product fans out across one ForEach pool; results land
+// in index-addressed slots, keeping reports identical at any
+// parallelism.
+func finalReport(parallelism int, designs []*arch.Config, workloads []string, opts sim.Options) ([][]WorkloadResult, error) {
 	fp := opts.Fingerprint()
-	results := make([]WorkloadResult, len(workloads))
-	errs := make([]error, len(workloads))
-	ForEach(parallelism, len(workloads), func(i int) {
-		w := workloads[i]
+	nw := len(workloads)
+	reports := make([][]WorkloadResult, len(designs))
+	for i := range reports {
+		reports[i] = make([]WorkloadResult, nw)
+	}
+	errs := make([]error, len(designs)*nw)
+	ForEach(parallelism, len(errs), func(k int) {
+		cfg, w := designs[k/nw], workloads[k%nw]
 		plan, err := plans.get(w, cfg.NativeBatch, fp, opts)
 		if err != nil {
-			errs[i] = err
+			errs[k] = err
 			return
 		}
 		r, err := plan.Evaluate(cfg)
 		if err != nil {
-			errs[i] = err
+			errs[k] = err
 			return
 		}
-		results[i] = WorkloadResult{Name: w, Result: r}
+		reports[k/nw][k%nw] = WorkloadResult{Name: w, Result: r}
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return results, nil
-}
-
-// makeObjectives builds the Runner's evaluation closures: the per-point
-// objective (Eq. 3 value under the Eq. 4-5 constraints) and its batched
-// twin. Both apply the identical decode → budget → per-workload simulate
-// → geomean pipeline and return identical Evaluations for every index
-// vector; the batched form routes simulation through Plan.EvaluateBatch
-// so an ask-batch of near-identical proposals shares memoized mapping /
-// residency / roll-up stages, and drops a design from later workloads as
-// soon as an earlier one proves it infeasible (mirroring the per-point
-// short-circuit).
-func (s *Study) makeObjectives(base *arch.Config, pm *power.Model, budget power.Budget,
-	simOpts sim.Options, simFP string) (search.Objective, search.BatchObjective) {
-
-	space := arch.Space{}
-
-	// prep decodes and applies the workload-independent constraints;
-	// ok=false means infeasible (zero Evaluation).
-	prep := func(idx [arch.NumParams]int) (*arch.Config, bool) {
-		cfg := space.Decode(idx, base)
-		if err := cfg.Validate(); err != nil {
-			return nil, false
-		}
-		eval := pm.Evaluate(cfg)
-		if eval.TotalPower() > budget.MaxTDPW || eval.TotalArea() > budget.MaxAreaMM2 {
-			return nil, false
-		}
-		return cfg, true
-	}
-	// score folds one workload result into the running log-sum; ok=false
-	// means the design failed Eq. 5 or the latency bound on this workload.
-	score := func(r *sim.Result) (float64, bool) {
-		if r.ScheduleFailed || r.QPS <= 0 {
-			return 0, false
-		}
-		if s.LatencyBoundSec > 0 && r.LatencySec > s.LatencyBoundSec {
-			return 0, false
-		}
-		v := r.QPS
-		if s.Objective == PerfPerTDP {
-			v = r.PerfPerTDP
-		}
-		if v <= 0 {
-			return 0, false
-		}
-		return math.Log(v), true
-	}
-
-	prepS := func(idx [arch.NumParams]int) (*arch.Config, float64, bool) {
-		cfg, ok := prep(idx)
-		return cfg, 0, ok
-	}
-	fold := func(r *sim.Result, logSum *float64) bool {
-		v, ok := score(r)
-		if !ok {
-			return false // Eq. 5
-		}
-		*logSum += v
-		return true
-	}
-	finish := func(logSum float64) search.Evaluation {
-		return search.Evaluation{
-			Value:    math.Exp(logSum / float64(len(s.Workloads))),
-			Feasible: true,
-		}
-	}
-	return objectiveOver(s.Workloads, simFP, simOpts, prepS, fold, finish),
-		batchObjectiveOver(s.Workloads, simFP, simOpts, prepS, fold, finish)
-}
-
-// objectiveOver builds a per-point search.Objective from the three
-// study-specific hooks: prep decodes and applies the
-// workload-independent constraints (returning the fold's initial
-// state), fold scores one workload result into the state (false =
-// infeasible, Eq. 5), finish turns the folded state into the trial's
-// Evaluation. The scalar and multi-objective studies differ only in
-// these hooks; the decode → per-workload simulate pipeline is shared
-// here, and its batched twin in batchObjectiveOver.
-func objectiveOver[S any](workloads []string, simFP string, simOpts sim.Options,
-	prep func(idx [arch.NumParams]int) (*arch.Config, S, bool),
-	fold func(*sim.Result, *S) bool,
-	finish func(S) search.Evaluation) search.Objective {
-
-	return func(idx [arch.NumParams]int) search.Evaluation {
-		cfg, st, ok := prep(idx)
-		if !ok {
-			return search.Evaluation{}
-		}
-		for _, w := range workloads {
-			plan, err := plans.get(w, cfg.NativeBatch, simFP, simOpts)
-			if err != nil {
-				return search.Evaluation{}
-			}
-			r, err := plan.Evaluate(cfg)
-			if err != nil {
-				return search.Evaluation{}
-			}
-			if !fold(r, &st) {
-				return search.Evaluation{}
-			}
-		}
-		return finish(st)
-	}
-}
-
-// batchObjectiveOver is objectiveOver's batched twin, built from the
-// same hooks so both paths cannot diverge: designs surviving prep are
-// grouped by NativeBatch (a searched hyperparameter that selects the
-// compiled plan) and routed through Plan.EvaluateBatch one workload at
-// a time, dropping a design from later workloads as soon as an earlier
-// one proves it infeasible — mirroring the per-point short-circuit.
-// Transcript equality with the per-point path is asserted by the
-// per-algorithm batch differential tests.
-func batchObjectiveOver[S any](workloads []string, simFP string, simOpts sim.Options,
-	prep func(idx [arch.NumParams]int) (*arch.Config, S, bool),
-	fold func(*sim.Result, *S) bool,
-	finish func(S) search.Evaluation) search.BatchObjective {
-
-	return func(idxs [][arch.NumParams]int) []search.Evaluation {
-		evals := make([]search.Evaluation, len(idxs))
-		type live struct {
-			pos int
-			cfg *arch.Config
-			st  S
-		}
-		alive := make([]live, 0, len(idxs))
-		for i, idx := range idxs {
-			if cfg, st, ok := prep(idx); ok {
-				alive = append(alive, live{pos: i, cfg: cfg, st: st})
-			}
-		}
-		for _, w := range workloads {
-			if len(alive) == 0 {
-				break
-			}
-			groups := make(map[int64][]int)
-			for ai := range alive {
-				nb := alive[ai].cfg.NativeBatch
-				groups[nb] = append(groups[nb], ai)
-			}
-			nbs := make([]int64, 0, len(groups))
-			for nb := range groups {
-				nbs = append(nbs, nb)
-			}
-			slices.Sort(nbs)
-			dead := make(map[int]bool)
-			for _, nb := range nbs {
-				ais := groups[nb]
-				plan, err := plans.get(w, nb, simFP, simOpts)
-				if err != nil {
-					for _, ai := range ais {
-						dead[ai] = true
-					}
-					continue
-				}
-				cfgs := make([]*arch.Config, len(ais))
-				for k, ai := range ais {
-					cfgs[k] = alive[ai].cfg
-				}
-				results, err := plan.EvaluateBatch(cfgs)
-				if err != nil {
-					for _, ai := range ais {
-						dead[ai] = true
-					}
-					continue
-				}
-				for k, ai := range ais {
-					if !fold(results[k], &alive[ai].st) {
-						dead[ai] = true
-					}
-				}
-			}
-			next := alive[:0]
-			for ai := range alive {
-				if !dead[ai] {
-					next = append(next, alive[ai])
-				}
-			}
-			alive = next
-		}
-		for _, l := range alive {
-			evals[l.pos] = finish(l.st)
-		}
-		return evals
-	}
+	return reports, nil
 }
 
 func shortName(ws []string) string {
@@ -567,7 +377,11 @@ func shortName(ws []string) string {
 // per-workload evaluations (full exact-ILP fusion solves when opts asks
 // for them) run concurrently, one worker per CPU.
 func EvaluateDesign(cfg *arch.Config, workloads []string, opts sim.Options) ([]WorkloadResult, error) {
-	return evaluateParallel(0, workloads, cfg, opts)
+	reports, err := finalReport(0, []*arch.Config{cfg}, workloads, opts)
+	if err != nil {
+		return nil, err
+	}
+	return reports[0], nil
 }
 
 // GeoMean returns the geometric mean of f over the results.

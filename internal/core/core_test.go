@@ -21,6 +21,14 @@ func TestStudyValidation(t *testing.T) {
 	if _, err := (&Study{Workloads: []string{"nope"}, Trials: 5}).Run(context.Background()); err == nil {
 		t.Error("unknown workload must error")
 	}
+	// Objective validation lives with the spec the study resolves into.
+	w := []string{"efficientnet-b0"}
+	if _, err := (&Study{Workloads: w, Trials: 5, Objective: TDP}).Run(context.Background()); err == nil {
+		t.Error("a scalar study cannot minimize: TDP must error")
+	}
+	if _, err := (&Study{Workloads: w, Trials: 5, Objectives: []ObjectiveKind{Perf, ObjectiveKind(9)}}).Run(context.Background()); err == nil {
+		t.Error("out-of-range objective kind must error")
+	}
 }
 
 func TestSingleWorkloadSearchBeatsTPUBaseline(t *testing.T) {

@@ -16,8 +16,9 @@ package core
 // positionally, and the Runner's transcript cannot tell the difference.
 //
 // WithDispatch installs a dispatcher into one Run: after Run resolves
-// its defaults and builds the in-process closures, the DispatchFunc may
-// wrap the batch objective (keeping the in-process one as its fallback).
+// its defaults into the spec and builds the in-process evaluator from
+// it, the DispatchFunc may wrap that evaluator (keeping it as its
+// fallback).
 // Nothing else in the engine changes, so every determinism property of
 // the Runner (ask order, tell order, memoization) is inherited as-is.
 
@@ -27,6 +28,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 
 	"fast/internal/arch"
 	"fast/internal/models"
@@ -57,14 +60,32 @@ type EvalSpec struct {
 	SimOptions sim.Options `json:"sim_options"`
 }
 
-// evalSpec assembles the study's EvalSpec from Run's resolved values.
-func (s *Study) evalSpec(base *arch.Config, budget power.Budget, simOpts sim.Options) EvalSpec {
+// evalSpec resolves the study's defaults (and a WithBudget override)
+// into the EvalSpec every evaluation of one Run is built from.
+func (s *Study) evalSpec(budgetOverride *power.Budget) EvalSpec {
 	sp := EvalSpec{
 		Workloads:       s.Workloads,
 		LatencyBoundSec: s.LatencyBoundSec,
-		Base:            base,
-		Budget:          budget,
-		SimOptions:      simOpts,
+		Base:            s.Base,
+		Budget:          s.Budget,
+		SimOptions:      sim.FASTOptions(),
+	}
+	if sp.Base == nil {
+		sp.Base = DefaultPlatform()
+	}
+	if s.SimOptions != nil {
+		sp.SimOptions = *s.SimOptions
+	}
+	pm := s.PowerModel
+	if pm == nil {
+		pm = power.Default()
+	}
+	sp.SimOptions.PowerModel = pm
+	if sp.Budget.MaxTDPW == 0 {
+		sp.Budget = power.DefaultBudget(pm)
+	}
+	if budgetOverride != nil {
+		sp.Budget = *budgetOverride
 	}
 	if len(s.Objectives) > 0 {
 		for _, o := range s.Objectives {
@@ -89,14 +110,17 @@ func FingerprintSpec(raw []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// BuildBatchEvaluator compiles a spec into the study's batch objective —
-// the same closure Run builds in-process, from the same constructors, so
-// the two cannot diverge. The returned evaluator is safe for concurrent
+// BuildBatchEvaluator compiles a spec into the study's batch objective.
+// It is the only constructor of study evaluators in the tree — Study.Run
+// calls it in-process and fast-worker calls it on the far side of the
+// dispatch wire — so local and remote evaluation are the same code, and
+// the spec (where outside input arrives) is the one place study
+// semantics are validated. The returned evaluator is safe for concurrent
 // use and deterministic per index vector; compiled plans go through the
 // process-wide plan cache.
 func BuildBatchEvaluator(sp EvalSpec) (search.BatchObjective, error) {
 	if len(sp.Workloads) == 0 {
-		return nil, fmt.Errorf("core: eval spec needs at least one workload")
+		return nil, fmt.Errorf("core: study needs at least one workload")
 	}
 	for _, w := range sp.Workloads {
 		if err := models.Validate(w); err != nil {
@@ -106,47 +130,182 @@ func BuildBatchEvaluator(sp EvalSpec) (search.BatchObjective, error) {
 	if sp.Base == nil {
 		return nil, fmt.Errorf("core: eval spec needs a base platform")
 	}
-	st := &Study{Workloads: sp.Workloads, LatencyBoundSec: sp.LatencyBoundSec}
-	if len(sp.Objectives) > 0 {
-		seen := map[ObjectiveKind]bool{}
-		for _, name := range sp.Objectives {
-			o, err := ParseObjective(name)
-			if err != nil {
-				return nil, err
-			}
-			if seen[o] {
-				return nil, fmt.Errorf("core: duplicate objective %s", o)
-			}
-			seen[o] = true
-			st.Objectives = append(st.Objectives, o)
-		}
-	} else {
-		o, err := ParseObjective(sp.Objective)
+	// sp is a copy: resolving what a hand-written spec may omit (Run's
+	// own specs arrive resolved) never reaches the caller.
+	if sp.SimOptions.PowerModel == nil {
+		sp.SimOptions.PowerModel = power.Default()
+	}
+	if sp.Budget.MaxTDPW == 0 {
+		sp.Budget = power.DefaultBudget(sp.SimOptions.PowerModel)
+	}
+	// The options fingerprint is constant across the study; render it
+	// once so the per-trial hot path only does a map lookup.
+	ev := &evaluator{EvalSpec: sp, scalar: len(sp.Objectives) == 0, simFP: sp.SimOptions.Fingerprint()}
+	names := sp.Objectives
+	if ev.scalar {
+		names = []string{sp.Objective}
+	}
+	seen := map[ObjectiveKind]bool{}
+	for _, name := range names {
+		o, err := ParseObjective(name)
 		if err != nil {
 			return nil, err
 		}
-		if !o.Maximize() {
-			return nil, fmt.Errorf("core: scalar studies maximize perf or perf-per-tdp; got %s", o)
+		if seen[o] {
+			// A repeated objective would double-weight itself in
+			// dominance and collapse in keyed outputs.
+			return nil, fmt.Errorf("core: duplicate objective %s", o)
 		}
-		st.Objective = o
+		seen[o] = true
+		ev.objs = append(ev.objs, o)
 	}
+	if ev.scalar && !ev.objs[0].Maximize() {
+		return nil, fmt.Errorf("core: scalar studies maximize perf or perf-per-tdp; use Objectives for %s", ev.objs[0])
+	}
+	return ev.evaluateBatch, nil
+}
 
-	simOpts := sp.SimOptions
-	pm := simOpts.PowerModel
-	if pm == nil {
-		pm = power.Default()
-		simOpts.PowerModel = pm
+// evaluator is a compiled EvalSpec: the decode → budget → per-workload
+// simulate → geomean pipeline (Eq. 3 value under the Eq. 4-5
+// constraints) over whole ask-batches. A scalar study is the
+// 1-objective case whose Evaluations leave Values nil, which is what
+// keeps scalar transcripts and checkpoints byte-identical to the vector
+// form's first column.
+type evaluator struct {
+	EvalSpec                 // resolved: power model and budget are set
+	objs     []ObjectiveKind // parsed Objective / Objectives
+	scalar   bool
+	simFP    string
+}
+
+// candidate is the per-design fold state: the power breakdown from the
+// budget check (feeding the cost objectives for free) plus one running
+// log-sum per performance objective, in evaluator.objs order.
+type candidate struct {
+	pos    int // position in the batch
+	cfg    *arch.Config
+	bd     power.Breakdown
+	logSum [numObjectiveKinds]float64
+}
+
+// fold scores one workload result into the per-objective running
+// log-sums; false means the design failed Eq. 5 or the latency bound on
+// this workload.
+func (ev *evaluator) fold(r *sim.Result, c *candidate) bool {
+	if r.ScheduleFailed || r.QPS <= 0 {
+		return false
 	}
-	budget := sp.Budget
-	if budget.MaxTDPW == 0 {
-		budget = power.DefaultBudget(pm)
+	if ev.LatencyBoundSec > 0 && r.LatencySec > ev.LatencyBoundSec {
+		return false
 	}
-	if len(st.Objectives) > 0 {
-		_, batch := st.makeMultiObjectives(sp.Base, pm, budget, simOpts, simOpts.Fingerprint())
-		return batch, nil
+	for k, o := range ev.objs {
+		var v float64
+		switch o {
+		case Perf:
+			v = r.QPS
+		case PerfPerTDP:
+			v = r.PerfPerTDP
+		default:
+			continue // design-level objective, no per-workload term
+		}
+		if v <= 0 {
+			return false
+		}
+		c.logSum[k] += math.Log(v)
 	}
-	_, batch := st.makeObjectives(sp.Base, pm, budget, simOpts, simOpts.Fingerprint())
-	return batch, nil
+	return true
+}
+
+// finish assembles the Evaluation of a design that survived every
+// workload. Values are maximize-oriented (minimization targets negated)
+// per the search.Evaluation convention, and Value mirrors Values[0] so
+// scalar drivers (Result.Best, the convergence curve) track the first
+// objective.
+func (ev *evaluator) finish(c *candidate) search.Evaluation {
+	var vals [numObjectiveKinds]float64
+	for k, o := range ev.objs {
+		switch o {
+		case TDP:
+			vals[k] = -c.bd.TotalPower()
+		case Area:
+			vals[k] = -c.bd.TotalArea()
+		default:
+			vals[k] = math.Exp(c.logSum[k] / float64(len(ev.Workloads)))
+		}
+	}
+	out := search.Evaluation{Value: vals[0], Feasible: true}
+	if !ev.scalar {
+		out.Values = slices.Clone(vals[:len(ev.objs)])
+	}
+	return out
+}
+
+// evaluateBatch is the study's search.BatchObjective. Designs that
+// decode to a valid configuration inside the budget (Eq. 4) are grouped
+// by NativeBatch (a searched hyperparameter that selects the compiled
+// plan) and routed through Plan.EvaluateBatch one workload at a time, so
+// an ask-batch of near-identical proposals shares memoized mapping /
+// residency / roll-up stages; a design is dropped from later workloads
+// as soon as an earlier one proves it infeasible. Everything that does
+// not survive keeps the zero (infeasible) Evaluation.
+func (ev *evaluator) evaluateBatch(idxs [][arch.NumParams]int) []search.Evaluation {
+	evals := make([]search.Evaluation, len(idxs))
+	alive := make([]candidate, 0, len(idxs))
+	for i, idx := range idxs {
+		cfg := arch.Space{}.Decode(idx, ev.Base)
+		if err := cfg.Validate(); err != nil {
+			continue
+		}
+		bd := ev.SimOptions.PowerModel.Evaluate(cfg)
+		if bd.TotalPower() > ev.Budget.MaxTDPW || bd.TotalArea() > ev.Budget.MaxAreaMM2 {
+			continue
+		}
+		alive = append(alive, candidate{pos: i, cfg: cfg, bd: bd})
+	}
+	for _, w := range ev.Workloads {
+		if len(alive) == 0 {
+			break
+		}
+		groups := make(map[int64][]int)
+		for ai := range alive {
+			nb := alive[ai].cfg.NativeBatch
+			groups[nb] = append(groups[nb], ai)
+		}
+		nbs := make([]int64, 0, len(groups))
+		for nb := range groups {
+			nbs = append(nbs, nb)
+		}
+		slices.Sort(nbs)
+		dead := make(map[int]bool)
+		for _, nb := range nbs {
+			ais := groups[nb]
+			cfgs := make([]*arch.Config, len(ais))
+			for k, ai := range ais {
+				cfgs[k] = alive[ai].cfg
+			}
+			var results []*sim.Result
+			plan, err := plans.get(w, nb, ev.simFP, ev.SimOptions)
+			if err == nil {
+				results, err = plan.EvaluateBatch(cfgs)
+			}
+			for k, ai := range ais {
+				if err != nil || !ev.fold(results[k], &alive[ai]) {
+					dead[ai] = true
+				}
+			}
+		}
+		next := alive[:0]
+		for ai := range alive {
+			if !dead[ai] {
+				next = append(next, alive[ai])
+			}
+		}
+		alive = next
+	}
+	for i := range alive {
+		evals[alive[i].pos] = ev.finish(&alive[i])
+	}
+	return evals
 }
 
 // DispatchFunc lets a dispatcher interpose on a Run's batch evaluation:

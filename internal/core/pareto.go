@@ -13,15 +13,11 @@ package core
 // same plan evaluations as a 1-objective one.
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"fast/internal/arch"
-	"fast/internal/power"
 	"fast/internal/search"
-	"fast/internal/sim"
 )
 
 // DefaultFrontCap is the default bound on a study's returned Pareto
@@ -59,197 +55,31 @@ func rawValue(o ObjectiveKind, v float64) float64 {
 	return -v
 }
 
-// runMulti executes the multi-objective arm of Study.Run. rc, base, pm,
-// budget and simOpts carry Run's resolved defaults.
-func (s *Study) runMulti(ctx context.Context, rc runConfig, base *arch.Config, pm *power.Model,
-	budget power.Budget, simOpts sim.Options) (*StudyResult, error) {
-
-	seen := map[ObjectiveKind]bool{}
-	for _, o := range s.Objectives {
-		if o < PerfPerTDP || o > Area {
-			return nil, fmt.Errorf("core: unknown objective kind %d", o)
-		}
-		if seen[o] {
-			// A repeated objective would double-weight itself in
-			// dominance and collapse in keyed outputs.
-			return nil, fmt.Errorf("core: duplicate objective %s", o)
-		}
-		seen[o] = true
-	}
-
-	objective, batchObjective := s.makeMultiObjectives(base, pm, budget, simOpts, simOpts.Fingerprint())
-	if rc.dispatch != nil {
-		batchObjective = rc.dispatch(ctx, s.evalSpec(base, budget, simOpts), batchObjective)
-	}
-
-	alg := s.Algorithm
-	if alg == "" {
-		alg = search.AlgNSGA2
-	}
-	runner, prior, err := s.buildRunner(rc, alg, objective, batchObjective)
-	if err != nil {
-		return nil, err
-	}
-	sr, runErr := runner.Run(ctx)
-	sr = mergePrior(prior, sr)
-
-	// The front is the non-dominated subset of the full history — not
-	// of the optimizer's final population — folded in deterministic
-	// tell order, so it is identical at any parallelism and no early
-	// discovery is lost to population churn.
+// paretoFront folds a multi-objective study's trial history into its
+// front. The front is the non-dominated subset of the full history — not
+// of the optimizer's final population — folded in deterministic tell
+// order, so it is identical at any parallelism and no early discovery is
+// lost to population churn. PerWorkload is left for finalReport.
+func (s *Study) paretoFront(history []search.Trial, base *arch.Config) []FrontPoint {
 	frontCap := s.FrontCap
 	if frontCap == 0 {
 		frontCap = DefaultFrontCap
 	}
 	archive := search.NewParetoArchive(frontCap)
-	for _, tr := range sr.History {
+	for _, tr := range history {
 		archive.Add(tr)
 	}
-
-	out := &StudyResult{Search: sr}
-	space := arch.Space{}
-	front := archive.Front()
-	sort.SliceStable(front, func(a, b int) bool { return front[a].Values[0] > front[b].Values[0] })
-	for i, tr := range front {
+	trials := archive.Front()
+	sort.SliceStable(trials, func(a, b int) bool { return trials[a].Values[0] > trials[b].Values[0] })
+	var front []FrontPoint
+	for i, tr := range trials {
 		raw := make([]float64, len(tr.Values))
 		for k, v := range tr.Values {
 			raw[k] = rawValue(s.Objectives[k], v)
 		}
-		cfg := space.Decode(tr.Index, base)
+		cfg := arch.Space{}.Decode(tr.Index, base)
 		cfg.Name = fmt.Sprintf("fast-front%02d-%s", i, shortName(s.Workloads))
-		out.front = append(out.front, FrontPoint{Index: tr.Index, Design: cfg, Values: raw})
+		front = append(front, FrontPoint{Index: tr.Index, Design: cfg, Values: raw})
 	}
-	if sr.Best.Feasible {
-		out.BestValue = rawValue(s.Objectives[0], sr.Best.Value)
-		out.Best = space.Decode(sr.Best.Index, base)
-		out.Best.Name = fmt.Sprintf("fast-%s-%s", s.Objectives[0], shortName(s.Workloads))
-	}
-	if runErr != nil {
-		// Canceled: hand back the front of the partial history without
-		// the final re-simulations.
-		return out, runErr
-	}
-
-	// Final evaluation of every front point with the full ILP fusion
-	// solve, through the process-wide plan cache (one compile per
-	// (workload, batch); fusion placements memoized across points that
-	// share the relevant parameter sub-tuple). The (point, workload)
-	// pairs are independent exact ILPs, so the whole cross product fans
-	// out across one ForEach pool; results land in index-addressed slots,
-	// keeping the front identical at any parallelism.
-	finalOpts := simOpts
-	finalOpts.Fusion.GreedyOnly = false
-	finalFP := finalOpts.Fingerprint()
-	nw := len(s.Workloads)
-	for i := range out.front {
-		out.front[i].PerWorkload = make([]WorkloadResult, nw)
-	}
-	errs := make([]error, len(out.front)*nw)
-	ForEach(rc.parallelism, len(out.front)*nw, func(k int) {
-		pt, w := &out.front[k/nw], s.Workloads[k%nw]
-		plan, err := plans.get(w, pt.Design.NativeBatch, finalFP, finalOpts)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		r, err := plan.Evaluate(pt.Design)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		pt.PerWorkload[k%nw] = WorkloadResult{Name: w, Result: r}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// makeMultiObjectives builds the vector-objective evaluation closures.
-// They follow the scalar makeObjectives pipeline exactly — decode →
-// budget → per-workload simulate → geomean — but score every objective
-// of s.Objectives from the one simulation each (design, workload) pair
-// already needs: the performance metrics fold per-workload results into
-// per-objective log-sums, while TDP and area read the power breakdown
-// computed during the budget check. Values are maximize-oriented
-// (minimization targets negated) per the search.Evaluation convention,
-// and Value mirrors Values[0] so scalar drivers (Result.Best, the
-// convergence curve) track the first objective. With a single
-// performance objective the arithmetic is operation-for-operation the
-// scalar closure's, which keeps 1-element studies on bit-identical
-// trajectories.
-func (s *Study) makeMultiObjectives(base *arch.Config, pm *power.Model, budget power.Budget,
-	simOpts sim.Options, simFP string) (search.Objective, search.BatchObjective) {
-
-	objs := s.Objectives
-	space := arch.Space{}
-
-	// multiState is the per-design fold state: the power breakdown from
-	// the budget check (feeding the cost objectives for free) plus one
-	// running log-sum per performance objective.
-	type multiState struct {
-		bd     power.Breakdown
-		logSum []float64
-	}
-
-	// prep decodes and applies the workload-independent constraints,
-	// keeping the power breakdown for the cost objectives.
-	prep := func(idx [arch.NumParams]int) (*arch.Config, multiState, bool) {
-		cfg := space.Decode(idx, base)
-		if err := cfg.Validate(); err != nil {
-			return nil, multiState{}, false
-		}
-		eval := pm.Evaluate(cfg)
-		if eval.TotalPower() > budget.MaxTDPW || eval.TotalArea() > budget.MaxAreaMM2 {
-			return nil, multiState{}, false
-		}
-		return cfg, multiState{bd: eval, logSum: make([]float64, len(objs))}, true
-	}
-	// fold scores one workload result into the per-objective running
-	// log-sums; false means the design failed Eq. 5 or the latency
-	// bound on this workload.
-	fold := func(r *sim.Result, st *multiState) bool {
-		if r.ScheduleFailed || r.QPS <= 0 {
-			return false
-		}
-		if s.LatencyBoundSec > 0 && r.LatencySec > s.LatencyBoundSec {
-			return false
-		}
-		for k, o := range objs {
-			var v float64
-			switch o {
-			case Perf:
-				v = r.QPS
-			case PerfPerTDP:
-				v = r.PerfPerTDP
-			default:
-				continue // design-level objective, no per-workload term
-			}
-			if v <= 0 {
-				return false
-			}
-			st.logSum[k] += math.Log(v)
-		}
-		return true
-	}
-	// finish assembles the maximize-oriented objective vector.
-	finish := func(st multiState) search.Evaluation {
-		vals := make([]float64, len(objs))
-		for k, o := range objs {
-			switch o {
-			case TDP:
-				vals[k] = -st.bd.TotalPower()
-			case Area:
-				vals[k] = -st.bd.TotalArea()
-			default:
-				vals[k] = math.Exp(st.logSum[k] / float64(len(s.Workloads)))
-			}
-		}
-		return search.Evaluation{Value: vals[0], Values: vals, Feasible: true}
-	}
-
-	return objectiveOver(s.Workloads, simFP, simOpts, prep, fold, finish),
-		batchObjectiveOver(s.Workloads, simFP, simOpts, prep, fold, finish)
+	return front
 }

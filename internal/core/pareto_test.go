@@ -54,9 +54,10 @@ func TestMultiObjectiveFrontParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestSingleObjectiveStudyMatchesScalar pins the degenerate case: a
-// 1-element Objectives study follows the bit-identical trajectory of
-// the equivalent scalar study, for every scalar algorithm.
+// TestSingleObjectiveStudyMatchesScalar pins the two user-facing
+// spellings of a one-objective study to one trajectory, for every scalar
+// algorithm: a 1-element Objectives study and the equivalent scalar
+// study differ only in that the scalar one's trials carry no Values.
 func TestSingleObjectiveStudyMatchesScalar(t *testing.T) {
 	for _, alg := range []search.Algorithm{search.AlgRandom, search.AlgLCS, search.AlgBayes} {
 		scalar, err := (&Study{
@@ -87,6 +88,9 @@ func TestSingleObjectiveStudyMatchesScalar(t *testing.T) {
 			a, b := scalar.Search.History[i], multi.Search.History[i]
 			if a.Index != b.Index || a.Value != b.Value || a.Feasible != b.Feasible {
 				t.Fatalf("%s: trial %d diverges: %+v vs %+v", alg, i, a, b)
+			}
+			if a.Values != nil {
+				t.Fatalf("%s: scalar trial %d carries Values %v; checkpoints of scalar studies hold none", alg, i, a.Values)
 			}
 		}
 		if scalar.BestValue != multi.BestValue {

@@ -67,7 +67,7 @@ func WithResume(snap search.Snapshot) Option {
 // the resumed trials (nil on a fresh run); callers fold it back into
 // the result with mergePrior.
 func (s *Study) buildRunner(rc runConfig, alg search.Algorithm,
-	obj search.Objective, bobj search.BatchObjective) (*Runner, []search.Trial, error) {
+	evaluate search.BatchObjective) (*Runner, []search.Trial, error) {
 
 	var opt search.Optimizer
 	var prior []search.Trial
@@ -90,8 +90,7 @@ func (s *Study) buildRunner(rc runConfig, alg search.Algorithm,
 	}
 	return &Runner{
 		Optimizer:      opt,
-		Objective:      obj,
-		BatchObjective: bobj,
+		BatchObjective: evaluate,
 		Trials:         s.Trials,
 		Parallelism:    rc.parallelism,
 		BatchSize:      rc.batchSize,

@@ -54,21 +54,17 @@ const maxObjectiveChunk = 64
 type Runner struct {
 	// Optimizer proposes candidates; required.
 	Optimizer search.Optimizer
-	// Objective evaluates one candidate; required. It must be safe for
-	// concurrent calls when Parallelism > 1, and deterministic per index
-	// vector (memoization replays the first evaluation of a point).
-	Objective search.Objective
-	// BatchObjective, if non-nil, evaluates whole ask-batches instead of
-	// per-point Objective calls: the Runner sorts each batch's unique
-	// points lexicographically (grouping near-identical proposals so a
-	// stage-memoizing evaluator hits warm caches) and fans contiguous
-	// chunks across the worker pool. It must agree with Objective on
-	// every point — the transcript, and therefore the search trajectory,
-	// is identical with or without it.
+	// BatchObjective evaluates candidates; required. The Runner sorts
+	// each ask-batch's unique uncached points lexicographically (grouping
+	// near-identical proposals so a stage-memoizing evaluator hits warm
+	// caches) and fans contiguous chunks across the worker pool. It must
+	// be safe for concurrent calls when Parallelism > 1, and
+	// deterministic per index vector (memoization replays the first
+	// evaluation of a point).
 	BatchObjective search.BatchObjective
 	// Trials bounds the total evaluation count.
 	Trials int
-	// Parallelism bounds concurrent Objective calls; <= 0 uses
+	// Parallelism bounds concurrent BatchObjective calls; <= 0 uses
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
 	// BatchSize is the ask/tell batch width; <= 0 uses DefaultBatchSize.
@@ -117,13 +113,13 @@ func runChunk(batchObj search.BatchObjective, idxs [][arch.NumParams]int) (evs [
 // Run executes up to r.Trials evaluations. On context cancellation it
 // stops promptly — in-flight evaluations finish, the unfinished batch is
 // abandoned untold — and returns the partial history together with
-// ctx.Err(). A panicking Objective/BatchObjective does not crash the
+// ctx.Err(). A panicking BatchObjective does not crash the
 // process: the panic surfaces as Run's returned error (terminal under
 // the fault taxonomy) with the already-told batches intact.
 func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 	var res search.Result
-	if r.Optimizer == nil || r.Objective == nil {
-		return res, fmt.Errorf("core: Runner needs an Optimizer and an Objective")
+	if r.Optimizer == nil || r.BatchObjective == nil {
+		return res, fmt.Errorf("core: Runner needs an Optimizer and a BatchObjective")
 	}
 	par := r.Parallelism
 	if par <= 0 {
@@ -153,7 +149,7 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 		asks := r.Optimizer.Ask(n)
 		if len(asks) == 0 {
 			// Exhausted optimizer (e.g. a finite grid): a normal early
-			// end, mirroring search.Drive.
+			// end with the partial result.
 			return res, nil
 		}
 
@@ -179,32 +175,17 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 			if workers > len(work) {
 				workers = len(work)
 			}
-			// One worker-pool shape serves both evaluation modes: workers
-			// pull contiguous chunks off an atomic cursor, checking
-			// cancellation between chunks. A per-point Objective is just a
-			// BatchObjective with chunk size 1; a real BatchObjective gets
-			// the unique points sorted so proposals that share parameter
-			// sub-tuples become neighbours, in chunks bounded by
-			// maxObjectiveChunk so large custom BatchSizes still stop
-			// promptly on cancellation. Results are keyed by index
-			// vector, so neither sorting nor chunking reaches the
-			// transcript.
-			batchObj := r.BatchObjective
-			chunk := 1
-			if batchObj != nil {
-				sortIndexVectors(work)
-				chunk = (len(work) + workers - 1) / workers
-				if chunk > maxObjectiveChunk {
-					chunk = maxObjectiveChunk
-				}
-			} else {
-				batchObj = func(idxs [][arch.NumParams]int) []search.Evaluation {
-					evs := make([]search.Evaluation, len(idxs))
-					for i, idx := range idxs {
-						evs[i] = r.Objective(idx)
-					}
-					return evs
-				}
+			// Workers pull contiguous chunks off an atomic cursor, checking
+			// cancellation between chunks. The unique points are sorted so
+			// proposals that share parameter sub-tuples become neighbours,
+			// in chunks bounded by maxObjectiveChunk so large custom
+			// BatchSizes still stop promptly on cancellation. Results are
+			// keyed by index vector, so neither sorting nor chunking
+			// reaches the transcript.
+			sortIndexVectors(work)
+			chunk := (len(work) + workers - 1) / workers
+			if chunk > maxObjectiveChunk {
+				chunk = maxObjectiveChunk
 			}
 			nChunks := (len(work) + chunk - 1) / chunk
 			var next atomic.Int64
@@ -233,7 +214,7 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 						if hi > len(work) {
 							hi = len(work)
 						}
-						got, err := runChunk(batchObj, work[lo:hi])
+						got, err := runChunk(r.BatchObjective, work[lo:hi])
 						if err == nil && len(got) != hi-lo {
 							err = fmt.Errorf("core: BatchObjective returned %d evaluations for %d points", len(got), hi-lo)
 						}

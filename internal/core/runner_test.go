@@ -25,6 +25,18 @@ func smooth(idx [arch.NumParams]int) search.Evaluation {
 	return search.Evaluation{Value: 100 + v, Feasible: true}
 }
 
+// pointwise lifts a per-point test function into the Runner's
+// BatchObjective.
+func pointwise(f func([arch.NumParams]int) search.Evaluation) search.BatchObjective {
+	return func(idxs [][arch.NumParams]int) []search.Evaluation {
+		out := make([]search.Evaluation, len(idxs))
+		for i, idx := range idxs {
+			out[i] = f(idx)
+		}
+		return out
+	}
+}
+
 // TestRunnerParallelismInvariance is the engine's core guarantee: for a
 // fixed seed the full trial history — not just the best — is identical
 // at parallelism 1 and 4.
@@ -32,10 +44,10 @@ func TestRunnerParallelismInvariance(t *testing.T) {
 	for _, alg := range []search.Algorithm{search.AlgRandom, search.AlgLCS, search.AlgBayes} {
 		run := func(par int) search.Result {
 			rn := &Runner{
-				Optimizer:   search.New(alg, 11, 200),
-				Objective:   smooth,
-				Trials:      200,
-				Parallelism: par,
+				Optimizer:      search.New(alg, 11, 200),
+				BatchObjective: pointwise(smooth),
+				Trials:         200,
+				Parallelism:    par,
 			}
 			res, err := rn.Run(context.Background())
 			if err != nil {
@@ -79,10 +91,10 @@ func TestRunnerMemoizes(t *testing.T) {
 	var calls atomic.Int64
 	rn := &Runner{
 		Optimizer: &repeatOptimizer{idx: [arch.NumParams]int{1, 1, 1}},
-		Objective: func(idx [arch.NumParams]int) search.Evaluation {
+		BatchObjective: pointwise(func(idx [arch.NumParams]int) search.Evaluation {
 			calls.Add(1)
 			return smooth(idx)
-		},
+		}),
 		Trials:      48,
 		Parallelism: 4,
 	}
@@ -111,10 +123,10 @@ func TestRunnerCancellation(t *testing.T) {
 	told := 0
 	rn := &Runner{
 		Optimizer: search.New(search.AlgRandom, 1, 100000),
-		Objective: func(idx [arch.NumParams]int) search.Evaluation {
+		BatchObjective: pointwise(func(idx [arch.NumParams]int) search.Evaluation {
 			time.Sleep(time.Millisecond)
 			return smooth(idx)
-		},
+		}),
 		Trials:      100000,
 		Parallelism: 2,
 		OnTrial: func(search.Trial) {

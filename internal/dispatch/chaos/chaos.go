@@ -168,8 +168,8 @@ func Plans() []Plan {
 	}
 }
 
-// Standard is the benchmark fault plan: a moderate mix of every fault,
-// used by scripts/bench.sh to measure faulted throughput.
+// Standard is the demonstration fault plan: a moderate mix of every
+// fault, injected by fast-search's -chaos flag.
 func Standard() Plan {
 	return Plan{
 		Name: "standard", Seed: 42,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"fast/internal/arch"
 	"fast/internal/core"
 	"fast/internal/search"
 )
@@ -96,6 +97,15 @@ func ServeConn(r io.Reader, w io.Writer, logf func(format string, args ...any)) 
 				}
 				continue
 			}
+			// Index vectors are outside input: one beyond the search
+			// space would panic in arch.Space.Decode and take the whole
+			// worker process down with it.
+			if err := checkIdxs(f.Idxs); err != nil {
+				if rerr := reply(frame{Type: frameError, ID: f.ID, Err: err.Error()}); rerr != nil {
+					return rerr
+				}
+				continue
+			}
 			evals := obj(f.Idxs)
 			if err := reply(frame{Type: frameResult, ID: f.ID, Evals: evals}); err != nil {
 				return err
@@ -110,4 +120,17 @@ func ServeConn(r io.Reader, w io.Writer, logf func(format string, args ...any)) 
 			}
 		}
 	}
+}
+
+// checkIdxs range-checks wire index vectors against the search space.
+func checkIdxs(idxs [][arch.NumParams]int) error {
+	dims := arch.Space{}.Dims()
+	for i, idx := range idxs {
+		for d, v := range idx {
+			if v < 0 || v >= dims[d] {
+				return fmt.Errorf("point %d: index %d for %s outside [0,%d)", i, v, arch.ParamNames[d], dims[d])
+			}
+		}
+	}
+	return nil
 }

@@ -96,6 +96,8 @@ func TestWorkerProtocol(t *testing.T) {
 		`{"type":"eval","id":4,`, // malformed JSON: error reply, connection survives
 		mustLine(t, frame{Type: "mystery", ID: 5}),
 		mustLine(t, frame{Type: frameEval, ID: 6, SpecFP: fp, Idxs: idxs[:1]}),
+		mustLine(t, frame{Type: frameEval, ID: 7, SpecFP: fp, Idxs: [][arch.NumParams]int{{99}}}), // outside the space: addressed error, worker survives
+		mustLine(t, frame{Type: framePing, ID: 8}),
 	})
 
 	want := []struct {
@@ -109,6 +111,8 @@ func TestWorkerProtocol(t *testing.T) {
 		{frameError, 0},
 		{frameError, 5},
 		{frameResult, 6},
+		{frameError, 7},
+		{framePong, 8},
 	}
 	if len(replies) != len(want) {
 		t.Fatalf("got %d replies, want %d: %+v", len(replies), len(want), replies)

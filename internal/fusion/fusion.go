@@ -115,7 +115,7 @@ type Solution struct {
 	Nodes int
 }
 
-// Options configures Optimize.
+// Options configures SolvePlanned.
 type Options struct {
 	// Deadline bounds the ILP solve (default 2s). The paper uses a
 	// 20-minute SCIP timeout; experiments here size deadlines to the
@@ -178,7 +178,7 @@ func accumSaved(saved []float64, regions []RegionCost, pin, keep, hold []bool) {
 // The producers slice holds each region's EdgeProducer in execution
 // order. The result depends only on the partition and the window, so
 // callers evaluating one workload against many datapaths compute it once
-// (sim.Compile) and pass it to OptimizePlanned for every design.
+// (sim.Compile) and pass it to SolvePlanned for every design.
 func UsableEdges(producers []int, window int) []bool {
 	if window == 0 {
 		window = DefaultWindow
@@ -207,31 +207,14 @@ type Assignment struct {
 	Nodes int
 }
 
-// Optimize solves the FAST fusion problem for the given regions and GM
-// capacity (bytes).
-func Optimize(regions []RegionCost, capacity int64, opts Options) Solution {
-	producers := make([]int, len(regions))
-	for i := range regions {
-		producers[i] = regions[i].EdgeProducer
-	}
-	return OptimizePlanned(regions, UsableEdges(producers, opts.Window), capacity, opts)
-}
-
-// OptimizePlanned is Optimize with the window analysis precomputed (see
-// UsableEdges). usable is read, never written, so one slice may be
-// shared by concurrent solves over the same region structure.
-func OptimizePlanned(regions []RegionCost, usable []bool, capacity int64, opts Options) Solution {
-	// SolvePlanned hands over freshly allocated assignment slices, so the
-	// solution adopts them instead of copying.
-	return resolveOwned(regions, capacity, SolvePlanned(regions, usable, capacity, opts))
-}
-
 // SolvePlanned computes just the placement assignment — which regions pin
 // weights and which keep their primary edge on chip — without the
 // per-region time/peak roll-up. The assignment is the expensive,
 // design-dependent part of the fusion stage (greedy selection, optional
 // ILP); callers that memoize it across evaluations reconstruct full
-// Solutions with ResolvePlanned.
+// Solutions with ResolvePlanned. usable is the precomputed window
+// analysis (see UsableEdges); it is read, never written, so one slice
+// may be shared by concurrent solves over the same region structure.
 func SolvePlanned(regions []RegionCost, usable []bool, capacity int64, opts Options) Assignment {
 	n := len(regions)
 	if opts.Disable || n == 0 || capacity <= 0 {
@@ -254,26 +237,14 @@ func SolvePlanned(regions []RegionCost, usable []bool, capacity int64, opts Opti
 
 // ResolvePlanned reconstructs the full Solution for a known assignment
 // (as returned by SolvePlanned, possibly from a cache): per-region
-// post-fusion times, total, and peak GM usage, with the same defensive
-// capacity repair as OptimizePlanned. The assignment slices are copied,
-// never retained, so a memoized Assignment can be shared read-only
-// across concurrent callers. ResolvePlanned(r, c, SolvePlanned(r, u,
-// c, o)) ≡ OptimizePlanned(r, u, c, o).
+// post-fusion times, total, and peak GM usage, with a defensive capacity
+// repair. The assignment slices are copied, never retained, so a
+// memoized Assignment can be shared read-only across concurrent callers.
 func ResolvePlanned(regions []RegionCost, capacity int64, asn Assignment) Solution {
-	cp := asn
-	cp.Pin = append([]bool(nil), asn.Pin...)
-	cp.Keep = append([]bool(nil), asn.Keep...)
-	cp.Hold = append([]bool(nil), asn.Hold...)
-	return resolveOwned(regions, capacity, cp)
-}
-
-// resolveOwned is ResolvePlanned taking ownership of the assignment
-// slices.
-func resolveOwned(regions []RegionCost, capacity int64, asn Assignment) Solution {
 	sol := Solution{
-		PinWeight:  asn.Pin,
-		EdgeOnChip: asn.Keep,
-		KVOnChip:   asn.Hold,
+		PinWeight:  append([]bool(nil), asn.Pin...),
+		EdgeOnChip: append([]bool(nil), asn.Keep...),
+		KVOnChip:   append([]bool(nil), asn.Hold...),
 		Times:      make([]float64, len(regions)),
 		Method:     asn.Method,
 		Gap:        asn.Gap,

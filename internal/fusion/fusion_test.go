@@ -29,9 +29,24 @@ func chain(n int) []RegionCost {
 	return rs
 }
 
+// optimizePlanned composes the package's two entry points the way
+// sim's fusion stage does: solve the placement, resolve the Solution.
+func optimizePlanned(regions []RegionCost, usable []bool, capacity int64, opts Options) Solution {
+	return ResolvePlanned(regions, capacity, SolvePlanned(regions, usable, capacity, opts))
+}
+
+// optimize is optimizePlanned with the window analysis done on the spot.
+func optimize(regions []RegionCost, capacity int64, opts Options) Solution {
+	producers := make([]int, len(regions))
+	for i := range regions {
+		producers[i] = regions[i].EdgeProducer
+	}
+	return optimizePlanned(regions, UsableEdges(producers, opts.Window), capacity, opts)
+}
+
 func TestDisabled(t *testing.T) {
 	rs := chain(4)
-	sol := Optimize(rs, 1<<30, Options{Disable: true})
+	sol := optimize(rs, 1<<30, Options{Disable: true})
 	if sol.Method != "disabled" {
 		t.Errorf("method = %s", sol.Method)
 	}
@@ -42,7 +57,7 @@ func TestDisabled(t *testing.T) {
 
 func TestAmpleCapacityReachesFloor(t *testing.T) {
 	rs := chain(4)
-	sol := Optimize(rs, 1<<40, Options{})
+	sol := optimize(rs, 1<<40, Options{})
 	for i := range rs {
 		if !sol.PinWeight[i] {
 			t.Errorf("region %d weights should be pinned", i)
@@ -64,7 +79,7 @@ func TestAmpleCapacityReachesFloor(t *testing.T) {
 
 func TestZeroCapacityChangesNothing(t *testing.T) {
 	rs := chain(4)
-	sol := Optimize(rs, 0, Options{})
+	sol := optimize(rs, 0, Options{})
 	if sol.Total != 16 {
 		t.Errorf("total = %f, want 16", sol.Total)
 	}
@@ -74,7 +89,7 @@ func TestCapacityRespected(t *testing.T) {
 	rs := chain(6)
 	capacity := int64(5 << 20)
 	for _, o := range []Options{{GreedyOnly: true}, {}} {
-		sol := Optimize(rs, capacity, o)
+		sol := optimize(rs, capacity, o)
 		if sol.GMUsedPeak > capacity {
 			t.Errorf("%s: GM peak %d exceeds capacity %d", sol.Method, sol.GMUsedPeak, capacity)
 		}
@@ -93,7 +108,7 @@ func TestComputeBoundRegionsUntouched(t *testing.T) {
 		{TMin: 5, TMax: 5, TWeight: 1, DWeight: 1 << 20, PinnableWeights: true,
 			EdgeProducer: 0, EdgeBytes: 1 << 20, TEdgeRead: 1, TEdgeWrite: 1},
 	}
-	sol := Optimize(rs, 1<<30, Options{GreedyOnly: true})
+	sol := optimize(rs, 1<<30, Options{GreedyOnly: true})
 	if sol.Total != 10 {
 		t.Errorf("total = %f, want 10", sol.Total)
 	}
@@ -107,11 +122,11 @@ func TestWindowLimitsEdges(t *testing.T) {
 	// inside a window of 8.
 	rs := chain(7)
 	rs[6].EdgeProducer = 1
-	far := Optimize(rs, 1<<40, Options{Window: 1})
+	far := optimize(rs, 1<<40, Options{Window: 1})
 	if far.EdgeOnChip[6] {
 		t.Error("window 1 must reject a distance-5 edge")
 	}
-	wide := Optimize(rs, 1<<40, Options{Window: 8})
+	wide := optimize(rs, 1<<40, Options{Window: 8})
 	if !wide.EdgeOnChip[6] {
 		t.Error("window 8 must admit a distance-5 edge")
 	}
@@ -122,7 +137,7 @@ func TestWindowOneMatchesPaperAdjacency(t *testing.T) {
 	// successors keep activations.
 	rs := chain(3)
 	rs[2].EdgeProducer = 0 // skip connection at distance 2
-	sol := Optimize(rs, 1<<40, Options{Window: 1})
+	sol := optimize(rs, 1<<40, Options{Window: 1})
 	if sol.EdgeOnChip[2] {
 		t.Error("distance-2 edge must be rejected at window 1")
 	}
@@ -140,7 +155,7 @@ func TestResidencyCharged(t *testing.T) {
 	rs[3].EdgeBytes = 10 << 20
 	rs[3].TEdgeRead = 3 // very valuable
 	capacity := int64(11 << 20)
-	sol := Optimize(rs, capacity, Options{})
+	sol := optimize(rs, capacity, Options{})
 	if sol.GMUsedPeak > capacity {
 		t.Fatalf("peak %d exceeds capacity", sol.GMUsedPeak)
 	}
@@ -157,7 +172,7 @@ func TestResidencyCharged(t *testing.T) {
 func TestUnpinnableWeights(t *testing.T) {
 	rs := chain(2)
 	rs[1].PinnableWeights = false
-	sol := Optimize(rs, 1<<40, Options{})
+	sol := optimize(rs, 1<<40, Options{})
 	if sol.PinWeight[1] {
 		t.Error("unpinnable region must not pin weights")
 	}
@@ -184,8 +199,8 @@ func TestILPMatchesGreedyOrBetter(t *testing.T) {
 			}
 		}
 		capacity := int64(4+r.Intn(20)) << 20
-		g := Optimize(rs, capacity, Options{GreedyOnly: true})
-		x := Optimize(rs, capacity, Options{Deadline: 3 * time.Second})
+		g := optimize(rs, capacity, Options{GreedyOnly: true})
+		x := optimize(rs, capacity, Options{Deadline: 3 * time.Second})
 		if x.Total > g.Total+1e-9 {
 			t.Fatalf("trial %d: ILP total %.4f worse than greedy %.4f (method %s)",
 				trial, x.Total, g.Total, x.Method)
@@ -205,8 +220,8 @@ func TestILPBeatsGreedyOnSaturationTrap(t *testing.T) {
 		{TMin: 1, TMax: 3, TWeight: 1.8, DWeight: 3 << 20, EdgeProducer: -1, PinnableWeights: true},
 	}
 	capacity := int64(6 << 20)
-	g := Optimize(rs, capacity, Options{GreedyOnly: true})
-	x := Optimize(rs, capacity, Options{Deadline: 3 * time.Second})
+	g := optimize(rs, capacity, Options{GreedyOnly: true})
+	x := optimize(rs, capacity, Options{Deadline: 3 * time.Second})
 	if x.Total > g.Total {
 		t.Errorf("ILP (%.2f) worse than greedy (%.2f)", x.Total, g.Total)
 	}
@@ -222,7 +237,7 @@ func TestTimesMonotoneInCapacity(t *testing.T) {
 	rs := chain(8)
 	prev := math.Inf(1)
 	for capMiB := int64(0); capMiB <= 64; capMiB += 8 {
-		sol := Optimize(rs, capMiB<<20, Options{Deadline: time.Second})
+		sol := optimize(rs, capMiB<<20, Options{Deadline: time.Second})
 		if sol.Total > prev+1e-9 {
 			t.Errorf("total time increased at capacity %d MiB: %.4f > %.4f", capMiB, sol.Total, prev)
 		}
@@ -231,7 +246,7 @@ func TestTimesMonotoneInCapacity(t *testing.T) {
 }
 
 func TestEmptyRegions(t *testing.T) {
-	sol := Optimize(nil, 1<<20, Options{})
+	sol := optimize(nil, 1<<20, Options{})
 	if sol.Total != 0 || len(sol.Times) != 0 {
 		t.Errorf("empty solve: %+v", sol)
 	}

@@ -26,8 +26,8 @@ func TestSparseILPNeverWorseThanDense(t *testing.T) {
 		n := 2 + rng.Intn(14)
 		regions, usable := randomRegions(rng, n)
 		capacity := rng.Int63n(1 << 24)
-		sparse := OptimizePlanned(regions, usable, capacity, Options{Deadline: time.Minute})
-		dense := OptimizePlanned(regions, usable, capacity, Options{Deadline: time.Minute, DenseILP: true})
+		sparse := optimizePlanned(regions, usable, capacity, Options{Deadline: time.Minute})
+		dense := optimizePlanned(regions, usable, capacity, Options{Deadline: time.Minute, DenseILP: true})
 		if sparse.Method == "disabled" || dense.Method == "disabled" {
 			continue
 		}
@@ -74,7 +74,7 @@ func TestILPGapAndNodesPlumbed(t *testing.T) {
 	rs := chain(6)
 	capacity := int64(5 << 20)
 
-	proven := Optimize(rs, capacity, Options{Deadline: time.Minute})
+	proven := optimize(rs, capacity, Options{Deadline: time.Minute})
 	if proven.Method != "ilp-optimal" {
 		t.Fatalf("method = %s, want ilp-optimal", proven.Method)
 	}
@@ -85,14 +85,14 @@ func TestILPGapAndNodesPlumbed(t *testing.T) {
 		t.Errorf("proven solve nodes = %d, want ≥ 1", proven.Nodes)
 	}
 
-	rushed := Optimize(rs, capacity, Options{Deadline: time.Nanosecond})
+	rushed := optimize(rs, capacity, Options{Deadline: time.Nanosecond})
 	switch rushed.Method {
 	case "ilp-incumbent":
 		if !(rushed.Gap > 0) {
 			t.Errorf("deadline-hit gap = %g, want > 0 (or +Inf)", rushed.Gap)
 		}
 		// The incumbent is greedy-seeded: never worse than pure greedy.
-		greedy := Optimize(rs, capacity, Options{GreedyOnly: true})
+		greedy := optimize(rs, capacity, Options{GreedyOnly: true})
 		if rushed.Total > greedy.Total+1e-12 {
 			t.Errorf("incumbent total %.15g worse than greedy %.15g", rushed.Total, greedy.Total)
 		}
@@ -106,23 +106,23 @@ func TestILPGapAndNodesPlumbed(t *testing.T) {
 		t.Fatalf("method = %s", rushed.Method)
 	}
 
-	g := Optimize(rs, capacity, Options{GreedyOnly: true})
+	g := optimize(rs, capacity, Options{GreedyOnly: true})
 	if g.Gap != 0 || g.Nodes != 0 {
 		t.Errorf("greedy solution carries ILP provenance: gap=%g nodes=%d", g.Gap, g.Nodes)
 	}
 }
 
 // TestResolvePlannedRoundTrips pins the SolvePlanned/ResolvePlanned
-// contract with the Assignment type: resolving a solved assignment
-// reproduces OptimizePlanned exactly, and the memoized slices are
-// copied, not retained.
+// contract with the Assignment type: a second solve of the same
+// instance resolves to the same Solution (an Assignment is memoizable),
+// and the memoized slices are copied, not retained.
 func TestResolvePlannedRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
 		regions, usable := randomRegions(rng, 1+rng.Intn(24))
 		capacity := rng.Int63n(1 << 23)
 		opts := Options{GreedyOnly: trial%2 == 0, Deadline: 10 * time.Second}
-		want := OptimizePlanned(regions, usable, capacity, opts)
+		want := optimizePlanned(regions, usable, capacity, opts)
 		asn := SolvePlanned(regions, usable, capacity, opts)
 		got := ResolvePlanned(regions, capacity, asn)
 		if got.Total != want.Total || got.GMUsedPeak != want.GMUsedPeak || got.Method != want.Method {

@@ -19,7 +19,7 @@ func kvRegion(kvBytes int64, tKV float64) RegionCost {
 
 func TestKVHeldUnderAmpleCapacity(t *testing.T) {
 	rs := []RegionCost{kvRegion(4<<20, 1.5), kvRegion(4<<20, 1.5)}
-	sol := Optimize(rs, 1<<30, Options{GreedyOnly: true})
+	sol := optimize(rs, 1<<30, Options{GreedyOnly: true})
 	for i := range rs {
 		if !sol.KVOnChip[i] {
 			t.Errorf("region %d cache not held with ample capacity", i)
@@ -37,7 +37,7 @@ func TestKVHeldUnderAmpleCapacity(t *testing.T) {
 func TestKVDroppedUnderTightCapacity(t *testing.T) {
 	rs := []RegionCost{kvRegion(4<<20, 1.5), kvRegion(4<<20, 1.5)}
 	// Room for exactly one slab: hold one, stream the other.
-	sol := Optimize(rs, 4<<20, Options{GreedyOnly: true})
+	sol := optimize(rs, 4<<20, Options{GreedyOnly: true})
 	var held int
 	for i := range rs {
 		if sol.KVOnChip[i] {
@@ -51,7 +51,7 @@ func TestKVDroppedUnderTightCapacity(t *testing.T) {
 		t.Errorf("peak %d exceeds capacity", sol.GMUsedPeak)
 	}
 	// No capacity at all: nothing held, times stay at TMax.
-	none := Optimize(rs, 1<<20, Options{GreedyOnly: true})
+	none := optimize(rs, 1<<20, Options{GreedyOnly: true})
 	for i := range rs {
 		if none.KVOnChip[i] {
 			t.Errorf("region %d cache held beyond capacity", i)
@@ -69,12 +69,12 @@ func TestKVCompetesWithWeightsByDensity(t *testing.T) {
 		{TMin: 1, TMax: 3, TWeight: 1, DWeight: 4 << 20, PinnableWeights: true, EdgeProducer: -1},
 		kvRegion(4<<20, 2),
 	}
-	sol := Optimize(rs, 4<<20, Options{GreedyOnly: true})
+	sol := optimize(rs, 4<<20, Options{GreedyOnly: true})
 	if sol.PinWeight[0] || !sol.KVOnChip[1] {
 		t.Errorf("pin=%v hold=%v: cache hold should out-rank the weight pin", sol.PinWeight[0], sol.KVOnChip[1])
 	}
 	// Double the capacity: both fit.
-	both := Optimize(rs, 8<<20, Options{GreedyOnly: true})
+	both := optimize(rs, 8<<20, Options{GreedyOnly: true})
 	if !both.PinWeight[0] || !both.KVOnChip[1] {
 		t.Errorf("pin=%v hold=%v: both placements fit in 8 MiB", both.PinWeight[0], both.KVOnChip[1])
 	}
@@ -82,7 +82,7 @@ func TestKVCompetesWithWeightsByDensity(t *testing.T) {
 
 func TestKVDisabledNeverHolds(t *testing.T) {
 	rs := []RegionCost{kvRegion(1<<20, 1)}
-	sol := Optimize(rs, 1<<30, Options{Disable: true})
+	sol := optimize(rs, 1<<30, Options{Disable: true})
 	if sol.KVOnChip == nil || sol.KVOnChip[0] {
 		t.Errorf("disabled solve holds the cache: %v", sol.KVOnChip)
 	}
@@ -117,8 +117,8 @@ func TestKVILPMatchesGreedyOrBetter(t *testing.T) {
 			}
 		}
 		capacity := int64(4+r.Intn(24)) << 20
-		g := Optimize(rs, capacity, Options{GreedyOnly: true})
-		x := Optimize(rs, capacity, Options{Deadline: 3 * time.Second})
+		g := optimize(rs, capacity, Options{GreedyOnly: true})
+		x := optimize(rs, capacity, Options{Deadline: 3 * time.Second})
 		if x.Total > g.Total+1e-9 {
 			t.Fatalf("trial %d: ILP total %.4f worse than greedy %.4f (method %s)",
 				trial, x.Total, g.Total, x.Method)
@@ -131,8 +131,8 @@ func TestKVILPMatchesGreedyOrBetter(t *testing.T) {
 	}
 }
 
-// TestKVResolveRoundTrips: memoized Solve+Resolve must equal the direct
-// solve on KV-bearing instances (the plan cache path sim uses).
+// TestKVResolveRoundTrips: resolving a held Assignment must equal a
+// fresh solve on KV-bearing instances (the plan cache path sim uses).
 func TestKVResolveRoundTrips(t *testing.T) {
 	rs := []RegionCost{
 		kvRegion(2<<20, 1.2),
@@ -144,7 +144,7 @@ func TestKVResolveRoundTrips(t *testing.T) {
 	usable := UsableEdges(producers, 0)
 	opts := Options{GreedyOnly: true}
 	capacity := int64(6 << 20)
-	direct := OptimizePlanned(rs, usable, capacity, opts)
+	direct := optimizePlanned(rs, usable, capacity, opts)
 	asn := SolvePlanned(rs, usable, capacity, opts)
 	resolved := ResolvePlanned(rs, capacity, asn)
 	if direct.Total != resolved.Total || direct.GMUsedPeak != resolved.GMUsedPeak {

@@ -149,7 +149,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
 		regions, usable := randomRegions(rng, n)
-		// Normalize EdgeResidentBytes the way OptimizePlanned does before
+		// Normalize EdgeResidentBytes the way SolvePlanned does before
 		// calling greedy.
 		for i := range regions {
 			if regions[i].EdgeResidentBytes == 0 {

@@ -180,15 +180,6 @@ func (o *bayesOptimizer) Tell(trials []Trial) {
 	}
 }
 
-// Bayesian runs the surrogate-model optimizer serially (adapter over
-// NewBayesian).
-func Bayesian(obj Objective, trials int, seed int64) Result {
-	if trials <= 0 {
-		return Result{}
-	}
-	return Drive(NewBayesian(seed, trials), obj, trials)
-}
-
 // feasibleIn returns the index of a uniformly random feasible trial in
 // the history (-1 if none).
 func feasibleIn(hist []Trial, r *rand.Rand) int {

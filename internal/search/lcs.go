@@ -179,11 +179,3 @@ func (o *lcsOptimizer) Tell(trials []Trial) {
 		}
 	}
 }
-
-// LCS runs the Linear Combination Swarm serially (adapter over NewLCS).
-func LCS(obj Objective, trials int, seed int64) Result {
-	if trials <= 0 {
-		return Result{}
-	}
-	return Drive(NewLCS(seed, trials), obj, trials)
-}

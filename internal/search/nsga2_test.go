@@ -28,7 +28,7 @@ func biobjective(idx [arch.NumParams]int) Evaluation {
 
 // driveMulti pumps an optimizer through `trials` evaluations in batches
 // of 16 and returns the full history.
-func driveMulti(opt Optimizer, obj Objective, trials int) []Trial {
+func driveMulti(opt Optimizer, obj func([arch.NumParams]int) Evaluation, trials int) []Trial {
 	var history []Trial
 	for len(history) < trials {
 		n := trials - len(history)
@@ -84,7 +84,7 @@ func TestNSGA2FindsSpreadFront(t *testing.T) {
 // degenerates to an elitist GA and must still beat the uniform-random
 // expectation on the smooth quadratic.
 func TestNSGA2ScalarStillConverges(t *testing.T) {
-	res := Run(AlgNSGA2, quadratic, 300, 7)
+	res := run(AlgNSGA2, quadratic, 300, 7)
 	if !res.Best.Feasible {
 		t.Fatal("no feasible best")
 	}

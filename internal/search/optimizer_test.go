@@ -6,36 +6,6 @@ import (
 	"fast/internal/arch"
 )
 
-// TestSerialAdapterMatchesDrive pins the refactor contract: Run is
-// nothing but a size-one ask/tell loop over New, so driving the
-// optimizer by hand must reproduce Run's history bit for bit.
-func TestSerialAdapterMatchesDrive(t *testing.T) {
-	for _, alg := range []Algorithm{AlgRandom, AlgLCS, AlgBayes, AlgNSGA2} {
-		a := Run(alg, quadratic, 150, 21)
-
-		opt := New(alg, 21, 150)
-		var b Result
-		for i := 0; i < 150; i++ {
-			idx := opt.Ask(1)[0]
-			tr := Trial{Index: idx, Evaluation: quadratic(idx)}
-			opt.Tell([]Trial{tr})
-			b.Observe(tr)
-		}
-
-		if len(a.History) != len(b.History) {
-			t.Fatalf("%s: history lengths differ: %d vs %d", alg, len(a.History), len(b.History))
-		}
-		for i := range a.History {
-			if !a.History[i].Equal(b.History[i]) {
-				t.Fatalf("%s: trial %d differs: %+v vs %+v", alg, i, a.History[i], b.History[i])
-			}
-		}
-		if !a.Best.Equal(b.Best) {
-			t.Errorf("%s: best differs: %+v vs %+v", alg, a.Best, b.Best)
-		}
-	}
-}
-
 // TestBatchAskContract checks the Ask(n) side of the protocol: exact
 // counts, in-domain proposals, and progress under batched tells.
 func TestBatchAskContract(t *testing.T) {

@@ -66,17 +66,15 @@ func (e Evaluation) ObjectiveVector() []float64 {
 	return []float64{e.Value}
 }
 
-// Objective evaluates a hyperparameter vector.
-type Objective func(idx [arch.NumParams]int) Evaluation
-
 // BatchObjective evaluates a whole slice of hyperparameter vectors at
 // once, returning exactly one Evaluation per vector, positionally
-// aligned. Drivers use it when the evaluator can amortize shared work
-// across a batch (sim.Plan.EvaluateBatch memoizes per-stage results by
-// parameter sub-key, so a batch of near-identical proposals — the shape
-// adaptive optimizers emit — mostly hits warm caches). A BatchObjective
-// must be equivalent to mapping Objective over the batch: same values,
-// any evaluation order.
+// aligned. It is the one shape objectives take, so an evaluator can
+// amortize shared work across a batch (sim.Plan.EvaluateBatch memoizes
+// per-stage results by parameter sub-key, so a batch of near-identical
+// proposals — the shape adaptive optimizers emit — mostly hits warm
+// caches). The Evaluation of
+// a vector must not depend on what else is in the batch or on evaluation
+// order.
 type BatchObjective func(idxs [][arch.NumParams]int) []Evaluation
 
 // Trial records one evaluated point.
@@ -102,8 +100,8 @@ type Result struct {
 
 // Observe folds a trial into the result: appends it to the history and
 // promotes it to Best when it is the best feasible trial so far. Every
-// driver of an Optimizer (serial Drive, the concurrent engine in
-// internal/core) accumulates through this one helper.
+// driver of an Optimizer (the concurrent engine in internal/core, a
+// resumed run's merge) accumulates through this one helper.
 func (r *Result) Observe(t Trial) {
 	r.History = append(r.History, t)
 	if t.Feasible && (!r.Best.Feasible || t.Value > r.Best.Value) {
@@ -159,8 +157,8 @@ const (
 // Optimizer is the batch ask/tell protocol every search family speaks.
 // Ask proposes candidates from the current state; Tell folds evaluated
 // trials back in. An optimizer's state evolves only through this
-// transcript, so any driver that replays the same ask/tell sequence —
-// serial loop or concurrent engine — reproduces the same search.
+// transcript, so any driver that replays the same ask/tell sequence
+// reproduces the same search.
 //
 // Contract: trials passed to Tell must arrive in the order their index
 // vectors were returned by Ask (batches may be told whole or split, but
@@ -196,31 +194,6 @@ func New(alg Algorithm, seed int64, budget int) Optimizer {
 	}
 }
 
-// Run executes `trials` evaluations of obj with the chosen algorithm and
-// deterministic seed. It is a thin serial adapter over the ask/tell
-// Optimizer protocol (ask-batch size one); concurrent drivers live in
-// internal/core.
-func Run(alg Algorithm, obj Objective, trials int, seed int64) Result {
-	return Drive(New(alg, seed, trials), obj, trials)
-}
-
-// Drive pumps opt through `trials` serial ask/tell rounds of size one,
-// evaluating each proposal with obj. An optimizer that runs out of
-// proposals (empty Ask) ends the drive early with the partial result.
-func Drive(opt Optimizer, obj Objective, trials int) Result {
-	var res Result
-	for i := 0; i < trials; i++ {
-		asks := opt.Ask(1)
-		if len(asks) == 0 {
-			return res
-		}
-		t := Trial{Index: asks[0], Evaluation: obj(asks[0])}
-		opt.Tell([]Trial{t})
-		res.Observe(t)
-	}
-	return res
-}
-
 // randomOptimizer samples the space uniformly; Tell only records the
 // transcript (uniform sampling is memoryless).
 type randomOptimizer struct {
@@ -248,11 +221,6 @@ func (o *randomOptimizer) Ask(n int) [][arch.NumParams]int {
 }
 
 func (o *randomOptimizer) Tell(trials []Trial) { o.recordTell(trials) }
-
-// Random samples the space uniformly (serial adapter over NewRandom).
-func Random(obj Objective, trials int, seed int64) Result {
-	return Drive(NewRandom(seed), obj, trials)
-}
 
 // mutate returns a copy of idx with each coordinate re-sampled with
 // probability p (at least one coordinate always changes).

@@ -23,8 +23,22 @@ func quadratic(idx [arch.NumParams]int) Evaluation {
 	return Evaluation{Value: 100 + v, Feasible: true}
 }
 
+// run pumps a fresh optimizer through `trials` serial ask-1/tell-1
+// rounds — the smallest driver of the Optimizer protocol.
+func run(alg Algorithm, obj func([arch.NumParams]int) Evaluation, trials int, seed int64) Result {
+	opt := New(alg, seed, trials)
+	var res Result
+	for i := 0; i < trials; i++ {
+		idx := opt.Ask(1)[0]
+		t := Trial{Index: idx, Evaluation: obj(idx)}
+		opt.Tell([]Trial{t})
+		res.Observe(t)
+	}
+	return res
+}
+
 func TestRandomFindsFeasible(t *testing.T) {
-	res := Random(quadratic, 200, 1)
+	res := run(AlgRandom, quadratic, 200, 1)
 	if !res.Best.Feasible {
 		t.Fatal("random found no feasible point")
 	}
@@ -38,8 +52,8 @@ func TestRandomFindsFeasible(t *testing.T) {
 
 func TestOptimizersBeatTheMeanAndAreDeterministic(t *testing.T) {
 	for _, alg := range []Algorithm{AlgRandom, AlgLCS, AlgBayes} {
-		a := Run(alg, quadratic, 300, 7)
-		b := Run(alg, quadratic, 300, 7)
+		a := run(alg, quadratic, 300, 7)
+		b := run(alg, quadratic, 300, 7)
 		if !a.Best.Feasible {
 			t.Fatalf("%s: no feasible best", alg)
 		}
@@ -61,7 +75,7 @@ func TestGuidedSearchBeatsRandom(t *testing.T) {
 	mean := func(alg Algorithm) float64 {
 		var s float64
 		for seed := int64(0); seed < 5; seed++ {
-			s += Run(alg, quadratic, 250, seed).Best.Value
+			s += run(alg, quadratic, 250, seed).Best.Value
 		}
 		return s / 5
 	}
@@ -75,7 +89,7 @@ func TestGuidedSearchBeatsRandom(t *testing.T) {
 }
 
 func TestBestSoFarMonotone(t *testing.T) {
-	res := Run(AlgLCS, quadratic, 150, 3)
+	res := run(AlgLCS, quadratic, 150, 3)
 	curve := res.BestSoFar()
 	prev := math.Inf(-1)
 	seenFeasible := false
@@ -103,7 +117,7 @@ func TestBestSoFarMonotone(t *testing.T) {
 func TestAllInfeasible(t *testing.T) {
 	never := func([arch.NumParams]int) Evaluation { return Evaluation{} }
 	for _, alg := range []Algorithm{AlgRandom, AlgLCS, AlgBayes} {
-		res := Run(alg, never, 50, 1)
+		res := run(alg, never, 50, 1)
 		if res.Best.Feasible {
 			t.Errorf("%s: claims feasible best on infeasible objective", alg)
 		}
@@ -119,7 +133,7 @@ func TestAllInfeasible(t *testing.T) {
 func TestTrialIndicesInDomain(t *testing.T) {
 	dims := arch.Space{}.Dims()
 	check := func(alg Algorithm) {
-		res := Run(alg, quadratic, 200, 9)
+		res := run(alg, quadratic, 200, 9)
 		for _, tr := range res.History {
 			for d, card := range dims {
 				if tr.Index[d] < 0 || tr.Index[d] >= card {
@@ -135,7 +149,7 @@ func TestTrialIndicesInDomain(t *testing.T) {
 
 func TestZeroTrials(t *testing.T) {
 	for _, alg := range []Algorithm{AlgRandom, AlgLCS, AlgBayes} {
-		res := Run(alg, quadratic, 0, 1)
+		res := run(alg, quadratic, 0, 1)
 		if len(res.History) != 0 || res.Best.Feasible {
 			t.Errorf("%s: zero-trial run misbehaved", alg)
 		}
@@ -143,7 +157,7 @@ func TestZeroTrials(t *testing.T) {
 }
 
 func TestMutateAlwaysChanges(t *testing.T) {
-	res := Run(AlgBayes, quadratic, 40, 5)
+	res := run(AlgBayes, quadratic, 40, 5)
 	_ = res
 	// mutate is exercised through Bayesian; direct property:
 	r := newRand(11)

@@ -179,7 +179,13 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 		matrixFLOPs += io.MatrixFLOPs
 	}
 
-	sol := fusion.Optimize(costs, cfg.GlobalBytes(), opts.Fusion)
+	producers := make([]int, len(costs))
+	for i := range costs {
+		producers[i] = costs[i].EdgeProducer
+	}
+	usable := fusion.UsableEdges(producers, opts.Fusion.Window)
+	sol := fusion.ResolvePlanned(costs, cfg.GlobalBytes(),
+		fusion.SolvePlanned(costs, usable, cfg.GlobalBytes(), opts.Fusion))
 	res.Fusion = sol
 
 	for ri := range stats {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # cover_gate.sh — fail when total statement coverage drops below the
-# checked-in floor (same spirit as bench_gate.sh for perf).
+# checked-in floor (same spirit as `fast-bench -check` for perf).
 #
 # The floor is deliberately a couple of points under the current total
 # (~82% with the decoder/KV-cache subsystem included — the new builders

@@ -6,7 +6,9 @@
 #   1. Every relative markdown link [text](path) resolves to a file or
 #      directory in the repo (http(s) and #anchor links are skipped).
 #   2. Every `path/file.go:line` pointer names a file that exists and
-#      has at least that many lines — a refactor that moves an anchor
+#      has at least that many lines, and a pointer written as
+#      `Name` (`path/file.go:line`) finds Name (its last dotted part)
+#      within three lines of that line — a refactor that moves an anchor
 #      breaks the doc build, not the reader.
 #   3. Every metric registered in internal/serve/metrics.go appears in
 #      docs/OPERATIONS.md's catalog, and vice versa.
@@ -44,6 +46,17 @@ for doc in "${docs[@]}"; do
 			fail=1
 		fi
 	done < <(grep -oE '`(cmd|internal|scripts)/[A-Za-z0-9_/.-]+\.go:[0-9]+' "$doc" | tr -d '\140')
+	# Named pointers, matched across line wraps.
+	while IFS=' :' read -r name file line; do
+		[ -f "$file" ] || continue # reported above
+		lo=$((line > 3 ? line - 3 : 1))
+		if ! sed -n "${lo},$((line + 3))p" "$file" | grep -qw -- "${name##*.}"; then
+			echo "linkcheck: FAIL — $doc says $name is at $file:$line, but ${name##*.} is not within three lines of it" >&2
+			fail=1
+		fi
+	done < <(tr '\n' ' ' < "$doc" |
+		grep -oE '`[A-Za-z0-9_.]+` +\(`(cmd|internal|scripts)/[A-Za-z0-9_/.-]+\.go:[0-9]+' |
+		tr -d '\140(' | tr -s ' ')
 done
 
 echo "linkcheck: metrics catalog sync"
