@@ -243,11 +243,13 @@ func (ev *evaluator) finish(c *candidate) search.Evaluation {
 // evaluateBatch is the study's search.BatchObjective. Designs that
 // decode to a valid configuration inside the budget (Eq. 4) are grouped
 // by NativeBatch (a searched hyperparameter that selects the compiled
-// plan) and routed through Plan.EvaluateBatch one workload at a time, so
+// plan) and routed through Plan.ScoreBatch one workload at a time, so
 // an ask-batch of near-identical proposals shares memoized mapping /
-// residency / roll-up stages; a design is dropped from later workloads
-// as soon as an earlier one proves it infeasible. Everything that does
-// not survive keeps the zero (infeasible) Evaluation.
+// residency / roll-up stages, and fold reads its few scalars off each
+// Result while the per-region tables behind it are reused for the next
+// design; a design is dropped from later workloads as soon as an earlier
+// one proves it infeasible. Everything that does not survive keeps the
+// zero (infeasible) Evaluation.
 func (ev *evaluator) evaluateBatch(idxs [][arch.NumParams]int) []search.Evaluation {
 	evals := make([]search.Evaluation, len(idxs))
 	alive := make([]candidate, 0, len(idxs))
@@ -283,13 +285,16 @@ func (ev *evaluator) evaluateBatch(idxs [][arch.NumParams]int) []search.Evaluati
 			for k, ai := range ais {
 				cfgs[k] = alive[ai].cfg
 			}
-			var results []*sim.Result
 			plan, err := plans.get(w, nb, ev.simFP, ev.SimOptions)
 			if err == nil {
-				results, err = plan.EvaluateBatch(cfgs)
+				err = plan.ScoreBatch(cfgs, func(k int, r *sim.Result) {
+					if !ev.fold(r, &alive[ais[k]]) {
+						dead[ais[k]] = true
+					}
+				})
 			}
-			for k, ai := range ais {
-				if err != nil || !ev.fold(results[k], &alive[ai]) {
+			if err != nil {
+				for _, ai := range ais {
 					dead[ai] = true
 				}
 			}

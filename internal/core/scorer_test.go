@@ -1,0 +1,137 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"fast/internal/arch"
+	"fast/internal/search"
+)
+
+// scoredBytes builds the perf-per-tdp scorer for one workload, warms it
+// on a mutation chain around FAST-Large (plan compiled, stage caches
+// filled), and returns the heap bytes and allocations per design that
+// reaches the simulator when the same batch is scored again, plus the
+// plan's region count.
+func scoredBytes(t *testing.T, workload string) (bytes, allocs float64, regions int) {
+	t.Helper()
+	st := Study{Workloads: []string{workload}, Objective: PerfPerTDP}
+	sp := st.evalSpec(nil)
+	score, err := BuildBatchEvaluator(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := probeSet()[24:]
+	scored := 0
+	for _, idx := range batch {
+		cfg := arch.Space{}.Decode(idx, sp.Base)
+		bd := sp.SimOptions.PowerModel.Evaluate(cfg)
+		if cfg.Validate() == nil && bd.TotalPower() <= sp.Budget.MaxTDPW && bd.TotalArea() <= sp.Budget.MaxAreaMM2 {
+			scored++
+		}
+	}
+	if scored == 0 {
+		t.Fatalf("%s: no design of the batch reaches the simulator", workload)
+	}
+	score(batch)
+	plan, err := plans.get(workload, arch.FASTLarge().NativeBatch, sp.SimOptions.Fingerprint(), sp.SimOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := plan.Evaluate(arch.FASTLarge())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	perRun := testing.AllocsPerRun(runs, func() { score(batch) })
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more, untimed, as a warm-up.
+	bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64((runs+1)*scored)
+	return bytes, perRun / float64(scored), len(r.Regions)
+}
+
+// TestScorerBytesFlatInRegions is the allocation guard on the study
+// scorer: over warm plans, the bytes it allocates per scored design
+// must not grow with the plan's region count — the per-region stats,
+// op shares and fusion slices of each Result are reused across designs.
+// Allocated per design they cost about 160 B per region: 45 kB for each
+// efficientnet-b7 design, against some 600 B for everything else.
+func TestScorerBytesFlatInRegions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled memory at random")
+	}
+	smallBytes, smallAllocs, small := scoredBytes(t, "efficientnet-b0")
+	bigBytes, bigAllocs, big := scoredBytes(t, "efficientnet-b7")
+	if big <= 2*small {
+		t.Fatalf("efficientnet-b7 has %d regions, efficientnet-b0 %d: too close to tell scaling", big, small)
+	}
+	perRegion := (bigBytes - smallBytes) / float64(big-small)
+	t.Logf("per scored design: efficientnet-b0 (%d regions) %.0f B / %.1f allocs, efficientnet-b7 (%d regions) %.0f B / %.1f allocs; %.2f B per extra region",
+		small, smallBytes, smallAllocs, big, bigBytes, bigAllocs, perRegion)
+	if perRegion > 8 {
+		t.Errorf("the scorer allocates %.1f B per design per extra region: per-region tables are allocated per design", perRegion)
+	}
+}
+
+// TestScorerConcurrentHammer runs one study scorer from several
+// goroutines at once over overlapping batches of one shared plan per
+// workload — the Runner's shape at Parallelism > 1 — and holds every
+// concurrent Evaluation to the serial one. bert-128 keeps two softmax
+// variants' Results alive per design; under -race this proves the
+// reused per-region tables are never shared between scorers.
+func TestScorerConcurrentHammer(t *testing.T) {
+	st := Study{Workloads: []string{"efficientnet-b0", "bert-128"}, Objectives: []ObjectiveKind{Perf, Area}}
+	score, err := BuildBatchEvaluator(st.evalSpec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := probeSet()
+	want := score(batch)
+	feasible := 0
+	for _, ev := range want {
+		if ev.Feasible {
+			feasible++
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no feasible design: the hammer compares nothing")
+	}
+
+	const goroutines, rounds = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Rotated views: the batches overlap but are walked in
+			// different orders and split at different points.
+			local := make([][arch.NumParams]int, len(batch))
+			exp := make([]search.Evaluation, len(batch))
+			for i := range batch {
+				j := (i + 7*w) % len(batch)
+				local[i], exp[i] = batch[j], want[j]
+			}
+			for round := 0; round < rounds; round++ {
+				lo := (w + round) % 5
+				got := score(local[lo:])
+				for i, ev := range got {
+					if !ev.Equal(exp[lo+i]) {
+						errs <- fmt.Errorf("worker %d round %d: point %d scored %+v, serially %+v", w, round, lo+i, ev, exp[lo+i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

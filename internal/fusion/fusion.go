@@ -137,7 +137,7 @@ type Options struct {
 }
 
 // regionTime evaluates max(TMin, TMax - saved).
-func regionTime(r RegionCost, saved float64) float64 {
+func regionTime(r *RegionCost, saved float64) float64 {
 	t := r.TMax - saved
 	if t < r.TMin {
 		return r.TMin
@@ -156,7 +156,8 @@ func savedByRegion(regions []RegionCost, pin, keep, hold []bool) []float64 {
 // accumSaved adds each region's time savings into a caller-provided
 // (zeroed) buffer. hold may be nil (no KV-cache residency).
 func accumSaved(saved []float64, regions []RegionCost, pin, keep, hold []bool) {
-	for i, r := range regions {
+	for i := range regions {
+		r := &regions[i]
 		if pin[i] {
 			saved[i] += r.TWeight
 		}
@@ -207,6 +208,13 @@ type Assignment struct {
 	Nodes int
 }
 
+// testHook holds the seam only _test.go files set (via export_test.go);
+// production code leaves it nil.
+var testHook struct {
+	// solve observes every instance entering SolvePlanned's solvers.
+	solve func(regions []RegionCost, usable []bool, capacity int64)
+}
+
 // SolvePlanned computes just the placement assignment — which regions pin
 // weights and which keep their primary edge on chip — without the
 // per-region time/peak roll-up. The assignment is the expensive,
@@ -221,6 +229,9 @@ func SolvePlanned(regions []RegionCost, usable []bool, capacity int64, opts Opti
 		return Assignment{Pin: make([]bool, n), Keep: make([]bool, n), Hold: make([]bool, n), Method: "disabled"}
 	}
 	normalizeResident(regions)
+	if testHook.solve != nil {
+		testHook.solve(regions, usable, capacity)
+	}
 	pin, keep, hold := greedy(regions, usable, capacity)
 	asn := Assignment{Pin: pin, Keep: keep, Hold: hold, Method: "greedy"}
 	if !opts.GreedyOnly {
@@ -235,34 +246,34 @@ func SolvePlanned(regions []RegionCost, usable []bool, capacity int64, opts Opti
 	return asn
 }
 
-// ResolvePlanned reconstructs the full Solution for a known assignment
-// (as returned by SolvePlanned, possibly from a cache): per-region
-// post-fusion times, total, and peak GM usage, with a defensive capacity
-// repair. The assignment slices are copied, never retained, so a
-// memoized Assignment can be shared read-only across concurrent callers.
-func ResolvePlanned(regions []RegionCost, capacity int64, asn Assignment) Solution {
-	sol := Solution{
-		PinWeight:  append([]bool(nil), asn.Pin...),
-		EdgeOnChip: append([]bool(nil), asn.Keep...),
-		KVOnChip:   append([]bool(nil), asn.Hold...),
-		Times:      make([]float64, len(regions)),
+// ResolvePlanned reconstructs into *sol the full Solution for a known
+// assignment (as returned by SolvePlanned, possibly from a cache):
+// per-region post-fusion times, total, and peak GM usage, with a
+// defensive capacity repair. sol's slices are reused where their
+// capacity allows (a zero Solution gets fresh ones). The assignment
+// slices are copied, never retained, so a memoized Assignment can be
+// shared read-only across concurrent callers.
+func ResolvePlanned(sol *Solution, regions []RegionCost, capacity int64, asn Assignment) {
+	n := len(regions)
+	*sol = Solution{
+		PinWeight:  append(sol.PinWeight[:0], asn.Pin...),
+		EdgeOnChip: append(sol.EdgeOnChip[:0], asn.Keep...),
+		KVOnChip:   reset(&sol.KVOnChip, n),
+		Times:      reset(&sol.Times, n),
 		Method:     asn.Method,
 		Gap:        asn.Gap,
 		Nodes:      asn.Nodes,
 	}
-	if sol.KVOnChip == nil {
-		sol.KVOnChip = make([]bool, len(regions))
-	}
+	copy(sol.KVOnChip, asn.Hold)
 	if asn.Method == "disabled" {
 		for i, r := range regions {
 			sol.Times[i] = r.TMax
 			sol.Total += r.TMax
 		}
-		return sol
+		return
 	}
 	normalizeResident(regions)
-	finalize(&sol, regions, capacity)
-	return sol
+	finalize(sol, regions, capacity)
 }
 
 // normalizeResident applies the EdgeResidentBytes-defaults-to-EdgeBytes
@@ -291,7 +302,7 @@ var finalizePool = sync.Pool{New: func() any { return new(finalizeScratch) }}
 func finalize(sol *Solution, regions []RegionCost, capacity int64) {
 	fs := finalizePool.Get().(*finalizeScratch)
 	defer finalizePool.Put(fs)
-	delta := resetI64(&fs.delta, len(regions)+1)
+	delta := reset(&fs.delta, len(regions)+1)
 	for repair := 0; ; repair++ {
 		peak := peakUsageBuf(sol, regions, delta)
 		if peak <= capacity || repair > 2*len(regions) {
@@ -300,11 +311,11 @@ func finalize(sol *Solution, regions []RegionCost, capacity int64) {
 		}
 		dropLowestDensity(sol, regions)
 	}
-	saved := resetF64(&fs.saved, len(regions))
+	saved := reset(&fs.saved, len(regions))
 	accumSaved(saved, regions, sol.PinWeight, sol.EdgeOnChip, sol.KVOnChip)
 	sol.Total = 0
-	for i, r := range regions {
-		sol.Times[i] = regionTime(r, saved[i])
+	for i := range regions {
+		sol.Times[i] = regionTime(&regions[i], saved[i])
 		sol.Total += sol.Times[i]
 	}
 }
@@ -321,7 +332,8 @@ func peakUsage(sol *Solution, regions []RegionCost) int64 {
 func peakUsageBuf(sol *Solution, regions []RegionCost, delta []int64) int64 {
 	n := len(regions)
 	var pinned int64
-	for i, r := range regions {
+	for i := range regions {
+		r := &regions[i]
 		if sol.PinWeight[i] {
 			pinned += r.DWeight
 		}
@@ -335,7 +347,8 @@ func peakUsageBuf(sol *Solution, regions []RegionCost, delta []int64) int64 {
 	for i := range delta {
 		delta[i] = 0
 	}
-	for i, r := range regions {
+	for i := range regions {
+		r := &regions[i]
 		if sol.EdgeOnChip[i] && r.EdgeProducer >= 0 {
 			b := r.EdgeResidentBytes
 			if b == 0 {

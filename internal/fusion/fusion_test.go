@@ -32,7 +32,9 @@ func chain(n int) []RegionCost {
 // optimizePlanned composes the package's two entry points the way
 // sim's fusion stage does: solve the placement, resolve the Solution.
 func optimizePlanned(regions []RegionCost, usable []bool, capacity int64, opts Options) Solution {
-	return ResolvePlanned(regions, capacity, SolvePlanned(regions, usable, capacity, opts))
+	var sol Solution
+	ResolvePlanned(&sol, regions, capacity, SolvePlanned(regions, usable, capacity, opts))
+	return sol
 }
 
 // optimize is optimizePlanned with the window analysis done on the spot.

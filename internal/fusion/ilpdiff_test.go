@@ -124,7 +124,8 @@ func TestResolvePlannedRoundTrips(t *testing.T) {
 		opts := Options{GreedyOnly: trial%2 == 0, Deadline: 10 * time.Second}
 		want := optimizePlanned(regions, usable, capacity, opts)
 		asn := SolvePlanned(regions, usable, capacity, opts)
-		got := ResolvePlanned(regions, capacity, asn)
+		var got Solution
+		ResolvePlanned(&got, regions, capacity, asn)
 		if got.Total != want.Total || got.GMUsedPeak != want.GMUsedPeak || got.Method != want.Method {
 			t.Fatalf("trial %d: resolve mismatch: %+v vs %+v", trial, got, want)
 		}

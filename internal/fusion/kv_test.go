@@ -146,7 +146,8 @@ func TestKVResolveRoundTrips(t *testing.T) {
 	capacity := int64(6 << 20)
 	direct := optimizePlanned(rs, usable, capacity, opts)
 	asn := SolvePlanned(rs, usable, capacity, opts)
-	resolved := ResolvePlanned(rs, capacity, asn)
+	var resolved Solution
+	ResolvePlanned(&resolved, rs, capacity, asn)
 	if direct.Total != resolved.Total || direct.GMUsedPeak != resolved.GMUsedPeak {
 		t.Errorf("resolve diverged: total %v vs %v, peak %v vs %v",
 			direct.Total, resolved.Total, direct.GMUsedPeak, resolved.GMUsedPeak)

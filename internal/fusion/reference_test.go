@@ -166,7 +166,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGreedyMatchesReferenceTies stresses the lazy-heap's tie-breaking:
+// TestGreedyMatchesReferenceTies stresses the heap's tie-breaking:
 // instances built from a tiny set of quantized byte sizes and time
 // constants produce many candidates with bit-identical value densities,
 // where selection order is decided purely by enumeration order. The heap
@@ -209,22 +209,5 @@ func TestGreedyMatchesReferenceTies(t *testing.T) {
 			t.Fatalf("tie trial %d (n=%d, cap=%d): greedy diverged from reference\nwant pin %v keep %v\ngot  pin %v keep %v",
 				trial, n, capacity, wantPin, wantKeep, gotPin, gotKeep)
 		}
-	}
-}
-
-// BenchmarkGreedy times the search-trial inner loop on a synthetic
-// 64-region chain (roughly EfficientNet-B7 shaped).
-func BenchmarkGreedy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	regions, usable := randomRegions(rng, 64)
-	for i := range regions {
-		if regions[i].EdgeResidentBytes == 0 {
-			regions[i].EdgeResidentBytes = regions[i].EdgeBytes
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		greedy(regions, usable, 1<<23)
 	}
 }

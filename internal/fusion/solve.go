@@ -8,86 +8,207 @@ import (
 	"fast/internal/ilp"
 )
 
-// heapCand is one greedy candidate (a weight pin or an edge residency)
-// inside the lazy max-heap: val caches the candidate's value density at
-// the time it was last scored, seq is its enumeration order for
-// tie-breaking, idx the region, bytes the GM footprint.
-type heapCand struct {
-	val    float64
-	seq    int32
-	idx    int32
-	isEdge bool
-	// isKV marks a KV-cache hold candidate: capacity-wise it behaves
-	// like a pin (charges every region), value-wise it saves TKVRead.
-	isKV  bool
+// Greedy candidate kinds.
+const (
+	kindPin  uint8 = iota // weight pin: charges every region, saves TWeight
+	kindEdge              // edge residency: charges [producer, consumer]
+	kindKV                // KV-cache hold: charges like a pin, saves TKVRead
+)
+
+// greedyCand is one greedy candidate. Its id — its index in
+// greedyScratch.cands — is its enumeration order, the tie-break.
+type greedyCand struct {
 	bytes int64
+	// region is the pinned/holding region, or the edge's consumer.
+	region int32
+	// pos is the candidate's heap position, -1 once it has left.
+	pos  int32
+	kind uint8
 }
 
-// candBefore is the heap priority: higher cached density first; among
-// equal densities, earlier enumeration order — exactly the candidate the
-// reference's linear scan (first strict maximum) selects.
-func candBefore(a, b heapCand) bool {
+// heapEntry is one heap slot: a candidate and its exact value density
+// at the current savings (always positive).
+type heapEntry struct {
+	val float64
+	id  int32
+}
+
+// before is the selection order: higher density first, and among equal
+// densities earlier enumeration — the reference's linear scan picks its
+// first strict maximum.
+func before(a, b heapEntry) bool {
 	if a.val != b.val {
 		return a.val > b.val
 	}
-	return a.seq < b.seq
+	return a.id < b.id
 }
 
-func candSiftDown(h []heapCand, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		best := l
-		if r := l + 1; r < len(h) && candBefore(h[r], h[l]) {
-			best = r
-		}
-		if !candBefore(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-// greedyScratch pools the solver's per-call working memory; Plan.Evaluate
-// runs one greedy per trial, so these buffers are the hottest transient
-// allocations in a search.
+// greedyScratch pools the greedy's per-call working memory; every
+// search trial that misses the fusion stage cache runs one greedy, so
+// these buffers are the hottest transient allocations of a search.
 type greedyScratch struct {
 	saved []float64
 	rb    []int64
-	heap  []heapCand
+	cands []greedyCand
+	heap  []heapEntry
+	// Region i's own candidates are ids first[i] ≤ id < first[i+1]; the
+	// edge candidates whose producer it is are cons[cptr[i]:cptr[i+1]].
+	first, cptr, cons []int32
 }
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
-// greedy builds a density-ordered warm start: each candidate (weight pin
-// or edge residency) is taken when its marginal time saving per GM byte
-// is best and capacity allows. Savings saturate at each region's TMin, so
-// marginal values are recomputed as items land.
+// set stores e at heap position i.
+func (gs *greedyScratch) set(i int, e heapEntry) {
+	gs.heap[i] = e
+	gs.cands[e.id].pos = int32(i)
+}
+
+// up seats e at position i or above it and returns where it landed.
+func (gs *greedyScratch) up(i int, e heapEntry) int {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(e, gs.heap[p]) {
+			break
+		}
+		gs.set(i, gs.heap[p])
+		i = p
+	}
+	gs.set(i, e)
+	return i
+}
+
+// down seats e at position i or below it and returns where it landed.
+func (gs *greedyScratch) down(i int, e heapEntry) int {
+	h := gs.heap
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		c := l
+		if r := l + 1; r < len(h) && before(h[r], h[l]) {
+			c = r
+		}
+		if !before(h[c], e) {
+			break
+		}
+		gs.set(i, h[c])
+		i = c
+	}
+	gs.set(i, e)
+	return i
+}
+
+// fix seats e at position i, whose old entry it replaces: below it, or
+// if it belongs there, above it.
+func (gs *greedyScratch) fix(i int, e heapEntry) {
+	if gs.down(i, e) == i {
+		gs.up(i, e)
+	}
+}
+
+// remove takes heap position i out. The last entry, moved into the hole,
+// may belong above the hole as well as below it, so fix sifts both ways.
+func (gs *greedyScratch) remove(i int) {
+	last := len(gs.heap) - 1
+	gs.cands[gs.heap[i].id].pos = -1
+	e := gs.heap[last]
+	gs.heap = gs.heap[:last]
+	if i < last {
+		gs.fix(i, e)
+	}
+}
+
+// touch re-keys the in-heap candidates that read region i's savings —
+// its own, and the edges it produces — after those savings grew.
+func (gs *greedyScratch) touch(regions []RegionCost, i int) {
+	for id := gs.first[i]; id < gs.first[i+1]; id++ {
+		gs.rescore(regions, id)
+	}
+	for _, id := range gs.cons[gs.cptr[i]:gs.cptr[i+1]] {
+		gs.rescore(regions, id)
+	}
+}
+
+// rescore re-keys candidate id at the current savings, dropping it from
+// the heap once it is worthless.
+func (gs *greedyScratch) rescore(regions []RegionCost, id int32) {
+	c := &gs.cands[id]
+	if c.pos < 0 {
+		return
+	}
+	if v := density(regions, gs.saved, c); v <= 0 {
+		gs.remove(int(c.pos))
+	} else if v != gs.heap[c.pos].val {
+		gs.fix(int(c.pos), heapEntry{val: v, id: id})
+	}
+}
+
+// marginal is the saving t still buys in region r, which has already
+// saved saved: savings saturate at TMax - TMin. (The builtin min is
+// math.Min, NaN and signed zeros included.)
+func marginal(r *RegionCost, saved, t float64) float64 {
+	room := (r.TMax - r.TMin) - saved
+	if room <= 0 {
+		return 0
+	}
+	return min(t, room)
+}
+
+// density is c's value per GM byte at the current savings, with the
+// reference's arithmetic: raw marginal first, the per-byte division only
+// when positive.
+func density(regions []RegionCost, saved []float64, c *greedyCand) float64 {
+	i := c.region
+	r := &regions[i]
+	var v float64
+	switch c.kind {
+	case kindEdge:
+		v = marginal(r, saved[i], r.TEdgeRead)
+		if p := r.EdgeProducer; p >= 0 {
+			v += marginal(&regions[p], saved[p], r.TEdgeWrite)
+		}
+	case kindKV:
+		v = marginal(r, saved[i], r.TKVRead)
+	default:
+		v = marginal(r, saved[i], r.TWeight)
+	}
+	if v <= 0 {
+		return 0
+	}
+	if c.bytes > 0 {
+		v /= float64(c.bytes)
+	}
+	return v
+}
+
+// greedy builds a density-ordered warm start: each candidate (weight
+// pin, edge residency or KV-cache hold) is taken when its marginal time
+// saving per GM byte is best and capacity allows. Savings saturate at
+// each region's TMin, so marginal values are recomputed as items land.
 //
-// This is the design-dependent inner loop of every search trial. Two
+// It runs on every search trial that misses the fusion stage cache. Two
 // structural optimizations over the reference implementation, both
-// selection-order preserving (the fuzz test against the frozen reference
-// keeps that claim falsifiable):
+// selection-order preserving (the frozen references in the tests keep
+// that claim falsifiable, on fuzzed and on compiled-plan instances):
 //
 //   - Peak tracking: pinned weights charge every region uniformly, so
 //     peak GM usage decomposes as pinnedTotal + max_k(resident_k +
 //     BaseGM_k) and each placement test needs only the candidate's own
 //     residency interval, not a full sweep.
 //
-//   - Lazy selection: candidate values only ever shrink (saved[] grows
-//     monotonically, so marginal() is non-increasing), which admits the
-//     classic lazy-greedy heap. Candidates sit in a max-heap ordered by
-//     cached density; on pop the top is re-scored — if it decayed it is
-//     pushed back down with its fresh value, if it held it is the true
-//     maximum, because every other cached value is an upper bound on its
-//     own fresh value. Equal densities resolve by enumeration order,
-//     matching the linear scan's first-strict-maximum rule, so the same
-//     candidates land in the same sequence as the reference. This turns
-//     the O(candidates) re-scan per selection into O(log candidates)
-//     amortized.
+//   - Indexed selection: a candidate's value reads the savings of at
+//     most two regions — its own and, for an edge, its producer's — and
+//     a placement changes exactly those. Candidates therefore sit in an
+//     indexed max-heap keyed by their exact current density: after each
+//     placement only the candidates of the touched regions (their
+//     pin/edge/KV and the edges they produce) are re-scored in place,
+//     and a candidate whose value reaches zero leaves at once (zero
+//     never rises again: savings only grow). The top is always the true
+//     maximum, equal densities resolve by enumeration order, so the
+//     same candidates land in the same sequence as the reference's
+//     O(candidates) re-scan, at O(log candidates) per touched candidate.
 func greedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hold []bool) {
 	n := len(regions)
 	pin = make([]bool, n)
@@ -95,71 +216,74 @@ func greedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hol
 	hold = make([]bool, n)
 	gs := greedyPool.Get().(*greedyScratch)
 	defer greedyPool.Put(gs)
-	saved := resetF64(&gs.saved, n)
+	saved := reset(&gs.saved, n)
 
-	marginal := func(i int, t float64) float64 {
-		r := &regions[i]
-		room := (r.TMax - r.TMin) - saved[i]
-		if room <= 0 {
-			return 0
-		}
-		return math.Min(t, room)
-	}
-	edgeValue := func(i int) float64 {
-		v := marginal(i, regions[i].TEdgeRead)
-		if p := regions[i].EdgeProducer; p >= 0 {
-			v += marginal(p, regions[i].TEdgeWrite)
-		}
-		return v
-	}
-	// density mirrors the reference's scoring arithmetic exactly: raw
-	// marginal first, the per-byte division only when positive.
-	density := func(c heapCand) float64 {
-		var v float64
-		switch {
-		case c.isEdge:
-			v = edgeValue(int(c.idx))
-		case c.isKV:
-			v = marginal(int(c.idx), regions[c.idx].TKVRead)
-		default:
-			v = marginal(int(c.idx), regions[c.idx].TWeight)
-		}
-		if v <= 0 {
-			return 0
-		}
-		if c.bytes > 0 {
-			v /= float64(c.bytes)
-		}
-		return v
-	}
-
-	h := gs.heap[:0]
+	// Enumerate region by region — pin, edge, KV — which is the
+	// tie-break order. Encoder workloads enumerate no KV candidates, so
+	// their selection sequence matches the KV-less reference.
+	cands := gs.cands[:0]
+	first := reset(&gs.first, n+1)
+	cptr := reset(&gs.cptr, n+1)
 	for i := range regions {
 		r := &regions[i]
+		first[i] = int32(len(cands))
 		if r.PinnableWeights && r.DWeight > 0 && r.TWeight > 0 {
-			h = append(h, heapCand{seq: int32(len(h)), idx: int32(i), bytes: r.DWeight})
+			cands = append(cands, greedyCand{bytes: r.DWeight, region: int32(i), kind: kindPin})
 		}
 		if usable[i] && r.EdgeResidentBytes > 0 {
-			h = append(h, heapCand{seq: int32(len(h)), idx: int32(i), isEdge: true, bytes: r.EdgeResidentBytes})
+			cands = append(cands, greedyCand{bytes: r.EdgeResidentBytes, region: int32(i), kind: kindEdge})
+			if p := r.EdgeProducer; p >= 0 {
+				cptr[p]++
+			}
 		}
-		// Encoder workloads enumerate no KV candidates, so their
-		// selection sequence — and hence the frozen-reference
-		// differential — is untouched.
 		if r.KVBytes > 0 && r.TKVRead > 0 {
-			h = append(h, heapCand{seq: int32(len(h)), idx: int32(i), isKV: true, bytes: r.KVBytes})
+			cands = append(cands, greedyCand{bytes: r.KVBytes, region: int32(i), kind: kindKV})
 		}
 	}
-	for i := range h {
-		h[i].val = density(h[i])
+	first[n] = int32(len(cands))
+	gs.cands = cands
+
+	// Producer → edge-candidate index: a counting sort by producer.
+	var total int32
+	for p := 0; p < n; p++ {
+		c := cptr[p]
+		cptr[p] = total
+		total += c
 	}
+	cptr[n] = total
+	cons := reset(&gs.cons, int(total))
+	for id := range cands {
+		if c := &cands[id]; c.kind == kindEdge {
+			if p := regions[c.region].EdgeProducer; p >= 0 {
+				cons[cptr[p]] = int32(id)
+				cptr[p]++
+			}
+		}
+	}
+	// The fill advanced each bucket's start to its end, the next
+	// bucket's start: shift back by one bucket.
+	copy(cptr[1:], cptr[:n])
+	cptr[0] = 0
+
+	// Worthless candidates never enter the heap.
+	h := gs.heap[:0]
+	for id := range cands {
+		c := &cands[id]
+		c.pos = -1
+		if v := density(regions, saved, c); v > 0 {
+			c.pos = int32(len(h))
+			h = append(h, heapEntry{val: v, id: int32(id)})
+		}
+	}
+	gs.heap = h
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		candSiftDown(h, i)
+		gs.down(i, h[i])
 	}
 
 	// rb[k] = BaseGM_k plus the edge tensors resident across region k;
 	// residentPeak = max rb[k]. Peak GM usage for any assignment is
 	// pinnedTotal + residentPeak, maintained incrementally.
-	rb := resetI64(&gs.rb, n)
+	rb := reset(&gs.rb, n)
 	var residentPeak, pinnedTotal int64
 	for k := range regions {
 		rb[k] = regions[k].BaseGM
@@ -168,29 +292,16 @@ func greedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hol
 		}
 	}
 
-	for len(h) > 0 {
-		if v := density(h[0]); v <= 0 {
-			// Saved[] only grows: this candidate stays worthless forever.
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			candSiftDown(h, 0)
-			continue
-		} else if v < h[0].val {
-			// Stale upper bound: re-key and let the heap re-rank it.
-			h[0].val = v
-			candSiftDown(h, 0)
-			continue
-		}
-		c := h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		candSiftDown(h, 0)
+	for len(gs.heap) > 0 {
+		c := &cands[gs.heap[0].id]
+		gs.remove(0)
+		ci := int(c.region)
+		r := &regions[ci]
 		// Capacity test over the candidate's own footprint: an edge only
-		// occupies its residency interval [producer, consumer]; a pin
-		// charges every region.
-		if c.isEdge {
-			ci := int(c.idx)
-			p := regions[ci].EdgeProducer
+		// occupies its residency interval [producer, consumer]; a pin or
+		// a hold charges every region.
+		if c.kind == kindEdge {
+			p := r.EdgeProducer
 			var top int64
 			for k := p; k <= ci; k++ {
 				if rb[k] > top {
@@ -209,53 +320,38 @@ func greedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hol
 				rb[k] += c.bytes
 			}
 			keep[ci] = true
-			saved[ci] += marginal(ci, regions[ci].TEdgeRead)
+			saved[ci] += marginal(r, saved[ci], r.TEdgeRead)
 			if p >= 0 {
-				saved[p] += marginal(p, regions[ci].TEdgeWrite)
+				saved[p] += marginal(&regions[p], saved[p], r.TEdgeWrite)
+				gs.touch(regions, p)
 			}
-		} else {
-			ci := int(c.idx)
-			if pinnedTotal+c.bytes+residentPeak > capacity {
-				continue
-			}
-			pinnedTotal += c.bytes
-			if c.isKV {
-				hold[ci] = true
-				saved[ci] += marginal(ci, regions[ci].TKVRead)
-			} else {
-				pin[ci] = true
-				saved[ci] += marginal(ci, regions[ci].TWeight)
-			}
+			gs.touch(regions, ci)
+			continue
 		}
+		if pinnedTotal+c.bytes+residentPeak > capacity {
+			continue
+		}
+		pinnedTotal += c.bytes
+		if c.kind == kindKV {
+			hold[ci] = true
+			saved[ci] += marginal(r, saved[ci], r.TKVRead)
+		} else {
+			pin[ci] = true
+			saved[ci] += marginal(r, saved[ci], r.TWeight)
+		}
+		gs.touch(regions, ci)
 	}
-	gs.heap = h[:0]
 	return pin, keep, hold
 }
 
-// resetF64 grows *s to n and zeroes it.
-func resetF64(s *[]float64, n int) []float64 {
+// reset grows *s to n and zeroes it.
+func reset[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]float64, n)
+		*s = make([]T, n)
 	}
-	out := (*s)[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	*s = out
-	return out
-}
-
-// resetI64 grows *s to n and zeroes it.
-func resetI64(s *[]int64, n int) []int64 {
-	if cap(*s) < n {
-		*s = make([]int64, n)
-	}
-	out := (*s)[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	*s = out
-	return out
+	*s = (*s)[:n]
+	clear(*s)
+	return *s
 }
 
 // fusionILP is the reduced Figure 8 problem plus the maps from region to

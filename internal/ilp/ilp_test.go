@@ -244,8 +244,8 @@ func TestNodesCounted(t *testing.T) {
 
 // TestDenseFallbackKeepsSparseProgress: when the sparse search hands
 // over to the dense solver mid-way (numerical failure), the answer is
-// the dense solver's but the nodes already explored still count, and a
-// proven optimum is still the optimum.
+// the dense solver's, the nodes already explored still count, and the
+// bound the sparse search proved stays a valid one.
 func TestDenseFallbackKeepsSparseProgress(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	p, _ := fusionShapedProblem(r, 9, 4)
@@ -259,10 +259,83 @@ func TestDenseFallbackKeepsSparseProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Optimal || math.Abs(got.Objective-clean.Objective) > 1e-9*(1+math.Abs(clean.Objective)) {
-		t.Fatalf("fallback result %+v, want optimal objective %.12g", got, clean.Objective)
+	if !got.Feasible || math.Abs(got.Objective-clean.Objective) > 1e-9*(1+math.Abs(clean.Objective)) {
+		t.Fatalf("fallback result %+v, want objective %.12g", got, clean.Objective)
 	}
 	if got.Nodes <= 3 {
 		t.Fatalf("fallback reports %d nodes: the 3 sparse nodes were dropped", got.Nodes)
+	}
+	if got.BestBound > clean.Objective+1e-12 || math.IsInf(got.BestBound, -1) {
+		t.Fatalf("fallback bound %g: want the sparse search's finite bound ≤ the optimum %g", got.BestBound, clean.Objective)
+	}
+}
+
+// TestDenseFallbackNeedsSparseCertificate: the dense tableau claims
+// optimality on its own say-so; after a hand-over that claim stands
+// only when the bound the sparse search kept certifies it. A failure at
+// the second node leaves the root's open bound, below the optimum, so
+// the result must be an incumbent carrying that bound and the gap to it.
+func TestDenseFallbackNeedsSparseCertificate(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	p, _ := fusionShapedProblem(r, 9, 4)
+	clean, err := Solve(p, Options{})
+	if err != nil || !clean.Optimal || clean.Nodes < 4 {
+		t.Fatalf("need a proven multi-node instance, got %+v (%v)", clean, err)
+	}
+	// The open bound after one node, as a cut-off there reports it.
+	testHook.nodeLimit = 1
+	cut, err := Solve(p, Options{})
+	testHook.nodeLimit = 0
+	if err != nil || !(cut.BestBound < clean.Objective-1e-9) {
+		t.Fatalf("instance too easy: the bound after one node (%g, %v) already certifies %g", cut.BestBound, err, clean.Objective)
+	}
+
+	testHook.failNode = 2
+	defer func() { testHook.failNode = 0 }()
+	got, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Optimal {
+		t.Fatalf("dense hand-over claims optimality with the sparse bound %g below its objective %g", cut.BestBound, got.Objective)
+	}
+	if got.BestBound != cut.BestBound {
+		t.Errorf("bound %g after the hand-over, want the sparse search's %g", got.BestBound, cut.BestBound)
+	}
+	if want := relGap(got.Objective, cut.BestBound); got.Gap != want || !(got.Gap > 0) {
+		t.Errorf("gap %g, want %g > 0", got.Gap, want)
+	}
+
+	// A failure in the root LP proves no bound: the dense search is the
+	// only one, and its answer stands as the dense solver alone gives it.
+	testHook.failNode = 1
+	root, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := Solve(p, Options{Dense: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Optimal != dense.Optimal || root.Objective != dense.Objective {
+		t.Errorf("root hand-over: optimal %v objective %g; the dense solver alone: optimal %v objective %g",
+			root.Optimal, root.Objective, dense.Optimal, dense.Objective)
+	}
+}
+
+// TestRelGapScale: the gap is relative at the fusion objective's scale
+// (~1e-3 s), not floored at an absolute 1, and absolute only at zero.
+func TestRelGapScale(t *testing.T) {
+	if g := relGap(8.331e-4, 6.183e-4); math.Abs(g-0.2578) > 1e-4 {
+		t.Errorf("relGap(8.331e-4, 6.183e-4) = %g, want 0.2578", g)
+	}
+	if g := relGap(-2, -3); g != 0.5 {
+		t.Errorf("relGap(-2, -3) = %g, want 0.5", g)
+	}
+	if g := relGap(0, -1e-3); g != 1e-3 {
+		t.Errorf("relGap(0, -1e-3) = %g, want the absolute 1e-3", g)
+	}
+	if g := relGap(1e-3, 2e-3); g != 0 {
+		t.Errorf("relGap with the bound above the incumbent = %g, want 0", g)
 	}
 }

@@ -34,8 +34,9 @@ type Result struct {
 	// tracks no global bound and reports -inf on early exit.
 	BestBound float64
 	// Gap is the relative optimality gap (Objective − BestBound) /
-	// max(1, |Objective|): zero when optimality was proven, +inf when no
-	// usable bound survives an early exit.
+	// |Objective| (the absolute gap when Objective is zero): zero when
+	// optimality was proven, +inf when no usable bound survives an early
+	// exit.
 	Gap float64
 }
 
@@ -87,8 +88,16 @@ func Solve(p Problem, o Options) (Result, error) {
 	}
 	// The dense solver tracks no bound and counts its own nodes only;
 	// what the sparse search had explored and proven when it failed
-	// still holds.
+	// still holds. The dense tableau's absolute tolerances can also
+	// claim an optimum it has not earned: once the sparse search has
+	// proven a bound, the claim stands only if that bound certifies it
+	// (to the 1e-9 the search prunes with). A failure in the root LP
+	// proves no bound, and then the dense search — which, like every
+	// hand-over, starts over from the root — is the only one there is.
 	de.Nodes += res.Nodes
+	if de.Optimal && !math.IsInf(res.BestBound, -1) && res.BestBound < de.Objective-1e-9 {
+		de.Optimal, de.BestBound = false, math.Inf(-1) // the sparse bound replaces it below
+	}
 	if !de.Optimal && res.BestBound > de.BestBound {
 		de.BestBound = res.BestBound
 		if de.Feasible {
@@ -99,9 +108,15 @@ func Solve(p Problem, o Options) (Result, error) {
 }
 
 // relGap is the relative optimality gap of an incumbent against a lower
-// bound, clamped at zero.
+// bound, clamped at zero. It is relative to |objective| at any scale —
+// the fusion objective is ~1e-3 s, where a max(1, |objective|) floor
+// read every gap as 0% — and absolute only when the objective is zero.
 func relGap(objective, bound float64) float64 {
-	return math.Max(0, (objective-bound)/math.Max(1, math.Abs(objective)))
+	scale := math.Abs(objective)
+	if scale == 0 {
+		scale = 1
+	}
+	return math.Max(0, (objective-bound)/scale)
 }
 
 // statePool recycles the revised-simplex working state (basis, sparse

@@ -271,14 +271,15 @@ func (p *Plan) Evaluate(cfg *arch.Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return p.evaluateValidated(cfg), nil
+	return p.evaluateValidated(cfg, nil), nil
 }
 
 // evaluateValidated fetches the memoized stages for cfg and runs the
 // softmax-variant selection over them. One stage fetch serves both
 // variant evaluations of an AutoSoftmax run: the mapper never depends on
-// the softmax algorithm.
-func (p *Plan) evaluateValidated(cfg *arch.Config) *Result {
+// the softmax algorithm. bufs, when non-nil, holds the memory the
+// Results are written into (see ScoreBatch); nil allocates them.
+func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 	evalCount.Add(1)
 	mapped := p.mappedFor(cfg)
 	extras := p.floorFor(capacityBytes(cfg))
@@ -287,13 +288,13 @@ func (p *Plan) evaluateValidated(cfg *arch.Config) *Result {
 		if !p.hasSoftmax {
 			// No softmax op: the two-pass variant would produce the
 			// identical timeline, and the a/b tie resolves to a.
-			return p.evaluate(cfg, vpu.ThreePass, mapped, extras)
+			return p.evaluate(cfg, vpu.ThreePass, mapped, extras, bufs)
 		}
 		if p.opts.Fusion.GreedyOnly || p.opts.Fusion.Disable {
 			// Search-loop stack: the two variant evaluations are a few
 			// microseconds each, not worth a goroutine.
-			a = p.evaluate(cfg, vpu.ThreePass, mapped, extras)
-			b = p.evaluate(cfg, vpu.TwoPass, mapped, extras)
+			a = p.evaluate(cfg, vpu.ThreePass, mapped, extras, bufs)
+			b = p.evaluate(cfg, vpu.TwoPass, mapped, extras, bufs)
 		} else {
 			// Full-ILP stack: each variant's fusion stage is an exact
 			// branch-and-bound solve (they differ in vector times and DRAM
@@ -304,9 +305,9 @@ func (p *Plan) evaluateValidated(cfg *arch.Config) *Result {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				b = p.evaluate(cfg, vpu.TwoPass, mapped, extras)
+				b = p.evaluate(cfg, vpu.TwoPass, mapped, extras, bufs)
 			}()
-			a = p.evaluate(cfg, vpu.ThreePass, mapped, extras)
+			a = p.evaluate(cfg, vpu.ThreePass, mapped, extras, bufs)
 			<-done
 		}
 		if !b.ScheduleFailed && (a.ScheduleFailed || b.LatencySec < a.LatencySec) {
@@ -318,16 +319,17 @@ func (p *Plan) evaluateValidated(cfg *arch.Config) *Result {
 	if p.opts.TwoPassSoftmax {
 		alg = vpu.TwoPass
 	}
-	return p.evaluate(cfg, alg, mapped, extras)
+	return p.evaluate(cfg, alg, mapped, extras, bufs)
 }
 
 // evaluate is the per-design hot path. It mirrors the pre-split
 // simulate() arithmetic exactly — same operations, same order — reading
 // every design-independent quantity from the plan's flat tables and
 // every memoized stage result (mapped, extras) from the stage caches.
-func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []mapping.Mapping, extras []int64) *Result {
+// The Result and its tables are fresh when bufs is nil, and otherwise
+// bufs' slot for alg, overwritten.
+func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []mapping.Mapping, extras []int64, bufs *scoreBufs) *Result {
 	g, opts := p.graph, p.opts
-	res := &Result{Graph: g, Config: cfg, SoftmaxAlgorithm: alg}
 
 	perCoreBW := cfg.PeakBandwidthGBs() * 1e9 / float64(cfg.Cores)
 	clock := cfg.ClockGHz * 1e9
@@ -338,6 +340,14 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 	if alg == vpu.TwoPass {
 		algIdx = 1
 	}
+	var buf *resultBuf
+	if bufs != nil {
+		buf = &bufs[algIdx]
+	}
+	// One backing array serves every region's op shares (subslices of a
+	// single allocation, or of the buffer's).
+	res, sol, stats, shareBacking := buf.result(len(p.regions), len(p.ops))
+	res.Graph, res.Config, res.SoftmaxAlgorithm = g, cfg, alg
 
 	scratch := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(scratch)
@@ -346,10 +356,6 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 	if p.hasKV {
 		kvOK = p.kvEligibleFor(cfg)
 	}
-	stats := make([]RegionStats, len(p.regions))
-	// One backing array serves every region's op shares (they escape
-	// into the Result, but as subslices of a single allocation).
-	shareBacking := make([]OpShare, 0, len(p.ops))
 	var totalFLOPs, matrixFLOPs int64
 
 	for ri := range p.regions {
@@ -375,7 +381,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 				vectorSec += opSec
 			case classMatrix:
 				pi := po.problem
-				m := mapped[pi]
+				m := &mapped[pi]
 				if m.Failed {
 					res.ScheduleFailed = true
 					res.FailReason = fmt.Sprintf("op %q: %s", po.op.Name, m.Reason)
@@ -442,40 +448,38 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 		// extras disappear too; the floor is pure compute.
 		tMin := computeSec
 
-		costs[ri] = fusion.RegionCost{
-			TMin: tMin, TMax: tMax,
-			TWeight: float64(io.WeightBytes) / perCoreBW,
-			DWeight: io.WeightBytes, PinnableWeights: pinnable,
-			EdgeProducer:      pr.edgeProducer,
-			EdgeBytes:         pr.edgeBytes,
-			EdgeResidentBytes: pr.resident,
-			// The consumer-side read saving carries the mapper/softmax
-			// extras (they are re-reads of the same activations).
-			TEdgeRead: float64(pr.edgeBytes+extraBytes) / perCoreBW,
-		}
+		// Both tables are filled field by field: a composite literal
+		// would be built on the stack and block-copied, once per region
+		// per design. costs arrives zeroed; every stats field is set.
+		c := &costs[ri]
+		c.TMin, c.TMax = tMin, tMax
+		c.TWeight = float64(io.WeightBytes) / perCoreBW
+		c.DWeight, c.PinnableWeights = io.WeightBytes, pinnable
+		c.EdgeProducer, c.EdgeBytes, c.EdgeResidentBytes = pr.edgeProducer, pr.edgeBytes, pr.resident
+		// The consumer-side read saving carries the mapper/softmax extras
+		// (they are re-reads of the same activations).
+		c.TEdgeRead = float64(pr.edgeBytes+extraBytes) / perCoreBW
 		if pr.edgeSole {
 			// The producer's DRAM write is saved too when this region is
 			// the tensor's only external consumer.
-			costs[ri].TEdgeWrite = float64(pr.edgeBytes) / perCoreBW
+			c.TEdgeWrite = float64(pr.edgeBytes) / perCoreBW
 		}
 		if kvOK != nil && kvOK[ri] {
 			// The region's KV-cache slab fits in Global Memory: offer it to
 			// the residency solver as a pin-like hold candidate.
-			costs[ri].KVBytes = io.KVBytes
-			costs[ri].TKVRead = float64(io.KVBytes) / perCoreBW
+			c.KVBytes = io.KVBytes
+			c.TKVRead = float64(io.KVBytes) / perCoreBW
 		}
-		stats[ri] = RegionStats{
-			Region: pr.region, ComputeSec: computeSec, Shares: shares,
-			ExtraBytes:   extraBytes,
-			DRAMBytesPre: dramPre, SecPre: tMax, FLOPs: io.FLOPs,
-			KVBytes: io.KVBytes,
-		}
+		st := &stats[ri]
+		st.Region, st.ComputeSec, st.Shares = pr.region, computeSec, shares
+		st.ExtraBytes, st.DRAMBytesPre, st.DRAMBytesPost = extraBytes, dramPre, 0
+		st.KVBytes, st.SecPre, st.SecPost, st.FLOPs = io.KVBytes, tMax, 0, io.FLOPs
 		totalFLOPs += io.FLOPs
 		matrixFLOPs += io.MatrixFLOPs
 	}
 
-	sol := p.fusionFor(cfg, algIdx, costs)
-	res.Fusion = sol
+	p.fusionFor(cfg, algIdx, costs, sol)
+	res.Fusion = *sol
 
 	// Post-fusion DRAM traffic per region.
 	for ri := range stats {

@@ -58,6 +58,53 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	}
 }
 
+// TestScoreBatchMatchesEvaluateBatch: ScoreBatch hands each design's
+// Result to the scorer exactly once, and each — written into tables the
+// previous design used — is deep-equal to EvaluateBatch's owned Result:
+// region stats, op shares and fusion solution included. Covers a plan
+// without softmax, one whose AutoSoftmax keeps two variants alive
+// (bert-128) and a KV-holding decode plan, under every option set.
+func TestScoreBatchMatchesEvaluateBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, model := range []string{"efficientnet-b0", "bert-128", "gpt2-decode-1024"} {
+		for optName, opts := range planOptionSets() {
+			label := model + "/" + optName
+			plan, err := Compile(models.MustBuild(model, 8), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			designs := append(randomSweep(rng, 16), planDesigns()...)
+			owned, err := plan.EvaluateBatch(designs)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			seen := make([]int, len(designs))
+			if err := plan.ScoreBatch(designs, func(i int, r *Result) {
+				seen[i]++
+				sameResult(t, fmt.Sprintf("%s design %d (score vs owned)", label, i), owned[i], r)
+			}); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i, n := range seen {
+				if n != 1 {
+					t.Errorf("%s: design %d scored %d times", label, i, n)
+				}
+			}
+		}
+	}
+	bad := arch.FASTLarge().Clone("bad")
+	bad.PEsX = 3
+	plan, err := Compile(models.MustBuild("efficientnet-b0", 8), FASTOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.ScoreBatch([]*arch.Config{arch.FASTLarge(), bad}, func(int, *Result) {
+		t.Error("ScoreBatch scored a batch holding an invalid design")
+	}); err == nil {
+		t.Error("ScoreBatch accepted an invalid design")
+	}
+}
+
 // TestEvaluateBatchRejectsInvalid: any invalid design fails the whole
 // batch with its position in the error.
 func TestEvaluateBatchRejectsInvalid(t *testing.T) {

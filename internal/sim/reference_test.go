@@ -184,7 +184,8 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 		producers[i] = costs[i].EdgeProducer
 	}
 	usable := fusion.UsableEdges(producers, opts.Fusion.Window)
-	sol := fusion.ResolvePlanned(costs, cfg.GlobalBytes(),
+	var sol fusion.Solution
+	fusion.ResolvePlanned(&sol, costs, cfg.GlobalBytes(),
 		fusion.SolvePlanned(costs, usable, cfg.GlobalBytes(), opts.Fusion))
 	res.Fusion = sol
 

@@ -245,13 +245,13 @@ func (p *Plan) kvEligibleFor(cfg *arch.Config) []bool {
 	})
 }
 
-// fusionFor returns the fusion Solution for cfg under the given softmax
-// variant: the placement assignment comes from the stage cache (first
-// caller pays the greedy/ILP solve), the per-design roll-up is re-derived
-// fresh so every Result owns its Solution slices.
+// fusionFor resolves the fusion Solution for cfg under the given softmax
+// variant into sol: the placement assignment comes from the stage cache
+// (first caller pays the greedy/ILP solve), the per-design roll-up is
+// re-derived into sol's own slices, never the cached assignment's.
 //
 //fast:stage mask=fusionParams fixed=cores,clock,mem
-func (p *Plan) fusionFor(cfg *arch.Config, algIdx int, costs []fusion.RegionCost) fusion.Solution {
+func (p *Plan) fusionFor(cfg *arch.Config, algIdx int, costs []fusion.RegionCost, sol *fusion.Solution) {
 	key := fusionKey{
 		sub:   cfg.SubKey(fusionParams),
 		cores: cfg.Cores,
@@ -263,12 +263,13 @@ func (p *Plan) fusionFor(cfg *arch.Config, algIdx int, costs []fusion.RegionCost
 	asn := p.fusionCache.get(h, key, func() fusion.Assignment {
 		return fusion.SolvePlanned(costs, p.usable, cfg.GlobalBytes(), p.opts.Fusion)
 	})
-	return fusion.ResolvePlanned(costs, cfg.GlobalBytes(), asn)
+	fusion.ResolvePlanned(sol, costs, cfg.GlobalBytes(), asn)
 }
 
 // evalScratch pools the per-evaluate working memory that does not escape
 // into the Result: the fusion region-cost table. (Per-region stats and
-// op shares are part of the returned Result and cannot be pooled.)
+// op shares are part of the returned Result; only ScoreBatch, whose
+// caller drops each Result before the next, reuses them — resultBuf.)
 type evalScratch struct {
 	costs []fusion.RegionCost
 }
@@ -289,6 +290,44 @@ func (s *evalScratch) regionCosts(n int) []fusion.RegionCost {
 	return s.costs
 }
 
+// resultBuf is the memory of one Result that ScoreBatch reuses design
+// after design: the Result itself, its fusion Solution, its per-region
+// stats and its op shares (one backing array, sliced per region).
+type resultBuf struct {
+	res    Result
+	sol    fusion.Solution
+	stats  []RegionStats
+	shares []OpShare
+}
+
+// scoreBufs holds one resultBuf per softmax variant (indexed like
+// evaluate's algIdx): an AutoSoftmax evaluation keeps both variants'
+// Results until it picks one.
+type scoreBufs [2]resultBuf
+
+var scorePool = sync.Pool{New: func() any { return new(scoreBufs) }}
+
+// result returns a zeroed Result for evaluate to fill, the Solution the
+// fusion stage resolves into, and the region and op-share tables, sized
+// for nRegions regions and nOps ops: fresh allocations when b is nil,
+// b's memory otherwise (the Solution's slices are refilled in place).
+// evaluate sets every field of a stats entry before reading it, so the
+// stats table is not cleared.
+func (b *resultBuf) result(nRegions, nOps int) (*Result, *fusion.Solution, []RegionStats, []OpShare) {
+	if b == nil {
+		res := new(Result)
+		return res, &res.Fusion, make([]RegionStats, nRegions), make([]OpShare, 0, nOps)
+	}
+	b.res = Result{}
+	if cap(b.stats) < nRegions {
+		b.stats = make([]RegionStats, nRegions)
+	}
+	if cap(b.shares) < nOps {
+		b.shares = make([]OpShare, 0, nOps)
+	}
+	return &b.res, &b.sol, b.stats[:nRegions], b.shares[:0]
+}
+
 // EvaluateBatch evaluates many candidate datapaths against one compiled
 // plan. Results are bit-identical to calling Evaluate per design — and
 // positionally aligned with cfgs — but the batch is walked in
@@ -302,9 +341,35 @@ func (s *evalScratch) regionCosts(n int) []fusion.RegionCost {
 // batch (the search engine filters infeasible decodes before reaching
 // the simulator). Safe for concurrent use on one shared Plan.
 func (p *Plan) EvaluateBatch(cfgs []*arch.Config) ([]*Result, error) {
+	results := make([]*Result, len(cfgs))
+	if err := p.evaluateBatch(cfgs, nil, func(i int, r *Result) { results[i] = r }); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// ScoreBatch is EvaluateBatch for a caller that reads a few figures off
+// each Result and drops it — the study evaluator's shape. score receives
+// each design's index in cfgs and its Result, in the batch's walk order;
+// the Result and everything it references are valid only until score
+// returns, because the next design is written into the same per-region
+// tables instead of fresh ones. Validation, walk order and arithmetic
+// are EvaluateBatch's: only who owns the memory differs. Safe for
+// concurrent use on one shared Plan.
+func (p *Plan) ScoreBatch(cfgs []*arch.Config, score func(i int, r *Result)) (err error) {
+	bufs := scorePool.Get().(*scoreBufs)
+	defer scorePool.Put(bufs)
+	err = p.evaluateBatch(cfgs, bufs, score)
+	return
+}
+
+// evaluateBatch validates cfgs, then evaluates them in stage-sharing
+// order into bufs (nil: fresh Results) and hands each design's index
+// and Result to each.
+func (p *Plan) evaluateBatch(cfgs []*arch.Config, bufs *scoreBufs, each func(i int, r *Result)) error {
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: batch design %d: %w", i, err)
+			return fmt.Errorf("sim: batch design %d: %w", i, err)
 		}
 	}
 	type sortKey struct {
@@ -324,9 +389,8 @@ func (p *Plan) EvaluateBatch(cfgs []*arch.Config) ([]*Result, error) {
 		}
 		return ka.cap < kb.cap
 	})
-	results := make([]*Result, len(cfgs))
 	for _, i := range order {
-		results[i] = p.evaluateValidated(cfgs[i])
+		each(i, p.evaluateValidated(cfgs[i], bufs))
 	}
-	return results, nil
+	return nil
 }
