@@ -22,9 +22,10 @@
 // Evaluation can be sharded across fast-worker processes: -workers N
 // spawns N local subprocess workers, -connect host:port,... reaches
 // workers started with `fast-worker -listen`. The trial transcript is
-// bit-identical to the in-process run at any worker count; worker
-// crashes are retried, stragglers hedged, and a fully lost pool
-// degrades to in-process evaluation (the study still completes).
+// bit-identical to the in-process run at any worker count; a chunk
+// whose worker dies or misses its deadline is retried on another worker,
+// and a fully lost pool degrades to in-process evaluation (the study
+// still completes).
 //
 //	fast-search -workloads mobilenetv2 -workers 4
 //	fast-search -connect 10.0.0.5:9000,10.0.0.6:9000 -trials 1000
@@ -44,7 +45,6 @@ import (
 
 	"fast"
 	"fast/internal/dispatch"
-	"fast/internal/dispatch/chaos"
 )
 
 func main() {
@@ -65,7 +65,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "spawn N fast-worker subprocesses for trial evaluation (0 = in-process)")
 		connect    = flag.String("connect", "", "comma-separated fast-worker TCP addresses (host:port,...)")
 		workerBin  = flag.String("worker-bin", "", "fast-worker binary for -workers (default: next to this binary, then PATH)")
-		chaosPlan  = flag.Bool("chaos", false, "inject the standard fault plan into worker connections (benchmarking/testing)")
 	)
 	flag.Parse()
 
@@ -142,11 +141,6 @@ func main() {
 			}
 			popts.WorkerCmd = []string{bin}
 		}
-		if *chaosPlan {
-			plan := chaos.Standard()
-			popts.WrapDialer = plan.Wrap
-			fmt.Fprintf(status, "chaos: injecting fault plan %q into worker connections\n", plan.Name)
-		}
 		var err error
 		pool, err = dispatch.New(popts)
 		if err != nil {
@@ -205,10 +199,12 @@ func main() {
 		elapsed, float64(done)/elapsed,
 		int(res.Search.FeasibleRate()*float64(done)), done)
 	if pool != nil {
+		// hedges=0 is literal (the pool never hedges): scripts parse
+		// this line's fixed shape.
 		ds := pool.Stats()
-		fmt.Fprintf(status, "dispatch: %d/%d workers live, %d points in %d chunks remote; retries=%d hedges=%d respawns=%d degraded=%d\n\n",
+		fmt.Fprintf(status, "dispatch: %d/%d workers live, %d points in %d chunks remote; retries=%d hedges=0 respawns=%d degraded=%d\n\n",
 			ds.LiveWorkers, ds.Workers, ds.RemotePoints, ds.RemoteChunks,
-			ds.Retries, ds.Hedges, ds.Respawns, ds.DegradedChunks)
+			ds.Retries, ds.Respawns, ds.DegradedChunks)
 	}
 	if objs != nil {
 		reportFront(objs, res, canceled, *jsonOut, *save)

@@ -3,23 +3,21 @@
 // and poolescape — the compile-time proofs behind the stage-cache
 // soundness and determinism invariants.
 //
-// Standalone (the usual way, and what CI runs):
+// It loads the module from source once and analyzes every matched
+// package against it (the interprocedural maskcheck pass needs function
+// bodies across package boundaries):
 //
 //	go run ./cmd/fastlint ./...
 //	go run ./cmd/fastlint -analyzers maskcheck,detrange ./internal/sim
+//	go run ./cmd/fastlint -json ./...
 //
-// As a vet tool (unitchecker protocol; go vet drives one .cfg per
-// package):
-//
-//	go build -o /tmp/fastlint ./cmd/fastlint
-//	go vet -vettool=/tmp/fastlint ./...
-//
-// Exit status: 0 clean, 1 (standalone) / 2 (vet mode) when diagnostics
-// were reported, and nonzero on loader errors. Suppressions use
-// //fast:allow <analyzer> <reason> directives; see internal/analysis.
+// Exit status: 0 clean, 1 when diagnostics were reported, 2 on usage or
+// loader errors. Suppressions use //fast:allow <analyzer> <reason>
+// directives; see internal/analysis.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -48,35 +46,32 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fastlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	version := fs.String("V", "", "print version (go vet protocol handshake)")
-	flagsQuery := fs.Bool("flags", false, "print the analyzer flags as JSON (go vet protocol)")
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON (vet protocol compatible)")
+	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON, keyed by package then analyzer")
 	dir := fs.String("C", ".", "directory to load packages from")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version != "" {
-		// The go command hashes this line to identify the tool build.
-		fmt.Fprintln(stdout, "fastlint version v1")
-		return 0
-	}
-	if *flagsQuery {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-
 	analyzers, err := selectAnalyzers(*names)
 	if err != nil {
 		fmt.Fprintln(stderr, "fastlint:", err)
 		return 2
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0], analyzers, *jsonOut, stdout, stderr)
+	prog, err := load.Load(*dir, fs.Args()...)
+	if err != nil {
+		fmt.Fprintln(stderr, "fastlint:", err)
+		return 2
 	}
-	return runStandalone(*dir, rest, analyzers, *jsonOut, stdout, stderr)
+	diags, err := analysis.Run(prog, prog.Pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintln(stderr, "fastlint:", err)
+		return 2
+	}
+	if len(diags) == 0 {
+		return 0
+	}
+	printDiags(prog, diags, *jsonOut, stdout)
+	return 1
 }
 
 func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
@@ -99,32 +94,37 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 	return sel, nil
 }
 
-// runStandalone loads the matched module packages from source and runs
-// the suite over all of them.
-func runStandalone(dir string, patterns []string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, stderr io.Writer) int {
-	prog, err := load.Load(dir, patterns...)
-	if err != nil {
-		fmt.Fprintln(stderr, "fastlint:", err)
-		return 2
-	}
-	diags, err := analysis.Run(prog, prog.Pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, "fastlint:", err)
-		return 2
-	}
-	if len(diags) == 0 {
-		return 0
-	}
-	printDiags(prog, diags, jsonOut, stdout)
-	return 1
-}
-
+// printDiags writes one line per diagnostic, or with jsonOut one JSON
+// document in go vet's shape:
+// {"<pkg>": {"<analyzer>": [{"posn": ..., "message": ...}]}}.
 func printDiags(prog *load.Program, diags []analysis.Diagnostic, jsonOut bool, w io.Writer) {
-	if jsonOut {
-		fmt.Fprintln(w, diagsJSON(prog, diags))
+	if !jsonOut {
+		for _, d := range diags {
+			fmt.Fprintf(w, "%s: [%s] %s\n", prog.Fset.Position(d.Pos), d.Analyzer, d.Message)
+		}
 		return
 	}
-	for _, d := range diags {
-		fmt.Fprintf(w, "%s: [%s] %s\n", prog.Fset.Position(d.Pos), d.Analyzer, d.Message)
+	type jsonDiag struct {
+		Posn    string `json:"posn"`
+		Message string `json:"message"`
 	}
+	byPkg := map[string]map[string][]jsonDiag{}
+	for _, d := range diags {
+		pos := prog.Fset.Position(d.Pos)
+		pkgPath := ""
+		for _, p := range prog.Pkgs {
+			for _, f := range p.Files {
+				if prog.Fset.File(f.Pos()).Name() == pos.Filename {
+					pkgPath = p.Path
+				}
+			}
+		}
+		if byPkg[pkgPath] == nil {
+			byPkg[pkgPath] = map[string][]jsonDiag{}
+		}
+		byPkg[pkgPath][d.Analyzer] = append(byPkg[pkgPath][d.Analyzer],
+			jsonDiag{Posn: pos.String(), Message: d.Message})
+	}
+	out, _ := json.Marshal(byPkg) // map keys marshal sorted: stable output
+	fmt.Fprintln(w, string(out))
 }

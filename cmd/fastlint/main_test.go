@@ -2,29 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func TestVersionHandshake(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-V=full"}, &out, &errb); code != 0 {
-		t.Fatalf("run -V=full = %d, stderr: %s", code, errb.String())
-	}
-	if !strings.HasPrefix(out.String(), "fastlint version") {
-		t.Errorf("version line = %q, want fastlint version prefix", out.String())
-	}
-}
-
-func TestFlagsQuery(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-flags"}, &out, &errb); code != 0 {
-		t.Fatalf("run -flags = %d, stderr: %s", code, errb.String())
-	}
-	if strings.TrimSpace(out.String()) != "[]" {
-		t.Errorf("flags query = %q, want []", out.String())
-	}
-}
 
 func TestUnknownAnalyzer(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -50,4 +34,19 @@ func TestTreeIsClean(t *testing.T) {
 	if code := run([]string{"-C", root, "./..."}, &out, &errb); code != 0 {
 		t.Fatalf("fastlint ./... = %d\n%s%s", code, out.String(), errb.String())
 	}
+}
+
+// moduleRoot finds the module directory containing dir.
+func moduleRoot(dir string) (string, error) {
+	cmd := exec.Command("go", "env", "GOMOD")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return "", err
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return "", fmt.Errorf("no module for %s", dir)
+	}
+	return filepath.Dir(gomod), nil
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"fast/internal/dispatch"
+	"fast/internal/dispatch/chaos"
 	"fast/internal/obsv"
 	"fast/internal/serve"
 	"fast/internal/store"
@@ -46,10 +47,36 @@ func burstSpec(i int) map[string]any {
 	}
 }
 
+// soakPlan is one row of the whole-system fault matrix: a chaos plan
+// faulting the store and the worker pool, plus the checkpoint rate the
+// daemon is throttled to while it runs (0 = unthrottled; pacing must
+// never reach the transcript).
+type soakPlan struct {
+	chaos.Plan
+	trialsPerSec float64
+}
+
+// soakPlans is the seeded matrix the soak test and CI run: each plan
+// stresses one seam, the last stresses all of them at once.
+var soakPlans = []soakPlan{
+	{Plan: chaos.Plan{Name: "slow-disk", Seed: 101, FsDelayProb: 0.3, FsDelay: 2 * time.Millisecond}},
+	{Plan: chaos.Plan{Name: "fsync-errors", Seed: 202, FsyncErrProb: 0.3}},
+	{Plan: chaos.Plan{Name: "worker-chaos", Seed: 303, KillSendProb: 0.05, DropReplyProb: 0.05, ConnectRefusals: 1}},
+	{Plan: chaos.Plan{Name: "paced-slow-disk", Seed: 404, FsDelayProb: 0.3, FsDelay: 2 * time.Millisecond}, trialsPerSec: 100},
+	{Plan: chaos.Plan{Name: "everything", Seed: 505, FsDelayProb: 0.2, FsDelay: time.Millisecond,
+		FsyncErrProb: 0.15, KillSendProb: 0.03, DropReplyProb: 0.03, ConnectRefusals: 1}},
+}
+
+// faultsTransport reports whether p injects any worker-connection fault.
+func faultsTransport(p chaos.Plan) bool {
+	return p.DelayProb > 0 || p.DropReplyProb > 0 || p.DupReplyProb > 0 ||
+		p.CorruptProb > 0 || p.KillSendProb > 0 || p.ConnectRefusals > 0
+}
+
 type daemon struct {
 	srv  *serve.Server
 	http *httptest.Server
-	pool *dispatch.Pool // nil when the plan has no transport faults
+	pool *dispatch.Pool // nil for the in-process reference
 	dir  string
 }
 
@@ -61,15 +88,17 @@ func (d *daemon) stop() {
 	}
 }
 
-// newDaemon builds a daemon over dir with the plan's faults armed.
-// A zero FaultPlan yields the clean reference configuration.
-func newDaemon(t *testing.T, dir string, plan FaultPlan) *daemon {
+// newDaemon builds a daemon over dir with the plan's faults armed: the
+// plan's StoreHook on the store and, only when it faults the transport,
+// its Wrap on a two-worker loopback pool — store-only plans run the
+// in-process evaluation a daemon without workers uses. A nil plan
+// yields the clean, in-process reference configuration.
+func newDaemon(t *testing.T, dir string, plan *soakPlan) *daemon {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultHook(plan.Hook())
 	cfg := serve.Config{
 		Store:               st,
 		Metrics:             obsv.NewRegistry(),
@@ -77,24 +106,20 @@ func newDaemon(t *testing.T, dir string, plan FaultPlan) *daemon {
 		MaxStudiesPerTenant: 6,
 		MaxActivePerTenant:  1,
 		MaxQueuedPerTenant:  4,
-		MaxTrialsPerSec:     plan.TrialsPerSec,
 		RetryAfter:          1 * time.Second,
 	}
 	d := &daemon{dir: dir}
-	if plan.Transport() {
+	if plan != nil {
+		st.SetFaultHook(plan.StoreHook())
+		cfg.MaxTrialsPerSec = plan.trialsPerSec
+	}
+	if plan != nil && faultsTransport(plan.Plan) {
 		pool, err := dispatch.New(dispatch.Options{
-			Workers:        2,
-			Dialer:         dispatch.LoopbackDialer(),
-			WrapDialer:     plan.ChaosPlan().Wrap,
-			ChunkTimeout:   2 * time.Second,
-			HedgeAfter:     100 * time.Millisecond,
-			RetryBaseDelay: 10 * time.Millisecond,
-			RetryMaxDelay:  50 * time.Millisecond,
-			MaxAttempts:    6,
-			HeartbeatEvery: 50 * time.Millisecond,
-			HeartbeatMiss:  500 * time.Millisecond,
-			RespawnBudget:  200,
-			Seed:           plan.Seed,
+			Workers:       2,
+			Dialer:        dispatch.LoopbackDialer(),
+			WrapDialer:    plan.Wrap,
+			ChunkTimeout:  2 * time.Second,
+			RespawnBudget: 200,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +275,7 @@ func reference(t *testing.T) string {
 			t.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		d := newDaemon(t, dir, FaultPlan{})
+		d := newDaemon(t, dir, nil)
 		defer d.stop()
 		if resp, body := post(t, d.http.URL+"/v1/studies", mainSpec()); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("reference create = %d %v", resp.StatusCode, body)
@@ -271,8 +296,8 @@ func reference(t *testing.T) string {
 // governance, and bit-identical resume under every seeded fault plan.
 func TestChaosWholeSystem(t *testing.T) {
 	want := reference(t)
-	for _, plan := range Plans() {
-		plan := plan
+	for i := range soakPlans {
+		plan := &soakPlans[i]
 		t.Run(plan.Name, func(t *testing.T) {
 			dir := t.TempDir()
 			d := newDaemon(t, dir, plan)

@@ -1,10 +1,13 @@
 // Package chaoshttp is the whole-system fault harness for the serving
 // stack: it wires a real daemon (internal/serve) over a real store
-// with injected filesystem faults (internal/store's FaultHook seam)
-// and a real dispatch pool with injected transport faults
-// (internal/dispatch/chaos), then drives it over HTTP the way a rude
-// world would — submission bursts past quota, clients disconnecting
-// mid-SSE, workers dying mid-chunk, fsync stalling or failing.
+// and, for plans with transport faults, a real dispatch pool, both
+// faulted by one seeded chaos.Plan (internal/dispatch/chaos: StoreHook
+// feeds internal/store's FaultHook seam, Wrap the pool's dialer);
+// store-only plans keep the daemon's default in-process evaluation.
+// It then drives the daemon over HTTP the way a
+// rude world would — submission bursts past quota, clients
+// disconnecting mid-SSE, workers dying mid-chunk, fsync stalling or
+// failing.
 //
 // The harness exists to prove three whole-system properties that no
 // single package's tests can:
@@ -17,102 +20,6 @@
 //     transcript byte-identical to an unfaulted run's.
 //
 // Every fault draw comes from a plan-seeded generator, so a failing
-// plan replays exactly.
+// plan replays exactly. The harness is the package's test
+// (chaos_test.go); this file only documents it.
 package chaoshttp
-
-import (
-	"fmt"
-	"math/rand"
-	"strings"
-	"sync"
-	"time"
-
-	"fast/internal/dispatch/chaos"
-	"fast/internal/store"
-)
-
-// FaultPlan seeds one whole-system fault schedule across the store
-// and transport layers, plus the governance knobs the daemon runs
-// under while the plan is active.
-type FaultPlan struct {
-	// Name labels the plan in test output and CI logs.
-	Name string
-	// Seed drives every fault draw of the plan.
-	Seed int64
-
-	// FaultDelayProb injects FaultDelay of latency before a store
-	// filesystem op (slow-disk simulation; exercises pacing and
-	// deadline interplay without violating durability).
-	FaultDelayProb float64
-	FaultDelay     time.Duration
-	// FsyncErrProb fails a transcript fsync (classified retryable by
-	// the store). The write below the failed sync is still on disk, so
-	// the study fails with its batch durable and must resume.
-	FsyncErrProb float64
-
-	// Transport faults, applied to the dispatch pool's dialer via
-	// internal/dispatch/chaos. Zero values mean no pool is faulted.
-	KillSendProb    float64
-	DropReplyProb   float64
-	ConnectRefusals int
-
-	// TrialsPerSec, when positive, throttles the daemon's per-tenant
-	// checkpoint rate during the plan (pacing must never reach the
-	// transcript).
-	TrialsPerSec float64
-}
-
-// Hook returns a store.FaultHook implementing the plan's filesystem
-// faults from a plan-seeded generator. Delays apply to every op;
-// injected errors target transcript fsyncs only — the durability seam
-// whose failure a resumable daemon must survive.
-func (p FaultPlan) Hook() store.FaultHook {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(p.Seed))
-	return func(op store.FaultOp, path string) error {
-		mu.Lock()
-		delay := p.FaultDelayProb > 0 && rng.Float64() < p.FaultDelayProb
-		fail := p.FsyncErrProb > 0 && op == store.OpSync &&
-			strings.HasSuffix(path, "transcript.jsonl") && rng.Float64() < p.FsyncErrProb
-		mu.Unlock()
-		if delay {
-			time.Sleep(p.FaultDelay)
-		}
-		if fail {
-			return fmt.Errorf("chaoshttp: injected %s fault on %s", op, path)
-		}
-		return nil
-	}
-}
-
-// Transport reports whether the plan faults the dispatch transport
-// (and therefore needs a worker pool to fault).
-func (p FaultPlan) Transport() bool {
-	return p.KillSendProb > 0 || p.DropReplyProb > 0 || p.ConnectRefusals > 0
-}
-
-// ChaosPlan renders the transport slice of the plan as a dispatch
-// chaos plan (offset seed: store and transport draws stay independent).
-func (p FaultPlan) ChaosPlan() chaos.Plan {
-	return chaos.Plan{
-		Name:            p.Name,
-		Seed:            p.Seed + 1,
-		KillSendProb:    p.KillSendProb,
-		DropReplyProb:   p.DropReplyProb,
-		ConnectRefusals: p.ConnectRefusals,
-	}
-}
-
-// Plans is the seeded whole-system fault matrix the soak tests and CI
-// run: each plan stresses one seam, the last stresses all of them at
-// once.
-func Plans() []FaultPlan {
-	return []FaultPlan{
-		{Name: "slow-disk", Seed: 101, FaultDelayProb: 0.3, FaultDelay: 2 * time.Millisecond},
-		{Name: "fsync-errors", Seed: 202, FsyncErrProb: 0.3},
-		{Name: "worker-chaos", Seed: 303, KillSendProb: 0.05, DropReplyProb: 0.05, ConnectRefusals: 1},
-		{Name: "paced-slow-disk", Seed: 404, FaultDelayProb: 0.3, FaultDelay: 2 * time.Millisecond, TrialsPerSec: 100},
-		{Name: "everything", Seed: 505, FaultDelayProb: 0.2, FaultDelay: 1 * time.Millisecond,
-			FsyncErrProb: 0.15, KillSendProb: 0.03, DropReplyProb: 0.03, ConnectRefusals: 1},
-	}
-}

@@ -1,27 +1,31 @@
-// Package chaos injects seeded faults into dispatch worker connections.
+// Package chaos injects seeded faults into dispatch worker connections
+// and study-store filesystem operations.
 //
 // A Plan wraps a dispatch.Dialer so that every connection misbehaves on
 // a deterministic schedule derived from (plan seed, slot, dial attempt):
 // replies get delayed, dropped, or duplicated; requests get torn
 // mid-write with the connection killed; reply bytes get corrupted into
-// unparsable JSON; dials get refused. The same plan against the same
-// dispatch sequence replays the same faults, which is what lets the
-// differential suite assert bit-identical study results under every
-// plan — the faults perturb timing, routing, retries, and respawns, and
-// none of that may reach the transcript.
+// unparsable JSON; dials get refused. The same plan's StoreHook stalls
+// filesystem ops and fails transcript fsyncs. The same plan against the
+// same dispatch sequence replays the same faults, which is what lets the
+// differential suites assert bit-identical study results under every
+// plan — the faults perturb timing, routing, retries, respawns, and
+// resumes, and none of that may reach the transcript.
 //
-// Faults are injected on the dispatcher's side of the wire, so they
-// compose with any worker transport: loopback in-process workers,
-// subprocesses, or TCP peers.
+// Transport faults are injected on the dispatcher's side of the wire,
+// so they compose with any worker transport: loopback in-process
+// workers, subprocesses, or TCP peers.
 package chaos
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
 	"fast/internal/dispatch"
+	"fast/internal/store"
 )
 
 // Plan is one deterministic fault schedule. Probabilities are per
@@ -33,7 +37,7 @@ type Plan struct {
 	Seed int64 `json:"seed"`
 
 	// DelayProb delays a received reply by up to MaxDelay (straggler
-	// simulation — the hedging trigger).
+	// simulation).
 	DelayProb float64       `json:"delay_prob,omitempty"`
 	MaxDelay  time.Duration `json:"max_delay,omitempty"`
 	// DropReplyProb silently discards a received reply (the dispatcher
@@ -52,6 +56,39 @@ type Plan struct {
 	// ConnectRefusals makes the first N dials of every slot fail
 	// (worker slow to come up; pool must back off and re-dial).
 	ConnectRefusals int `json:"connect_refusals,omitempty"`
+
+	// FsDelayProb stalls a store filesystem op by FsDelay (slow disk;
+	// exercises pacing and deadlines without violating durability).
+	FsDelayProb float64       `json:"fs_delay_prob,omitempty"`
+	FsDelay     time.Duration `json:"fs_delay,omitempty"`
+	// FsyncErrProb fails a transcript fsync (classified retryable by the
+	// store). The write below the failed sync is still on disk, so the
+	// study fails with its batch durable and must resume.
+	FsyncErrProb float64 `json:"fsync_err_prob,omitempty"`
+}
+
+// StoreHook returns a store.FaultHook implementing the plan's
+// filesystem faults from a stream seeded by Plan.Seed alone (each
+// connection's stream also mixes in its slot and attempt). Delays apply
+// to every op; injected errors target transcript fsyncs only — the
+// durability seam whose failure a resumable daemon must survive.
+func (p Plan) StoreHook() store.FaultHook {
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(p.Seed))
+	return func(op store.FaultOp, path string) error {
+		mu.Lock()
+		delay := p.FsDelayProb > 0 && rng.Float64() < p.FsDelayProb
+		fail := p.FsyncErrProb > 0 && op == store.OpSync &&
+			strings.HasSuffix(path, "transcript.jsonl") && rng.Float64() < p.FsyncErrProb
+		mu.Unlock()
+		if delay {
+			time.Sleep(p.FsDelay)
+		}
+		if fail {
+			return fmt.Errorf("chaos[%s]: injected %s fault on %s", p.Name, op, path)
+		}
+		return nil
+	}
 }
 
 // Wrap decorates d with the plan's faults. Each (slot, attempt)
@@ -165,16 +202,5 @@ func Plans() []Plan {
 			CorruptProb: 0.04, KillSendProb: 0.03,
 			ConnectRefusals: 1,
 		},
-	}
-}
-
-// Standard is the demonstration fault plan: a moderate mix of every
-// fault, injected by fast-search's -chaos flag.
-func Standard() Plan {
-	return Plan{
-		Name: "standard", Seed: 42,
-		DelayProb: 0.2, MaxDelay: 20 * time.Millisecond,
-		DropReplyProb: 0.05, DupReplyProb: 0.1,
-		CorruptProb: 0.02, KillSendProb: 0.02,
 	}
 }

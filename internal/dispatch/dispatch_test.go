@@ -3,6 +3,7 @@ package dispatch_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,21 +124,14 @@ func sameResult(t *testing.T, label string, want, got *core.StudyResult) {
 	}
 }
 
-// fastOpts returns pool options tuned for test speed: quick hedges,
-// short deadlines, generous respawn budget (chaos kills a lot).
+// fastOpts returns pool options tuned for test speed: a short attempt
+// deadline and a generous respawn budget (chaos kills a lot).
 func fastOpts(workers int) dispatch.Options {
 	return dispatch.Options{
-		Workers:        workers,
-		Dialer:         dispatch.LoopbackDialer(),
-		ChunkTimeout:   2 * time.Second,
-		HedgeAfter:     100 * time.Millisecond,
-		RetryBaseDelay: 10 * time.Millisecond,
-		RetryMaxDelay:  50 * time.Millisecond,
-		MaxAttempts:    6,
-		HeartbeatEvery: 50 * time.Millisecond,
-		HeartbeatMiss:  500 * time.Millisecond,
-		RespawnBudget:  200,
-		Seed:           1,
+		Workers:       workers,
+		Dialer:        dispatch.LoopbackDialer(),
+		ChunkTimeout:  2 * time.Second,
+		RespawnBudget: 200,
 	}
 }
 
@@ -171,8 +165,8 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 
 // TestDifferentialChaos is the fault-plan differential: every chaos
 // plan — delays, drops, duplicates, corruption, mid-send kills, connect
-// refusals, and all of them at once — perturbs scheduling, retries,
-// hedging, and respawns, and the study result must not move a bit.
+// refusals, and all of them at once — perturbs scheduling, deadlines,
+// retries, and respawns, and the study result must not move a bit.
 func TestDifferentialChaos(t *testing.T) {
 	for _, tc := range studyCases() {
 		want := reference(t, tc)
@@ -256,14 +250,20 @@ func TestTotalPoolLossDegrades(t *testing.T) {
 	}
 }
 
-// silentTransport connects but never replies; Send succeeds, Recv
-// blocks until Close.
+// silentTransport connects but never replies; Send succeeds (handing
+// each swallowed frame to onSend, when set), Recv blocks until Close.
 type silentTransport struct {
-	done chan struct{}
-	once sync.Once
+	done   chan struct{}
+	once   sync.Once
+	onSend func(line []byte)
 }
 
-func (s *silentTransport) Send([]byte) error { return nil }
+func (s *silentTransport) Send(line []byte) error {
+	if s.onSend != nil {
+		s.onSend(line)
+	}
+	return nil
+}
 func (s *silentTransport) Recv() ([]byte, error) {
 	<-s.done
 	return nil, errors.New("test: closed")
@@ -273,32 +273,75 @@ func (s *silentTransport) Close() error {
 	return nil
 }
 
-// TestHeartbeatReapsSilentWorker connects a worker that never answers:
-// the idle-probe heartbeat must detect the silence and kill the
-// connection without any study traffic.
-func TestHeartbeatReapsSilentWorker(t *testing.T) {
-	opts := dispatch.Options{
-		Workers: 1,
-		Dialer: func(slot, attempt int) (dispatch.Transport, error) {
-			return &silentTransport{done: make(chan struct{})}, nil
-		},
-		HeartbeatEvery: 10 * time.Millisecond,
-		HeartbeatMiss:  50 * time.Millisecond,
-		RespawnBudget:  -1,
+// silentFirstOpts is a one-worker pool whose first connection is a
+// silent worker and whose respawns are loopback workers.
+func silentFirstOpts(onSend func(line []byte)) dispatch.Options {
+	loop := dispatch.LoopbackDialer()
+	opts := fastOpts(1)
+	opts.Dialer = func(slot, attempt int) (dispatch.Transport, error) {
+		if attempt == 0 {
+			return &silentTransport{done: make(chan struct{}), onSend: onSend}, nil
+		}
+		return loop(slot, attempt)
 	}
-	p, err := dispatch.New(opts)
+	return opts
+}
+
+// TestDeadlineReapsSilentWorker connects a worker that accepts chunks
+// but never answers: the first chunk's attempt deadline must kill the
+// connection, the slot must respawn, and the retried chunk must land
+// there, leaving the study bit-identical to the in-process run.
+func TestDeadlineReapsSilentWorker(t *testing.T) {
+	tc := studyCases()[0]
+	want := reference(t, tc)
+	p, err := dispatch.New(silentFirstOpts(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := p.Stats(); st.LiveWorkers == 0 {
-			return // reaped and retired via the heartbeat path
-		}
-		time.Sleep(10 * time.Millisecond)
+	got := runDispatched(t, tc, p)
+	sameResult(t, "silent-worker", want, got)
+	st := p.Stats()
+	if st.Timeouts != 1 || st.Respawns != 1 || st.DegradedChunks != 0 {
+		t.Fatalf("want one deadline kill, one respawn, no degradation: %+v", st)
 	}
-	t.Fatalf("heartbeat never reaped the silent worker: %+v", p.Stats())
+}
+
+// TestAbandonedChunkDeadlineRespawns cancels a study while its chunk
+// sits on a silent worker. Nobody waits on that attempt any more, so
+// its own deadline must reap the slot, which then respawns back to full
+// strength and serves the next study bit-identically.
+func TestAbandonedChunkDeadlineRespawns(t *testing.T) {
+	tc := studyCases()[0]
+	want := reference(t, tc)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p, err := dispatch.New(silentFirstOpts(func(line []byte) {
+		if strings.Contains(string(line), `"type":"eval"`) {
+			cancel()
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := tc.study().Run(ctx, core.WithParallelism(4), core.WithBatchSize(16),
+		core.WithDispatch(p.Dispatch())); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st := p.Stats()
+		if st.Timeouts == 1 && st.Respawns == 1 && st.LiveWorkers == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned attempt's slot was not reaped and respawned: %+v", st)
+		}
+	}
+	sameResult(t, "after-abandon", want, runDispatched(t, tc, p))
+	if st := p.Stats(); st.DegradedChunks != 0 || st.Timeouts != 1 {
+		t.Fatalf("respawned pool did not serve the study cleanly: %+v", st)
+	}
 }
 
 // TestCloseDuringDial closes a pool while one slot is mid-dial. Close
@@ -321,8 +364,7 @@ func TestCloseDuringDial(t *testing.T) {
 			<-swept.done
 			return late, nil
 		},
-		HeartbeatEvery: time.Hour, // the silent transports must die by Close, not by probe
-		RespawnBudget:  -1,
+		RespawnBudget: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

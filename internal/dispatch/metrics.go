@@ -15,11 +15,10 @@ type Stats struct {
 	// RemoteChunks / RemotePoints count work completed remotely.
 	RemoteChunks int64 `json:"remote_chunks"`
 	RemotePoints int64 `json:"remote_points"`
-	// Retries counts dispatch rounds after the first; Hedges speculative
-	// re-dispatches; Duplicates discarded late/duplicate replies;
-	// Timeouts chunk-deadline expiries.
+	// Retries counts dispatch rounds after the first; Duplicates
+	// discarded late/duplicate replies; Timeouts attempt-deadline
+	// expiries.
 	Retries    int64 `json:"retries"`
-	Hedges     int64 `json:"hedges"`
 	Duplicates int64 `json:"duplicates"`
 	Timeouts   int64 `json:"timeouts"`
 	// Respawns counts successful worker re-dials; DialFails failed dial
@@ -59,7 +58,6 @@ func (p *Pool) Stats() Stats {
 		RemoteChunks:   p.mRemoteChunks.Load(),
 		RemotePoints:   p.mRemotePoints.Load(),
 		Retries:        p.mRetries.Load(),
-		Hedges:         p.mHedges.Load(),
 		Duplicates:     p.mDuplicates.Load(),
 		Timeouts:       p.mTimeouts.Load(),
 		Respawns:       p.mRespawns.Load(),
@@ -94,9 +92,8 @@ func (p *Pool) Stats() Stats {
 //	fast_dispatch_remote_chunks      chunks completed remotely
 //	fast_dispatch_remote_points      points evaluated remotely
 //	fast_dispatch_retries            dispatch rounds after the first
-//	fast_dispatch_hedges             speculative re-dispatches
 //	fast_dispatch_duplicates         late/duplicate replies discarded
-//	fast_dispatch_timeouts           chunk-deadline expiries
+//	fast_dispatch_timeouts           attempt-deadline expiries
 //	fast_dispatch_respawns           worker re-dials that succeeded
 //	fast_dispatch_dial_fails         worker dial attempts that failed
 //	fast_dispatch_corrupt_replies    unparsable replies (connection-fatal)
@@ -120,9 +117,8 @@ func (p *Pool) RegisterMetrics(r *obsv.Registry) {
 	gauge("fast_dispatch_remote_chunks", "evaluation chunks completed remotely", func() float64 { return float64(p.mRemoteChunks.Load()) })
 	gauge("fast_dispatch_remote_points", "design points evaluated remotely", func() float64 { return float64(p.mRemotePoints.Load()) })
 	gauge("fast_dispatch_retries", "chunk dispatch rounds after the first", func() float64 { return float64(p.mRetries.Load()) })
-	gauge("fast_dispatch_hedges", "speculative straggler re-dispatches", func() float64 { return float64(p.mHedges.Load()) })
 	gauge("fast_dispatch_duplicates", "late or duplicate worker replies discarded", func() float64 { return float64(p.mDuplicates.Load()) })
-	gauge("fast_dispatch_timeouts", "chunk deadline expiries", func() float64 { return float64(p.mTimeouts.Load()) })
+	gauge("fast_dispatch_timeouts", "attempt deadline expiries", func() float64 { return float64(p.mTimeouts.Load()) })
 	gauge("fast_dispatch_respawns", "worker respawns after connection loss", func() float64 { return float64(p.mRespawns.Load()) })
 	gauge("fast_dispatch_dial_fails", "failed worker dial attempts", func() float64 { return float64(p.mDialFails.Load()) })
 	gauge("fast_dispatch_corrupt_replies", "unparsable worker replies (connection-fatal)", func() float64 { return float64(p.mCorrupt.Load()) })

@@ -6,35 +6,36 @@
 // bit-identical to the in-process path at any worker count, under any
 // reply interleaving.
 //
-// The package is built robustness-first, because remote evaluation
-// turns worker crashes, stragglers, torn connections, and duplicate
-// replies into everyday events rather than theory:
+// Remote evaluation turns worker crashes, wedged workers, torn
+// connections, and duplicate replies into everyday events, and the
+// pool answers each with one mechanism:
 //
-//   - per-chunk attempt deadlines, with capped exponential backoff and
-//     seeded-jitter retries on other workers;
-//   - hedged re-dispatch of straggler chunks (first reply wins; late
-//     and duplicate replies are discarded by ID);
-//   - worker health via idle-probe heartbeats plus broken-pipe / exit
-//     detection on every read and write;
-//   - bounded per-slot respawn budgets, so a crash-looping worker
-//     retires instead of flapping forever;
-//   - graceful degradation: when the pool is exhausted — every slot
-//     retired, or one chunk out of attempts — evaluation falls back to
-//     the in-process objective. The study always completes; degraded
-//     runs just say so in the stats and logs.
+//   - every attempt carries its own deadline, armed when the chunk is
+//     sent and disarmed by its reply; on expiry the connection is
+//     killed, which fails the attempt like any other connection loss;
+//   - a failed attempt is retried on the next free worker after capped
+//     exponential backoff, up to maxAttempts rounds per chunk; replies
+//     for requests nobody holds any more are discarded by ID;
+//   - dead workers surface as read or write errors on their connection
+//     (a subprocess's exit is an EOF, a TCP peer's host is covered by
+//     the dialer's keep-alive) and are respawned within a per-slot
+//     budget, so a crash-looping worker retires instead of flapping;
+//   - when the pool is exhausted — every slot retired, or one chunk out
+//     of attempts — evaluation falls back to the in-process objective.
+//     The study always completes; degraded runs say so in the stats and
+//     logs.
 //
 // None of this machinery can reach the search trajectory: evaluations
 // are deterministic per index vector, replies are folded by position,
-// and a retried or hedged chunk re-evaluates to bit-identical values
-// wherever it lands. The chaos differential suite (chaos_test.go)
-// proves exactly that under every fault plan.
+// and a retried chunk re-evaluates to bit-identical values wherever it
+// lands. The chaos differential suite (dispatch_test.go) proves exactly
+// that under every fault plan.
 package dispatch
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +43,14 @@ import (
 	"fast/internal/arch"
 	"fast/internal/core"
 	"fast/internal/search"
+)
+
+// Retry schedule: a chunk gets maxAttempts dispatch rounds, separated
+// (and slot respawns likewise paced) by capped exponential backoff.
+const (
+	maxAttempts    = 4
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 3 * time.Second
 )
 
 // Options configures a Pool. Exactly one of Workers (+WorkerCmd),
@@ -61,33 +70,14 @@ type Options struct {
 	// seam; see the chaos subpackage).
 	WrapDialer func(Dialer) Dialer
 
-	// ChunkTimeout is the per-attempt deadline: a chunk unanswered this
-	// long kills the attempt's workers (presumed wedged) and retries.
-	// Default 2m.
+	// ChunkTimeout is the per-attempt deadline: an attempt unanswered
+	// this long kills its worker's connection (presumed wedged) and the
+	// chunk retries. Default 2m.
 	ChunkTimeout time.Duration
-	// HedgeAfter is the straggler threshold: a chunk unanswered this
-	// long is speculatively re-dispatched to a free worker, first reply
-	// wins. 0 defaults to 15s; negative disables hedging.
-	HedgeAfter time.Duration
-	// RetryBaseDelay / RetryMaxDelay shape the capped exponential
-	// backoff between attempts (defaults 100ms / 3s); each delay is
-	// jittered by the seeded generator.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// MaxAttempts bounds dispatch rounds per chunk before the chunk
-	// degrades to in-process evaluation. Default 4.
-	MaxAttempts int
-	// HeartbeatEvery is the idle-probe period (default 10s);
-	// HeartbeatMiss is the silence threshold after which an unanswered
-	// probe kills the connection (default 30s).
-	HeartbeatEvery time.Duration
-	HeartbeatMiss  time.Duration
 	// RespawnBudget is the per-slot re-dial allowance (failed or
 	// successful) after the initial connection; a slot that exhausts it
-	// retires. Default 5.
+	// retires. Default 5; negative means no respawns.
 	RespawnBudget int
-	// Seed drives the backoff jitter deterministically. Default 1.
-	Seed int64
 	// Logf receives structured worker lifecycle and degradation lines.
 	Logf func(format string, args ...any)
 }
@@ -99,31 +89,10 @@ func (o Options) withDefaults() Options {
 	if o.ChunkTimeout <= 0 {
 		o.ChunkTimeout = 2 * time.Minute
 	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = 15 * time.Second
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 100 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 3 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = 10 * time.Second
-	}
-	if o.HeartbeatMiss <= 0 {
-		o.HeartbeatMiss = 30 * time.Second
-	}
 	if o.RespawnBudget < 0 {
 		o.RespawnBudget = 0
 	} else if o.RespawnBudget == 0 {
 		o.RespawnBudget = 5
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -138,19 +107,12 @@ type outcome struct {
 	err   error
 }
 
-// chunkState is the rendezvous for one chunk's attempts: every reply or
-// failure addressed to one of the chunk's request IDs lands on ch;
-// done marks the chunk completed so stragglers can be counted as
-// discarded duplicates.
-type chunkState struct {
-	ch   chan outcome
-	done atomic.Bool
-}
-
-func (ck *chunkState) deliver(o outcome) {
+// deliver hands o to its chunk without blocking: a chunk that gave up
+// (context ended) reads nothing more, and its report is dropped.
+func deliver(ch chan outcome, o outcome) {
 	select {
-	case ck.ch <- o:
-	default: // chunk gave up long ago; drop
+	case ch <- o:
+	default:
 	}
 }
 
@@ -165,15 +127,22 @@ type slot struct {
 	pid      int
 	specs    map[string]bool // spec fingerprints sent on this connection
 	leased   bool
-	cur      uint64      // outstanding request ID (0 = none)
-	chunk    *chunkState // nil for pings
-	pinging  bool
-	pingSent time.Time
-	lastSeen time.Time
+	cur      uint64       // outstanding request ID (0 = none)
+	chunk    chan outcome // where cur's outcome goes
+	deadline *time.Timer  // cur's attempt deadline
 	retired  bool
 
 	trials   atomic.Int64
 	respawns atomic.Int64
+}
+
+// endAttemptLocked disarms the outstanding attempt's deadline and frees
+// the lease (caller holds s.mu).
+func (s *slot) endAttemptLocked() {
+	if s.deadline != nil {
+		s.deadline.Stop()
+	}
+	s.cur, s.chunk, s.deadline, s.leased = 0, nil, nil, false
 }
 
 // Pool dispatches evaluation chunks across a set of worker slots. It is
@@ -194,15 +163,11 @@ type Pool struct {
 	specMu sync.RWMutex
 	specs  map[string][]byte // fp -> marshaled EvalSpec
 
-	jmu    sync.Mutex
-	jitter *rand.Rand
-
 	degradedOnce sync.Once
 
 	mRemoteChunks atomic.Int64
 	mRemotePoints atomic.Int64
 	mRetries      atomic.Int64
-	mHedges       atomic.Int64
 	mDuplicates   atomic.Int64
 	mTimeouts     atomic.Int64
 	mRespawns     atomic.Int64
@@ -213,8 +178,7 @@ type Pool struct {
 }
 
 // New starts a pool: every slot dials its worker asynchronously (a slow
-// or refusing worker delays nothing but itself) and the heartbeat
-// prober begins. Always pair with Close.
+// or refusing worker delays nothing but itself). Always pair with Close.
 func New(opts Options) (*Pool, error) {
 	o := opts.withDefaults()
 	var dialers []Dialer
@@ -247,26 +211,24 @@ func New(opts Options) (*Pool, error) {
 		dead:    make(chan struct{}),
 		closing: make(chan struct{}),
 		specs:   map[string][]byte{},
-		jitter:  rand.New(rand.NewSource(o.Seed)),
 	}
 	for i, d := range dialers {
 		p.slots = append(p.slots, &slot{id: i, dial: d})
 	}
 	p.live.Store(int64(len(p.slots)))
-	p.wg.Add(len(p.slots) + 1)
+	p.wg.Add(len(p.slots))
 	for _, s := range p.slots {
 		go p.manage(s)
 	}
-	go p.heartbeatLoop()
 	return p, nil
 }
 
 // Size returns the pool's slot count.
 func (p *Pool) Size() int { return len(p.slots) }
 
-// Close tears the pool down: kills every worker connection, stops the
-// heartbeat, and waits for slot managers to exit. Chunks dispatched
-// concurrently with Close fail over to their in-process fallback.
+// Close tears the pool down: kills every worker connection and waits
+// for slot managers to exit. Chunks dispatched concurrently with Close
+// fail over to their in-process fallback.
 func (p *Pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
@@ -282,10 +244,9 @@ func (p *Pool) Close() {
 // study's eval spec under its content fingerprint and returns a batch
 // objective that ships chunks to the pool, keeping the in-process
 // objective as the degradation fallback. The Run's context rides along
-// into every chunk: per-attempt deadlines are clamped to the context's
-// remaining time, and a canceled context stops remote work immediately
-// (the Runner abandons the batch, so the placeholder evaluations a
-// canceled chunk returns are never told to the optimizer).
+// into every chunk: a canceled context stops waiting on remote work
+// immediately (the Runner abandons the batch, so the placeholder
+// evaluations a canceled chunk returns are never told to the optimizer).
 func (p *Pool) Dispatch() core.DispatchFunc {
 	return func(ctx context.Context, spec core.EvalSpec, local search.BatchObjective) search.BatchObjective {
 		raw, err := spec.Marshal()
@@ -314,30 +275,13 @@ func abandoned(n int) []search.Evaluation {
 	return make([]search.Evaluation, n)
 }
 
-// attemptTimeout clamps the per-attempt chunk deadline to ctx's
-// remaining time; ok=false means the context is already over budget.
-func (p *Pool) attemptTimeout(ctx context.Context) (time.Duration, bool) {
-	timeout := p.opts.ChunkTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		// The study deadline bounds scheduling only; evaluations carry no
-		// timestamps, so clamping attempts cannot reach the transcript.
-		//fast:allow nondetsource study-deadline clamp gates retry scheduling, never evaluation values
-		rem := time.Until(dl)
-		if rem <= 0 {
-			return 0, false
-		}
-		if rem < timeout {
-			timeout = rem
-		}
-	}
-	return timeout, true
-}
-
-// Do evaluates one chunk remotely, retrying/hedging across workers, and
-// returns exactly one Evaluation per index vector. It never fails: out
-// of attempts or out of workers, it falls back to local. A done ctx is
-// the one exception — the chunk returns placeholder evaluations that
-// the Runner's own cancellation check discards (see abandoned).
+// Do evaluates one chunk remotely, one attempt per round with retries
+// on other workers, and returns exactly one Evaluation per index vector.
+// It never fails: out of attempts or out of workers, it falls back to
+// local. A done ctx is the one exception — the chunk returns placeholder
+// evaluations that the Runner's own cancellation check discards (see
+// abandoned); its outstanding attempt keeps its deadline, so a worker
+// that never answers is still reaped.
 func (p *Pool) Do(ctx context.Context, fp string, idxs [][arch.NumParams]int, local search.BatchObjective) []search.Evaluation {
 	if len(idxs) == 0 {
 		return nil
@@ -351,24 +295,17 @@ func (p *Pool) Do(ctx context.Context, fp string, idxs [][arch.NumParams]int, lo
 	p.mInFlight.Add(1)
 	defer p.mInFlight.Add(-1)
 
-	ck := &chunkState{ch: make(chan outcome, 4*p.opts.MaxAttempts+8)}
-	defer ck.done.Store(true)
-	live := map[uint64]*slot{} // request ID -> slot holding that attempt
-	outstanding := 0
-
-	for round := 1; round <= p.opts.MaxAttempts; round++ {
+	// One outcome per attempt at most, so the buffer never fills.
+	ch := make(chan outcome, maxAttempts)
+	for round := 1; round <= maxAttempts; round++ {
 		if round > 1 {
 			p.mRetries.Add(1)
-			if !p.sleepCtx(ctx, p.backoff(round-1)) {
+			if !p.sleep(ctx, backoff(round-1)) {
 				if ctx.Err() != nil {
 					return abandoned(len(idxs))
 				}
 				break // pool closing
 			}
-		}
-		timeout, ok := p.attemptTimeout(ctx)
-		if !ok {
-			return abandoned(len(idxs))
 		}
 		s := p.acquire()
 		if s == nil {
@@ -380,100 +317,44 @@ func (p *Pool) Do(ctx context.Context, fp string, idxs [][arch.NumParams]int, lo
 			p.mDegraded.Add(1)
 			return local(idxs)
 		}
-		id, err := p.sendAttempt(s, ck, fp, idxs)
+		id, err := p.sendAttempt(s, ch, fp, idxs)
 		if err != nil {
 			continue
 		}
-		live[id] = s
-		outstanding++
-
-		hedge := newHedgeTimer(p.opts.HedgeAfter)
-		deadline := time.NewTimer(timeout)
-		waiting := true
-		for waiting {
-			// The four-way race below — first reply wins against the
-			// hedge and deadline timers and the study's own context — is
-			// the robustness mechanism itself. It cannot reach the
-			// transcript: whichever attempt answers carries the same
-			// deterministic evaluations, and a context win abandons the
-			// batch entirely.
-			//fast:allow nondetsource first-reply-wins race among attempts of one chunk; all replies carry identical evaluations
-			select {
-			case <-ctx.Done():
-				// Client gone or study deadline passed: stop burning
-				// workers on a batch nobody will consume.
-				hedge.Stop()
-				deadline.Stop()
-				return abandoned(len(idxs))
-			case o := <-ck.ch:
-				if _, mine := live[o.id]; !mine {
-					continue // stale attempt from an earlier round
-				}
-				delete(live, o.id)
-				outstanding--
-				if o.err == nil && len(o.evals) != len(idxs) {
-					o.err = fmt.Errorf("dispatch: short reply: %d evals for %d points", len(o.evals), len(idxs))
-				}
-				if o.err == nil {
-					hedge.Stop()
-					deadline.Stop()
-					ck.done.Store(true)
-					p.mRemoteChunks.Add(1)
-					p.mRemotePoints.Add(int64(len(idxs)))
-					return o.evals
-				}
-				if outstanding == 0 {
-					waiting = false // every attempt in flight failed; retry now
-				}
-			case <-hedge.C:
-				hedge.fired()
-				if s2 := p.tryAcquire(); s2 != nil {
-					if id2, err := p.sendAttempt(s2, ck, fp, idxs); err == nil {
-						live[id2] = s2
-						outstanding++
-						p.mHedges.Add(1)
-					}
-				}
-			case <-deadline.C:
-				// Past the deadline every outstanding attempt is
-				// presumed wedged (or its reply lost): kill those
-				// connections — their managers respawn them — and
-				// retry on a fresh worker.
-				p.mTimeouts.Add(1)
-				for _, sl := range live {
-					p.killSlot(sl, "chunk deadline")
-				}
-				waiting = false
-			}
+		o, ok := await(ctx, ch, id)
+		if !ok {
+			return abandoned(len(idxs))
 		}
-		hedge.Stop()
-		deadline.Stop()
+		if o.err == nil && len(o.evals) != len(idxs) {
+			o.err = fmt.Errorf("dispatch: short reply: %d evals for %d points", len(o.evals), len(idxs))
+		}
+		if o.err == nil {
+			p.mRemoteChunks.Add(1)
+			p.mRemotePoints.Add(int64(len(idxs)))
+			return o.evals
+		}
 	}
 	p.mDegraded.Add(1)
-	p.opts.Logf("level=warn msg=\"chunk degraded to in-process evaluation\" attempts=%d points=%d", p.opts.MaxAttempts, len(idxs))
+	p.opts.Logf("level=warn msg=\"chunk degraded to in-process evaluation\" attempts=%d points=%d", maxAttempts, len(idxs))
 	return local(idxs)
 }
 
-// hedgeTimer wraps the optional speculative-re-dispatch timer; a
-// non-positive threshold never fires, and the timer fires at most once
-// per round.
-type hedgeTimer struct {
-	C <-chan time.Time
-	t *time.Timer
-}
-
-func newHedgeTimer(after time.Duration) *hedgeTimer {
-	if after <= 0 {
-		return &hedgeTimer{C: nil}
-	}
-	t := time.NewTimer(after)
-	return &hedgeTimer{C: t.C, t: t}
-}
-
-func (h *hedgeTimer) fired() { h.C = nil }
-func (h *hedgeTimer) Stop() {
-	if h.t != nil {
-		h.t.Stop()
+// await blocks until attempt id reports on ch or ctx ends (ok=false).
+// Reports for other IDs are earlier rounds' send failures, already
+// retried, and are skipped.
+func await(ctx context.Context, ch chan outcome, id uint64) (outcome, bool) {
+	for {
+		// A context win abandons the batch entirely; a reply carries
+		// the same deterministic evaluations whenever it lands.
+		//fast:allow nondetsource reply-vs-cancel race; a canceled batch is never told to the optimizer
+		select {
+		case <-ctx.Done():
+			return outcome{}, false
+		case o := <-ch:
+			if o.id == id {
+				return o, true
+			}
+		}
 	}
 }
 
@@ -493,20 +374,6 @@ func (p *Pool) acquire() *slot {
 		case <-p.dead:
 			return nil
 		case <-p.closing:
-			return nil
-		}
-	}
-}
-
-// tryAcquire leases a free slot without blocking (the hedge path).
-func (p *Pool) tryAcquire() *slot {
-	for {
-		select {
-		case s := <-p.free:
-			if s.tryLease() {
-				return s
-			}
-		default:
 			return nil
 		}
 	}
@@ -532,10 +399,11 @@ func (p *Pool) enqueue(s *slot) {
 }
 
 // sendAttempt ships one chunk to a leased slot, prefixed by the spec
-// frame the first time this connection sees the study. A send failure
-// kills the connection (its manager respawns it) and reports the
-// attempt failed without consuming a request ID registration.
-func (p *Pool) sendAttempt(s *slot, ck *chunkState, fp string, idxs [][arch.NumParams]int) (uint64, error) {
+// frame the first time this connection sees the study, and arms the
+// attempt's deadline. A send failure kills the connection (its manager
+// respawns it and reports the attempt failed on ch) and returns an
+// error, as does a local failure, which frees the slot instead.
+func (p *Pool) sendAttempt(s *slot, ch chan outcome, fp string, idxs [][arch.NumParams]int) (uint64, error) {
 	id := p.reqID.Add(1)
 	s.mu.Lock()
 	tr := s.tr
@@ -548,7 +416,8 @@ func (p *Pool) sendAttempt(s *slot, ck *chunkState, fp string, idxs [][arch.NumP
 	if needSpec {
 		s.specs[fp] = true
 	}
-	s.cur, s.chunk, s.pinging = id, ck, false
+	s.cur, s.chunk = id, ch
+	s.deadline = time.AfterFunc(p.opts.ChunkTimeout, func() { p.expire(s, id) })
 	s.mu.Unlock()
 
 	if needSpec {
@@ -581,11 +450,32 @@ func (p *Pool) sendAttempt(s *slot, ck *chunkState, fp string, idxs [][arch.NumP
 	return id, nil
 }
 
+// expire is attempt id's deadline: if the slot still holds it, the
+// worker is presumed wedged (or its reply lost), so the attempt fails
+// and the connection dies; the slot's manager respawns it. Its chunk
+// may long since have been abandoned; the kill still frees the slot.
+// The attempt is detached under the lock but the lease is kept until
+// the respawned connection is installed, so a reply racing the kill is
+// discarded as a duplicate and the doomed connection serves no one else.
+func (p *Pool) expire(s *slot, id uint64) {
+	s.mu.Lock()
+	if s.cur != id {
+		s.mu.Unlock()
+		return
+	}
+	tr, ch := s.tr, s.chunk
+	s.cur, s.chunk, s.deadline = 0, nil, nil
+	s.mu.Unlock()
+	p.mTimeouts.Add(1)
+	deliver(ch, outcome{id: id, err: errors.New("dispatch: chunk deadline exceeded")})
+	p.closeConn(s, tr, "chunk deadline")
+}
+
 // clearAttempt rolls back a lease after a local (non-transport) send
 // failure, returning the slot to the free queue.
 func (p *Pool) clearAttempt(s *slot) {
 	s.mu.Lock()
-	s.cur, s.chunk, s.leased = 0, nil, false
+	s.endAttemptLocked()
 	s.mu.Unlock()
 	p.enqueue(s)
 }
@@ -597,6 +487,11 @@ func (p *Pool) killSlot(s *slot, why string) {
 	s.mu.Lock()
 	tr := s.tr
 	s.mu.Unlock()
+	p.closeConn(s, tr, why)
+}
+
+// closeConn closes one of s's connections (nil is a no-op).
+func (p *Pool) closeConn(s *slot, tr Transport, why string) {
 	if tr != nil {
 		if !p.closed.Load() {
 			p.opts.Logf("level=warn msg=\"killing worker connection\" slot=%d reason=%q", s.id, why)
@@ -623,7 +518,7 @@ func (p *Pool) manage(s *slot) {
 				return
 			}
 			budget--
-			if !p.sleep(p.backoff(attempt)) {
+			if !p.sleep(context.Background(), backoff(attempt)) {
 				p.retire(s)
 				return
 			}
@@ -662,13 +557,11 @@ func (s *slot) install(tr Transport) {
 	s.mu.Lock()
 	s.tr = tr
 	s.specs = map[string]bool{}
-	s.leased, s.cur, s.chunk, s.pinging = false, 0, nil, false
+	s.endAttemptLocked()
 	s.pid = 0
 	if pp, ok := tr.(pidder); ok {
 		s.pid = pp.Pid()
 	}
-	//fast:allow nondetsource worker-liveness bookkeeping; timestamps gate respawns, never evaluations
-	s.lastSeen = time.Now()
 	s.mu.Unlock()
 }
 
@@ -684,15 +577,15 @@ func (p *Pool) teardown(s *slot, err error) {
 	s.mu.Lock()
 	tr := s.tr
 	s.tr = nil
-	id, ck := s.cur, s.chunk
-	s.cur, s.chunk, s.pinging, s.leased = 0, nil, false, false
+	id, ch := s.cur, s.chunk
+	s.endAttemptLocked()
 	s.specs = nil
 	s.mu.Unlock()
 	if tr != nil {
 		tr.Close() //nolint:errcheck // already dead
 	}
-	if ck != nil && id != 0 {
-		ck.deliver(outcome{id: id, err: fmt.Errorf("dispatch: worker died: %w", err)})
+	if ch != nil && id != 0 {
+		deliver(ch, outcome{id: id, err: fmt.Errorf("dispatch: worker died: %w", err)})
 	}
 }
 
@@ -711,36 +604,26 @@ func (p *Pool) retire(s *slot) {
 	}
 }
 
-// readLoop routes one connection's replies until it dies. Every frame
-// refreshes the slot's liveness; a frame that does not parse kills the
-// connection (line framing can no longer be trusted).
+// readLoop routes one connection's replies until it dies. A frame that
+// does not parse kills the connection (line framing can no longer be
+// trusted).
 func (p *Pool) readLoop(s *slot, tr Transport) error {
 	for {
 		line, err := tr.Recv()
 		if err != nil {
 			return err
 		}
-		s.touch()
 		f, err := parseReply(line)
 		if err != nil {
 			p.mCorrupt.Add(1)
 			return fmt.Errorf("dispatch: corrupt reply: %w", err)
 		}
 		switch f.Type {
-		case framePong:
-			s.mu.Lock()
-			if s.pinging && f.ID == s.cur {
-				s.pinging, s.cur, s.leased = false, 0, false
-				s.mu.Unlock()
-				p.enqueue(s)
-			} else {
-				s.mu.Unlock()
-			}
 		case frameResult, frameError:
 			s.mu.Lock()
-			if f.ID != 0 && f.ID == s.cur && s.chunk != nil {
-				ck := s.chunk
-				s.cur, s.chunk, s.leased = 0, nil, false
+			if f.ID != 0 && f.ID == s.cur {
+				ch := s.chunk
+				s.endAttemptLocked()
 				s.mu.Unlock()
 				o := outcome{id: f.ID}
 				if f.Type == frameError {
@@ -749,12 +632,7 @@ func (p *Pool) readLoop(s *slot, tr Transport) error {
 					o.evals = f.Evals
 					s.trials.Add(int64(len(f.Evals)))
 				}
-				if ck.done.Load() {
-					// The chunk completed on another worker first;
-					// this straggler's reply only frees the slot.
-					p.mDuplicates.Add(1)
-				}
-				ck.deliver(o)
+				deliver(ch, o)
 				p.enqueue(s)
 			} else {
 				s.mu.Unlock()
@@ -771,102 +649,19 @@ func (p *Pool) readLoop(s *slot, tr Transport) error {
 	}
 }
 
-// touch refreshes the slot's last-heard-from stamp.
-func (s *slot) touch() {
-	s.mu.Lock()
-	//fast:allow nondetsource worker-liveness bookkeeping; timestamps gate respawns, never evaluations
-	s.lastSeen = time.Now()
-	s.mu.Unlock()
-}
-
-// heartbeatLoop probes idle workers: an idle slot gets a ping each
-// period; a ping unanswered past HeartbeatMiss kills the connection so
-// the manager can respawn it. Busy slots are reaped by chunk deadlines
-// instead — their liveness signal is the reply itself.
-func (p *Pool) heartbeatLoop() {
-	defer p.wg.Done()
-	tick := time.NewTicker(p.opts.HeartbeatEvery)
-	defer tick.Stop()
-	for {
-		//fast:allow nondetsource heartbeat scheduling race; probes only gate worker respawns
-		select {
-		case <-tick.C:
-			p.probe()
-		case <-p.closing:
-			return
-		}
+// backoff returns the capped exponential delay before the n-th retry
+// or respawn (n >= 1).
+func backoff(n int) time.Duration {
+	d := retryBaseDelay << uint(n-1)
+	if d <= 0 || d > retryMaxDelay {
+		d = retryMaxDelay
 	}
+	return d
 }
 
-// probe sends one liveness ping to every idle slot and reaps slots
-// whose previous ping went unanswered.
-func (p *Pool) probe() {
-	//fast:allow nondetsource worker-liveness probe deadline; never reaches evaluation paths
-	now := time.Now()
-	for _, s := range p.slots {
-		s.mu.Lock()
-		switch {
-		case s.retired || s.tr == nil:
-			s.mu.Unlock()
-		case s.pinging && now.Sub(s.pingSent) > p.opts.HeartbeatMiss:
-			s.mu.Unlock()
-			p.killSlot(s, "heartbeat missed")
-		case s.leased && s.cur != 0 && !s.pinging && now.Sub(s.lastSeen) > p.opts.ChunkTimeout+p.opts.HeartbeatMiss:
-			// A leased slot silent past the chunk deadline belongs to an
-			// attempt nobody waits on anymore (its chunk completed
-			// elsewhere and this reply was lost): reap it, or the lease
-			// leaks forever.
-			s.mu.Unlock()
-			p.killSlot(s, "stale lease")
-		case !s.leased:
-			id := p.reqID.Add(1)
-			s.leased, s.pinging, s.pingSent = true, true, now
-			s.cur, s.chunk = id, nil
-			tr := s.tr
-			s.mu.Unlock()
-			line, err := marshalFrame(frame{Type: framePing, ID: id})
-			if err == nil {
-				err = tr.Send(line)
-			}
-			if err != nil {
-				p.killSlot(s, "ping send failed")
-			}
-		default:
-			s.mu.Unlock()
-		}
-	}
-}
-
-// backoff returns the jittered, capped exponential delay for the n-th
-// retry (n >= 1). Jitter comes from the pool's seeded generator, so a
-// fixed Options.Seed reproduces the retry schedule.
-func (p *Pool) backoff(n int) time.Duration {
-	d := p.opts.RetryBaseDelay << uint(n-1)
-	if d <= 0 || d > p.opts.RetryMaxDelay {
-		d = p.opts.RetryMaxDelay
-	}
-	p.jmu.Lock()
-	f := 0.5 + p.jitter.Float64()
-	p.jmu.Unlock()
-	return time.Duration(float64(d) * f)
-}
-
-// sleep pauses for d, returning false if the pool began closing.
-func (p *Pool) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	//fast:allow nondetsource retry backoff timer; delays scheduling only, never evaluation values
-	select {
-	case <-t.C:
-		return true
-	case <-p.closing:
-		return false
-	}
-}
-
-// sleepCtx is sleep that additionally wakes when ctx ends (the chunk's
-// study was canceled or deadlined mid-backoff).
-func (p *Pool) sleepCtx(ctx context.Context, d time.Duration) bool {
+// sleep pauses for d, returning false if the pool began closing or ctx
+// ended first.
+func (p *Pool) sleep(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	//fast:allow nondetsource retry backoff timer; delays scheduling only, never evaluation values

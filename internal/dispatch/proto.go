@@ -17,13 +17,11 @@ import (
 //
 //	{"type":"spec","spec_fp":h,"spec":{...}}   register an eval spec
 //	{"type":"eval","id":n,"spec_fp":h,"idxs":[[...],...]}
-//	{"type":"ping","id":n}                     liveness probe
 //
 // Worker → dispatcher:
 //
 //	{"type":"result","id":n,"evals":[{...},...]}
 //	{"type":"error","id":n,"err":"..."}        id 0 = connection-level
-//	{"type":"pong","id":n}
 //
 // Bit-identity over this wire needs no quantization care: Evaluation
 // carries float64s, and encoding/json's shortest-representation float
@@ -31,19 +29,17 @@ import (
 const (
 	frameSpec   = "spec"
 	frameEval   = "eval"
-	framePing   = "ping"
 	frameResult = "result"
 	frameError  = "error"
-	framePong   = "pong"
 )
 
 // frame is one protocol message; unused fields stay empty on the wire.
 type frame struct {
 	Type string `json:"type"`
-	// ID correlates an eval/ping with its reply. IDs are unique per
+	// ID correlates an eval with its reply. IDs are unique per
 	// dispatcher process; replies carrying an ID the dispatcher no
-	// longer waits on (hedged duplicates, post-timeout stragglers) are
-	// discarded by the routing layer.
+	// longer waits on (duplicates, stragglers of an expired attempt)
+	// are discarded by the routing layer.
 	ID uint64 `json:"id,omitempty"`
 	// SpecFP identifies the eval spec (core.FingerprintSpec of Spec).
 	SpecFP string `json:"spec_fp,omitempty"`

@@ -65,7 +65,7 @@ func TestSubprocessWorkersDifferential(t *testing.T) {
 			opts := fastOpts(2)
 			opts.Dialer = nil
 			opts.WorkerCmd = []string{bin}
-			opts.ChunkTimeout = 60 * time.Second // real processes pay plan-compile time
+			opts.ChunkTimeout = 10 * time.Second // real processes pay plan-compile time
 			p, err := dispatch.New(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +93,7 @@ func TestSubprocessKillRespawn(t *testing.T) {
 	opts := fastOpts(2)
 	opts.Dialer = nil
 	opts.WorkerCmd = []string{bin}
-	opts.ChunkTimeout = 60 * time.Second
+	opts.ChunkTimeout = 10 * time.Second
 	p, err := dispatch.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestSubprocessChaosMatrix(t *testing.T) {
 			opts := fastOpts(2)
 			opts.Dialer = nil
 			opts.WorkerCmd = []string{bin}
-			opts.ChunkTimeout = 60 * time.Second
+			opts.ChunkTimeout = 10 * time.Second
 			opts.WrapDialer = plan.Wrap
 			p, err := dispatch.New(opts)
 			if err != nil {

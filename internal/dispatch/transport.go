@@ -135,7 +135,9 @@ func ResolveWorkerBin(explicit string) (string, error) {
 const tcpDialTimeout = 5 * time.Second
 
 // TCPDialer connects to a fast-worker listening on addr
-// (fast-worker -listen host:port).
+// (fast-worker -listen host:port). net.DialTimeout enables TCP
+// keep-alive (15 s), so a peer whose host vanishes surfaces as a read
+// error even while no attempt is outstanding.
 func TCPDialer(addr string) Dialer {
 	return func(slot, attempt int) (Transport, error) {
 		conn, err := net.DialTimeout("tcp", addr, tcpDialTimeout)
@@ -148,8 +150,8 @@ func TCPDialer(addr string) Dialer {
 
 // LoopbackDialer serves each dial with an in-process worker over a
 // synchronous pipe — the degenerate "remote" evaluator. The tests use
-// it to exercise every dispatcher path (routing, retries, hedging,
-// chaos) without process or socket overhead; results are identical to
+// it to exercise every dispatcher path (routing, deadlines, retries,
+// respawns, chaos) without process or socket overhead; results are identical to
 // real workers because both sides run the same ServeConn loop.
 func LoopbackDialer() Dialer {
 	return func(slot, attempt int) (Transport, error) {

@@ -14,8 +14,7 @@ import (
 // (cmd/fast-worker's stdin/stdout, one TCP connection, or a test pipe)
 // until EOF. It is a strictly serial request loop: read a frame,
 // execute it, write the reply — so replies never interleave and the
-// peer's per-connection capacity is exactly one outstanding evaluation
-// (pings excepted, which only arrive while the worker is idle).
+// peer's per-connection capacity is exactly one outstanding evaluation.
 //
 // Evaluators compile lazily from spec frames and are cached per
 // fingerprint for the life of the connection, each backed by the
@@ -108,10 +107,6 @@ func ServeConn(r io.Reader, w io.Writer, logf func(format string, args ...any)) 
 			}
 			evals := obj(f.Idxs)
 			if err := reply(frame{Type: frameResult, ID: f.ID, Evals: evals}); err != nil {
-				return err
-			}
-		case framePing:
-			if err := reply(frame{Type: framePong, ID: f.ID}); err != nil {
 				return err
 			}
 		default:

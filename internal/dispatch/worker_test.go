@@ -72,9 +72,9 @@ func mustLine(t *testing.T, f frame) string {
 }
 
 // TestWorkerProtocol scripts one connection through the happy path and
-// every defended failure: ping/pong, spec registration, evaluation,
-// eval against an unknown spec, a corrupted spec frame, malformed JSON,
-// and an unknown frame type — none of which may kill the connection.
+// every defended failure: spec registration, evaluation, eval against
+// an unknown spec, a corrupted spec frame, malformed JSON, and an
+// unknown frame type — none of which may kill the connection.
 func TestWorkerProtocol(t *testing.T) {
 	raw, fp := testSpec(t)
 	idxs := [][arch.NumParams]int{{}, {}}
@@ -88,7 +88,6 @@ func TestWorkerProtocol(t *testing.T) {
 	}
 
 	replies := runWorker(t, []string{
-		mustLine(t, frame{Type: framePing, ID: 1}),
 		mustLine(t, frame{Type: frameEval, ID: 2, SpecFP: fp, Idxs: idxs}), // before spec: addressed error
 		mustLine(t, frame{Type: frameSpec, SpecFP: fp, Spec: corrupt}),     // fingerprint mismatch: error
 		mustLine(t, frame{Type: frameSpec, SpecFP: fp, Spec: raw}),         // registers (no reply)
@@ -97,14 +96,13 @@ func TestWorkerProtocol(t *testing.T) {
 		mustLine(t, frame{Type: "mystery", ID: 5}),
 		mustLine(t, frame{Type: frameEval, ID: 6, SpecFP: fp, Idxs: idxs[:1]}),
 		mustLine(t, frame{Type: frameEval, ID: 7, SpecFP: fp, Idxs: [][arch.NumParams]int{{99}}}), // outside the space: addressed error, worker survives
-		mustLine(t, frame{Type: framePing, ID: 8}),
+		mustLine(t, frame{Type: frameEval, ID: 8, SpecFP: fp, Idxs: idxs[:1]}),                    // still serving after it
 	})
 
 	want := []struct {
 		typ string
 		id  uint64
 	}{
-		{framePong, 1},
 		{frameError, 2},
 		{frameError, 0},
 		{frameResult, 3},
@@ -112,7 +110,7 @@ func TestWorkerProtocol(t *testing.T) {
 		{frameError, 5},
 		{frameResult, 6},
 		{frameError, 7},
-		{framePong, 8},
+		{frameResult, 8},
 	}
 	if len(replies) != len(want) {
 		t.Fatalf("got %d replies, want %d: %+v", len(replies), len(want), replies)
@@ -123,16 +121,16 @@ func TestWorkerProtocol(t *testing.T) {
 				i, replies[i].Type, replies[i].ID, w.typ, w.id, replies[i].Err)
 		}
 	}
-	if n := len(replies[3].Evals); n != 2 {
+	if n := len(replies[2].Evals); n != 2 {
 		t.Fatalf("eval reply carries %d evals, want 2", n)
 	}
-	if n := len(replies[6].Evals); n != 1 {
+	if n := len(replies[5].Evals); n != 1 {
 		t.Fatalf("eval reply carries %d evals, want 1", n)
 	}
 	// Same point evaluated twice on one connection must agree exactly.
-	if !replies[3].Evals[0].Equal(replies[6].Evals[0]) {
+	if !replies[2].Evals[0].Equal(replies[5].Evals[0]) {
 		t.Fatalf("repeat evaluation of the same point diverged: %+v vs %+v",
-			replies[3].Evals[0], replies[6].Evals[0])
+			replies[2].Evals[0], replies[5].Evals[0])
 	}
 }
 

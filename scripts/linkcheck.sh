@@ -10,8 +10,9 @@
 #      `Name` (`path/file.go:line`) finds Name (its last dotted part)
 #      within three lines of that line — a refactor that moves an anchor
 #      breaks the doc build, not the reader.
-#   3. Every metric registered in internal/serve/metrics.go appears in
-#      docs/OPERATIONS.md's catalog, and vice versa.
+#   3. Every metric registered in internal/serve/metrics.go and
+#      internal/dispatch/metrics.go appears in docs/OPERATIONS.md's
+#      catalog, and every catalog row names a registered metric.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,18 +61,26 @@ for doc in "${docs[@]}"; do
 done
 
 echo "linkcheck: metrics catalog sync"
-while IFS= read -r m; do
-	if ! grep -q "$m" docs/OPERATIONS.md; then
-		echo "linkcheck: FAIL — metric $m registered but not documented in docs/OPERATIONS.md" >&2
-		fail=1
-	fi
-done < <(grep -oE '"(fastserve|fast_plan_cache)_[a-z_]+"' internal/serve/metrics.go | tr -d '"' | sort -u)
-while IFS= read -r m; do
-	if ! grep -q "\"$m\"" internal/serve/metrics.go; then
-		echo "linkcheck: FAIL — docs/OPERATIONS.md documents $m, which is not registered" >&2
-		fail=1
-	fi
-done < <(grep -oE '`(fastserve|fast_plan_cache)_[a-z_]+`' docs/OPERATIONS.md | tr -d '\140' | sort -u)
+# catalog_sync SRC NAMES: names matching the NAMES prefix alternation
+# are registered in SRC as string literals ("name" or "name{label...")
+# and documented in docs/OPERATIONS.md as `name` or `name{label...}`.
+catalog_sync() {
+	local src=$1 names=$2 m
+	while IFS= read -r m; do
+		if ! grep -q "\`$m[\`{]" docs/OPERATIONS.md; then
+			echo "linkcheck: FAIL — metric $m registered in $src but not documented in docs/OPERATIONS.md" >&2
+			fail=1
+		fi
+	done < <(grep -oE "\"($names)_[a-z_]+[\"{]" "$src" | tr -d '"{' | sort -u)
+	while IFS= read -r m; do
+		if ! grep -qE "\"$m[\"{]" "$src"; then
+			echo "linkcheck: FAIL — docs/OPERATIONS.md documents $m, which $src does not register" >&2
+			fail=1
+		fi
+	done < <(grep -oE "\`($names)_[a-z_]+[\`{]" docs/OPERATIONS.md | tr -d '\140{' | sort -u)
+}
+catalog_sync internal/serve/metrics.go 'fastserve|fast_plan_cache'
+catalog_sync internal/dispatch/metrics.go 'fast_dispatch'
 
 if [ "$fail" != 0 ]; then
 	echo "linkcheck: FAIL" >&2
