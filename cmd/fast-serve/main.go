@@ -21,6 +21,12 @@
 // the same directory — running studies come back as "interrupted" and
 // resume exactly where the last durable batch left off.
 //
+// Admission is bounded per tenant: -max-studies stored, -max-queued
+// waiting and -max-active running studies; a submission past a bound
+// is shed 429 with Retry-After: 5. -max-trials caps every study's trial
+// target and so its transcript (~200 bytes a trial); -cache-entries and
+// -cache-bytes cap the shared plan cache.
+//
 // Trial evaluation can be sharded across fast-worker processes:
 // -workers N spawns N local subprocess workers, -connect host:port,...
 // reaches workers started with `fast-worker -listen`. Every study's
@@ -64,10 +70,6 @@ func main() {
 		maxActive    = flag.Int("max-active", 2, "concurrently running studies per tenant")
 		maxTrials    = flag.Int("max-trials", 2000, "trial budget allowed per study")
 		maxQueued    = flag.Int("max-queued", 8, "studies allowed to wait per tenant before submissions shed 429")
-		trialsPerSec = flag.Float64("trials-per-sec", 0, "per-tenant checkpointed trial rate limit (0 = unthrottled)")
-		maxCkptBytes = flag.Int64("max-checkpoint-bytes", 0, "per-study transcript byte quota (0 = unbounded)")
-		memLimit     = flag.Int64("mem-limit-bytes", 0, "heap bytes above which admission pauses and caches shrink (0 = off)")
-		retryAfter   = flag.Duration("retry-after", 5*time.Second, "Retry-After hint on shed responses")
 		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget (0 = unbounded)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte budget (0 = unbounded)")
 		workers      = flag.Int("workers", 0, "spawn N fast-worker subprocesses for trial evaluation (0 = in-process)")
@@ -96,10 +98,6 @@ func main() {
 		MaxActivePerTenant:  *maxActive,
 		MaxTrialsPerStudy:   *maxTrials,
 		MaxQueuedPerTenant:  *maxQueued,
-		MaxTrialsPerSec:     *trialsPerSec,
-		MaxCheckpointBytes:  *maxCkptBytes,
-		MemoryLimitBytes:    *memLimit,
-		RetryAfter:          *retryAfter,
 		Parallelism:         *parallel,
 		Logf:                log.Printf,
 	}

@@ -42,9 +42,8 @@ var Scope = []string{
 	// reach the transcript.
 	"fast/internal/dispatch",
 	// serve drives studies whose transcripts must be bit-identical
-	// across restarts and rate limits; its clocks (request logging,
-	// status stamps, pacing, watchdog) and select races are audited the
-	// same way.
+	// across restarts; its clocks (request logging, status stamps) and
+	// select races are audited the same way.
 	"fast/internal/serve",
 	// chaoshttp is the whole-system fault harness; its fault schedules
 	// must come from seeded plans, never the wall clock.

@@ -47,24 +47,15 @@ func burstSpec(i int) map[string]any {
 	}
 }
 
-// soakPlan is one row of the whole-system fault matrix: a chaos plan
-// faulting the store and the worker pool, plus the checkpoint rate the
-// daemon is throttled to while it runs (0 = unthrottled; pacing must
-// never reach the transcript).
-type soakPlan struct {
-	chaos.Plan
-	trialsPerSec float64
-}
-
 // soakPlans is the seeded matrix the soak test and CI run: each plan
-// stresses one seam, the last stresses all of them at once.
-var soakPlans = []soakPlan{
-	{Plan: chaos.Plan{Name: "slow-disk", Seed: 101, FsDelayProb: 0.3, FsDelay: 2 * time.Millisecond}},
-	{Plan: chaos.Plan{Name: "fsync-errors", Seed: 202, FsyncErrProb: 0.3}},
-	{Plan: chaos.Plan{Name: "worker-chaos", Seed: 303, KillSendProb: 0.05, DropReplyProb: 0.05, ConnectRefusals: 1}},
-	{Plan: chaos.Plan{Name: "paced-slow-disk", Seed: 404, FsDelayProb: 0.3, FsDelay: 2 * time.Millisecond}, trialsPerSec: 100},
-	{Plan: chaos.Plan{Name: "everything", Seed: 505, FsDelayProb: 0.2, FsDelay: time.Millisecond,
-		FsyncErrProb: 0.15, KillSendProb: 0.03, DropReplyProb: 0.03, ConnectRefusals: 1}},
+// faults one seam of the store or the worker pool, the last faults all
+// of them at once.
+var soakPlans = []chaos.Plan{
+	{Name: "slow-disk", Seed: 101, FsDelayProb: 0.3, FsDelay: 2 * time.Millisecond},
+	{Name: "fsync-errors", Seed: 202, FsyncErrProb: 0.3},
+	{Name: "worker-chaos", Seed: 303, KillSendProb: 0.05, DropReplyProb: 0.05, ConnectRefusals: 1},
+	{Name: "everything", Seed: 505, FsDelayProb: 0.2, FsDelay: time.Millisecond,
+		FsyncErrProb: 0.15, KillSendProb: 0.03, DropReplyProb: 0.03, ConnectRefusals: 1},
 }
 
 // faultsTransport reports whether p injects any worker-connection fault.
@@ -93,7 +84,7 @@ func (d *daemon) stop() {
 // its Wrap on a two-worker loopback pool — store-only plans run the
 // in-process evaluation a daemon without workers uses. A nil plan
 // yields the clean, in-process reference configuration.
-func newDaemon(t *testing.T, dir string, plan *soakPlan) *daemon {
+func newDaemon(t *testing.T, dir string, plan *chaos.Plan) *daemon {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -106,14 +97,12 @@ func newDaemon(t *testing.T, dir string, plan *soakPlan) *daemon {
 		MaxStudiesPerTenant: 6,
 		MaxActivePerTenant:  1,
 		MaxQueuedPerTenant:  4,
-		RetryAfter:          1 * time.Second,
 	}
 	d := &daemon{dir: dir}
 	if plan != nil {
 		st.SetFaultHook(plan.StoreHook())
-		cfg.MaxTrialsPerSec = plan.trialsPerSec
 	}
-	if plan != nil && faultsTransport(plan.Plan) {
+	if plan != nil && faultsTransport(*plan) {
 		pool, err := dispatch.New(dispatch.Options{
 			Workers:       2,
 			Dialer:        dispatch.LoopbackDialer(),
@@ -200,8 +189,8 @@ func waitTerminal(t *testing.T, base, id string) map[string]any {
 
 // resumeUntilDone drives the study through every induced failure:
 // each failed attempt must leave a durable prefix and resume cleanly.
-// Resume contention (409/429/503 while burst studies drain) is
-// retried — that is the governance layer working, not an error.
+// Resume contention (409/429 while burst studies drain) is retried —
+// that is the governance layer working, not an error.
 func resumeUntilDone(t *testing.T, base, id string) map[string]any {
 	t.Helper()
 	for attempt := 0; attempt < 60; attempt++ {
@@ -222,7 +211,7 @@ func resumeUntilDone(t *testing.T, base, id string) map[string]any {
 				break
 			}
 			switch resp.StatusCode {
-			case http.StatusConflict, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			case http.StatusConflict, http.StatusTooManyRequests:
 				if time.Now().After(deadline) {
 					t.Fatalf("resume %s starved: last %d %v", id, resp.StatusCode, body)
 				}
@@ -321,7 +310,7 @@ func TestChaosWholeSystem(t *testing.T) {
 				switch resp.StatusCode {
 				case http.StatusCreated:
 					accepted = append(accepted, fmt.Sprintf("burst-%02d", i))
-				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+				case http.StatusTooManyRequests:
 					shed++
 					if resp.Header.Get("Retry-After") == "" {
 						t.Errorf("shed %d response missing Retry-After", resp.StatusCode)

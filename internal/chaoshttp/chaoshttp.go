@@ -14,8 +14,8 @@
 //
 //   - Liveness: no seeded fault plan crashes the daemon; /healthz
 //     answers 200 throughout.
-//   - Governance: over-quota submissions shed 429/503 with a
-//     Retry-After hint while in-quota studies run to completion.
+//   - Governance: over-quota submissions shed 429 with a Retry-After
+//     hint while in-quota studies run to completion.
 //   - Durability: a study interrupted by any fault resumes to a
 //     transcript byte-identical to an unfaulted run's.
 //

@@ -1,44 +1,25 @@
 package serve
 
-// Admission control and overload protection: the daemon sheds load it
-// cannot absorb instead of degrading everyone. Three mechanisms
-// compose here (docs/OPERATIONS.md, "Overload & quotas"):
-//
-//   - Queue bounds: each tenant gets MaxQueuedPerTenant studies
-//     waiting for a slot; submissions beyond that are shed 429 with a
-//     Retry-After hint rather than growing an unbounded backlog.
-//   - Trial-rate pacing: MaxTrialsPerSec throttles each tenant's
-//     checkpointed trial rate with a reservation clock. Pacing delays
-//     when a batch checkpoint lands, never what it contains, so
-//     throttled transcripts are bit-identical to unthrottled ones.
-//   - Memory watchdog: above MemoryLimitBytes the daemon pauses
-//     admission (503 + Retry-After) and halves the plan-cache budget,
-//     resuming once usage falls below 80% of the limit. Running
-//     studies are never killed — pressure is relieved by shedding new
-//     load and shrinking caches, not by dropping work that is already
-//     checkpointing durably.
+// Admission control: the daemon sheds load it cannot absorb instead of
+// degrading everyone (docs/OPERATIONS.md, "Overload & quotas"). Each
+// tenant gets MaxStudiesPerTenant stored studies and MaxQueuedPerTenant
+// studies waiting for a slot; submissions beyond either are shed 429
+// with a Retry-After hint rather than growing an unbounded backlog.
 
 import (
-	"context"
-	"math"
 	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
-	"fast/internal/core"
 	"fast/internal/store"
 )
+
+// retryAfterSecs is the Retry-After hint on every shed response.
+const retryAfterSecs = "5"
 
 // shed writes one overload response: the uniform error body plus a
 // Retry-After hint so well-behaved clients back off instead of
 // hammering a daemon that already told them no.
 func (s *Server) shed(w http.ResponseWriter, code int, format string, args ...any) {
-	secs := int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", retryAfterSecs)
 	s.metrics.shedTotal.Inc()
 	httpError(w, code, format, args...)
 }
@@ -53,103 +34,4 @@ func (s *Server) queuedLocked(tenant string) int {
 		}
 	}
 	return n
-}
-
-// rateLimiter paces one tenant's checkpointed trial rate with a
-// reservation clock: each batch books len(batch)/rate seconds of
-// budget and reports how long its caller must wait for the
-// reservation to start.
-type rateLimiter struct {
-	mu   sync.Mutex
-	rate float64   // trials per second
-	next time.Time // when the next reservation may start
-}
-
-// reserve books n trials and returns the wait before they may land.
-func (l *rateLimiter) reserve(n int) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	//fast:allow nondetsource pacing clock delays checkpoint timing, never checkpoint contents
-	now := time.Now()
-	if l.next.Before(now) {
-		l.next = now
-	}
-	wait := l.next.Sub(now)
-	l.next = l.next.Add(time.Duration(float64(n) / l.rate * float64(time.Second)))
-	return wait
-}
-
-// throttle blocks until the tenant's trial-rate reservation for n
-// trials starts (no-op when MaxTrialsPerSec is unset). It returns
-// early on ctx cancellation — the pending batch still checkpoints, so
-// the durable transcript stays a prefix of the unfaulted run's.
-func (s *Server) throttle(ctx context.Context, tenant string, n int) {
-	if s.cfg.MaxTrialsPerSec <= 0 {
-		return
-	}
-	s.mu.Lock()
-	l := s.limiters[tenant]
-	if l == nil {
-		l = &rateLimiter{rate: s.cfg.MaxTrialsPerSec}
-		s.limiters[tenant] = l
-	}
-	s.mu.Unlock()
-	wait := l.reserve(n)
-	if wait <= 0 {
-		return
-	}
-	s.metrics.throttleWaits.Inc()
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	//fast:allow nondetsource pacing sleep races only cancellation; both arms checkpoint the same batch
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// watchdog samples the daemon's heap every watchdogEvery and applies
-// the memory-pressure policy. Runs only when MemoryLimitBytes > 0.
-func (s *Server) watchdog(ctx context.Context) {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.watchdogEvery)
-	defer tick.Stop()
-	for {
-		//fast:allow nondetsource watchdog timing gates admission, never search results
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			s.checkMemory()
-		}
-	}
-}
-
-// checkMemory takes one watchdog sample (split out so tests can drive
-// the policy deterministically through the memUsage seam). Above the
-// limit: pause admission, halve the plan-cache budget. Below 80% of
-// the limit: resume admission. The 20% hysteresis band keeps the
-// daemon from flapping between paused and open at the boundary.
-func (s *Server) checkMemory() {
-	used := s.cfg.memUsage()
-	limit := uint64(s.cfg.MemoryLimitBytes)
-	switch {
-	case used > limit:
-		if s.paused.CompareAndSwap(false, true) {
-			s.metrics.watchdogPaused.Set(1)
-			s.cfg.Logf("level=warn msg=\"memory pressure: admission paused\" used=%d limit=%d", used, limit)
-		}
-		if info := core.PlanCacheInfo(); info.Entries > 1 {
-			core.SetPlanCacheBudget(core.PlanCacheBudget{
-				MaxEntries: (info.Entries + 1) / 2,
-				MaxBytes:   (info.Bytes + 1) / 2,
-			})
-			s.metrics.watchdogShrinks.Inc()
-		}
-	case used <= limit-limit/5:
-		if s.paused.CompareAndSwap(true, false) {
-			s.metrics.watchdogPaused.Set(0)
-			s.cfg.Logf("level=info msg=\"memory pressure cleared: admission resumed\" used=%d limit=%d", used, limit)
-		}
-	}
 }

@@ -1,20 +1,16 @@
 package serve
 
 // Tests for the resource-governance layer: admission shedding with
-// Retry-After, the memory watchdog, study deadlines, checkpoint-byte
-// quotas, panic quarantine, trial-rate pacing, and SSE behaviour under
-// client disconnects and concurrent cancels.
+// Retry-After, study deadlines, panic quarantine, and SSE behaviour
+// under client disconnects and concurrent cancels.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +94,6 @@ func TestShedQueueFull(t *testing.T) {
 		c.MaxStudiesPerTenant = 10
 		c.MaxActivePerTenant = 1
 		c.MaxQueuedPerTenant = 1
-		c.RetryAfter = 7 * time.Second
 		c.batchHook = func(tenant, _ string) {
 			if tenant == "default" {
 				<-release
@@ -122,8 +117,8 @@ func TestShedQueueFull(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-queue submit = %d, want 429 (body %v)", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want %q", got, "7")
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Errorf("Retry-After = %q, want %q", got, "5")
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "queue full") {
 		t.Errorf("shed body = %v, want queue-full error", body)
@@ -140,58 +135,6 @@ func TestShedQueueFull(t *testing.T) {
 	released = true
 	waitFor(t, base, "g1", "g1 done", stateIs(store.StateDone))
 	waitFor(t, base, "g2", "g2 done", stateIs(store.StateDone))
-}
-
-// TestWatchdogPausesAdmission: above the memory limit creates and
-// resumes shed 503 + Retry-After; below 80% of the limit admission
-// reopens. The memUsage seam drives the policy deterministically.
-func TestWatchdogPausesAdmission(t *testing.T) {
-	var mem atomic.Uint64
-	mem.Store(50)
-	ts := newTestServer(t, t.TempDir(), func(c *Config) {
-		c.MemoryLimitBytes = 100
-		c.watchdogEvery = time.Hour // driven manually via checkMemory
-		c.memUsage = func() uint64 { return mem.Load() }
-	})
-	defer ts.stop()
-	base := ts.http.URL
-
-	doJSON(t, "POST", base+"/v1/studies", smallSpec("w1", 8, 4), http.StatusCreated)
-	waitTerminal(t, base, "w1")
-
-	mem.Store(200)
-	ts.srv.checkMemory()
-	resp, body := postJSON(t, base+"/v1/studies", smallSpec("w2", 8, 4))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("paused submit = %d, want 503 (body %v)", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("paused submit missing Retry-After")
-	}
-	if code := rawStatus(t, "POST", base+"/v1/studies/w1/resume", nil); code != http.StatusServiceUnavailable {
-		t.Errorf("paused resume = %d, want 503", code)
-	}
-	if v := metricValue(t, base, "fastserve_watchdog_paused"); v != 1 {
-		t.Errorf("fastserve_watchdog_paused = %v, want 1", v)
-	}
-	if n := metricValue(t, base, "fastserve_shed_overload_total"); n < 2 {
-		t.Errorf("fastserve_shed_overload_total = %v, want >= 2", n)
-	}
-
-	// 85 is inside the hysteresis band: still paused.
-	mem.Store(85)
-	ts.srv.checkMemory()
-	if code := rawStatus(t, "POST", base+"/v1/studies", smallSpec("w3", 8, 4)); code != http.StatusServiceUnavailable {
-		t.Errorf("in-band submit = %d, want 503 (hysteresis)", code)
-	}
-
-	mem.Store(50)
-	ts.srv.checkMemory()
-	doJSON(t, "POST", base+"/v1/studies", smallSpec("w4", 8, 4), http.StatusCreated)
-	waitTerminal(t, base, "w4")
-	if v := metricValue(t, base, "fastserve_watchdog_paused"); v != 0 {
-		t.Errorf("fastserve_watchdog_paused = %v after recovery, want 0", v)
-	}
 }
 
 // TestStudyDeadline: a study whose wall-clock deadline fires mid-run
@@ -222,47 +165,6 @@ func TestStudyDeadline(t *testing.T) {
 	}
 	if done, _ := sum["trials_done"].(float64); done < 8 {
 		t.Errorf("trials_done = %v, want the durable prefix (>= 8)", done)
-	}
-}
-
-// TestCheckpointQuota: a study that exceeds its transcript byte quota
-// fails terminally with the batch that crossed the line still durable,
-// and resumes to completion under a raised limit after a restart.
-func TestCheckpointQuota(t *testing.T) {
-	dir := t.TempDir()
-	ts := newTestServer(t, dir, func(c *Config) { c.MaxCheckpointBytes = 1 })
-	base := ts.http.URL
-
-	doJSON(t, "POST", base+"/v1/studies", smallSpec("cq", 8, 4), http.StatusCreated)
-	sum := waitTerminal(t, base, "cq")
-	if sum["state"] != store.StateFailed {
-		t.Fatalf("state = %v, want failed", sum["state"])
-	}
-	if msg, _ := sum["error"].(string); !strings.Contains(msg, "checkpoint quota exceeded") {
-		t.Errorf("error = %q, want checkpoint-quota message", msg)
-	}
-	if cls, _ := sum["error_class"].(string); cls != "terminal" {
-		t.Errorf("error_class = %q, want terminal", cls)
-	}
-	if n := metricValue(t, base, "fastserve_checkpoint_quota_total"); n != 1 {
-		t.Errorf("fastserve_checkpoint_quota_total = %v, want 1", n)
-	}
-	if done, _ := sum["trials_done"].(float64); done < 4 {
-		t.Errorf("trials_done = %v, want the crossing batch durable (>= 4)", done)
-	}
-	doJSON(t, "GET", base+"/healthz", nil, http.StatusOK)
-	ts.stop()
-
-	// Restart with the quota raised: the durable prefix resumes.
-	ts2 := newTestServer(t, dir, nil)
-	defer ts2.stop()
-	doJSON(t, "POST", ts2.http.URL+"/v1/studies/cq/resume", nil, http.StatusAccepted)
-	final := waitTerminal(t, ts2.http.URL, "cq")
-	if final["state"] != store.StateDone {
-		t.Fatalf("resumed state = %v (err %v), want done", final["state"], final["error"])
-	}
-	if done, _ := final["trials_done"].(float64); int(done) != 8 {
-		t.Errorf("resumed trials_done = %v, want 8", done)
 	}
 }
 
@@ -298,40 +200,6 @@ func TestPanicQuarantine(t *testing.T) {
 	doJSON(t, "GET", base+"/healthz", nil, http.StatusOK)
 	doJSON(t, "POST", base+"/v1/studies", smallSpec("fine", 8, 4), http.StatusCreated)
 	waitFor(t, base, "fine", "fine done", stateIs(store.StateDone))
-}
-
-// TestThrottleDeterminism: the per-tenant trial-rate limit delays
-// checkpoints without changing them — a throttled run's transcript is
-// byte-identical to an unthrottled run's.
-func TestThrottleDeterminism(t *testing.T) {
-	spec := smallSpec("tr", 16, 8)
-
-	dirA := t.TempDir()
-	a := newTestServer(t, dirA, nil)
-	doJSON(t, "POST", a.http.URL+"/v1/studies", spec, http.StatusCreated)
-	waitFor(t, a.http.URL, "tr", "unthrottled done", stateIs(store.StateDone))
-	a.stop()
-
-	dirB := t.TempDir()
-	b := newTestServer(t, dirB, func(c *Config) { c.MaxTrialsPerSec = 50 })
-	defer b.stop()
-	doJSON(t, "POST", b.http.URL+"/v1/studies", spec, http.StatusCreated)
-	waitFor(t, b.http.URL, "tr", "throttled done", stateIs(store.StateDone))
-	if n := metricValue(t, b.http.URL, "fastserve_throttle_waits_total"); n < 1 {
-		t.Errorf("fastserve_throttle_waits_total = %v, want >= 1", n)
-	}
-
-	read := func(dir string) string {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(dir, "default", "tr", "transcript.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-	if ta, tb := read(dirA), read(dirB); ta != tb {
-		t.Errorf("throttled transcript differs from unthrottled:\n--- unthrottled\n%s\n--- throttled\n%s", ta, tb)
-	}
 }
 
 // TestSSEDisconnectAndConcurrentCancel: an abrupt client disconnect

@@ -210,12 +210,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
-	if s.paused.Load() {
-		s.mu.Unlock()
-		s.metrics.shedOverload.Inc()
-		s.shed(w, http.StatusServiceUnavailable, "daemon under memory pressure; admission paused")
-		return
-	}
 	owned := 0
 	for _, st := range s.studies {
 		if st.tenant == sp.Tenant {
@@ -357,12 +351,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if s.closed {
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	}
-	if s.paused.Load() {
-		s.mu.Unlock()
-		s.metrics.shedOverload.Inc()
-		s.shed(w, http.StatusServiceUnavailable, "daemon under memory pressure; admission paused")
 		return
 	}
 	switch st.state {

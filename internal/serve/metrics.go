@@ -35,15 +35,9 @@ type metrics struct {
 	shedTotal      *obsv.Counter
 	shedQueue      *obsv.Counter
 	shedStudyQuota *obsv.Counter
-	shedOverload   *obsv.Counter
 
-	throttleWaits   *obsv.Counter
-	checkpointQuota *obsv.Counter
 	deadlineExpired *obsv.Counter
 	quarantined     *obsv.Counter
-
-	watchdogPaused  *obsv.Gauge
-	watchdogShrinks *obsv.Counter
 }
 
 func newMetrics(r *obsv.Registry) *metrics {
@@ -90,22 +84,11 @@ func newMetrics(r *obsv.Registry) *metrics {
 			"Submissions/resumes shed 429 because the tenant's study queue was full."),
 		shedStudyQuota: r.NewCounter("fastserve_shed_study_quota_total",
 			"Submissions shed 429 because the tenant was at its stored-study quota."),
-		shedOverload: r.NewCounter("fastserve_shed_overload_total",
-			"Submissions/resumes shed 503 while the memory watchdog had admission paused."),
 
-		throttleWaits: r.NewCounter("fastserve_throttle_waits_total",
-			"Checkpoint batches delayed by the per-tenant trial-rate limit."),
-		checkpointQuota: r.NewCounter("fastserve_checkpoint_quota_total",
-			"Studies failed terminally for exceeding their checkpoint-byte quota."),
 		deadlineExpired: r.NewCounter("fastserve_deadline_expired_total",
 			"Studies stopped at their wall-clock deadline (durable prefix retained)."),
 		quarantined: r.NewCounter("fastserve_studies_quarantined_total",
 			"Studies failed terminally by a panicking objective; the daemon survived."),
-
-		watchdogPaused: r.NewGauge("fastserve_watchdog_paused",
-			"1 while the memory watchdog has admission paused, else 0."),
-		watchdogShrinks: r.NewCounter("fastserve_watchdog_shrinks_total",
-			"Plan-cache budget halvings applied under memory pressure."),
 	}
 
 	// The plan cache lives in internal/core and is shared by every

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"fast/internal/core"
@@ -105,10 +104,6 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 		if s.cfg.batchHook != nil {
 			s.cfg.batchHook(st.tenant, st.id)
 		}
-		// Pace before the append: the throttle delays when this batch
-		// becomes durable, never whether or what — transcripts are
-		// bit-identical at any rate limit.
-		s.throttle(ctx, st.tenant, len(batch))
 		n, err := st.stored.AppendBatch(batch)
 		if err != nil {
 			// A checkpoint that cannot be written voids the durability
@@ -123,9 +118,6 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 		s.metrics.trialsRate.Mark(int64(len(batch)))
 
 		s.mu.Lock()
-		st.ckptBytes += int64(n)
-		overQuota := s.cfg.MaxCheckpointBytes > 0 && st.ckptBytes > s.cfg.MaxCheckpointBytes
-		ckptBytes := st.ckptBytes
 		st.trialsDone += len(batch)
 		for _, t := range batch {
 			if t.Feasible && (!st.bestFeasible || t.Value > st.bestValue) {
@@ -136,19 +128,6 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 		s.mu.Unlock()
 		s.persistStatus(st)
 		hub.publish(event{name: "progress", data: sum})
-
-		if overQuota && checkpointErr == nil {
-			// The batch that crossed the line is already durable (the
-			// transcript stays a clean prefix); the study stops here
-			// with a terminal quota error, resumable under a raised
-			// MaxCheckpointBytes.
-			checkpointErr = fault.Terminal("serve.quota", fmt.Errorf(
-				"serve: study %s/%s checkpoint quota exceeded (%d > %d bytes)",
-				st.tenant, st.id, ckptBytes, s.cfg.MaxCheckpointBytes))
-			s.metrics.checkpointQuota.Inc()
-			cancel()
-			return
-		}
 
 		if archive != nil {
 			moved := false

@@ -25,9 +25,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fast/internal/core"
@@ -65,24 +63,6 @@ type Config struct {
 	// shed 429 with a Retry-After hint instead of growing the queue
 	// without bound.
 	MaxQueuedPerTenant int
-	// MaxTrialsPerSec throttles each tenant's checkpointed trial rate
-	// (0 = unthrottled). Pacing only: the throttle delays when a batch
-	// checkpoint lands, never what it contains, so throttled
-	// transcripts are bit-identical to unthrottled ones.
-	MaxTrialsPerSec float64
-	// MaxCheckpointBytes caps one study's transcript size (0 =
-	// unbounded). A study exceeding it fails with a terminal quota
-	// error; its durable prefix stays resumable under a raised limit.
-	MaxCheckpointBytes int64
-	// MemoryLimitBytes arms the memory-pressure watchdog (0 = off):
-	// above the limit the daemon pauses admission (503 + Retry-After)
-	// and halves the plan-cache budget, resuming once usage falls below
-	// 80% of the limit. Running studies are never killed — pressure is
-	// relieved by shedding new load and shrinking caches.
-	MemoryLimitBytes int64
-	// RetryAfter is the back-off hint sent with every shed response
-	// (default 5s), rounded up to whole seconds on the wire.
-	RetryAfter time.Duration
 
 	// Dispatch, when set, routes every study's batch evaluation through
 	// a dispatcher (internal/dispatch's worker pool). Dispatch changes
@@ -100,12 +80,6 @@ type Config struct {
 	// use it to hold a study mid-run deterministically instead of
 	// racing the clock.
 	batchHook func(tenant, id string)
-	// watchdogEvery is the memory watchdog's sampling period (default
-	// 2s). Test seam.
-	watchdogEvery time.Duration
-	// memUsage reads the daemon's live heap bytes (default
-	// runtime.ReadMemStats HeapAlloc). Test seam.
-	memUsage func() uint64
 }
 
 func (c *Config) withDefaults() Config {
@@ -121,19 +95,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxQueuedPerTenant <= 0 {
 		out.MaxQueuedPerTenant = 8
-	}
-	if out.RetryAfter <= 0 {
-		out.RetryAfter = 5 * time.Second
-	}
-	if out.watchdogEvery <= 0 {
-		out.watchdogEvery = 2 * time.Second
-	}
-	if out.memUsage == nil {
-		out.memUsage = func() uint64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return ms.HeapAlloc
-		}
 	}
 	if out.Metrics == nil {
 		out.Metrics = obsv.NewRegistry()
@@ -155,16 +116,11 @@ type Server struct {
 	cancelAll context.CancelFunc
 	wg        sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
-	studies  map[string]*study        // key: tenant + "/" + id
-	slots    map[string]chan struct{} // per-tenant concurrency semaphores
-	limiters map[string]*rateLimiter  // per-tenant trial-rate pacers
-	seq      int                      // id allocator for unnamed studies
-
-	// paused flags admission paused by the memory watchdog: creates and
-	// resumes shed 503 + Retry-After until pressure clears.
-	paused atomic.Bool
+	mu      sync.Mutex
+	closed  bool
+	studies map[string]*study        // key: tenant + "/" + id
+	slots   map[string]chan struct{} // per-tenant concurrency semaphores
+	seq     int                      // id allocator for unnamed studies
 }
 
 // study is the in-memory face of one stored study. state and the
@@ -183,7 +139,6 @@ type study struct {
 	bestFeasible bool
 	errMsg       string
 	errClass     string // fault class of errMsg ("retryable"/"terminal"/"unknown")
-	ckptBytes    int64  // durable transcript size, for the checkpoint quota
 
 	cancel context.CancelFunc // non-nil while queued or running
 	result *core.StudyResult  // materialized in-process when done
@@ -207,13 +162,12 @@ func New(cfg Config) (*Server, error) {
 		cancelAll: cancel,
 		studies:   map[string]*study{},
 		slots:     map[string]chan struct{}{},
-		limiters:  map[string]*rateLimiter{},
 	}
 	s.metrics = newMetrics(c.Metrics)
 	s.buildMux()
 
-	stored, err := c.Store.List()
-	if err != nil && len(s.studies) == 0 && stored == nil {
+	stored, skipped, err := c.Store.List()
+	if err != nil {
 		cancel()
 		return nil, err
 	}
@@ -246,17 +200,12 @@ func New(cfg Config) (*Server, error) {
 			bestValue:    status.BestValue,
 			bestFeasible: status.BestFeasible,
 			errMsg:       status.Error,
-			ckptBytes:    sd.TranscriptSize(),
 			hub:          newEventHub(),
 		}
 		s.studies[st.key()] = st
 	}
-	if err != nil {
-		c.Logf("level=warn msg=\"store recovery skipped broken studies\" err=%q", err)
-	}
-	if c.MemoryLimitBytes > 0 {
-		s.wg.Add(1)
-		go s.watchdog(ctx)
+	if skipped != nil {
+		c.Logf("level=warn msg=\"store recovery skipped broken studies\" err=%q", skipped)
 	}
 	return s, nil
 }

@@ -239,6 +239,38 @@ func TestRestartResumeDifferential(t *testing.T) {
 	}
 }
 
+// TestNewSkipsCorruptStudy: restart recovery skips a study whose spec
+// is unreadable even when it is the only one in the data directory;
+// only a data root that cannot be listed stops the daemon.
+func TestNewSkipsCorruptStudy(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "default", "broken")
+	if err := os.MkdirAll(bad, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(bad, "spec.json"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, dir, nil)
+	defer ts.stop()
+	if got := doJSON(t, "GET", ts.http.URL+"/v1/studies", nil, http.StatusOK)["studies"]; got != nil {
+		t.Errorf("studies = %v, want none", got)
+	}
+	doJSON(t, "POST", ts.http.URL+"/v1/studies", smallSpec("fresh", 8, 4), http.StatusCreated)
+	waitFor(t, ts.http.URL, "fresh", "fresh done", stateIs(store.StateDone))
+
+	gone, err := store.Open(filepath.Join(t.TempDir(), "gone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(gone.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Store: gone}); err == nil {
+		t.Error("New over an unlistable data root succeeded")
+	}
+}
+
 // cancelStudy stops a study and waits for a terminal state, tolerating
 // the race where the study finishes on its own first.
 func cancelStudy(t *testing.T, base, id string) {

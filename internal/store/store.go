@@ -18,7 +18,8 @@
 // Crash safety follows from the line discipline: an append either lands
 // whole (the fsync returned) or is a torn final line, which Snapshot
 // detects and drops, reporting the study as truncated at the last
-// durable batch — exactly the batches the optimizer can replay.
+// durable batch — exactly the batches the optimizer can replay — and
+// BeginTranscript cuts off the file before a resumed run appends.
 // Corruption anywhere before the final line is not survivable silently
 // and is reported as ErrCorrupt; a format version beyond this package's
 // writer is ErrVersionMismatch (operators roll the binary forward, not
@@ -260,14 +261,15 @@ func (st *Store) Get(tenant, id string) (*Study, error) {
 	return &Study{store: st, spec: sp, dir: dir}, nil
 }
 
-// List opens every study in the store, sorted by (tenant, id). Studies
-// that fail to open (corrupt or version-mismatched specs) are skipped
-// and reported in the returned error alongside the successfully opened
-// rest, so one bad directory cannot take restart recovery down.
-func (st *Store) List() ([]*Study, error) {
+// List opens every study in the store, sorted by (tenant, id). It fails
+// (err) only when the root itself cannot be read. Studies that fail to
+// open (corrupt or version-mismatched specs, unreadable tenant
+// directories) are left out and reported in skipped, so one bad
+// directory cannot take restart recovery down.
+func (st *Store) List() (studies []*Study, skipped, err error) {
 	tenants, err := os.ReadDir(st.root)
 	if err != nil {
-		return nil, fmt.Errorf("store: list %s: %w", st.root, err)
+		return nil, nil, fmt.Errorf("store: list %s: %w", st.root, err)
 	}
 	var out []*Study
 	var errs []error
@@ -298,7 +300,7 @@ func (st *Store) List() ([]*Study, error) {
 		}
 		return out[i].spec.ID < out[j].spec.ID
 	})
-	return out, errors.Join(errs...)
+	return out, errors.Join(errs...), nil
 }
 
 // mustJSON marshals v, panicking on failure — the store's types are
@@ -391,17 +393,6 @@ func (s *Study) Spec() Spec { return s.spec }
 // Dir returns the study's directory.
 func (s *Study) Dir() string { return s.dir }
 
-// TranscriptSize reports the durable transcript's current size in
-// bytes (0 when no transcript exists yet). Serve uses it to seed
-// checkpoint-byte quota accounting across restarts.
-func (s *Study) TranscriptSize() int64 {
-	fi, err := os.Stat(filepath.Join(s.dir, transcriptFile))
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
-}
-
 // Status reads the current lifecycle record.
 func (s *Study) Status() (Status, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, statusFile))
@@ -453,8 +444,9 @@ func (s *Study) BeginTranscript(alg search.Algorithm, seed int64, budget int) er
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: read transcript %s: %w", s.dir, err)
 	}
+	torn := false
 	if !isNew {
-		hdr, _, _, err := parseTranscript(existing)
+		hdr, _, truncated, err := parseTranscript(existing)
 		if err != nil {
 			return fmt.Errorf("store: transcript %s: %w", s.dir, err)
 		}
@@ -462,10 +454,20 @@ func (s *Study) BeginTranscript(alg search.Algorithm, seed int64, budget int) er
 			return fmt.Errorf("store: transcript %s header (%s/%d/%d) does not match study (%s/%d/%d)",
 				s.dir, hdr.Algorithm, hdr.Seed, hdr.Budget, alg, seed, budget)
 		}
+		torn = truncated
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open transcript %s: %w", s.dir, err)
+	}
+	if torn {
+		// A crash tore the final line. Snapshot drops it; the file must
+		// lose it too, or the next append lands glued to the torn bytes
+		// as a corrupt line mid-transcript.
+		if err := s.truncate(f, int64(bytes.LastIndexByte(existing, '\n')+1)); err != nil {
+			f.Close()
+			return fault.Retryable("store.truncate", fmt.Errorf("store: drop torn transcript tail %s: %w", s.dir, err))
+		}
 	}
 	if isNew {
 		hdr := transcriptHeader{Format: transcriptFormat, Version: FormatVersion, Algorithm: alg, Seed: seed, Budget: budget}
@@ -508,6 +510,21 @@ func (s *Study) appendLine(f *os.File, data []byte) error {
 		return err
 	}
 	if _, err := f.Write(append(data, '\n')); err != nil {
+		return err
+	}
+	if err := s.store.fsOp(OpSync, f.Name()); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// truncate cuts f to its first n bytes and fsyncs, with the fault seam
+// interposed as in appendLine.
+func (s *Study) truncate(f *os.File, n int64) error {
+	if err := s.store.fsOp(OpWrite, f.Name()); err != nil {
+		return err
+	}
+	if err := f.Truncate(n); err != nil {
 		return err
 	}
 	if err := s.store.fsOp(OpSync, f.Name()); err != nil {

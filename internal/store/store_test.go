@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fast/internal/arch"
+	"fast/internal/fault"
 	"fast/internal/search"
 )
 
@@ -236,6 +237,81 @@ func TestTornTailIsDropped(t *testing.T) {
 	}
 }
 
+// TestTornTailIsCutBeforeAppend: resuming a transcript whose final line
+// a crash tore must cut the torn bytes off the file, not only out of
+// the snapshot, so the next append leaves exactly the bytes of an
+// uninterrupted run. A fault on the cut fails the resume retryably and
+// leaves the file for the next attempt.
+func TestTornTailIsCutBeforeAppend(t *testing.T) {
+	st, _ := Open(t.TempDir())
+	first, second := []search.Trial{trial(1), trial(2)}, []search.Trial{trial(3)}
+	write := func(id string, batches ...[]search.Trial) string {
+		t.Helper()
+		s, err := st.Create(testSpec("acme", id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BeginTranscript(search.AlgRandom, 7, 24); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			if _, err := s.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.CloseTranscript(); err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Join(s.Dir(), transcriptFile)
+	}
+	want, err := os.ReadFile(write("whole", first, second))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := write("torn", first)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"trials":[{"ind`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	tornBytes, _ := os.ReadFile(path)
+
+	// A fresh handle resumes, as after a restart.
+	re, err := st.Get("acme", "torn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetFaultHook(func(FaultOp, string) error { return errors.New("disk full") })
+	if err := re.BeginTranscript(search.AlgRandom, 7, 24); !fault.IsRetryable(err) {
+		t.Errorf("BeginTranscript under a write fault = %v, want a retryable error", err)
+	}
+	st.SetFaultHook(nil)
+	if got, _ := os.ReadFile(path); string(got) != string(tornBytes) {
+		t.Errorf("failed cut changed the transcript to %q", got)
+	}
+
+	if err := re.BeginTranscript(search.AlgRandom, 7, 24); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.AppendBatch(second); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.CloseTranscript(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("resumed transcript:\n%s\nwant the untorn bytes:\n%s", got, want)
+	}
+}
+
 func TestMidFileCorruptionIsFatal(t *testing.T) {
 	st, _ := Open(t.TempDir())
 	s, err := st.Create(testSpec("acme", "corrupt"))
@@ -303,8 +379,11 @@ func TestListSortedAndResilient(t *testing.T) {
 	os.MkdirAll(bad, 0o755)
 	os.WriteFile(filepath.Join(bad, "spec.json"), []byte("not json"), 0o644)
 
-	studies, err := st.List()
-	if err == nil {
+	studies, skipped, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped == nil {
 		t.Error("List with a corrupt study must report it")
 	}
 	var got []string
