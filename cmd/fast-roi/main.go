@@ -36,7 +36,7 @@ func main() {
 		trials     = flag.Int("trials", 120, "with -from-search: search-trial budget")
 		seed       = flag.Int64("seed", 1, "with -from-search: deterministic seed")
 		parallel   = flag.Int("parallel", 0, "with -from-search: concurrent evaluations (0 = one per CPU)")
-		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "with -from-search: deadline per exact fusion-ILP solve in the winner re-simulation; on expiry the greedy-seeded incumbent (with its optimality gap) is used instead of failing")
+		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "with -from-search: deadline per exact fusion-ILP solve in the winner re-simulation, which ends at the first of a proof, a certified 0.1% gap or this deadline; on expiry the greedy-seeded incumbent (with its optimality gap) is used instead of failing")
 	)
 	flag.Parse()
 

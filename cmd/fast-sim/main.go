@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -30,7 +31,7 @@ func main() {
 		stack      = flag.String("stack", "fast", "software stack: fast (all schedules + fusion) or baseline (production TPU stack)")
 		batch      = flag.Int64("batch", 0, "override the design's native batch size (power of 2)")
 		twoPass    = flag.Bool("two-pass-softmax", false, "force the two-pass softmax (default: auto with -stack fast)")
-		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "deadline per exact fusion-ILP solve; on expiry the greedy-seeded incumbent is reported with its optimality gap")
+		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "deadline per exact fusion-ILP solve, which ends at the first of a proof, a certified 0.1% gap or this deadline; an unproven solve reports its incumbent with its optimality gap")
 		greedyFus  = flag.Bool("greedy-fusion", false, "skip the exact ILP and report the greedy fusion solve (the search-loop stack)")
 		blocks     = flag.Bool("blocks", false, "print the per-block utilization table")
 		dot        = flag.String("dot", "", "write the workload graph (clustered by fusion region) to this DOT file")
@@ -116,11 +117,12 @@ func main() {
 	switch method {
 	case "ilp-optimal":
 		method = fmt.Sprintf("%s, %d nodes", method, r.Fusion.Nodes)
-	case "ilp-incumbent":
-		// Deadline hit: the greedy-seeded incumbent with its proven bound.
+	case "ilp-within-tol", "ilp-incumbent":
+		// Stopped unproven (on the gap tolerance or the deadline): the
+		// greedy-seeded incumbent with its proven bound.
 		gap := "gap unbounded"
 		if !math.IsInf(r.Fusion.Gap, 1) {
-			gap = fmt.Sprintf("gap %.1f%%", r.Fusion.Gap*100)
+			gap = "gap " + percent(r.Fusion.Gap) + "%"
 		}
 		method = fmt.Sprintf("%s, %s, %d nodes", method, gap, r.Fusion.Nodes)
 	}
@@ -168,4 +170,16 @@ func main() {
 			fmt.Printf("  %-24s %.3f of peak  %8.3f ms\n", b.Block, b.Utilization, b.Sec*1e3)
 		}
 	}
+}
+
+// percent renders a ratio as a percentage in fixed notation with at
+// least one decimal and at least one significant digit, so a nonzero
+// gap never prints as 0.0%.
+func percent(ratio float64) string {
+	pct := ratio * 100
+	decimals := 1
+	if pct > 0 {
+		decimals = max(decimals, int(math.Ceil(-math.Log10(pct))))
+	}
+	return strconv.FormatFloat(pct, 'f', decimals, 64)
 }

@@ -102,11 +102,13 @@ type Solution struct {
 	Total float64
 	// GMUsedPeak is the peak Global Memory residency in bytes.
 	GMUsedPeak int64
-	// Method records how the solution was obtained: "ilp-optimal",
-	// "ilp-incumbent", "greedy", or "disabled".
+	// Method records how the solution was obtained: "ilp-optimal"
+	// (proven), "ilp-within-tol" (certified within the exact solve's
+	// relative-gap stop), "ilp-incumbent" (deadline hit), "greedy", or
+	// "disabled".
 	Method string
-	// Gap is the relative optimality gap the ILP reported when the
-	// deadline expired before optimality was proven (Method
+	// Gap is the relative optimality gap the ILP certified when it
+	// stopped before proving optimality (Methods "ilp-within-tol" and
 	// "ilp-incumbent"); zero otherwise. +Inf means no usable bound
 	// survived the early exit.
 	Gap float64
@@ -117,9 +119,11 @@ type Solution struct {
 
 // Options configures SolvePlanned.
 type Options struct {
-	// Deadline bounds the ILP solve (default 2s). The paper uses a
-	// 20-minute SCIP timeout; experiments here size deadlines to the
-	// harness.
+	// Deadline bounds the ILP solve (default 2s). The solve ends at the
+	// first of three events: optimality is proven, the incumbent is
+	// certified within a 0.1% relative gap, or the deadline expires. The
+	// paper uses a 20-minute SCIP timeout; experiments here size
+	// deadlines to the harness.
 	Deadline time.Duration
 	// Disable turns fusion off entirely (ablation): nothing is placed in
 	// GM.
@@ -200,10 +204,11 @@ type Assignment struct {
 	// Hold marks regions whose persistent KV-cache slab stays resident
 	// in GM (always allocated, all-false for encoder workloads).
 	Hold []bool
-	// Method is "disabled", "greedy", "ilp-incumbent" or "ilp-optimal".
+	// Method is "disabled", "greedy", "ilp-incumbent", "ilp-within-tol"
+	// or "ilp-optimal".
 	Method string
-	// Gap is the ILP's relative optimality gap on a deadline hit (see
-	// Solution.Gap); Nodes its branch-and-bound node count.
+	// Gap is the ILP's certified relative optimality gap when it stopped
+	// unproven (see Solution.Gap); Nodes its branch-and-bound node count.
 	Gap   float64
 	Nodes int
 }

@@ -619,8 +619,16 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, b
 	return f, true
 }
 
+// exactRelGap is the relative gap at which the exact solve stops short
+// of a proof. Where the root LP already certifies the greedy warm start
+// this close, branching on used to re-prove the bound until the
+// deadline without changing the answer (docs/PERFORMANCE.md, "What the
+// 0.1% stop rule reaches").
+const exactRelGap = 1e-3
+
 // solveILP solves the reduced Figure 8 ILP with branch-and-bound, warm
-// started from the greedy placement.
+// started from the greedy placement. It ends at the first of a proof, a
+// certified exactRelGap, or the deadline.
 func solveILP(regions []RegionCost, usable []bool, capacity int64,
 	warmPin, warmKeep, warmHold []bool, deadline time.Duration, dense bool) (Assignment, bool) {
 
@@ -654,6 +662,7 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 	res, err := ilp.Solve(f.prob, ilp.Options{
 		//fast:allow nondetsource sets the ILP budget deadline; a timeout falls back to the deterministic greedy placement
 		Deadline:  time.Now().Add(deadline),
+		RelGap:    exactRelGap,
 		WarmStart: warm,
 		Dense:     dense,
 	})
@@ -672,9 +681,12 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 		asn.Keep[i] = eIdx[i] >= 0 && res.X[eIdx[i]] > 0.5
 		asn.Hold[i] = hIdx[i] >= 0 && res.X[hIdx[i]] > 0.5
 	}
-	if res.Optimal {
+	switch {
+	case res.Optimal:
 		asn.Method = "ilp-optimal"
-	} else {
+	case res.WithinTol:
+		asn.Method, asn.Gap = "ilp-within-tol", res.Gap
+	default:
 		asn.Gap = res.Gap
 	}
 	return asn, true

@@ -93,6 +93,73 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 	}
 }
 
+// relGapTols are the stop tolerances the oracle checks: the fusion
+// pass's 1e-3, and 0.1, where the integer-cost instances of the
+// generators stop early often enough for the check to have teeth.
+var relGapTols = []float64{1e-3, 0.1}
+
+// checkRelGap solves p at each of relGapTols and holds every result to
+// the exact solve: the same feasibility verdict, an integer-feasible
+// point within the tolerance of the optimum, and a valid bound. A
+// solve the tolerance did not stop must be the exact solve unchanged.
+// It reports how many solves stopped on the tolerance.
+func checkRelGap(t *testing.T, p Problem) (stopped int) {
+	t.Helper()
+	exact, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range relGapTols {
+		got, err := Solve(p, Options{RelGap: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Feasible != exact.Feasible {
+			t.Fatalf("RelGap %g: feasible %v, exact %v (p=%+v)", eps, got.Feasible, exact.Feasible, p)
+		}
+		if !got.WithinTol {
+			if got.Optimal != exact.Optimal || got.Nodes != exact.Nodes || got.Objective != exact.Objective {
+				t.Fatalf("RelGap %g did not stop, yet differs from the exact solve: %+v vs %+v (p=%+v)", eps, got, exact, p)
+			}
+			continue
+		}
+		stopped++
+		if !exact.Optimal {
+			continue // no optimum to hold the stop to
+		}
+		opt := exact.Objective
+		switch {
+		case got.Optimal:
+			t.Fatalf("RelGap %g: both optimal and within tolerance", eps)
+		case !integerFeasible(p, got.X):
+			t.Fatalf("RelGap %g: infeasible point %v (p=%+v)", eps, got.X, p)
+		case got.Objective != dot(p.C, got.X):
+			t.Fatalf("RelGap %g: objective %.17g is not C·X %.17g", eps, got.Objective, dot(p.C, got.X))
+		case relGap(got.Objective, opt) > eps+1e-9:
+			t.Fatalf("RelGap %g: objective %.12g is %g above the optimum %.12g", eps, got.Objective, relGap(got.Objective, opt), opt)
+		case got.BestBound > opt+1e-9:
+			t.Fatalf("RelGap %g: bound %.12g above the optimum %.12g", eps, got.BestBound, opt)
+		case got.Gap > eps || got.Gap != relGap(got.Objective, got.BestBound):
+			t.Fatalf("RelGap %g: gap %g does not certify bound %.12g", eps, got.Gap, got.BestBound)
+		}
+	}
+	return stopped
+}
+
+// TestRelGapCertified is the oracle for the relative-gap stop on
+// TestSparseMatchesDenseRandom's generator.
+func TestRelGapCertified(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	stopped := 0
+	for trial := 0; trial < 3000; trial++ {
+		stopped += checkRelGap(t, randMixedProblem(r))
+	}
+	if stopped == 0 {
+		t.Fatal("no solve stopped on the tolerance; the oracle has no teeth")
+	}
+	t.Logf("%d solves stopped on the tolerance", stopped)
+}
+
 // TestSparseFusionShapedExact runs the sparse solver over instances
 // with the exact structure (and the awkward coefficient scaling: costs
 // ~1e-6 against byte columns ~1e5) the fusion pass emits, pinning its

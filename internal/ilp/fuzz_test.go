@@ -8,7 +8,8 @@ import (
 
 // FuzzILPSparseVsDense cross-checks the sparse revised-simplex solver
 // against the frozen dense reference (and, when the binary count
-// permits, brute-force enumeration) on randomized mixed 0/1 problems.
+// permits, brute-force enumeration) on randomized mixed 0/1 problems,
+// and holds its relative-gap stop to the exact solve (checkRelGap).
 // The fuzz inputs seed the generator, so go test runs the corpus
 // deterministically and `go test -fuzz` explores fresh instances. shape
 // picks the sparsity pattern: half-full rows, hypersparse rows (about
@@ -95,5 +96,6 @@ func FuzzILPSparseVsDense(f *testing.F) {
 				t.Fatalf("objective sparse=%.12g brute=%.12g (p=%+v)", sp.Objective, want.Objective, p)
 			}
 		}
+		checkRelGap(t, p)
 	})
 }

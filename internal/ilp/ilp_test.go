@@ -156,6 +156,47 @@ func TestDeadlineReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestRelGapStopsAtRoot: when the root LP bound already certifies the
+// warm start within RelGap, the search stops after that one node and
+// returns the warm start bit for bit, where the exact solve branches.
+func TestRelGapStopsAtRoot(t *testing.T) {
+	// Three items worth 1000 fill three of 3.5 units; the LP adds a
+	// quarter of the fourth (value 1.5, weight 2), so the root bound is
+	// -3000.375 and the warm start -3000 is 1.25e-4 from it.
+	p := Problem{
+		C:      []float64{-1000, -1000, -1000, -1.5},
+		A:      DenseRows([][]float64{{1, 1, 1, 2}}),
+		B:      []float64{3.5},
+		Binary: []bool{true, true, true, true},
+	}
+	warm := []float64{1, 1, 1, 0}
+	exact, err := Solve(p, Options{WarmStart: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exact.Optimal || exact.Nodes < 2 {
+		t.Fatalf("exact solve %+v; the test needs a root that branches", exact)
+	}
+	r, err := Solve(p, Options{WarmStart: warm, RelGap: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.WithinTol || r.Optimal || r.Nodes != 1 {
+		t.Fatalf("got %+v; want a tolerance stop at node 1", r)
+	}
+	for i := range warm {
+		if math.Float64bits(r.X[i]) != math.Float64bits(warm[i]) {
+			t.Fatalf("X = %v, want the warm start %v", r.X, warm)
+		}
+	}
+	if r.Objective != dot(p.C, warm) {
+		t.Errorf("objective %v, want %v", r.Objective, dot(p.C, warm))
+	}
+	if math.Abs(r.BestBound-(-3000.375)) > 1e-9 || r.Gap != relGap(r.Objective, r.BestBound) || r.Gap > 1e-3 {
+		t.Errorf("bound %.12g gap %g; want the root bound -3000.375 and its gap", r.BestBound, r.Gap)
+	}
+}
+
 func TestWarmStartValidated(t *testing.T) {
 	// An infeasible warm start must be ignored.
 	p := Problem{

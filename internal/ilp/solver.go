@@ -27,6 +27,10 @@ type Result struct {
 	Feasible bool
 	// Optimal is true when optimality was proven before the deadline.
 	Optimal bool
+	// WithinTol is true when the search stopped on Options.RelGap: the
+	// incumbent is certified within that relative gap of the optimum
+	// (Gap ≤ RelGap) but not proven optimal.
+	WithinTol bool
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
 	// BestBound is the proven lower bound on the optimal objective at
@@ -35,8 +39,8 @@ type Result struct {
 	BestBound float64
 	// Gap is the relative optimality gap (Objective − BestBound) /
 	// |Objective| (the absolute gap when Objective is zero): zero when
-	// optimality was proven, +inf when no usable bound survives an early
-	// exit.
+	// optimality was proven, at most RelGap on a tolerance stop, +inf
+	// when no usable bound survives an early exit.
 	Gap float64
 }
 
@@ -46,6 +50,10 @@ type Options struct {
 	// incumbent is returned with Optimal=false and the optimality gap
 	// filled in (the SCIP-timeout contract from §6.1).
 	Deadline time.Time
+	// RelGap stops branch-and-bound once the incumbent is certified
+	// within this relative gap of the best open bound (Result.WithinTol).
+	// Zero proves optimality. The dense reference solver ignores it.
+	RelGap float64
 	// MaxSimplexIters caps each LP solve (default 20000).
 	MaxSimplexIters int
 	// WarmStart optionally seeds the incumbent with a known integer-
@@ -375,6 +383,16 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 	openBound := math.Inf(1)
 
 	for diving || len(heap) > 0 {
+		if o.RelGap > 0 && res.Feasible && len(heap) > 0 {
+			// The heap is ordered by bound, so its root bounds every open
+			// node; a dive child's sibling waits in the heap with the same
+			// bound. Once every open node would be pruned, the loop drains
+			// them and proves optimality instead.
+			if lb := heap[0].bound; lb < res.Objective-1e-9 && relGap(res.Objective, lb) <= o.RelGap {
+				provedOptimal, res.WithinTol = false, true
+				break
+			}
+		}
 		if expired() {
 			provedOptimal = false
 			break
