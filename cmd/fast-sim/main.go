@@ -31,7 +31,7 @@ func main() {
 		stack      = flag.String("stack", "fast", "software stack: fast (all schedules + fusion) or baseline (production TPU stack)")
 		batch      = flag.Int64("batch", 0, "override the design's native batch size (power of 2)")
 		twoPass    = flag.Bool("two-pass-softmax", false, "force the two-pass softmax (default: auto with -stack fast)")
-		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "deadline per exact fusion-ILP solve, which ends at the first of a proof, a certified 0.1% gap or this deadline; an unproven solve reports its incumbent with its optimality gap")
+		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "deadline per exact fusion-ILP solve, which ends at the first of a proof, a certified 0.1% gap, 16384 nodes without improvement (scaled up in proportion to deadlines above 2s) or this deadline; an unproven solve reports its incumbent with its optimality gap")
 		greedyFus  = flag.Bool("greedy-fusion", false, "skip the exact ILP and report the greedy fusion solve (the search-loop stack)")
 		blocks     = flag.Bool("blocks", false, "print the per-block utilization table")
 		dot        = flag.String("dot", "", "write the workload graph (clustered by fusion region) to this DOT file")

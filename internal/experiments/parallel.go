@@ -13,7 +13,10 @@ package experiments
 // ILPDeadline is a wall-clock budget per solve, so a loaded or
 // oversubscribed machine can demote a borderline cell from a proven
 // optimum to the greedy-seeded incumbent (the same SCIP-timeout
-// caveat every exact-ILP path in this repo carries).
+// caveat every exact-ILP path in this repo carries). A solve that ends
+// on its stall limit, 16,384 nodes without improvement, ends at the
+// same node on any host; only solves whose nodes are too slow to reach
+// that limit inside ILPDeadline carry the caveat.
 
 import (
 	"fast/internal/arch"
@@ -23,7 +26,8 @@ import (
 
 // fullILP is the reporting software stack: the FAST stack with the
 // exact ILP fusion solve enabled under o's per-solve deadline (a
-// deadline hit keeps the greedy-seeded incumbent and reports its gap).
+// deadline or stall stop keeps the greedy-seeded incumbent and reports
+// its gap).
 func (o Options) fullILP() sim.Options {
 	s := sim.FASTOptions()
 	s.Fusion.GreedyOnly = false

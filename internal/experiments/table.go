@@ -93,8 +93,9 @@ type Options struct {
 	// instead of the proven optimum).
 	Parallelism int
 	// ILPDeadline bounds each exact fusion-ILP solve on the reporting
-	// paths (default 1s). A deadline hit reports the greedy-seeded
-	// incumbent with its optimality gap instead of failing the table.
+	// paths (default 1s). A deadline or stall stop reports the
+	// greedy-seeded incumbent with its optimality gap instead of failing
+	// the table.
 	ILPDeadline time.Duration
 }
 

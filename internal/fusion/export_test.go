@@ -1,5 +1,11 @@
 package fusion
 
+import (
+	"time"
+
+	"fast/internal/ilp"
+)
+
 // Bridges for the external tests (package fusion_test), which can
 // import the simulator — it imports this package — and so run the
 // greedy on the cost tables compiled plans actually produce.
@@ -18,3 +24,16 @@ func CaptureSolves(fn func(regions []RegionCost, usable []bool, capacity int64))
 	testHook.solve = fn
 	return func() { testHook.solve = nil }
 }
+
+// SolveExact runs SolvePlanned's exact solve on one instance, warm
+// started from the greedy, with the deadline and the stall limit set
+// apart, so a test can pin a stall stop under a deadline no host
+// reaches.
+func SolveExact(regions []RegionCost, usable []bool, capacity int64, deadline time.Duration, stall int) (Assignment, ilp.Result) {
+	normalizeResident(regions)
+	pin, keep, hold := greedy(regions, usable, capacity)
+	return solveILP(regions, usable, capacity, pin, keep, hold, deadline, stall, false)
+}
+
+// StallNodes is the stall limit SolvePlanned derives from a deadline.
+var StallNodes = stallNodes

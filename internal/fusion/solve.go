@@ -626,19 +626,36 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, b
 // 0.1% stop rule reaches").
 const exactRelGap = 1e-3
 
+// exactStallNodes is the stall limit at the default 2 s deadline: the
+// exact solve stops this many nodes after its incumbent last improved.
+// It is 16% above the longest stall before an improvement in the
+// measured corpus (ocr-rpn/tpu-v3: 14,139 nodes, then an improvement at
+// node 14,450). Solves that never improve on the greedy warm start used
+// to branch until the deadline (docs/PERFORMANCE.md, "What the stall
+// limit reaches").
+const exactStallNodes = 1 << 14
+
+// stallNodes scales exactStallNodes in proportion to the deadline, so a
+// longer deadline still buys a deeper search; below 2 s it stays at
+// exactStallNodes.
+func stallNodes(deadline time.Duration) int {
+	return int(exactStallNodes * max(1, deadline.Seconds()/2))
+}
+
 // solveILP solves the reduced Figure 8 ILP with branch-and-bound, warm
 // started from the greedy placement. It ends at the first of a proof, a
-// certified exactRelGap, or the deadline.
+// certified exactRelGap, stall nodes without improvement, or the
+// deadline. The assignment is valid only when the result is Feasible.
 func solveILP(regions []RegionCost, usable []bool, capacity int64,
-	warmPin, warmKeep, warmHold []bool, deadline time.Duration, dense bool) (Assignment, bool) {
+	warmPin, warmKeep, warmHold []bool, deadline time.Duration, stall int, dense bool) (Assignment, ilp.Result) {
 
 	n := len(regions)
 	if n == 0 {
-		return Assignment{}, false
+		return Assignment{}, ilp.Result{}
 	}
 	f, ok := buildILP(regions, usable, capacity)
 	if !ok {
-		return Assignment{}, false
+		return Assignment{}, ilp.Result{}
 	}
 	wIdx, eIdx, hIdx, tIdx := f.wIdx, f.eIdx, f.hIdx, f.tIdx
 
@@ -661,13 +678,14 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 
 	res, err := ilp.Solve(f.prob, ilp.Options{
 		//fast:allow nondetsource sets the ILP budget deadline; a timeout falls back to the deterministic greedy placement
-		Deadline:  time.Now().Add(deadline),
-		RelGap:    exactRelGap,
-		WarmStart: warm,
-		Dense:     dense,
+		Deadline:   time.Now().Add(deadline),
+		RelGap:     exactRelGap,
+		StallNodes: stall,
+		WarmStart:  warm,
+		Dense:      dense,
 	})
 	if err != nil || !res.Feasible {
-		return Assignment{}, false
+		return Assignment{}, ilp.Result{}
 	}
 	asn := Assignment{
 		Pin:    make([]bool, n),
@@ -689,5 +707,5 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 	default:
 		asn.Gap = res.Gap
 	}
-	return asn, true
+	return asn, res
 }

@@ -122,6 +122,7 @@ func solveDense(p Problem, o Options) (Result, error) {
 				res.Feasible = true
 				res.Objective = obj
 				res.X = x
+				res.ImprovedAt = res.Nodes
 			}
 			continue
 		}

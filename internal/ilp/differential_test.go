@@ -160,6 +160,80 @@ func TestRelGapCertified(t *testing.T) {
 	t.Logf("%d solves stopped on the tolerance", stopped)
 }
 
+// stallLimits are the stall limits the oracle checks: small enough that
+// the generator's few-dozen-node searches stop on them.
+var stallLimits = []int{1, 8, 64}
+
+// checkStallNodes solves p at each of stallLimits and holds every result
+// to the exact solve: the same feasibility verdict, an integer-feasible
+// point no better than the optimum, a valid bound, and a stop exactly
+// StallNodes nodes after the last improvement. The search is the exact
+// one up to the stop, so a solve the limit did not stop must be the
+// exact solve unchanged. It reports how many solves stopped on the limit.
+func checkStallNodes(t *testing.T, p Problem) (stopped int) {
+	t.Helper()
+	exact, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.ImprovedAt > exact.Nodes || exact.Feasible != (exact.ImprovedAt > 0) {
+		t.Fatalf("exact solve improved at node %d of %d, feasible %v", exact.ImprovedAt, exact.Nodes, exact.Feasible)
+	}
+	for _, stall := range stallLimits {
+		got, err := Solve(p, Options{StallNodes: stall})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Feasible != exact.Feasible {
+			t.Fatalf("StallNodes %d: feasible %v, exact %v (p=%+v)", stall, got.Feasible, exact.Feasible, p)
+		}
+		if !got.Feasible {
+			continue
+		}
+		if !integerFeasible(p, got.X) || got.Objective != dot(p.C, got.X) {
+			t.Fatalf("StallNodes %d: point %v, objective %.17g (p=%+v)", stall, got.X, got.Objective, p)
+		}
+		if got.Nodes == exact.Nodes {
+			if got.Optimal != exact.Optimal || got.ImprovedAt != exact.ImprovedAt || got.Objective != exact.Objective {
+				t.Fatalf("StallNodes %d did not stop, yet differs from the exact solve: %+v vs %+v (p=%+v)", stall, got, exact, p)
+			}
+			continue
+		}
+		stopped++
+		if got.Optimal || got.Nodes-got.ImprovedAt != stall || got.Nodes > exact.Nodes {
+			t.Fatalf("StallNodes %d: stopped after %d nodes (optimal %v), improved at %d; the exact solve ran %d (p=%+v)",
+				stall, got.Nodes, got.Optimal, got.ImprovedAt, exact.Nodes, p)
+		}
+		if !exact.Optimal {
+			continue // no optimum to hold the stop to
+		}
+		opt := exact.Objective
+		switch {
+		case got.Objective < opt-1e-9:
+			t.Fatalf("StallNodes %d: objective %.12g below the optimum %.12g", stall, got.Objective, opt)
+		case got.BestBound > opt+1e-9:
+			t.Fatalf("StallNodes %d: bound %.12g above the optimum %.12g", stall, got.BestBound, opt)
+		case got.Gap != relGap(got.Objective, got.BestBound):
+			t.Fatalf("StallNodes %d: gap %g does not match bound %.12g", stall, got.Gap, got.BestBound)
+		}
+	}
+	return stopped
+}
+
+// TestStallNodesBounded is the oracle for the stall stop on
+// TestSparseMatchesDenseRandom's generator.
+func TestStallNodesBounded(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	stopped := 0
+	for trial := 0; trial < 3000; trial++ {
+		stopped += checkStallNodes(t, randMixedProblem(r))
+	}
+	if stopped == 0 {
+		t.Fatal("no solve stopped on the stall limit; the oracle has no teeth")
+	}
+	t.Logf("%d solves stopped on the stall limit", stopped)
+}
+
 // TestSparseFusionShapedExact runs the sparse solver over instances
 // with the exact structure (and the awkward coefficient scaling: costs
 // ~1e-6 against byte columns ~1e5) the fusion pass emits, pinning its

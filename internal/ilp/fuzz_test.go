@@ -9,7 +9,8 @@ import (
 // FuzzILPSparseVsDense cross-checks the sparse revised-simplex solver
 // against the frozen dense reference (and, when the binary count
 // permits, brute-force enumeration) on randomized mixed 0/1 problems,
-// and holds its relative-gap stop to the exact solve (checkRelGap).
+// and holds its relative-gap and stall stops to the exact solve
+// (checkRelGap, checkStallNodes).
 // The fuzz inputs seed the generator, so go test runs the corpus
 // deterministically and `go test -fuzz` explores fresh instances. shape
 // picks the sparsity pattern: half-full rows, hypersparse rows (about
@@ -97,5 +98,6 @@ func FuzzILPSparseVsDense(f *testing.F) {
 			}
 		}
 		checkRelGap(t, p)
+		checkStallNodes(t, p)
 	})
 }

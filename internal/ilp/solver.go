@@ -33,6 +33,9 @@ type Result struct {
 	WithinTol bool
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
+	// ImprovedAt is the node at which the returned incumbent was found;
+	// zero when it is the warm start.
+	ImprovedAt int
 	// BestBound is the proven lower bound on the optimal objective at
 	// exit; equal to Objective when Optimal. The dense reference solver
 	// tracks no global bound and reports -inf on early exit.
@@ -44,7 +47,10 @@ type Result struct {
 	Gap float64
 }
 
-// Options configures Solve.
+// Options configures Solve. The sparse search ends at the first of a
+// proof, a certified RelGap, StallNodes nodes without improvement, or
+// the Deadline; on any but a proof the best incumbent is returned with
+// Optimal=false, a valid BestBound and its Gap.
 type Options struct {
 	// Deadline bounds the solve; zero means no limit. On expiry the best
 	// incumbent is returned with Optimal=false and the optimality gap
@@ -54,6 +60,11 @@ type Options struct {
 	// within this relative gap of the best open bound (Result.WithinTol).
 	// Zero proves optimality. The dense reference solver ignores it.
 	RelGap float64
+	// StallNodes stops branch-and-bound once that many nodes have passed
+	// since the incumbent last improved (the warm start counts as node
+	// 0). Counted in nodes, so the stop is the same on any host. Zero
+	// means no limit. The dense reference solver ignores it.
+	StallNodes int
 	// MaxSimplexIters caps each LP solve (default 20000).
 	MaxSimplexIters int
 	// WarmStart optionally seeds the incumbent with a known integer-
@@ -103,6 +114,11 @@ func Solve(p Problem, o Options) (Result, error) {
 	// proves no bound, and then the dense search — which, like every
 	// hand-over, starts over from the root — is the only one there is.
 	de.Nodes += res.Nodes
+	if de.ImprovedAt > 0 {
+		de.ImprovedAt += res.Nodes
+	} else {
+		de.ImprovedAt = res.ImprovedAt // the sparse incumbent it was seeded with
+	}
 	if de.Optimal && !math.IsInf(res.BestBound, -1) && res.BestBound < de.Objective-1e-9 {
 		de.Optimal, de.BestBound = false, math.Inf(-1) // the sparse bound replaces it below
 	}
@@ -383,13 +399,17 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 	openBound := math.Inf(1)
 
 	for diving || len(heap) > 0 {
-		if o.RelGap > 0 && res.Feasible && len(heap) > 0 {
+		if res.Feasible && len(heap) > 0 && heap[0].bound < res.Objective-1e-9 {
 			// The heap is ordered by bound, so its root bounds every open
 			// node; a dive child's sibling waits in the heap with the same
 			// bound. Once every open node would be pruned, the loop drains
-			// them and proves optimality instead.
-			if lb := heap[0].bound; lb < res.Objective-1e-9 && relGap(res.Objective, lb) <= o.RelGap {
+			// them and proves optimality instead, so neither stop applies.
+			if o.RelGap > 0 && relGap(res.Objective, heap[0].bound) <= o.RelGap {
 				provedOptimal, res.WithinTol = false, true
+				break
+			}
+			if o.StallNodes > 0 && res.Nodes-res.ImprovedAt >= o.StallNodes {
+				provedOptimal = false
 				break
 			}
 		}
@@ -490,6 +510,7 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 					res.Feasible = true
 					res.Objective = intObj
 					res.X = x
+					res.ImprovedAt = res.Nodes
 				}
 				continue
 			}

@@ -138,7 +138,8 @@ type createRequest struct {
 	// error; the durable prefix stays resumable.
 	DeadlineSec float64 `json:"deadline_sec"`
 	// ILPDeadlineSec bounds each final-report exact-ILP fusion solve
-	// (0 = simulator default). Spec-fixed so resumes solve under the
+	// (0 = simulator default); above 2 s it also raises the solve's
+	// stall limit in proportion. Spec-fixed so resumes solve under the
 	// same deadline the original run would have.
 	ILPDeadlineSec float64 `json:"ilp_deadline_sec"`
 }

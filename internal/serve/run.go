@@ -297,9 +297,10 @@ func (s *Server) finish(st *study, hub *eventHub, res *core.StudyResult, runErr 
 }
 
 // countDeadlineHits scans the final report's full-ILP re-simulations
-// for fusion solves that hit the ILP deadline (incumbent returned,
-// optimality unproven) — the operator's signal to raise the deadline or
-// accept the reported gap.
+// for fusion solves that hit the ILP deadline or its stall limit
+// (incumbent returned, optimality unproven) — the operator's signal to
+// raise the deadline, which raises the stall limit too, or accept the
+// reported gap.
 func (s *Server) countDeadlineHits(res *core.StudyResult) {
 	if res == nil {
 		return
