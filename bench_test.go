@@ -111,48 +111,6 @@ func BenchmarkAblationTwoPassSoftmax(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPaddingPass quantifies the §6.1 padding pre-pass:
-// with it, every workload schedules; without it (raw Timeloop), problem
-// dims that do not factorize into the array become schedule failures —
-// the metric reports how many suite workloads still map.
-func BenchmarkAblationPaddingPass(b *testing.B) {
-	suite := models.FullSuite()
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"with-padding", false}, {"without-padding", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			opts := sim.FASTOptions()
-			opts.Mapping = mapping.Options{DisablePadding: variant.disable}
-			cfg := arch.FASTLarge()
-			// Build every suite graph before the timed loop: graph
-			// construction is workload setup, not simulator cost.
-			graphs := make([]*Graph, len(suite))
-			for gi, w := range suite {
-				graphs[gi] = models.MustBuild(w, cfg.NativeBatch)
-			}
-			schedulable := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				schedulable = 0
-				for _, g := range graphs {
-					r, err := sim.Simulate(g, cfg, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !r.ScheduleFailed {
-						schedulable++
-					}
-				}
-			}
-			if !variant.disable && schedulable != len(suite) {
-				b.Fatalf("padding enabled but only %d/%d workloads scheduled", schedulable, len(suite))
-			}
-			b.ReportMetric(float64(schedulable), "schedulable-workloads")
-		})
-	}
-}
-
 // BenchmarkAblationFusionSolver compares the greedy incumbent against the
 // ILP-backed fusion solve on EfficientNet-B7/FAST-Large.
 func BenchmarkAblationFusionSolver(b *testing.B) {
@@ -166,20 +124,6 @@ func BenchmarkAblationFusionSolver(b *testing.B) {
 			qps := benchSimulate(b, "efficientnet-b7", arch.FASTLarge(), opts)
 			b.ReportMetric(qps, "qps")
 		})
-	}
-}
-
-// BenchmarkAblationFusionWindow sweeps the residency window, where W=1 is
-// the paper's strict order-adjacency constraint.
-func BenchmarkAblationFusionWindow(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(map[int]string{1: "window-1-paper", 2: "window-2", 4: "window-4", 8: "window-8"}[w],
-			func(b *testing.B) {
-				opts := sim.FASTOptions()
-				opts.Fusion.Window = w
-				qps := benchSimulate(b, "efficientnet-b7", arch.FASTLarge(), opts)
-				b.ReportMetric(qps, "qps")
-			})
 	}
 }
 
@@ -433,8 +377,9 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 
 // BenchmarkFullILPEvaluate measures the exact-ILP fusion evaluate path
 // — the winner re-simulation / reporting-table workload — on three
-// ILP-dominated reference instances, with the sparse revised-simplex
-// core against the frozen dense-tableau reference. Each iteration
+// ILP-dominated reference instances with the sparse revised-simplex
+// core (internal/fusion's BenchmarkFullILPDense times the frozen
+// dense-tableau reference on the same instances). Each iteration
 // perturbs the clock so the fusion-stage memo misses and every design
 // pays a fresh branch-and-bound solve, while the mapping stage (which
 // never reads the clock) stays warm; the benchmark therefore isolates
@@ -449,53 +394,45 @@ func BenchmarkFullILPEvaluate(b *testing.B) {
 		{"resnet50", arch.FASTSmall()},
 		{"bert-1024", arch.FASTSmall()},
 	}
-	for _, v := range []struct {
-		name  string
-		dense bool
-	}{{"sparse", false}, {"dense", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := sim.FASTOptions()
-			opts.Fusion.GreedyOnly = false
-			// No deadline pressure: both solvers must prove optimality, so
-			// ns/op compares full exact solves, not incumbent cutoffs.
-			opts.Fusion.Deadline = 5 * time.Minute
-			opts.Fusion.DenseILP = v.dense
-			plans := make([]*sim.Plan, len(instances))
-			for i, inst := range instances {
-				g := models.MustBuild(inst.model, inst.cfg.NativeBatch)
-				p, err := sim.Compile(g, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Warm the clock-independent stages (mapping, floors).
-				if _, err := p.Evaluate(inst.cfg); err != nil {
-					b.Fatal(err)
-				}
-				plans[i] = p
-			}
-			var nodes int64
-			// B/op is the memory guard: problem build, basis factors and
-			// the branch-and-bound frontier are all allocations.
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k, inst := range instances {
-					cfg := inst.cfg.Clone("ilp-bench")
-					cfg.ClockGHz += float64(i%512+1) * 1e-4
-					r, err := plans[k].Evaluate(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.ScheduleFailed {
-						b.Fatalf("%s: schedule failure", inst.model)
-					}
-					if r.Fusion.Method != "ilp-optimal" {
-						b.Fatalf("%s: method %s, want proven optimality", inst.model, r.Fusion.Method)
-					}
-					nodes += int64(r.Fusion.Nodes)
-				}
-			}
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-		})
+	opts := sim.FASTOptions()
+	opts.Fusion.GreedyOnly = false
+	// No deadline pressure: the solver must prove optimality, so ns/op
+	// times full exact solves, not incumbent cutoffs.
+	opts.Fusion.Deadline = 5 * time.Minute
+	plans := make([]*sim.Plan, len(instances))
+	for i, inst := range instances {
+		g := models.MustBuild(inst.model, inst.cfg.NativeBatch)
+		p, err := sim.Compile(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Warm the clock-independent stages (mapping, floors).
+		if _, err := p.Evaluate(inst.cfg); err != nil {
+			b.Fatal(err)
+		}
+		plans[i] = p
 	}
+	var nodes int64
+	// B/op is the memory guard: problem build, basis factors and the
+	// branch-and-bound frontier are all allocations.
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, inst := range instances {
+			cfg := inst.cfg.Clone("ilp-bench")
+			cfg.ClockGHz += float64(i%512+1) * 1e-4
+			r, err := plans[k].Evaluate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r.ScheduleFailed {
+				b.Fatalf("%s: schedule failure", inst.model)
+			}
+			if r.Fusion.Method != "ilp-optimal" {
+				b.Fatalf("%s: method %s, want proven optimality", inst.model, r.Fusion.Method)
+			}
+			nodes += int64(r.Fusion.Nodes)
+		}
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }

@@ -23,10 +23,10 @@ import (
 	"fast/internal/analysis"
 )
 
-// Scope lists the import paths (exact, or prefix of sub-packages)
+// scopePaths lists the import paths (exact, or prefix of sub-packages)
 // whose map ranges are checked — the paths where iteration order can
 // reach simulation results, optimizer transcripts, or reports.
-var Scope = []string{
+var scopePaths = []string{
 	"fast/internal/sim",
 	"fast/internal/search",
 	"fast/internal/core",
@@ -52,7 +52,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func inScope(path string) bool {
-	for _, s := range Scope {
+	for _, s := range scopePaths {
 		if path == s || strings.HasPrefix(path, s+"/") {
 			return true
 		}

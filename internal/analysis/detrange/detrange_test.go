@@ -7,8 +7,8 @@ import (
 )
 
 func TestDetrange(t *testing.T) {
-	old := Scope
-	Scope = []string{"detr"}
-	defer func() { Scope = old }()
+	old := scopePaths
+	scopePaths = []string{"detr"}
+	defer func() { scopePaths = old }()
 	analysistest.Run(t, "testdata", Analyzer, "detr")
 }

@@ -22,9 +22,9 @@ import (
 	"fast/internal/analysis"
 )
 
-// Scope lists the import paths (exact, or prefix of sub-packages)
+// scopePaths lists the import paths (exact, or prefix of sub-packages)
 // treated as evaluation/transcript paths.
-var Scope = []string{
+var scopePaths = []string{
 	"fast/internal/sim",
 	"fast/internal/search",
 	"fast/internal/core",
@@ -75,7 +75,7 @@ var globalRand = map[string]bool{
 }
 
 func inScope(path string) bool {
-	for _, s := range Scope {
+	for _, s := range scopePaths {
 		if path == s || strings.HasPrefix(path, s+"/") {
 			return true
 		}

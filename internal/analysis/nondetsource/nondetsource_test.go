@@ -7,8 +7,8 @@ import (
 )
 
 func TestNondetsource(t *testing.T) {
-	old := Scope
-	Scope = []string{"nds"}
-	defer func() { Scope = old }()
+	old := scopePaths
+	scopePaths = []string{"nds"}
+	defer func() { scopePaths = old }()
 	analysistest.Run(t, "testdata", Analyzer, "nds")
 }

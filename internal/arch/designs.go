@@ -118,8 +118,3 @@ func ByName(name string) *Config {
 	}
 	return nil
 }
-
-// DesignNames lists the named reference designs.
-func DesignNames() []string {
-	return []string{"tpu-v3", "tpu-v3-dieshrink", "fast-large", "fast-small", "fast-decode"}
-}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestJSONRoundTrip(t *testing.T) {
-	for _, name := range DesignNames() {
+	for _, name := range designNames() {
 		orig := ByName(name)
 		data, err := json.Marshal(orig)
 		if err != nil {

@@ -53,7 +53,7 @@ func TestSubKeyCanonicalizesDeadParams(t *testing.T) {
 	}
 	// Reference designs carry zero-valued multipliers with L2 disabled;
 	// SubKey must accept them (no log2(0) aliasing with real values).
-	for _, name := range DesignNames() {
+	for _, name := range designNames() {
 		c := ByName(name)
 		_ = c.SubKey(AllParams)
 	}

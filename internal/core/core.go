@@ -221,7 +221,7 @@ func WithParallelism(n int) Option {
 }
 
 // WithBatchSize overrides the ask/tell batch width (default
-// DefaultBatchSize). Unlike parallelism this is algorithmic state:
+// defaultBatchSize). Unlike parallelism this is algorithmic state:
 // changing it changes which designs the optimizer proposes.
 func WithBatchSize(n int) Option {
 	return func(c *runConfig) { c.batchSize = n }

@@ -222,7 +222,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	// Many goroutines requesting the same fresh key must all receive the
 	// single compiled plan (compile-once under -race).
 	fast := sim.FASTOptions()
-	fast.Fusion.Window = 3 // unique options → fresh cache entry
+	fast.WholeTensorFusion = true // unique options → fresh cache entry
 	fp := fast.Fingerprint()
 	const workers = 8
 	got := make([]*sim.Plan, workers)

@@ -27,9 +27,9 @@ func sortIndexVectors(work [][arch.NumParams]int) {
 	})
 }
 
-// DefaultBatchSize is the Runner's ask/tell batch width. It matches the
+// defaultBatchSize is the Runner's ask/tell batch width. It matches the
 // LCS swarm, so one batch is one swarm generation.
-const DefaultBatchSize = 16
+const defaultBatchSize = 16
 
 // maxObjectiveChunk bounds how many points one BatchObjective call may
 // receive, so context cancellation is honoured at chunk rather than
@@ -127,7 +127,7 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 	}
 	batch := r.BatchSize
 	if batch <= 0 {
-		batch = DefaultBatchSize
+		batch = defaultBatchSize
 	}
 	cache := make(map[[arch.NumParams]int]search.Evaluation)
 	for _, t := range r.Warm {

@@ -131,7 +131,7 @@ func TestRunnerCancellation(t *testing.T) {
 		Parallelism: 2,
 		OnTrial: func(search.Trial) {
 			told++
-			if told == DefaultBatchSize {
+			if told == defaultBatchSize {
 				cancel()
 			}
 		},
@@ -194,7 +194,7 @@ func TestStudyCancelReturnsPartial(t *testing.T) {
 		Seed:      2,
 	}).Run(ctx, WithParallelism(2), WithProgress(func(search.Trial) {
 		told++
-		if told == 2*DefaultBatchSize {
+		if told == 2*defaultBatchSize {
 			cancel()
 		}
 	}))

@@ -183,24 +183,3 @@ func (t *faultTransport) Recv() ([]byte, error) {
 		return line, nil
 	}
 }
-
-// Plans is the differential suite: every fault class alone, then all of
-// them together. Probabilities are high enough that a ~50-trial study
-// hits each fault many times.
-func Plans() []Plan {
-	return []Plan{
-		{Name: "delays", Seed: 11, DelayProb: 0.5, MaxDelay: 50 * time.Millisecond},
-		{Name: "drops", Seed: 12, DropReplyProb: 0.15},
-		{Name: "dups", Seed: 13, DupReplyProb: 0.4},
-		{Name: "corrupt", Seed: 14, CorruptProb: 0.3},
-		{Name: "kill-send", Seed: 15, KillSendProb: 0.06},
-		{Name: "refusals", Seed: 16, ConnectRefusals: 2},
-		{
-			Name: "everything", Seed: 17,
-			DelayProb: 0.25, MaxDelay: 30 * time.Millisecond,
-			DropReplyProb: 0.08, DupReplyProb: 0.15,
-			CorruptProb: 0.04, KillSendProb: 0.03,
-			ConnectRefusals: 1,
-		},
-	}
-}

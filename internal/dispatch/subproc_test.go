@@ -14,7 +14,6 @@ import (
 	"fast/internal/arch"
 	"fast/internal/core"
 	"fast/internal/dispatch"
-	"fast/internal/dispatch/chaos"
 	"fast/internal/search"
 )
 
@@ -160,7 +159,7 @@ func TestSubprocessChaosMatrix(t *testing.T) {
 	bin := workerBin(t)
 	tc := studyCases()[0]
 	want := reference(t, tc)
-	for _, plan := range chaos.Plans() {
+	for _, plan := range chaosPlans {
 		plan := plan
 		t.Run(plan.Name, func(t *testing.T) {
 			opts := fastOpts(2)

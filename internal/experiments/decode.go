@@ -24,11 +24,11 @@ func heldKVMiB(r *sim.Result) float64 {
 	return tensor.MiB(held)
 }
 
-// DecodeServing reports the decoder-inference workload axis: GPT-2-small
+// decodeServing reports the decoder-inference workload axis: GPT-2-small
 // prefill and decode throughput per design, the KV-cache residency the
 // fusion pass buys, and a prefill×decode co-optimized search winner —
 // the two-phase analogue of the paper's multi-workload protocol.
-func DecodeServing(o Options) Table {
+func decodeServing(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:    "decode",

@@ -21,10 +21,10 @@ func baselinePerfPerTDP(workload string) float64 {
 	return wr[0].Result.PerfPerTDP
 }
 
-// Table5Designs reproduces Table 5: the modeled TPU-v3, FAST-Large and
+// table5Designs reproduces Table 5: the modeled TPU-v3, FAST-Large and
 // FAST-Small designs on EfficientNet-B7. The FAST columns use the
 // exact-ILP fusion solve (deadline per Options), run concurrently.
-func Table5Designs(o Options) Table {
+func table5Designs(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "table5",
@@ -82,12 +82,12 @@ func Table5Designs(o Options) Table {
 	return t
 }
 
-// Table6Ablation reproduces Table 6: FAST-Large with single components
+// table6Ablation reproduces Table 6: FAST-Large with single components
 // reverted to their TPU-v3 values, measured as Perf/TDP vs the die-shrunk
 // baseline (and, in parentheses, vs unmodified FAST-Large). Every
 // (variant, workload) cell is an exact-ILP simulation; the full cross
 // product fans out across one worker pool.
-func Table6Ablation(o Options) Table {
+func table6Ablation(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "table6",
@@ -167,12 +167,12 @@ func Table6Ablation(o Options) Table {
 	return t
 }
 
-// Fig13FusionSweep reproduces Figure 13: post-fusion operational
+// fig13FusionSweep reproduces Figure 13: post-fusion operational
 // intensity sweeping Global Memory capacity (columns) and batch size
 // (rows) on an otherwise-fixed FAST-Large, for EfficientNet-B0 and B7.
 // Every grid cell is an independent exact-ILP fusion solve; the whole
 // 40-instance sweep fans out across one worker pool.
-func Fig13FusionSweep(o Options) Table {
+func fig13FusionSweep(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "fig13",
@@ -214,10 +214,10 @@ func Fig13FusionSweep(o Options) Table {
 	return t
 }
 
-// Fig14PerLayerFAST reproduces Figure 14: EfficientNet-B7 per-block
+// fig14PerLayerFAST reproduces Figure 14: EfficientNet-B7 per-block
 // fraction of peak on FAST-Large, with and without fusion, against the
 // TPU-v3 curve.
-func Fig14PerLayerFAST(o Options) Table {
+func fig14PerLayerFAST(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "fig14",
@@ -250,10 +250,10 @@ func Fig14PerLayerFAST(o Options) Table {
 	return t
 }
 
-// Fig15Breakdown reproduces Figure 15: the additive contribution of FAST
+// fig15Breakdown reproduces Figure 15: the additive contribution of FAST
 // scheduling, datapath, and fusion over a single TPU-v3 core on
 // EfficientNet-B7 (comparing against a halved FAST-Large with 32 PEs).
-func Fig15Breakdown(o Options) Table {
+func fig15Breakdown(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "fig15",

@@ -41,10 +41,10 @@ func TestCheapExperimentsProduceRows(t *testing.T) {
 		return func() Table { return gen(tinyOpts) }
 	}
 	cheap := []func() Table{
-		Table1WorkingSets, Table2OpBreakdown, Fig2StepTimeVsAccuracy,
-		Fig3OpIntensity, Fig4PerLayerUtil, Fig5BERTBreakdown,
-		Fig6ROICurves, withTiny(Fig13FusionSweep), withTiny(Fig14PerLayerFAST),
-		withTiny(Fig15Breakdown), withTiny(Table5Designs), withTiny(Table6Ablation),
+		table1WorkingSets, table2OpBreakdown, fig2StepTimeVsAccuracy,
+		fig3OpIntensity, fig4PerLayerUtil, fig5BERTBreakdown,
+		fig6ROICurves, withTiny(fig13FusionSweep), withTiny(fig14PerLayerFAST),
+		withTiny(fig15Breakdown), withTiny(table5Designs), withTiny(table6Ablation),
 	}
 	for _, gen := range cheap {
 		tab := gen()
@@ -66,7 +66,7 @@ func TestCheapExperimentsProduceRows(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tab := Table2OpBreakdown()
+	tab := table2OpBreakdown()
 	// Row 0 is the largest runtime share; it must be depthwise with a
 	// small FLOP share (Table 2's punchline).
 	if tab.Rows[0][0] != "DepthwiseConv2dNative" {
@@ -81,7 +81,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig3Monotone(t *testing.T) {
-	tab := Fig3OpIntensity()
+	tab := fig3OpIntensity()
 	for _, row := range tab.Rows {
 		var vals []float64
 		for i := 2; i < len(row); i++ {
@@ -101,7 +101,7 @@ func TestFig3Monotone(t *testing.T) {
 }
 
 func TestFig5AttentionGrows(t *testing.T) {
-	tab := Fig5BERTBreakdown()
+	tab := fig5BERTBreakdown()
 	first := cell(tab, 0, 3) + cell(tab, 0, 4) // attention + softmax at seq 128
 	last := cell(tab, len(tab.Rows)-1, 3) + cell(tab, len(tab.Rows)-1, 4)
 	if last <= first {
@@ -113,7 +113,7 @@ func TestFig5AttentionGrows(t *testing.T) {
 }
 
 func TestFig13Directions(t *testing.T) {
-	tab := Fig13FusionSweep(tinyOpts)
+	tab := fig13FusionSweep(tinyOpts)
 	// Within each row intensity must be non-decreasing in Global Memory;
 	// within each (model, GM) column it must be non-increasing in batch.
 	for _, row := range tab.Rows {
@@ -147,7 +147,7 @@ func TestFig13Directions(t *testing.T) {
 }
 
 func TestFig15AdditiveImprovements(t *testing.T) {
-	tab := Fig15Breakdown(tinyOpts)
+	tab := fig15Breakdown(tinyOpts)
 	prev := 0.0
 	for i, row := range tab.Rows {
 		v := cell(tab, i, 2)
@@ -165,7 +165,7 @@ func TestFig15AdditiveImprovements(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tab := Table5Designs(tinyOpts)
+	tab := table5Designs(tinyOpts)
 	find := func(metric string) []string {
 		for _, row := range tab.Rows {
 			if row[0] == metric {
@@ -190,7 +190,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6EveryComponentMatters(t *testing.T) {
-	tab := Table6Ablation(tinyOpts)
+	tab := table6Ablation(tinyOpts)
 	// Row 0 is unmodified FAST-Large; every later row must be worse on
 	// EfficientNet-B7.
 	base := cell(tab, 0, 1)
@@ -202,7 +202,7 @@ func TestTable6EveryComponentMatters(t *testing.T) {
 }
 
 func TestDecodeServingShape(t *testing.T) {
-	tab := DecodeServing(tinyOpts)
+	tab := decodeServing(tinyOpts)
 	if len(tab.Rows) < 3 {
 		t.Fatalf("decode table has %d rows, want the baseline + 2 FAST designs", len(tab.Rows))
 	}
@@ -244,7 +244,7 @@ func TestTableCSV(t *testing.T) {
 	if csv != want {
 		t.Errorf("CSV = %q, want %q", csv, want)
 	}
-	if got := Table1WorkingSets().CSV(); !strings.Contains(got, "EfficientNet-B7") {
+	if got := table1WorkingSets().CSV(); !strings.Contains(got, "EfficientNet-B7") {
 		t.Error("real table CSV missing rows")
 	}
 }

@@ -148,9 +148,9 @@ func speedupTable(id, title, note string, rows []speedupRow) Table {
 	return t
 }
 
-// Fig9Speedup reproduces Figure 9: modeled inference throughput relative
+// fig9Speedup reproduces Figure 9: modeled inference throughput relative
 // to TPU-v3 under the pure-performance objective.
-func Fig9Speedup(o Options) Table {
+func fig9Speedup(o Options) Table {
 	o = o.withDefaults()
 	rows := searchSpeedups(o, core.Perf, func(r *sim.Result) float64 { return r.QPS })
 	return speedupTable("fig9",
@@ -161,9 +161,9 @@ func Fig9Speedup(o Options) Table {
 		rows)
 }
 
-// Fig10PerfPerTDP reproduces Figure 10: Perf/TDP relative to the
+// fig10PerfPerTDP reproduces Figure 10: Perf/TDP relative to the
 // die-shrunk TPU-v3 under the Perf/TDP objective.
-func Fig10PerfPerTDP(o Options) Table {
+func fig10PerfPerTDP(o Options) Table {
 	o = o.withDefaults()
 	rows := searchSpeedups(o, core.PerfPerTDP, func(r *sim.Result) float64 { return r.PerfPerTDP })
 	return speedupTable("fig10",
@@ -173,10 +173,10 @@ func Fig10PerfPerTDP(o Options) Table {
 		rows)
 }
 
-// Fig11Convergence reproduces Figure 11: best-so-far Perf/TDP on
+// fig11Convergence reproduces Figure 11: best-so-far Perf/TDP on
 // EfficientNet-B7 for the Bayesian, LCS and random heuristics (mean over
 // repeats).
-func Fig11Convergence(o Options) Table {
+func fig11Convergence(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "fig11",
@@ -220,10 +220,10 @@ func Fig11Convergence(o Options) Table {
 	return t
 }
 
-// Fig12Pareto reproduces Figure 12: the Pareto frontier of
+// fig12Pareto reproduces Figure 12: the Pareto frontier of
 // EfficientNet-B7 step time vs TDP and area, normalized to the die-shrunk
 // TPU-v3 point (1.0, 1.0).
-func Fig12Pareto(o Options) Table {
+func fig12Pareto(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "fig12",
@@ -288,7 +288,7 @@ func Fig12Pareto(o Options) Table {
 	return t
 }
 
-// FrontierTradeoff reproduces the paper's frontier reading of the
+// frontierTradeoff reproduces the paper's frontier reading of the
 // Figure 12 / Table 5 data with one multi-objective study: the Pareto
 // front of Perf/TDP against die area on EfficientNet-B7 (the FAST-Large
 // / FAST-Small reference workload), normalized to the die-shrunk TPU-v3
@@ -297,7 +297,7 @@ func Fig12Pareto(o Options) Table {
 // after the fact — the frontier here is searched directly: NSGA-II
 // keeps a non-dominated population, so the table is the study's
 // Front(), not a post-hoc scan.
-func FrontierTradeoff(o Options) Table {
+func frontierTradeoff(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "frontier",
@@ -344,9 +344,9 @@ func FrontierTradeoff(o Options) Table {
 	return t
 }
 
-// Fig6ROICurves reproduces Figure 6: ROI vs deployment volume for
+// fig6ROICurves reproduces Figure 6: ROI vs deployment volume for
 // hypothetical Perf/TCO improvements.
-func Fig6ROICurves() Table {
+func fig6ROICurves() Table {
 	t := Table{
 		ID:     "fig6",
 		Title:  "ROI vs deployment volume (A100-referenced cost model)",
@@ -366,10 +366,10 @@ func Fig6ROICurves() Table {
 	return t
 }
 
-// Table4ROIVolumes reproduces Table 4: deployment volumes required to
+// table4ROIVolumes reproduces Table 4: deployment volumes required to
 // reach 1x/2x/4x/8x ROI per workload, using the Figure 10 single-workload
 // Perf/TDP speedups as the Perf/TCO proxy.
-func Table4ROIVolumes(o Options) Table {
+func table4ROIVolumes(o Options) Table {
 	o = o.withDefaults()
 	t := Table{
 		ID:     "table4",

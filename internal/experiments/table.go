@@ -16,7 +16,7 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-	// Notes records paper-vs-measured commentary for EXPERIMENTS.md.
+	// Notes records paper-vs-measured commentary, printed under the table.
 	Notes string
 }
 
@@ -119,25 +119,25 @@ func (o Options) withDefaults() Options {
 func Registry(o Options) map[string]func() Table {
 	o = o.withDefaults()
 	return map[string]func() Table{
-		"table1":   Table1WorkingSets,
-		"table2":   Table2OpBreakdown,
-		"table4":   func() Table { return Table4ROIVolumes(o) },
-		"table5":   func() Table { return Table5Designs(o) },
-		"table6":   func() Table { return Table6Ablation(o) },
-		"fig2":     Fig2StepTimeVsAccuracy,
-		"fig3":     Fig3OpIntensity,
-		"fig4":     Fig4PerLayerUtil,
-		"fig5":     Fig5BERTBreakdown,
-		"fig6":     Fig6ROICurves,
-		"fig9":     func() Table { return Fig9Speedup(o) },
-		"fig10":    func() Table { return Fig10PerfPerTDP(o) },
-		"fig11":    func() Table { return Fig11Convergence(o) },
-		"fig12":    func() Table { return Fig12Pareto(o) },
-		"frontier": func() Table { return FrontierTradeoff(o) },
-		"fig13":    func() Table { return Fig13FusionSweep(o) },
-		"fig14":    func() Table { return Fig14PerLayerFAST(o) },
-		"fig15":    func() Table { return Fig15Breakdown(o) },
-		"decode":   func() Table { return DecodeServing(o) },
+		"table1":   table1WorkingSets,
+		"table2":   table2OpBreakdown,
+		"table4":   func() Table { return table4ROIVolumes(o) },
+		"table5":   func() Table { return table5Designs(o) },
+		"table6":   func() Table { return table6Ablation(o) },
+		"fig2":     fig2StepTimeVsAccuracy,
+		"fig3":     fig3OpIntensity,
+		"fig4":     fig4PerLayerUtil,
+		"fig5":     fig5BERTBreakdown,
+		"fig6":     fig6ROICurves,
+		"fig9":     func() Table { return fig9Speedup(o) },
+		"fig10":    func() Table { return fig10PerfPerTDP(o) },
+		"fig11":    func() Table { return fig11Convergence(o) },
+		"fig12":    func() Table { return fig12Pareto(o) },
+		"frontier": func() Table { return frontierTradeoff(o) },
+		"fig13":    func() Table { return fig13FusionSweep(o) },
+		"fig14":    func() Table { return fig14PerLayerFAST(o) },
+		"fig15":    func() Table { return fig15Breakdown(o) },
+		"decode":   func() Table { return decodeServing(o) },
 	}
 }
 

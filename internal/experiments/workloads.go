@@ -10,10 +10,10 @@ import (
 	"fast/internal/tensor"
 )
 
-// Table1WorkingSets reproduces Table 1: EfficientNet on-chip storage
+// table1WorkingSets reproduces Table 1: EfficientNet on-chip storage
 // requirements in bf16 at batch 1 — the largest op working set and the
 // total weight footprint per variant.
-func Table1WorkingSets() Table {
+func table1WorkingSets() Table {
 	t := Table{
 		ID:     "table1",
 		Title:  "EfficientNet on-chip storage requirements (bf16, batch 1)",
@@ -34,9 +34,9 @@ func Table1WorkingSets() Table {
 	return t
 }
 
-// Table2OpBreakdown reproduces Table 2: EfficientNet-B7 per-op-class FLOP
+// table2OpBreakdown reproduces Table 2: EfficientNet-B7 per-op-class FLOP
 // and runtime shares on the TPU-v3 baseline.
-func Table2OpBreakdown() Table {
+func table2OpBreakdown() Table {
 	cfg := arch.TPUv3()
 	g := models.MustBuild("efficientnet-b7", cfg.NativeBatch)
 	r, err := sim.Simulate(g, cfg, sim.BaselineOptions())
@@ -61,10 +61,10 @@ func Table2OpBreakdown() Table {
 	return t
 }
 
-// Fig2StepTimeVsAccuracy reproduces Figure 2: inference step time vs
+// fig2StepTimeVsAccuracy reproduces Figure 2: inference step time vs
 // ImageNet top-1 accuracy for the EfficientNet family on FAST-Large and
 // the TPU-v3 baseline.
-func Fig2StepTimeVsAccuracy() Table {
+func fig2StepTimeVsAccuracy() Table {
 	t := Table{
 		ID:     "fig2",
 		Title:  "EfficientNet family: step time vs ImageNet top-1",
@@ -95,11 +95,11 @@ func Fig2StepTimeVsAccuracy() Table {
 	return t
 }
 
-// Fig3OpIntensity reproduces Figure 3: operational intensity under
+// fig3OpIntensity reproduces Figure 3: operational intensity under
 // successively stronger fusion (none, XLA, depthwise-separable template,
 // MBConv template, ideal weight pinning) across workloads and batch
 // sizes.
-func Fig3OpIntensity() Table {
+func fig3OpIntensity() Table {
 	t := Table{
 		ID:     "fig3",
 		Title:  "Op fusion impact on operational intensity (FLOPs/byte)",
@@ -134,9 +134,9 @@ func Fig3OpIntensity() Table {
 	return t
 }
 
-// Fig4PerLayerUtil reproduces Figure 4: EfficientNet-B7 per-block
+// fig4PerLayerUtil reproduces Figure 4: EfficientNet-B7 per-block
 // fraction of peak FLOPs on TPU-v3.
-func Fig4PerLayerUtil() Table {
+func fig4PerLayerUtil() Table {
 	cfg := arch.TPUv3()
 	g := models.MustBuild("efficientnet-b7", cfg.NativeBatch)
 	r, err := sim.Simulate(g, cfg, sim.BaselineOptions())
@@ -156,9 +156,9 @@ func Fig4PerLayerUtil() Table {
 	return t
 }
 
-// Fig5BERTBreakdown reproduces Figure 5: BERT per-op-class runtime share
+// fig5BERTBreakdown reproduces Figure 5: BERT per-op-class runtime share
 // on TPU-v3 as sequence length sweeps 128→2048.
-func Fig5BERTBreakdown() Table {
+func fig5BERTBreakdown() Table {
 	t := Table{
 		ID:     "fig5",
 		Title:  "BERT runtime share per op class on TPU-v3 vs sequence length",

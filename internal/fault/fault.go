@@ -100,13 +100,6 @@ func ClassOf(err error) Class {
 	return ClassUnknown
 }
 
-// IsRetryable reports whether err is classified retryable. Unclassified
-// errors are not retryable (the conservative default).
-func IsRetryable(err error) bool { return ClassOf(err) == ClassRetryable }
-
-// IsTerminal reports whether err is classified terminal.
-func IsTerminal(err error) bool { return ClassOf(err) == ClassTerminal }
-
 // panicError marks an error as a recovered panic, so quarantine
 // accounting (metrics, logs) can distinguish "the objective crashed"
 // from ordinary terminal failures without string matching.

@@ -10,15 +10,15 @@ import (
 func TestClassification(t *testing.T) {
 	base := errors.New("disk on fire")
 	r := Retryable("store.append", base)
-	if !IsRetryable(r) || IsTerminal(r) {
+	if ClassOf(r) != ClassRetryable {
 		t.Fatalf("Retryable error misclassified: class=%v", ClassOf(r))
 	}
 	tm := Terminal("store.corrupt", base)
-	if !IsTerminal(tm) || IsRetryable(tm) {
+	if ClassOf(tm) != ClassTerminal {
 		t.Fatalf("Terminal error misclassified: class=%v", ClassOf(tm))
 	}
-	if ClassOf(base) != ClassUnknown || IsRetryable(base) || IsTerminal(base) {
-		t.Fatalf("unclassified error must be ClassUnknown and neither retryable nor terminal")
+	if ClassOf(base) != ClassUnknown {
+		t.Fatalf("unclassified error must be ClassUnknown")
 	}
 	if ClassOf(nil) != ClassUnknown {
 		t.Fatalf("nil error must be ClassUnknown")
@@ -34,7 +34,7 @@ func TestNilPassThrough(t *testing.T) {
 func TestClassSurvivesWrapping(t *testing.T) {
 	base := errors.New("fsync failed")
 	wrapped := fmt.Errorf("study x/y: %w", Retryable("store.append", base))
-	if !IsRetryable(wrapped) {
+	if ClassOf(wrapped) != ClassRetryable {
 		t.Fatal("class lost through fmt.Errorf %%w wrapping")
 	}
 	if !errors.Is(wrapped, base) {
@@ -42,7 +42,7 @@ func TestClassSurvivesWrapping(t *testing.T) {
 	}
 	// The outermost classification wins when layers re-classify.
 	reclassified := Terminal("serve.quota", wrapped)
-	if !IsTerminal(reclassified) {
+	if ClassOf(reclassified) != ClassTerminal {
 		t.Fatal("outermost classification must win")
 	}
 }

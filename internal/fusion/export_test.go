@@ -25,6 +25,13 @@ func CaptureSolves(fn func(regions []RegionCost, usable []bool, capacity int64))
 	return func() { testHook.solve = nil }
 }
 
+// UseDenseILP routes SolvePlanned's exact solve through the frozen
+// dense-tableau reference solver until the returned function is called.
+func UseDenseILP() (restore func()) {
+	testHook.dense = true
+	return func() { testHook.dense = false }
+}
+
 // SolveExact runs SolvePlanned's exact solve on one instance, warm
 // started from the greedy, with the deadline and the stall limit set
 // apart, so a test can pin a stall stop under a deadline no host
@@ -32,7 +39,7 @@ func CaptureSolves(fn func(regions []RegionCost, usable []bool, capacity int64))
 func SolveExact(regions []RegionCost, usable []bool, capacity int64, deadline time.Duration, stall int) (Assignment, ilp.Result) {
 	normalizeResident(regions)
 	pin, keep, hold := greedy(regions, usable, capacity)
-	return solveILP(regions, usable, capacity, pin, keep, hold, deadline, stall, false)
+	return solveILP(regions, usable, capacity, pin, keep, hold, deadline, stall)
 }
 
 // StallNodes is the stall limit SolvePlanned derives from a deadline.

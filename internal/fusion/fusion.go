@@ -21,10 +21,11 @@
 //     a whole MBConv block, including its squeeze-excite detour, is
 //     near-chain-like. Our XLA regions are finer, so strict order
 //     adjacency would forbid keeping the dominant dwconv→excite tensors
-//     on chip. Options.Window generalizes adjacency to "within W regions"
-//     (W=1 reproduces the paper's constraint; default W=4 spans an SE
-//     detour), with the tensor charged against GM capacity for every
-//     region it stays resident across.
+//     on chip. Adjacency is therefore generalized to "within W regions"
+//     (W=1 would be the paper's constraint; W=4 spans an SE detour,
+//     and on efficientnet-b7/FAST-Large doubles throughput over W=1),
+//     with the tensor charged against GM capacity for every region it
+//     stays resident across.
 package fusion
 
 import (
@@ -33,8 +34,8 @@ import (
 	"time"
 )
 
-// DefaultWindow is the default residency window (see package comment).
-const DefaultWindow = 4
+// residencyWindow is the residency window W (see package comment).
+const residencyWindow = 4
 
 // RegionCost is the simulator-provided timing/size data for one fusion
 // region (one vertex of Fig. 8's graph), in execution order.
@@ -133,13 +134,6 @@ type Options struct {
 	// GreedyOnly skips the ILP (used inside search loops where thousands
 	// of trials run).
 	GreedyOnly bool
-	// Window is the residency window W (0 → DefaultWindow; 1 reproduces
-	// the paper's strict adjacency).
-	Window int
-	// DenseILP routes the exact solve through the frozen dense-tableau
-	// reference solver instead of the sparse revised-simplex core.
-	// Retained for differential tests and dense-vs-sparse benchmarks.
-	DenseILP bool
 }
 
 // regionTime evaluates max(TMin, TMax - saved).
@@ -181,18 +175,15 @@ func accumSaved(saved []float64, regions []RegionCost, pin, keep, hold []bool) {
 
 // UsableEdges is the design-independent half of the fusion pre-analysis:
 // region i's primary edge is a placement candidate only when it has a
-// producer within the residency window (window 0 uses DefaultWindow).
-// The producers slice holds each region's EdgeProducer in execution
-// order. The result depends only on the partition and the window, so
-// callers evaluating one workload against many datapaths compute it once
-// (sim.Compile) and pass it to SolvePlanned for every design.
-func UsableEdges(producers []int, window int) []bool {
-	if window == 0 {
-		window = DefaultWindow
-	}
+// producer within the residency window. The producers slice holds each
+// region's EdgeProducer in execution order. The result depends only on
+// the partition, so callers evaluating one workload against many
+// datapaths compute it once (sim.Compile) and pass it to SolvePlanned
+// for every design.
+func UsableEdges(producers []int) []bool {
 	usable := make([]bool, len(producers))
 	for i, p := range producers {
-		usable[i] = p >= 0 && i-p >= 1 && i-p <= window
+		usable[i] = p >= 0 && i-p >= 1 && i-p <= residencyWindow
 	}
 	return usable
 }
@@ -220,6 +211,9 @@ type Assignment struct {
 var testHook struct {
 	// solve observes every instance entering SolvePlanned's solvers.
 	solve func(regions []RegionCost, usable []bool, capacity int64)
+	// dense routes the exact solve through the frozen dense-tableau
+	// reference solver instead of the sparse revised-simplex core.
+	dense bool
 }
 
 // SolvePlanned computes just the placement assignment — which regions pin
@@ -246,7 +240,7 @@ func SolvePlanned(regions []RegionCost, usable []bool, capacity int64, opts Opti
 		if deadline == 0 {
 			deadline = 2 * time.Second
 		}
-		if ilpAsn, res := solveILP(regions, usable, capacity, pin, keep, hold, deadline, stallNodes(deadline), opts.DenseILP); res.Feasible {
+		if ilpAsn, res := solveILP(regions, usable, capacity, pin, keep, hold, deadline, stallNodes(deadline)); res.Feasible {
 			asn = ilpAsn
 		}
 	}
@@ -327,15 +321,10 @@ func finalize(sol *Solution, regions []RegionCost, capacity int64) {
 	}
 }
 
-// peakUsage computes max over regions k of B_k + pinned weights + edge
-// tensors resident across k (an edge with producer p and consumer c
-// occupies GM for every region in [p, c]).
-func peakUsage(sol *Solution, regions []RegionCost) int64 {
-	return peakUsageBuf(sol, regions, make([]int64, len(regions)+1))
-}
-
-// peakUsageBuf is peakUsage with a caller-provided sweep buffer of length
-// len(regions)+1 (contents ignored; overwritten).
+// peakUsageBuf computes max over regions k of B_k + pinned weights +
+// edge tensors resident across k (an edge with producer p and consumer c
+// occupies GM for every region in [p, c]). delta is a sweep buffer of
+// length len(regions)+1 (contents ignored; overwritten).
 func peakUsageBuf(sol *Solution, regions []RegionCost, delta []int64) int64 {
 	n := len(regions)
 	var pinned int64

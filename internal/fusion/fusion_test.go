@@ -43,7 +43,14 @@ func optimize(regions []RegionCost, capacity int64, opts Options) Solution {
 	for i := range regions {
 		producers[i] = regions[i].EdgeProducer
 	}
-	return optimizePlanned(regions, UsableEdges(producers, opts.Window), capacity, opts)
+	return optimizePlanned(regions, UsableEdges(producers), capacity, opts)
+}
+
+// optimizeDense is optimizePlanned with the exact solve routed through
+// the frozen dense-tableau reference solver.
+func optimizeDense(regions []RegionCost, usable []bool, capacity int64, opts Options) Solution {
+	defer UseDenseILP()()
+	return optimizePlanned(regions, usable, capacity, opts)
 }
 
 func TestDisabled(t *testing.T) {
@@ -120,31 +127,17 @@ func TestComputeBoundRegionsUntouched(t *testing.T) {
 }
 
 func TestWindowLimitsEdges(t *testing.T) {
-	// A producer 5 regions back is outside the default window (4) but
-	// inside a window of 8.
+	// The residency window is 4: a producer 4 regions back can keep its
+	// tensor on chip, one 5 regions back cannot.
 	rs := chain(7)
+	rs[5].EdgeProducer = 1
 	rs[6].EdgeProducer = 1
-	far := optimize(rs, 1<<40, Options{Window: 1})
-	if far.EdgeOnChip[6] {
-		t.Error("window 1 must reject a distance-5 edge")
+	sol := optimize(rs, 1<<40, Options{})
+	if !sol.EdgeOnChip[5] {
+		t.Error("window 4 must admit a distance-4 edge")
 	}
-	wide := optimize(rs, 1<<40, Options{Window: 8})
-	if !wide.EdgeOnChip[6] {
-		t.Error("window 8 must admit a distance-5 edge")
-	}
-}
-
-func TestWindowOneMatchesPaperAdjacency(t *testing.T) {
-	// Window=1 reproduces the strict Fig. 8 constraint: only immediate
-	// successors keep activations.
-	rs := chain(3)
-	rs[2].EdgeProducer = 0 // skip connection at distance 2
-	sol := optimize(rs, 1<<40, Options{Window: 1})
-	if sol.EdgeOnChip[2] {
-		t.Error("distance-2 edge must be rejected at window 1")
-	}
-	if !sol.EdgeOnChip[1] {
-		t.Error("adjacent edge must be kept")
+	if sol.EdgeOnChip[6] {
+		t.Error("window 4 must reject a distance-5 edge")
 	}
 }
 

@@ -2,7 +2,7 @@ package fusion
 
 // Differential coverage for the sparse exact solve behind the fusion
 // pass: the sparse revised-simplex ILP against the frozen dense-tableau
-// reference (Options.DenseILP) over randomized fusion instances, plus
+// reference (optimizeDense) over randomized fusion instances, plus
 // the Assignment provenance plumbing (Gap, Nodes).
 
 import (
@@ -27,7 +27,7 @@ func TestSparseILPNeverWorseThanDense(t *testing.T) {
 		regions, usable := randomRegions(rng, n)
 		capacity := rng.Int63n(1 << 24)
 		sparse := optimizePlanned(regions, usable, capacity, Options{Deadline: time.Minute})
-		dense := optimizePlanned(regions, usable, capacity, Options{Deadline: time.Minute, DenseILP: true})
+		dense := optimizeDense(regions, usable, capacity, Options{Deadline: time.Minute})
 		if sparse.Method == "disabled" || dense.Method == "disabled" {
 			continue
 		}

@@ -141,7 +141,7 @@ func TestKVResolveRoundTrips(t *testing.T) {
 			KVBytes: 3 << 20, TKVRead: 0.8},
 	}
 	producers := []int{-1, 0}
-	usable := UsableEdges(producers, 0)
+	usable := UsableEdges(producers)
 	opts := Options{GreedyOnly: true}
 	capacity := int64(6 << 20)
 	direct := optimizePlanned(rs, usable, capacity, opts)

@@ -13,6 +13,21 @@ import (
 	"testing"
 )
 
+// peakUsage is peakUsageBuf with a fresh sweep buffer.
+func peakUsage(sol *Solution, regions []RegionCost) int64 {
+	return peakUsageBuf(sol, regions, make([]int64, len(regions)+1))
+}
+
+// usableWithin is UsableEdges for a residency window w other than the
+// production one, so the fuzzers also cover narrower and wider masks.
+func usableWithin(producers []int, w int) []bool {
+	usable := make([]bool, len(producers))
+	for i, p := range producers {
+		usable[i] = p >= 0 && i-p >= 1 && i-p <= w
+	}
+	return usable
+}
+
 func referenceGreedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep []bool) {
 	n := len(regions)
 	pin = make([]bool, n)
@@ -138,7 +153,7 @@ func randomRegions(rng *rand.Rand, n int) ([]RegionCost, []bool) {
 	for i := range regions {
 		producers[i] = regions[i].EdgeProducer
 	}
-	return regions, UsableEdges(producers, 1+rng.Intn(6))
+	return regions, usableWithin(producers, 1+rng.Intn(6))
 }
 
 // TestGreedyMatchesReference fuzzes the optimized greedy against the
@@ -201,7 +216,7 @@ func TestGreedyMatchesReferenceTies(t *testing.T) {
 		for i := range regions {
 			producers[i] = regions[i].EdgeProducer
 		}
-		usable := UsableEdges(producers, 1+rng.Intn(4))
+		usable := usableWithin(producers, 1+rng.Intn(4))
 		capacity := int64(1) << (11 + rng.Intn(5))
 		wantPin, wantKeep := referenceGreedy(regions, usable, capacity)
 		gotPin, gotKeep, _ := greedy(regions, usable, capacity)

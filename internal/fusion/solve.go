@@ -647,7 +647,7 @@ func stallNodes(deadline time.Duration) int {
 // certified exactRelGap, stall nodes without improvement, or the
 // deadline. The assignment is valid only when the result is Feasible.
 func solveILP(regions []RegionCost, usable []bool, capacity int64,
-	warmPin, warmKeep, warmHold []bool, deadline time.Duration, stall int, dense bool) (Assignment, ilp.Result) {
+	warmPin, warmKeep, warmHold []bool, deadline time.Duration, stall int) (Assignment, ilp.Result) {
 
 	n := len(regions)
 	if n == 0 {
@@ -682,7 +682,7 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 		RelGap:     exactRelGap,
 		StallNodes: stall,
 		WarmStart:  warm,
-		Dense:      dense,
+		Dense:      testHook.dense,
 	})
 	if err != nil || !res.Feasible {
 		return Assignment{}, ilp.Result{}

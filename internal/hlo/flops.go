@@ -32,15 +32,6 @@ func FLOPs(op *Op) int64 {
 	}
 }
 
-// GraphFLOPs sums FLOPs over the graph.
-func GraphFLOPs(g *Graph) int64 {
-	var n int64
-	for _, op := range g.Ops {
-		n += FLOPs(op)
-	}
-	return n
-}
-
 // WeightBytes sums the unique parameter footprint of the graph,
 // counting shared weight tensors (same WeightKey) once.
 func WeightBytes(g *Graph) int64 {

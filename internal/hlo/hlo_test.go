@@ -162,8 +162,8 @@ func TestWithBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// FLOPs scale linearly with batch; weights do not.
-	if GraphFLOPs(g8) != 8*GraphFLOPs(g) {
-		t.Errorf("FLOPs: got %d, want %d", GraphFLOPs(g8), 8*GraphFLOPs(g))
+	if Stats(g8).FLOPs != 8*Stats(g).FLOPs {
+		t.Errorf("FLOPs: got %d, want %d", Stats(g8).FLOPs, 8*Stats(g).FLOPs)
 	}
 	if WeightBytes(g8) != WeightBytes(g) {
 		t.Error("weights must not scale with batch")
@@ -259,8 +259,8 @@ func TestRegionIOConservation(t *testing.T) {
 		flops += io.FLOPs
 		weights += io.WeightBytes
 	}
-	if flops != GraphFLOPs(g) {
-		t.Errorf("region FLOPs %d != graph FLOPs %d", flops, GraphFLOPs(g))
+	if flops != Stats(g).FLOPs {
+		t.Errorf("region FLOPs %d != graph FLOPs %d", flops, Stats(g).FLOPs)
 	}
 	if weights != WeightBytes(g) {
 		t.Errorf("region weights %d != graph weights %d", weights, WeightBytes(g))

@@ -15,10 +15,7 @@ import (
 // "improve" it.
 func solveDense(p Problem, o Options) (Result, error) {
 	n := len(p.C)
-	maxIter := o.MaxSimplexIters
-	if maxIter == 0 {
-		maxIter = 20000
-	}
+	maxIter := maxSimplexIters
 
 	// Materialize upper-bound rows (x ≤ u) once; branching appends
 	// variable fixings as extra rows.

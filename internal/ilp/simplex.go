@@ -28,16 +28,11 @@ type lpResult struct {
 	iterations int
 }
 
-// simplex minimizes c·x subject to A·x ≤ b, 0 ≤ x (upper bounds are
-// expressed as extra rows by the caller). Two-phase tableau method with
-// Bland's rule for anti-cycling.
-func simplex(c []float64, a [][]float64, b []float64, maxIter int) lpResult {
-	return simplexDeadline(c, a, b, maxIter, time.Time{})
-}
-
-// simplexDeadline is simplex with an optional wall-clock cutoff, checked
-// every 64 iterations; on expiry the current point is returned as-is
-// (callers treat it as a bound, not a certificate).
+// simplexDeadline minimizes c·x subject to A·x ≤ b, 0 ≤ x (upper bounds
+// are expressed as extra rows by the caller). Two-phase tableau method
+// with Bland's rule for anti-cycling. The optional wall-clock cutoff is
+// checked every 64 iterations; on expiry the current point is returned
+// as-is (callers treat it as a bound, not a certificate).
 func simplexDeadline(c []float64, a [][]float64, b []float64, maxIter int, deadline time.Time) lpResult {
 	m, n := len(a), len(c)
 	// Tableau columns: n structural + m slacks + up to m artificials + rhs.

@@ -2,15 +2,14 @@ package ilp
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
 
 // Problem is min C·x subject to A·x ≤ B, 0 ≤ x ≤ U, and x[i] ∈ {0,1} for
-// every i in Binary. The constraint rows are sparse (DenseRows converts
-// dense ones). Upper bounds default to 1 for binary variables and +inf
-// for continuous ones when U is nil.
+// every i in Binary. The constraint rows are sparse. Upper bounds
+// default to 1 for binary variables and +inf for continuous ones when U
+// is nil.
 type Problem struct {
 	C      []float64
 	A      []Row
@@ -47,6 +46,10 @@ type Result struct {
 	Gap float64
 }
 
+// maxSimplexIters caps each LP solve of both the sparse and the dense
+// search.
+const maxSimplexIters = 20000
+
 // Options configures Solve. The sparse search ends at the first of a
 // proof, a certified RelGap, StallNodes nodes without improvement, or
 // the Deadline; on any but a proof the best incumbent is returned with
@@ -65,16 +68,16 @@ type Options struct {
 	// 0). Counted in nodes, so the stop is the same on any host. Zero
 	// means no limit. The dense reference solver ignores it.
 	StallNodes int
-	// MaxSimplexIters caps each LP solve (default 20000).
-	MaxSimplexIters int
 	// WarmStart optionally seeds the incumbent with a known integer-
 	// feasible point (the fusion pass hands in its greedy solution, so
 	// branch-and-bound starts with a bound instead of from scratch).
 	WarmStart []float64
 	// Dense routes the solve through the frozen dense-tableau reference
-	// solver instead of the sparse revised-simplex core. Kept for
-	// differential tests, benchmarks and as an escape hatch; the sparse
-	// path also falls back to it on unrecoverable numerical failure.
+	// solver instead of the sparse revised-simplex core. It is the one
+	// seam through which other packages' tests reach the reference
+	// solver (fusion's sparse-vs-dense differential and benchmark);
+	// production callers leave it false. The sparse path still falls
+	// back to the dense solver on unrecoverable numerical failure.
 	Dense bool
 }
 
@@ -353,10 +356,6 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 		testHook.problem(p)
 	}
 	n := len(p.C)
-	maxIter := o.MaxSimplexIters
-	if maxIter == 0 {
-		maxIter = 20000
-	}
 	ls := statePool.Get().(*lpState)
 	defer statePool.Put(ls)
 	ls.init(newCSC(p.A, n), p.C, p.B, p.U, p.Binary)
@@ -450,7 +449,7 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 		}
 		res.Nodes++
 
-		status := ls.dualSimplex(maxIter, o.Deadline)
+		status := ls.dualSimplex(maxSimplexIters, o.Deadline)
 		if res.Nodes == testHook.failNode {
 			status = lpFail
 		}
@@ -648,79 +647,4 @@ func integerFeasible(p Problem, x []float64) bool {
 		}
 	}
 	return true
-}
-
-// BruteForce enumerates all binary assignments (continuous vars solved by
-// LP for each) — for testing only; exponential.
-func BruteForce(p Problem) Result {
-	n := len(p.C)
-	var binIdx []int
-	for i := 0; i < n; i++ {
-		if p.Binary != nil && p.Binary[i] {
-			binIdx = append(binIdx, i)
-		}
-	}
-	best := Result{Objective: math.Inf(1)}
-	dense := p.dense()
-	total := 1 << len(binIdx)
-	for mask := 0; mask < total; mask++ {
-		// Fix binaries, solve the continuous remainder by LP.
-		a := append([][]float64(nil), dense...)
-		b := append([]float64(nil), p.B...)
-		for k, v := range binIdx {
-			val := float64((mask >> k) & 1)
-			hi := make([]float64, n)
-			lo := make([]float64, n)
-			hi[v], lo[v] = 1, -1
-			a = append(a, hi, lo)
-			b = append(b, val, -val)
-		}
-		// Continuous upper bounds.
-		for i := 0; i < n; i++ {
-			if p.U != nil && !math.IsInf(p.U[i], 1) {
-				row := make([]float64, n)
-				row[i] = 1
-				a = append(a, row)
-				b = append(b, p.U[i])
-			}
-		}
-		lp := simplex(p.C, a, b, 20000)
-		if lp.feasible && !lp.unbounded && lp.objective < best.Objective {
-			best = Result{X: lp.x, Objective: lp.objective, Feasible: true, Optimal: true}
-		}
-	}
-	return best
-}
-
-// GreedyKnapsack solves max Σ v_i x_i s.t. Σ w_i x_i ≤ cap, x binary, by
-// value-density with a final sweep; a helper used for warm starts.
-// Returns the chosen index set.
-func GreedyKnapsack(values, weights []float64, capacity float64) []int {
-	type item struct {
-		i       int
-		density float64
-	}
-	items := make([]item, 0, len(values))
-	for i := range values {
-		if values[i] <= 0 {
-			continue
-		}
-		w := weights[i]
-		d := math.Inf(1)
-		if w > 0 {
-			d = values[i] / w
-		}
-		items = append(items, item{i, d})
-	}
-	sort.Slice(items, func(a, b int) bool { return items[a].density > items[b].density })
-	var chosen []int
-	var used float64
-	for _, it := range items {
-		if used+weights[it.i] <= capacity {
-			used += weights[it.i]
-			chosen = append(chosen, it.i)
-		}
-	}
-	sort.Ints(chosen)
-	return chosen
 }

@@ -20,23 +20,8 @@ type Row struct {
 	Val []float64
 }
 
-// DenseRows converts dense constraint rows to the sparse form Problem
-// carries, dropping zero coefficients.
-func DenseRows(a [][]float64) []Row {
-	rows := make([]Row, len(a))
-	for i, r := range a {
-		for j, v := range r {
-			if v != 0 {
-				rows[i].Idx = append(rows[i].Idx, int32(j))
-				rows[i].Val = append(rows[i].Val, v)
-			}
-		}
-	}
-	return rows
-}
-
 // dense expands the constraint rows to dense form, for the frozen
-// dense-tableau solver and BruteForce.
+// dense-tableau solver and the tests' brute force.
 func (p Problem) dense() [][]float64 {
 	a := make([][]float64, len(p.A))
 	for i, r := range p.A {

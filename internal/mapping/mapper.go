@@ -40,29 +40,16 @@ func (s Scheme) String() string {
 // the per-op hot path of Plan.Evaluate allocates nothing.
 var allSchemes = [...]Scheme{WeightStationary, OutputStationary, Conv1D}
 
-// AllSchemes lists every mapping scheme, in the order Best tries them.
-func AllSchemes() []Scheme { return append([]Scheme(nil), allSchemes[:]...) }
-
 // Options controls the mapper.
 type Options struct {
-	// DisablePadding forbids the tensor-padding pre-pass: dimensions that
-	// do not divide the spatial tile evenly become schedule failures, the
-	// raw-Timeloop behaviour the paper's padding pass fixes (§6.1).
-	DisablePadding bool
 	// Schemes restricts the mapping families searched (nil = all).
 	Schemes []Scheme
 }
 
-// EffectiveSchemes returns the scheme sequence Best actually iterates:
+// effectiveSchemes returns the scheme sequence Best actually iterates:
 // the full universe when Schemes is nil, Schemes otherwise (including a
-// non-nil empty slice, which maps nothing). The result is a copy, safe
-// to mutate; the hot paths use the non-copying effectiveSchemes.
-func (o Options) EffectiveSchemes() []Scheme {
-	return append([]Scheme(nil), o.effectiveSchemes()...)
-}
-
-// effectiveSchemes is EffectiveSchemes without the defensive copy; the
-// result aliases package or caller state and must be treated read-only.
+// non-nil empty slice, which maps nothing). The result aliases package
+// or caller state and must be treated read-only.
 func (o Options) effectiveSchemes() []Scheme {
 	if o.Schemes == nil {
 		return allSchemes[:]
@@ -77,7 +64,7 @@ func (o Options) effectiveSchemes() []Scheme {
 // in. The encoding is order-sensitive (Best resolves equal-cycle ties to
 // the earlier scheme) and distinguishes nil from a non-nil empty slice
 // via a length prefix; nil deliberately shares the key of an explicit
-// AllSchemes() list, which Best treats identically.
+// full-universe list, which Best treats identically.
 func (o Options) SchemeKey() uint64 {
 	schemes := o.effectiveSchemes()
 	k := uint64(len(schemes)) + 1 // +1 keeps "none" (0 schemes) distinct from a zero key
@@ -116,10 +103,6 @@ func paddedEff(d, tile int64) float64 {
 	return float64(d) / float64(tensor.RoundUp(d, tile))
 }
 
-// divisible reports whether d factorizes cleanly into the tile (or is
-// smaller than it), the only shapes raw Timeloop accepts.
-func divisible(d, tile int64) bool { return d <= tile || d%tile == 0 }
-
 // minStreamChunk is the smallest temporal chunk (cycles) worth splitting
 // across PEs; below this, sequencing overhead dominates.
 const minStreamChunk = 64
@@ -129,7 +112,7 @@ func fillCycles(c *arch.Config) float64 { return float64(c.SAx + c.SAy) }
 
 // evalScheme costs one mapping scheme; returns a failed Mapping when the
 // scheme cannot express the problem on this datapath.
-func evalScheme(p Problem, c *arch.Config, s Scheme, o Options) Mapping {
+func evalScheme(p Problem, c *arch.Config, s Scheme) Mapping {
 	m := Mapping{Scheme: s}
 	fail := func(format string, args ...any) Mapping {
 		m.Failed = true
@@ -153,11 +136,6 @@ func evalScheme(p Problem, c *arch.Config, s Scheme, o Options) Mapping {
 		rowDim, colDim, streamDim = p.K, p.M, p.M
 	default:
 		return fail("unknown scheme")
-	}
-
-	if o.DisablePadding && (!divisible(rowDim, c.SAy) || !divisible(colDim, c.SAx)) {
-		return fail("dims %dx%d do not factorize into %dx%d array without padding",
-			rowDim, colDim, c.SAy, c.SAx)
 	}
 
 	// Buffer feasibility: one latched tile (double-buffered) must fit the
@@ -254,7 +232,7 @@ func Best(p Problem, c *arch.Config, o Options) Mapping {
 	best.Failed = true
 	best.Reason = "no schemes attempted"
 	for _, s := range schemes {
-		m := evalScheme(p, c, s, o)
+		m := evalScheme(p, c, s)
 		if m.Failed {
 			if best.Failed && best.Reason == "no schemes attempted" {
 				best.Reason = m.Reason

@@ -136,7 +136,7 @@ func TestSchemeSelection(t *testing.T) {
 
 func TestConv1DRequiresConvLike(t *testing.T) {
 	p := Problem{M: 128, N: 128, K: 64, Indep: 1, Bytes: 2}
-	m := evalScheme(p, arch.TPUv3(), Conv1D, Options{})
+	m := evalScheme(p, arch.TPUv3(), Conv1D)
 	if !m.Failed {
 		t.Error("conv-1d must fail for non-conv problems")
 	}
@@ -174,27 +174,13 @@ func TestSharedL1PoolsCapacity(t *testing.T) {
 	}
 }
 
-func TestDisablePadding(t *testing.T) {
+func TestPaddingMapsOddDims(t *testing.T) {
 	// A 113×113 output (M = 12769) with 300 output channels factorizes
-	// into no 128-wide tile: raw Timeloop (no padding) fails on every
-	// scheme; the padding pre-pass succeeds (§6.1).
+	// into no 128-wide tile; the padding pre-pass still maps it (§6.1).
 	odd := Problem{M: 113 * 113, N: 300, K: 27, Indep: 1,
 		WeightsStationary: true, ConvLike: true, Bytes: 2}
-	with := Best(odd, arch.TPUv3(), Options{})
-	if with.Failed {
-		t.Fatalf("padded odd conv failed: %s", with.Reason)
-	}
-	without := Best(odd, arch.TPUv3(), Options{DisablePadding: true})
-	if !without.Failed {
-		t.Error("expected failure without the padding pass")
-	}
-	// Dimensions that already factorize must map identically either way.
-	clean := Problem{M: 1 << 14, N: 256, K: 512, Indep: 1,
-		WeightsStationary: true, Bytes: 2}
-	a := Best(clean, arch.TPUv3(), Options{})
-	b := Best(clean, arch.TPUv3(), Options{DisablePadding: true})
-	if a.Failed || b.Failed || a.Cycles != b.Cycles {
-		t.Errorf("clean dims should be unaffected by the padding option: %+v vs %+v", a, b)
+	if m := Best(odd, arch.TPUv3(), Options{}); m.Failed {
+		t.Fatalf("padded odd conv failed: %s", m.Reason)
 	}
 }
 

@@ -9,8 +9,8 @@ import "testing"
 func TestSchemeKey(t *testing.T) {
 	key := func(s []Scheme) uint64 { return Options{Schemes: s}.SchemeKey() }
 
-	if key(nil) != key(AllSchemes()) {
-		t.Error("nil and explicit AllSchemes() must share a SchemeKey")
+	if key(nil) != key(allSchemes[:]) {
+		t.Error("nil and an explicit full-universe list must share a SchemeKey")
 	}
 	distinct := [][]Scheme{
 		nil,
@@ -34,14 +34,14 @@ func TestSchemeKey(t *testing.T) {
 
 // TestEffectiveSchemes checks the nil/empty distinction survives.
 func TestEffectiveSchemes(t *testing.T) {
-	if got := (Options{}).EffectiveSchemes(); len(got) != len(allSchemes) {
+	if got := (Options{}).effectiveSchemes(); len(got) != len(allSchemes) {
 		t.Errorf("nil Schemes: got %v, want full universe", got)
 	}
-	if got := (Options{Schemes: []Scheme{}}).EffectiveSchemes(); len(got) != 0 {
+	if got := (Options{Schemes: []Scheme{}}).effectiveSchemes(); len(got) != 0 {
 		t.Errorf("empty Schemes: got %v, want none", got)
 	}
 	restricted := []Scheme{OutputStationary}
-	if got := (Options{Schemes: restricted}).EffectiveSchemes(); len(got) != 1 || got[0] != OutputStationary {
+	if got := (Options{Schemes: restricted}).effectiveSchemes(); len(got) != 1 || got[0] != OutputStationary {
 		t.Errorf("restricted Schemes: got %v", got)
 	}
 }

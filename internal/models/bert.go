@@ -7,9 +7,9 @@ import (
 	"fast/internal/tensor"
 )
 
-// BERTConfig parameterizes a BERT encoder stack. Base() matches BERT-Base
+// bertConfig parameterizes a BERT encoder stack. Base() matches BERT-Base
 // (Devlin et al. 2019).
-type BERTConfig struct {
+type bertConfig struct {
 	Layers    int64
 	Hidden    int64
 	Heads     int64
@@ -19,20 +19,20 @@ type BERTConfig struct {
 	Batch     int64
 }
 
-// BERTBaseConfig returns the BERT-Base hyperparameters at the given batch
+// bertBaseConfig returns the BERT-Base hyperparameters at the given batch
 // and sequence length.
-func BERTBaseConfig(batch, seqLen int64) BERTConfig {
-	return BERTConfig{
+func bertBaseConfig(batch, seqLen int64) bertConfig {
+	return bertConfig{
 		Layers: 12, Hidden: 768, Heads: 12, FFN: 3072,
 		VocabSize: 30522, SeqLen: seqLen, Batch: batch,
 	}
 }
 
-// BERT builds a BERT encoder graph from the config. Op names prefix each
+// bert builds a BERT encoder graph from the config. Op names prefix each
 // component so per-op runtime breakdowns (Figure 5) can classify by
 // substring: "qkv", "attn.scores", "attn.softmax", "attn.context",
 // "attn.output", "ffn".
-func BERT(cfg BERTConfig) *hlo.Graph {
+func bert(cfg bertConfig) *hlo.Graph {
 	g := hlo.NewGraph(fmt.Sprintf("bert-seq%d", cfg.SeqLen))
 	headDim := cfg.Hidden / cfg.Heads
 
@@ -88,5 +88,5 @@ func BERT(cfg BERTConfig) *hlo.Graph {
 
 // BERTBase builds BERT-Base at the given batch and sequence length.
 func BERTBase(batch, seqLen int64) *hlo.Graph {
-	return BERT(BERTBaseConfig(batch, seqLen))
+	return bert(bertBaseConfig(batch, seqLen))
 }

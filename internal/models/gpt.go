@@ -7,17 +7,17 @@ import (
 	"fast/internal/tensor"
 )
 
-// GPTConfig parameterizes a GPT-style decoder-transformer stack.
-// GPT2SmallConfig matches GPT-2 small (Radford et al. 2019).
+// gptConfig parameterizes a GPT-style decoder-transformer stack.
+// gpt2SmallConfig matches GPT-2 small (Radford et al. 2019).
 //
 // The same config builds two graphs for the two serving phases:
 //
-//   - GPTPrefill: the full-sequence pass over Context tokens that
+//   - gptPrefill: the full-sequence pass over Context tokens that
 //     populates the KV-cache (compute-bound, BERT-shaped).
-//   - GPTDecode: one autoregressive step at sequence length 1 attending
+//   - gptDecode: one autoregressive step at sequence length 1 attending
 //     over a KV-cache at occupancy Context (matvec- and
 //     cache-bandwidth-bound — the regime that stresses residency).
-type GPTConfig struct {
+type gptConfig struct {
 	Layers    int64
 	Hidden    int64
 	Heads     int64
@@ -35,16 +35,16 @@ type GPTConfig struct {
 	LocalWindow int64
 }
 
-// GPT2SmallConfig returns GPT-2-small hyperparameters (12 layers, 768
+// gpt2SmallConfig returns GPT-2-small hyperparameters (12 layers, 768
 // hidden, 12 heads, 50257 vocab) at the given batch and context length.
-func GPT2SmallConfig(batch, context int64) GPTConfig {
-	return GPTConfig{
+func gpt2SmallConfig(batch, context int64) gptConfig {
+	return gptConfig{
 		Layers: 12, Hidden: 768, Heads: 12, FFN: 3072,
 		VocabSize: 50257, Context: context, Batch: batch,
 	}
 }
 
-func (cfg GPTConfig) check(prefill bool) {
+func (cfg gptConfig) check(prefill bool) {
 	if cfg.Layers < 1 || cfg.Heads < 1 || cfg.Hidden%cfg.Heads != 0 {
 		panic(fmt.Sprintf("models: bad GPT config layers=%d heads=%d hidden=%d",
 			cfg.Layers, cfg.Heads, cfg.Hidden))
@@ -58,11 +58,11 @@ func (cfg GPTConfig) check(prefill bool) {
 	}
 }
 
-// GPTPrefill builds the prefill graph: a causal-decoder stack evaluated
+// gptPrefill builds the prefill graph: a causal-decoder stack evaluated
 // at the full context length, plus the LM head over every position. Op
 // names match BERT's component naming ("qkv", "attn.scores",
 // "attn.softmax", "attn.context", "attn.output", "ffn") so per-op
-// breakdowns classify both the same way, and match GPTDecode's names
+// breakdowns classify both the same way, and match gptDecode's names
 // op-for-op so phase costs can be compared by name.
 //
 // Attention einsums are charged at the full seq×seq contraction (no
@@ -70,7 +70,7 @@ func (cfg GPTConfig) check(prefill bool) {
 // identity exact: every linear op costs Context × its decode
 // counterpart, and each attention einsum at context N costs N × the
 // decode einsum at occupancy N.
-func GPTPrefill(cfg GPTConfig) *hlo.Graph {
+func gptPrefill(cfg gptConfig) *hlo.Graph {
 	cfg.check(true)
 	variant := ""
 	if cfg.LocalWindow > 0 {
@@ -132,14 +132,14 @@ func GPTPrefill(cfg GPTConfig) *hlo.Graph {
 	return g
 }
 
-// GPTDecode builds one autoregressive decode step: sequence length 1
+// gptDecode builds one autoregressive decode step: sequence length 1
 // over a KV-cache at occupancy cfg.Context. Each layer reads persistent
 // kcache/vcache tensors (hlo.KVCache sources — residency candidates,
 // not activations), and the step's freshly projected key/value rows are
 // written back out as the cache append. With LocalWindow set, the
 // attention reads only the most recent min(Context, LocalWindow) cache
 // entries.
-func GPTDecode(cfg GPTConfig) *hlo.Graph {
+func gptDecode(cfg gptConfig) *hlo.Graph {
 	cfg.check(false)
 	variant := ""
 	if cfg.LocalWindow > 0 {

@@ -107,16 +107,16 @@ func TestGPTStructureScales(t *testing.T) {
 		{2, 4, 128, 64},
 		{4, 8, 512, 256},
 	} {
-		cfg := GPTConfig{
+		cfg := gptConfig{
 			Layers: tc.layers, Hidden: tc.hidden, Heads: tc.heads,
 			FFN: 4 * tc.hidden, VocabSize: 1000,
 			Context: tc.context, Batch: 2,
 		}
-		pre := GPTPrefill(cfg)
+		pre := gptPrefill(cfg)
 		if got, want := len(pre.Ops), int(18*tc.layers+6); got != want {
 			t.Errorf("prefill(%+v): %d ops, want %d", tc, got, want)
 		}
-		dec := GPTDecode(cfg)
+		dec := gptDecode(cfg)
 		if got, want := len(dec.Ops), int(20*tc.layers+6); got != want {
 			t.Errorf("decode(%+v): %d ops, want %d", tc, got, want)
 		}
@@ -181,10 +181,10 @@ func TestGPTLocalWindow(t *testing.T) {
 	}
 	// Context shorter than the window: the local decode step degenerates
 	// to the dense one.
-	short := GPT2SmallConfig(1, 64)
+	short := gpt2SmallConfig(1, 64)
 	shortLocal := short
 	shortLocal.LocalWindow = 256
-	if a, b := hlo.Stats(GPTDecode(short)), hlo.Stats(GPTDecode(shortLocal)); a != b {
+	if a, b := hlo.Stats(gptDecode(short)), hlo.Stats(gptDecode(shortLocal)); a != b {
 		t.Errorf("64-entry cache: local stats %+v != dense %+v", b, a)
 	}
 }
@@ -211,12 +211,12 @@ func TestGPTRegistryNames(t *testing.T) {
 			t.Errorf("Validate(%q) accepted a malformed name", bad)
 		}
 	}
-	if !UsesKVCache("gpt2-decode-1024") || !UsesKVCache("gpt2-local-decode-512") {
-		t.Error("UsesKVCache misses decode workloads")
-	}
-	for _, enc := range []string{"gpt2-prefill-128", "bert-128", "resnet50"} {
-		if UsesKVCache(enc) {
-			t.Errorf("UsesKVCache(%q) = true for a cache-free workload", enc)
+	for name, kv := range map[string]bool{
+		"gpt2-decode-1024": true, "gpt2-local-decode-512": true,
+		"gpt2-prefill-128": false, "bert-128": false, "resnet50": false,
+	} {
+		if got := hlo.Stats(MustBuild(name, 1)).KVBytes > 0; got != kv {
+			t.Errorf("%s reads a KV cache: %v, want %v", name, got, kv)
 		}
 	}
 }

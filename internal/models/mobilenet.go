@@ -21,12 +21,12 @@ var mobileNetV2Stages = []struct {
 	{6, 320, 1, 1},
 }
 
-// MobileNetV2 builds MobileNetV2 (224×224, width 1.0) in bf16 — the
+// mobileNetV2 builds MobileNetV2 (224×224, width 1.0) in bf16 — the
 // architecture that introduced the inverted-residual (MBConv) block the
 // paper's EfficientNet analysis builds on. Unlike EfficientNet it has no
 // squeeze-excite blocks and uses ReLU6, so it isolates the pure
 // depthwise-separable bottleneck.
-func MobileNetV2(batch int64) *hlo.Graph {
+func mobileNetV2(batch int64) *hlo.Graph {
 	g := hlo.NewGraph("mobilenetv2")
 	g.InBlock("stem")
 	x := g.Input("images", tensor.NewShape(tensor.BF16, batch, 224, 224, 3))

@@ -68,18 +68,18 @@ func TestEfficientNetScaling(t *testing.T) {
 	// per step of the compound coefficient.
 	prev := int64(0)
 	for v := 0; v <= 7; v++ {
-		f := hlo.GraphFLOPs(EfficientNet(v, 1))
+		f := hlo.Stats(EfficientNet(v, 1)).FLOPs
 		if f <= prev {
 			t.Errorf("B%d FLOPs %d not > B%d %d", v, f, v-1, prev)
 		}
 		prev = f
 	}
-	b0 := float64(hlo.GraphFLOPs(EfficientNet(0, 1)))
+	b0 := float64(hlo.Stats(EfficientNet(0, 1)).FLOPs)
 	// Published B0 ≈ 0.39 GFLOPs (0.78 GFLOP with 2×MAC convention).
 	if b0 < 0.5e9 || b0 > 1.2e9 {
 		t.Errorf("B0 FLOPs = %.2e, want ≈0.78e9 (2/MAC)", b0)
 	}
-	b7 := float64(hlo.GraphFLOPs(EfficientNet(7, 1)))
+	b7 := float64(hlo.Stats(EfficientNet(7, 1)).FLOPs)
 	if r := b7 / b0; r < 40 || r > 130 {
 		t.Errorf("B7/B0 FLOP ratio = %.0f, want ~95 (37G vs 0.39G MACs)", r)
 	}
@@ -116,12 +116,12 @@ func TestRoundRepeats(t *testing.T) {
 
 func TestResNet50Weights(t *testing.T) {
 	// Published ResNet-50 ≈ 25.6M params → ~49 MiB bf16.
-	got := tensor.MiB(hlo.WeightBytes(ResNet50v2(1)))
+	got := tensor.MiB(hlo.WeightBytes(resNet50v2(1)))
 	if got < 40 || got > 60 {
 		t.Errorf("ResNet50 weights = %.1f MiB, want ≈49", got)
 	}
 	// Published ≈ 4.1 GMACs → 8.2 GFLOPs.
-	f := float64(hlo.GraphFLOPs(ResNet50v2(1)))
+	f := float64(hlo.Stats(resNet50v2(1)).FLOPs)
 	if f < 7e9 || f > 10e9 {
 		t.Errorf("ResNet50 FLOPs = %.2e, want ≈8.2e9", f)
 	}
@@ -178,7 +178,7 @@ func TestBERTQuadraticAttention(t *testing.T) {
 }
 
 func TestOCRRecognizerWeightSharing(t *testing.T) {
-	g := OCRRecognizer(1)
+	g := ocrRecognizer(1)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestOCRRecognizerWeightSharing(t *testing.T) {
 }
 
 func TestOCRRPNOutputs(t *testing.T) {
-	g := OCRRPN(1)
+	g := ocrRPN(1)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBatchScaling(t *testing.T) {
 	for _, name := range []string{"efficientnet-b0", "resnet50", "bert-128"} {
 		g1 := MustBuild(name, 1)
 		g8 := MustBuild(name, 8)
-		if hlo.GraphFLOPs(g8) != 8*hlo.GraphFLOPs(g1) {
+		if hlo.Stats(g8).FLOPs != 8*hlo.Stats(g1).FLOPs {
 			t.Errorf("%s: FLOPs not linear in batch", name)
 		}
 		if hlo.WeightBytes(g8) != hlo.WeightBytes(g1) {
@@ -245,7 +245,7 @@ func TestBatchScaling(t *testing.T) {
 }
 
 func TestMobileNetV2(t *testing.T) {
-	g := MobileNetV2(1)
+	g := mobileNetV2(1)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMobileNetV2(t *testing.T) {
 	if got := tensor.MiB(hlo.WeightBytes(g)); got < 5 || got > 9 {
 		t.Errorf("MobileNetV2 weights = %.1f MiB, want ≈6.7", got)
 	}
-	f := float64(hlo.GraphFLOPs(g))
+	f := float64(hlo.Stats(g).FLOPs)
 	if f < 0.45e9 || f > 0.9e9 {
 		t.Errorf("MobileNetV2 FLOPs = %.2e, want ≈0.6e9", f)
 	}

@@ -7,13 +7,13 @@ import (
 	"fast/internal/tensor"
 )
 
-// OCRRPN builds the first stage of the production OCR pipeline described
+// ocrRPN builds the first stage of the production OCR pipeline described
 // in Qin et al. (2019): a standard Mask R-CNN region-proposal network — a
 // ResNet-50 backbone over a 640×640 page image, an FPN, and the shared
 // RPN head run at every pyramid level. This stage is convolution-heavy
 // with large spatial extents and is already TPU-friendly (the paper's
 // "worst case for FAST gains" workload).
-func OCRRPN(batch int64) *hlo.Graph {
+func ocrRPN(batch int64) *hlo.Graph {
 	g := hlo.NewGraph("ocr-rpn")
 	g.InBlock("stem")
 	x := g.Input("page", tensor.NewShape(tensor.BF16, batch, 640, 640, 3))
@@ -64,12 +64,12 @@ func OCRRPN(batch int64) *hlo.Graph {
 	return g
 }
 
-// OCRRecognizer builds the LSTM-based text-line recognizer stage of the
+// ocrRecognizer builds the LSTM-based text-line recognizer stage of the
 // OCR pipeline: a small convolutional feature extractor over a 32×320
 // line crop followed by a 2-layer bidirectional LSTM over 80 time steps
 // and a character classifier. Sequential LSTM steps with small matmuls
 // make it latency- rather than throughput-bound.
-func OCRRecognizer(batch int64) *hlo.Graph {
+func ocrRecognizer(batch int64) *hlo.Graph {
 	const (
 		steps  = 80
 		hidden = 256

@@ -44,7 +44,7 @@ func builder(name string) (func(batch int64) *hlo.Graph, error) {
 		}
 		return func(batch int64) *hlo.Graph { return EfficientNet(v, batch) }, nil
 	case name == "resnet50":
-		return ResNet50v2, nil
+		return resNet50v2, nil
 	case strings.HasPrefix(name, "bert-"):
 		seq, err := strconv.ParseInt(strings.TrimPrefix(name, "bert-"), 10, 64)
 		if err != nil || seq < 1 {
@@ -52,11 +52,11 @@ func builder(name string) (func(batch int64) *hlo.Graph, error) {
 		}
 		return func(batch int64) *hlo.Graph { return BERTBase(batch, seq) }, nil
 	case name == "ocr-rpn":
-		return OCRRPN, nil
+		return ocrRPN, nil
 	case name == "ocr-recognizer":
-		return OCRRecognizer, nil
+		return ocrRecognizer, nil
 	case name == "mobilenetv2":
-		return MobileNetV2, nil
+		return mobileNetV2, nil
 	case strings.HasPrefix(name, "gpt2-"):
 		return gptBuilder(name)
 	}
@@ -98,27 +98,18 @@ func gptBuilder(name string) (func(batch int64) *hlo.Graph, error) {
 			return nil, fmt.Errorf("models: %q needs a sequence length divisible by the %d-wide attention block", name, gptLocalWindow)
 		}
 		return func(batch int64) *hlo.Graph {
-			cfg := GPT2SmallConfig(batch, n)
+			cfg := gpt2SmallConfig(batch, n)
 			cfg.LocalWindow = window
-			return GPTPrefill(cfg)
+			return gptPrefill(cfg)
 		}, nil
 	case "decode":
 		return func(batch int64) *hlo.Graph {
-			cfg := GPT2SmallConfig(batch, n)
+			cfg := gpt2SmallConfig(batch, n)
 			cfg.LocalWindow = window
-			return GPTDecode(cfg)
+			return gptDecode(cfg)
 		}, nil
 	}
 	return nil, fmt.Errorf("models: bad GPT phase in %q (want prefill or decode)", name)
-}
-
-// UsesKVCache reports whether the named workload's graph reads a
-// persistent KV-cache (an autoregressive decode step). Such graphs
-// carry a traffic class the pre-KV frozen reference simulator does not
-// model, so differential suites that compare against it skip them;
-// decode models are instead pinned by their own golden results.
-func UsesKVCache(name string) bool {
-	return strings.HasPrefix(name, "gpt2-") && strings.Contains(name, "decode")
 }
 
 // Names lists every canonical workload name.

@@ -40,8 +40,8 @@ var resNetStages = []struct {
 	{512, 2048, 3, 2},
 }
 
-// ResNet50v2 builds ResNet-50v2 for 224×224 ImageNet inference in bf16.
-func ResNet50v2(batch int64) *hlo.Graph {
+// resNet50v2 builds ResNet-50v2 for 224×224 ImageNet inference in bf16.
+func resNet50v2(batch int64) *hlo.Graph {
 	g := hlo.NewGraph("resnet50v2")
 	g.InBlock("stem")
 	x := g.Input("images", tensor.NewShape(tensor.BF16, batch, 224, 224, 3))

@@ -47,10 +47,10 @@ const bayesBandwidth = 0.35 // RBF kernel width in normalized space
 // caller gives no budget hint.
 const bayesDefaultBudget = 300
 
-// NewBayesian returns the surrogate-model optimizer. budget sizes the
+// newBayesian returns the surrogate-model optimizer. budget sizes the
 // warm-up phase (max(8, budget/10) random trials) and the exploration
 // decay; budget <= 0 uses a default horizon.
-func NewBayesian(seed int64, budget int) Optimizer {
+func newBayesian(seed int64, budget int) Optimizer {
 	rawBudget := budget
 	if budget <= 0 {
 		budget = bayesDefaultBudget

@@ -54,10 +54,10 @@ const (
 	lcsSwarmSize = 16
 )
 
-// NewLCS returns a Linear Combination Swarm optimizer. budget caps the
+// newLCS returns a Linear Combination Swarm optimizer. budget caps the
 // swarm size (a swarm larger than the trial budget never completes one
 // generation); budget <= 0 uses the default swarm.
-func NewLCS(seed int64, budget int) Optimizer {
+func newLCS(seed int64, budget int) Optimizer {
 	o := &lcsOptimizer{
 		r:          rand.New(rand.NewSource(seed)),
 		dims:       arch.Space{}.Dims(),

@@ -49,15 +49,15 @@ type nsga2Individual struct {
 	crowd float64
 }
 
-// nsga2PopSize is the default population; it matches DefaultBatchSize,
-// so the default concurrent driver advances exactly one generation per
-// ask/tell round.
+// nsga2PopSize is the default population; it matches the core Runner's
+// default batch width, so the Runner advances exactly one generation
+// per ask/tell round.
 const nsga2PopSize = 16
 
-// NewNSGA2 returns the multi-objective NSGA-II optimizer. budget caps
+// newNSGA2 returns the multi-objective NSGA-II optimizer. budget caps
 // the population size (a population larger than the trial budget never
 // completes one generation); budget <= 0 uses the default.
-func NewNSGA2(seed int64, budget int) Optimizer {
+func newNSGA2(seed int64, budget int) Optimizer {
 	o := &nsga2Optimizer{
 		r:    rand.New(rand.NewSource(seed)),
 		dims: arch.Space{}.Dims(),

@@ -50,7 +50,7 @@ func driveMulti(opt Optimizer, obj func([arch.NumParams]int) Evaluation, trials 
 // objectives must contain genuine trade-offs — points strong on v1,
 // points strong on v2, and a non-trivial interior.
 func TestNSGA2FindsSpreadFront(t *testing.T) {
-	history := driveMulti(NewNSGA2(3, 400), biobjective, 400)
+	history := driveMulti(newNSGA2(3, 400), biobjective, 400)
 	a := NewParetoArchive(0)
 	for _, tr := range history {
 		a.Add(tr)
@@ -98,8 +98,8 @@ func TestNSGA2ScalarStillConverges(t *testing.T) {
 // concurrent Runner may split batches arbitrarily around the population
 // boundary).
 func TestNSGA2TranscriptDeterminism(t *testing.T) {
-	a := NewNSGA2(11, 0)
-	b := NewNSGA2(11, 0)
+	a := newNSGA2(11, 0)
+	b := newNSGA2(11, 0)
 	askA := func(n int) [][arch.NumParams]int { return a.Ask(n) }
 	var pending []Trial
 	for round := 0; round < 30; round++ {

@@ -184,13 +184,13 @@ type Optimizer interface {
 func New(alg Algorithm, seed int64, budget int) Optimizer {
 	switch alg {
 	case AlgLCS:
-		return NewLCS(seed, budget)
+		return newLCS(seed, budget)
 	case AlgBayes:
-		return NewBayesian(seed, budget)
+		return newBayesian(seed, budget)
 	case AlgNSGA2:
-		return NewNSGA2(seed, budget)
+		return newNSGA2(seed, budget)
 	default:
-		return NewRandom(seed)
+		return newRandom(seed)
 	}
 }
 
@@ -202,8 +202,8 @@ type randomOptimizer struct {
 	dims [arch.NumParams]int
 }
 
-// NewRandom returns the uniform-sampling optimizer.
-func NewRandom(seed int64) Optimizer {
+// newRandom returns the uniform-sampling optimizer.
+func newRandom(seed int64) Optimizer {
 	o := &randomOptimizer{r: rand.New(rand.NewSource(seed)), dims: arch.Space{}.Dims()}
 	o.initTranscript(AlgRandom, seed, 0)
 	return o
@@ -245,6 +245,3 @@ func mutate(r *rand.Rand, idx [arch.NumParams]int, p float64) [arch.NumParams]in
 	}
 	return out
 }
-
-// newRand returns a deterministic rand for tests.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

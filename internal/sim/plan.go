@@ -236,11 +236,6 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 		}
 		pr.hi = len(p.ops)
 		pr.edgeProducer, pr.edgeBytes, pr.edgeSole = p.part.PrimaryEdge(r)
-		if opts.Training {
-			// Intermediates must persist for the backward pass: activation
-			// edges cannot be kept on chip.
-			pr.edgeProducer, pr.edgeBytes, pr.edgeSole = -1, 0, false
-		}
 		// Inter-op blocking: adjacent regions stream the edge tensor one
 		// batch sample at a time, so GM residency is the per-sample slice.
 		pr.resident = pr.edgeBytes
@@ -257,7 +252,7 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 	for i := range p.regions {
 		producers[i] = p.regions[i].edgeProducer
 	}
-	p.usable = fusion.UsableEdges(producers, opts.Fusion.Window)
+	p.usable = fusion.UsableEdges(producers)
 	return p, nil
 }
 
@@ -329,7 +324,7 @@ func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 // The Result and its tables are fresh when bufs is nil, and otherwise
 // bufs' slot for alg, overwritten.
 func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []mapping.Mapping, extras []int64, bufs *scoreBufs) *Result {
-	g, opts := p.graph, p.opts
+	g := p.graph
 
 	perCoreBW := cfg.PeakBandwidthGBs() * 1e9 / float64(cfg.Cores)
 	clock := cfg.ClockGHz * 1e9
@@ -417,12 +412,6 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 			}
 			extraBytes += opExtra
 			shares = append(shares, OpShare{Op: po.op, IntrinsicSec: opSec + float64(opExtra)/perCoreBW})
-		}
-		if opts.Training {
-			var trainBytes int64
-			matrixSec, vectorSec, serialSec, trainBytes = trainingAdjust(matrixSec, vectorSec, serialSec, io, extraBytes)
-			// Rebuild the IO view the fusion costs below will see.
-			extraBytes = trainBytes - io.InputBytes - io.OutputBytes - io.WeightBytes
 		}
 		computeSec := maxf(matrixSec, vectorSec) + serialSec
 		// Attribute overlapped elementwise time at its residual share so

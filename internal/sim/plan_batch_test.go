@@ -21,7 +21,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 		t.Skip("full differential sweep is not short")
 	}
 	for _, model := range models.Names() {
-		if models.UsesKVCache(model) {
+		if usesKVCache(model) {
 			// The frozen pre-split simulator predates KV-cache residency;
 			// decode workloads get their own EvaluateBatch differential in
 			// plan_kv_test.go.

@@ -11,12 +11,21 @@ import (
 	"fast/internal/models"
 )
 
+// usesKVCache reports whether the named workload's graph reads a
+// persistent KV-cache (an autoregressive decode step). Such graphs
+// carry a traffic class the pre-KV frozen reference simulator does not
+// model, so differential suites that compare against it skip them;
+// decode models are instead pinned by their own golden results.
+func usesKVCache(name string) bool {
+	return hlo.Stats(models.MustBuild(name, 1)).KVBytes > 0
+}
+
 // kvModels are the registry decode workloads (the ones the frozen
 // pre-split differential skips — see plan_test.go).
 func kvModels() []string {
 	out := []string{}
 	for _, name := range models.Names() {
-		if models.UsesKVCache(name) {
+		if usesKVCache(name) {
 			out = append(out, name)
 		}
 	}

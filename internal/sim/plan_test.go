@@ -21,12 +21,9 @@ func planDesigns() []*arch.Config {
 
 // planOptionSets are the software stacks the differential suite sweeps.
 func planOptionSets() map[string]Options {
-	training := FASTOptions()
-	training.Training = true
 	return map[string]Options{
 		"baseline": BaselineOptions(),
 		"fast":     FASTOptions(),
-		"training": training,
 	}
 }
 
@@ -57,7 +54,7 @@ func TestCompileEvaluateMatchesSimulate(t *testing.T) {
 		t.Skip("full differential sweep is not short")
 	}
 	for _, model := range models.Names() {
-		if models.UsesKVCache(model) {
+		if usesKVCache(model) {
 			// The frozen pre-split simulator predates KV-cache residency;
 			// decode workloads are pinned by their own golden results and
 			// the decode-vs-prefill differential in the models package.
@@ -174,14 +171,11 @@ func TestOptionsFingerprint(t *testing.T) {
 		"two-pass":   func(o *Options) { o.TwoPassSoftmax = true },
 		"auto-off":   func(o *Options) { o.AutoSoftmax = false },
 		"fusion-off": func(o *Options) { o.Fusion.Disable = true },
-		"window":     func(o *Options) { o.Fusion.Window = 2 },
-		"no-padding": func(o *Options) { o.Mapping.DisablePadding = true },
 		// nil means "all schemes", a non-nil empty slice means "none":
 		// the fingerprint must keep them apart.
 		"no-schemes":   func(o *Options) { o.Mapping.Schemes = []mapping.Scheme{} },
 		"ws-only":      func(o *Options) { o.Mapping.Schemes = []mapping.Scheme{mapping.WeightStationary} },
 		"partition":    func(o *Options) { o.PartitionNone = true },
-		"training":     func(o *Options) { o.Training = true },
 		"whole-tensor": func(o *Options) { o.WholeTensorFusion = true },
 		"dw-vpu":       func(o *Options) { o.DepthwiseOnVPU = true },
 	}

@@ -124,11 +124,6 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 			extraBytes += opExtra
 			shares = append(shares, OpShare{Op: op, IntrinsicSec: opSec + float64(opExtra)/perCoreBW})
 		}
-		if opts.Training {
-			var trainBytes int64
-			matrixSec, vectorSec, serialSec, trainBytes = trainingAdjust(matrixSec, vectorSec, serialSec, io, extraBytes)
-			extraBytes = trainBytes - io.InputBytes - io.OutputBytes - io.WeightBytes
-		}
 		computeSec := maxf(matrixSec, vectorSec) + serialSec
 		if matrixSec > 0 && vectorSec > 0 {
 			factor := 0.0
@@ -151,9 +146,6 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 		tMin := computeSec
 
 		edgeProducer, edgeBytes, edgeSole := part.PrimaryEdge(r)
-		if opts.Training {
-			edgeProducer, edgeBytes, edgeSole = -1, 0, false
-		}
 		resident := edgeBytes
 		if nb := g.NativeBatch(); nb > 1 && edgeBytes > 0 && !opts.WholeTensorFusion {
 			resident = edgeBytes / nb
@@ -183,7 +175,7 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 	for i := range costs {
 		producers[i] = costs[i].EdgeProducer
 	}
-	usable := fusion.UsableEdges(producers, opts.Fusion.Window)
+	usable := fusion.UsableEdges(producers)
 	var sol fusion.Solution
 	fusion.ResolvePlanned(&sol, costs, cfg.GlobalBytes(),
 		fusion.SolvePlanned(costs, usable, cfg.GlobalBytes(), opts.Fusion))

@@ -34,10 +34,6 @@ type Options struct {
 	// PartitionNone disables XLA fusion regions (every op its own
 	// region) for ablation studies.
 	PartitionNone bool
-	// Training enables the training-step model (see training.go): 3x
-	// matrix work, 2x vector work, activations preserved to DRAM for the
-	// backward pass (no activation-edge fusion), gradient traffic added.
-	Training bool
 	// WholeTensorFusion reproduces the paper's conservative Fig. 8
 	// assumption that entire tensors occupy Global Memory while resident
 	// (§5.5). Default false: the scheduler applies inter-op blocking, so
@@ -170,9 +166,9 @@ func (o Options) Fingerprint() string {
 	if o.Mapping.Schemes != nil {
 		schemes = fmt.Sprintf("%v", o.Mapping.Schemes)
 	}
-	return fmt.Sprintf("sm2p=%t auto=%t fus=%+v pad=%t schemes=%s pnone=%t train=%t wtf=%t dwvpu=%t pm=%s",
-		o.TwoPassSoftmax, o.AutoSoftmax, o.Fusion, o.Mapping.DisablePadding, schemes,
-		o.PartitionNone, o.Training, o.WholeTensorFusion, o.DepthwiseOnVPU, pm)
+	return fmt.Sprintf("sm2p=%t auto=%t fus=%+v schemes=%s pnone=%t wtf=%t dwvpu=%t pm=%s",
+		o.TwoPassSoftmax, o.AutoSoftmax, o.Fusion, schemes,
+		o.PartitionNone, o.WholeTensorFusion, o.DepthwiseOnVPU, pm)
 }
 
 // Simulate runs the full pipeline for graph g (built at any batch; it is

@@ -262,8 +262,8 @@ func TestByBlockCoversGraph(t *testing.T) {
 			t.Errorf("block %s utilization = %.3f", b.Block, b.Utilization)
 		}
 	}
-	if flops != hlo.GraphFLOPs(r.Graph) {
-		t.Errorf("block FLOPs %d != graph %d", flops, hlo.GraphFLOPs(r.Graph))
+	if flops != hlo.Stats(r.Graph).FLOPs {
+		t.Errorf("block FLOPs %d != graph %d", flops, hlo.Stats(r.Graph).FLOPs)
 	}
 }
 

@@ -49,10 +49,10 @@ const FormatVersion = 1
 // Sentinel errors. Callers branch on these with errors.Is; every error
 // carries the study path for the operator.
 var (
-	ErrExists          = errors.New("study already exists")
-	ErrNotFound        = errors.New("study not found")
-	ErrCorrupt         = errors.New("checkpoint corrupt")
-	ErrVersionMismatch = errors.New("checkpoint format version mismatch")
+	errExists          = errors.New("study already exists")
+	errNotFound        = errors.New("study not found")
+	errCorrupt         = errors.New("checkpoint corrupt")
+	errVersionMismatch = errors.New("checkpoint format version mismatch")
 )
 
 // Spec is the immutable definition of a stored study — everything
@@ -221,7 +221,7 @@ func (st *Store) Create(sp Spec) (*Study, error) {
 	}
 	sp.FormatVersion = FormatVersion
 	if _, err := os.Stat(filepath.Join(dir, specFile)); err == nil {
-		return nil, fmt.Errorf("store: %s/%s: %w", sp.Tenant, sp.ID, ErrExists)
+		return nil, fmt.Errorf("store: %s/%s: %w", sp.Tenant, sp.ID, errExists)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
@@ -237,7 +237,7 @@ func (st *Store) Create(sp Spec) (*Study, error) {
 }
 
 // Get opens an existing study. ErrNotFound if it does not exist,
-// ErrVersionMismatch if its spec was written by a newer format.
+// errVersionMismatch if its spec was written by a newer format.
 func (st *Store) Get(tenant, id string) (*Study, error) {
 	dir, err := st.dir(tenant, id)
 	if err != nil {
@@ -245,18 +245,18 @@ func (st *Store) Get(tenant, id string) (*Study, error) {
 	}
 	data, err := os.ReadFile(filepath.Join(dir, specFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("store: %s/%s: %w", tenant, id, ErrNotFound)
+		return nil, fmt.Errorf("store: %s/%s: %w", tenant, id, errNotFound)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: read spec %s/%s: %w", tenant, id, err)
 	}
 	var sp Spec
 	if err := json.Unmarshal(data, &sp); err != nil {
-		return nil, fmt.Errorf("store: spec %s/%s: %w: %v", tenant, id, ErrCorrupt, err)
+		return nil, fmt.Errorf("store: spec %s/%s: %w: %v", tenant, id, errCorrupt, err)
 	}
 	if sp.FormatVersion != FormatVersion {
 		return nil, fmt.Errorf("store: spec %s/%s has format version %d, this binary writes %d: %w",
-			tenant, id, sp.FormatVersion, FormatVersion, ErrVersionMismatch)
+			tenant, id, sp.FormatVersion, FormatVersion, errVersionMismatch)
 	}
 	return &Study{store: st, spec: sp, dir: dir}, nil
 }
@@ -401,7 +401,7 @@ func (s *Study) Status() (Status, error) {
 	}
 	var out Status
 	if err := json.Unmarshal(data, &out); err != nil {
-		return Status{}, fmt.Errorf("store: status %s: %w: %v", s.dir, ErrCorrupt, err)
+		return Status{}, fmt.Errorf("store: status %s: %w: %v", s.dir, errCorrupt, err)
 	}
 	return out, nil
 }
@@ -489,7 +489,7 @@ func (s *Study) BeginTranscript(alg search.Algorithm, seed int64, budget int) er
 // the caller has seen acknowledged is never lost to a crash. It
 // returns the number of bytes appended (for write-volume metrics).
 // BeginTranscript must have been called. Write and fsync failures come
-// back classified retryable (fault.IsRetryable): the transcript up to
+// back classified fault.ClassRetryable: the transcript up to
 // the last acknowledged append is still durable, so stopping the study
 // and resuming later is always safe.
 func (s *Study) AppendBatch(batch []search.Trial) (int, error) {
@@ -578,7 +578,7 @@ func (s *Study) Snapshot() (snap search.Snapshot, truncated bool, err error) {
 		snap.Append(b.Trials)
 	}
 	if err := snap.Validate(); err != nil {
-		return search.Snapshot{}, false, fmt.Errorf("store: transcript %s: %w: %v", s.dir, ErrCorrupt, err)
+		return search.Snapshot{}, false, fmt.Errorf("store: transcript %s: %w: %v", s.dir, errCorrupt, err)
 	}
 	return snap, truncated, nil
 }
@@ -589,7 +589,7 @@ func (s *Study) Snapshot() (snap search.Snapshot, truncated bool, err error) {
 // truncated. An unparsable line anywhere earlier is ErrCorrupt.
 func parseTranscript(data []byte) (hdr transcriptHeader, batches []transcriptBatch, truncated bool, err error) {
 	if len(data) == 0 {
-		return hdr, nil, false, fmt.Errorf("%w: empty transcript", ErrCorrupt)
+		return hdr, nil, false, fmt.Errorf("%w: empty transcript", errCorrupt)
 	}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
@@ -602,24 +602,24 @@ func parseTranscript(data []byte) (hdr transcriptHeader, batches []transcriptBat
 		lines = append(lines, line)
 	}
 	if err := sc.Err(); err != nil {
-		return hdr, nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return hdr, nil, false, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	if len(lines) == 0 {
-		return hdr, nil, false, fmt.Errorf("%w: empty transcript", ErrCorrupt)
+		return hdr, nil, false, fmt.Errorf("%w: empty transcript", errCorrupt)
 	}
 
 	if err := json.Unmarshal(lines[0], &hdr); err != nil {
 		if len(lines) == 1 && !complete {
-			return hdr, nil, false, fmt.Errorf("%w: torn transcript header", ErrCorrupt)
+			return hdr, nil, false, fmt.Errorf("%w: torn transcript header", errCorrupt)
 		}
-		return hdr, nil, false, fmt.Errorf("%w: bad transcript header: %v", ErrCorrupt, err)
+		return hdr, nil, false, fmt.Errorf("%w: bad transcript header: %v", errCorrupt, err)
 	}
 	if hdr.Format != transcriptFormat {
-		return hdr, nil, false, fmt.Errorf("%w: transcript format %q", ErrCorrupt, hdr.Format)
+		return hdr, nil, false, fmt.Errorf("%w: transcript format %q", errCorrupt, hdr.Format)
 	}
 	if hdr.Version != FormatVersion {
 		return hdr, nil, false, fmt.Errorf("transcript version %d, this binary reads %d: %w",
-			hdr.Version, FormatVersion, ErrVersionMismatch)
+			hdr.Version, FormatVersion, errVersionMismatch)
 	}
 
 	for i, line := range lines[1:] {
@@ -633,7 +633,7 @@ func parseTranscript(data []byte) (hdr transcriptHeader, batches []transcriptBat
 		}
 		var b transcriptBatch
 		if json.Unmarshal(line, &b) != nil || len(b.Trials) == 0 {
-			return hdr, nil, false, fmt.Errorf("%w: bad batch at line %d", ErrCorrupt, i+2)
+			return hdr, nil, false, fmt.Errorf("%w: bad batch at line %d", errCorrupt, i+2)
 		}
 		batches = append(batches, b)
 	}

@@ -49,7 +49,7 @@ func TestCreateGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Create(sp); !errors.Is(err, ErrExists) {
+	if _, err := st.Create(sp); !errors.Is(err, errExists) {
 		t.Fatalf("second Create = %v, want ErrExists", err)
 	}
 
@@ -62,7 +62,7 @@ func TestCreateGetRoundTrip(t *testing.T) {
 		gs.Objective != "perf-per-tdp" || gs.FormatVersion != FormatVersion {
 		t.Errorf("round-tripped spec = %+v", gs)
 	}
-	if _, err := st.Get("acme", "nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := st.Get("acme", "nope"); !errors.Is(err, errNotFound) {
 		t.Fatalf("Get missing = %v, want ErrNotFound", err)
 	}
 
@@ -100,7 +100,7 @@ func TestNamesAreSanitized(t *testing.T) {
 		if _, err := st.Create(testSpec("ok", bad)); err == nil {
 			t.Errorf("id %q accepted", bad)
 		}
-		if _, err := st.Get(bad, "ok"); err == nil || errors.Is(err, ErrNotFound) {
+		if _, err := st.Get(bad, "ok"); err == nil || errors.Is(err, errNotFound) {
 			t.Errorf("Get with tenant %q must fail validation, got %v", bad, err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestTornTailIsCutBeforeAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.SetFaultHook(func(FaultOp, string) error { return errors.New("disk full") })
-	if err := re.BeginTranscript(search.AlgRandom, 7, 24); !fault.IsRetryable(err) {
+	if err := re.BeginTranscript(search.AlgRandom, 7, 24); fault.ClassOf(err) != fault.ClassRetryable {
 		t.Errorf("BeginTranscript under a write fault = %v, want a retryable error", err)
 	}
 	st.SetFaultHook(nil)
@@ -331,7 +331,7 @@ func TestMidFileCorruptionIsFatal(t *testing.T) {
 	if err := os.WriteFile(path, []byte(mangled), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Snapshot(); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := s.Snapshot(); !errors.Is(err, errCorrupt) {
 		t.Fatalf("mid-file corruption: %v, want ErrCorrupt", err)
 	}
 }
@@ -353,7 +353,7 @@ func TestVersionMismatch(t *testing.T) {
 	data, _ := os.ReadFile(tpath)
 	future := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
 	os.WriteFile(tpath, []byte(future), 0o644)
-	if _, _, err := s.Snapshot(); !errors.Is(err, ErrVersionMismatch) {
+	if _, _, err := s.Snapshot(); !errors.Is(err, errVersionMismatch) {
 		t.Fatalf("future transcript: %v, want ErrVersionMismatch", err)
 	}
 
@@ -362,7 +362,7 @@ func TestVersionMismatch(t *testing.T) {
 	sdata, _ := os.ReadFile(spath)
 	sfuture := strings.Replace(string(sdata), `"format_version":1`, `"format_version":99`, 1)
 	os.WriteFile(spath, []byte(sfuture), 0o644)
-	if _, err := st.Get("acme", "ver"); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := st.Get("acme", "ver"); !errors.Is(err, errVersionMismatch) {
 		t.Fatalf("future spec: %v, want ErrVersionMismatch", err)
 	}
 }

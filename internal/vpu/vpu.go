@@ -12,9 +12,9 @@ import (
 	"fast/internal/hlo"
 )
 
-// ExpCost is the vector-op cost of one exponential on the VPU (lookup
+// expCost is the vector-op cost of one exponential on the VPU (lookup
 // table + Taylor refinement, per [67] in the paper).
-const ExpCost = 8
+const expCost = 8
 
 // vpuEfficiency derates peak VPU throughput for real kernels (issue
 // bubbles, alignment); calibrated so softmax lands at the paper's "<1% of
@@ -56,20 +56,20 @@ func (a SoftmaxAlgorithm) String() string {
 	return "three-pass"
 }
 
-// SoftmaxCost returns the VPU cost of softmax over `rows` rows of length
+// softmaxCost returns the VPU cost of softmax over `rows` rows of length
 // rowLen. fitsOnChip reports whether one row's working set stays in
 // on-chip memory between passes; when it does not, each extra pass costs
 // DRAM traffic (§5.6: "these 3 passes usually involve reading and
 // writing the values to and from DRAM").
-func SoftmaxCost(rows, rowLen int64, alg SoftmaxAlgorithm, fitsOnChip bool, elemBytes int64) Cost {
+func softmaxCost(rows, rowLen int64, alg SoftmaxAlgorithm, fitsOnChip bool, elemBytes int64) Cost {
 	n := float64(rows * rowLen)
 	var c Cost
 	switch alg {
 	case TwoPass:
-		// Pass 1: running max (1) + rescale exp (ExpCost) + elem exp
-		// (ExpCost) + multiply-add (2) per element.
-		// Pass 2: exp (ExpCost) + divide (1).
-		c.VectorOps = n * (1 + 2*ExpCost + 2 + ExpCost + 1)
+		// Pass 1: running max (1) + rescale exp (expCost) + elem exp
+		// (expCost) + multiply-add (2) per element.
+		// Pass 2: exp (expCost) + divide (1).
+		c.VectorOps = n * (1 + 2*expCost + 2 + expCost + 1)
 		if !fitsOnChip {
 			// Reads V twice, writes out once — but the fusion-region
 			// traffic already covers one read and one write, so one extra
@@ -77,9 +77,9 @@ func SoftmaxCost(rows, rowLen int64, alg SoftmaxAlgorithm, fitsOnChip bool, elem
 			c.ExtraDRAMBytes = int64(n) * elemBytes
 		}
 	default:
-		// Pass 1: max (1). Pass 2: subtract (1) + exp (ExpCost) + add
+		// Pass 1: max (1). Pass 2: subtract (1) + exp (expCost) + add
 		// (1), writing tempVec. Pass 3: divide (1).
-		c.VectorOps = n * (1 + 1 + ExpCost + 1 + 1)
+		c.VectorOps = n * (1 + 1 + expCost + 1 + 1)
 		if !fitsOnChip {
 			// Reads V twice and round-trips the temp vector beyond the
 			// region's one read + one write: extra = 1 read of V + 1
@@ -100,7 +100,7 @@ func OpCost(op *hlo.Op, alg SoftmaxAlgorithm, softmaxFitsOnChip bool) Cost {
 	if op.Kind == hlo.KSoftmax {
 		rowLen := op.Output.Dim(op.Output.Rank() - 1)
 		rows := op.Output.Elems() / rowLen
-		return SoftmaxCost(rows, rowLen, alg, softmaxFitsOnChip, op.Output.Type.Size())
+		return softmaxCost(rows, rowLen, alg, softmaxFitsOnChip, op.Output.Type.Size())
 	}
 	per := op.VecOpsPerElem
 	if per == 0 {

@@ -10,24 +10,24 @@ import (
 
 func TestSoftmaxTwoPassTradesComputeForTraffic(t *testing.T) {
 	// §5.6: two-pass eliminates memory passes but up to 2N extra exps.
-	three := SoftmaxCost(1024, 1024, ThreePass, false, 2)
-	two := SoftmaxCost(1024, 1024, TwoPass, false, 2)
+	three := softmaxCost(1024, 1024, ThreePass, false, 2)
+	two := softmaxCost(1024, 1024, TwoPass, false, 2)
 	if two.ExtraDRAMBytes >= three.ExtraDRAMBytes {
 		t.Errorf("two-pass DRAM %d must be < three-pass %d", two.ExtraDRAMBytes, three.ExtraDRAMBytes)
 	}
 	if two.VectorOps <= three.VectorOps {
 		t.Errorf("two-pass vector ops %.0f must exceed three-pass %.0f", two.VectorOps, three.VectorOps)
 	}
-	// Extra exps bounded by ~2N·ExpCost plus bookkeeping.
+	// Extra exps bounded by ~2N·expCost plus bookkeeping.
 	n := float64(1024 * 1024)
-	if two.VectorOps-three.VectorOps > n*(2*ExpCost+3) {
+	if two.VectorOps-three.VectorOps > n*(2*expCost+3) {
 		t.Error("two-pass overhead exceeds the 2N-exponential bound")
 	}
 }
 
 func TestSoftmaxOnChipHasNoExtraTraffic(t *testing.T) {
 	for _, alg := range []SoftmaxAlgorithm{ThreePass, TwoPass} {
-		c := SoftmaxCost(128, 128, alg, true, 2)
+		c := softmaxCost(128, 128, alg, true, 2)
 		if c.ExtraDRAMBytes != 0 {
 			t.Errorf("%v: on-chip softmax should add no DRAM traffic", alg)
 		}
@@ -39,7 +39,7 @@ func TestSoftmaxUtilizationTiny(t *testing.T) {
 	// seq-1024 softmax (12 heads): time on VPU vs the chip's peak
 	// implies compute utilization ≈ vectorOps/time/peakFLOPs < 1%.
 	tpu := arch.TPUv3()
-	cost := SoftmaxCost(12*1024, 1024, ThreePass, false, 2)
+	cost := softmaxCost(12*1024, 1024, ThreePass, false, 2)
 	secs := Time(cost.VectorOps, tpu)
 	elems := float64(12 * 1024 * 1024)
 	util := (elems * 5) / (secs * tpu.PeakFLOPs() / float64(tpu.Cores))
