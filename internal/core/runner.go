@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,18 +14,16 @@ import (
 	"fast/internal/search"
 )
 
-// sortIndexVectors orders hyperparameter vectors lexicographically, so
+// compareIndex orders hyperparameter vectors lexicographically, so
 // near-identical proposals (adaptive optimizers mutate a few coordinates
 // around incumbents) become neighbours before the batch is chunked.
-func sortIndexVectors(work [][arch.NumParams]int) {
-	sort.Slice(work, func(a, b int) bool {
-		for d := 0; d < arch.NumParams; d++ {
-			if work[a][d] != work[b][d] {
-				return work[a][d] < work[b][d]
-			}
+func compareIndex(a, b [arch.NumParams]int) int {
+	for d := 0; d < arch.NumParams; d++ {
+		if a[d] != b[d] {
+			return cmp.Compare(a[d], b[d])
 		}
-		return false
-	})
+	}
+	return 0
 }
 
 // defaultBatchSize is the Runner's ask/tell batch width. It matches the
@@ -80,6 +79,8 @@ type Runner struct {
 	// the checkpoint seam: a batch handed to OnBatch is durable search
 	// state — the optimizer has consumed it, and replaying the batches
 	// seen so far (search.Restore) reproduces the optimizer exactly.
+	// The batch is a window on the Run's history: read it during the
+	// call, copy what you keep, and never modify it.
 	OnBatch func(batch []search.Trial)
 	// Completed is the number of trials a resumed run has already
 	// evaluated (through an earlier Run whose batches were
@@ -110,12 +111,123 @@ func runChunk(batchObj search.BatchObjective, idxs [][arch.NumParams]int) (evs [
 	return batchObj(idxs), nil
 }
 
+// workerPool evaluates one batch of unique points at a time with up to
+// par concurrent BatchObjective calls: the Run's own goroutine plus up
+// to par-1 helpers, each started the first time a batch needs it and
+// kept until the Run ends. A batch of a few points therefore costs a
+// channel send per helper, not a goroutine start (and its stack growth
+// to the evaluator's depth).
+//
+// Workers pull contiguous chunks of the batch off an atomic cursor,
+// checking cancellation between chunks. A panicking objective does not
+// kill the process: its worker converts the panic to an error and the
+// other workers stop taking chunks (the quarantine), and the error ends
+// the Run.
+type workerPool struct {
+	ctx context.Context
+	obj search.BatchObjective
+	par int
+
+	jobs    chan struct{}  // one token per helper enlisted for the batch
+	helpers int            // helpers started so far
+	alive   sync.WaitGroup // started helpers that have not exited
+	busy    sync.WaitGroup // enlisted helpers still on the batch
+
+	// The current batch. The Run's goroutine writes these fields before
+	// enlisting helpers and reads outs after they are done.
+	work           [][arch.NumParams]int
+	outs           []search.Evaluation
+	chunk, nChunks int
+	next           atomic.Int64
+
+	failed atomic.Bool
+	errMu  sync.Mutex
+	err    error // the first chunk failure; it ends the Run
+}
+
+func newWorkerPool(ctx context.Context, obj search.BatchObjective, par int) *workerPool {
+	// A batch enlists at most par-1 helpers, so with this buffer the
+	// enlisting sends never block the Run's goroutine.
+	return &workerPool{ctx: ctx, obj: obj, par: par, jobs: make(chan struct{}, par)}
+}
+
+// evaluate computes work, which must be non-empty, and returns one
+// evaluation per point. The result is scratch, overwritten by the next
+// call. A non-nil error is the first chunk failure; on cancellation
+// some results may be missing, so the caller checks the context too.
+func (p *workerPool) evaluate(work [][arch.NumParams]int) ([]search.Evaluation, error) {
+	workers := min(p.par, len(work))
+	p.chunk = min((len(work)+workers-1)/workers, maxObjectiveChunk)
+	p.nChunks = (len(work) + p.chunk - 1) / p.chunk
+	p.work = work
+	p.outs = slices.Grow(p.outs[:0], len(work))[:len(work)]
+	p.next.Store(-1)
+	for ; p.helpers < workers-1; p.helpers++ {
+		p.alive.Add(1)
+		go p.help()
+	}
+	p.busy.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		p.jobs <- struct{}{}
+	}
+	p.drain()
+	p.busy.Wait() // every helper's writes happen before this returns
+	return p.outs, p.err
+}
+
+// help is a helper's life: drain each batch it is enlisted for, until
+// stop.
+func (p *workerPool) help() {
+	defer p.alive.Done()
+	for range p.jobs {
+		p.drain()
+		p.busy.Done()
+	}
+}
+
+// drain evaluates chunks of the current batch until none is left, the
+// context ends or some chunk failed.
+func (p *workerPool) drain() {
+	for !p.failed.Load() && p.ctx.Err() == nil {
+		ci := int(p.next.Add(1))
+		if ci >= p.nChunks {
+			return
+		}
+		lo := ci * p.chunk
+		hi := min(lo+p.chunk, len(p.work))
+		got, err := runChunk(p.obj, p.work[lo:hi])
+		if err == nil && len(got) != hi-lo {
+			err = fmt.Errorf("core: BatchObjective returned %d evaluations for %d points", len(got), hi-lo)
+		}
+		if err != nil {
+			p.errMu.Lock()
+			if p.err == nil {
+				p.err = err
+			}
+			p.errMu.Unlock()
+			p.failed.Store(true)
+			return
+		}
+		copy(p.outs[lo:hi], got)
+	}
+}
+
+// stop ends every helper and waits for them to exit, so no goroutine
+// of the pool outlives its Run.
+func (p *workerPool) stop() {
+	close(p.jobs)
+	p.alive.Wait()
+}
+
 // Run executes up to r.Trials evaluations. On context cancellation it
 // stops promptly — in-flight evaluations finish, the unfinished batch is
 // abandoned untold — and returns the partial history together with
 // ctx.Err(). A panicking BatchObjective does not crash the
 // process: the panic surfaces as Run's returned error (terminal under
 // the fault taxonomy) with the already-told batches intact.
+//
+// Each told batch is appended to the result's History once; Tell,
+// OnBatch and OnTrial all see that sub-slice of it, in that order.
 func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 	var res search.Result
 	if r.Optimizer == nil || r.BatchObjective == nil {
@@ -137,7 +249,10 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 			cache[t.Index] = t.Evaluation
 		}
 	}
+	pool := newWorkerPool(ctx, r.BatchObjective, par)
+	defer pool.stop()
 
+	var work [][arch.NumParams]int
 	for done := r.Completed; done < r.Trials; {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -153,86 +268,27 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 			return res, nil
 		}
 
-		// Collapse the batch to unique uncached points: slots[i] holds
-		// the evaluation for asks[i]; work lists the points to compute.
-		evals := make([]search.Evaluation, len(asks))
-		fill := make(map[[arch.NumParams]int][]int)
-		var work [][arch.NumParams]int
-		for i, idx := range asks {
-			if ev, ok := cache[idx]; ok {
-				evals[i] = ev
-				continue
-			}
-			if _, seen := fill[idx]; !seen {
+		// Evaluate the batch's unique uncached points, sorted so
+		// proposals that share parameter sub-tuples become neighbours,
+		// in chunks bounded by maxObjectiveChunk so large custom
+		// BatchSizes still stop promptly on cancellation. Results are
+		// keyed by index vector, so neither sorting nor chunking
+		// reaches the transcript.
+		work = work[:0]
+		for _, idx := range asks {
+			if _, ok := cache[idx]; !ok {
 				work = append(work, idx)
 			}
-			fill[idx] = append(fill[idx], i)
 		}
-
 		if len(work) > 0 {
-			outs := make([]search.Evaluation, len(work))
-			workers := par
-			if workers > len(work) {
-				workers = len(work)
-			}
-			// Workers pull contiguous chunks off an atomic cursor, checking
-			// cancellation between chunks. The unique points are sorted so
-			// proposals that share parameter sub-tuples become neighbours,
-			// in chunks bounded by maxObjectiveChunk so large custom
-			// BatchSizes still stop promptly on cancellation. Results are
-			// keyed by index vector, so neither sorting nor chunking
-			// reaches the transcript.
-			sortIndexVectors(work)
-			chunk := (len(work) + workers - 1) / workers
-			if chunk > maxObjectiveChunk {
-				chunk = maxObjectiveChunk
-			}
-			nChunks := (len(work) + chunk - 1) / chunk
-			var next atomic.Int64
-			next.Store(-1)
-			// A panicking objective must not kill the process: the worker
-			// converts the panic to an error, the remaining workers drain
-			// via the quarantine context, and Run returns the error so the
-			// caller can fail just this study. The batch is abandoned
-			// untold, exactly as on cancellation, so the durable
-			// transcript stays a prefix of the unfaulted run's.
-			workCtx, stopWork := context.WithCancel(ctx)
-			var panicOnce sync.Once
-			var panicErr error
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						ci := int(next.Add(1))
-						if ci >= nChunks || workCtx.Err() != nil {
-							return
-						}
-						lo := ci * chunk
-						hi := lo + chunk
-						if hi > len(work) {
-							hi = len(work)
-						}
-						got, err := runChunk(r.BatchObjective, work[lo:hi])
-						if err == nil && len(got) != hi-lo {
-							err = fmt.Errorf("core: BatchObjective returned %d evaluations for %d points", len(got), hi-lo)
-						}
-						if err != nil {
-							panicOnce.Do(func() {
-								panicErr = err
-								stopWork()
-							})
-							return
-						}
-						copy(outs[lo:hi], got)
-					}
-				}()
-			}
-			wg.Wait()
-			stopWork()
-			if panicErr != nil {
-				return res, panicErr
+			slices.SortFunc(work, compareIndex)
+			work = slices.Compact(work)
+			outs, err := pool.evaluate(work)
+			if err != nil {
+				// The batch is abandoned untold, exactly as on
+				// cancellation, so the durable transcript stays a prefix
+				// of the unfaulted run's.
+				return res, err
 			}
 			if err := ctx.Err(); err != nil {
 				// Abandon the batch: some points may be unevaluated, and
@@ -242,23 +298,27 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 			}
 			for j, idx := range work {
 				cache[idx] = outs[j]
-				for _, slot := range fill[idx] {
-					evals[slot] = outs[j]
-				}
 			}
 		}
 
-		trials := make([]search.Trial, len(asks))
-		for i, idx := range asks {
-			trials[i] = search.Trial{Index: idx, Evaluation: evals[i]}
+		lo := len(res.History)
+		if need := lo + len(asks); need > cap(res.History) {
+			// Double, but never past the budget: room is only ever made
+			// for trials this Run can still tell.
+			grown := make([]search.Trial, lo, min(max(2*cap(res.History), need), lo+r.Trials-done))
+			copy(grown, res.History)
+			res.History = grown
 		}
-		r.Optimizer.Tell(trials)
+		for _, idx := range asks {
+			res.Observe(search.Trial{Index: idx, Evaluation: cache[idx]})
+		}
+		told := res.History[lo:len(res.History):len(res.History)]
+		r.Optimizer.Tell(told)
 		if r.OnBatch != nil {
-			r.OnBatch(trials)
+			r.OnBatch(told)
 		}
-		for _, t := range trials {
-			res.Observe(t)
-			if r.OnTrial != nil {
+		if r.OnTrial != nil {
+			for _, t := range told {
 				r.OnTrial(t)
 			}
 		}

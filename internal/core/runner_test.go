@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"fast/internal/arch"
+	"fast/internal/fault"
 	"fast/internal/search"
 )
 
@@ -236,5 +239,196 @@ func TestStudyProgressOrder(t *testing.T) {
 		if !seen[i].Equal(res.Search.History[i]) {
 			t.Fatalf("progress order diverges from history at trial %d", i)
 		}
+	}
+}
+
+// finiteOptimizer proposes random points for a fixed number of asks and
+// is exhausted after that.
+type finiteOptimizer struct {
+	search.Optimizer
+	asks int
+}
+
+func (o *finiteOptimizer) Ask(n int) [][arch.NumParams]int {
+	if o.asks == 0 {
+		return nil
+	}
+	o.asks--
+	return o.Optimizer.Ask(n)
+}
+
+// TestRunnerWorkersEndWithRun is the worker lifecycle guarantee: the
+// pool's helpers live for the whole Run and no longer, however the Run
+// ends — a normal end, a canceled context, a panicking objective, an
+// exhausted optimizer. The goroutine count settles back to where it
+// started.
+func TestRunnerWorkersEndWithRun(t *testing.T) {
+	const par = 4
+	cases := []struct {
+		name string
+		// runner builds the Runner; its objective is wrapped to record
+		// the goroutine count while evaluating.
+		runner  func(obj search.BatchObjective, cancel func()) *Runner
+		objFail func(call int64) // called per objective call; may panic
+		check   func(t *testing.T, res search.Result, err error)
+	}{
+		{
+			name: "normal end",
+			runner: func(obj search.BatchObjective, _ func()) *Runner {
+				return &Runner{Optimizer: search.New(search.AlgRandom, 1, 64), BatchObjective: obj, Trials: 64, Parallelism: par}
+			},
+			check: func(t *testing.T, res search.Result, err error) {
+				if err != nil || len(res.History) != 64 {
+					t.Fatalf("err %v, %d trials; want nil, 64", err, len(res.History))
+				}
+			},
+		},
+		{
+			name: "context cancel",
+			runner: func(obj search.BatchObjective, cancel func()) *Runner {
+				told := 0
+				return &Runner{Optimizer: search.New(search.AlgRandom, 2, 100000), BatchObjective: obj, Trials: 100000, Parallelism: par,
+					OnTrial: func(search.Trial) {
+						if told++; told == 2*defaultBatchSize {
+							cancel()
+						}
+					}}
+			},
+			check: func(t *testing.T, res search.Result, err error) {
+				if !errors.Is(err, context.Canceled) || len(res.History) != 2*defaultBatchSize {
+					t.Fatalf("err %v, %d trials; want context.Canceled, %d", err, len(res.History), 2*defaultBatchSize)
+				}
+			},
+		},
+		{
+			name: "objective panic",
+			runner: func(obj search.BatchObjective, _ func()) *Runner {
+				return &Runner{Optimizer: search.New(search.AlgRandom, 3, 640), BatchObjective: obj, Trials: 640, Parallelism: par}
+			},
+			objFail: func(call int64) {
+				if call == 7 {
+					panic("objective blew up")
+				}
+			},
+			check: func(t *testing.T, res search.Result, err error) {
+				if !fault.IsPanic(err) || fault.ClassOf(err) != fault.ClassTerminal {
+					t.Fatalf("err = %v, want a terminal panic error", err)
+				}
+				if len(res.History)%defaultBatchSize != 0 || len(res.History) >= 640 {
+					t.Fatalf("%d trials told: want whole batches only, and not all of them", len(res.History))
+				}
+			},
+		},
+		{
+			name: "exhausted optimizer",
+			runner: func(obj search.BatchObjective, _ func()) *Runner {
+				opt := &finiteOptimizer{Optimizer: search.New(search.AlgRandom, 4, 640), asks: 3}
+				return &Runner{Optimizer: opt, BatchObjective: obj, Trials: 640, Parallelism: par}
+			},
+			check: func(t *testing.T, res search.Result, err error) {
+				if err != nil || len(res.History) != 3*defaultBatchSize {
+					t.Fatalf("err %v, %d trials; want nil, %d", err, len(res.History), 3*defaultBatchSize)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			before := runtime.NumGoroutine()
+			var calls atomic.Int64
+			var peak atomic.Int64
+			obj := func(idxs [][arch.NumParams]int) []search.Evaluation {
+				if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+					peak.Store(n)
+				}
+				if tc.objFail != nil {
+					tc.objFail(calls.Add(1))
+				}
+				time.Sleep(100 * time.Microsecond) // let the helpers overlap
+				return pointwise(smooth)(idxs)
+			}
+			res, err := tc.runner(obj, cancel).Run(ctx)
+			tc.check(t, res, err)
+			if peak.Load() <= int64(before) {
+				t.Fatalf("no helper was running during the Run (peak %d goroutines, %d before)", peak.Load(), before)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Run, %d before: a worker outlived its Run", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// fixedOptimizer asks the same points every batch out of one slice, so
+// allocation counts measure the Runner alone.
+type fixedOptimizer struct{ batch [][arch.NumParams]int }
+
+func (o *fixedOptimizer) Ask(n int) [][arch.NumParams]int { return o.batch[:n] }
+func (o *fixedOptimizer) Tell([]search.Trial)             {}
+
+// TestRunnerMemoHitBatchesAllocateNothing is the allocation guard on the
+// warm loop: a batch made only of memo hits allocates nothing of its
+// own, so a Run's allocation count grows with its budget only by the
+// history's doublings.
+func TestRunnerMemoHitBatchesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	opt := &fixedOptimizer{}
+	var warm []search.Trial
+	for i := 0; i < defaultBatchSize; i++ {
+		idx := [arch.NumParams]int{i % 4, i / 4, 1}
+		opt.batch = append(opt.batch, idx)
+		warm = append(warm, search.Trial{Index: idx, Evaluation: smooth(idx)})
+	}
+	allocs := func(trials int) float64 {
+		rn := &Runner{Optimizer: opt, Warm: warm, Trials: trials, Parallelism: 4,
+			BatchObjective: func([][arch.NumParams]int) []search.Evaluation {
+				t.Fatal("a memo hit reached the objective")
+				return nil
+			}}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := rn.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64*defaultBatchSize), allocs(1024*defaultBatchSize)
+	t.Logf("allocations per Run: %.0f at 64 batches, %.0f at 1024", small, large)
+	// 960 more batches; the history doubles 4 more times.
+	if large-small > 8 {
+		t.Errorf("960 more memo-hit batches cost %.0f more allocations, want at most 8", large-small)
+	}
+}
+
+// TestRunnerHugeBudgetCostsNothingUpFront: a Run allocates for the
+// trials it tells, never for its budget, since a served study may ask
+// for a budget far beyond what it will run before it is canceled.
+func TestRunnerHugeBudgetCostsNothingUpFront(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are not meaningful under the race detector")
+	}
+	const huge = 1 << 40
+	rn := &Runner{
+		Optimizer:      &finiteOptimizer{Optimizer: search.New(search.AlgLCS, 5, huge), asks: 2},
+		BatchObjective: pointwise(smooth),
+		Trials:         huge,
+		Parallelism:    2,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := rn.Run(context.Background())
+	runtime.ReadMemStats(&after)
+	if err != nil || len(res.History) != 2*defaultBatchSize {
+		t.Fatalf("err %v, %d trials; want nil, %d", err, len(res.History), 2*defaultBatchSize)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("two batches of a 2^40-trial budget allocated %d bytes", got)
 	}
 }

@@ -42,6 +42,7 @@ import (
 
 	"fast/internal/arch"
 	"fast/internal/core"
+	"fast/internal/fault"
 	"fast/internal/search"
 )
 
@@ -428,7 +429,8 @@ func (p *Pool) sendAttempt(s *slot, ch chan outcome, fp string, idxs [][arch.Num
 			p.clearAttempt(s)
 			return 0, fmt.Errorf("dispatch: unregistered spec %.12s", fp)
 		}
-		line, err := marshalFrame(frame{Type: frameSpec, SpecFP: fp, Spec: raw})
+		self := localABI()
+		line, err := marshalFrame(frame{Type: frameSpec, SpecFP: fp, Spec: raw, Arch: self.Arch, ABI: self.Version})
 		if err != nil {
 			p.clearAttempt(s)
 			return 0, err
@@ -546,6 +548,13 @@ func (p *Pool) manage(s *slot) {
 		p.enqueue(s)
 		rerr := p.readLoop(s, tr)
 		p.teardown(s, rerr)
+		if fault.ClassOf(rerr) == fault.ClassTerminal {
+			// A worker of another ABI: every respawn would reach it
+			// again, so the slot retires at once.
+			p.opts.Logf("level=error msg=\"worker slot retired\" slot=%d err=%q", s.id, rerr)
+			p.retire(s)
+			return
+		}
 		if !p.closed.Load() {
 			p.opts.Logf("level=warn msg=\"worker connection lost\" slot=%d err=%q", s.id, rerr)
 		}
@@ -619,6 +628,8 @@ func (p *Pool) readLoop(s *slot, tr Transport) error {
 			return fmt.Errorf("dispatch: corrupt reply: %w", err)
 		}
 		switch f.Type {
+		case frameRefused:
+			return fault.Terminal("dispatch.handshake", fmt.Errorf("worker refused the study: %s", f.Err))
 		case frameResult, frameError:
 			s.mu.Lock()
 			if f.ID != 0 && f.ID == s.cur {

@@ -2,6 +2,8 @@ package dispatch
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
 
 	"fast/internal/arch"
 	"fast/internal/search"
@@ -15,23 +17,49 @@ import (
 //
 // Dispatcher → worker:
 //
-//	{"type":"spec","spec_fp":h,"spec":{...}}   register an eval spec
+//	{"type":"spec","spec_fp":h,"spec":{...},"arch":a,"abi":v}   register an eval spec
 //	{"type":"eval","id":n,"spec_fp":h,"idxs":[[...],...]}
 //
 // Worker → dispatcher:
 //
 //	{"type":"result","id":n,"evals":[{...},...]}
 //	{"type":"error","id":n,"err":"..."}        id 0 = connection-level
+//	{"type":"refused","err":"..."}             the spec's ABI is not the worker's
 //
 // Bit-identity over this wire needs no quantization care: Evaluation
 // carries float64s, and encoding/json's shortest-representation float
-// encoding round-trips every finite float64 exactly.
+// encoding round-trips every finite float64 exactly. It does need both
+// ends to compute the same bits, which the spec fingerprint alone does
+// not promise: the spec frame also carries the dispatcher's ABI (see
+// abi), and a worker of another ABI answers with a refused frame
+// instead of registering the spec.
 const (
-	frameSpec   = "spec"
-	frameEval   = "eval"
-	frameResult = "result"
-	frameError  = "error"
+	frameSpec    = "spec"
+	frameEval    = "eval"
+	frameResult  = "result"
+	frameError   = "error"
+	frameRefused = "refused"
 )
+
+// resultsABI versions the bits an evaluation carries for a given eval
+// spec. Bump it with any change that moves an Evaluation of an
+// unchanged spec, so dispatchers and workers built on either side of
+// the change refuse each other instead of mixing results.
+const resultsABI = 1
+
+// abi is what two processes must share for a worker's evaluations to
+// be bit-identical to the dispatcher's own: the CPU architecture (the
+// compiler fuses multiply-adds into FMAs differently per GOARCH, which
+// moves last bits) and the results-ABI version.
+type abi struct {
+	Arch    string
+	Version int
+}
+
+// localABI is this process's ABI.
+func localABI() abi { return abi{Arch: runtime.GOARCH, Version: resultsABI} }
+
+func (a abi) String() string { return fmt.Sprintf("%s/abi%d", a.Arch, a.Version) }
 
 // frame is one protocol message; unused fields stay empty on the wire.
 type frame struct {
@@ -52,6 +80,9 @@ type frame struct {
 	Evals []search.Evaluation `json:"evals,omitempty"`
 	// Err describes a worker-side failure of this request.
 	Err string `json:"err,omitempty"`
+	// Arch and ABI carry the dispatcher's abi on a spec frame.
+	Arch string `json:"arch,omitempty"`
+	ABI  int    `json:"abi,omitempty"`
 }
 
 // marshalFrame renders a frame as one line (no trailing newline; the

@@ -153,12 +153,15 @@ func TCPDialer(addr string) Dialer {
 // it to exercise every dispatcher path (routing, deadlines, retries,
 // respawns, chaos) without process or socket overhead; results are identical to
 // real workers because both sides run the same ServeConn loop.
-func LoopbackDialer() Dialer {
+func LoopbackDialer() Dialer { return loopbackDialer(localABI()) }
+
+// loopbackDialer is LoopbackDialer with workers of ABI worker.
+func loopbackDialer(worker abi) Dialer {
 	return func(slot, attempt int) (Transport, error) {
 		local, remote := net.Pipe()
 		go func() {
 			defer remote.Close()
-			ServeConn(remote, remote, nil) //nolint:errcheck // worker loop ends with the pipe
+			serveConn(remote, remote, nil, worker) //nolint:errcheck // worker loop ends with the pipe
 		}()
 		return newRWTransport(local, local, local.Close), nil
 	}

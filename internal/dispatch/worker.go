@@ -25,7 +25,16 @@ import (
 // loop without error, mirroring internal/store's torn-tail semantics;
 // any parsable-but-wrong frame earns an error reply instead of killing
 // the connection, so one corrupt request cannot take the worker down.
+// A spec frame from a dispatcher of another ABI (CPU architecture or
+// results-ABI version) earns a refused frame and registers nothing:
+// no evaluation this worker computes would be bit-identical to that
+// dispatcher's, and the dispatcher hangs up on receipt.
 func ServeConn(r io.Reader, w io.Writer, logf func(format string, args ...any)) error {
+	return serveConn(r, w, logf, localABI())
+}
+
+// serveConn is ServeConn for a worker of ABI self.
+func serveConn(r io.Reader, w io.Writer, logf func(format string, args ...any), self abi) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -56,6 +65,14 @@ func ServeConn(r io.Reader, w io.Writer, logf func(format string, args ...any)) 
 		}
 		switch f.Type {
 		case frameSpec:
+			if peer := (abi{Arch: f.Arch, Version: f.ABI}); peer != self {
+				err := fmt.Errorf("worker is %s, dispatcher is %s: evaluations would not be bit-identical", self, peer)
+				logf("level=error msg=\"dispatcher refused\" err=%q", err)
+				if rerr := reply(frame{Type: frameRefused, Err: err.Error()}); rerr != nil {
+					return rerr
+				}
+				continue
+			}
 			// Verify the fingerprint over the exact received bytes: a
 			// frame that parsed but was corrupted in flight must not
 			// poison the evaluator cache under the true spec's key.

@@ -2,14 +2,18 @@ package dispatch
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"fast/internal/arch"
 	"fast/internal/core"
 	"fast/internal/power"
+	"fast/internal/search"
 	"fast/internal/sim"
 )
 
@@ -62,6 +66,12 @@ func runWorker(t *testing.T, lines []string) []frame {
 	return replies
 }
 
+// specFrame is the spec frame a dispatcher of this process's ABI sends.
+func specFrame(fp string, raw []byte) frame {
+	self := localABI()
+	return frame{Type: frameSpec, SpecFP: fp, Spec: raw, Arch: self.Arch, ABI: self.Version}
+}
+
 func mustLine(t *testing.T, f frame) string {
 	t.Helper()
 	b, err := marshalFrame(f)
@@ -89,8 +99,8 @@ func TestWorkerProtocol(t *testing.T) {
 
 	replies := runWorker(t, []string{
 		mustLine(t, frame{Type: frameEval, ID: 2, SpecFP: fp, Idxs: idxs}), // before spec: addressed error
-		mustLine(t, frame{Type: frameSpec, SpecFP: fp, Spec: corrupt}),     // fingerprint mismatch: error
-		mustLine(t, frame{Type: frameSpec, SpecFP: fp, Spec: raw}),         // registers (no reply)
+		mustLine(t, specFrame(fp, corrupt)),                                // fingerprint mismatch: error
+		mustLine(t, specFrame(fp, raw)),                                    // registers (no reply)
 		mustLine(t, frame{Type: frameEval, ID: 3, SpecFP: fp, Idxs: idxs}),
 		`{"type":"eval","id":4,`, // malformed JSON: error reply, connection survives
 		mustLine(t, frame{Type: "mystery", ID: 5}),
@@ -151,7 +161,7 @@ func TestWorkerRoundTripsFloatsExactly(t *testing.T) {
 	want := local(pts)
 
 	replies := runWorker(t, []string{
-		mustLine(t, frame{Type: frameSpec, SpecFP: fp, Spec: raw}),
+		mustLine(t, specFrame(fp, raw)),
 		mustLine(t, frame{Type: frameEval, ID: 1, SpecFP: fp, Idxs: pts}),
 	})
 	if len(replies) != 1 || replies[0].Type != frameResult {
@@ -165,5 +175,100 @@ func TestWorkerRoundTripsFloatsExactly(t *testing.T) {
 			t.Fatalf("eval %d differs after wire round-trip:\n  local %+v\n  wire  %+v",
 				i, want[i], replies[0].Evals[i])
 		}
+	}
+}
+
+// TestWorkerRefusesOtherABI: a spec frame from a dispatcher of another
+// CPU architecture or results-ABI version — or from one that states no
+// ABI at all — earns a refused frame naming both ABIs, and registers
+// nothing. The connection still serves a matching spec.
+func TestWorkerRefusesOtherABI(t *testing.T) {
+	raw, fp := testSpec(t)
+	self := localABI()
+	forged := func(arch string, version int) string {
+		f := specFrame(fp, raw)
+		f.Arch, f.ABI = arch, version
+		return mustLine(t, f)
+	}
+	idxs := [][arch.NumParams]int{{}}
+	replies := runWorker(t, []string{
+		forged("forged-arch", self.Version),
+		mustLine(t, frame{Type: frameEval, ID: 1, SpecFP: fp, Idxs: idxs}), // nothing registered
+		forged(self.Arch, self.Version+1),
+		forged("", 0),
+		mustLine(t, specFrame(fp, raw)),
+		mustLine(t, frame{Type: frameEval, ID: 2, SpecFP: fp, Idxs: idxs}),
+	})
+	want := []struct {
+		typ string
+		id  uint64
+	}{
+		{frameRefused, 0},
+		{frameError, 1},
+		{frameRefused, 0},
+		{frameRefused, 0},
+		{frameResult, 2},
+	}
+	if len(replies) != len(want) {
+		t.Fatalf("got %d replies, want %d: %+v", len(replies), len(want), replies)
+	}
+	for i, w := range want {
+		if replies[i].Type != w.typ || replies[i].ID != w.id {
+			t.Fatalf("reply %d = (%s, %d), want (%s, %d); err=%q",
+				i, replies[i].Type, replies[i].ID, w.typ, w.id, replies[i].Err)
+		}
+	}
+	if got := replies[0].Err; !strings.Contains(got, "forged-arch") || !strings.Contains(got, self.String()) {
+		t.Errorf("refusal text %q does not name both ABIs", got)
+	}
+}
+
+// TestPoolRetiresWorkerOfAnotherABI joins a worker of a forged
+// architecture over the loopback transport. The pool must retire its
+// slot on the refusal, without spending respawns on it (every respawn
+// would reach the same worker), and the chunk must come back from the
+// in-process objective, never from the worker.
+func TestPoolRetiresWorkerOfAnotherABI(t *testing.T) {
+	raw, _ := testSpec(t)
+	var sp core.EvalSpec
+	if err := json.Unmarshal(raw, &sp); err != nil {
+		t.Fatal(err)
+	}
+	var logs strings.Builder
+	var mu sync.Mutex
+	p, err := New(Options{
+		Workers: 1,
+		Dialer:  loopbackDialer(abi{Arch: "forged-arch", Version: resultsABI}),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sentinel := search.Evaluation{Value: 42, Feasible: true}
+	local := func(idxs [][arch.NumParams]int) []search.Evaluation {
+		out := make([]search.Evaluation, len(idxs))
+		for i := range out {
+			out[i] = sentinel
+		}
+		return out
+	}
+	obj := p.Dispatch()(context.Background(), sp, local)
+	got := obj([][arch.NumParams]int{{}, {1}})
+	if len(got) != 2 || !got[0].Equal(sentinel) || !got[1].Equal(sentinel) {
+		t.Fatalf("evaluations %+v did not come from the in-process objective", got)
+	}
+	st := p.Stats()
+	if st.LiveWorkers != 0 || st.Respawns != 0 || st.RemoteChunks != 0 || st.DegradedChunks != 1 {
+		t.Fatalf("want the slot retired with no respawn and the chunk degraded: %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(logs.String(), "worker refused the study") {
+		t.Errorf("the refusal is not logged:\n%s", logs.String())
 	}
 }

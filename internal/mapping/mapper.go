@@ -110,16 +110,52 @@ const minStreamChunk = 64
 // fillCycles approximates pipeline fill/drain per scheduled pass.
 func fillCycles(c *arch.Config) float64 { return float64(c.SAx + c.SAy) }
 
-// evalScheme costs one mapping scheme; returns a failed Mapping when the
-// scheme cannot express the problem on this datapath.
-func evalScheme(p Problem, c *arch.Config, s Scheme) Mapping {
-	m := Mapping{Scheme: s}
-	fail := func(format string, args ...any) Mapping {
-		m.Failed = true
-		m.Reason = fmt.Sprintf(format, args...)
-		return m
-	}
+// failure is an unformatted schedule failure: the kind plus the figures
+// its text quotes. Best formats only the failure it returns, so the
+// schemes a successful mapping rejects cost no fmt.Sprintf.
+type failure struct {
+	kind    failKind
+	a, b, c int64
+}
 
+type failKind uint8
+
+const (
+	failNone failKind = iota
+	failNotConvLike
+	failUnknownScheme
+	failAccumulators  // a: output KiB, b: SAy, c: SAx
+	failWeightTile    // a: weight KiB, b: SAy, c: SAx
+	failInputStaging  // a: SAy
+	failOutputStaging // a: SAx
+	failDegenerate
+)
+
+// reason renders the failure's user-facing text.
+func (f failure) reason() string {
+	switch f.kind {
+	case failNotConvLike:
+		return "conv-1d requires a convolution-like problem"
+	case failUnknownScheme:
+		return "unknown scheme"
+	case failAccumulators:
+		return fmt.Sprintf("output buffer %d KiB cannot hold %dx%d accumulators", f.a, f.b, f.c)
+	case failWeightTile:
+		return fmt.Sprintf("weight buffer %d KiB cannot hold a %dx%d double-buffered tile", f.a, f.b, f.c)
+	case failInputStaging:
+		return fmt.Sprintf("input buffer too small to stage %d-row operands", f.a)
+	case failOutputStaging:
+		return fmt.Sprintf("output buffer too small to stage %d-col results", f.a)
+	case failDegenerate:
+		return "degenerate problem"
+	}
+	return "no schemes attempted"
+}
+
+// evalScheme costs one mapping scheme; a failure of any kind but
+// failNone means the scheme cannot express the problem on this
+// datapath, and the Mapping is then meaningless.
+func evalScheme(p Problem, c *arch.Config, s Scheme) (Mapping, failure) {
 	// Tile geometry per scheme: rows/cols spatial dims, streamed dim.
 	var rowDim, colDim, streamDim int64
 	switch s {
@@ -129,13 +165,13 @@ func evalScheme(p Problem, c *arch.Config, s Scheme) Mapping {
 		rowDim, colDim, streamDim = p.M, p.N, p.K
 	case Conv1D:
 		if !p.ConvLike {
-			return fail("conv-1d requires a convolution-like problem")
+			return Mapping{}, failure{kind: failNotConvLike}
 		}
 		// K taps per column; columns hold independent output pixels; the
 		// N output channels are temporal.
 		rowDim, colDim, streamDim = p.K, p.M, p.M
 	default:
-		return fail("unknown scheme")
+		return Mapping{}, failure{kind: failUnknownScheme}
 	}
 
 	// Buffer feasibility: one latched tile (double-buffered) must fit the
@@ -153,18 +189,16 @@ func evalScheme(p Problem, c *arch.Config, s Scheme) Mapping {
 	if s == OutputStationary {
 		// Accumulators live in the output scratchpad instead.
 		if (c.L1OutputKiB<<10)*l1Scale < c.SAx*c.SAy*4 { // fp32 accumulate
-			return fail("output buffer %d KiB cannot hold %dx%d accumulators",
-				c.L1OutputKiB*l1Scale, c.SAy, c.SAx)
+			return Mapping{}, failure{failAccumulators, c.L1OutputKiB * l1Scale, c.SAy, c.SAx}
 		}
 	} else if wBuf < tileBytes {
-		return fail("weight buffer %d KiB cannot hold a %dx%d double-buffered tile",
-			c.L1WeightKiB*l1Scale, c.SAy, c.SAx)
+		return Mapping{}, failure{failWeightTile, c.L1WeightKiB * l1Scale, c.SAy, c.SAx}
 	}
 	if (c.L1InputKiB<<10)*l1Scale < c.SAy*p.Bytes*2*8 {
-		return fail("input buffer too small to stage %d-row operands", c.SAy)
+		return Mapping{}, failure{kind: failInputStaging, a: c.SAy}
 	}
 	if (c.L1OutputKiB<<10)*l1Scale < c.SAx*p.Bytes*2*8 {
-		return fail("output buffer too small to stage %d-col results", c.SAx)
+		return Mapping{}, failure{kind: failOutputStaging, a: c.SAx}
 	}
 
 	// Spatial efficiency from the padding pre-pass.
@@ -175,7 +209,7 @@ func evalScheme(p Problem, c *arch.Config, s Scheme) Mapping {
 	// Combined: fraction of array MACs doing real work while streaming.
 	arrayUtil := rowEff * colEff
 	if arrayUtil <= 0 {
-		return fail("degenerate problem")
+		return Mapping{}, failure{kind: failDegenerate}
 	}
 
 	// Work decomposition: units = independent latched tiles; each unit
@@ -210,10 +244,12 @@ func evalScheme(p Problem, c *arch.Config, s Scheme) Mapping {
 	}
 	cycles += fillCycles(c)
 
-	m.ArrayUtil = arrayUtil / latchPenalty
-	m.PEUtil = usable / pes
-	m.Cycles = cycles
-	return m
+	return Mapping{
+		Scheme:    s,
+		Cycles:    cycles,
+		ArrayUtil: arrayUtil / latchPenalty,
+		PEUtil:    usable / pes,
+	}, failure{}
 }
 
 func min64(a, b int64) int64 {
@@ -224,24 +260,27 @@ func min64(a, b int64) int64 {
 }
 
 // Best maps the problem with every permitted scheme and returns the one
-// with the fewest cycles; the result is Failed only if every scheme
-// fails.
+// with the fewest cycles (the earlier scheme on a tie). The result is
+// Failed only if every scheme fails, and then carries the first
+// failure's reason ("no schemes attempted" when there was none).
 func Best(p Problem, c *arch.Config, o Options) Mapping {
-	schemes := o.effectiveSchemes()
 	var best Mapping
-	best.Failed = true
-	best.Reason = "no schemes attempted"
-	for _, s := range schemes {
-		m := evalScheme(p, c, s)
-		if m.Failed {
-			if best.Failed && best.Reason == "no schemes attempted" {
-				best.Reason = m.Reason
+	found := false
+	var first failure
+	for _, s := range o.effectiveSchemes() {
+		m, f := evalScheme(p, c, s)
+		if f.kind != failNone {
+			if first.kind == failNone {
+				first = f
 			}
 			continue
 		}
-		if best.Failed || m.Cycles < best.Cycles {
-			best = m
+		if !found || m.Cycles < best.Cycles {
+			best, found = m, true
 		}
+	}
+	if !found {
+		return Mapping{Failed: true, Reason: first.reason()}
 	}
 	return best
 }

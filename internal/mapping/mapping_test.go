@@ -136,9 +136,36 @@ func TestSchemeSelection(t *testing.T) {
 
 func TestConv1DRequiresConvLike(t *testing.T) {
 	p := Problem{M: 128, N: 128, K: 64, Indep: 1, Bytes: 2}
-	m := evalScheme(p, arch.TPUv3(), Conv1D)
-	if !m.Failed {
-		t.Error("conv-1d must fail for non-conv problems")
+	if _, f := evalScheme(p, arch.TPUv3(), Conv1D); f.kind != failNotConvLike {
+		t.Errorf("conv-1d on a non-conv problem: failure %+v, want failNotConvLike", f)
+	}
+}
+
+// TestBestAllocatesNothing is the allocation guard on the mapper's hot
+// path: mapping a schedulable problem, even one that some schemes
+// reject, formats no failure text and allocates nothing.
+func TestBestAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	matmul := Problem{M: 512, N: 512, K: 512, Indep: 1, WeightsStationary: true, Bytes: 2}
+	c := arch.FASTLarge().Clone("tight-output")
+	c.L1OutputKiB = 1 // output-stationary cannot hold its accumulators
+	for _, tc := range []struct {
+		name string
+		p    Problem
+		c    *arch.Config
+	}{
+		{"conv on TPU-v3", bigConv(), arch.TPUv3()},
+		{"matmul, conv-1d rejected", matmul, arch.TPUv3()},
+		{"matmul, output-stationary rejected", matmul, c},
+	} {
+		if m := Best(tc.p, tc.c, Options{}); m.Failed {
+			t.Fatalf("%s: must schedule: %s", tc.name, m.Reason)
+		}
+		if n := testing.AllocsPerRun(100, func() { Best(tc.p, tc.c, Options{}) }); n != 0 {
+			t.Errorf("%s: Best allocates %.1f times per call, want 0", tc.name, n)
+		}
 	}
 }
 
@@ -283,5 +310,68 @@ func TestSchemesRestriction(t *testing.T) {
 	free := Best(depthwise(64), arch.TPUv3(), Options{})
 	if m.Utilization() > free.Utilization()/4 {
 		t.Errorf("WS depthwise util %.4f should be ≪ conv-1d %.4f", m.Utilization(), free.Utilization())
+	}
+}
+
+// TestFailureReasonsPinned pins every mapper failure text byte for
+// byte: Best formats only the failure it returns, and that text reaches
+// users through sim.Result.FailReason.
+func TestFailureReasonsPinned(t *testing.T) {
+	cfg := func(mut func(c *arch.Config)) *arch.Config {
+		c := arch.FASTLarge().Clone("pin")
+		c.SAx, c.SAy = 128, 256
+		c.PEsX, c.PEsY = 1, 1
+		c.L1Config = arch.Private
+		c.L1InputKiB, c.L1WeightKiB, c.L1OutputKiB = 1024, 1024, 1024
+		mut(c)
+		return c
+	}
+	only := func(s Scheme) Options { return Options{Schemes: []Scheme{s}} }
+	dense := Problem{M: 512, N: 512, K: 512, Indep: 1, WeightsStationary: true, Bytes: 2}
+	cases := []struct {
+		name string
+		p    Problem
+		c    *arch.Config
+		o    Options
+		want string
+	}{
+		{"conv-1d on a matmul", dense, cfg(func(*arch.Config) {}), only(Conv1D),
+			"conv-1d requires a convolution-like problem"},
+		{"unknown scheme", dense, cfg(func(*arch.Config) {}), only(Scheme(7)),
+			"unknown scheme"},
+		{"accumulators", dense, cfg(func(c *arch.Config) { c.L1OutputKiB = 1 }), only(OutputStationary),
+			"output buffer 1 KiB cannot hold 256x128 accumulators"},
+		{"accumulators, shared L1", dense, cfg(func(c *arch.Config) {
+			c.PEsX, c.PEsY, c.L1Config, c.L1OutputKiB = 2, 2, arch.Shared, 1
+		}), only(OutputStationary),
+			"output buffer 4 KiB cannot hold 256x128 accumulators"},
+		{"weight tile", dense, cfg(func(c *arch.Config) { c.L1WeightKiB = 1 }), only(WeightStationary),
+			"weight buffer 1 KiB cannot hold a 256x128 double-buffered tile"},
+		{"input staging", dense, cfg(func(c *arch.Config) { c.L1InputKiB = 4 }), only(WeightStationary),
+			"input buffer too small to stage 256-row operands"},
+		{"output staging", dense, cfg(func(c *arch.Config) { c.L1OutputKiB = 2 }), only(WeightStationary),
+			"output buffer too small to stage 128-col results"},
+		{"degenerate", Problem{M: 512, N: 512, K: 0, Indep: 1, Bytes: 2}, cfg(func(*arch.Config) {}), only(WeightStationary),
+			"degenerate problem"},
+		{"no schemes", dense, cfg(func(*arch.Config) {}), Options{Schemes: []Scheme{}},
+			"no schemes attempted"},
+		// Every scheme fails: the first failure is the one reported.
+		{"first failure wins", dense, cfg(func(c *arch.Config) { c.L1WeightKiB, c.L1OutputKiB = 1, 1 }), Options{},
+			"weight buffer 1 KiB cannot hold a 256x128 double-buffered tile"},
+	}
+	for _, tc := range cases {
+		m := Best(tc.p, tc.c, tc.o)
+		if !m.Failed || m.Reason != tc.want {
+			t.Errorf("%s: Best = failed %v, reason %q; want %q", tc.name, m.Failed, m.Reason, tc.want)
+		}
+		// A failed mapping carries nothing but its reason.
+		if m.Scheme != WeightStationary || m.Cycles != 0 || m.ArrayUtil != 0 || m.PEUtil != 0 {
+			t.Errorf("%s: failed mapping carries figures: %+v", tc.name, m)
+		}
+	}
+	// A later success replaces an earlier failure, reason and all.
+	m := Best(dense, cfg(func(*arch.Config) {}), Options{Schemes: []Scheme{Conv1D, WeightStationary}})
+	if m.Failed || m.Reason != "" || m.Scheme != WeightStationary {
+		t.Errorf("failure then success: %+v", m)
 	}
 }

@@ -30,9 +30,12 @@ type lcsOptimizer struct {
 	gBest      [arch.NumParams]float64
 	gBestValue float64
 	hasGlobal  bool
-	// pending pairs each un-told Ask proposal with the particle and
-	// position snapshot that generated it, in ask order.
+	// pending pairs each Ask proposal with the particle and position
+	// snapshot that generated it, in ask order; pending[told:] are the
+	// ones not yet told. Once every proposal is told the buffer is
+	// reused from its start, so lockstep ask/tell never reallocates it.
 	pending []lcsPending
+	told    int
 }
 
 type lcsParticle struct {
@@ -113,9 +116,9 @@ func (o *lcsOptimizer) Tell(trials []Trial) {
 	o.recordTell(trials)
 	for _, tr := range trials {
 		var pd lcsPending
-		if len(o.pending) > 0 {
-			pd = o.pending[0]
-			o.pending = o.pending[1:]
+		if o.told < len(o.pending) {
+			pd = o.pending[o.told]
+			o.told++
 		} else {
 			// Foreign trial (e.g. a replayed transcript): attribute it to
 			// the next particle at the trial's own grid position.
@@ -177,5 +180,8 @@ func (o *lcsOptimizer) Tell(trials []Trial) {
 			d := o.r.Intn(arch.NumParams)
 			p.pos[d] = o.r.Float64() * float64(o.dims[d]-1)
 		}
+	}
+	if o.told == len(o.pending) {
+		o.pending, o.told = o.pending[:0], 0
 	}
 }

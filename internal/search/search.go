@@ -174,6 +174,9 @@ type Optimizer interface {
 	// are free to memoize the objective across them.
 	Ask(n int) [][arch.NumParams]int
 	// Tell reports evaluated trials back to the optimizer, in ask order.
+	// The slice stays the caller's (the core Runner passes a window on
+	// its history): an optimizer copies what it keeps and never
+	// modifies it.
 	Tell(trials []Trial)
 }
 

@@ -121,15 +121,16 @@ func (t Trial) clone() Trial {
 // transcript is the interaction recorder embedded in every built-in
 // optimizer: Ask/Tell implementations log through it, and the promoted
 // Snapshot method captures the log together with the constructor
-// parameters. Recording costs one slice append per batch — noise next
-// to a single design evaluation.
+// parameters. Each told batch is copied once, into a slice of exactly
+// its size, so the log never regrows and never holds room for trials
+// that have not been told.
 type transcript struct {
 	alg    Algorithm
 	seed   int64
 	budget int
 
 	askSizes []int
-	trials   []Trial
+	told     [][]Trial
 }
 
 // initTranscript stamps the constructor parameters Snapshot will report.
@@ -144,26 +145,37 @@ func (t *transcript) recordAsk(n int) {
 	}
 }
 
-// recordTell logs told trials.
+// recordTell logs told trials. The caller keeps ownership of batch.
 func (t *transcript) recordTell(batch []Trial) {
-	for _, tr := range batch {
-		t.trials = append(t.trials, tr.clone())
+	if len(batch) == 0 {
+		return
 	}
+	kept := make([]Trial, len(batch))
+	for i, tr := range batch {
+		kept[i] = tr.clone()
+	}
+	t.told = append(t.told, kept)
 }
 
 // Snapshot implements Snapshotter; the returned copy shares nothing
 // with the live optimizer.
 func (t *transcript) Snapshot() Snapshot {
+	n := 0
+	for _, batch := range t.told {
+		n += len(batch)
+	}
 	s := Snapshot{
 		Algorithm: t.alg,
 		Seed:      t.seed,
 		Budget:    t.budget,
 		AskSizes:  make([]int, len(t.askSizes)),
+		Trials:    make([]Trial, 0, n),
 	}
 	copy(s.AskSizes, t.askSizes)
-	s.Trials = make([]Trial, 0, len(t.trials))
-	for _, tr := range t.trials {
-		s.Trials = append(s.Trials, tr.clone())
+	for _, batch := range t.told {
+		for _, tr := range batch {
+			s.Trials = append(s.Trials, tr.clone())
+		}
 	}
 	return s
 }

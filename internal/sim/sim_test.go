@@ -222,6 +222,12 @@ func TestScheduleFailurePropagates(t *testing.T) {
 	if !r.ScheduleFailed || r.FailReason == "" {
 		t.Errorf("expected schedule failure, got %+v", r)
 	}
+	// The text is pinned byte for byte: the mapper formats it lazily, only
+	// for the failure it reports.
+	const want = `op "stem.conv": weight buffer 1 KiB cannot hold a 256x256 double-buffered tile`
+	if r.FailReason != want {
+		t.Errorf("FailReason = %q, want %q", r.FailReason, want)
+	}
 }
 
 func TestInvalidInputsError(t *testing.T) {
