@@ -163,12 +163,15 @@ func main() {
 		// running max and un-negate for display.
 		n, best := 0, math.Inf(-1)
 		negate := objs != nil && !objs[0].Maximize()
-		opts = append(opts, fast.WithProgress(func(t fast.Trial) {
-			n++
-			if t.Feasible && t.Value > best {
-				best = t.Value
-			}
-			if n%*progress == 0 {
+		opts = append(opts, fast.WithTranscript(func(batch []fast.Trial) {
+			for _, t := range batch {
+				n++
+				if t.Feasible && t.Value > best {
+					best = t.Value
+				}
+				if n%*progress != 0 {
+					continue
+				}
 				shown := best
 				if negate {
 					shown = -best

@@ -61,5 +61,5 @@ func main() {
 	fmt.Printf("embedded-class end:   %s\n", small.Design)
 	fmt.Printf("\nthe frontier spans %.0fx in throughput and %.1fx in area from one study;\n",
 		big.Values[0]/small.Values[0], big.Values[2]/small.Values[2])
-	fmt.Printf("re-run with fast.WithBudget to clamp it to a deployment envelope.\n")
+	fmt.Printf("every point lies inside the default area/TDP envelope (fast.DefaultBudget).\n")
 }

@@ -22,11 +22,13 @@
 //	    Algorithm: fast.AlgorithmLCS,
 //	    Trials:    500,
 //	    Seed:      1,
-//	}).Run(ctx, fast.WithParallelism(8), fast.WithProgress(onTrial))
+//	}).Run(ctx, fast.WithParallelism(8), fast.WithTranscript(onBatch))
 //
 // Candidate evaluations run on a bounded worker pool and are memoized
 // by hyperparameter vector; the search trajectory is deterministic for
-// a fixed seed at any parallelism. Canceling the context stops the
+// a fixed seed at any parallelism. WithTranscript's callback observes
+// every told batch in that deterministic order, so live progress and
+// checkpoints hang off the same hook. Canceling the context stops the
 // study promptly and returns the partial trial history.
 //
 // The optimizers underneath speak a batch ask/tell protocol
@@ -46,7 +48,7 @@
 //	    Objectives: []fast.ObjectiveKind{fast.ObjectivePerfPerTDP, fast.ObjectiveArea},
 //	    Trials:     500,
 //	    Seed:       1,
-//	}).Run(ctx, fast.WithBudget(fast.DefaultBudget()))
+//	}).Run(ctx)
 //	for _, p := range res.Front() {
 //	    fmt.Println(p.Values, p.Design)
 //	}
@@ -173,15 +175,6 @@ func WithParallelism(n int) Option { return core.WithParallelism(n) }
 // this changes which designs the optimizer proposes.
 func WithBatchSize(n int) Option { return core.WithBatchSize(n) }
 
-// WithProgress registers a per-trial callback, invoked in deterministic
-// order from the driving goroutine.
-func WithProgress(f func(Trial)) Option { return core.WithProgress(f) }
-
-// WithBudget overrides the study's area/TDP constraint envelope for one
-// Run. Out-of-budget candidates are infeasible: scalar studies reject
-// them, multi-objective studies keep them off the Pareto front.
-func WithBudget(b Budget) Option { return core.WithBudget(b) }
-
 // DispatchFunc interposes on a Run's batch evaluation — the remote
 // worker-pool seam (see internal/dispatch). A dispatcher changes where
 // evaluations execute, never what they return.
@@ -195,20 +188,15 @@ func WithDispatch(f DispatchFunc) Option { return core.WithDispatch(f) }
 // Snapshot is a checkpoint of an optimizer's state: its constructor
 // parameters plus the full ask/tell transcript. Optimizer state evolves
 // only through that transcript, so the snapshot restores the search
-// exactly (RestoreOptimizer), and JSON round-trips it bit-exactly —
-// the durable format of the fast-serve daemon's checkpoints.
+// exactly (WithResume), and JSON round-trips it bit-exactly — the
+// durable format of the fast-serve daemon's checkpoints.
 type Snapshot = search.Snapshot
 
-// RestoreOptimizer rebuilds an optimizer in the snapshotted state by
-// transcript replay, verifying the replayed proposals against the
-// record. Optimizers built by NewOptimizer satisfy search.Snapshotter,
-// whose Snapshot method produces these checkpoints.
-func RestoreOptimizer(s Snapshot) (search.Snapshotter, error) { return search.Restore(s) }
-
-// WithTranscript registers a checkpoint hook for one Study.Run: f
+// WithTranscript registers the observer hook of one Study.Run: f
 // observes every fully told ask batch, in transcript order, from the
-// driving goroutine. Feeding the batches to (*Snapshot).Append captures
-// everything needed to resume the study with WithResume.
+// driving goroutine. It serves live progress reporting and
+// checkpointing alike: feeding the batches to (*Snapshot).Append
+// captures everything needed to resume the study with WithResume.
 func WithTranscript(f func(batch []Trial)) Option { return core.WithTranscript(f) }
 
 // WithResume warm-starts a Study.Run from a checkpoint: prior trials

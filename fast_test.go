@@ -76,8 +76,8 @@ func TestFacadeStudy(t *testing.T) {
 }
 
 func TestFacadeStudyOptions(t *testing.T) {
-	// The redesigned Run(ctx, ...Option) surface: parallelism and
-	// progress compose, and parallelism never changes the outcome.
+	// The redesigned Run(ctx, ...Option) surface: parallelism and the
+	// transcript hook compose, and parallelism never changes the outcome.
 	run := func(par int) (*StudyResult, int) {
 		trials := 0
 		res, err := (&Study{
@@ -88,7 +88,7 @@ func TestFacadeStudyOptions(t *testing.T) {
 			Seed:      4,
 		}).Run(context.Background(),
 			WithParallelism(par),
-			WithProgress(func(Trial) { trials++ }))
+			WithTranscript(func(batch []Trial) { trials += len(batch) }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestFacadeStudyOptions(t *testing.T) {
 	serial, n1 := run(1)
 	parallel, n4 := run(4)
 	if n1 != 24 || n4 != 24 {
-		t.Errorf("progress callbacks = %d / %d, want 24", n1, n4)
+		t.Errorf("transcript hook saw %d / %d trials, want 24", n1, n4)
 	}
 	if serial.BestValue != parallel.BestValue {
 		t.Errorf("parallelism changed the result: %v vs %v", serial.BestValue, parallel.BestValue)

@@ -14,7 +14,6 @@ import (
 	"fast/internal/arch"
 	"fast/internal/hlo"
 	"fast/internal/models"
-	"fast/internal/power"
 	"fast/internal/search"
 	"fast/internal/sim"
 )
@@ -106,14 +105,6 @@ type Study struct {
 	Trials int
 	// Seed makes the study deterministic.
 	Seed int64
-	// Base supplies the fixed platform attributes (cores, clock, memory
-	// technology) inherited by every candidate. Nil uses DefaultPlatform.
-	Base *arch.Config
-	// Budget is the area/TDP constraint envelope (Eq. 4). Zero value uses
-	// power.DefaultBudget.
-	Budget power.Budget
-	// PowerModel overrides the analytical power model.
-	PowerModel *power.Model
 	// SimOptions configures the simulator; zero value uses
 	// sim.FASTOptions().
 	SimOptions *sim.Options
@@ -205,8 +196,6 @@ type Option func(*runConfig)
 type runConfig struct {
 	parallelism int
 	batchSize   int
-	progress    func(search.Trial)
-	budget      *power.Budget
 	onBatch     func([]search.Trial)
 	resume      *search.Snapshot
 	dispatch    DispatchFunc
@@ -227,29 +216,10 @@ func WithBatchSize(n int) Option {
 	return func(c *runConfig) { c.batchSize = n }
 }
 
-// WithProgress registers a callback invoked for every completed trial,
-// in deterministic order, from the driving goroutine (no locking
-// needed). Useful for live convergence reporting and for deciding when
-// to cancel the context.
-func WithProgress(f func(search.Trial)) Option {
-	return func(c *runConfig) { c.progress = f }
-}
-
-// WithBudget overrides the study's constraint envelope (Eq. 4) for one
-// Run. Candidates beyond the budget are infeasible: scalar studies
-// reject them, multi-objective studies rank them behind every feasible
-// point ("dominated last") and keep them off the front. Sweeping the
-// budget across Runs of one Study is how the paper's different
-// deployment classes (embedded vs datacenter envelopes) reuse a single
-// experiment definition.
-func WithBudget(b power.Budget) Option {
-	return func(c *runConfig) { c.budget = &b }
-}
-
 // Run executes the study until the trial budget is exhausted or ctx is
 // canceled. Every study takes the same path: the Study's defaults
 // resolve into an EvalSpec, BuildBatchEvaluator compiles it, an optional
-// DispatchFunc wraps the evaluator, one Runner drives the optimizer, and
+// DispatchFunc wraps the evaluator, one runner drives the optimizer, and
 // finalReport re-simulates the winner (or the whole front) with the
 // exact fusion solve. Cancellation is graceful: in-flight evaluations
 // finish, and the partial trial history — with Best/BestValue (and the
@@ -263,7 +233,7 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 	if s.Trials <= 0 {
 		return nil, fmt.Errorf("core: trials must be positive")
 	}
-	spec := s.evalSpec(rc.budget)
+	spec := s.evalSpec()
 	evaluate, err := BuildBatchEvaluator(spec)
 	if err != nil {
 		return nil, err
@@ -280,11 +250,11 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 	if s.Algorithm != "" {
 		alg = s.Algorithm
 	}
-	runner, prior, err := s.buildRunner(rc, alg, evaluate)
+	rn, prior, err := s.buildRunner(rc, alg, evaluate)
 	if err != nil {
 		return nil, err
 	}
-	sr, runErr := runner.Run(ctx)
+	sr, runErr := rn.Run(ctx)
 	sr = mergePrior(prior, sr)
 
 	out := &StudyResult{Search: sr}

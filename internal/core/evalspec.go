@@ -13,14 +13,14 @@ package core
 // encoding, and the evaluator itself is deterministic per index vector.
 // That is the whole correctness contract of internal/dispatch — the
 // dispatcher ships (spec, index vectors) out, folds result vectors back
-// positionally, and the Runner's transcript cannot tell the difference.
+// positionally, and the runner's transcript cannot tell the difference.
 //
 // WithDispatch installs a dispatcher into one Run: after Run resolves
 // its defaults into the spec and builds the in-process evaluator from
 // it, the DispatchFunc may wrap that evaluator (keeping it as its
 // fallback).
 // Nothing else in the engine changes, so every determinism property of
-// the Runner (ask order, tell order, memoization) is inherited as-is.
+// the runner (ask order, tell order, memoization) is inherited as-is.
 
 import (
 	"context"
@@ -60,33 +60,22 @@ type EvalSpec struct {
 	SimOptions sim.Options `json:"sim_options"`
 }
 
-// evalSpec resolves the study's defaults (and a WithBudget override)
-// into the EvalSpec every evaluation of one Run is built from.
-func (s *Study) evalSpec(budgetOverride *power.Budget) EvalSpec {
+// evalSpec resolves the study's defaults into the EvalSpec every
+// evaluation of one Run is built from: the default platform, the
+// default power model and the budget it anchors.
+func (s *Study) evalSpec() EvalSpec {
+	pm := power.Default()
 	sp := EvalSpec{
 		Workloads:       s.Workloads,
 		LatencyBoundSec: s.LatencyBoundSec,
-		Base:            s.Base,
-		Budget:          s.Budget,
+		Base:            DefaultPlatform(),
+		Budget:          power.DefaultBudget(pm),
 		SimOptions:      sim.FASTOptions(),
-	}
-	if sp.Base == nil {
-		sp.Base = DefaultPlatform()
 	}
 	if s.SimOptions != nil {
 		sp.SimOptions = *s.SimOptions
 	}
-	pm := s.PowerModel
-	if pm == nil {
-		pm = power.Default()
-	}
 	sp.SimOptions.PowerModel = pm
-	if sp.Budget.MaxTDPW == 0 {
-		sp.Budget = power.DefaultBudget(pm)
-	}
-	if budgetOverride != nil {
-		sp.Budget = *budgetOverride
-	}
 	if len(s.Objectives) > 0 {
 		for _, o := range s.Objectives {
 			sp.Objectives = append(sp.Objectives, o.String())
@@ -316,11 +305,11 @@ func (ev *evaluator) evaluateBatch(idxs [][arch.NumParams]int) []search.Evaluati
 // DispatchFunc lets a dispatcher interpose on a Run's batch evaluation:
 // it receives the Run's context, the study's resolved EvalSpec, and the
 // in-process batch objective (the semantic ground truth and the
-// degradation fallback) and returns the batch objective the Runner will
+// degradation fallback) and returns the batch objective the runner will
 // call. Implementations must preserve the BatchObjective contract —
 // exactly one Evaluation per index vector, positionally aligned, equal
 // to what the local objective would have returned — with one carve-out:
-// once ctx is done, the Runner abandons the in-flight batch untold, so
+// once ctx is done, the runner abandons the in-flight batch untold, so
 // a dispatcher that observes cancellation may return placeholder
 // evaluations (still one per point) instead of finishing remote work.
 // ctx carries the Run's deadline, letting dispatchers clamp per-chunk

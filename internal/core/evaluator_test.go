@@ -91,7 +91,7 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 			} {
 				st.Workloads, st.LatencyBoundSec = workloads, bound
 				label := fmt.Sprintf("%v bound=%v %s %v", workloads, bound, st.Objective, st.Objectives)
-				sp := st.evalSpec(nil)
+				sp := st.evalSpec()
 				evaluate, err := BuildBatchEvaluator(sp)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

@@ -8,7 +8,7 @@ import (
 
 // ForEach runs fn(0) … fn(n-1) across a bounded worker pool and waits
 // for all of them. parallelism <= 0 uses one worker per available CPU
-// (the same convention as Runner.Parallelism, whose worker-pool shape
+// (the same convention as runner.Parallelism, whose worker-pool shape
 // this reuses: workers pull indices off an atomic cursor, so uneven job
 // costs balance without chunking).
 //

@@ -207,30 +207,3 @@ func TestFrontShape(t *testing.T) {
 		}
 	}
 }
-
-// TestWithBudgetConstrainsFront: halving the envelope keeps every front
-// point inside the tighter budget without touching the Study definition.
-func TestWithBudgetConstrainsFront(t *testing.T) {
-	pm := power.Default()
-	full := power.DefaultBudget(pm)
-	tight := power.Budget{MaxTDPW: full.MaxTDPW / 2, MaxAreaMM2: full.MaxAreaMM2 / 2}
-	st := &Study{
-		Workloads:  []string{"efficientnet-b0"},
-		Objectives: []ObjectiveKind{Perf, Area},
-		Trials:     96,
-		Seed:       8,
-		FrontCap:   4,
-	}
-	res, err := st.Run(context.Background(), WithBudget(tight))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Front()) == 0 {
-		t.Fatal("no feasible design under the tight budget")
-	}
-	for i, p := range res.Front() {
-		if !tight.Within(pm, p.Design) {
-			t.Errorf("front point %d violates the WithBudget envelope", i)
-		}
-	}
-}

@@ -59,7 +59,7 @@ type PlanCacheStats struct {
 // lock covers only map/recency bookkeeping, never a compile: each entry
 // compiles at most once (sync.Once), with concurrent requesters for the
 // same key waiting on that compile while other keys proceed. Plans are
-// immutable, so Runner workers evaluate one shared Plan concurrently
+// immutable, so runner workers evaluate one shared Plan concurrently
 // without synchronization, and an evicted plan stays valid for every
 // caller still holding it.
 type planCache struct {

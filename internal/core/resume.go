@@ -36,7 +36,9 @@ import (
 // driving goroutine (no locking needed), immediately after the
 // optimizer consumed the batch. Feeding the batches to
 // (*search.Snapshot).Append — or persisting them with internal/store —
-// captures everything needed to resume the study with WithResume.
+// captures everything needed to resume the study with WithResume. It
+// is the Run's only observer hook: live progress reporting reads the
+// same batches.
 //
 // On a resumed Run, f observes only the batches evaluated by that Run;
 // the caller already holds the prior ones.
@@ -67,7 +69,7 @@ func WithResume(snap search.Snapshot) Option {
 // the resumed trials (nil on a fresh run); callers fold it back into
 // the result with mergePrior.
 func (s *Study) buildRunner(rc runConfig, alg search.Algorithm,
-	evaluate search.BatchObjective) (*Runner, []search.Trial, error) {
+	evaluate search.BatchObjective) (*runner, []search.Trial, error) {
 
 	var opt search.Optimizer
 	var prior []search.Trial
@@ -88,13 +90,12 @@ func (s *Study) buildRunner(rc runConfig, alg search.Algorithm,
 	} else {
 		opt = search.New(alg, s.Seed, s.Trials)
 	}
-	return &Runner{
+	return &runner{
 		Optimizer:      opt,
 		BatchObjective: evaluate,
 		Trials:         s.Trials,
 		Parallelism:    rc.parallelism,
 		BatchSize:      rc.batchSize,
-		OnTrial:        rc.progress,
 		OnBatch:        rc.onBatch,
 		Completed:      len(prior),
 		Warm:           prior,

@@ -26,7 +26,7 @@ func compareIndex(a, b [arch.NumParams]int) int {
 	return 0
 }
 
-// defaultBatchSize is the Runner's ask/tell batch width. It matches the
+// defaultBatchSize is the runner's ask/tell batch width. It matches the
 // LCS swarm, so one batch is one swarm generation.
 const defaultBatchSize = 16
 
@@ -35,9 +35,8 @@ const defaultBatchSize = 16
 // whole-batch granularity even under very large custom batch sizes.
 const maxObjectiveChunk = 64
 
-// Runner pumps a search.Optimizer with a bounded worker pool. It is the
-// concurrency substrate of Study.Run, usable directly for custom
-// objectives.
+// runner pumps a search.Optimizer with a bounded worker pool. It is the
+// concurrency substrate of Study.Run.
 //
 // Determinism: the optimizer transcript depends only on BatchSize —
 // batches are asked whole, evaluated (possibly concurrently), and told
@@ -50,10 +49,10 @@ const maxObjectiveChunk = 64
 // revisit points constantly late in a search; revisits replay the cached
 // evaluation instead of re-simulating, while still counting as trials
 // and being told to the optimizer.
-type Runner struct {
+type runner struct {
 	// Optimizer proposes candidates; required.
 	Optimizer search.Optimizer
-	// BatchObjective evaluates candidates; required. The Runner sorts
+	// BatchObjective evaluates candidates; required. The runner sorts
 	// each ask-batch's unique uncached points lexicographically (grouping
 	// near-identical proposals so a stage-memoizing evaluator hits warm
 	// caches) and fans contiguous chunks across the worker pool. It must
@@ -66,25 +65,22 @@ type Runner struct {
 	// Parallelism bounds concurrent BatchObjective calls; <= 0 uses
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// BatchSize is the ask/tell batch width; <= 0 uses DefaultBatchSize.
+	// BatchSize is the ask/tell batch width; <= 0 uses defaultBatchSize.
 	// Unlike Parallelism it is algorithmic state: changing it changes
 	// the optimizer transcript (and therefore the search trajectory).
 	BatchSize int
-	// OnTrial, if non-nil, observes every trial in deterministic tell
-	// order from the driving goroutine.
-	OnTrial func(search.Trial)
 	// OnBatch, if non-nil, observes every fully told ask batch, in
 	// transcript order, from the driving goroutine, immediately after
-	// the optimizer's Tell and before the per-trial OnTrial calls. It is
-	// the checkpoint seam: a batch handed to OnBatch is durable search
-	// state — the optimizer has consumed it, and replaying the batches
-	// seen so far (search.Restore) reproduces the optimizer exactly.
+	// the optimizer's Tell. It is the checkpoint seam: a batch handed to
+	// OnBatch is durable search state — the optimizer has consumed it,
+	// and replaying the batches seen so far (search.Restore) reproduces
+	// the optimizer exactly.
 	// The batch is a window on the Run's history: read it during the
 	// call, copy what you keep, and never modify it.
 	OnBatch func(batch []search.Trial)
 	// Completed is the number of trials a resumed run has already
 	// evaluated (through an earlier Run whose batches were
-	// checkpointed). The Runner performs Trials-Completed further
+	// checkpointed). The runner performs Trials-Completed further
 	// evaluations, and — because the ask-batch schedule depends only on
 	// the running done-count — asks them in the exact sizes the
 	// uninterrupted run would have used, which is what makes
@@ -226,12 +222,12 @@ func (p *workerPool) stop() {
 // process: the panic surfaces as Run's returned error (terminal under
 // the fault taxonomy) with the already-told batches intact.
 //
-// Each told batch is appended to the result's History once; Tell,
-// OnBatch and OnTrial all see that sub-slice of it, in that order.
-func (r *Runner) Run(ctx context.Context) (search.Result, error) {
+// Each told batch is appended to the result's History once; Tell and
+// OnBatch both see that sub-slice of it, in that order.
+func (r *runner) Run(ctx context.Context) (search.Result, error) {
 	var res search.Result
 	if r.Optimizer == nil || r.BatchObjective == nil {
-		return res, fmt.Errorf("core: Runner needs an Optimizer and a BatchObjective")
+		return res, fmt.Errorf("core: runner needs an Optimizer and a BatchObjective")
 	}
 	par := r.Parallelism
 	if par <= 0 {
@@ -316,11 +312,6 @@ func (r *Runner) Run(ctx context.Context) (search.Result, error) {
 		r.Optimizer.Tell(told)
 		if r.OnBatch != nil {
 			r.OnBatch(told)
-		}
-		if r.OnTrial != nil {
-			for _, t := range told {
-				r.OnTrial(t)
-			}
 		}
 		done += len(asks)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,7 @@ func pointwise(f func([arch.NumParams]int) search.Evaluation) search.BatchObject
 func TestRunnerParallelismInvariance(t *testing.T) {
 	for _, alg := range []search.Algorithm{search.AlgRandom, search.AlgLCS, search.AlgBayes} {
 		run := func(par int) search.Result {
-			rn := &Runner{
+			rn := &runner{
 				Optimizer:      search.New(alg, 11, 200),
 				BatchObjective: pointwise(smooth),
 				Trials:         200,
@@ -92,7 +93,7 @@ func (o *repeatOptimizer) Tell([]search.Trial) {}
 // every later trial, and still counted in the history.
 func TestRunnerMemoizes(t *testing.T) {
 	var calls atomic.Int64
-	rn := &Runner{
+	rn := &runner{
 		Optimizer: &repeatOptimizer{idx: [arch.NumParams]int{1, 1, 1}},
 		BatchObjective: pointwise(func(idx [arch.NumParams]int) search.Evaluation {
 			calls.Add(1)
@@ -123,8 +124,7 @@ func TestRunnerMemoizes(t *testing.T) {
 func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	told := 0
-	rn := &Runner{
+	rn := &runner{
 		Optimizer: search.New(search.AlgRandom, 1, 100000),
 		BatchObjective: pointwise(func(idx [arch.NumParams]int) search.Evaluation {
 			time.Sleep(time.Millisecond)
@@ -132,12 +132,7 @@ func TestRunnerCancellation(t *testing.T) {
 		}),
 		Trials:      100000,
 		Parallelism: 2,
-		OnTrial: func(search.Trial) {
-			told++
-			if told == defaultBatchSize {
-				cancel()
-			}
-		},
+		OnBatch:     func([]search.Trial) { cancel() },
 	}
 	t0 := time.Now()
 	res, err := rn.Run(ctx)
@@ -195,9 +190,8 @@ func TestStudyCancelReturnsPartial(t *testing.T) {
 		Algorithm: search.AlgRandom,
 		Trials:    5000,
 		Seed:      2,
-	}).Run(ctx, WithParallelism(2), WithProgress(func(search.Trial) {
-		told++
-		if told == 2*defaultBatchSize {
+	}).Run(ctx, WithParallelism(2), WithTranscript(func(batch []search.Trial) {
+		if told += len(batch); told == 2*defaultBatchSize {
 			cancel()
 		}
 	}))
@@ -216,7 +210,7 @@ func TestStudyCancelReturnsPartial(t *testing.T) {
 	}
 }
 
-// TestStudyProgressOrder: the progress callback observes every trial in
+// TestStudyProgressOrder: the transcript hook observes every trial in
 // deterministic history order even when evaluations run concurrently.
 func TestStudyProgressOrder(t *testing.T) {
 	var seen []search.Trial
@@ -226,18 +220,18 @@ func TestStudyProgressOrder(t *testing.T) {
 		Algorithm: search.AlgLCS,
 		Trials:    24,
 		Seed:      3,
-	}).Run(context.Background(), WithParallelism(4), WithProgress(func(tr search.Trial) {
-		seen = append(seen, tr)
+	}).Run(context.Background(), WithParallelism(4), WithTranscript(func(batch []search.Trial) {
+		seen = append(seen, batch...)
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(res.Search.History) {
-		t.Fatalf("progress saw %d trials, history has %d", len(seen), len(res.Search.History))
+		t.Fatalf("transcript hook saw %d trials, history has %d", len(seen), len(res.Search.History))
 	}
 	for i := range seen {
 		if !seen[i].Equal(res.Search.History[i]) {
-			t.Fatalf("progress order diverges from history at trial %d", i)
+			t.Fatalf("transcript order diverges from history at trial %d", i)
 		}
 	}
 }
@@ -268,14 +262,14 @@ func TestRunnerWorkersEndWithRun(t *testing.T) {
 		name string
 		// runner builds the Runner; its objective is wrapped to record
 		// the goroutine count while evaluating.
-		runner  func(obj search.BatchObjective, cancel func()) *Runner
+		runner  func(obj search.BatchObjective, cancel func()) *runner
 		objFail func(call int64) // called per objective call; may panic
 		check   func(t *testing.T, res search.Result, err error)
 	}{
 		{
 			name: "normal end",
-			runner: func(obj search.BatchObjective, _ func()) *Runner {
-				return &Runner{Optimizer: search.New(search.AlgRandom, 1, 64), BatchObjective: obj, Trials: 64, Parallelism: par}
+			runner: func(obj search.BatchObjective, _ func()) *runner {
+				return &runner{Optimizer: search.New(search.AlgRandom, 1, 64), BatchObjective: obj, Trials: 64, Parallelism: par}
 			},
 			check: func(t *testing.T, res search.Result, err error) {
 				if err != nil || len(res.History) != 64 {
@@ -285,11 +279,11 @@ func TestRunnerWorkersEndWithRun(t *testing.T) {
 		},
 		{
 			name: "context cancel",
-			runner: func(obj search.BatchObjective, cancel func()) *Runner {
+			runner: func(obj search.BatchObjective, cancel func()) *runner {
 				told := 0
-				return &Runner{Optimizer: search.New(search.AlgRandom, 2, 100000), BatchObjective: obj, Trials: 100000, Parallelism: par,
-					OnTrial: func(search.Trial) {
-						if told++; told == 2*defaultBatchSize {
+				return &runner{Optimizer: search.New(search.AlgRandom, 2, 100000), BatchObjective: obj, Trials: 100000, Parallelism: par,
+					OnBatch: func(batch []search.Trial) {
+						if told += len(batch); told == 2*defaultBatchSize {
 							cancel()
 						}
 					}}
@@ -302,8 +296,8 @@ func TestRunnerWorkersEndWithRun(t *testing.T) {
 		},
 		{
 			name: "objective panic",
-			runner: func(obj search.BatchObjective, _ func()) *Runner {
-				return &Runner{Optimizer: search.New(search.AlgRandom, 3, 640), BatchObjective: obj, Trials: 640, Parallelism: par}
+			runner: func(obj search.BatchObjective, _ func()) *runner {
+				return &runner{Optimizer: search.New(search.AlgRandom, 3, 640), BatchObjective: obj, Trials: 640, Parallelism: par}
 			},
 			objFail: func(call int64) {
 				if call == 7 {
@@ -321,9 +315,9 @@ func TestRunnerWorkersEndWithRun(t *testing.T) {
 		},
 		{
 			name: "exhausted optimizer",
-			runner: func(obj search.BatchObjective, _ func()) *Runner {
+			runner: func(obj search.BatchObjective, _ func()) *runner {
 				opt := &finiteOptimizer{Optimizer: search.New(search.AlgRandom, 4, 640), asks: 3}
-				return &Runner{Optimizer: opt, BatchObjective: obj, Trials: 640, Parallelism: par}
+				return &runner{Optimizer: opt, BatchObjective: obj, Trials: 640, Parallelism: par}
 			},
 			check: func(t *testing.T, res search.Result, err error) {
 				if err != nil || len(res.History) != 3*defaultBatchSize {
@@ -388,7 +382,7 @@ func TestRunnerMemoHitBatchesAllocateNothing(t *testing.T) {
 		warm = append(warm, search.Trial{Index: idx, Evaluation: smooth(idx)})
 	}
 	allocs := func(trials int) float64 {
-		rn := &Runner{Optimizer: opt, Warm: warm, Trials: trials, Parallelism: 4,
+		rn := &runner{Optimizer: opt, Warm: warm, Trials: trials, Parallelism: 4,
 			BatchObjective: func([][arch.NumParams]int) []search.Evaluation {
 				t.Fatal("a memo hit reached the objective")
 				return nil
@@ -414,8 +408,8 @@ func TestRunnerHugeBudgetCostsNothingUpFront(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation figures are not meaningful under the race detector")
 	}
-	const huge = 1 << 40
-	rn := &Runner{
+	const huge = math.MaxInt
+	rn := &runner{
 		Optimizer:      &finiteOptimizer{Optimizer: search.New(search.AlgLCS, 5, huge), asks: 2},
 		BatchObjective: pointwise(smooth),
 		Trials:         huge,
@@ -429,6 +423,6 @@ func TestRunnerHugeBudgetCostsNothingUpFront(t *testing.T) {
 		t.Fatalf("err %v, %d trials; want nil, %d", err, len(res.History), 2*defaultBatchSize)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("two batches of a 2^40-trial budget allocated %d bytes", got)
+		t.Errorf("two batches of a MaxInt-trial budget allocated %d bytes", got)
 	}
 }

@@ -18,7 +18,7 @@ import (
 func scoredBytes(t *testing.T, workload string) (bytes, allocs float64, regions int) {
 	t.Helper()
 	st := Study{Workloads: []string{workload}, Objective: PerfPerTDP}
-	sp := st.evalSpec(nil)
+	sp := st.evalSpec()
 	score, err := BuildBatchEvaluator(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestScorerBytesFlatInRegions(t *testing.T) {
 // reused per-region tables are never shared between scorers.
 func TestScorerConcurrentHammer(t *testing.T) {
 	st := Study{Workloads: []string{"efficientnet-b0", "bert-128"}, Objectives: []ObjectiveKind{Perf, Area}}
-	score, err := BuildBatchEvaluator(st.evalSpec(nil))
+	score, err := BuildBatchEvaluator(st.evalSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

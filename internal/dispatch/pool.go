@@ -1,10 +1,10 @@
 // Package dispatch shards trial evaluation across worker processes: the
-// Runner's ask-batch chunks (see core.Runner) are shipped to fast-worker
-// peers as JSON lines — eval spec fingerprint plus config index vectors
-// — evaluated remotely against each worker's own compiled-plan cache,
-// and folded back positionally, so the optimizer transcript is
-// bit-identical to the in-process path at any worker count, under any
-// reply interleaving.
+// study runner's ask-batch chunks (internal/core/runner.go) are shipped
+// to fast-worker peers as JSON lines — eval spec fingerprint plus config
+// index vectors — evaluated remotely against each worker's own
+// compiled-plan cache, and folded back positionally, so the optimizer
+// transcript is bit-identical to the in-process path at any worker
+// count, under any reply interleaving.
 //
 // Remote evaluation turns worker crashes, wedged workers, torn
 // connections, and duplicate replies into everyday events, and the
@@ -147,7 +147,7 @@ func (s *slot) endAttemptLocked() {
 }
 
 // Pool dispatches evaluation chunks across a set of worker slots. It is
-// safe for concurrent use by any number of Runner goroutines.
+// safe for concurrent use by any number of study runner goroutines.
 type Pool struct {
 	opts Options
 

@@ -20,7 +20,6 @@ import (
 // proposals within one batch share that posterior and differ through
 // the acquisition pool's random draws. Tell refits incrementally.
 type bayesOptimizer struct {
-	transcript
 	r    *rand.Rand
 	dims [arch.NumParams]int
 	// budget is the expected total trial count, used by the warm-up and
@@ -51,7 +50,6 @@ const bayesDefaultBudget = 300
 // warm-up phase (max(8, budget/10) random trials) and the exploration
 // decay; budget <= 0 uses a default horizon.
 func newBayesian(seed int64, budget int) Optimizer {
-	rawBudget := budget
 	if budget <= 0 {
 		budget = bayesDefaultBudget
 	}
@@ -59,16 +57,12 @@ func newBayesian(seed int64, budget int) Optimizer {
 	if warm < 8 {
 		warm = 8
 	}
-	o := &bayesOptimizer{
+	return &bayesOptimizer{
 		r:      rand.New(rand.NewSource(seed)),
 		dims:   arch.Space{}.Dims(),
 		budget: budget,
 		warm:   warm,
 	}
-	// The transcript records the budget as passed (before defaulting),
-	// so Restore reconstructs through the identical code path.
-	o.initTranscript(AlgBayes, seed, rawBudget)
-	return o
 }
 
 func (o *bayesOptimizer) normalize(idx [arch.NumParams]int) [arch.NumParams]float64 {
@@ -161,12 +155,10 @@ func (o *bayesOptimizer) Ask(n int) [][arch.NumParams]int {
 		}
 		out = append(out, bestIdx)
 	}
-	o.recordAsk(len(out))
 	return out
 }
 
 func (o *bayesOptimizer) Tell(trials []Trial) {
-	o.recordTell(trials)
 	for _, tr := range trials {
 		o.res.Observe(tr)
 		y := tr.Value

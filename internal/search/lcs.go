@@ -21,7 +21,6 @@ import (
 // so a size-one ask/tell loop reproduces the classic asynchronous swarm,
 // while batch asks give a synchronous generation.
 type lcsOptimizer struct {
-	transcript
 	r    *rand.Rand
 	dims [arch.NumParams]int
 
@@ -66,7 +65,6 @@ func newLCS(seed int64, budget int) Optimizer {
 		dims:       arch.Space{}.Dims(),
 		gBestValue: math.Inf(-1),
 	}
-	o.initTranscript(AlgLCS, seed, budget)
 	particles := lcsSwarmSize
 	if budget > 0 && budget < particles {
 		particles = budget
@@ -108,12 +106,10 @@ func (o *lcsOptimizer) Ask(n int) [][arch.NumParams]int {
 		o.pending = append(o.pending, lcsPending{particle: p, pos: o.swarm[p].pos})
 		out = append(out, o.round(o.swarm[p].pos))
 	}
-	o.recordAsk(len(out))
 	return out
 }
 
 func (o *lcsOptimizer) Tell(trials []Trial) {
-	o.recordTell(trials)
 	for _, tr := range trials {
 		var pd lcsPending
 		if o.told < len(o.pending) {

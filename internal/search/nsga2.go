@@ -9,7 +9,7 @@ import (
 
 // nsga2Optimizer is an elitist non-dominated-sorting genetic algorithm
 // (NSGA-II, Deb et al.) speaking the batch ask/tell protocol, so it
-// inherits the concurrent Runner's worker pool, memoization, and
+// inherits the study runner's worker pool, memoization, and
 // EvaluateBatch for free.
 //
 // Ask serves proposals from a queue that refills one population at a
@@ -25,10 +25,9 @@ import (
 // tell sequence.
 //
 // All state evolves only through the ask/tell transcript and the
-// seeded generator, so replaying a transcript (what the concurrent
-// Runner does at any parallelism) reproduces the search exactly.
+// seeded generator, so replaying a transcript (what the study runner
+// does at any parallelism) reproduces the search exactly.
 type nsga2Optimizer struct {
-	transcript
 	r    *rand.Rand
 	dims [arch.NumParams]int
 	pop  int
@@ -49,8 +48,8 @@ type nsga2Individual struct {
 	crowd float64
 }
 
-// nsga2PopSize is the default population; it matches the core Runner's
-// default batch width, so the Runner advances exactly one generation
+// nsga2PopSize is the default population; it matches the study runner's
+// default batch width, so the runner advances exactly one generation
 // per ask/tell round.
 const nsga2PopSize = 16
 
@@ -69,7 +68,6 @@ func newNSGA2(seed int64, budget int) Optimizer {
 	if o.pop < 2 {
 		o.pop = 2 // tournament and crossover need two slots
 	}
-	o.initTranscript(AlgNSGA2, seed, budget)
 	return o
 }
 
@@ -82,12 +80,10 @@ func (o *nsga2Optimizer) Ask(n int) [][arch.NumParams]int {
 		out = append(out, o.queue[0])
 		o.queue = o.queue[1:]
 	}
-	o.recordAsk(len(out))
 	return out
 }
 
 func (o *nsga2Optimizer) Tell(trials []Trial) {
-	o.recordTell(trials)
 	for _, tr := range trials {
 		o.told = append(o.told, nsga2Individual{
 			idx:  tr.Index,

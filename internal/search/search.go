@@ -174,7 +174,7 @@ type Optimizer interface {
 	// are free to memoize the objective across them.
 	Ask(n int) [][arch.NumParams]int
 	// Tell reports evaluated trials back to the optimizer, in ask order.
-	// The slice stays the caller's (the core Runner passes a window on
+	// The slice stays the caller's (the core runner passes a window on
 	// its history): an optimizer copies what it keeps and never
 	// modifies it.
 	Tell(trials []Trial)
@@ -197,19 +197,16 @@ func New(alg Algorithm, seed int64, budget int) Optimizer {
 	}
 }
 
-// randomOptimizer samples the space uniformly; Tell only records the
-// transcript (uniform sampling is memoryless).
+// randomOptimizer samples the space uniformly; Tell is a no-op
+// (uniform sampling is memoryless).
 type randomOptimizer struct {
-	transcript
 	r    *rand.Rand
 	dims [arch.NumParams]int
 }
 
 // newRandom returns the uniform-sampling optimizer.
 func newRandom(seed int64) Optimizer {
-	o := &randomOptimizer{r: rand.New(rand.NewSource(seed)), dims: arch.Space{}.Dims()}
-	o.initTranscript(AlgRandom, seed, 0)
-	return o
+	return &randomOptimizer{r: rand.New(rand.NewSource(seed)), dims: arch.Space{}.Dims()}
 }
 
 func (o *randomOptimizer) Ask(n int) [][arch.NumParams]int {
@@ -219,11 +216,10 @@ func (o *randomOptimizer) Ask(n int) [][arch.NumParams]int {
 			out[i][d] = o.r.Intn(card)
 		}
 	}
-	o.recordAsk(len(out))
 	return out
 }
 
-func (o *randomOptimizer) Tell(trials []Trial) { o.recordTell(trials) }
+func (o *randomOptimizer) Tell([]Trial) {}
 
 // mutate returns a copy of idx with each coordinate re-sampled with
 // probability p (at least one coordinate always changes).

@@ -36,10 +36,9 @@ type Snapshot struct {
 	Trials    []Trial   `json:"trials"`
 }
 
-// Append records one fully told ask batch. It is the building block for
-// external checkpointers (core.WithTranscript feeds it every told
-// batch); optimizers themselves record internally and hand out complete
-// snapshots via Snapshotter.
+// Append records one fully told ask batch. It is how a snapshot is
+// built: core.WithTranscript hands every told batch to the checkpoint
+// hook, which appends it here or persists it with internal/store.
 func (s *Snapshot) Append(batch []Trial) {
 	s.AskSizes = append(s.AskSizes, len(batch))
 	for _, t := range batch {
@@ -63,16 +62,6 @@ func (s Snapshot) Validate() error {
 	return nil
 }
 
-// Snapshotter is an Optimizer whose state can be captured mid-study.
-// Every built-in family implements it; Snapshot returns an independent
-// copy, so callers may serialize it while the optimizer keeps running
-// (from the driving goroutine — Snapshot is not synchronized against
-// concurrent Ask/Tell, which no in-tree driver issues anyway).
-type Snapshotter interface {
-	Optimizer
-	Snapshot() Snapshot
-}
-
 // Restore rebuilds an optimizer in the exact state captured by s: it
 // constructs a fresh optimizer from the snapshot's constructor
 // parameters and replays the recorded ask/tell transcript. The replayed
@@ -80,14 +69,11 @@ type Snapshotter interface {
 // the snapshot is corrupt or was taken under different constructor
 // parameters (or optimizer code whose trajectory has since changed),
 // and restoring it would silently fork the search.
-func Restore(s Snapshot) (Snapshotter, error) {
+func Restore(s Snapshot) (Optimizer, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	opt, ok := New(s.Algorithm, s.Seed, s.Budget).(Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("search: optimizer %q does not support snapshots", s.Algorithm)
-	}
+	opt := New(s.Algorithm, s.Seed, s.Budget)
 	pos := 0
 	for bi, n := range s.AskSizes {
 		asks := opt.Ask(n)
@@ -116,66 +102,4 @@ func (t Trial) clone() Trial {
 		t.Values = vals
 	}
 	return t
-}
-
-// transcript is the interaction recorder embedded in every built-in
-// optimizer: Ask/Tell implementations log through it, and the promoted
-// Snapshot method captures the log together with the constructor
-// parameters. Each told batch is copied once, into a slice of exactly
-// its size, so the log never regrows and never holds room for trials
-// that have not been told.
-type transcript struct {
-	alg    Algorithm
-	seed   int64
-	budget int
-
-	askSizes []int
-	told     [][]Trial
-}
-
-// initTranscript stamps the constructor parameters Snapshot will report.
-func (t *transcript) initTranscript(alg Algorithm, seed int64, budget int) {
-	t.alg, t.seed, t.budget = alg, seed, budget
-}
-
-// recordAsk logs one non-empty Ask batch.
-func (t *transcript) recordAsk(n int) {
-	if n > 0 {
-		t.askSizes = append(t.askSizes, n)
-	}
-}
-
-// recordTell logs told trials. The caller keeps ownership of batch.
-func (t *transcript) recordTell(batch []Trial) {
-	if len(batch) == 0 {
-		return
-	}
-	kept := make([]Trial, len(batch))
-	for i, tr := range batch {
-		kept[i] = tr.clone()
-	}
-	t.told = append(t.told, kept)
-}
-
-// Snapshot implements Snapshotter; the returned copy shares nothing
-// with the live optimizer.
-func (t *transcript) Snapshot() Snapshot {
-	n := 0
-	for _, batch := range t.told {
-		n += len(batch)
-	}
-	s := Snapshot{
-		Algorithm: t.alg,
-		Seed:      t.seed,
-		Budget:    t.budget,
-		AskSizes:  make([]int, len(t.askSizes)),
-		Trials:    make([]Trial, 0, n),
-	}
-	copy(s.AskSizes, t.askSizes)
-	for _, batch := range t.told {
-		for _, tr := range batch {
-			s.Trials = append(s.Trials, tr.clone())
-		}
-	}
-	return s
 }

@@ -22,8 +22,10 @@ func snapObjective(idx [arch.NumParams]int) Evaluation {
 }
 
 // driveBatches pumps opt through ask/tell rounds of the given sizes,
-// returning every told trial in order.
-func driveBatches(t *testing.T, opt Optimizer, sizes []int) []Trial {
+// returning every told trial in order. A non-nil rec receives every
+// told batch through Snapshot.Append, the way a study's checkpoint hook
+// records it.
+func driveBatches(t *testing.T, opt Optimizer, sizes []int, rec *Snapshot) []Trial {
 	t.Helper()
 	var history []Trial
 	for _, n := range sizes {
@@ -36,6 +38,9 @@ func driveBatches(t *testing.T, opt Optimizer, sizes []int) []Trial {
 			batch[i] = Trial{Index: idx, Evaluation: snapObjective(idx)}
 		}
 		opt.Tell(batch)
+		if rec != nil {
+			rec.Append(batch)
+		}
 		history = append(history, batch...)
 	}
 	return history
@@ -43,9 +48,10 @@ func driveBatches(t *testing.T, opt Optimizer, sizes []int) []Trial {
 
 // TestSnapshotRestoreIdentity is the checkpoint round-trip property
 // test: for every algorithm, at randomized mid-study points with
-// randomized batch shapes, Snapshot → Restore must yield an optimizer
-// whose future proposals are bit-identical to the original's — i.e.
-// restoring is the identity on optimizer state.
+// randomized batch shapes, a snapshot appended batch by batch while
+// driving must Restore to an optimizer whose future proposals are
+// bit-identical to the original's — i.e. restoring is the identity on
+// optimizer state.
 func TestSnapshotRestoreIdentity(t *testing.T) {
 	algs := []Algorithm{AlgRandom, AlgLCS, AlgBayes, AlgNSGA2}
 	rng := rand.New(rand.NewSource(77))
@@ -67,9 +73,8 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 			}
 
 			orig := New(alg, seed, budget)
-			driveBatches(t, orig, sizes)
-
-			snap := orig.(Snapshotter).Snapshot()
+			snap := Snapshot{Algorithm: alg, Seed: seed, Budget: budget}
+			driveBatches(t, orig, sizes, &snap)
 			if err := snap.Validate(); err != nil {
 				t.Fatalf("%s: snapshot invalid: %v", alg, err)
 			}
@@ -83,8 +88,8 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 
 			// Both must now produce identical futures.
 			futureSizes := []int{7, 16, 3, 16}
-			a := driveBatches(t, orig, futureSizes)
-			b := driveBatches(t, restored, futureSizes)
+			a := driveBatches(t, orig, futureSizes, nil)
+			b := driveBatches(t, restored, futureSizes, nil)
 			for i := range a {
 				if !a[i].Equal(b[i]) {
 					t.Fatalf("%s seed=%d cut=%d: future trial %d diverged: %v vs %v",
@@ -95,36 +100,12 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsCopy verifies Snapshot shares no mutable state with the
-// live optimizer: mutating the returned snapshot must not perturb the
-// optimizer, and a second snapshot must be unaffected.
-func TestSnapshotIsCopy(t *testing.T) {
-	opt := New(AlgNSGA2, 3, 64)
-	driveBatches(t, opt, []int{16, 16})
-	snap := opt.(Snapshotter).Snapshot()
-	for i := range snap.Trials {
-		snap.Trials[i].Index[0] = 999
-		for k := range snap.Trials[i].Values {
-			snap.Trials[i].Values[k] = -1e18
-		}
-	}
-	snap.AskSizes[0] = 999
-	again := opt.(Snapshotter).Snapshot()
-	if again.AskSizes[0] != 16 || again.Trials[0].Index[0] == 999 {
-		t.Fatal("mutating a snapshot leaked into the optimizer state")
-	}
-	if again.Trials[0].Feasible && again.Trials[0].Values != nil && again.Trials[0].Values[0] == -1e18 {
-		t.Fatal("snapshot shares Values storage with the optimizer")
-	}
-}
-
 // TestRestoreRejectsMismatch verifies the replay verification: a
 // snapshot replayed under the wrong seed must be rejected, not silently
 // fork the search.
 func TestRestoreRejectsMismatch(t *testing.T) {
-	opt := New(AlgLCS, 5, 64)
-	driveBatches(t, opt, []int{16})
-	snap := opt.(Snapshotter).Snapshot()
+	snap := Snapshot{Algorithm: AlgLCS, Seed: 5, Budget: 64}
+	driveBatches(t, New(AlgLCS, 5, 64), []int{16}, &snap)
 
 	bad := snap
 	bad.Seed = 6
@@ -140,62 +121,29 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoredSnapshotChains verifies a restored optimizer can itself be
-// snapshotted and restored (checkpoint chains across many restarts).
+// TestRestoredSnapshotChains verifies a restored optimizer keeps
+// extending its snapshot and restores again (checkpoint chains across
+// many restarts).
 func TestRestoredSnapshotChains(t *testing.T) {
-	orig := New(AlgBayes, 11, 80)
-	driveBatches(t, orig, []int{16, 16})
-	r1, err := Restore(orig.(Snapshotter).Snapshot())
+	snap := Snapshot{Algorithm: AlgBayes, Seed: 11, Budget: 80}
+	driveBatches(t, New(AlgBayes, 11, 80), []int{16, 16}, &snap)
+	r1, err := Restore(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveBatches(t, r1, []int{16})
-	r2, err := Restore(r1.Snapshot())
+	driveBatches(t, r1, []int{16}, &snap)
+	r2, err := Restore(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// And r2's future matches a never-restored reference.
 	ref := New(AlgBayes, 11, 80)
-	driveBatches(t, ref, []int{16, 16, 16})
-	a := driveBatches(t, ref, []int{16})
-	b := driveBatches(t, r2, []int{16})
+	driveBatches(t, ref, []int{16, 16, 16}, nil)
+	a := driveBatches(t, ref, []int{16}, nil)
+	b := driveBatches(t, r2, []int{16}, nil)
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatalf("trial %d diverged after chained restore", i)
-		}
-	}
-}
-
-// TestSnapshotAppendMatchesRecorder verifies the external checkpoint
-// path (Snapshot.Append fed batch by batch, the shape
-// core.WithTranscript produces) replays identically to the optimizer's
-// own recording.
-func TestSnapshotAppendMatchesRecorder(t *testing.T) {
-	opt := New(AlgLCS, 13, 48)
-	var ext Snapshot
-	ext.Algorithm, ext.Seed, ext.Budget = AlgLCS, 13, 48
-	for _, n := range []int{16, 16, 5} {
-		asks := opt.Ask(n)
-		batch := make([]Trial, n)
-		for i, idx := range asks {
-			batch[i] = Trial{Index: idx, Evaluation: snapObjective(idx)}
-		}
-		opt.Tell(batch)
-		ext.Append(batch)
-	}
-	a, err := Restore(opt.(Snapshotter).Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Restore(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa := driveBatches(t, a, []int{16})
-	fb := driveBatches(t, b, []int{16})
-	for i := range fa {
-		if !fa[i].Equal(fb[i]) {
-			t.Fatalf("trial %d diverged between recorder and Append snapshots", i)
 		}
 	}
 }

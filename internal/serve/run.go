@@ -156,7 +156,7 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 
 	// Quarantine: a panic anywhere in the study drive (optimizer
 	// ask/tell, result assembly — worker-side objective panics are
-	// already converted by core.Runner) fails this study terminally
+	// already converted by the study runner) fails this study terminally
 	// with its durable prefix intact instead of killing the daemon.
 	res, runErr := func() (res *core.StudyResult, err error) {
 		defer func() {

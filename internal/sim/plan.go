@@ -187,11 +187,7 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 	if p.pm == nil {
 		p.pm = power.Default()
 	}
-	if opts.PartitionNone {
-		p.part = hlo.PartitionNone(g)
-	} else {
-		p.part = hlo.PartitionXLA(g)
-	}
+	p.part = hlo.PartitionXLA(g)
 
 	nb := g.NativeBatch()
 	probIdx := make(map[mapping.Problem]int)

@@ -175,7 +175,6 @@ func TestOptionsFingerprint(t *testing.T) {
 		// the fingerprint must keep them apart.
 		"no-schemes":   func(o *Options) { o.Mapping.Schemes = []mapping.Scheme{} },
 		"ws-only":      func(o *Options) { o.Mapping.Schemes = []mapping.Scheme{mapping.WeightStationary} },
-		"partition":    func(o *Options) { o.PartitionNone = true },
 		"whole-tensor": func(o *Options) { o.WholeTensorFusion = true },
 		"dw-vpu":       func(o *Options) { o.DepthwiseOnVPU = true },
 	}

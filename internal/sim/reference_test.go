@@ -45,12 +45,7 @@ func referenceSimulate(g *hlo.Graph, cfg *arch.Config, opts Options) (*Result, e
 func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.SoftmaxAlgorithm) *Result {
 	res := &Result{Graph: g, Config: cfg, SoftmaxAlgorithm: alg}
 
-	var part *hlo.Partition
-	if opts.PartitionNone {
-		part = hlo.PartitionNone(g)
-	} else {
-		part = hlo.PartitionXLA(g)
-	}
+	part := hlo.PartitionXLA(g)
 
 	perCoreBW := cfg.PeakBandwidthGBs() * 1e9 / float64(cfg.Cores)
 	clock := cfg.ClockGHz * 1e9

@@ -31,9 +31,6 @@ type Options struct {
 	Fusion fusion.Options
 	// Mapping configures the schedule mapper.
 	Mapping mapping.Options
-	// PartitionNone disables XLA fusion regions (every op its own
-	// region) for ablation studies.
-	PartitionNone bool
 	// WholeTensorFusion reproduces the paper's conservative Fig. 8
 	// assumption that entire tensors occupy Global Memory while resident
 	// (§5.5). Default false: the scheduler applies inter-op blocking, so
@@ -166,9 +163,9 @@ func (o Options) Fingerprint() string {
 	if o.Mapping.Schemes != nil {
 		schemes = fmt.Sprintf("%v", o.Mapping.Schemes)
 	}
-	return fmt.Sprintf("sm2p=%t auto=%t fus=%+v schemes=%s pnone=%t wtf=%t dwvpu=%t pm=%s",
+	return fmt.Sprintf("sm2p=%t auto=%t fus=%+v schemes=%s wtf=%t dwvpu=%t pm=%s",
 		o.TwoPassSoftmax, o.AutoSoftmax, o.Fusion, schemes,
-		o.PartitionNone, o.WholeTensorFusion, o.DepthwiseOnVPU, pm)
+		o.WholeTensorFusion, o.DepthwiseOnVPU, pm)
 }
 
 // Simulate runs the full pipeline for graph g (built at any batch; it is

@@ -39,10 +39,10 @@ package sim
 // Stage values are computed at most once per key (sync.Once entries), are
 // immutable afterwards, and are shared read-only by every concurrent
 // Evaluate — which also deduplicates work when EvaluateBatch fans a batch
-// across Runner workers. Keys cover exactly the fields a stage reads, so
-// a cache hit is bit-identical to recomputation (the differential and
-// fuzz tests in plan_test.go enforce this against the frozen pre-split
-// simulator).
+// across the study runner's workers. Keys cover exactly the fields a
+// stage reads, so a cache hit is bit-identical to recomputation (the
+// differential and fuzz tests in plan_test.go enforce this against the
+// frozen pre-split simulator).
 
 import (
 	"fmt"
