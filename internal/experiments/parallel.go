@@ -16,7 +16,9 @@ package experiments
 // caveat every exact-ILP path in this repo carries). A solve that ends
 // on its stall limit, 16,384 nodes without improvement, ends at the
 // same node on any host; only solves whose nodes are too slow to reach
-// that limit inside ILPDeadline carry the caveat.
+// that limit inside ILPDeadline carry the caveat. On a 2-vCPU host at
+// -parallel 2, 9 of the tables' unproven sparse solves end on the
+// deadline and 11 on the limit (docs/PERFORMANCE.md).
 
 import (
 	"fast/internal/arch"

@@ -124,24 +124,43 @@ func TestMulti64WinnerStopsAtRoot(t *testing.T) {
 
 // soleInstance returns the one fusion instance a report of model on cfg
 // solves.
-func soleInstance(t *testing.T, model string, cfg *arch.Config) instance {
-	t.Helper()
-	ins := captureInstances(t, model, []*arch.Config{cfg})
+func soleInstance(tb testing.TB, model string, cfg *arch.Config) instance {
+	tb.Helper()
+	ins := captureInstances(tb, model, []*arch.Config{cfg})
 	if len(ins) != 1 {
-		t.Fatalf("%s: %d fusion instances, want 1", model, len(ins))
+		tb.Fatalf("%s: %d fusion instances, want 1", model, len(ins))
 	}
 	return ins[0]
 }
 
 // reportHardInstance is report_hard's solve: efficientnet-b0 on the
 // seed-9 winner, whose greedy placement no deadline up to 2 s improves.
-func reportHardInstance(t *testing.T) instance {
-	t.Helper()
+func reportHardInstance(tb testing.TB) instance {
+	tb.Helper()
 	cfg, err := arch.LoadFile("../../cmd/fast-bench/testdata/b0_seed9_winner.json")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return soleInstance(t, "efficientnet-b0", cfg)
+	return soleInstance(tb, "efficientnet-b0", cfg)
+}
+
+// table6Instance is the largest solve in report_exact: table6's
+// efficientnet-b7 cell on FAST-Large with 16 MiB of Global Memory.
+func table6Instance(tb testing.TB) instance {
+	tb.Helper()
+	cfg := arch.FASTLarge().Clone("fl-16mb")
+	cfg.GlobalMiB = 16
+	return soleInstance(tb, "efficientnet-b7", cfg)
+}
+
+// stallInstances are the two solves that run to the stall limit on
+// their greedy warm start and dominate the reporting workloads.
+var stallInstances = []struct {
+	name     string
+	instance func(testing.TB) instance
+}{
+	{"report_hard", reportHardInstance},
+	{"table6_b7_16MiB", table6Instance},
 }
 
 // TestStallLimit pins how the limit follows the deadline: one number up
@@ -159,24 +178,52 @@ func TestStallLimit(t *testing.T) {
 	}
 }
 
-// TestStallStopPinned pins the stall stop on report_hard's instance:
-// at the default limit the solve ends after exactly that many nodes
-// and keeps the greedy placement it was warm started with. The
-// minute-long deadline keeps the outcome independent of the host.
+// TestStallStopPinned pins the stall stop on both stall instances: at
+// the default limit each solve ends after exactly that many nodes and
+// keeps the greedy placement it was warm started with. The minute-long
+// deadline keeps the outcome independent of the host.
 func TestStallStopPinned(t *testing.T) {
-	in := reportHardInstance(t)
-	pin, keep, hold := fusion.Greedy(in.regions, in.usable, in.capacity)
+	for _, tc := range stallInstances {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tc.instance(t)
+			pin, keep, hold := fusion.Greedy(in.regions, in.usable, in.capacity)
+			stall := fusion.StallNodes(2 * time.Second)
+			asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, stall)
+			if asn.Method != "ilp-incumbent" || asn.Nodes != stall || res.ImprovedAt != 0 {
+				t.Errorf("method %s, %d nodes, improved at %d; want ilp-incumbent after %d nodes on the warm start",
+					asn.Method, asn.Nodes, res.ImprovedAt, stall)
+			}
+			if got, want := flagsHash(asn.Pin, asn.Keep, asn.Hold), flagsHash(pin, keep, hold); got != want {
+				t.Errorf("assignment %#x, greedy %#x; want the greedy placement", got, want)
+			}
+			if asn.Gap <= 1e-3 || asn.Gap != res.Gap {
+				t.Errorf("gap %g (solver %g); want the certified gap, above the tolerance", asn.Gap, res.Gap)
+			}
+		})
+	}
+}
+
+// BenchmarkExactStall prices a stall-phase branch-and-bound node: each
+// stall instance solved to the default limit under a deadline no host
+// reaches, reported per node. Every node there keeps the warm start,
+// so the figure is the cost of the node itself.
+func BenchmarkExactStall(b *testing.B) {
 	stall := fusion.StallNodes(2 * time.Second)
-	asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, stall)
-	if asn.Method != "ilp-incumbent" || asn.Nodes != stall || res.ImprovedAt != 0 {
-		t.Errorf("method %s, %d nodes, improved at %d; want ilp-incumbent after %d nodes on the warm start",
-			asn.Method, asn.Nodes, res.ImprovedAt, stall)
-	}
-	if got, want := flagsHash(asn.Pin, asn.Keep, asn.Hold), flagsHash(pin, keep, hold); got != want {
-		t.Errorf("assignment %#x, greedy %#x; want the greedy placement", got, want)
-	}
-	if asn.Gap <= 1e-3 || asn.Gap != res.Gap {
-		t.Errorf("gap %g (solver %g); want the certified gap, above the tolerance", asn.Gap, res.Gap)
+	for _, tc := range stallInstances {
+		b.Run(tc.name, func(b *testing.B) {
+			in := tc.instance(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				asn, _ := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, stall)
+				if asn.Nodes != stall {
+					b.Fatalf("%s after %d nodes, want the stall limit at %d", asn.Method, asn.Nodes, stall)
+				}
+				nodes += asn.Nodes
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+		})
 	}
 }
 

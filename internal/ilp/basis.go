@@ -1,6 +1,9 @@
 package ilp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Basis factorization for the revised simplex: a sparse LU of a
 // reference basis plus a list of product-form (eta) rank-one updates.
@@ -22,8 +25,10 @@ import "math"
 // only drops a ±0 term, which can flip the sign of an exactly-zero
 // result and nothing else; no comparison, ratio or pivot reads the sign
 // of a zero. Fusion bases hold ~2 non-zeros per row (efficientnet-b7:
-// m=548, nnz(LU)≈1100), so the solves cost O(m + nnz) where the dense
-// ones walked m² entries.
+// m=548, nnz(LU)≈1100). Where the dense solves walked m² entries,
+// these sweep the m positions once and multiply only non-zeros; FTRAN's
+// U solve, on a sparse right-hand side, visits only the rows its
+// non-zeros reach.
 
 const (
 	// maxEtas bounds the product-form update list before the basis is
@@ -51,8 +56,9 @@ type eta struct {
 // factor is the LU + eta representation of the current basis inverse,
 // P·B = L·U with P the row swaps in ipiv.
 type factor struct {
-	m    int
-	ipiv []int32 // LAPACK-style row swaps
+	m     int
+	ipiv  []int32 // LAPACK-style row swaps
+	swaps []int32 // the steps k with ipiv[k] != k, ascending
 
 	// L is unit lower triangular; its strict part is stored by columns,
 	// column k spanning [lptr[k], lptr[k+1]) with ascending row indices.
@@ -64,6 +70,16 @@ type factor struct {
 	uptr, uidx []int32
 	uval       []float64
 	udiag      []float64
+	// U's strict upper part by columns, pattern only: column k holds the
+	// rows tuRow[ucptr[k]:ucptr[k+1]].
+	ucptr []int32
+
+	// ftran scratch: the rows non-zero after the L solve, the bitset of
+	// rows the U solve reaches from them (all clear between calls), and
+	// the reach's stack.
+	nz    []int32
+	reach []uint64
+	stack []int32
 
 	etas []eta
 	eidx []int32
@@ -80,17 +96,11 @@ type factor struct {
 	tuVal              []float64
 }
 
-func growI32(p *[]int32, n int) []int32 {
+// grow resizes *p to length n in place, reallocating only when its
+// capacity is short; the contents are not cleared.
+func grow[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-func growF64(p *[]float64, n int) []float64 {
-	if cap(*p) < n {
-		*p = make([]float64, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return *p
@@ -119,17 +129,13 @@ func (f *factor) factorize(c *csc, basis []int32) bool {
 	m := len(basis)
 	f.m = m
 	f.dropEtas()
-	ipiv := growI32(&f.ipiv, m)
-	lptr := growI32(&f.lptr, m+1)
-	udiag := growF64(&f.udiag, m)
-	x := growF64(&f.x, m)
-	rowAt, posOf := growI32(&f.rowAt, m), growI32(&f.posOf, m)
-	step, prow := growI32(&f.step, m), growI32(&f.prow, m)
-	if cap(f.mark) < m {
-		f.mark = make([]bool, m)
-	}
-	f.mark = f.mark[:m]
-	mark := f.mark
+	ipiv := grow(&f.ipiv, m)
+	lptr := grow(&f.lptr, m+1)
+	udiag := grow(&f.udiag, m)
+	x := grow(&f.x, m)
+	rowAt, posOf := grow(&f.rowAt, m), grow(&f.posOf, m)
+	step, prow := grow(&f.step, m), grow(&f.prow, m)
+	mark := grow(&f.mark, m)
 	for i := 0; i < m; i++ {
 		x[i] = 0
 		mark[i] = false
@@ -233,7 +239,7 @@ func (f *factor) factorize(c *csc, basis []int32) bool {
 	}
 	// U by rows: the entries were created column by column, so a stable
 	// counting pass leaves each row's columns ascending.
-	uptr := growI32(&f.uptr, m+1)
+	uptr := grow(&f.uptr, m+1)
 	for i := range uptr {
 		uptr[i] = 0
 	}
@@ -243,7 +249,7 @@ func (f *factor) factorize(c *csc, basis []int32) bool {
 	for k := 0; k < m; k++ {
 		uptr[k+1] += uptr[k]
 	}
-	uidx, uval := growI32(&f.uidx, len(f.tuRow)), growF64(&f.uval, len(f.tuRow))
+	uidx, uval := grow(&f.uidx, len(f.tuRow)), grow(&f.uval, len(f.tuRow))
 	next := rowAt // positions are final; reuse the storage as fill cursors
 	copy(next, uptr[:m])
 	for e, r := range f.tuRow {
@@ -251,6 +257,24 @@ func (f *factor) factorize(c *csc, basis []int32) bool {
 		uval[next[r]] = f.tuVal[e]
 		next[r]++
 	}
+	// U by columns is tuRow itself, created column by column.
+	ucptr := grow(&f.ucptr, m+1)
+	for k := range ucptr {
+		ucptr[k] = 0
+	}
+	for _, k := range f.tuCol {
+		ucptr[k+1]++
+	}
+	for k := 0; k < m; k++ {
+		ucptr[k+1] += ucptr[k]
+	}
+	f.swaps = f.swaps[:0]
+	for k, p := range ipiv {
+		if int(p) != k {
+			f.swaps = append(f.swaps, int32(k))
+		}
+	}
+	grow(&f.reach, (m+63)/64)
 	return true
 }
 
@@ -303,38 +327,40 @@ func (f *factor) popStep() int32 {
 // ftran solves B x = v in place (v has length m).
 func (f *factor) ftran(v []float64) {
 	v = v[:f.m]
-	for k, p := range f.ipiv {
-		if int(p) != k {
-			v[k], v[p] = v[p], v[k]
-		}
+	for _, k := range f.swaps {
+		p := f.ipiv[k]
+		v[k], v[p] = v[p], v[k]
 	}
 	// L (unit lower) forward substitution, column-oriented: v[i] still
 	// receives its l_ij·v[j] in ascending j, and a zero v[j] — most of
 	// them, for the unit vectors and single columns the simplex solves
-	// for — costs one compare.
+	// for — costs one compare. v[j] is final when the sweep reaches it,
+	// so the sweep also lists the U solve's non-zero inputs.
 	lptr, lidx, lval := f.lptr, f.lidx, f.lval
+	nz := f.nz[:0]
 	for j, vj := range v {
 		if vj == 0 {
 			continue
 		}
+		nz = append(nz, int32(j))
 		lo, hi := lptr[j], lptr[j+1]
 		val := lval[lo:hi]
 		for p, i := range lidx[lo:hi] {
 			v[i] -= val[p] * vj
 		}
 	}
+	f.nz = nz
 	// U back substitution, row-oriented over the stored non-zeros. (The
 	// column form would deliver row i's terms in descending j and round
-	// differently.)
-	uptr, uidx, uval := f.uptr, f.uidx, f.uval
-	for i := len(v) - 1; i >= 0; i-- {
-		s := v[i]
-		lo, hi := uptr[i], uptr[i+1]
-		val := uval[lo:hi]
-		for p, j := range uidx[lo:hi] {
-			s -= val[p] * v[j]
+	// differently.) A sparse input visits only the rows it reaches. A
+	// dense one, such as the basic values' right-hand side, reaches most
+	// rows, so from a tenth of m non-zeros on the solve sweeps instead.
+	if 10*len(nz) < f.m {
+		f.usolveReach(v)
+	} else {
+		for i := len(v) - 1; i >= 0; i-- {
+			f.usolveRow(v, i)
 		}
-		v[i] = s / f.udiag[i]
 	}
 	// Product-form updates in creation order.
 	for k := range f.etas {
@@ -347,6 +373,51 @@ func (f *factor) ftran(v []float64) {
 			}
 		}
 		v[e.r] = t
+	}
+}
+
+// usolveRow finishes row i of the U back substitution; every row above
+// i that it reads is final.
+func (f *factor) usolveRow(v []float64, i int) {
+	s := v[i]
+	lo, hi := f.uptr[i], f.uptr[i+1]
+	val := f.uval[lo:hi]
+	for p, j := range f.uidx[lo:hi] {
+		s -= val[p] * v[j]
+	}
+	v[i] = s / f.udiag[i]
+}
+
+// usolveReach is the U back substitution on the rows reachable from
+// f.nz through U's columns (Gilbert–Peierls): row i can end non-zero
+// only if v[i] is or it has an entry u_ij at a reached row j. Every
+// other row holds a zero that the full sweep would leave zero (up to
+// its sign). The reached rows are solved highest first, exactly as the
+// sweep solves them.
+func (f *factor) usolveReach(v []float64) {
+	reach, stack := f.reach, f.stack[:0]
+	for _, j := range f.nz {
+		reach[j>>6] |= 1 << (j & 63)
+		stack = append(stack, j)
+	}
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, i := range f.tuRow[f.ucptr[j]:f.ucptr[j+1]] {
+			if w, b := &reach[i>>6], uint64(1)<<(i&63); *w&b == 0 {
+				*w |= b
+				stack = append(stack, i)
+			}
+		}
+	}
+	f.stack = stack
+	for w := len(reach) - 1; w >= 0; w-- {
+		for word := reach[w]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << b
+			f.usolveRow(v, w<<6|b)
+		}
+		reach[w] = 0
 	}
 }
 
@@ -394,10 +465,10 @@ func (f *factor) btran(v []float64) {
 		}
 		v[i] = s
 	}
-	for k := len(v) - 1; k >= 0; k-- {
-		if p := int(f.ipiv[k]); p != k {
-			v[k], v[p] = v[p], v[k]
-		}
+	for k := len(f.swaps) - 1; k >= 0; k-- {
+		s := f.swaps[k]
+		p := f.ipiv[s]
+		v[s], v[p] = v[p], v[s]
 	}
 }
 

@@ -9,6 +9,7 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -284,7 +285,11 @@ func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 		bases++
 		checkKernels(t, ls.c, ls.basis, []int{0, 48, maxEtas, 16}[depth], rng)
 		ls.extract()
-		j := selectBranch(ls.x, p.Binary, nil, nil, make([]int32, ls.n), make([]int32, ls.n))
+		cnt := make([]int32, ls.n)
+		j := ls.selectBranch(nil, nil, cnt, cnt)
+		if want := selectBranchFull(ls.x, p.Binary, nil, nil, cnt, cnt); j != want {
+			t.Fatalf("depth %d: branching on column %d, the full scan picks %d", depth, j, want)
+		}
 		if j < 0 {
 			break
 		}
@@ -295,24 +300,106 @@ func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	}
 }
 
-// fakeState is the slice of lpState the snapshot deltas read.
+// TestSelectBranchMatchesFullScan holds the branching rule's scan over
+// basic binaries to the full scan of every column, on the LP optima of
+// random dives: most-fractional with unseen pseudo-costs, product
+// scoring with seen ones. Some binaries get an upper bound of 0.5 or 0,
+// so one can sit fractional while nonbasic.
+func TestSelectBranchMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	compared, nonbasic := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		p := randMixedProblem(rng)
+		for j, bin := range p.Binary {
+			if bin && rng.Intn(4) == 0 {
+				p.U[j] = []float64{0, 0.5}[rng.Intn(2)]
+			}
+		}
+		ls := new(lpState)
+		ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.U, p.Binary)
+		ls.installSlackBasis()
+		ls.computeXB()
+		ls.computeDuals()
+		unseen := make([]int32, ls.n)
+		seen := make([]int32, ls.n)
+		pcDn, pcUp := make([]float64, ls.n), make([]float64, ls.n)
+		for j := range seen {
+			seen[j] = 1 + int32(rng.Intn(3))
+			pcDn[j], pcUp[j] = rng.Float64(), rng.Float64()
+		}
+		for depth := 0; depth < 6; depth++ {
+			if ls.dualSimplex(maxSimplexIters, time.Time{}) != lpOptimal {
+				break
+			}
+			ls.extract()
+			j := ls.selectBranch(nil, nil, unseen, unseen)
+			if want := selectBranchFull(ls.x, p.Binary, nil, nil, unseen, unseen); j != want {
+				t.Fatalf("trial %d depth %d: most fractional %d, the full scan picks %d", trial, depth, j, want)
+			}
+			got := ls.selectBranch(pcDn, pcUp, seen, seen)
+			if want := selectBranchFull(ls.x, p.Binary, pcDn, pcUp, seen, seen); got != want {
+				t.Fatalf("trial %d depth %d: pseudo-cost pick %d, the full scan picks %d", trial, depth, got, want)
+			}
+			if j < 0 {
+				break
+			}
+			compared++
+			if ls.pos[j] < 0 {
+				nonbasic++
+			}
+			ls.fixBinary(j, math.Round(ls.x[j]))
+		}
+	}
+	if compared < 400 || nonbasic == 0 {
+		t.Fatalf("%d fractional optima compared, %d of them branching on a nonbasic column — the test has no teeth", compared, nonbasic)
+	}
+	t.Logf("%d fractional optima, %d branching on a nonbasic column", compared, nonbasic)
+}
+
+// fakeState is the slice of lpState the snapshot deltas read, on the
+// all-slack basis.
 func fakeState(m, n int) *lpState {
 	s := &lpState{m: m, n: n, N: n + m}
 	s.basis = make([]int32, m)
 	s.pos = make([]int32, s.N)
 	s.atUp = make([]bool, s.N)
-	for j := range s.pos {
-		s.pos[j] = -1
-	}
-	for i := range s.basis {
-		s.basis[i] = int32(n + i)
-		s.pos[n+i] = int32(i)
-	}
+	s.cost = make([]float64, s.N)
+	s.lo = make([]float64, s.N)
+	s.up = make([]float64, s.N)
+	s.rowDirty = make([]bool, m)
+	s.colDirty = make([]bool, s.N)
+	s.basic = make([]uint64, (n+63)/64)
+	s.slackBasis()
 	return s
 }
 
+// fullDelta is the delta record returns, by the full O(m+N) diff of the
+// state against the reference, which it leaves as it is.
+func fullDelta(sn *snapshot, fix int32, s *lpState) []int32 {
+	d := []int32{fix, 0}
+	for i, j := range s.basis {
+		if sn.basis[i] != j {
+			d = append(d, int32(i), j)
+		}
+	}
+	d[1] = int32(len(d)-2) / 2
+	for j := 0; j < s.N; j++ {
+		if up := s.pos[j] < 0 && s.atUp[j]; up != (sn.up[j>>6]&(1<<(j&63)) != 0) {
+			e := int32(j) << 1
+			if up {
+				e |= 1
+			}
+			d = append(d, e)
+		}
+	}
+	return d
+}
+
 // TestNodeDeltasMaterialise grows a random branch-and-bound tree over a
-// mutating basis and checks that every node record, materialised by
+// basis that changes through the solver's own pivot, reinstall and
+// slack-install methods, and checks that every delta record produces
+// equals the full diff against the reference, that the basic-column
+// bitset follows the basis, and that every node record, materialised by
 // walking to the root, reproduces the full snapshot taken when it was
 // recorded: basis, effective at-upper bitset and fixing path.
 func TestNodeDeltasMaterialise(t *testing.T) {
@@ -325,7 +412,7 @@ func TestNodeDeltasMaterialise(t *testing.T) {
 		fixes []int8 // per structural column: the fixed value, or -1
 	}
 	s := fakeState(m, n)
-	var sn snapshot
+	sn := &s.ref
 	sn.reset(m, n)
 	snap := func(parent *full, fix int32) *full {
 		fl := &full{basis: append([]int32(nil), s.basis...), up: make([]uint64, len(sn.up)), fixes: make([]int8, n)}
@@ -337,6 +424,11 @@ func TestNodeDeltasMaterialise(t *testing.T) {
 				fl.up[j>>6] |= 1 << (j & 63)
 			}
 		}
+		for j := 0; j < n; j++ {
+			if basic := s.basic[j>>6]&(1<<(j&63)) != 0; basic != (s.pos[j] >= 0) {
+				t.Fatalf("column %d: basic bit %v, basis row %d", j, basic, s.pos[j])
+			}
+		}
 		var prec *nodeRec
 		if parent != nil {
 			prec = parent.rec
@@ -345,7 +437,11 @@ func TestNodeDeltasMaterialise(t *testing.T) {
 		if fix >= 0 {
 			fl.fixes[fix>>1] = int8(fix & 1)
 		}
+		want := fullDelta(sn, fix, s)
 		fl.rec = sn.record(prec, fix, s)
+		if !slices.Equal(fl.rec.delta, want) {
+			t.Fatalf("delta %v, the full diff %v", fl.rec.delta, want)
+		}
 		return fl
 	}
 	pivot := func() {
@@ -353,23 +449,19 @@ func TestNodeDeltasMaterialise(t *testing.T) {
 		if s.pos[q] >= 0 {
 			return
 		}
-		out := s.basis[r]
-		s.basis[r], s.pos[q], s.pos[out] = int32(q), int32(r), -1
-		s.atUp[out] = rng.Intn(2) == 0
+		s.pivot(r, q, rng.Intn(2) == 0)
 	}
 	nodes := []*full{snap(nil, -1)}
 	for len(nodes) < 200 {
-		// Jump to a random recorded node (a pop), reinstall its snapshot,
-		// pivot a little, branch.
+		// Jump to a random recorded node (a pop), reinstall its snapshot
+		// — or, as when that basis fails to factorize, the all-slack
+		// basis — pivot a little, branch.
 		parent := nodes[rng.Intn(len(nodes))]
 		sn.materialise(parent.rec, n)
-		copy(s.basis, sn.basis)
-		for j := range s.pos {
-			s.pos[j] = -1
-			s.atUp[j] = sn.up[j>>6]&(1<<(j&63)) != 0
-		}
-		for i, j := range s.basis {
-			s.pos[j] = int32(i)
+		if rng.Intn(8) == 0 {
+			s.slackBasis()
+		} else {
+			s.adoptRef()
 		}
 		for dive := 0; dive < 1+rng.Intn(3); dive++ {
 			for k := rng.Intn(5); k > 0; k-- {

@@ -1,8 +1,9 @@
 package ilp
 
 // Test-only oracles and helpers: the dense simplex without a deadline,
-// exhaustive enumeration, a greedy knapsack, and dense-to-sparse row
-// conversion for hand-written problems.
+// exhaustive enumeration, the full-scan branching rule, a greedy
+// knapsack, and dense-to-sparse row conversion for hand-written
+// problems.
 
 import (
 	"math"
@@ -105,4 +106,46 @@ func GreedyKnapsack(values, weights []float64, capacity float64) []int {
 	}
 	sort.Ints(chosen)
 	return chosen
+}
+
+// selectBranchFull is lpState.selectBranch as a scan of every column:
+// the oracle for the scan over basic binaries only.
+func selectBranchFull(x []float64, binary []bool, pcDn, pcUp []float64, cntDn, cntUp []int32) int {
+	const fracEps = 1e-6
+	branch := -1
+	worst := fracEps
+	reliable := true
+	for i := range x {
+		if binary == nil || !binary[i] {
+			continue
+		}
+		f := math.Abs(x[i] - math.Round(x[i]))
+		if f <= fracEps {
+			continue
+		}
+		if cntDn[i] == 0 || cntUp[i] == 0 {
+			reliable = false
+		}
+		if f > worst {
+			worst, branch = f, i
+		}
+	}
+	if branch < 0 || !reliable {
+		return branch
+	}
+	best := -1.0
+	for i := range x {
+		if binary == nil || !binary[i] {
+			continue
+		}
+		fd := x[i] - math.Floor(x[i])
+		if fd <= fracEps || fd >= 1-fracEps {
+			continue
+		}
+		score := math.Max(fd*pcDn[i], 1e-12) * math.Max((1-fd)*pcUp[i], 1e-12)
+		if score > best {
+			best, branch = score, i
+		}
+	}
+	return branch
 }

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -59,11 +60,28 @@ type lpState struct {
 	lo     []float64 // len N current bounds
 	up     []float64
 	baseUp []float64 // len n: problem upper bounds before any fixing
-	art    []bool    // up[j] is the artificial bigBound
+	// loTol and upTol are lo and up widened by their feasibility
+	// tolerance, kept with the bounds for the leaving-row scan.
+	loTol, upTol []float64
+	fixed        []int32 // structural columns fixBinary pinned since resetBounds
+	arts         []int32 // columns whose upper bound is the artificial bigBound
 
 	basis []int32 // len m
 	pos   []int32 // len N: basis row, or -1
 	atUp  []bool  // len N: nonbasic at upper bound
+
+	// Bitsets over the structural columns: the basic ones, the binary
+	// ones, and the binaries whose base upper bound is not an integer —
+	// the only ones that can sit fractional while nonbasic. selectBranch
+	// scans binary ∩ (basic ∪ fracUp) into cands.
+	basic, branchable, fracUp []uint64
+	cands                     []int32
+
+	// Changes since the warm-start reference last matched the state:
+	// the basis rows and the columns whose basic or at-upper status a
+	// pivot or an install touched, each listed once (see record).
+	dirtyRows, dirtyCols []int32
+	rowDirty, colDirty   []bool
 
 	xB []float64 // len m: basic values
 	d  []float64 // len N: reduced costs
@@ -74,7 +92,11 @@ type lpState struct {
 
 	// scratch
 	rho, w, alpha, x []float64
-	touched          []int32
+	// The pivot row: alpha is zero outside rowCols, the columns the
+	// last row built touched (inRow marks them); touched lists its
+	// nonbasic non-zeros in ascending order.
+	rowCols, rhoNZ, touched []int32
+	inRow                   []bool
 
 	bland bool
 	degen int
@@ -89,35 +111,36 @@ func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
 	s.m = c.m
 	s.n = c.n
 	s.N = c.n + c.m
-	growF64(&s.b, s.m)
+	grow(&s.b, s.m)
 	copy(s.b, b)
-	growF64(&s.cost, s.N)
-	growF64(&s.lo, s.N)
-	growF64(&s.up, s.N)
-	growF64(&s.baseUp, s.n)
-	growF64(&s.xB, s.m)
-	growF64(&s.d, s.N)
-	growF64(&s.rho, s.m)
-	growF64(&s.w, s.m)
-	growF64(&s.alpha, s.N)
-	growF64(&s.x, s.n)
-	if cap(s.art) < s.N {
-		s.art = make([]bool, s.N)
-		s.atUp = make([]bool, s.N)
-	}
-	s.art = s.art[:s.N]
-	s.atUp = s.atUp[:s.N]
-	growI32(&s.basis, s.m)
-	growI32(&s.pos, s.N)
-	if cap(s.touched) < s.N {
-		s.touched = make([]int32, 0, s.N)
-	}
+	grow(&s.cost, s.N)
+	grow(&s.lo, s.N)
+	grow(&s.up, s.N)
+	grow(&s.loTol, s.N)
+	grow(&s.upTol, s.N)
+	grow(&s.baseUp, s.n)
+	grow(&s.xB, s.m)
+	grow(&s.d, s.N)
+	grow(&s.rho, s.m)
+	grow(&s.w, s.m)
+	clear(grow(&s.alpha, s.N))
+	grow(&s.x, s.n)
+	grow(&s.atUp, s.N)
+	clear(grow(&s.inRow, s.N))
+	clear(grow(&s.rowDirty, s.m))
+	clear(grow(&s.colDirty, s.N))
+	grow(&s.basis, s.m)
+	grow(&s.pos, s.N)
+	words := (s.n + 63) / 64
+	grow(&s.basic, words)
+	clear(grow(&s.branchable, words))
+	clear(grow(&s.fracUp, words))
+	s.rowCols, s.dirtyRows, s.dirtyCols = s.rowCols[:0], s.dirtyRows[:0], s.dirtyCols[:0]
+	s.arts, s.fixed = s.arts[:0], s.fixed[:0]
 
 	for j := 0; j < s.N; j++ {
-		s.art[j] = false
 		if j < s.n {
 			s.cost[j] = cvec[j]
-			s.lo[j] = 0
 			uj := math.Inf(1)
 			if u != nil {
 				uj = u[j]
@@ -128,19 +151,30 @@ func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
 				// The all-slack basis is dual feasible only with this
 				// column at an upper bound; give it an artificial one.
 				uj = bigBound
-				s.art[j] = true
+				s.arts = append(s.arts, int32(j))
 			}
-			s.up[j] = uj
+			s.setBounds(j, 0, uj)
 			s.baseUp[j] = uj
+			if binary != nil && binary[j] {
+				s.branchable[j>>6] |= 1 << (j & 63)
+				if uj != math.Floor(uj) {
+					s.fracUp[j>>6] |= 1 << (j & 63)
+				}
+			}
 		} else {
 			s.cost[j] = 0
-			s.lo[j] = 0
-			s.up[j] = math.Inf(1)
+			s.setBounds(j, 0, math.Inf(1))
 		}
 	}
 	s.bland = false
 	s.degen = 0
 	s.iters = 0
+}
+
+// setBounds sets column j's bounds and their widened copies.
+func (s *lpState) setBounds(j int, lo, up float64) {
+	s.lo[j], s.up[j] = lo, up
+	s.loTol[j], s.upTol[j] = lo-feasTolFor(lo), up+feasTolFor(up)
 }
 
 // val returns nonbasic variable j's current value.
@@ -154,6 +188,16 @@ func (s *lpState) val(j int) float64 {
 // installSlackBasis resets to the all-slack basis with every structural
 // column at the bound matching its cost sign. Always factorizable.
 func (s *lpState) installSlackBasis() {
+	s.slackBasis()
+	if !s.f.factorize(s.c, s.basis) {
+		panic("ilp: slack basis must factorize")
+	}
+}
+
+// slackBasis writes the all-slack basis and its nonbasic bound flags.
+// The reference may be any node's optimum, so every row and column is
+// marked changed.
+func (s *lpState) slackBasis() {
 	for j := 0; j < s.n; j++ {
 		s.pos[j] = -1
 		s.atUp[j] = s.cost[j] < 0 && !math.IsInf(s.up[j], 1)
@@ -167,15 +211,65 @@ func (s *lpState) installSlackBasis() {
 		s.pos[j] = int32(i)
 		s.atUp[j] = false
 	}
-	if !s.f.factorize(s.c, s.basis) {
-		panic("ilp: slack basis must factorize")
+	clear(s.basic)
+	for i := 0; i < s.m; i++ {
+		s.markRow(i)
+	}
+	for j := 0; j < s.N; j++ {
+		s.markCol(j)
 	}
 }
 
-// installBasis adopts a snapshot basis and nonbasic bound flags (from a
-// branch-and-bound node). Returns false when the snapshot is
-// numerically singular, in which case the caller should fall back to
-// installSlackBasis.
+// markRow and markCol note a basis row or a column changed since the
+// reference last matched the state.
+func (s *lpState) markRow(i int) {
+	if !s.rowDirty[i] {
+		s.rowDirty[i] = true
+		s.dirtyRows = append(s.dirtyRows, int32(i))
+	}
+}
+
+func (s *lpState) markCol(j int) {
+	if !s.colDirty[j] {
+		s.colDirty[j] = true
+		s.dirtyCols = append(s.dirtyCols, int32(j))
+	}
+}
+
+// markClean empties the change lists: the reference matches the state.
+func (s *lpState) markClean() {
+	for _, i := range s.dirtyRows {
+		s.rowDirty[i] = false
+	}
+	for _, j := range s.dirtyCols {
+		s.colDirty[j] = false
+	}
+	s.dirtyRows, s.dirtyCols = s.dirtyRows[:0], s.dirtyCols[:0]
+}
+
+// pivot makes column q basic in row r; the column it replaces leaves
+// nonbasic, at its upper bound when leaveUp.
+func (s *lpState) pivot(r, q int, leaveUp bool) {
+	jr := int(s.basis[r])
+	s.basis[r] = int32(q)
+	s.pos[q] = int32(r)
+	s.pos[jr] = -1
+	s.atUp[jr] = leaveUp
+	if q < s.n {
+		s.basic[q>>6] |= 1 << (q & 63)
+	}
+	if jr < s.n {
+		s.basic[jr>>6] &^= 1 << (jr & 63)
+	}
+	s.markRow(r)
+	s.markCol(q)
+	s.markCol(jr)
+}
+
+// installBasis adopts the reference's basis and nonbasic bound flags (a
+// branch-and-bound node's parent optimum, see snapshot). Returns false
+// when that basis is numerically singular, in which case the caller
+// should fall back to installSlackBasis.
 //
 // Best-first pops usually land close to the previously solved node, so
 // the snapshot differs from the in-state basis in a handful of columns.
@@ -183,21 +277,33 @@ func (s *lpState) installSlackBasis() {
 // the existing factors — a refactorization runs only when the diff is
 // large, an update pivot is too small, or the factors are already
 // carrying a long eta list.
-func (s *lpState) installBasis(basis []int32, atUp []uint64) bool {
-	repaired := s.repairBasis(basis)
-	copy(s.basis, basis)
-	for j := range s.pos {
-		s.pos[j] = -1
-		s.atUp[j] = atUp[j>>6]&(1<<(j&63)) != 0
-	}
-	for i, j := range s.basis {
-		s.pos[j] = int32(i)
-		s.atUp[j] = false
-	}
+func (s *lpState) installBasis() bool {
+	repaired := s.repairBasis(s.ref.basis)
+	s.adoptRef()
 	if repaired {
 		return true
 	}
 	return s.f.factorize(s.c, s.basis)
+}
+
+// adoptRef writes the reference's basis and at-upper flags into the
+// state, which then matches the reference.
+func (s *lpState) adoptRef() {
+	copy(s.basis, s.ref.basis)
+	up := s.ref.up
+	for j := range s.pos {
+		s.pos[j] = -1
+		s.atUp[j] = up[j>>6]&(1<<(j&63)) != 0
+	}
+	clear(s.basic)
+	for i, j := range s.basis {
+		s.pos[j] = int32(i)
+		s.atUp[j] = false
+		if int(j) < s.n {
+			s.basic[j>>6] |= 1 << (j & 63)
+		}
+	}
+	s.markClean()
 }
 
 // repairBasis tries to morph the current factorization into one for
@@ -277,14 +383,55 @@ func (s *lpState) computeDuals() {
 		s.rho[i] = s.cost[j]
 	}
 	s.f.btran(s.rho)
-	s.c.mulRow(s.rho, s.alpha)
+	s.c.mulRow(s.rho, s.d)
 	for j := 0; j < s.N; j++ {
 		if s.pos[j] >= 0 {
 			s.d[j] = 0
 		} else {
-			s.d[j] = s.cost[j] - s.alpha[j]
+			s.d[j] = s.cost[j] - s.d[j]
 		}
 	}
+}
+
+// pivotRow builds α = ρᵀ[A I] for the ρ in s.rho from ρ's non-zero
+// rows only and lists the nonbasic columns with α_j ≠ 0 in s.touched,
+// ascending. Each α_j receives its products in ascending row order, as
+// from mulRow, so the values are bit-identical; only the previous row's
+// entries are cleared.
+func (s *lpState) pivotRow() {
+	for _, j := range s.rowCols {
+		s.alpha[j] = 0
+		s.inRow[j] = false
+	}
+	cols, nzr := s.rowCols[:0], s.rhoNZ[:0]
+	for i, ri := range s.rho {
+		if ri == 0 {
+			continue
+		}
+		nzr = append(nzr, int32(i))
+		r := &s.c.rows[i]
+		for k, j := range r.Idx {
+			if !s.inRow[j] {
+				s.inRow[j] = true
+				cols = append(cols, j)
+			}
+			s.alpha[j] += ri * r.Val[k]
+		}
+	}
+	slices.Sort(cols)
+	for _, i := range nzr {
+		j := int32(s.n) + i
+		s.alpha[j] = s.rho[i]
+		s.inRow[j] = true
+		cols = append(cols, j)
+	}
+	touched := s.touched[:0]
+	for _, j := range cols {
+		if s.pos[j] < 0 && s.alpha[j] != 0 {
+			touched = append(touched, j)
+		}
+	}
+	s.rowCols, s.rhoNZ, s.touched = cols, nzr, touched
 }
 
 // refresh refactorizes the current basis and recomputes xB and duals.
@@ -329,16 +476,16 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		for i := 0; i < s.m; i++ {
 			j := s.basis[i]
 			v := s.xB[i]
-			if lo := s.lo[j]; v < lo-feasTolFor(lo) {
-				if viol := lo - v; s.bland {
+			if v < s.loTol[j] {
+				if viol := s.lo[j] - v; s.bland {
 					if r < 0 || j < s.basis[r] {
 						r, dir = i, -1
 					}
 				} else if viol > worst {
 					r, dir, worst = i, -1, viol
 				}
-			} else if u := s.up[j]; v > u+feasTolFor(u) {
-				if viol := v - u; s.bland {
+			} else if v > s.upTol[j] {
+				if viol := v - s.up[j]; s.bland {
 					if r < 0 || j < s.basis[r] {
 						r, dir = i, +1
 					}
@@ -353,26 +500,20 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		jr := int(s.basis[r])
 
 		// α row: ρ = B⁻ᵀ e_r, α = ρᵀ[A I] scattered from the rows ρ
-		// touches; the ratio test then reads it for every nonbasic column.
+		// touches; the ratio test then reads it for the nonbasic columns
+		// it touches, in ascending order.
 		for i := range s.rho {
 			s.rho[i] = 0
 		}
 		s.rho[r] = 1
 		s.f.btran(s.rho)
-		s.c.mulRow(s.rho, s.alpha)
-		s.touched = s.touched[:0]
+		s.pivotRow()
 		q := -1
 		bestRatio := math.Inf(1)
 		bestAbs := 0.0
-		for j := 0; j < s.N; j++ {
-			if s.pos[j] >= 0 {
-				continue
-			}
+		for _, j32 := range s.touched {
+			j := int(j32)
 			a := s.alpha[j]
-			if a == 0 {
-				continue
-			}
-			s.touched = append(s.touched, int32(j))
 			if s.lo[j] == s.up[j] {
 				continue // fixed: never enters
 			}
@@ -456,13 +597,7 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		s.xB[r] = enterVal
 
 		// Book-keeping: q becomes basic in row r, jr leaves to its bound.
-		s.basis[r] = int32(q)
-		s.pos[q] = int32(r)
-		s.pos[jr] = -1
-		s.atUp[jr] = dir > 0
-		if s.lo[jr] == s.up[jr] {
-			s.atUp[jr] = false
-		}
+		s.pivot(r, q, dir > 0 && s.lo[jr] != s.up[jr])
 		s.f.update(r, s.w)
 
 		if math.Abs(delta) <= 1e-12 {
@@ -511,10 +646,7 @@ func (s *lpState) extract() float64 {
 // artificial bigBound upper bound, i.e. the true LP is unbounded in
 // that direction.
 func (s *lpState) hitsArtificialBound() bool {
-	for j := 0; j < s.n; j++ {
-		if !s.art[j] {
-			continue
-		}
+	for _, j := range s.arts {
 		if s.pos[j] >= 0 {
 			if s.xB[s.pos[j]] > bigBound/2 {
 				return true

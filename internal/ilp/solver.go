@@ -2,6 +2,8 @@ package ilp
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 )
@@ -218,12 +220,8 @@ type snapshot struct {
 }
 
 func (sn *snapshot) reset(m, n int) {
-	growI32(&sn.basis, m)
-	words := (n + m + 63) / 64
-	if cap(sn.up) < words {
-		sn.up = make([]uint64, words)
-	}
-	sn.up = sn.up[:words]
+	grow(&sn.basis, m)
+	grow(&sn.up, (n+m+63)/64)
 	sn.slack(n)
 }
 
@@ -239,17 +237,22 @@ func (sn *snapshot) slack(n int) {
 
 // record diffs the state's current basis and flags against the
 // reference, advances the reference to them, and returns the delta as a
-// node record under parent. fix is the solved node's own fixing.
+// node record under parent. fix is the solved node's own fixing. Only
+// the rows and columns changed since the reference last matched the
+// state can differ, so only those are compared, in ascending order;
+// after an all-slack install that is all of them.
 func (sn *snapshot) record(parent *nodeRec, fix int32, s *lpState) *nodeRec {
+	slices.Sort(s.dirtyRows)
+	slices.Sort(s.dirtyCols)
 	d := append(sn.buf[:0], fix, 0)
-	for i, j := range s.basis {
-		if sn.basis[i] != j {
-			d = append(d, int32(i), j)
+	for _, i := range s.dirtyRows {
+		if j := s.basis[i]; sn.basis[i] != j {
+			d = append(d, i, j)
 			sn.basis[i] = j
 		}
 	}
 	d[1] = int32(len(d)-2) / 2
-	for j := 0; j < s.N; j++ {
+	for _, j := range s.dirtyCols {
 		word, bit := &sn.up[j>>6], uint64(1)<<(j&63)
 		if up := s.pos[j] < 0 && s.atUp[j]; up != (*word&bit != 0) {
 			*word ^= bit
@@ -260,6 +263,7 @@ func (sn *snapshot) record(parent *nodeRec, fix int32, s *lpState) *nodeRec {
 			d = append(d, e)
 		}
 	}
+	s.markClean()
 	sn.buf = d
 	return &nodeRec{parent: parent, delta: append([]int32(nil), d...)}
 }
@@ -441,7 +445,7 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 				ls.fixBinary(unfix(fix))
 			}
 			ref.materialise(nd.parent, ls.n)
-			if nd.parent == nil || !ls.installBasis(ref.basis, ref.up) {
+			if nd.parent == nil || !ls.installBasis() {
 				ls.installSlackBasis()
 			}
 			ls.computeXB()
@@ -495,7 +499,7 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 			if res.Feasible && obj >= res.Objective-1e-9 {
 				continue // bound: cannot beat incumbent
 			}
-			branch := selectBranch(ls.x, p.Binary, pcDn, pcUp, cntDn, cntUp)
+			branch := ls.selectBranch(pcDn, pcUp, cntDn, cntUp)
 			if branch < 0 {
 				// Integer feasible (round off tiny fractional noise).
 				x := append([]float64(nil), ls.x[:n]...)
@@ -557,19 +561,27 @@ done:
 	return res, !failed
 }
 
-// selectBranch picks the branching variable among fractional binaries:
-// pseudo-cost product scoring once both directions of every fractional
-// candidate have been observed, most-fractional until then (which is
-// also what initializes the pseudo-costs).
-func selectBranch(x []float64, binary []bool, pcDn, pcUp []float64, cntDn, cntUp []int32) int {
+// selectBranch picks the branching variable among the fractional
+// binaries of s.x: pseudo-cost product scoring once both directions of
+// every fractional candidate have been observed, most-fractional until
+// then (which is also what initializes the pseudo-costs). A nonbasic
+// binary sits on an integer bound, so only the basic ones (and any
+// binary with a fractional upper bound) are scanned, in ascending
+// order.
+func (s *lpState) selectBranch(pcDn, pcUp []float64, cntDn, cntUp []int32) int {
 	const fracEps = 1e-6
+	cands := s.cands[:0]
+	for w, bin := range s.branchable {
+		for word := bin & (s.basic[w] | s.fracUp[w]); word != 0; word &= word - 1 {
+			cands = append(cands, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	s.cands = cands
+	x := s.x
 	branch := -1
 	worst := fracEps
 	reliable := true
-	for i := range x {
-		if binary == nil || !binary[i] {
-			continue
-		}
+	for _, i := range cands {
 		f := math.Abs(x[i] - math.Round(x[i]))
 		if f <= fracEps {
 			continue
@@ -578,42 +590,39 @@ func selectBranch(x []float64, binary []bool, pcDn, pcUp []float64, cntDn, cntUp
 			reliable = false
 		}
 		if f > worst {
-			worst, branch = f, i
+			worst, branch = f, int(i)
 		}
 	}
 	if branch < 0 || !reliable {
 		return branch
 	}
 	best := -1.0
-	for i := range x {
-		if binary == nil || !binary[i] {
-			continue
-		}
+	for _, i := range cands {
 		fd := x[i] - math.Floor(x[i])
 		if fd <= fracEps || fd >= 1-fracEps {
 			continue
 		}
 		score := math.Max(fd*pcDn[i], 1e-12) * math.Max((1-fd)*pcUp[i], 1e-12)
 		if score > best {
-			best, branch = score, i
+			best, branch = score, int(i)
 		}
 	}
 	return branch
 }
 
-// resetBounds restores every structural column's base bounds (erasing
-// branch-and-bound fixings).
+// resetBounds restores the base bounds of every structural column
+// fixBinary pinned (erasing branch-and-bound fixings).
 func (s *lpState) resetBounds() {
-	for j := 0; j < s.n; j++ {
-		s.lo[j] = 0
-		s.up[j] = s.baseUp[j]
+	for _, j := range s.fixed {
+		s.setBounds(int(j), 0, s.baseUp[j])
 	}
+	s.fixed = s.fixed[:0]
 }
 
 // fixBinary pins structural column j to v.
 func (s *lpState) fixBinary(j int, v float64) {
-	s.lo[j] = v
-	s.up[j] = v
+	s.setBounds(j, v, v)
+	s.fixed = append(s.fixed, int32(j))
 }
 
 func dot(a, b []float64) float64 {

@@ -10,8 +10,11 @@ import "fmt"
 // weights plus the edges spanning that region. Problems therefore
 // arrive as sparse rows, and the simplex keeps the constraint matrix in
 // both orientations — by columns for FTRAN inputs and basis
-// factorization, by rows for pricing — so every per-iteration pass
-// costs O(nnz touched) instead of O(rows × cols).
+// factorization, by rows for pricing. No pass of a pivot costs
+// O(rows × cols): the pivot row and its ratio test cost the non-zeros
+// of ρ's rows, and FTRAN's U solve the rows its input reaches. What is
+// left sweeps the m rows once each: the leaving-row scan, BTRAN, the L
+// solve, the primal update and the eta copy.
 
 // Row is one constraint row in sparse form: Val[k] is the coefficient
 // of column Idx[k]. Idx is strictly ascending.
