@@ -39,6 +39,20 @@ func ExampleSimulate() {
 	// fusion removed most of the memory stall: true
 }
 
+// ExampleFASTSmall prints the Table 5 figures of FAST-Small next to
+// FAST-Large: a quarter of the peak compute, a machine balanced on
+// bandwidth instead of on fusion, and both inside the default budget.
+func ExampleFASTSmall() {
+	budget, pm := fast.DefaultBudget(), fast.DefaultPowerModel()
+	for _, d := range []*fast.Design{fast.FASTSmall(), fast.FASTLarge()} {
+		fmt.Printf("%s: %d PEs, %.0f TFLOP/s peak, %d MiB Global Memory, ridgepoint %.0f, within budget: %v\n",
+			d.Name, d.NumPEs(), d.PeakFLOPs()/1e12, d.GlobalMiB, d.Ridgepoint(), budget.Within(pm, d))
+	}
+	// Output:
+	// fast-small: 8 PEs, 33 TFLOP/s peak, 8 MiB Global Memory, ridgepoint 73, within budget: true
+	// fast-large: 64 PEs, 131 TFLOP/s peak, 128 MiB Global Memory, ridgepoint 293, within budget: true
+}
+
 // ExampleStudy runs a tiny FAST search and checks the winning design
 // fits the default power/area budget.
 func ExampleStudy() {

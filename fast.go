@@ -210,18 +210,11 @@ func WithResume(snap Snapshot) Option { return core.WithResume(snap) }
 // count and/or accounted bytes; zero fields are unbounded.
 type PlanCacheBudget = core.PlanCacheBudget
 
-// PlanCacheStats is a snapshot of the plan cache's size and
-// hit/miss/eviction counters.
-type PlanCacheStats = core.PlanCacheStats
-
 // SetPlanCacheBudget bounds the shared plan cache (LRU eviction).
 // Eviction never changes results — an evicted plan recompiles
 // deterministically on next use. Long-lived multi-tenant servers should
 // set both fields; fast-serve's -cache-entries/-cache-bytes flags do.
 func SetPlanCacheBudget(b PlanCacheBudget) { core.SetPlanCacheBudget(b) }
-
-// PlanCacheInfo reports the shared plan cache's current counters.
-func PlanCacheInfo() PlanCacheStats { return core.PlanCacheInfo() }
 
 // BuildModel constructs a workload graph by canonical name (e.g.
 // "efficientnet-b7", "bert-1024", "resnet50", "ocr-rpn",

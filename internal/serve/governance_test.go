@@ -138,9 +138,12 @@ func TestShedQueueFull(t *testing.T) {
 }
 
 // TestStudyDeadline: a study whose wall-clock deadline fires mid-run
-// fails with a retryable deadline error and keeps its durable prefix.
+// fails with a retryable deadline error and keeps its durable prefix;
+// after a restart the verdict survives and trials_done is the
+// transcript's trial count.
 func TestStudyDeadline(t *testing.T) {
-	ts := newTestServer(t, t.TempDir(), func(c *Config) {
+	dir := t.TempDir()
+	ts := newTestServer(t, dir, func(c *Config) {
 		// Pace batches so the 100ms deadline lands mid-study.
 		c.batchHook = func(string, string) { time.Sleep(20 * time.Millisecond) }
 	})
@@ -165,6 +168,28 @@ func TestStudyDeadline(t *testing.T) {
 	}
 	if done, _ := sum["trials_done"].(float64); done < 8 {
 		t.Errorf("trials_done = %v, want the durable prefix (>= 8)", done)
+	}
+	ts.stop()
+
+	ts2 := newTestServer(t, dir, nil)
+	defer ts2.stop()
+	sum = doJSON(t, "GET", ts2.http.URL+"/v1/studies/dl", nil, http.StatusOK)
+	if sum["state"] != store.StateFailed {
+		t.Errorf("state after restart = %v, want failed", sum["state"])
+	}
+	if cls, _ := sum["error_class"].(string); cls != "retryable" {
+		t.Errorf("error_class after restart = %q, want retryable", cls)
+	}
+	stored, err := ts2.srv.cfg.Store.Get("default", "dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := stored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, _ := sum["trials_done"].(float64); int(done) != len(snap.Trials) {
+		t.Errorf("trials_done after restart = %v, want the transcript's %d", done, len(snap.Trials))
 	}
 }
 

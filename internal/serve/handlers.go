@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"fast/internal/arch"
+	"fast/internal/core"
 	"fast/internal/models"
 	"fast/internal/search"
 	"fast/internal/sim"
@@ -94,11 +95,23 @@ func (s *Server) summaryLocked(st *study) summaryJSON {
 		Seed:         st.spec.Seed,
 		TrialsDone:   st.trialsDone,
 		TrialsTarget: st.trialsTarget,
-		BestValue:    st.bestValue,
-		BestFeasible: st.bestFeasible,
+		BestValue:    bestValue(st),
+		BestFeasible: st.best.Feasible,
 		Error:        st.errMsg,
 		ErrorClass:   st.errClass,
 	}
+}
+
+// bestValue renders the best trial in its first objective's natural
+// units, as GET .../result does: search values are maximize-oriented,
+// so a minimized objective is negated back. Scalar studies maximize.
+func bestValue(st *study) float64 {
+	if st.best.Feasible && len(st.spec.Objectives) > 0 {
+		if o, err := core.ParseObjective(st.spec.Objectives[0]); err == nil && !o.Maximize() {
+			return -st.best.Value
+		}
+	}
+	return st.best.Value
 }
 
 func (s *Server) summary(st *study) summaryJSON {
@@ -374,7 +387,8 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	st.state = store.StateQueued
 	st.errMsg = ""
 	st.errClass = ""
-	st.trialsDone = len(snap.Trials)
+	st.trialsDone, st.best = 0, search.Trial{}
+	st.observe(snap.Trials)
 	st.trialsTarget = target
 	st.hub = newEventHub() // prior hub was closed at the terminal state
 	var snapPtr *search.Snapshot

@@ -56,7 +56,7 @@ func newMetrics(r *obsv.Registry) *metrics {
 		studiesCanceled: r.NewCounter("fastserve_studies_canceled_total",
 			"Studies canceled by POST .../cancel."),
 		studiesInterrupted: r.NewCounter("fastserve_studies_interrupted_total",
-			"Studies found running at start-up and marked interrupted."),
+			"Studies found queued or running at start-up and marked interrupted."),
 		studiesActive: r.NewGauge("fastserve_studies_active",
 			"Studies currently evaluating trials."),
 		studiesQueued: r.NewGauge("fastserve_studies_queued",

@@ -52,7 +52,7 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 	s.mu.Lock()
 	slot := s.slot(st.tenant)
 	s.mu.Unlock()
-	s.persistStatus(st)
+	s.persistStatus(st) // the launch record
 	s.metrics.studiesQueued.Add(1)
 	//fast:allow nondetsource slot-vs-cancel race gates scheduling only; the transcript is parallelism-invariant
 	select {
@@ -65,7 +65,13 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 	}
 	defer func() { <-slot }()
 
-	s.setState(st, hub, store.StateRunning)
+	// Running is published, not persisted: restart recovery treats
+	// queued and running alike, so the launch record says all it needs.
+	s.mu.Lock()
+	st.state = store.StateRunning
+	sum := s.summaryLocked(st)
+	s.mu.Unlock()
+	hub.publish(event{name: "state", data: sum})
 	s.metrics.studiesActive.Add(1)
 	defer s.metrics.studiesActive.Add(-1)
 	s.cfg.Logf("level=info msg=running tenant=%s id=%s target=%d", st.tenant, st.id, target)
@@ -118,15 +124,9 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 		s.metrics.trialsRate.Mark(int64(len(batch)))
 
 		s.mu.Lock()
-		st.trialsDone += len(batch)
-		for _, t := range batch {
-			if t.Feasible && (!st.bestFeasible || t.Value > st.bestValue) {
-				st.bestFeasible, st.bestValue = true, t.Value
-			}
-		}
+		st.observe(batch)
 		sum := s.summaryLocked(st)
 		s.mu.Unlock()
-		s.persistStatus(st)
 		hub.publish(event{name: "progress", data: sum})
 
 		if archive != nil {
@@ -195,26 +195,16 @@ func frontEvent(front []search.Trial) []map[string]any {
 	return out
 }
 
-// setState transitions st and persists + publishes the change.
-func (s *Server) setState(st *study, hub *eventHub, state string) {
-	s.mu.Lock()
-	st.state = state
-	sum := s.summaryLocked(st)
-	s.mu.Unlock()
-	s.persistStatus(st)
-	hub.publish(event{name: "state", data: sum})
-}
-
-// persistStatus writes the study's current progress durably.
+// persistStatus durably replaces the study's lifecycle record. It runs
+// when a run is launched and when it ends, never per batch: progress
+// is the transcript's to record.
 func (s *Server) persistStatus(st *study) {
 	s.mu.Lock()
 	status := store.Status{
 		State:        st.state,
-		TrialsDone:   st.trialsDone,
 		TrialsTarget: st.trialsTarget,
-		BestValue:    st.bestValue,
-		BestFeasible: st.bestFeasible,
 		Error:        st.errMsg,
+		ErrorClass:   st.errClass,
 		Updated:      s.now(),
 	}
 	stored := st.stored
@@ -269,12 +259,8 @@ func (s *Server) finish(st *study, hub *eventHub, res *core.StudyResult, runErr 
 			st.errClass = fault.ClassOf(runErr).String()
 		}
 	}
-	if state == store.StateDone && res != nil {
+	if state == store.StateDone {
 		st.result = res
-		st.bestFeasible = res.Search.Best.Feasible
-		if res.Search.Best.Feasible {
-			st.bestValue = res.Search.Best.Value
-		}
 	}
 	sum := s.summaryLocked(st)
 	s.mu.Unlock()

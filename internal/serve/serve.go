@@ -13,8 +13,8 @@
 //
 // Lifecycle: a study is queued on POST /v1/studies, runs when its
 // tenant has a free concurrency slot, and ends done, failed, or
-// canceled. A study found in state "running" at start-up was orphaned
-// by a crash or restart and becomes "interrupted"; POST .../resume
+// canceled. A study found queued or running at start-up was orphaned by
+// a crash or restart and becomes "interrupted"; POST .../resume
 // restores it from its durable transcript and continues exactly where
 // the last fsync'd batch left off. Events stream per study over SSE at
 // GET /v1/studies/{id}/events; metrics aggregate process-wide at
@@ -135,8 +135,7 @@ type study struct {
 	state        string
 	trialsDone   int
 	trialsTarget int
-	bestValue    float64
-	bestFeasible bool
+	best         search.Trial // best feasible trial told (maximize-oriented Value)
 	errMsg       string
 	errClass     string // fault class of errMsg ("retryable"/"terminal"/"unknown")
 
@@ -147,9 +146,22 @@ type study struct {
 
 func (st *study) key() string { return st.tenant + "/" + st.id }
 
+// observe folds durably told trials into st's progress, promoting the
+// best by search.Result.Observe's rule: per checkpointed batch in the
+// run loop, over the whole transcript in New and resume.
+func (st *study) observe(trials []search.Trial) {
+	st.trialsDone += len(trials)
+	for _, t := range trials {
+		if t.Feasible && (!st.best.Feasible || t.Value > st.best.Value) {
+			st.best = t
+		}
+	}
+}
+
 // New builds the daemon around a store, recovering restart state:
-// studies the previous process left "running" are marked
+// studies the previous process left queued or running are marked
 // "interrupted" (resumable), everything else keeps its stored state.
+// Progress is read from each study's transcript.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Store is required")
@@ -195,12 +207,19 @@ func New(cfg Config) (*Server, error) {
 			spec:         sp,
 			stored:       sd,
 			state:        status.State,
-			trialsDone:   status.TrialsDone,
 			trialsTarget: status.TrialsTarget,
-			bestValue:    status.BestValue,
-			bestFeasible: status.BestFeasible,
 			errMsg:       status.Error,
+			errClass:     status.ErrorClass,
 			hub:          newEventHub(),
+		}
+		// The durable prefix, as resume reads it: a torn final line does
+		// not count. An unreadable transcript still lists (resume answers
+		// 409 for it), with no progress.
+		if snap, _, err := sd.Snapshot(); err != nil {
+			c.Logf("level=warn msg=\"listing study with unreadable transcript\" tenant=%s id=%s err=%q",
+				sp.Tenant, sp.ID, err)
+		} else {
+			st.observe(snap.Trials)
 		}
 		s.studies[st.key()] = st
 	}

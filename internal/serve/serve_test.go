@@ -220,8 +220,8 @@ func TestRestartResumeDifferential(t *testing.T) {
 			// The transcripts must agree line for line (header + every
 			// complete batch) up to the shorter one — and both cover the
 			// comparison horizon.
-			linesA := transcriptLines(t, dirA)
-			linesB := transcriptLines(t, dirB)
+			linesA := transcriptLines(t, dirA, "diff")
+			linesB := transcriptLines(t, dirB, "diff")
 			n := len(linesA)
 			if len(linesB) < n {
 				n = len(linesB)
@@ -281,9 +281,11 @@ func cancelStudy(t *testing.T, base, id string) {
 	waitFor(t, base, id, "terminal", stateIs(store.StateCanceled, store.StateDone))
 }
 
-func transcriptLines(t *testing.T, dir string) []string {
+// transcriptLines returns the lines of one default-tenant study's
+// transcript.
+func transcriptLines(t *testing.T, dir, id string) []string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "default", "diff", "transcript.jsonl"))
+	data, err := os.ReadFile(filepath.Join(dir, "default", id, "transcript.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

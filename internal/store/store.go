@@ -11,9 +11,10 @@
 //	                 creation (atomic tmp+rename)
 //	transcript.jsonl one header line (format/version/algorithm/seed/
 //	                 budget) then one JSON line per told batch,
-//	                 fsync'd per append — the checkpoint itself
-//	status.json      the mutable lifecycle record (state, progress,
-//	                 best-so-far), atomically replaced on update
+//	                 fsync'd per append — the checkpoint itself and
+//	                 the one durable record of progress
+//	status.json      the lifecycle record (state, trial target, error),
+//	                 atomically replaced at create, launch and finish
 //
 // Crash safety follows from the line discipline: an append either lands
 // whole (the fsync returned) or is a torn final line, which Snapshot
@@ -57,8 +58,8 @@ var (
 
 // Spec is the immutable definition of a stored study — everything
 // needed to reconstruct the core.Study in a fresh process. It is
-// written once at creation and never rewritten; mutable progress lives
-// in Status.
+// written once at creation and never rewritten; the lifecycle lives in
+// Status and progress in the transcript.
 type Spec struct {
 	FormatVersion int    `json:"format_version"`
 	Tenant        string `json:"tenant"`
@@ -101,23 +102,22 @@ const (
 	StateDone        = "done"
 	StateFailed      = "failed"
 	StateCanceled    = "canceled"
-	StateInterrupted = "interrupted" // found "running" after a restart
+	StateInterrupted = "interrupted" // found queued or running after a restart
 )
 
-// Status is the mutable lifecycle record of a study, atomically
-// replaced on every update.
+// Status is the lifecycle record of a study, atomically replaced on
+// every update. Progress is not in it: the transcript is the one
+// durable record of trials done and the best value. Records of earlier
+// releases, progress fields and all, still load (the fields are ignored).
 type Status struct {
 	State string `json:"state"`
-	// TrialsDone counts durably checkpointed trials; TrialsTarget is
-	// the current trial budget (it can exceed Spec.Trials after a
-	// resume that extends the study).
-	TrialsDone   int `json:"trials_done"`
+	// TrialsTarget is the current trial budget (it can exceed
+	// Spec.Trials after a resume that extends the study).
 	TrialsTarget int `json:"trials_target"`
-	// BestValue/BestFeasible mirror the search's best-so-far.
-	BestValue    float64 `json:"best_value"`
-	BestFeasible bool    `json:"best_feasible"`
-	// Error records why State became failed.
-	Error string `json:"error,omitempty"`
+	// Error records why State became failed, and ErrorClass its fault
+	// class ("retryable", "terminal" or "unknown").
+	Error      string `json:"error,omitempty"`
+	ErrorClass string `json:"error_class,omitempty"`
 	// Updated is an RFC 3339 timestamp stamped by the caller.
 	Updated string `json:"updated,omitempty"`
 }
@@ -169,6 +169,15 @@ func (st *Store) fsOp(op FaultOp, path string) error {
 		return fmt.Errorf("store: injected %s fault on %s: %w", op, filepath.Base(path), err)
 	}
 	return nil
+}
+
+// do performs one durability-critical operation on path: the fault
+// hook first, then f unless the hook injected a fault.
+func (st *Store) do(op FaultOp, path string, f func() error) error {
+	if err := st.fsOp(op, path); err != nil {
+		return err
+	}
+	return f()
 }
 
 // Open creates the root directory if needed and returns the store.
@@ -325,34 +334,18 @@ func (st *Store) writeFileAtomic(path string, data []byte) error {
 		return fault.Retryable("store.write", fmt.Errorf("store: %w", err))
 	}
 	defer os.Remove(tmp.Name())
-	err = st.fsOp(OpWrite, path)
-	if err == nil {
-		_, err = tmp.Write(data)
-	}
-	if err != nil {
+	if err := st.do(OpWrite, path, func() error { _, err := tmp.Write(data); return err }); err != nil {
 		tmp.Close()
 		return fault.Retryable("store.write", fmt.Errorf("store: write %s: %w", path, err))
 	}
-	err = st.fsOp(OpSync, path)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
+	if err := st.do(OpSync, path, tmp.Sync); err != nil {
 		tmp.Close()
 		return fault.Retryable("store.sync", fmt.Errorf("store: sync %s: %w", path, err))
 	}
-	err = st.fsOp(OpClose, path)
-	if err == nil {
-		err = tmp.Close()
-	}
-	if err != nil {
+	if err := st.do(OpClose, path, tmp.Close); err != nil {
 		return fault.Retryable("store.close", fmt.Errorf("store: close %s: %w", path, err))
 	}
-	err = st.fsOp(OpRename, path)
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
+	if err := st.do(OpRename, path, func() error { return os.Rename(tmp.Name(), path) }); err != nil {
 		return fault.Retryable("store.rename", fmt.Errorf("store: rename %s: %w", path, err))
 	}
 	return st.syncDir(dir)
@@ -366,10 +359,7 @@ func (st *Store) syncDir(dir string) error {
 		return fault.Retryable("store.sync", fmt.Errorf("store: %w", err))
 	}
 	defer d.Close()
-	if err := st.fsOp(OpSync, dir); err == nil {
-		err = d.Sync()
-	}
-	if err != nil {
+	if err := st.do(OpSync, dir, d.Sync); err != nil {
 		return fault.Retryable("store.sync", fmt.Errorf("store: sync dir %s: %w", dir, err))
 	}
 	return nil
@@ -506,31 +496,19 @@ func (s *Study) AppendBatch(batch []search.Trial) (int, error) {
 // appendLine writes data plus newline and fsyncs, with the fault seam
 // interposed before the write and before the fsync.
 func (s *Study) appendLine(f *os.File, data []byte) error {
-	if err := s.store.fsOp(OpWrite, f.Name()); err != nil {
+	if err := s.store.do(OpWrite, f.Name(), func() error { _, err := f.Write(append(data, '\n')); return err }); err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if err := s.store.fsOp(OpSync, f.Name()); err != nil {
-		return err
-	}
-	return f.Sync()
+	return s.store.do(OpSync, f.Name(), f.Sync)
 }
 
 // truncate cuts f to its first n bytes and fsyncs, with the fault seam
 // interposed as in appendLine.
 func (s *Study) truncate(f *os.File, n int64) error {
-	if err := s.store.fsOp(OpWrite, f.Name()); err != nil {
+	if err := s.store.do(OpWrite, f.Name(), func() error { return f.Truncate(n) }); err != nil {
 		return err
 	}
-	if err := f.Truncate(n); err != nil {
-		return err
-	}
-	if err := s.store.fsOp(OpSync, f.Name()); err != nil {
-		return err
-	}
-	return f.Sync()
+	return s.store.do(OpSync, f.Name(), f.Sync)
 }
 
 // CloseTranscript releases the append handle (idempotent). The data is

@@ -73,8 +73,9 @@ func TestCreateGetRoundTrip(t *testing.T) {
 	if status.State != StateQueued || status.TrialsTarget != 24 {
 		t.Errorf("initial status = %+v, want queued with target 24", status)
 	}
-	status.State = StateRunning
-	status.TrialsDone = 8
+	status.State = StateFailed
+	status.Error = "study deadline exceeded"
+	status.ErrorClass = "retryable"
 	status.Updated = "2026-08-07T00:01:00Z"
 	if err := s.SetStatus(status); err != nil {
 		t.Fatal(err)
@@ -85,6 +86,61 @@ func TestCreateGetRoundTrip(t *testing.T) {
 	}
 	if re != status {
 		t.Errorf("status round trip: %+v != %+v", re, status)
+	}
+}
+
+// TestDirSyncFaultIsReported: a failed directory fsync after the rename
+// fails the replacement, classified retryable: without it the renamed
+// entry may not survive a crash.
+func TestDirSyncFaultIsReported(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := st.Create(testSpec("acme", "dirsync"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetFaultHook(func(op FaultOp, path string) error {
+		if op == OpSync && path == s.Dir() {
+			return errors.New("EIO")
+		}
+		return nil
+	})
+	err = s.SetStatus(Status{State: StateDone, TrialsTarget: 24})
+	if err == nil || fault.ClassOf(err) != fault.ClassRetryable {
+		t.Errorf("SetStatus with a failing directory fsync = %v, want a retryable error", err)
+	}
+}
+
+// TestStatusReadsEarlierFormat: a status.json written by a release that
+// still recorded progress in it (trials_done, best_value,
+// best_feasible) loads without error at the same format version; the
+// progress fields are ignored.
+func TestStatusReadsEarlierFormat(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := st.Create(testSpec("acme", "old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"state":"failed","trials_done":16,"trials_target":24,"best_value":92.5,` +
+		`"best_feasible":true,"error":"boom","updated":"2026-08-07T00:01:00Z"}`
+	if err := os.WriteFile(filepath.Join(s.Dir(), statusFile), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Status()
+	if err != nil {
+		t.Fatalf("earlier-format status: %v", err)
+	}
+	want := Status{State: StateFailed, TrialsTarget: 24, Error: "boom", Updated: "2026-08-07T00:01:00Z"}
+	if got != want {
+		t.Errorf("earlier-format status = %+v, want %+v", got, want)
+	}
+	if FormatVersion != 1 {
+		t.Errorf("FormatVersion = %d, want 1: dropping status fields is not a format change", FormatVersion)
 	}
 }
 
