@@ -75,6 +75,17 @@ func (s Space) Size() float64 {
 	return size
 }
 
+// Canonical returns idx with its dead coordinates zeroed: with L2
+// disabled, the three L2 multipliers. Two vectors are canonically equal
+// exactly when their designs' SubKey(AllParams) are, so one evaluation
+// serves every alias of a design.
+func (Space) Canonical(idx [NumParams]int) [NumParams]int {
+	if idx[PL2Config] == 0 {
+		idx[PL2InputMult], idx[PL2WeightMult], idx[PL2OutputMult] = 0, 0, 0
+	}
+	return idx
+}
+
 // Decode materializes a Config from an index vector, inheriting Name,
 // Cores, ClockGHz and Mem from base. It panics on out-of-range indices
 // (optimizers must respect Dims).

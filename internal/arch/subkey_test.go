@@ -101,3 +101,61 @@ func TestMaskOf(t *testing.T) {
 		t.Error("AllParams bounds wrong")
 	}
 }
+
+// TestCanonicalMatchesSubKey ties Space.Canonical to SubKey(AllParams):
+// two vectors are canonically equal exactly when their designs' keys
+// are. Each class of one must be a class of the other, checked over
+// every combination of the conditional dimensions (L2 config and its
+// three multipliers) under seeded samples of the other twelve, and over
+// seeded samples of the whole space.
+func TestCanonicalMatchesSubKey(t *testing.T) {
+	s := Space{}
+	dims := s.Dims()
+	base := FASTLarge()
+	rng := rand.New(rand.NewSource(9))
+	check := func(vecs [][NumParams]int) {
+		t.Helper()
+		byKey := map[uint64][NumParams]int{}
+		byCanon := map[[NumParams]int]uint64{}
+		for _, idx := range vecs {
+			k, c := s.Decode(idx, base).SubKey(AllParams), s.Canonical(idx)
+			if prev, ok := byKey[k]; ok && prev != c {
+				t.Fatalf("equal SubKey %x, canonical %v and %v", k, prev, c)
+			}
+			if prev, ok := byCanon[c]; ok && prev != k {
+				t.Fatalf("canonical %v, SubKeys %x and %x", c, prev, k)
+			}
+			byKey[k], byCanon[c] = c, k
+			if s.Canonical(c) != c {
+				t.Fatalf("Canonical(%v) = %v is not a fixed point", c, s.Canonical(c))
+			}
+		}
+	}
+	random := func() [NumParams]int {
+		var idx [NumParams]int
+		for d, card := range dims {
+			idx[d] = rng.Intn(card)
+		}
+		return idx
+	}
+	for sample := 0; sample < 8; sample++ {
+		idx := random()
+		var vecs [][NumParams]int
+		for l2 := 0; l2 < dims[PL2Config]; l2++ {
+			for in := 0; in < dims[PL2InputMult]; in++ {
+				for w := 0; w < dims[PL2WeightMult]; w++ {
+					for out := 0; out < dims[PL2OutputMult]; out++ {
+						idx[PL2Config], idx[PL2InputMult], idx[PL2WeightMult], idx[PL2OutputMult] = l2, in, w, out
+						vecs = append(vecs, idx)
+					}
+				}
+			}
+		}
+		check(vecs)
+	}
+	vecs := make([][NumParams]int, 20000)
+	for i := range vecs {
+		vecs[i] = random()
+	}
+	check(vecs)
+}

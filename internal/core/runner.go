@@ -44,21 +44,23 @@ const maxObjectiveChunk = 64
 // transcript, so a run with a fixed seed yields bit-identical results at
 // any worker count.
 //
-// Memoization: objective evaluations are cached by hyperparameter index
-// vector for the lifetime of one Run. Adaptive optimizers (LCS, Bayes)
-// revisit points constantly late in a search; revisits replay the cached
-// evaluation instead of re-simulating, while still counting as trials
-// and being told to the optimizer.
+// Memoization: objective evaluations are cached by canonical index
+// vector (arch.Space.Canonical: one key per design) for the lifetime of
+// one Run. Adaptive optimizers (LCS, Bayes) revisit points constantly
+// late in a search, and a third of the space aliases another design;
+// revisits and aliases replay the cached evaluation instead of
+// re-simulating, while still counting as trials and being told to the
+// optimizer under the vector it asked for.
 type runner struct {
 	// Optimizer proposes candidates; required.
 	Optimizer search.Optimizer
 	// BatchObjective evaluates candidates; required. The runner sorts
 	// each ask-batch's unique uncached points lexicographically (grouping
 	// near-identical proposals so a stage-memoizing evaluator hits warm
-	// caches) and fans contiguous chunks across the worker pool. It must
-	// be safe for concurrent calls when Parallelism > 1, and
-	// deterministic per index vector (memoization replays the first
-	// evaluation of a point).
+	// caches) and fans contiguous chunks across the worker pool; it sees
+	// canonical vectors only. It must be safe for concurrent calls when
+	// Parallelism > 1, and deterministic per design (memoization replays
+	// the first evaluation of a design for all its aliases).
 	BatchObjective search.BatchObjective
 	// Trials bounds the total evaluation count.
 	Trials int
@@ -237,12 +239,14 @@ func (r *runner) Run(ctx context.Context) (search.Result, error) {
 	if batch <= 0 {
 		batch = defaultBatchSize
 	}
+	canonical := arch.Space{}.Canonical
 	cache := make(map[[arch.NumParams]int]search.Evaluation)
 	for _, t := range r.Warm {
 		// First observation wins, matching the cache's own discipline
 		// (duplicates in a history carry identical evaluations anyway).
-		if _, ok := cache[t.Index]; !ok {
-			cache[t.Index] = t.Evaluation
+		k := canonical(t.Index)
+		if _, ok := cache[k]; !ok {
+			cache[k] = t.Evaluation
 		}
 	}
 	pool := newWorkerPool(ctx, r.BatchObjective, par)
@@ -272,8 +276,9 @@ func (r *runner) Run(ctx context.Context) (search.Result, error) {
 		// reaches the transcript.
 		work = work[:0]
 		for _, idx := range asks {
-			if _, ok := cache[idx]; !ok {
-				work = append(work, idx)
+			k := canonical(idx)
+			if _, ok := cache[k]; !ok {
+				work = append(work, k)
 			}
 		}
 		if len(work) > 0 {
@@ -306,7 +311,7 @@ func (r *runner) Run(ctx context.Context) (search.Result, error) {
 			res.History = grown
 		}
 		for _, idx := range asks {
-			res.Observe(search.Trial{Index: idx, Evaluation: cache[idx]})
+			res.Observe(search.Trial{Index: idx, Evaluation: cache[canonical(idx)]})
 		}
 		told := res.History[lo:len(res.History):len(res.History)]
 		r.Optimizer.Tell(told)

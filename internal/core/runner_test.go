@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -425,4 +426,50 @@ func TestRunnerHugeBudgetCostsNothingUpFront(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("two batches of a MaxInt-trial budget allocated %d bytes", got)
 	}
+}
+
+// TestStudyEvaluatesEachDesignOnce wraps a real study's batch objective:
+// no two points it evaluates are canonically equal (arch.Space.Canonical,
+// one vector per design), though the optimizer does propose aliases,
+// and each told trial keeps the vector that was asked.
+func TestStudyEvaluatesEachDesignOnce(t *testing.T) {
+	var mu sync.Mutex
+	evaluated := map[[arch.NumParams]int]bool{}
+	var dup [arch.NumParams]int
+	dups := 0
+	wrap := func(_ context.Context, _ EvalSpec, local search.BatchObjective) search.BatchObjective {
+		return func(idxs [][arch.NumParams]int) []search.Evaluation {
+			mu.Lock()
+			for _, idx := range idxs {
+				c := arch.Space{}.Canonical(idx)
+				if evaluated[c] {
+					dup, dups = idx, dups+1
+				}
+				evaluated[c] = true
+			}
+			mu.Unlock()
+			return local(idxs)
+		}
+	}
+	res, err := (&Study{
+		Workloads: []string{"efficientnet-b0"},
+		Objective: PerfPerTDP,
+		Algorithm: search.AlgLCS,
+		Trials:    600,
+		Seed:      1,
+	}).Run(context.Background(), WithDispatch(wrap), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dups > 0 {
+		t.Fatalf("%d evaluations repeat a design already evaluated, e.g. %v", dups, dup)
+	}
+	asked := map[[arch.NumParams]int]bool{}
+	for _, tr := range res.Search.History {
+		asked[tr.Index] = true
+	}
+	if len(asked) <= len(evaluated) {
+		t.Fatalf("%d distinct vectors asked, %d designs evaluated: no alias was proposed, the test has no teeth", len(asked), len(evaluated))
+	}
+	t.Logf("%d trials, %d distinct vectors asked, %d designs evaluated", len(res.Search.History), len(asked), len(evaluated))
 }

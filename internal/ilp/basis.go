@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Basis factorization for the revised simplex: a sparse LU of a
@@ -26,9 +27,9 @@ import (
 // result and nothing else; no comparison, ratio or pivot reads the sign
 // of a zero. Fusion bases hold ~2 non-zeros per row (efficientnet-b7:
 // m=548, nnz(LU)≈1100). Where the dense solves walked m² entries,
-// these sweep the m positions once and multiply only non-zeros; FTRAN's
-// U solve, on a sparse right-hand side, visits only the rows its
-// non-zeros reach.
+// these multiply only non-zeros. Told where a right-hand side can be
+// non-zero, FTRAN and BTRAN visit only the rows it reaches
+// (Gilbert–Peierls) and return where the solution can be non-zero.
 
 const (
 	// maxEtas bounds the product-form update list before the basis is
@@ -54,11 +55,11 @@ type eta struct {
 }
 
 // factor is the LU + eta representation of the current basis inverse,
-// P·B = L·U with P the row swaps in ipiv.
+// P·B = L·U with P the row swaps in ipiv: original row i lands at
+// position posOf[i], and position k holds original row prow[k].
 type factor struct {
-	m     int
-	ipiv  []int32 // LAPACK-style row swaps
-	swaps []int32 // the steps k with ipiv[k] != k, ascending
+	m    int
+	ipiv []int32 // LAPACK-style row swaps
 
 	// L is unit lower triangular; its strict part is stored by columns,
 	// column k spanning [lptr[k], lptr[k+1]) with ascending row indices.
@@ -73,13 +74,18 @@ type factor struct {
 	// U's strict upper part by columns, pattern only: column k holds the
 	// rows tuRow[ucptr[k]:ucptr[k+1]].
 	ucptr []int32
+	// L's strict lower part by rows, pattern only: row i holds the
+	// columns lrcol[lrptr[i]:lrptr[i+1]], ascending.
+	lrptr, lrcol []int32
 
-	// ftran scratch: the rows non-zero after the L solve, the bitset of
-	// rows the U solve reaches from them (all clear between calls), and
-	// the reach's stack.
-	nz    []int32
-	reach []uint64
-	stack []int32
+	// Solve scratch: the rows non-zero after the L solve, the bitset of
+	// rows a solve reaches (all clear between calls), the reach's stack,
+	// the values permute moves, and the patterns ftran and btran return.
+	nz         []int32
+	reach      []uint64
+	stack      []int32
+	moved      []float64
+	fpat, bpat []int32
 
 	etas []eta
 	eidx []int32
@@ -91,16 +97,16 @@ type factor struct {
 	pat                []int32   // original rows x may be non-zero at
 	steps              []int32   // min-heap of pivot steps still to apply
 	rowAt, posOf, step []int32   // position ↔ original row; pivot step of a row, or -1
-	prow               []int32   // original row pivoted at each step
+	prow               []int32   // original row pivoted at each step (kept)
 	tuRow, tuCol       []int32   // U entries in column-major creation order
 	tuVal              []float64
 }
 
-// grow resizes *p to length n in place, reallocating only when its
-// capacity is short; the contents are not cleared.
+// grow resizes *p to length n in place, reallocating with append's
+// headroom only when its capacity is short; contents are not cleared.
 func grow[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]T, n)
+		*p = slices.Grow((*p)[:0], n)
 	}
 	*p = (*p)[:n]
 	return *p
@@ -268,13 +274,25 @@ func (f *factor) factorize(c *csc, basis []int32) bool {
 	for k := 0; k < m; k++ {
 		ucptr[k+1] += ucptr[k]
 	}
-	f.swaps = f.swaps[:0]
-	for k, p := range ipiv {
-		if int(p) != k {
-			f.swaps = append(f.swaps, int32(k))
+	// L by rows, for BTRAN's reach, by a counting pass like U's.
+	lrptr, lrcol := grow(&f.lrptr, m+1), grow(&f.lrcol, int(lptr[m]))
+	clear(lrptr)
+	for _, i := range lidx[:lptr[m]] {
+		lrptr[i+1]++
+	}
+	for k := 0; k < m; k++ {
+		lrptr[k+1] += lrptr[k]
+	}
+	copy(next, lrptr[:m])
+	for k := 0; k < m; k++ {
+		for _, i := range lidx[lptr[k]:lptr[k+1]] {
+			lrcol[next[i]] = int32(k)
+			next[i]++
 		}
 	}
-	grow(&f.reach, (m+63)/64)
+	clear(grow(&f.reach, (m+63)/64))
+	f.nz, f.stack, f.fpat, f.bpat = grow(&f.nz, m)[:0], grow(&f.stack, m)[:0], grow(&f.fpat, m)[:0], grow(&f.bpat, m)[:0]
+	f.moved = grow(&f.moved, m)[:0]
 	return true
 }
 
@@ -324,42 +342,31 @@ func (f *factor) popStep() int32 {
 	}
 }
 
-// ftran solves B x = v in place (v has length m).
-func (f *factor) ftran(v []float64) {
+// ftran solves B x = v in place (v has length m). in lists the rows
+// where v can be non-zero, each once; it then returns the rows where x
+// can be non-zero, ascending. A nil in means anywhere, and returns nil.
+func (f *factor) ftran(v []float64, in []int32) []int32 {
 	v = v[:f.m]
-	for _, k := range f.swaps {
-		p := f.ipiv[k]
-		v[k], v[p] = v[p], v[k]
+	reach, dense := f.reach, in == nil
+	if dense {
+		in = f.prow // every row
 	}
+	f.permute(v, in, f.posOf)
 	// L (unit lower) forward substitution, column-oriented: v[i] still
-	// receives its l_ij·v[j] in ascending j, and a zero v[j] — most of
-	// them, for the unit vectors and single columns the simplex solves
-	// for — costs one compare. v[j] is final when the sweep reaches it,
-	// so the sweep also lists the U solve's non-zero inputs.
-	lptr, lidx, lval := f.lptr, f.lidx, f.lval
-	nz := f.nz[:0]
-	for j, vj := range v {
-		if vj == 0 {
-			continue
-		}
-		nz = append(nz, int32(j))
-		lo, hi := lptr[j], lptr[j+1]
-		val := lval[lo:hi]
-		for p, i := range lidx[lo:hi] {
-			v[i] -= val[p] * vj
-		}
-	}
-	f.nz = nz
+	// receives its l_ij·v[j] in ascending j. v[j] is final when the sweep
+	// reaches it, so the sweep also lists the U solve's non-zero inputs.
+	f.nz = f.forward(v, f.lptr, f.lidx, f.lval, nil, f.nz[:0])
 	// U back substitution, row-oriented over the stored non-zeros. (The
 	// column form would deliver row i's terms in descending j and round
 	// differently.) A sparse input visits only the rows it reaches. A
 	// dense one, such as the basic values' right-hand side, reaches most
 	// rows, so from a tenth of m non-zeros on the solve sweeps instead.
-	if 10*len(nz) < f.m {
+	if 10*len(f.nz) < f.m {
 		f.usolveReach(v)
 	} else {
 		for i := len(v) - 1; i >= 0; i-- {
 			f.usolveRow(v, i)
+			reach[i>>6] |= 1 << (i & 63)
 		}
 	}
 	// Product-form updates in creation order.
@@ -370,10 +377,75 @@ func (f *factor) ftran(v []float64) {
 			val := f.eval[e.lo:e.hi]
 			for p, i := range f.eidx[e.lo:e.hi] {
 				v[i] -= val[p] * t
+				reach[i>>6] |= 1 << (i & 63)
 			}
 		}
 		v[e.r] = t
 	}
+	if dense {
+		clear(reach)
+		return nil
+	}
+	f.fpat = appendBits(f.fpat[:0], reach)
+	return f.fpat
+}
+
+// forward is a column-oriented forward substitution over the rows
+// marked in f.reach, ascending: a non-zero v[j], divided by diag[j]
+// unless diag is nil, scatters through column j (ptr, idx, val) into
+// rows below j and marks them before the sweep gets there; unmarked
+// rows hold zeros. It appends the non-zero rows to out, clearing f.reach.
+func (f *factor) forward(v []float64, ptr, idx []int32, val, diag []float64, out []int32) []int32 {
+	reach := f.reach
+	for w := range reach {
+		for word := reach[w]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			if j := w<<6 | b; v[j] != 0 {
+				vj := v[j]
+				if diag != nil {
+					vj /= diag[j]
+					v[j] = vj
+				}
+				out = append(out, int32(j))
+				lo, hi := ptr[j], ptr[j+1]
+				vals := val[lo:hi]
+				for p, i := range idx[lo:hi] {
+					v[i] -= vals[p] * vj
+					reach[i>>6] |= 1 << (i & 63)
+				}
+			}
+			word = reach[w] & (^uint64(0) << (b + 1))
+		}
+		reach[w] = 0
+	}
+	return out
+}
+
+// permute moves v's entries at rows in to the rows to maps them to (the
+// row swaps or their inverse), marking those in f.reach; v is zero elsewhere.
+func (f *factor) permute(v []float64, in, to []int32) {
+	moved := f.moved[:0]
+	for _, i := range in {
+		moved = append(moved, v[i])
+		v[i] = 0
+	}
+	for k, i := range in {
+		p := to[i]
+		v[p] = moved[k]
+		f.reach[p>>6] |= 1 << (p & 63)
+	}
+	f.moved = moved
+}
+
+// appendBits appends set's members to out, ascending, and clears set.
+func appendBits(out []int32, set []uint64) []int32 {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+		set[w] = 0
+	}
+	return out
 }
 
 // usolveRow finishes row i of the U back substitution; every row above
@@ -393,7 +465,7 @@ func (f *factor) usolveRow(v []float64, i int) {
 // only if v[i] is or it has an entry u_ij at a reached row j. Every
 // other row holds a zero that the full sweep would leave zero (up to
 // its sign). The reached rows are solved highest first, exactly as the
-// sweep solves them.
+// sweep solves them, and stay marked in f.reach.
 func (f *factor) usolveReach(v []float64) {
 	reach, stack := f.reach, f.stack[:0]
 	for _, j := range f.nz {
@@ -417,13 +489,20 @@ func (f *factor) usolveReach(v []float64) {
 			word &^= 1 << b
 			f.usolveRow(v, w<<6|b)
 		}
-		reach[w] = 0
 	}
 }
 
-// btran solves Bᵀ y = v in place (v has length m).
-func (f *factor) btran(v []float64) {
+// btran solves Bᵀ y = v in place (v has length m); in and the rows it
+// returns are as for ftran.
+func (f *factor) btran(v []float64, in []int32) []int32 {
 	v = v[:f.m]
+	reach, dense := f.reach, in == nil
+	if dense {
+		in = f.prow // every row
+	}
+	for _, i := range in {
+		reach[i>>6] |= 1 << (i & 63)
+	}
 	// Eta transposes in reverse order.
 	for k := len(f.etas) - 1; k >= 0; k-- {
 		e := &f.etas[k]
@@ -433,53 +512,69 @@ func (f *factor) btran(v []float64) {
 			s += val[p] * v[i]
 		}
 		// s includes the pivot term piv·v[r]; remove it.
-		v[e.r] = (v[e.r] - (s - e.piv*v[e.r])) / e.piv
+		if v[e.r] = (v[e.r] - (s - e.piv*v[e.r])) / e.piv; v[e.r] != 0 {
+			reach[e.r>>6] |= 1 << (e.r & 63)
+		}
 	}
 	// Uᵀ forward substitution, column-oriented over U's rows: v[i] still
-	// receives its u_ji·v[j] in ascending j; zero v[j] are skipped.
-	uptr, uidx, uval := f.uptr, f.uidx, f.uval
-	for j := range v {
-		if v[j] == 0 {
-			continue
-		}
-		vj := v[j] / f.udiag[j]
-		v[j] = vj
-		lo, hi := uptr[j], uptr[j+1]
-		val := uval[lo:hi]
-		for p, i := range uidx[lo:hi] {
-			v[i] -= val[p] * vj
-		}
-	}
+	// receives its u_ji·v[j] in ascending j. Its non-zero rows seed the
+	// Lᵀ solve's reach.
+	seeds := f.forward(v, f.uptr, f.uidx, f.uval, f.udiag, f.stack[:0])
 	// Lᵀ (unit) back substitution, row-oriented over L's columns (again
-	// the orientation that keeps ascending j per accumulator).
-	lptr, lidx, lval := f.lptr, f.lidx, f.lval
-	for i := len(v) - 2; i >= 0; i-- {
-		lo, hi := lptr[i], lptr[i+1]
-		if lo == hi {
-			continue
-		}
-		s := v[i]
-		val := lval[lo:hi]
-		for p, j := range lidx[lo:hi] {
-			s -= val[p] * v[j]
-		}
-		v[i] = s
+	// the orientation that keeps ascending j per accumulator), highest
+	// row first, on the rows reachable from the seeds through L's rows.
+	for _, j := range seeds {
+		reach[j>>6] |= 1 << (j & 63)
 	}
-	for k := len(f.swaps) - 1; k >= 0; k-- {
-		s := f.swaps[k]
-		p := f.ipiv[s]
-		v[s], v[p] = v[p], v[s]
+	stack := seeds
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, i := range f.lrcol[f.lrptr[j]:f.lrptr[j+1]] {
+			if w, b := &reach[i>>6], uint64(1)<<(i&63); *w&b == 0 {
+				*w |= b
+				stack = append(stack, i)
+			}
+		}
 	}
+	rows := stack[:0]
+	for w := len(reach) - 1; w >= 0; w-- {
+		for word := reach[w]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << b
+			i := w<<6 | b
+			rows = append(rows, int32(i))
+			lo, hi := f.lptr[i], f.lptr[i+1]
+			if lo == hi {
+				continue
+			}
+			s := v[i]
+			val := f.lval[lo:hi]
+			for p, j := range f.lidx[lo:hi] {
+				s -= val[p] * v[j]
+			}
+			v[i] = s
+		}
+		reach[w] = 0
+	}
+	f.stack = rows
+	f.permute(v, rows, f.prow)
+	if dense {
+		clear(reach)
+		return nil
+	}
+	f.bpat = appendBits(f.bpat[:0], reach)
+	return f.bpat
 }
 
 // update appends the product-form eta for a pivot that replaced basis
 // row r with a column whose FTRAN'd image is w; w's non-zeros are
-// copied.
-func (f *factor) update(r int, w []float64) {
+// copied from the rows of pat, the pattern ftran returned.
+func (f *factor) update(r int, w []float64, pat []int32) {
 	lo := int32(len(f.eidx))
-	for i, wi := range w {
-		if wi != 0 {
-			f.eidx = append(f.eidx, int32(i))
+	for _, i := range pat {
+		if wi := w[i]; wi != 0 {
+			f.eidx = append(f.eidx, i)
 			f.eval = append(f.eval, wi)
 		}
 	}

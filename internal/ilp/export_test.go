@@ -12,6 +12,11 @@ func CheckKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	checkKernelsOnProblem(t, p, seed)
 }
 
+// CheckEveryPivot runs the sweep differentials (checkPivot) at every
+// dual simplex pivot until the returned function is called, which
+// reports the pivots checked and the first failure.
+func CheckEveryPivot() (restore func() (int, error)) { return checkEveryPivot() }
+
 // CaptureProblems hands fn every problem that enters the sparse solver
 // until the returned function is called.
 func CaptureProblems(fn func(Problem)) (restore func()) {

@@ -10,7 +10,8 @@ import (
 // against the frozen dense reference (and, when the binary count
 // permits, brute-force enumeration) on randomized mixed 0/1 problems,
 // and holds its relative-gap and stall stops to the exact solve
-// (checkRelGap, checkStallNodes).
+// (checkRelGap, checkStallNodes). Every pivot of the sparse solve runs
+// the sweep differentials (checkPivot).
 // The fuzz inputs seed the generator, so go test runs the corpus
 // deterministically and `go test -fuzz` explores fresh instances. shape
 // picks the sparsity pattern: half-full rows, hypersparse rows (about
@@ -64,8 +65,12 @@ func FuzzILPSparseVsDense(f *testing.F) {
 			p.B = append(p.B, math.Round(8*float64(nv)*(r.Float64()-0.1)))
 		}
 
+		restore := checkEveryPivot()
 		sp, err := Solve(p, Options{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restore(); err != nil {
 			t.Fatal(err)
 		}
 		de, err := Solve(p, Options{Dense: true})

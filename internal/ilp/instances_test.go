@@ -75,6 +75,43 @@ func TestKernelsMatchDenseOnFusionInstances(t *testing.T) {
 	}
 }
 
+// TestPivotSweepsOnStallInstances runs the sweep differentials
+// (checkPivot) at every pivot of the two solves that run to the stall
+// limit on their greedy warm start — table6's efficientnet-b7 cell with
+// 16 MiB of Global Memory and report_hard's efficientnet-b0 seed-9
+// winner — cut at the default limit's 16,384 nodes, where those solves
+// stop.
+func TestPivotSweepsOnStallInstances(t *testing.T) {
+	hard, err := arch.LoadFile("../../cmd/fast-bench/testdata/b0_seed9_winner.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm16 := arch.FASTLarge().Clone("fl-16mb")
+	gm16.GlobalMiB = 16
+	for _, tc := range []struct {
+		name, model string
+		cfg         *arch.Config
+	}{
+		{"report_hard", "efficientnet-b0", hard},
+		{"table6_b7_16MiB", "efficientnet-b7", gm16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stop := ilp.StopAtNodes(16384, func(int, func()) {})
+			defer stop()
+			restore := ilp.CheckEveryPivot()
+			r := exactReport(t, tc.model, tc.cfg, time.Minute)
+			pivots, err := restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Fusion.Nodes != 16384 {
+				t.Fatalf("solve ended %s after %d nodes, want the cut at 16384", r.Fusion.Method, r.Fusion.Nodes)
+			}
+			t.Logf("%d pivots checked", pivots)
+		})
+	}
+}
+
 // TestOpenNodeBytes is the memory guard for branch-and-bound: on the
 // efficientnet-b0 seed-9 winner (report_hard's instance, never proven
 // inside any deadline) the search is cut at a fixed node count and the

@@ -7,9 +7,11 @@ package ilp
 // of an exactly-zero result (see basis.go).
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -65,10 +67,44 @@ func compareFactors(t testing.TB, f *factor, ref *refFactor) {
 	}
 }
 
+// checkPattern holds a pattern a solve returned to a dense scan of its
+// output: strictly ascending, and listing every non-zero.
+func checkPattern(t testing.TB, label string, pat []int32, v []float64) {
+	t.Helper()
+	k := 0
+	for i, x := range v {
+		for k < len(pat) && int(pat[k]) < i {
+			k++
+		}
+		if x != 0 && (k == len(pat) || int(pat[k]) != i) {
+			t.Fatalf("%s: row %d is non-zero (%v) but not in the pattern %v", label, i, x, pat)
+		}
+	}
+	for k := 1; k < len(pat); k++ {
+		if pat[k] <= pat[k-1] {
+			t.Fatalf("%s: pattern not strictly ascending: %v", label, pat)
+		}
+	}
+}
+
+// nonZeros lists the rows where v is non-zero: the input pattern of a
+// sparse solve (a negative zero counts as zero).
+func nonZeros(v []float64) []int32 {
+	var nz []int32
+	for i, x := range v {
+		if x != 0 {
+			nz = append(nz, int32(i))
+		}
+	}
+	return nz
+}
+
 // checkKernels factorizes one basis with both implementations, then
 // walks both through the same nEtas column replacements, comparing the
 // factors, every entering column's FTRAN, and FTRAN/BTRAN/pivot rows of
-// probe vectors along the way.
+// probe vectors along the way. Every solve runs twice, given no input
+// pattern and given its input's, and the pattern the second returns is
+// held to its output.
 func checkKernels(t testing.TB, c *csc, basis []int32, nEtas int, rng *rand.Rand) {
 	t.Helper()
 	m := c.m
@@ -114,15 +150,28 @@ func checkKernels(t testing.TB, c *csc, basis []int32, nEtas int, rng *rand.Rand
 				}
 			}
 			in := append([]float64(nil), a...)
-			copy(b, a)
-			f.ftran(a)
-			ref.ftran(b)
-			compareVec(t, label+" ftran", a, b)
-			copy(a, in)
 			copy(b, in)
-			f.btran(a)
+			ref.ftran(b)
+			for _, pat := range [][]int32{nil, nonZeros(in)} {
+				copy(a, in)
+				if out := f.ftran(a, pat); pat != nil {
+					checkPattern(t, label+" ftran", out, a)
+				} else if out != nil {
+					t.Fatalf("%s ftran: a dense input returned a pattern", label)
+				}
+				compareVec(t, label+" ftran", a, b)
+			}
+			copy(b, in)
 			ref.btran(b)
-			compareVec(t, label+" btran", a, b)
+			for _, pat := range [][]int32{nil, nonZeros(in)} {
+				copy(a, in)
+				if out := f.btran(a, pat); pat != nil {
+					checkPattern(t, label+" btran", out, a)
+				} else if out != nil {
+					t.Fatalf("%s btran: a dense input returned a pattern", label)
+				}
+				compareVec(t, label+" btran", a, b)
+			}
 			// Pivot row from rows vs column dots, over the same ρ.
 			c.mulRow(b, alpha)
 			for j := range alpha {
@@ -138,11 +187,12 @@ func checkKernels(t testing.TB, c *csc, basis []int32, nEtas int, rng *rand.Rand
 		if basic[q] {
 			continue
 		}
-		c.scatter(int(q), a)
+		in := c.scatter(int(q), a)
 		copy(b, a)
-		f.ftran(a)
+		pat := f.ftran(a, in)
 		ref.ftran(b)
 		compareVec(t, "entering column", a, b)
+		checkPattern(t, "entering column", pat, a)
 		r := 0
 		for i := range a {
 			if math.Abs(a[i]) > math.Abs(a[r]) {
@@ -152,7 +202,7 @@ func checkKernels(t testing.TB, c *csc, basis []int32, nEtas int, rng *rand.Rand
 		if math.Abs(a[r]) < 1e-6 {
 			continue
 		}
-		f.update(r, a)
+		f.update(r, a, pat)
 		ref.update(r, b)
 		delete(basic, basis[r])
 		basis[r], basic[q] = q, true
@@ -253,14 +303,16 @@ func TestKernelsUnderflowedMultiplier(t *testing.T) {
 		t.Fatalf("raw multiplier not kept in L: lptr=%v lval=%v", f.lptr, f.lval)
 	}
 	for _, v := range [][]float64{{1e300, 0, 0}, {1, 1, 1}, {0, 0, 1e300}} {
-		a, b := append([]float64(nil), v...), append([]float64(nil), v...)
-		f.ftran(a)
-		ref.ftran(b)
-		compareVec(t, "ftran", a, b)
-		a, b = append(a[:0], v...), append(b[:0], v...)
-		f.btran(a)
-		ref.btran(b)
-		compareVec(t, "btran", a, b)
+		for _, pat := range [][]int32{nil, nonZeros(v)} {
+			a, b := append([]float64(nil), v...), append([]float64(nil), v...)
+			f.ftran(a, pat)
+			ref.ftran(b)
+			compareVec(t, "ftran", a, b)
+			a, b = append(a[:0], v...), append(b[:0], v...)
+			f.btran(a, pat)
+			ref.btran(b)
+			compareVec(t, "btran", a, b)
+		}
 	}
 }
 
@@ -281,6 +333,9 @@ func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	for depth := 0; depth < 4; depth++ {
 		if ls.dualSimplex(20000, time.Time{}) != lpOptimal {
 			break
+		}
+		if r, _ := leavingRowFull(ls); r >= 0 {
+			t.Fatalf("depth %d: optimal, but row %d violates its bounds", depth, r)
 		}
 		bases++
 		checkKernels(t, ls.c, ls.basis, []int{0, 48, maxEtas, 16}[depth], rng)
@@ -303,7 +358,8 @@ func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 // TestSelectBranchMatchesFullScan holds the branching rule's scan over
 // basic binaries to the full scan of every column, on the LP optima of
 // random dives: most-fractional with unseen pseudo-costs, product
-// scoring with seen ones. Some binaries get an upper bound of 0.5 or 0,
+// scoring with seen ones. Each optimum is also held to the full
+// leaving-row scan: no row may still violate its bounds. Some binaries get an upper bound of 0.5 or 0,
 // so one can sit fractional while nonbasic.
 func TestSelectBranchMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -330,6 +386,9 @@ func TestSelectBranchMatchesFullScan(t *testing.T) {
 		for depth := 0; depth < 6; depth++ {
 			if ls.dualSimplex(maxSimplexIters, time.Time{}) != lpOptimal {
 				break
+			}
+			if r, _ := leavingRowFull(ls); r >= 0 {
+				t.Fatalf("trial %d depth %d: optimal, but row %d violates its bounds", trial, depth, r)
 			}
 			ls.extract()
 			j := ls.selectBranch(nil, nil, unseen, unseen)
@@ -362,10 +421,14 @@ func fakeState(m, n int) *lpState {
 	s := &lpState{m: m, n: n, N: n + m}
 	s.basis = make([]int32, m)
 	s.pos = make([]int32, s.N)
-	s.atUp = make([]bool, s.N)
+	s.atUp = make([]uint64, (s.N+63)/64)
 	s.cost = make([]float64, s.N)
 	s.lo = make([]float64, s.N)
 	s.up = make([]float64, s.N)
+	s.loTol = make([]float64, s.N)
+	s.upTol = make([]float64, s.N)
+	s.xB = make([]float64, m)
+	s.infeas = make([]uint64, (m+63)/64)
 	s.rowDirty = make([]bool, m)
 	s.colDirty = make([]bool, s.N)
 	s.basic = make([]uint64, (n+63)/64)
@@ -384,7 +447,7 @@ func fullDelta(sn *snapshot, fix int32, s *lpState) []int32 {
 	}
 	d[1] = int32(len(d)-2) / 2
 	for j := 0; j < s.N; j++ {
-		if up := s.pos[j] < 0 && s.atUp[j]; up != (sn.up[j>>6]&(1<<(j&63)) != 0) {
+		if up := s.pos[j] < 0 && s.isUp(j); up != (sn.up[j>>6]&(1<<(j&63)) != 0) {
 			e := int32(j) << 1
 			if up {
 				e |= 1
@@ -420,7 +483,7 @@ func TestNodeDeltasMaterialise(t *testing.T) {
 			fl.fixes[j] = -1
 		}
 		for j := 0; j < s.N; j++ {
-			if s.pos[j] < 0 && s.atUp[j] {
+			if s.pos[j] < 0 && s.isUp(j) {
 				fl.up[j>>6] |= 1 << (j & 63)
 			}
 		}
@@ -468,7 +531,7 @@ func TestNodeDeltasMaterialise(t *testing.T) {
 				pivot()
 			}
 			if rng.Intn(4) == 0 { // a stale flag on a basic column must not leak
-				s.atUp[s.basis[rng.Intn(m)]] = true
+				setBit(s.atUp, int(s.basis[rng.Intn(m)]), true)
 			}
 			// Like the solver, never fix a variable twice on one path.
 			j := rng.Intn(n)
@@ -508,4 +571,196 @@ func TestNodeDeltasMaterialise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// leavingRowFull is the leaving-row scan over every row, not only the
+// ones infeas marks.
+func leavingRowFull(s *lpState) (r int, dir float64) {
+	r = -1
+	worst := 0.0
+	for i := 0; i < s.m; i++ {
+		j := s.basis[i]
+		v := s.xB[i]
+		if v < s.loTol[j] {
+			if viol := s.lo[j] - v; s.bland {
+				if r < 0 || j < s.basis[r] {
+					r, dir = i, -1
+				}
+			} else if viol > worst {
+				r, dir, worst = i, -1, viol
+			}
+		} else if v > s.upTol[j] {
+			if viol := v - s.up[j]; s.bland {
+				if r < 0 || j < s.basis[r] {
+					r, dir = i, +1
+				}
+			} else if viol > worst {
+				r, dir, worst = i, +1, viol
+			}
+		}
+	}
+	return r, dir
+}
+
+// pivotRowColsFull lists the pivot row's columns as the sort did: the
+// structural columns of every row where ρ is non-zero, sorted, then
+// those rows' slacks.
+func pivotRowColsFull(s *lpState) []int32 {
+	seen := map[int32]bool{}
+	var cols, slacks []int32
+	for i, ri := range s.rho {
+		if ri == 0 {
+			continue
+		}
+		for _, j := range s.c.rows[i].Idx {
+			if !seen[j] {
+				seen[j] = true
+				cols = append(cols, j)
+			}
+		}
+		slacks = append(slacks, int32(s.n+i))
+	}
+	slices.Sort(cols)
+	return append(cols, slacks...)
+}
+
+// extractFull is extract's two O(n) loops: every column's value, then
+// the objective over all of them.
+func extractFull(s *lpState) (float64, []float64) {
+	x := make([]float64, s.n)
+	for j := range x {
+		if p := s.pos[j]; p >= 0 {
+			x[j] = s.xB[p]
+			if x[j] < s.lo[j] {
+				x[j] = s.lo[j]
+			}
+			if x[j] > s.up[j] {
+				x[j] = s.up[j]
+			}
+		} else {
+			x[j] = s.val(j)
+		}
+	}
+	var obj float64
+	for j := range x {
+		obj += s.cost[j] * x[j]
+	}
+	return obj, x
+}
+
+// checkPivot holds every sweep a pivot replaced to its full version, on
+// the state the dual simplex built for leaving row r with its entering
+// column's FTRAN in s.w and that solve's pattern in pat: the leaving row
+// in both pricing modes, the infeasible-row bitset it reads, ρ's non-zero
+// list, the pivot row's columns and values, the FTRAN pattern, and
+// extract's objective and solution.
+func checkPivot(s *lpState, r int, pat []int32) error {
+	if got, _ := s.leavingRow(); got != r {
+		return fmt.Errorf("leaving row %d, but leavingRow now picks %d", r, got)
+	}
+	for i, j := range s.basis {
+		v := s.xB[i]
+		if want := v < s.loTol[j] || v > s.upTol[j]; want != (s.infeas[i>>6]&(1<<(i&63)) != 0) {
+			return fmt.Errorf("row %d: infeasible bit %v, basic value %v in [%v, %v]", i, !want, v, s.loTol[j], s.upTol[j])
+		}
+	}
+	bland := s.bland
+	for _, mode := range []bool{bland, !bland} {
+		s.bland = mode
+		gr, gd := s.leavingRow()
+		wr, wd := leavingRowFull(s)
+		if gr != wr || gd != wd {
+			s.bland = bland
+			return fmt.Errorf("bland=%v: leaving row %d dir %v, the full scan picks %d dir %v", mode, gr, gd, wr, wd)
+		}
+	}
+	s.bland = bland
+	var nz []int32
+	for i, ri := range s.rho {
+		if ri != 0 {
+			nz = append(nz, int32(i))
+		}
+	}
+	if !slices.Equal(s.rhoNZ, nz) {
+		return fmt.Errorf("ρ's non-zero rows %v, a dense scan finds %v", s.rhoNZ, nz)
+	}
+	if want := pivotRowColsFull(s); !slices.Equal(s.rowCols, want) {
+		return fmt.Errorf("pivot row columns %v, the sorted list %v", s.rowCols, want)
+	}
+	alpha := make([]float64, s.N)
+	s.c.mulRow(s.rho, alpha)
+	for j, want := range alpha {
+		if !sameBits(s.alpha[j], want) {
+			return fmt.Errorf("pivot row: column %d: %v, the full product %v", j, s.alpha[j], want)
+		}
+	}
+	for k, i := range pat {
+		if k > 0 && i <= pat[k-1] {
+			return fmt.Errorf("FTRAN pattern not ascending: %v", pat)
+		}
+	}
+	for i, wi := range s.w {
+		if _, in := slices.BinarySearch(pat, int32(i)); wi != 0 && !in {
+			return fmt.Errorf("FTRAN: row %d is non-zero (%v) outside the pattern %v", i, wi, pat)
+		}
+	}
+	wantObj, wantX := extractFull(s)
+	if obj := s.extract(); !sameBits(obj, wantObj) {
+		return fmt.Errorf("extract: objective %v, the full loops %v", obj, wantObj)
+	}
+	for j, want := range wantX {
+		if !sameBits(s.x[j], want) {
+			return fmt.Errorf("extract: x[%d] = %v, the full loops %v", j, s.x[j], want)
+		}
+	}
+	return nil
+}
+
+// checkEveryPivot runs checkPivot at every dual simplex pivot until
+// the returned function is called; that reports the pivots checked and
+// the first failure. Safe for concurrent solves.
+func checkEveryPivot() (restore func() (int, error)) {
+	var mu sync.Mutex
+	var pivots int
+	var first error
+	testHook.pivot = func(s *lpState, r int, pat []int32) {
+		err := checkPivot(s, r, pat)
+		mu.Lock()
+		defer mu.Unlock()
+		pivots++
+		if first == nil && err != nil {
+			first = fmt.Errorf("pivot %d: %w", pivots, err)
+		}
+	}
+	return func() (int, error) {
+		testHook.pivot = nil
+		return pivots, first
+	}
+}
+
+// TestPivotSweepsMatchFullScans runs checkPivot — which holds the
+// leaving row to the full scan in both pricing modes — at every pivot
+// of whole branch-and-bound solves on the random mixed and
+// fusion-shaped generators.
+func TestPivotSweepsMatchFullScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	restore := checkEveryPivot()
+	for trial := 0; trial < 600; trial++ {
+		p := randMixedProblem(rng)
+		o := Options{}
+		if trial%3 == 0 {
+			p, o.WarmStart = fusionShapedProblem(rng, 4+rng.Intn(16), 1+rng.Intn(3))
+		}
+		if _, err := Solve(p, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pivots, err := restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pivots < 5000 {
+		t.Fatalf("only %d pivots checked", pivots)
+	}
+	t.Logf("%d pivots checked", pivots)
 }

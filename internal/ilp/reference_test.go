@@ -177,3 +177,20 @@ func refDot(c *csc, j int, rho []float64) float64 {
 	}
 	return s
 }
+
+// scatter writes full-system column j (structural or slack) into the
+// dense buffer out (len m), zeroing it first, and returns the rows where
+// it is non-zero.
+func (c *csc) scatter(j int, out []float64) []int32 {
+	for i := range out {
+		out[i] = 0
+	}
+	if j < c.n {
+		for k := c.ptr[j]; k < c.ptr[j+1]; k++ {
+			out[c.row[k]] = c.val[k]
+		}
+		return c.row[c.ptr[j]:c.ptr[j+1]]
+	}
+	out[j-c.n] = 1
+	return []int32{int32(j - c.n)}
+}

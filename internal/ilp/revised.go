@@ -2,7 +2,7 @@ package ilp
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"time"
 )
 
@@ -66,16 +66,17 @@ type lpState struct {
 	fixed        []int32 // structural columns fixBinary pinned since resetBounds
 	arts         []int32 // columns whose upper bound is the artificial bigBound
 
-	basis []int32 // len m
-	pos   []int32 // len N: basis row, or -1
-	atUp  []bool  // len N: nonbasic at upper bound
+	basis []int32  // len m
+	pos   []int32  // len N: basis row, or -1
+	atUp  []uint64 // bitset over N: nonbasic at upper bound (stale on basic columns)
 
 	// Bitsets over the structural columns: the basic ones, the binary
-	// ones, and the binaries whose base upper bound is not an integer —
-	// the only ones that can sit fractional while nonbasic. selectBranch
-	// scans binary ∩ (basic ∪ fracUp) into cands.
-	basic, branchable, fracUp []uint64
-	cands                     []int32
+	// ones, the binaries whose base upper bound is not an integer — the
+	// only ones that can sit fractional while nonbasic — and the columns
+	// with a non-zero lower bound. selectBranch scans binary ∩ (basic ∪
+	// fracUp) into cands.
+	basic, branchable, fracUp, loNZ []uint64
+	cands                           []int32
 
 	// Changes since the warm-start reference last matched the state:
 	// the basis rows and the columns whose basic or at-upper status a
@@ -83,20 +84,23 @@ type lpState struct {
 	dirtyRows, dirtyCols []int32
 	rowDirty, colDirty   []bool
 
-	xB []float64 // len m: basic values
-	d  []float64 // len N: reduced costs
+	xB     []float64 // len m: basic values
+	infeas []uint64  // rows whose basic value is outside loTol..upTol
+	d      []float64 // len N: reduced costs
 
 	f factor
 	// ref is branch-and-bound's warm-start reference (see snapshot).
 	ref snapshot
 
-	// scratch
+	// scratch. rho is zero outside rhoNZ, the last ρ's non-zero rows, w
+	// outside a pivot, and x outside xCols, the columns extract wrote.
 	rho, w, alpha, x []float64
+	xCols            []int32
 	// The pivot row: alpha is zero outside rowCols, the columns the
-	// last row built touched (inRow marks them); touched lists its
-	// nonbasic non-zeros in ascending order.
+	// last row built touched (rowMark marks the structural ones while it
+	// is built); touched lists its nonbasic non-zeros in ascending order.
 	rowCols, rhoNZ, touched []int32
-	inRow                   []bool
+	rowMark                 []uint64
 
 	bland bool
 	degen int
@@ -114,28 +118,31 @@ func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
 	grow(&s.b, s.m)
 	copy(s.b, b)
 	grow(&s.cost, s.N)
-	grow(&s.lo, s.N)
-	grow(&s.up, s.N)
-	grow(&s.loTol, s.N)
-	grow(&s.upTol, s.N)
+	s.lo, s.up = grow(&s.lo, s.N), grow(&s.up, s.N)
+	s.loTol, s.upTol = grow(&s.loTol, s.N), grow(&s.upTol, s.N)
+	clear(grow(&s.infeas, (s.m+63)/64))
 	grow(&s.baseUp, s.n)
 	grow(&s.xB, s.m)
 	grow(&s.d, s.N)
-	grow(&s.rho, s.m)
-	grow(&s.w, s.m)
+	clear(grow(&s.rho, s.m))
+	clear(grow(&s.w, s.m))
 	clear(grow(&s.alpha, s.N))
-	grow(&s.x, s.n)
-	grow(&s.atUp, s.N)
-	clear(grow(&s.inRow, s.N))
+	clear(grow(&s.x, s.n))
+	grow(&s.atUp, (s.N+63)/64)
 	clear(grow(&s.rowDirty, s.m))
 	clear(grow(&s.colDirty, s.N))
 	grow(&s.basis, s.m)
-	grow(&s.pos, s.N)
+	for j := range grow(&s.pos, s.N) {
+		s.pos[j] = -1
+	}
 	words := (s.n + 63) / 64
 	grow(&s.basic, words)
 	clear(grow(&s.branchable, words))
 	clear(grow(&s.fracUp, words))
-	s.rowCols, s.dirtyRows, s.dirtyCols = s.rowCols[:0], s.dirtyRows[:0], s.dirtyCols[:0]
+	clear(grow(&s.loNZ, words))
+	clear(grow(&s.rowMark, words))
+	s.rowCols, s.rhoNZ, s.xCols = grow(&s.rowCols, s.N)[:0], grow(&s.rhoNZ, s.m)[:0], grow(&s.xCols, s.n)[:0]
+	s.dirtyRows, s.dirtyCols = grow(&s.dirtyRows, s.m)[:0], grow(&s.dirtyCols, s.N)[:0]
 	s.arts, s.fixed = s.arts[:0], s.fixed[:0]
 
 	for j := 0; j < s.N; j++ {
@@ -175,11 +182,34 @@ func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
 func (s *lpState) setBounds(j int, lo, up float64) {
 	s.lo[j], s.up[j] = lo, up
 	s.loTol[j], s.upTol[j] = lo-feasTolFor(lo), up+feasTolFor(up)
+	if p := s.pos[j]; p >= 0 {
+		s.checkRow(int(p))
+	}
+	if j < s.n {
+		setBit(s.loNZ, j, lo != 0)
+	}
+}
+
+// checkRow marks in infeas whether basis row i violates its bounds.
+func (s *lpState) checkRow(i int) {
+	j, v := s.basis[i], s.xB[i]
+	setBit(s.infeas, i, v < s.loTol[j] || v > s.upTol[j])
+}
+
+// isUp reports column j's at-upper flag.
+func (s *lpState) isUp(j int) bool { return s.atUp[j>>6]&(1<<(j&63)) != 0 }
+
+// setBit sets or clears bit j of set.
+func setBit(set []uint64, j int, on bool) {
+	set[j>>6] &^= 1 << (j & 63)
+	if on {
+		set[j>>6] |= 1 << (j & 63)
+	}
 }
 
 // val returns nonbasic variable j's current value.
 func (s *lpState) val(j int) float64 {
-	if s.atUp[j] {
+	if s.isUp(j) {
 		return s.up[j]
 	}
 	return s.lo[j]
@@ -198,18 +228,15 @@ func (s *lpState) installSlackBasis() {
 // The reference may be any node's optimum, so every row and column is
 // marked changed.
 func (s *lpState) slackBasis() {
+	clear(s.atUp)
 	for j := 0; j < s.n; j++ {
 		s.pos[j] = -1
-		s.atUp[j] = s.cost[j] < 0 && !math.IsInf(s.up[j], 1)
-		if s.lo[j] == s.up[j] {
-			s.atUp[j] = false
-		}
+		setBit(s.atUp, j, s.cost[j] < 0 && !math.IsInf(s.up[j], 1) && s.lo[j] != s.up[j])
 	}
 	for i := 0; i < s.m; i++ {
 		j := s.n + i
 		s.basis[i] = int32(j)
 		s.pos[j] = int32(i)
-		s.atUp[j] = false
 	}
 	clear(s.basic)
 	for i := 0; i < s.m; i++ {
@@ -254,7 +281,8 @@ func (s *lpState) pivot(r, q int, leaveUp bool) {
 	s.basis[r] = int32(q)
 	s.pos[q] = int32(r)
 	s.pos[jr] = -1
-	s.atUp[jr] = leaveUp
+	setBit(s.atUp, jr, leaveUp)
+	s.checkRow(r)
 	if q < s.n {
 		s.basic[q>>6] |= 1 << (q & 63)
 	}
@@ -290,15 +318,14 @@ func (s *lpState) installBasis() bool {
 // state, which then matches the reference.
 func (s *lpState) adoptRef() {
 	copy(s.basis, s.ref.basis)
-	up := s.ref.up
+	copy(s.atUp, s.ref.up)
 	for j := range s.pos {
 		s.pos[j] = -1
-		s.atUp[j] = up[j>>6]&(1<<(j&63)) != 0
 	}
 	clear(s.basic)
 	for i, j := range s.basis {
 		s.pos[j] = int32(i)
-		s.atUp[j] = false
+		setBit(s.atUp, int(j), false)
 		if int(j) < s.n {
 			s.basic[j>>6] |= 1 << (j & 63)
 		}
@@ -335,15 +362,15 @@ func (s *lpState) repairBasis(target []int32) bool {
 		next := pending[:0]
 		for _, r32 := range pending {
 			r := int(r32)
-			s.c.scatter(int(target[r]), s.w)
-			s.f.ftran(s.w)
-			if math.Abs(s.w[r]) < 100*etaPivTol {
+			pat := s.ftranCol(int(target[r]))
+			if math.Abs(s.w[r]) >= 100*etaPivTol {
+				s.f.update(r, s.w, pat)
+				s.basis[r] = target[r]
+				progress = true
+			} else {
 				next = append(next, r32)
-				continue
 			}
-			s.f.update(r, s.w)
-			s.basis[r] = target[r]
-			progress = true
+			zeroAt(s.w, pat)
 		}
 		if !progress {
 			return false
@@ -373,7 +400,30 @@ func (s *lpState) computeXB() {
 			s.xB[j-s.n] -= v
 		}
 	}
-	s.f.ftran(s.xB)
+	s.f.ftran(s.xB, nil)
+	for i := range s.xB {
+		s.checkRow(i)
+	}
+}
+
+// ftranCol solves B w = A_q into s.w, which is zero on entry, and
+// returns the rows where w can be non-zero, for zeroAt to clear again.
+func (s *lpState) ftranCol(q int) []int32 {
+	if q >= s.n {
+		s.w[q-s.n] = 1
+		return s.f.ftran(s.w, []int32{int32(q - s.n)})
+	}
+	for k := s.c.ptr[q]; k < s.c.ptr[q+1]; k++ {
+		s.w[s.c.row[k]] = s.c.val[k]
+	}
+	return s.f.ftran(s.w, s.c.row[s.c.ptr[q]:s.c.ptr[q+1]])
+}
+
+// zeroAt zeroes v at the indices at.
+func zeroAt(v []float64, at []int32) {
+	for _, i := range at {
+		v[i] = 0
+	}
 }
 
 // computeDuals recomputes reduced costs from scratch:
@@ -382,7 +432,7 @@ func (s *lpState) computeDuals() {
 	for i, j := range s.basis {
 		s.rho[i] = s.cost[j]
 	}
-	s.f.btran(s.rho)
+	s.f.btran(s.rho, nil)
 	s.c.mulRow(s.rho, s.d)
 	for j := 0; j < s.N; j++ {
 		if s.pos[j] >= 0 {
@@ -391,38 +441,37 @@ func (s *lpState) computeDuals() {
 			s.d[j] = s.cost[j] - s.d[j]
 		}
 	}
+	clear(s.rho)
+	s.rhoNZ = s.rhoNZ[:0]
 }
 
 // pivotRow builds α = ρᵀ[A I] for the ρ in s.rho from ρ's non-zero
-// rows only and lists the nonbasic columns with α_j ≠ 0 in s.touched,
-// ascending. Each α_j receives its products in ascending row order, as
-// from mulRow, so the values are bit-identical; only the previous row's
+// rows only — pat lists, ascending, the rows where ρ can be non-zero —
+// and lists the nonbasic columns with α_j ≠ 0 in s.touched, ascending.
+// Each α_j receives its products in ascending row order, as from
+// mulRow, so the values are bit-identical; only the previous row's
 // entries are cleared.
-func (s *lpState) pivotRow() {
+func (s *lpState) pivotRow(pat []int32) {
 	for _, j := range s.rowCols {
 		s.alpha[j] = 0
-		s.inRow[j] = false
 	}
-	cols, nzr := s.rowCols[:0], s.rhoNZ[:0]
-	for i, ri := range s.rho {
+	nzr := s.rhoNZ[:0]
+	for _, i := range pat {
+		ri := s.rho[i]
 		if ri == 0 {
 			continue
 		}
-		nzr = append(nzr, int32(i))
+		nzr = append(nzr, i)
 		r := &s.c.rows[i]
 		for k, j := range r.Idx {
-			if !s.inRow[j] {
-				s.inRow[j] = true
-				cols = append(cols, j)
-			}
+			s.rowMark[j>>6] |= 1 << (j & 63)
 			s.alpha[j] += ri * r.Val[k]
 		}
 	}
-	slices.Sort(cols)
+	cols := appendBits(s.rowCols[:0], s.rowMark)
 	for _, i := range nzr {
 		j := int32(s.n) + i
 		s.alpha[j] = s.rho[i]
-		s.inRow[j] = true
 		cols = append(cols, j)
 	}
 	touched := s.touched[:0]
@@ -453,29 +502,16 @@ func feasTolFor(bound float64) float64 {
 	return feasEps * (1 + math.Abs(bound))
 }
 
-// dualSimplex runs to primal feasibility (= optimality, since dual
-// feasibility is an invariant) under the current bounds.
-func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
-	justRefreshed := false
-	start := s.iters
-	for {
-		if s.iters-start >= maxIter {
-			return lpFail
-		}
-		s.iters++
-		//fast:allow nondetsource simplex deadline seam: expiry aborts to the greedy fallback, it does not alter pivots
-		if s.iters%64 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			return lpDeadline
-		}
-
-		// Leaving row: the basic variable with the largest bound
-		// violation (Bland mode: the smallest variable index violated).
-		r := -1
-		var dir float64
-		worst := 0.0
-		for i := 0; i < s.m; i++ {
-			j := s.basis[i]
-			v := s.xB[i]
+// leavingRow picks, of the rows infeas marks, the one whose basic value
+// violates its bounds the most (Bland mode: the smallest variable
+// index), or -1, and the bound it leaves to: -1 lower, +1 upper.
+func (s *lpState) leavingRow() (r int, dir float64) {
+	r = -1
+	worst := 0.0
+	for w, word := range s.infeas {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			j, v := s.basis[i], s.xB[i]
 			if v < s.loTol[j] {
 				if viol := s.lo[j] - v; s.bland {
 					if r < 0 || j < s.basis[r] {
@@ -494,6 +530,26 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 				}
 			}
 		}
+	}
+	return r, dir
+}
+
+// dualSimplex runs to primal feasibility (= optimality, since dual
+// feasibility is an invariant) under the current bounds.
+func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
+	justRefreshed := false
+	start := s.iters
+	for {
+		if s.iters-start >= maxIter {
+			return lpFail
+		}
+		s.iters++
+		//fast:allow nondetsource simplex deadline seam: expiry aborts to the greedy fallback, it does not alter pivots
+		if s.iters%64 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
+			return lpDeadline
+		}
+
+		r, dir := s.leavingRow()
 		if r < 0 {
 			return lpOptimal
 		}
@@ -502,12 +558,9 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		// α row: ρ = B⁻ᵀ e_r, α = ρᵀ[A I] scattered from the rows ρ
 		// touches; the ratio test then reads it for the nonbasic columns
 		// it touches, in ascending order.
-		for i := range s.rho {
-			s.rho[i] = 0
-		}
+		zeroAt(s.rho, s.rhoNZ)
 		s.rho[r] = 1
-		s.f.btran(s.rho)
-		s.pivotRow()
+		s.pivotRow(s.f.btran(s.rho, []int32{int32(r)}))
 		q := -1
 		bestRatio := math.Inf(1)
 		bestAbs := 0.0
@@ -520,7 +573,7 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 			ab := dir * a
 			var eligible bool
 			var num float64
-			if !s.atUp[j] {
+			if !s.isUp(j) {
 				eligible = ab > etaPivTol
 				num = math.Max(s.d[j], 0)
 			} else {
@@ -552,9 +605,12 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		aq := s.alpha[q]
 		// Fresh FTRAN of the entering column; cross-check against the
 		// BTRAN-derived pivot to catch factorization drift.
-		s.c.scatter(q, s.w)
-		s.f.ftran(s.w)
+		pat := s.ftranCol(q)
+		if testHook.pivot != nil {
+			testHook.pivot(s, r, pat)
+		}
 		if math.Abs(s.w[r]-aq) > 1e-7*(1+math.Abs(aq)) || math.Abs(s.w[r]) < etaPivTol {
+			zeroAt(s.w, pat)
 			if justRefreshed {
 				return lpFail
 			}
@@ -587,9 +643,10 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 		}
 		delta := (s.xB[r] - target) / aq
 		if delta != 0 {
-			for i, wi := range s.w {
-				if wi != 0 {
+			for _, i := range pat {
+				if wi := s.w[i]; wi != 0 {
 					s.xB[i] -= delta * wi
+					s.checkRow(int(i))
 				}
 			}
 		}
@@ -598,7 +655,8 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 
 		// Book-keeping: q becomes basic in row r, jr leaves to its bound.
 		s.pivot(r, q, dir > 0 && s.lo[jr] != s.up[jr])
-		s.f.update(r, s.w)
+		s.f.update(r, s.w, pat)
+		zeroAt(s.w, pat)
 
 		if math.Abs(delta) <= 1e-12 {
 			s.degen++
@@ -618,27 +676,36 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 }
 
 // extract writes the structural solution into s.x (clamped to bounds)
-// and returns the objective c·x.
+// and returns the objective c·x, visiting in ascending order only the
+// columns that can be non-zero: a skipped c_j·0 can only flip a zero.
 func (s *lpState) extract() float64 {
-	for j := 0; j < s.n; j++ {
-		var v float64
-		if p := s.pos[j]; p >= 0 {
-			v = s.xB[p]
-			if v < s.lo[j] {
-				v = s.lo[j]
-			}
-			if v > s.up[j] {
-				v = s.up[j]
-			}
-		} else {
-			v = s.val(j)
-		}
-		s.x[j] = v
-	}
+	zeroAt(s.x, s.xCols)
+	cols := s.xCols[:0]
 	var obj float64
-	for j := 0; j < s.n; j++ {
-		obj += s.cost[j] * s.x[j]
+	for w, word := range s.basic {
+		for word |= s.atUp[w] | s.loNZ[w]; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			if j >= s.n {
+				break
+			}
+			var v float64
+			if p := s.pos[j]; p >= 0 {
+				v = s.xB[p]
+				if v < s.lo[j] {
+					v = s.lo[j]
+				}
+				if v > s.up[j] {
+					v = s.up[j]
+				}
+			} else {
+				v = s.val(j)
+			}
+			s.x[j] = v
+			cols = append(cols, int32(j))
+			obj += s.cost[j] * v
+		}
 	}
+	s.xCols = cols
 	return obj
 }
 
@@ -651,7 +718,7 @@ func (s *lpState) hitsArtificialBound() bool {
 			if s.xB[s.pos[j]] > bigBound/2 {
 				return true
 			}
-		} else if s.atUp[j] {
+		} else if s.isUp(int(j)) {
 			return true
 		}
 	}

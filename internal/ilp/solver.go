@@ -167,6 +167,9 @@ var testHook struct {
 	// failNode > 0 makes that node's LP report a numerical failure, the
 	// hand-over to the dense solver.
 	failNode int
+	// pivot sees each dual simplex pivot before it is applied: leaving
+	// row r, pivot row, entering column (s.w, non-zero only at pat).
+	pivot func(s *lpState, r int, pat []int32)
 }
 
 // bbNode is one open branch-and-bound subproblem: the parent whose
@@ -254,7 +257,7 @@ func (sn *snapshot) record(parent *nodeRec, fix int32, s *lpState) *nodeRec {
 	d[1] = int32(len(d)-2) / 2
 	for _, j := range s.dirtyCols {
 		word, bit := &sn.up[j>>6], uint64(1)<<(j&63)
-		if up := s.pos[j] < 0 && s.atUp[j]; up != (*word&bit != 0) {
+		if up := s.pos[j] < 0 && s.isUp(int(j)); up != (*word&bit != 0) {
 			*word ^= bit
 			e := int32(j) << 1
 			if up {

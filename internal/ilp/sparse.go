@@ -12,9 +12,8 @@ import "fmt"
 // both orientations — by columns for FTRAN inputs and basis
 // factorization, by rows for pricing. No pass of a pivot costs
 // O(rows × cols): the pivot row and its ratio test cost the non-zeros
-// of ρ's rows, and FTRAN's U solve the rows its input reaches. What is
-// left sweeps the m rows once each: the leaving-row scan, BTRAN, the L
-// solve, the primal update and the eta copy.
+// of ρ's rows, and FTRAN and BTRAN the rows their input reaches. What is
+// left sweeps the m rows once per pivot: the leaving-row scan.
 
 // Row is one constraint row in sparse form: Val[k] is the coefficient
 // of column Idx[k]. Idx is strictly ascending.
@@ -104,21 +103,6 @@ func newCSC(rows []Row, n int) *csc {
 		}
 	}
 	return c
-}
-
-// scatter writes full-system column j (structural or slack) into the
-// dense buffer out (len m), zeroing it first.
-func (c *csc) scatter(j int, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	if j < c.n {
-		for k := c.ptr[j]; k < c.ptr[j+1]; k++ {
-			out[c.row[k]] = c.val[k]
-		}
-	} else {
-		out[j-c.n] = 1
-	}
 }
 
 // mulRow computes out = ρᵀ[A I] for a dense row multiplier ρ (len m):

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -303,4 +304,51 @@ func TestSSEDisconnectAndConcurrentCancel(t *testing.T) {
 	}
 	waitFor(t, base, "sse2", "canceled", stateIs(store.StateCanceled))
 	doJSON(t, "GET", base+"/healthz", nil, http.StatusOK)
+}
+
+// TestCreateWritesOutsideLock: a create's spec and status writes do not
+// hold the server lock. The new study's spec fsync blocks in the fault
+// seam, and a summary read of another study must still answer; the
+// create then completes once the disk does.
+func TestCreateWritesOutsideLock(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	ts := newTestServer(t, t.TempDir(), func(c *Config) {
+		c.Store.SetFaultHook(func(op store.FaultOp, path string) error {
+			if op == store.OpSync && filepath.Base(path) == "spec.json" && filepath.Base(filepath.Dir(path)) == "slow" {
+				close(entered)
+				<-release
+			}
+			return nil
+		})
+	})
+	defer ts.stop()
+	base := ts.http.URL
+	doJSON(t, "POST", base+"/v1/studies", smallSpec("other", 8, 8), http.StatusCreated)
+
+	created := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(smallSpec("slow", 8, 8))
+		resp, err := http.Post(base+"/v1/studies", "application/json", bytes.NewReader(body))
+		if err != nil {
+			created <- 0
+			return
+		}
+		resp.Body.Close()
+		created <- resp.StatusCode
+	}()
+	<-entered
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(base + "/v1/studies/other")
+	close(release)
+	if err != nil {
+		t.Fatalf("summary read while a create waits on the disk: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("summary read = %d, want 200", resp.StatusCode)
+	}
+	if code := <-created; code != http.StatusCreated {
+		t.Fatalf("create = %d, want 201", code)
+	}
+	waitFor(t, base, "slow", "slow done", stateIs(store.StateDone))
 }

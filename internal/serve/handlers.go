@@ -230,6 +230,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			owned++
 		}
 	}
+	for _, tenant := range s.creating {
+		if tenant == sp.Tenant {
+			owned++
+		}
+	}
 	if owned >= s.cfg.MaxStudiesPerTenant {
 		s.mu.Unlock()
 		s.metrics.shedStudyQuota.Inc()
@@ -242,23 +247,40 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, http.StatusTooManyRequests, "tenant %s queue full (%d studies waiting)", sp.Tenant, s.cfg.MaxQueuedPerTenant)
 		return
 	}
+	taken := func(id string) bool {
+		key := sp.Tenant + "/" + id
+		_, reserved := s.creating[key]
+		return reserved || s.studies[key] != nil
+	}
 	if sp.ID == "" {
 		s.seq++
 		sp.ID = fmt.Sprintf("study-%04d", s.seq)
-		for s.studies[sp.Tenant+"/"+sp.ID] != nil {
+		for taken(sp.ID) {
 			s.seq++
 			sp.ID = fmt.Sprintf("study-%04d", s.seq)
 		}
-	} else if s.studies[sp.Tenant+"/"+sp.ID] != nil {
+	} else if taken(sp.ID) {
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "study %s/%s already exists", sp.Tenant, sp.ID)
 		return
 	}
-
+	// The spec and status writes (two atomic replacements, four fsyncs)
+	// run without the lock, under a reservation of the key.
+	key := sp.Tenant + "/" + sp.ID
+	s.creating[key] = sp.Tenant
+	s.mu.Unlock()
 	stored, err := s.cfg.Store.Create(sp)
+	s.mu.Lock()
+	delete(s.creating, key)
 	if err != nil {
 		s.mu.Unlock()
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if s.closed {
+		// As after a crash: the stored study restarts as interrupted.
+		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
 	st := &study{

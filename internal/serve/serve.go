@@ -121,6 +121,9 @@ type Server struct {
 	studies map[string]*study        // key: tenant + "/" + id
 	slots   map[string]chan struct{} // per-tenant concurrency semaphores
 	seq     int                      // id allocator for unnamed studies
+	// creating reserves the keys of studies whose create is writing
+	// their spec, without the lock; the value is the tenant.
+	creating map[string]string
 }
 
 // study is the in-memory face of one stored study. state and the
@@ -173,6 +176,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		studies:   map[string]*study{},
+		creating:  map[string]string{},
 		slots:     map[string]chan struct{}{},
 	}
 	s.metrics = newMetrics(c.Metrics)
