@@ -170,11 +170,6 @@ func (c *Config) L2BytesPerPE() int64 {
 // GlobalBytes returns the per-core Global Memory capacity in bytes.
 func (c *Config) GlobalBytes() int64 { return c.GlobalMiB << 20 }
 
-// OnChipBytes returns total per-core on-chip storage.
-func (c *Config) OnChipBytes() int64 {
-	return c.NumPEs()*(c.L1BytesPerPE()+c.L2BytesPerPE()) + c.GlobalBytes()
-}
-
 // Ridgepoint returns the operational intensity (FLOPs/byte) above which
 // the design is compute- rather than bandwidth-bound (§4.1).
 func (c *Config) Ridgepoint() float64 {

@@ -210,3 +210,18 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("Clone must rename")
 	}
 }
+
+// OnChipBytes returns total per-core on-chip storage.
+func (c *Config) OnChipBytes() int64 {
+	return c.NumPEs()*(c.L1BytesPerPE()+c.L2BytesPerPE()) + c.GlobalBytes()
+}
+
+// Size returns the cardinality of the full datapath space (~10^13,
+// matching §5.3).
+func (s Space) Size() float64 {
+	size := 1.0
+	for _, d := range s.Dims() {
+		size *= float64(d)
+	}
+	return size
+}

@@ -65,16 +65,6 @@ func (Space) Dims() [NumParams]int {
 	}
 }
 
-// Size returns the cardinality of the full datapath space (~10^13,
-// matching §5.3).
-func (s Space) Size() float64 {
-	size := 1.0
-	for _, d := range s.Dims() {
-		size *= float64(d)
-	}
-	return size
-}
-
 // Canonical returns idx with its dead coordinates zeroed: with L2
 // disabled, the three L2 multipliers. Two vectors are canonically equal
 // exactly when their designs' SubKey(AllParams) are, so one evaluation

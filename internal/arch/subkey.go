@@ -5,9 +5,8 @@ package arch
 // The factored evaluator in internal/sim memoizes per-design work across
 // search trials by the sub-tuple of searched hyperparameters each stage
 // actually reads: the schedule mapper sees only the PE grid, the systolic
-// arrays, and the L1 scratchpads; the power roll-up sees sizes and widths
-// but not the L1 sharing discipline; nothing design-dependent sees the
-// native batch at all. SubKey packs such a sub-tuple into one comparable
+// arrays, and the L1 scratchpads; the fusion stage sees every searched
+// parameter but the native batch, which only selects the plan. SubKey packs such a sub-tuple into one comparable
 // uint64 so a stage cache can be keyed exactly by what the stage reads —
 // no more (a stale hit would be silently wrong) and no less (a too-wide
 // key only costs hit rate).

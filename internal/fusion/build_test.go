@@ -173,8 +173,14 @@ func TestSparseBuildMatchesDense(t *testing.T) {
 			t.Fatalf("trial %d: shape %d cols × %d rows (%d rhs), want %d × %d", trial, len(p.C), len(p.A), len(p.B), len(c), len(a))
 		}
 		for j := range c {
-			if p.C[j] != c[j] || p.U[j] != u[j] || p.Binary[j] != bin[j] {
-				t.Fatalf("trial %d: column %d: (c,u,bin) = (%v,%v,%v), want (%v,%v,%v)", trial, j, p.C[j], p.U[j], p.Binary[j], c[j], u[j], bin[j])
+			// ilp.Problem implies the upper bound from Binary: 1 for a
+			// binary, +inf for a continuous column.
+			pu := math.Inf(1)
+			if p.Binary[j] {
+				pu = 1
+			}
+			if p.C[j] != c[j] || pu != u[j] || p.Binary[j] != bin[j] {
+				t.Fatalf("trial %d: column %d: (c,u,bin) = (%v,%v,%v), want (%v,%v,%v)", trial, j, p.C[j], pu, p.Binary[j], c[j], u[j], bin[j])
 			}
 		}
 		for i := range a {

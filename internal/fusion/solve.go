@@ -510,16 +510,13 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, b
 	}
 
 	c := make([]float64, nv)
-	u := make([]float64, nv)
 	bin := make([]bool, nv)
 	for i := 0; i < vars; i++ {
 		bin[i] = true
-		u[i] = 1
 	}
 	for i := range regions {
 		if ti := f.tIdx[i]; ti >= 0 {
 			c[ti] = 1 // minimize Σ live T'
-			u[ti] = math.Inf(1)
 		}
 	}
 
@@ -615,7 +612,7 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, b
 		b = append(b, rhs)
 	}
 
-	f.prob = ilp.Problem{C: c, A: a.rows(), B: b, U: u, Binary: bin}
+	f.prob = ilp.Problem{C: c, A: a.rows(), B: b, Binary: bin}
 	return f, true
 }
 

@@ -174,3 +174,15 @@ func TestValidateCatchesMissingEinsum(t *testing.T) {
 		t.Error("matrix op without einsum params must fail validation")
 	}
 }
+
+// Const adds a constant tensor (counted as weights: it must be fetched
+// from DRAM like any parameter).
+func (g *Graph) Const(name string, shape tensor.Shape) *Op {
+	return g.add(&Op{Name: name, Kind: KConst, Output: shape, Weights: shape})
+}
+
+// Transpose adds a data movement op producing the given shape.
+func (g *Graph) Transpose(name string, x *Op, shape tensor.Shape) *Op {
+	g.check(shape.Elems() == x.Output.Elems(), "transpose %s elems mismatch", name)
+	return g.add(&Op{Name: name, Kind: KTranspose, Inputs: []*Op{x}, Output: shape, VecOpsPerElem: 1})
+}

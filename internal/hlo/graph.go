@@ -48,12 +48,6 @@ func (g *Graph) Input(name string, shape tensor.Shape) *Op {
 	return g.add(&Op{Name: name, Kind: KInput, Output: shape})
 }
 
-// Const adds a constant tensor (counted as weights: it must be fetched
-// from DRAM like any parameter).
-func (g *Graph) Const(name string, shape tensor.Shape) *Op {
-	return g.add(&Op{Name: name, Kind: KConst, Output: shape, Weights: shape})
-}
-
 // Output marks op as a graph result and returns the marker op.
 func (g *Graph) Output(op *Op) *Op {
 	out := g.add(&Op{Name: op.Name + ".out", Kind: KOutput, Inputs: []*Op{op}, Output: op.Output})
@@ -69,8 +63,7 @@ func (g *Graph) Outputs() []*Op { return g.outputs }
 // a distinct traffic class: the tensor survives across decode steps, so
 // the residency solver may hold it in global memory instead of
 // re-streaming it from DRAM every step. Shape convention is
-// [B·heads, ...] — dim 0 carries the batch factor so WithBatch scales
-// the cache with the activations.
+// [B·heads, ...]: dim 0 carries the batch factor.
 func (g *Graph) KVCache(name string, shape tensor.Shape) *Op {
 	g.check(shape.Valid(), "kv-cache %s has invalid shape %s", name, shape)
 	return g.add(&Op{Name: name, Kind: KKVCache, Output: shape})
@@ -240,12 +233,6 @@ func (g *Graph) Reshape(name string, x *Op, shape tensor.Shape) *Op {
 	return g.add(&Op{Name: name, Kind: KReshape, Inputs: []*Op{x}, Output: shape})
 }
 
-// Transpose adds a data movement op producing the given shape.
-func (g *Graph) Transpose(name string, x *Op, shape tensor.Shape) *Op {
-	g.check(shape.Elems() == x.Output.Elems(), "transpose %s elems mismatch", name)
-	return g.add(&Op{Name: name, Kind: KTranspose, Inputs: []*Op{x}, Output: shape, VecOpsPerElem: 1})
-}
-
 // Concat concatenates inputs along axis (shapes must agree elsewhere).
 func (g *Graph) Concat(name string, axis int, ins ...*Op) *Op {
 	g.check(len(ins) >= 2, "concat %s needs >=2 inputs", name)
@@ -330,60 +317,6 @@ func (g *Graph) Consumers() [][]int {
 	for _, op := range g.Ops {
 		for _, in := range op.Inputs {
 			out[in.ID] = append(out[in.ID], op.ID)
-		}
-	}
-	return out
-}
-
-// WithBatch returns a structural copy of the graph with every activation
-// batch dimension scaled from the graph's native batch (dim 0 of the first
-// input) to b. Weight shapes are unchanged.
-func (g *Graph) WithBatch(b int64) *Graph {
-	if len(g.Ops) == 0 {
-		return g
-	}
-	native := int64(1)
-	for _, op := range g.Ops {
-		if op.Kind == KInput {
-			native = op.Output.Dim(0)
-			break
-		}
-	}
-	if native == b {
-		return g
-	}
-	out := &Graph{Name: g.Name}
-	clones := make([]*Op, len(g.Ops))
-	for i, op := range g.Ops {
-		c := *op
-		c.Output = op.Output.Clone()
-		switch {
-		case op.Kind == KKVCache && op.Output.Rank() > 0 && op.Output.Dim(0)%native == 0:
-			// KV caches carry dim 0 = B·heads, a multiple of the native
-			// batch rather than the batch itself; scale proportionally.
-			c.Output.Dims[0] = op.Output.Dim(0) / native * b
-		case op.Kind != KConst && op.Output.Rank() > 0 && op.Output.Dim(0) == native:
-			c.Output.Dims[0] = b
-		}
-		if op.Einsum != nil {
-			e := *op.Einsum
-			// Batched contractions scale either the contraction batch
-			// (attention heads × batch) or M (token/row count).
-			if e.ActAct {
-				e.Batch = e.Batch / native * b
-			} else {
-				e.M = e.M / native * b
-			}
-			c.Einsum = &e
-		}
-		c.Inputs = make([]*Op, len(op.Inputs))
-		for j, in := range op.Inputs {
-			c.Inputs[j] = clones[in.ID]
-		}
-		clones[i] = &c
-		out.Ops = append(out.Ops, &c)
-		if op.Kind == KOutput {
-			out.outputs = append(out.outputs, &c)
 		}
 	}
 	return out

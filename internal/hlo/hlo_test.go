@@ -152,32 +152,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestWithBatch(t *testing.T) {
-	g := tinyCNN()
-	g8 := g.WithBatch(8)
-	if g8.NativeBatch() != 8 {
-		t.Fatalf("native batch = %d", g8.NativeBatch())
-	}
-	if err := g8.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// FLOPs scale linearly with batch; weights do not.
-	if Stats(g8).FLOPs != 8*Stats(g).FLOPs {
-		t.Errorf("FLOPs: got %d, want %d", Stats(g8).FLOPs, 8*Stats(g).FLOPs)
-	}
-	if WeightBytes(g8) != WeightBytes(g) {
-		t.Error("weights must not scale with batch")
-	}
-	// Original graph untouched.
-	if g.NativeBatch() != 1 {
-		t.Error("WithBatch mutated the source graph")
-	}
-	// Same-batch call returns the identical graph.
-	if g.WithBatch(1) != g {
-		t.Error("WithBatch(native) should return the receiver")
-	}
-}
-
 func TestPartitionNone(t *testing.T) {
 	g := tinyCNN()
 	p := PartitionNone(g)

@@ -17,24 +17,18 @@ func solveDense(p Problem, o Options) (Result, error) {
 	n := len(p.C)
 	maxIter := maxSimplexIters
 
-	// Materialize upper-bound rows (x ≤ u) once; branching appends
-	// variable fixings as extra rows.
+	// Materialize the binaries' upper-bound rows (x ≤ 1) once;
+	// branching appends variable fixings as extra rows.
 	baseA := make([][]float64, 0, len(p.A)+n)
 	baseB := make([]float64, 0, len(p.B)+n)
 	baseA = append(baseA, p.dense()...)
 	baseB = append(baseB, p.B...)
 	for i := 0; i < n; i++ {
-		u := math.Inf(1)
-		if p.U != nil {
-			u = p.U[i]
-		} else if p.Binary != nil && p.Binary[i] {
-			u = 1
-		}
-		if !math.IsInf(u, 1) {
+		if p.Binary != nil && p.Binary[i] {
 			row := make([]float64, n)
 			row[i] = 1
 			baseA = append(baseA, row)
-			baseB = append(baseB, u)
+			baseB = append(baseB, 1)
 		}
 	}
 

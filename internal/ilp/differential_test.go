@@ -13,30 +13,30 @@ import (
 	"time"
 )
 
-// randMixedProblem draws a random bounded mixed 0/1 problem: binaries,
-// box-bounded continuous and unbounded continuous columns, sparse rows,
-// and rhs values of both signs (negative rhs exercises the ≥ rows the
-// fusion formulation builds).
-func randMixedProblem(r *rand.Rand) Problem {
-	n := 2 + r.Intn(8)
-	m := 1 + r.Intn(5)
-	p := Problem{Binary: make([]bool, n), U: make([]float64, n)}
+// randColumns draws n columns in the class Solve takes: a third of them
+// binaries of either cost sign, the rest continuous at a non-negative
+// cost.
+func randColumns(r *rand.Rand, n int) Problem {
+	p := Problem{Binary: make([]bool, n)}
 	for i := 0; i < n; i++ {
 		c := math.Round(20 * (r.Float64() - 0.6))
-		switch r.Intn(3) {
-		case 0:
+		if r.Intn(3) == 0 {
 			p.Binary[i] = true
-			p.U[i] = 1
-		case 1:
-			p.U[i] = float64(1 + r.Intn(5))
-		default:
-			p.U[i] = math.Inf(1)
-			if c < 0 {
-				c = -c // keep the LP bounded
-			}
+		} else {
+			c = math.Abs(c)
 		}
 		p.C = append(p.C, c)
 	}
+	return p
+}
+
+// randMixedProblem draws a random mixed 0/1 problem: randColumns, sparse
+// rows, and rhs values of both signs (negative rhs exercises the ≥ rows
+// the fusion formulation builds, which force continuous columns up).
+func randMixedProblem(r *rand.Rand) Problem {
+	n := 2 + r.Intn(8)
+	m := 1 + r.Intn(5)
+	p := randColumns(r, n)
 	for j := 0; j < m; j++ {
 		row := make([]float64, n)
 		for i := range row {
@@ -371,35 +371,6 @@ func TestInfeasibleAfterBranching(t *testing.T) {
 	}
 }
 
-// TestTightUpperBounds exercises native bound handling: continuous
-// variables pinned at their box bounds and binaries forced to zero by
-// U, with the optimum on the bound faces.
-func TestTightUpperBounds(t *testing.T) {
-	// min -3a -2y - z with a binary but U[a]=0 (forced off), y ≤ 2.5
-	// active at optimum, z ≤ 4 active via the row z ≤ 4.
-	p := Problem{
-		C:      []float64{-3, -2, -1},
-		A:      DenseRows([][]float64{{1, 1, 0}, {0, 0, 1}}),
-		B:      []float64{10, 4},
-		U:      []float64{0, 2.5, math.Inf(1)},
-		Binary: []bool{true, false, false},
-	}
-	r, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Optimal {
-		t.Fatalf("result: %+v", r)
-	}
-	want := -2*2.5 - 4.0
-	if math.Abs(r.Objective-want) > 1e-9 {
-		t.Errorf("objective = %g, want %g", r.Objective, want)
-	}
-	if r.X[0] != 0 || math.Abs(r.X[1]-2.5) > 1e-9 || math.Abs(r.X[2]-4) > 1e-9 {
-		t.Errorf("x = %v", r.X)
-	}
-}
-
 // TestDeadlineGapReported: an expired deadline with a warm incumbent
 // must report a non-optimal result with a positive (possibly infinite)
 // gap and the incumbent intact.
@@ -468,14 +439,12 @@ func fusionShapedProblem(r *rand.Rand, nRegions, window int) (Problem, []float64
 		}
 	}
 	nv := vars + nRegions
-	p := Problem{C: make([]float64, nv), U: make([]float64, nv), Binary: make([]bool, nv)}
+	p := Problem{C: make([]float64, nv), Binary: make([]bool, nv)}
 	for i := 0; i < vars; i++ {
 		p.Binary[i] = true
-		p.U[i] = 1
 	}
 	for i := 0; i < nRegions; i++ {
 		p.C[vars+i] = 1
-		p.U[vars+i] = math.Inf(1)
 	}
 	for i, rg := range regs {
 		row := make([]float64, nv)
@@ -522,52 +491,30 @@ func fusionShapedProblem(r *rand.Rand, nRegions, window int) (Problem, []float64
 	return p, warm
 }
 
-// TestUnboundedRelaxation exercises the artificial-bound machinery the
-// randomized suites deliberately avoid (they flip negative costs on
-// unbounded columns to keep instances bounded): a negative-cost column
-// with no upper bound makes the LP unbounded below, which the sparse
-// core detects via its bigBound artificial bound. The MILP must come
-// back infeasible/non-optimal — never a finite "optimum" leaning on the
-// artificial bound — matching the frozen dense solver's contract.
-func TestUnboundedRelaxation(t *testing.T) {
-	// min -x0 + x1 with only -x0 + x1 ≤ 1: x0 grows without bound.
+// TestNegativeCostContinuousRejected: a continuous column with a
+// negative cost lies outside the class Problem states — its relaxation
+// can be unbounded below — so Solve refuses it on every path, warm
+// start or not, while the same cost on a binary is an ordinary problem.
+func TestNegativeCostContinuousRejected(t *testing.T) {
+	// min -x0 - 5x1 with only -x0 + x1 ≤ 1: a continuous x0 grows
+	// without bound.
 	p := Problem{
-		C: []float64{-1, 1},
-		A: DenseRows([][]float64{{-1, 1}}),
-		B: []float64{1},
-	}
-	sp, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	de, err := Solve(p, Options{Dense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]Result{"sparse": sp, "dense": de} {
-		if r.Feasible || r.Optimal {
-			t.Errorf("%s: unbounded LP reported a certificate: %+v", name, r)
-		}
-	}
-
-	// With a binary riding along and a feasible warm start, the warm
-	// incumbent survives but optimality still cannot be proven.
-	p2 := Problem{
 		C:      []float64{-1, -5},
 		A:      DenseRows([][]float64{{-1, 1}}),
 		B:      []float64{1},
-		U:      []float64{math.Inf(1), 1},
 		Binary: []bool{false, true},
 	}
-	warm := []float64{0, 1}
-	sp2, err := Solve(p2, Options{WarmStart: warm})
+	for _, o := range []Options{{}, {Dense: true}, {WarmStart: []float64{0, 1}}} {
+		if r, err := Solve(p, o); err == nil {
+			t.Errorf("options %+v: solved a negative-cost continuous column: %+v", o, r)
+		}
+	}
+	p.Binary[0] = true
+	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sp2.Feasible || sp2.Optimal {
-		t.Errorf("warm-started unbounded MILP: %+v", sp2)
-	}
-	if sp2.Objective > -5+1e-9 {
-		t.Errorf("warm incumbent lost: objective %g", sp2.Objective)
+	if !r.Optimal || r.Objective != -6 {
+		t.Fatalf("all-binary problem: %+v, want the optimum -6", r)
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // FuzzILPSparseVsDense cross-checks the sparse revised-simplex solver
 // against the frozen dense reference (and, when the binary count
-// permits, brute-force enumeration) on randomized mixed 0/1 problems,
+// permits, brute-force enumeration) on randomized mixed 0/1 problems
+// (randColumns),
 // and holds its relative-gap and stall stops to the exact solve
 // (checkRelGap, checkStallNodes). Every pivot of the sparse solve runs
 // the sweep differentials (checkPivot).
@@ -28,23 +29,7 @@ func FuzzILPSparseVsDense(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		nv := 1 + int(n)%9
 		nr := 1 + int(m)%6
-		p := Problem{Binary: make([]bool, nv), U: make([]float64, nv)}
-		for i := 0; i < nv; i++ {
-			c := math.Round(20 * (r.Float64() - 0.6))
-			switch r.Intn(3) {
-			case 0:
-				p.Binary[i] = true
-				p.U[i] = 1
-			case 1:
-				p.U[i] = float64(1 + r.Intn(5))
-			default:
-				p.U[i] = math.Inf(1)
-				if c < 0 {
-					c = -c
-				}
-			}
-			p.C = append(p.C, c)
-		}
+		p := randColumns(r, nv)
 		for j := 0; j < nr; j++ {
 			row := make([]float64, nv)
 			for i := range row {

@@ -80,20 +80,19 @@ func TestSolveKnapsack(t *testing.T) {
 }
 
 func TestSolveMixedIntegerWithContinuous(t *testing.T) {
-	// min -3x1 - 2y s.t. x1 binary, 0<=y, x1 + y <= 1.5 → x1=1, y=0.5,
-	// objective -4.
+	// min -3x1 + 2y s.t. x1 binary, 0<=y, x1 - y <= 0.5 (a ≥ row
+	// forcing y up) and x1 + y <= 1.5 → x1=1, y=0.5, objective -2.
 	p := Problem{
-		C:      []float64{-3, -2},
-		A:      DenseRows([][]float64{{1, 1}}),
-		B:      []float64{1.5},
-		U:      []float64{1, math.Inf(1)},
+		C:      []float64{-3, 2},
+		A:      DenseRows([][]float64{{1, -1}, {1, 1}}),
+		B:      []float64{0.5, 1.5},
 		Binary: []bool{true, false},
 	}
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Optimal || math.Abs(r.Objective-(-4)) > 1e-6 {
+	if !r.Optimal || math.Abs(r.Objective-(-2)) > 1e-6 || r.X[0] != 1 || math.Abs(r.X[1]-0.5) > 1e-9 {
 		t.Errorf("result: %+v", r)
 	}
 }
@@ -222,6 +221,10 @@ func TestValidateErrors(t *testing.T) {
 	_, err = Solve(Problem{C: []float64{1}, A: DenseRows([][]float64{{1}}), B: []float64{1, 2}}, Options{})
 	if err == nil {
 		t.Error("expected rhs mismatch error")
+	}
+	_, err = Solve(Problem{C: []float64{1, 1}, A: DenseRows([][]float64{{1, 1}}), B: []float64{1}, Binary: []bool{true}}, Options{})
+	if err == nil {
+		t.Error("expected binary-flags mismatch error")
 	}
 	for name, row := range map[string]Row{
 		"unsorted":  {Idx: []int32{1, 0}, Val: []float64{1, 1}},

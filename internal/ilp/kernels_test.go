@@ -324,7 +324,7 @@ func TestKernelsUnderflowedMultiplier(t *testing.T) {
 func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	t.Helper()
 	ls := new(lpState)
-	ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.U, p.Binary)
+	ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.Binary)
 	ls.installSlackBasis()
 	ls.computeXB()
 	ls.computeDuals()
@@ -355,24 +355,42 @@ func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	}
 }
 
+// freshXBDrift recomputes the basic values from scratch (computeXB) and
+// returns the row where they differ most from the ones the pivots kept,
+// and by how much beyond the feasibility tolerance (≤ 0 when within
+// it). The state is left as it was.
+func freshXBDrift(s *lpState) (row int, excess float64) {
+	kept := append([]float64(nil), s.xB...)
+	s.computeXB()
+	row, excess = -1, math.Inf(-1)
+	for i, v := range s.xB {
+		if e := math.Abs(v-kept[i]) - feasTolFor(v); e > excess {
+			row, excess = i, e
+		}
+	}
+	copy(s.xB, kept)
+	for i := range s.xB {
+		s.checkRow(i)
+	}
+	return row, excess
+}
+
 // TestSelectBranchMatchesFullScan holds the branching rule's scan over
 // basic binaries to the full scan of every column, on the LP optima of
 // random dives: most-fractional with unseen pseudo-costs, product
 // scoring with seen ones. Each optimum is also held to the full
-// leaving-row scan: no row may still violate its bounds. Some binaries get an upper bound of 0.5 or 0,
-// so one can sit fractional while nonbasic.
+// leaving-row scan (no row may still violate its bounds) and to a fresh
+// computeXB: a dive only pins a basic binary, which moves no nonbasic
+// value, so the basic values the pivots kept must still be B⁻¹(b − N·x_N)
+// within the feasibility tolerance. The chosen column must be basic: a
+// nonbasic binary sits on 0 or 1.
 func TestSelectBranchMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	compared, nonbasic := 0, 0
-	for trial := 0; trial < 3000; trial++ {
+	compared, optima := 0, 0
+	for trial := 0; trial < 6000; trial++ {
 		p := randMixedProblem(rng)
-		for j, bin := range p.Binary {
-			if bin && rng.Intn(4) == 0 {
-				p.U[j] = []float64{0, 0.5}[rng.Intn(2)]
-			}
-		}
 		ls := new(lpState)
-		ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.U, p.Binary)
+		ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.Binary)
 		ls.installSlackBasis()
 		ls.computeXB()
 		ls.computeDuals()
@@ -390,6 +408,10 @@ func TestSelectBranchMatchesFullScan(t *testing.T) {
 			if r, _ := leavingRowFull(ls); r >= 0 {
 				t.Fatalf("trial %d depth %d: optimal, but row %d violates its bounds", trial, depth, r)
 			}
+			if r, e := freshXBDrift(ls); e > 0 {
+				t.Fatalf("trial %d depth %d: basic value of row %d is %g beyond tolerance of a fresh computeXB", trial, depth, r, e)
+			}
+			optima++
 			ls.extract()
 			j := ls.selectBranch(nil, nil, unseen, unseen)
 			if want := selectBranchFull(ls.x, p.Binary, nil, nil, unseen, unseen); j != want {
@@ -404,15 +426,15 @@ func TestSelectBranchMatchesFullScan(t *testing.T) {
 			}
 			compared++
 			if ls.pos[j] < 0 {
-				nonbasic++
+				t.Fatalf("trial %d depth %d: branching on nonbasic column %d at %v", trial, depth, j, ls.x[j])
 			}
 			ls.fixBinary(j, math.Round(ls.x[j]))
 		}
 	}
-	if compared < 400 || nonbasic == 0 {
-		t.Fatalf("%d fractional optima compared, %d of them branching on a nonbasic column — the test has no teeth", compared, nonbasic)
+	if compared < 400 {
+		t.Fatalf("%d fractional optima compared — the test has no teeth", compared)
 	}
-	t.Logf("%d fractional optima, %d branching on a nonbasic column", compared, nonbasic)
+	t.Logf("%d optima, %d of them fractional", optima, compared)
 }
 
 // fakeState is the slice of lpState the snapshot deltas read, on the

@@ -58,15 +58,6 @@ func BruteForce(p Problem) Result {
 			a = append(a, hi, lo)
 			b = append(b, val, -val)
 		}
-		// Continuous upper bounds.
-		for i := 0; i < n; i++ {
-			if p.U != nil && !math.IsInf(p.U[i], 1) {
-				row := make([]float64, n)
-				row[i] = 1
-				a = append(a, row)
-				b = append(b, p.U[i])
-			}
-		}
 		lp := simplex(p.C, a, b, maxSimplexIters)
 		if lp.feasible && !lp.unbounded && lp.objective < best.Objective {
 			best = Result{X: lp.x, Objective: lp.objective, Feasible: true, Optimal: true}

@@ -8,14 +8,15 @@ import (
 
 // Bounded-variable dual simplex over the sparse revised representation.
 //
-// Variables carry their bounds natively (0 ≤ x ≤ u for structural
-// columns, 0 ≤ s for slacks), so upper bounds and branch-and-bound
-// fixings are bound-array writes instead of appended rows. The dual
-// simplex is the natural engine for this solver's two entry points:
+// Variables carry their bounds natively (0 ≤ x ≤ 1 for binaries, 0 ≤ x
+// for continuous columns and slacks), so binary upper bounds and
+// branch-and-bound fixings are bound-array writes instead of appended
+// rows. The dual simplex is the natural engine for this solver's two
+// entry points:
 //
 //   - the root LP starts from the all-slack basis, which is dual
-//     feasible once each nonbasic column is parked at the bound
-//     matching its cost sign;
+//     feasible: a continuous column never costs less than zero (see
+//     Problem);
 //   - a branch-and-bound child tightens one variable's bounds, which
 //     preserves the parent basis's dual feasibility exactly — the
 //     child re-solve is a handful of dual pivots from the parent
@@ -25,13 +26,6 @@ import (
 // solve switches to Bland's rule (smallest-index leaving and entering
 // choices), which guarantees termination on the degenerate instances
 // the tests construct.
-
-const (
-	// bigBound stands in for +inf on columns that must sit at an upper
-	// bound for the initial basis to be dual feasible (negative cost,
-	// unbounded above). A solution touching it means the LP is unbounded.
-	bigBound = 1e13
-)
 
 // degenLimit is the consecutive-degenerate-pivot count that trips
 // Bland's rule. A variable so the anti-cycling tests can force Bland
@@ -55,28 +49,24 @@ type lpState struct {
 	n int // structural columns
 	N int // n + m
 
-	b      []float64 // row rhs
-	cost   []float64 // len N; slack costs zero
-	lo     []float64 // len N current bounds
-	up     []float64
-	baseUp []float64 // len n: problem upper bounds before any fixing
+	b    []float64 // row rhs
+	cost []float64 // len N; slack costs zero
+	lo   []float64 // len N current bounds
+	up   []float64
 	// loTol and upTol are lo and up widened by their feasibility
 	// tolerance, kept with the bounds for the leaving-row scan.
 	loTol, upTol []float64
-	fixed        []int32 // structural columns fixBinary pinned since resetBounds
-	arts         []int32 // columns whose upper bound is the artificial bigBound
+	fixed        []int32 // binaries fixBinary pinned since resetBounds
 
 	basis []int32  // len m
 	pos   []int32  // len N: basis row, or -1
 	atUp  []uint64 // bitset over N: nonbasic at upper bound (stale on basic columns)
 
 	// Bitsets over the structural columns: the basic ones, the binary
-	// ones, the binaries whose base upper bound is not an integer — the
-	// only ones that can sit fractional while nonbasic — and the columns
-	// with a non-zero lower bound. selectBranch scans binary ∩ (basic ∪
-	// fracUp) into cands.
-	basic, branchable, fracUp, loNZ []uint64
-	cands                           []int32
+	// ones and the columns with a non-zero lower bound. selectBranch
+	// scans binary ∩ basic into cands.
+	basic, branchable, loNZ []uint64
+	cands                   []int32
 
 	// Changes since the warm-start reference last matched the state:
 	// the basis rows and the columns whose basic or at-upper status a
@@ -110,7 +100,7 @@ type lpState struct {
 // init sizes the state for a problem with m rows and n structural
 // columns and loads costs/bounds/rhs. Bound arrays hold the *base*
 // problem bounds; branch-and-bound overlays fixings on top.
-func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
+func (s *lpState) init(c *csc, cvec, b []float64, binary []bool) {
 	s.c = c
 	s.m = c.m
 	s.n = c.n
@@ -121,7 +111,6 @@ func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
 	s.lo, s.up = grow(&s.lo, s.N), grow(&s.up, s.N)
 	s.loTol, s.upTol = grow(&s.loTol, s.N), grow(&s.upTol, s.N)
 	clear(grow(&s.infeas, (s.m+63)/64))
-	grow(&s.baseUp, s.n)
 	grow(&s.xB, s.m)
 	grow(&s.d, s.N)
 	clear(grow(&s.rho, s.m))
@@ -138,35 +127,20 @@ func (s *lpState) init(c *csc, cvec, b, u []float64, binary []bool) {
 	words := (s.n + 63) / 64
 	grow(&s.basic, words)
 	clear(grow(&s.branchable, words))
-	clear(grow(&s.fracUp, words))
 	clear(grow(&s.loNZ, words))
 	clear(grow(&s.rowMark, words))
 	s.rowCols, s.rhoNZ, s.xCols = grow(&s.rowCols, s.N)[:0], grow(&s.rhoNZ, s.m)[:0], grow(&s.xCols, s.n)[:0]
 	s.dirtyRows, s.dirtyCols = grow(&s.dirtyRows, s.m)[:0], grow(&s.dirtyCols, s.N)[:0]
-	s.arts, s.fixed = s.arts[:0], s.fixed[:0]
+	s.fixed = s.fixed[:0]
 
 	for j := 0; j < s.N; j++ {
 		if j < s.n {
 			s.cost[j] = cvec[j]
-			uj := math.Inf(1)
-			if u != nil {
-				uj = u[j]
-			} else if binary != nil && binary[j] {
-				uj = 1
-			}
-			if math.IsInf(uj, 1) && cvec[j] < 0 {
-				// The all-slack basis is dual feasible only with this
-				// column at an upper bound; give it an artificial one.
-				uj = bigBound
-				s.arts = append(s.arts, int32(j))
-			}
-			s.setBounds(j, 0, uj)
-			s.baseUp[j] = uj
 			if binary != nil && binary[j] {
+				s.setBounds(j, 0, 1)
 				s.branchable[j>>6] |= 1 << (j & 63)
-				if uj != math.Floor(uj) {
-					s.fracUp[j>>6] |= 1 << (j & 63)
-				}
+			} else {
+				s.setBounds(j, 0, math.Inf(1))
 			}
 		} else {
 			s.cost[j] = 0
@@ -216,7 +190,8 @@ func (s *lpState) val(j int) float64 {
 }
 
 // installSlackBasis resets to the all-slack basis with every structural
-// column at the bound matching its cost sign. Always factorizable.
+// column at its lower bound, apart from the unfixed negative-cost
+// binaries, which start at 1. Always factorizable.
 func (s *lpState) installSlackBasis() {
 	s.slackBasis()
 	if !s.f.factorize(s.c, s.basis) {
@@ -231,7 +206,7 @@ func (s *lpState) slackBasis() {
 	clear(s.atUp)
 	for j := 0; j < s.n; j++ {
 		s.pos[j] = -1
-		setBit(s.atUp, j, s.cost[j] < 0 && !math.IsInf(s.up[j], 1) && s.lo[j] != s.up[j])
+		setBit(s.atUp, j, s.cost[j] < 0 && s.lo[j] != s.up[j])
 	}
 	for i := 0; i < s.m; i++ {
 		j := s.n + i
@@ -355,8 +330,9 @@ func (s *lpState) repairBasis(target []int32) bool {
 		return false
 	}
 	// Replacement order matters (a pivot can be zero until another
-	// column lands); retry deferred rows until no progress is made.
-	pending := append([]int32(nil), diff...)
+	// column lands); retry deferred rows until no progress is made,
+	// compacting the deferred ones in place.
+	pending := diff
 	for len(pending) > 0 {
 		progress := false
 		next := pending[:0]
@@ -707,20 +683,4 @@ func (s *lpState) extract() float64 {
 	}
 	s.xCols = cols
 	return obj
-}
-
-// hitsArtificialBound reports whether the current solution leans on an
-// artificial bigBound upper bound, i.e. the true LP is unbounded in
-// that direction.
-func (s *lpState) hitsArtificialBound() bool {
-	for _, j := range s.arts {
-		if s.pos[j] >= 0 {
-			if s.xB[s.pos[j]] > bigBound/2 {
-				return true
-			}
-		} else if s.isUp(int(j)) {
-			return true
-		}
-	}
-	return false
 }

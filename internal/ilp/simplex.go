@@ -1,11 +1,14 @@
-// Package ilp is a small exact solver for linear programs and 0/1
-// mixed-integer programs, standing in for SCIP v7 in the FAST fusion
-// pass. It implements a dense two-phase primal simplex for the LP
-// relaxation and depth-first branch-and-bound over the binary variables,
-// with the same operational contract the paper configures SCIP with: a
-// deadline, after which the best incumbent found so far is returned
-// (§6.1: "if an optimal solution is not found in that time the solver
-// returns the best incumbent solution").
+// Package ilp is a small exact solver for the 0/1 mixed-integer
+// programs the FAST fusion pass poses, standing in for SCIP v7: binary
+// columns on [0, 1] and continuous columns on [0, +inf) at a
+// non-negative cost, minimized under A·x ≤ b (see Problem). Solve runs
+// best-first branch-and-bound over a sparse bounded-variable dual
+// simplex (revised.go), with a frozen dense two-phase tableau solver
+// (simplex.go, dense.go) as the reference oracle and numerical
+// fallback, under the operational contract the paper configures SCIP
+// with: a deadline, after which the best incumbent found so far is
+// returned (§6.1: "if an optimal solution is not found in that time the
+// solver returns the best incumbent solution").
 package ilp
 
 import (

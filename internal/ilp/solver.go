@@ -8,15 +8,16 @@ import (
 	"time"
 )
 
-// Problem is min C·x subject to A·x ≤ B, 0 ≤ x ≤ U, and x[i] ∈ {0,1} for
-// every i in Binary. The constraint rows are sparse. Upper bounds
-// default to 1 for binary variables and +inf for continuous ones when U
-// is nil.
+// Problem is min C·x subject to A·x ≤ B and x ≥ 0, with x[i] ∈ {0,1}
+// for every i in Binary and every other column continuous on [0, +inf)
+// at a non-negative cost. That is the class the fusion pass poses
+// (binary pin/keep/hold choices, shifted times T' at cost 1), and every
+// LP relaxation in it is bounded below; Solve rejects a continuous
+// column with a negative cost. The constraint rows are sparse.
 type Problem struct {
 	C      []float64
 	A      []Row
 	B      []float64
-	U      []float64
 	Binary []bool
 }
 
@@ -365,7 +366,7 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 	n := len(p.C)
 	ls := statePool.Get().(*lpState)
 	defer statePool.Put(ls)
-	ls.init(newCSC(p.A, n), p.C, p.B, p.U, p.Binary)
+	ls.init(newCSC(p.A, n), p.C, p.B, p.Binary)
 	ref := &ls.ref
 	ref.reset(ls.m, ls.n)
 
@@ -477,12 +478,6 @@ func solveSparse(p Problem, o Options) (Result, bool) {
 		}
 		{
 			obj := ls.extract()
-			if ls.hitsArtificialBound() {
-				// The relaxation is unbounded below through a continuous
-				// direction; no finite certificate exists down this path.
-				provedOptimal = false
-				continue
-			}
 			if nd.fix != noFix && pcDn != nil {
 				// Pseudo-cost update: how much the LP bound degraded per
 				// unit of fraction rounded away at the parent's branching
@@ -568,14 +563,13 @@ done:
 // binaries of s.x: pseudo-cost product scoring once both directions of
 // every fractional candidate have been observed, most-fractional until
 // then (which is also what initializes the pseudo-costs). A nonbasic
-// binary sits on an integer bound, so only the basic ones (and any
-// binary with a fractional upper bound) are scanned, in ascending
-// order.
+// binary sits on 0 or 1, so only the basic ones are scanned, in
+// ascending order.
 func (s *lpState) selectBranch(pcDn, pcUp []float64, cntDn, cntUp []int32) int {
 	const fracEps = 1e-6
 	cands := s.cands[:0]
 	for w, bin := range s.branchable {
-		for word := bin & (s.basic[w] | s.fracUp[w]); word != 0; word &= word - 1 {
+		for word := bin & s.basic[w]; word != 0; word &= word - 1 {
 			cands = append(cands, int32(w<<6|bits.TrailingZeros64(word)))
 		}
 	}
@@ -613,11 +607,11 @@ func (s *lpState) selectBranch(pcDn, pcUp []float64, cntDn, cntUp []int32) int {
 	return branch
 }
 
-// resetBounds restores the base bounds of every structural column
-// fixBinary pinned (erasing branch-and-bound fixings).
+// resetBounds restores the [0, 1] bounds of every binary fixBinary
+// pinned (erasing branch-and-bound fixings).
 func (s *lpState) resetBounds() {
 	for _, j := range s.fixed {
-		s.setBounds(int(j), 0, s.baseUp[j])
+		s.setBounds(int(j), 0, 1)
 	}
 	s.fixed = s.fixed[:0]
 }
@@ -646,10 +640,7 @@ func integerFeasible(p Problem, x []float64) bool {
 		if v < -feasEps {
 			return false
 		}
-		if p.Binary != nil && p.Binary[i] && math.Abs(v-math.Round(v)) > feasEps {
-			return false
-		}
-		if p.U != nil && v > p.U[i]+feasEps {
+		if p.Binary != nil && p.Binary[i] && (math.Abs(v-math.Round(v)) > feasEps || v > 1+feasEps) {
 			return false
 		}
 	}

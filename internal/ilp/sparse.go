@@ -44,10 +44,19 @@ func (r Row) dot(x []float64) float64 {
 	return s
 }
 
-// validate checks structural consistency of a problem definition.
+// validate checks structural consistency of a problem definition and
+// that it lies in the class Problem states.
 func validate(p Problem) error {
 	if len(p.A) != len(p.B) {
 		return fmt.Errorf("ilp: %d rows but %d rhs entries", len(p.A), len(p.B))
+	}
+	if p.Binary != nil && len(p.Binary) != len(p.C) {
+		return fmt.Errorf("ilp: %d binary flags for %d columns", len(p.Binary), len(p.C))
+	}
+	for j, c := range p.C {
+		if c < 0 && (p.Binary == nil || !p.Binary[j]) {
+			return fmt.Errorf("ilp: continuous column %d has negative cost %g, so its relaxation is unbounded below", j, c)
+		}
 	}
 	for i, r := range p.A {
 		if len(r.Idx) != len(r.Val) {

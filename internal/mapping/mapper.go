@@ -90,10 +90,6 @@ type Mapping struct {
 	Reason string
 }
 
-// Utilization returns the end-to-end compute utilization (fraction of
-// peak FLOPs) achieved during the op's compute phase.
-func (m Mapping) Utilization() float64 { return m.ArrayUtil * m.PEUtil }
-
 // paddedEff returns d / roundUp(d, tile): the utilization retained after
 // the padding pre-pass pads dimension d up to a tile multiple.
 func paddedEff(d, tile int64) float64 {

@@ -375,3 +375,10 @@ func TestFailureReasonsPinned(t *testing.T) {
 		t.Errorf("failure then success: %+v", m)
 	}
 }
+
+// Utilization returns the end-to-end compute utilization (fraction of
+// peak FLOPs) achieved during the op's compute phase.
+func (m Mapping) Utilization() float64 { return m.ArrayUtil * m.PEUtil }
+
+// FLOPs returns the problem's multiply-accumulate work ×2.
+func (p Problem) FLOPs() int64 { return 2 * p.Indep * p.M * p.N * p.K }

@@ -38,9 +38,6 @@ type Problem struct {
 	Bytes int64
 }
 
-// FLOPs returns the problem's multiply-accumulate work ×2.
-func (p Problem) FLOPs() int64 { return 2 * p.Indep * p.M * p.N * p.K }
-
 // FromOp converts a matrix HLO op into a Problem; ok is false for
 // non-matrix ops.
 func FromOp(op *hlo.Op) (p Problem, ok bool) {

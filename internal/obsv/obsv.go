@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -72,19 +71,6 @@ func (r *Registry) register(inst instrument) {
 		panic(fmt.Sprintf("obsv: duplicate metric %q", name))
 	}
 	r.m[name] = inst
-}
-
-// Catalog returns every registered instrument's description, sorted by
-// name.
-func (r *Registry) Catalog() []Info {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Info, 0, len(r.m))
-	for _, inst := range r.m {
-		out = append(out, inst.info())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Snapshot returns the current value of every instrument, keyed by
@@ -148,9 +134,6 @@ func (c *Counter) Add(n int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value returns the current total.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 func (c *Counter) info() Info { return c.meta }
 func (c *Counter) read() any  { return c.v.Load() }
 
@@ -166,9 +149,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	r.register(g)
 	return g
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the gauge by delta (atomic compare-and-swap loop).
 func (g *Gauge) Add(delta float64) {

@@ -2,7 +2,9 @@ package obsv
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -159,4 +161,23 @@ func TestInstrumentsRaceFree(t *testing.T) {
 	if g.Value() != 8000 {
 		t.Errorf("gauge = %v, want 8000", g.Value())
 	}
+}
+
+// Value returns the current total.
+func (c *Counter) Value() int64 { return c.v.Load() }
+
+// Set stores v.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// Catalog returns every registered instrument's description, sorted by
+// name.
+func (r *Registry) Catalog() []Info {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Info, 0, len(r.m))
+	for _, inst := range r.m {
+		out = append(out, inst.info())
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

@@ -150,9 +150,6 @@ func (m *Model) Evaluate(c *arch.Config) Breakdown {
 // TDP returns the design's thermal design power in watts.
 func (m *Model) TDP(c *arch.Config) float64 { return m.Evaluate(c).TotalPower() }
 
-// Area returns the design's die area in mm².
-func (m *Model) Area(c *arch.Config) float64 { return m.Evaluate(c).TotalArea() }
-
 // Budget is the search constraint envelope (Eq. 4). The paper gives FAST
 // a budget "similar to the current-generation TPU-v3 but on a new process
 // technology"; Table 5 then reports the die-shrunk TPU-v3 at 0.5× the TDP

@@ -133,3 +133,6 @@ func TestRandomDesignsPositive(t *testing.T) {
 		}
 	}
 }
+
+// Area returns the design's die area in mm².
+func (m *Model) Area(c *arch.Config) float64 { return m.Evaluate(c).TotalArea() }

@@ -52,9 +52,6 @@ func NewParetoArchive(capacity int) *ParetoArchive {
 	return &ParetoArchive{capacity: capacity}
 }
 
-// Len returns the number of archived points.
-func (a *ParetoArchive) Len() int { return len(a.points) }
-
 // Add offers a trial to the archive and reports whether it entered.
 // Infeasible trials, trials without an objective vector, dominated
 // trials, and re-observations of an already-archived index vector are

@@ -232,3 +232,6 @@ func FuzzParetoArchive(f *testing.F) {
 		}
 	})
 }
+
+// Len returns the number of archived points.
+func (a *ParetoArchive) Len() int { return len(a.points) }

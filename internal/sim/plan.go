@@ -142,15 +142,8 @@ type Plan struct {
 	mapCache    stageCache[mapKey, []mapping.Mapping]
 	floorCache  stageCache[int64, []int64]
 	fusionCache stageCache[fusionKey, fusion.Assignment]
-	powerCache  stageCache[powerKey, power.Breakdown]
 	kvCache     stageCache[uint64, []bool]
 }
-
-// Graph returns the workload graph the plan was compiled from.
-func (p *Plan) Graph() *hlo.Graph { return p.graph }
-
-// Options returns the options the plan was compiled with.
-func (p *Plan) Options() Options { return p.opts }
 
 // SizeBytes estimates the plan's resident size: the immutable
 // design-independent tables Compile builds (regions, per-op cost
@@ -257,7 +250,8 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 // the precompiled candidates, and the latency/power roll-up — each stage
 // memoized across trials by the config sub-tuple it reads (stages.go).
 // It is safe to call concurrently on one shared Plan, and produces
-// bit-identical Results to Simulate(plan.Graph(), cfg, plan.Options()).
+// bit-identical Results to Simulate(g, cfg, opts) for the graph and
+// options the plan was compiled from.
 func (p *Plan) Evaluate(cfg *arch.Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -523,7 +517,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 		res.FusionEfficiency = (preLatency - latency) / stall
 	}
 
-	eval := p.powerFor(cfg)
+	eval := p.pm.Evaluate(cfg)
 	res.TDPWatts = eval.TotalPower()
 	res.AreaMM2 = eval.TotalArea()
 	if res.TDPWatts > 0 {

@@ -32,17 +32,17 @@ package sim
 //     winning design with the full ILP solve (Study.Run's final pass,
 //     EvaluateDesign harnesses) nearly free after the first solve.
 //
-//   - roll-up stage: the power/area roll-up reads sizes, widths and the
-//     fixed platform attributes (cores, clock, memory technology), but
-//     not the L1 sharing discipline or the native batch.
+// The power/area roll-up is not a stage: power.Model.Evaluate is a few
+// dozen flops, cheaper than a cache lookup, so Evaluate calls it on
+// every design.
 //
 // Stage values are computed at most once per key (sync.Once entries), are
 // immutable afterwards, and are shared read-only by every concurrent
-// Evaluate — which also deduplicates work when EvaluateBatch fans a batch
-// across the study runner's workers. Keys cover exactly the fields a
-// stage reads, so a cache hit is bit-identical to recomputation (the
-// differential and fuzz tests in plan_test.go enforce this against the
-// frozen pre-split simulator).
+// Evaluate — which also deduplicates work when the study runner's
+// workers call ScoreBatch on one shared Plan. Keys cover exactly the
+// fields a stage reads, so a cache hit is bit-identical to
+// recomputation (the differential and fuzz tests in plan_test.go
+// enforce this against the frozen pre-split simulator).
 
 import (
 	"fmt"
@@ -52,7 +52,6 @@ import (
 	"fast/internal/arch"
 	"fast/internal/fusion"
 	"fast/internal/mapping"
-	"fast/internal/power"
 )
 
 // mappingParams is the sub-tuple of searched hyperparameters the schedule
@@ -65,12 +64,6 @@ var mappingParams = arch.MaskOf(
 	arch.PL1Config, arch.PL1Input, arch.PL1Weight, arch.PL1Output,
 )
 
-// powerParams is the sub-tuple the power/area roll-up reads: everything
-// except the L1 sharing discipline (capacity matters, banking does not)
-// and the native batch. The fixed platform attributes it also reads
-// (cores, clock, memory technology) ride in powerKey beside the sub-key.
-var powerParams = arch.AllParams &^ arch.MaskOf(arch.PL1Config, arch.PNativeBatch)
-
 // mapKey identifies one mapping-stage cache entry.
 type mapKey struct {
 	sub uint64
@@ -79,15 +72,6 @@ type mapKey struct {
 	// reason a restricted-scheme search can never alias a full-universe
 	// entry.
 	schemes uint64
-}
-
-// powerKey identifies one roll-up cache entry: the searched sub-tuple
-// plus the fixed platform attributes the power model reads.
-type powerKey struct {
-	sub   uint64
-	cores int64
-	clock float64
-	mem   arch.MemTech
 }
 
 // fusionParams is the sub-tuple the fusion stage depends on: the
@@ -206,23 +190,6 @@ func (p *Plan) floorFor(capBytes int64) []int64 {
 			out[i] = mapping.TrafficFloor(p.problems[i], capBytes) - p.compulsory[i]
 		}
 		return out
-	})
-}
-
-// powerFor returns the roll-up stage for cfg: the power/area breakdown
-// under the plan's power model.
-//
-//fast:stage mask=powerParams fixed=cores,clock,mem
-func (p *Plan) powerFor(cfg *arch.Config) power.Breakdown {
-	key := powerKey{
-		sub:   cfg.SubKey(powerParams),
-		cores: cfg.Cores,
-		clock: cfg.ClockGHz,
-		mem:   cfg.Mem,
-	}
-	h := mix(key.sub ^ uint64(key.cores)<<40 ^ uint64(key.mem)<<56)
-	return p.powerCache.get(h, key, func() power.Breakdown {
-		return p.pm.Evaluate(cfg)
 	})
 }
 

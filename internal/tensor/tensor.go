@@ -93,17 +93,6 @@ func (s Shape) Dim(i int) int64 {
 	return s.Dims[i]
 }
 
-// WithBatch returns a copy of the shape with dimension 0 replaced by b.
-// For rank-0 shapes it returns the shape unchanged.
-func (s Shape) WithBatch(b int64) Shape {
-	if len(s.Dims) == 0 {
-		return s
-	}
-	out := s.Clone()
-	out.Dims[0] = b
-	return out
-}
-
 // Clone returns a deep copy.
 func (s Shape) Clone() Shape {
 	d := make([]int64, len(s.Dims))

@@ -175,3 +175,14 @@ func TestMiB(t *testing.T) {
 		t.Errorf("MiB(1.5MiB) = %v", MiB(3<<19))
 	}
 }
+
+// WithBatch returns a copy of the shape with dimension 0 replaced by b.
+// For rank-0 shapes it returns the shape unchanged.
+func (s Shape) WithBatch(b int64) Shape {
+	if len(s.Dims) == 0 {
+		return s
+	}
+	out := s.Clone()
+	out.Dims[0] = b
+	return out
+}

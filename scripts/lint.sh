@@ -6,9 +6,11 @@
 #                    stage-cache mask soundness and determinism invariants
 #   2. linkcheck   — docs stay anchored: markdown links, file:line
 #                    pointers, and the metrics catalog resolve
-#   3. staticcheck — general Go correctness/style checks
-#   4. govulncheck — known-vulnerability scan
-#   5. shellcheck  — over scripts/*.sh
+#   3. run names   — every -run pattern in ci.yml names existing tests
+#                    (ci_run_names.sh)
+#   4. staticcheck — general Go correctness/style checks
+#   5. govulncheck — known-vulnerability scan
+#   6. shellcheck  — over scripts/*.sh
 #
 # fastlint always runs: it builds from this module and needs nothing
 # installed. The external tools run when present on PATH; set
@@ -22,6 +24,9 @@ echo "lint: fastlint"
 go run ./cmd/fastlint ./...
 
 bash scripts/linkcheck.sh
+
+echo "lint: ci run names"
+bash scripts/ci_run_names.sh
 
 run_tool() {
 	local name=$1
