@@ -1,8 +1,9 @@
 package fast
 
 // The benchmark harness: one testing.B benchmark per table and figure in
-// the paper's evaluation (DESIGN.md carries the experiment index), plus
-// ablation benches for the design choices the simulator exposes.
+// the paper's evaluation, each named after it and running the
+// internal/experiments generator of that id, plus ablation benches for
+// the design choices the simulator exposes.
 //
 // Run everything:        go test -bench=. -benchmem
 // Regenerate one table:  go test -bench=Table5 -v
@@ -70,7 +71,7 @@ func BenchmarkTable5Designs(b *testing.B)          { runExperiment(b, "table5") 
 func BenchmarkTable6Ablation(b *testing.B)         { runExperiment(b, "table6") }
 func BenchmarkDecodeServing(b *testing.B)          { runExperiment(b, "decode") }
 
-// --- Ablation benches for DESIGN.md's called-out design choices ---
+// --- Ablation benches for the simulator's design choices ---
 
 // benchSimulate times one full simulation of a workload on a design.
 // Graph construction happens before the timer starts, and each variant

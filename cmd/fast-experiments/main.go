@@ -1,5 +1,5 @@
 // Command fast-experiments regenerates the paper's tables and figures
-// (see DESIGN.md for the per-experiment index).
+// (-exp takes one id of experiments.IDs, or all of them in order).
 //
 // Usage:
 //

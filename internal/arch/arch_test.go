@@ -103,6 +103,44 @@ func TestSpaceSize(t *testing.T) {
 	}
 }
 
+// TestSpaceEffectiveSize checks EffectiveSize by counting: the distinct
+// canonical vectors over every combination of the conditional
+// dimensions (L2 config and its three multipliers), times the
+// cardinality of the other twelve.
+func TestSpaceEffectiveSize(t *testing.T) {
+	s := Space{}
+	dims := s.Dims()
+	distinct := map[[NumParams]int]bool{}
+	var idx [NumParams]int
+	for l2 := 0; l2 < dims[PL2Config]; l2++ {
+		for in := 0; in < dims[PL2InputMult]; in++ {
+			for w := 0; w < dims[PL2WeightMult]; w++ {
+				for out := 0; out < dims[PL2OutputMult]; out++ {
+					idx[PL2Config], idx[PL2InputMult], idx[PL2WeightMult], idx[PL2OutputMult] = l2, in, w, out
+					distinct[s.Canonical(idx)] = true
+				}
+			}
+		}
+	}
+	if len(distinct) != 2*8*8*8+1 {
+		t.Errorf("%d distinct settings of L2 and its multipliers, want 1,025", len(distinct))
+	}
+	rest := 1.0
+	for d, card := range dims {
+		switch d {
+		case PL2Config, PL2InputMult, PL2WeightMult, PL2OutputMult:
+		default:
+			rest *= float64(card)
+		}
+	}
+	if got, want := s.EffectiveSize(), rest*float64(len(distinct)); got != want {
+		t.Errorf("EffectiveSize = %.6e, counting gives %.6e", got, want)
+	}
+	if got := s.EffectiveSize(); got != 32_223_629_790_000 {
+		t.Errorf("EffectiveSize = %.0f, want 32,223,629,790,000 of %.0f vectors", got, s.Size())
+	}
+}
+
 func TestSpaceDecodeValidates(t *testing.T) {
 	// Every decodable point must pass Validate.
 	s := Space{}
@@ -224,4 +262,14 @@ func (s Space) Size() float64 {
 		size *= float64(d)
 	}
 	return size
+}
+
+// EffectiveSize returns the number of distinct designs in the space:
+// Size counts index vectors, but with L2 disabled the three L2
+// multipliers are dead, so those 8³ combinations decode to one design.
+// It is 1,025/1,536 of Size, about 3.2·10^13.
+func (s Space) EffectiveSize() float64 {
+	d := s.Dims()
+	mults := float64(d[PL2InputMult] * d[PL2WeightMult] * d[PL2OutputMult])
+	return s.Size() / (float64(d[PL2Config]) * mults) * (float64(d[PL2Config]-1)*mults + 1)
 }

@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (see DESIGN.md's per-experiment index). Each generator
+// evaluation (Registry maps each experiment id to its generator, IDs
+// lists the ids in presentation order). Each generator
 // returns a Table with the same rows/series the paper reports;
 // cmd/fast-experiments prints them and bench_test.go times them.
 package experiments

@@ -160,7 +160,7 @@ func TestSparseBuildMatchesDense(t *testing.T) {
 		normalizeResident(regions)
 		capacity := rng.Int63n(1 << 24)
 		c, a, b, u, bin, ok := referenceBuildILP(regions, usable, capacity)
-		f, gotOK := buildILP(regions, usable, capacity)
+		f, gotOK := buildILP(regions, usable, capacity, new(rowArena))
 		if ok != gotOK {
 			t.Fatalf("trial %d: sparse built=%v, dense built=%v", trial, gotOK, ok)
 		}

@@ -9,7 +9,7 @@
 // density-greedy warm start with saturation handling seeds the
 // incumbent, so even a zero deadline yields a sound, feasible solution.
 //
-// Two adaptations of the Fig. 8 formulation, documented in DESIGN.md:
+// Two adaptations of the Fig. 8 formulation:
 //
 //  1. The big-M adjacency constraint forces p_I(i)=0 unless region i
 //     executes immediately after its producer, and the fan-out

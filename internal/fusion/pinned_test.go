@@ -9,6 +9,7 @@ package fusion_test
 
 import (
 	"hash/fnv"
+	"runtime"
 	"testing"
 	"time"
 
@@ -224,6 +225,59 @@ func BenchmarkExactStall(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 		})
+	}
+}
+
+// b7LargeInstance is efficientnet-b7 on FAST-Large, the largest fusion
+// ILP of the reference pairs: 548 rows, 821 columns and 76,723
+// non-zeros, because every capacity row lists every pin column. The
+// root LP proves the greedy warm start optimal, so its solve is set-up
+// and one LP: what it costs to build and load the matrix shows.
+func b7LargeInstance(tb testing.TB) instance {
+	tb.Helper()
+	return soleInstance(tb, "efficientnet-b7", arch.FASTLarge())
+}
+
+// solveB7Root solves b7LargeInstance and fails unless the root proves
+// it.
+func solveB7Root(tb testing.TB, in instance) {
+	asn, _ := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, fusion.StallNodes(2*time.Second))
+	if asn.Method != "ilp-optimal" || asn.Nodes != 1 {
+		tb.Fatalf("%s after %d nodes, want ilp-optimal at the root", asn.Method, asn.Nodes)
+	}
+}
+
+// BenchmarkExactRoot prices the exact solve of b7LargeInstance, its
+// set-up included: time and bytes allocated per solve.
+func BenchmarkExactRoot(b *testing.B) {
+	in := b7LargeInstance(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solveB7Root(b, in)
+	}
+}
+
+// TestExactRootAllocs bounds what an exact solve of b7LargeInstance
+// allocates, pools warm: at most a quarter of the 6.4–6.6 MB it took
+// when the builder grew its rows by append and every solve transposed
+// them into fresh arrays. The race detector drops pooled items at
+// random, so the -race runs leave it out.
+func TestExactRootAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	in := b7LargeInstance(t)
+	solveB7Root(t, in) // warm the pools
+	const runs, limit = 5, 1_600_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		solveB7Root(t, in)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+		t.Errorf("an exact solve allocates %d bytes, want at most %d", per, limit)
 	}
 }
 

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -364,14 +365,28 @@ type fusionILP struct {
 	wIdx, eIdx, hIdx, tIdx []int
 }
 
-// rowArena accumulates sparse constraint rows back to back in two flat
-// arrays, so a problem with r rows costs a handful of allocations, not
-// r.
+// rowArena holds sparse constraint rows back to back in two flat
+// arrays, sized for the whole problem before the first row is written:
+// no entry is copied as the rows fill, and a problem with r rows costs
+// no allocation per row. Arenas are pooled; ilp.Solve keeps nothing of
+// the rows after it returns, so solveILP puts its arena back then.
 type rowArena struct {
 	idx   []int32
 	val   []float64
 	ends  []int
-	start int // first entry of the row under construction
+	start int       // first entry of the row under construction
+	out   []ilp.Row // the rows, as rows() slices them
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(rowArena) }}
+
+// reset empties the arena and makes room for rows rows and entries
+// entries.
+func (a *rowArena) reset(rows, entries int) {
+	a.idx = slices.Grow(a.idx[:0], entries)
+	a.val = slices.Grow(a.val[:0], entries)
+	a.ends = slices.Grow(a.ends[:0], rows)
+	a.start = 0
 }
 
 // sub applies row[j] -= v to the row under construction, whose entries
@@ -407,19 +422,25 @@ func (a *rowArena) endRow() {
 		}
 	}
 	a.idx, a.val = a.idx[:n], a.val[:n]
-	a.ends = append(a.ends, n)
-	a.start = n
+	a.closeRow()
+}
+
+// closeRow closes a row written in ascending column order with no zero
+// coefficient, as it stands.
+func (a *rowArena) closeRow() {
+	a.ends = append(a.ends, len(a.idx))
+	a.start = len(a.idx)
 }
 
 // rows slices the arena into the problem's rows.
 func (a *rowArena) rows() []ilp.Row {
-	out := make([]ilp.Row, len(a.ends))
+	a.out = slices.Grow(a.out[:0], len(a.ends))
 	lo := 0
-	for i, hi := range a.ends {
-		out[i] = ilp.Row{Idx: a.idx[lo:hi:hi], Val: a.val[lo:hi:hi]}
+	for _, hi := range a.ends {
+		a.out = append(a.out, ilp.Row{Idx: a.idx[lo:hi:hi], Val: a.val[lo:hi:hi]})
 		lo = hi
 	}
-	return out
+	return a.out
 }
 
 // groupBy buckets the indices j in [0, n) with 0 ≤ key(j) < n by key:
@@ -444,8 +465,8 @@ func groupBy(n int, key func(j int) int) (ptr, items []int32) {
 	return ptr[:n+1], items
 }
 
-// buildILP builds the reduced Figure 8 ILP in sparse form; ok is false
-// when no placement decision exists.
+// buildILP builds the reduced Figure 8 ILP in sparse form, its rows in
+// a; ok is false when no placement decision exists.
 //
 // The formulation is presolved before it reaches the simplex, whose
 // per-pivot cost scales with the non-zeros of the rows and basis
@@ -463,7 +484,7 @@ func groupBy(n int, key func(j int) int) (ptr, items []int32) {
 // The reduction is exact: the feasible set over the live binaries and
 // the optimal objective are unchanged, only tie-breaking among equally
 // optimal assignments may differ from the unreduced formulation.
-func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, bool) {
+func buildILP(regions []RegionCost, usable []bool, capacity int64, a *rowArena) (fusionILP, bool) {
 	n := len(regions)
 	// Live binary variables, reduced-index maps.
 	f := fusionILP{wIdx: make([]int, n), eIdx: make([]int, n), hIdx: make([]int, n), tIdx: make([]int, n)}
@@ -520,8 +541,88 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, b
 		}
 	}
 
-	var a rowArena
-	var b []float64
+	// Capacity per region k: Σ_j W_j w_j + Σ_{edges spanning k} bytes·e_j
+	// + Σ_j KV_j h_j ≤ C - B_k. Pins and held caches charge every row, an
+	// edge charges its whole residency interval [producer, consumer], so
+	// the rows differ only in which edges are live: sweep k with the live
+	// edges kept in consumer (= column) order. Consecutive regions often
+	// see the identical left-hand side; identical rows keep only their
+	// tightest bound. The sweep only finds the distinct rows, their
+	// right-hand sides and live edges; they are written below, once the
+	// arena is sized.
+	var pinIdx, holdIdx []int32
+	var pinVal, holdVal []float64
+	for j, rj := range regions {
+		if f.wIdx[j] >= 0 {
+			pinIdx = append(pinIdx, int32(f.wIdx[j]))
+			pinVal = append(pinVal, float64(rj.DWeight))
+		}
+		if f.hIdx[j] >= 0 {
+			holdIdx = append(holdIdx, int32(f.hIdx[j]))
+			holdVal = append(holdVal, float64(rj.KVBytes))
+		}
+	}
+	// Per region, the edges (by consumer) whose residency begins there.
+	sptr, starts := groupBy(n, func(j int) int {
+		if p := max(regions[j].EdgeProducer, 0); f.eIdx[j] >= 0 && regions[j].EdgeResidentBytes != 0 && p <= j {
+			return p
+		}
+		return -1
+	})
+	tight := make(map[string]int) // live-edge signature → capacity row
+	var capB []float64
+	var capLive []int32 // each capacity row's live edges, back to back
+	var capEnds []int   // capacity row r's live edges end at capEnds[r]
+	var live []int32    // consumers of the edges spanning k, ascending
+	var sig []byte
+	for k, rk := range regions {
+		for len(live) > 0 && int(live[0]) < k {
+			live = live[1:]
+		}
+		for _, j := range starts[sptr[k]:sptr[k+1]] {
+			q := len(live)
+			live = append(live, j)
+			for ; q > 0 && live[q-1] > j; q-- {
+				live[q] = live[q-1]
+			}
+			live[q] = j
+		}
+		rhs := float64(capacity - rk.BaseGM)
+		sig = sig[:0]
+		for _, j := range live {
+			sig = append(sig, byte(j), byte(j>>8), byte(j>>16), byte(j>>24))
+		}
+		if prev, dup := tight[string(sig)]; dup {
+			if rhs < capB[prev] {
+				capB[prev] = rhs
+			}
+			continue
+		}
+		tight[string(sig)] = len(capB)
+		capB = append(capB, rhs)
+		capLive = append(capLive, live...)
+		capEnds = append(capEnds, len(capLive))
+	}
+
+	// The arena holds every entry the rows below write: a T' row's own
+	// variable, its region's binaries and the edges its region produces
+	// (endRow may drop zeros from these), and a capacity row's pins,
+	// live edges and holds.
+	tRows, entries := 0, len(capB)*(len(pinIdx)+len(holdIdx))+len(capLive)
+	for i := range regions {
+		if f.tIdx[i] < 0 {
+			continue
+		}
+		tRows++
+		entries += 1 + int(cptr[i+1]-cptr[i])
+		for _, v := range [...]int{f.wIdx[i], f.eIdx[i], f.hIdx[i]} {
+			if v >= 0 {
+				entries++
+			}
+		}
+	}
+	a.reset(tRows+len(capB), entries)
+	b := make([]float64, 0, tRows+len(capB))
 
 	// T'_i ≥ (TMax-TMin) - TWeight·w_i - TEdgeRead·e_i - TKVRead·h_i
 	//        - Σ_{j: prod(j)=i} TEdgeWrite_j·e_j.
@@ -547,70 +648,24 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64) (fusionILP, b
 		b = append(b, -(r.TMax - r.TMin))
 	}
 
-	// Capacity per region k: Σ_j W_j w_j + Σ_{edges spanning k} bytes·e_j
-	// + Σ_j KV_j h_j ≤ C - B_k. Pins and held caches charge every row, an
-	// edge charges its whole residency interval [producer, consumer], so
-	// the rows differ only in which edges are live: sweep k with the live
-	// edges kept in consumer (= column) order. Consecutive regions often
-	// see the identical left-hand side; identical rows keep only their
-	// tightest bound.
-	var pinIdx, holdIdx []int32
-	var pinVal, holdVal []float64
-	for j, rj := range regions {
-		if f.wIdx[j] >= 0 {
-			pinIdx = append(pinIdx, int32(f.wIdx[j]))
-			pinVal = append(pinVal, float64(rj.DWeight))
-		}
-		if f.hIdx[j] >= 0 {
-			holdIdx = append(holdIdx, int32(f.hIdx[j]))
-			holdVal = append(holdVal, float64(rj.KVBytes))
-		}
-	}
-	// Per region, the edges (by consumer) whose residency begins there.
-	sptr, starts := groupBy(n, func(j int) int {
-		if p := max(regions[j].EdgeProducer, 0); f.eIdx[j] >= 0 && regions[j].EdgeResidentBytes != 0 && p <= j {
-			return p
-		}
-		return -1
-	})
-	tight := make(map[string]int) // live-edge signature → row index
-	var live []int32              // consumers of the edges spanning k, ascending
-	var sig []byte
-	for k, rk := range regions {
-		for len(live) > 0 && int(live[0]) < k {
-			live = live[1:]
-		}
-		for _, j := range starts[sptr[k]:sptr[k+1]] {
-			q := len(live)
-			live = append(live, j)
-			for ; q > 0 && live[q-1] > j; q-- {
-				live[q] = live[q-1]
-			}
-			live[q] = j
-		}
-		rhs := float64(capacity - rk.BaseGM)
-		sig = sig[:0]
-		for _, j := range live {
-			sig = append(sig, byte(j), byte(j>>8), byte(j>>16), byte(j>>24))
-		}
-		if prev, dup := tight[string(sig)]; dup {
-			if rhs < b[prev] {
-				b[prev] = rhs
-			}
-			continue
-		}
-		tight[string(sig)] = len(b)
+	// The capacity rows are written in ascending column order — pins,
+	// then live edges by consumer, then holds — and carry no zero (pins
+	// have DWeight > 0, holds KVBytes > 0, live edges resident bytes), so
+	// they close as they stand.
+	lo := 0
+	for _, hi := range capEnds {
 		a.idx = append(a.idx, pinIdx...)
 		a.val = append(a.val, pinVal...)
-		for _, j := range live {
+		for _, j := range capLive[lo:hi] {
 			a.idx = append(a.idx, int32(f.eIdx[j]))
 			a.val = append(a.val, float64(regions[j].EdgeResidentBytes))
 		}
 		a.idx = append(a.idx, holdIdx...)
 		a.val = append(a.val, holdVal...)
-		a.endRow()
-		b = append(b, rhs)
+		a.closeRow()
+		lo = hi
 	}
+	b = append(b, capB...)
 
 	f.prob = ilp.Problem{C: c, A: a.rows(), B: b, Binary: bin}
 	return f, true
@@ -650,7 +705,9 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 	if n == 0 {
 		return Assignment{}, ilp.Result{}
 	}
-	f, ok := buildILP(regions, usable, capacity)
+	a := arenaPool.Get().(*rowArena)
+	defer arenaPool.Put(a)
+	f, ok := buildILP(regions, usable, capacity, a)
 	if !ok {
 		return Assignment{}, ilp.Result{}
 	}

@@ -1,6 +1,9 @@
 package ilp
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Bridges for the external tests (package ilp_test), which can import
 // the simulator — it imports this package — and so run the kernels on
@@ -12,15 +15,29 @@ func CheckKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	checkKernelsOnProblem(t, p, seed)
 }
 
+// CheckStateReuse holds solves on one reused solver state to solves on
+// fresh ones, on problems and small random ones interleaved.
+func CheckStateReuse(t testing.TB, problems []Problem, seed int64) {
+	checkStateReuse(t, problems, seed)
+}
+
 // CheckEveryPivot runs the sweep differentials (checkPivot) at every
 // dual simplex pivot until the returned function is called, which
 // reports the pivots checked and the first failure.
 func CheckEveryPivot() (restore func() (int, error)) { return checkEveryPivot() }
 
-// CaptureProblems hands fn every problem that enters the sparse solver
-// until the returned function is called.
+// CaptureProblems hands fn a copy of every problem that enters the
+// sparse solver until the returned function is called. A copy, because
+// Solve's caller may reuse the problem's arrays once Solve returns (the
+// fusion pass pools its row arenas).
 func CaptureProblems(fn func(Problem)) (restore func()) {
-	testHook.problem = fn
+	testHook.problem = func(p Problem) {
+		rows := make([]Row, len(p.A))
+		for i, r := range p.A {
+			rows[i] = Row{Idx: slices.Clone(r.Idx), Val: slices.Clone(r.Val)}
+		}
+		fn(Problem{C: slices.Clone(p.C), A: rows, B: slices.Clone(p.B), Binary: slices.Clone(p.Binary)})
+	}
 	return func() { testHook.problem = nil }
 }
 

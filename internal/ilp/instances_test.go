@@ -75,6 +75,29 @@ func TestKernelsMatchDenseOnFusionInstances(t *testing.T) {
 	}
 }
 
+// TestStateReuseMatchesFresh runs one pooled-style solver state through
+// problems whose shapes change: efficientnet-b7's fusion ILPs on
+// FAST-Large (548 rows, 76,723 non-zeros, every capacity row listing
+// every pin), ocr-rpn's on FAST-Small, small random ones in between,
+// then the fusion ILPs again. Each result must equal a fresh state's,
+// bit for bit, and the state must let go of the caller's rows.
+func TestStateReuseMatchesFresh(t *testing.T) {
+	var mu sync.Mutex
+	var problems []ilp.Problem
+	restore := ilp.CaptureProblems(func(p ilp.Problem) {
+		mu.Lock()
+		problems = append(problems, p)
+		mu.Unlock()
+	})
+	exactReport(t, "efficientnet-b7", arch.ByName("fast-large"), 2*time.Second)
+	exactReport(t, "ocr-rpn", arch.ByName("fast-small"), 2*time.Second)
+	restore()
+	if len(problems) < 2 {
+		t.Fatalf("the reports ran %d exact solves, want at least 2", len(problems))
+	}
+	ilp.CheckStateReuse(t, problems, 1)
+}
+
 // TestPivotSweepsOnStallInstances runs the sweep differentials
 // (checkPivot) at every pivot of the two solves that run to the stall
 // limit on their greedy warm start — table6's efficientnet-b7 cell with

@@ -216,6 +216,13 @@ func checkKernels(t testing.TB, c *csc, basis []int32, nEtas int, rng *rand.Rand
 	probes("final")
 }
 
+// newCSC loads rows into a matrix of its own, outside any lpState.
+func newCSC(rows []Row, n int) *csc {
+	c := new(csc)
+	c.load(rows, n)
+	return c
+}
+
 // randSparseMatrix draws an m×n matrix with about perCol non-zeros a
 // column on top of a non-zero diagonal. Values come from a small
 // quantized set plus a few byte-count and microsecond magnitudes, so
@@ -324,7 +331,7 @@ func TestKernelsUnderflowedMultiplier(t *testing.T) {
 func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	t.Helper()
 	ls := new(lpState)
-	ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.Binary)
+	ls.init(p)
 	ls.installSlackBasis()
 	ls.computeXB()
 	ls.computeDuals()
@@ -338,7 +345,7 @@ func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 			t.Fatalf("depth %d: optimal, but row %d violates its bounds", depth, r)
 		}
 		bases++
-		checkKernels(t, ls.c, ls.basis, []int{0, 48, maxEtas, 16}[depth], rng)
+		checkKernels(t, &ls.c, ls.basis, []int{0, 48, maxEtas, 16}[depth], rng)
 		ls.extract()
 		cnt := make([]int32, ls.n)
 		j := ls.selectBranch(nil, nil, cnt, cnt)
@@ -390,7 +397,7 @@ func TestSelectBranchMatchesFullScan(t *testing.T) {
 	for trial := 0; trial < 6000; trial++ {
 		p := randMixedProblem(rng)
 		ls := new(lpState)
-		ls.init(newCSC(p.A, len(p.C)), p.C, p.B, p.Binary)
+		ls.init(p)
 		ls.installSlackBasis()
 		ls.computeXB()
 		ls.computeDuals()

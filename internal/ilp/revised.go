@@ -44,7 +44,7 @@ const (
 // lpState is the mutable revised-simplex state for one Solve call. It
 // is pooled: every slice is resized in place by init.
 type lpState struct {
-	c *csc
+	c csc
 	m int // constraint rows
 	n int // structural columns
 	N int // n + m
@@ -97,16 +97,17 @@ type lpState struct {
 	iters int // simplex iterations across the whole Solve
 }
 
-// init sizes the state for a problem with m rows and n structural
-// columns and loads costs/bounds/rhs. Bound arrays hold the *base*
-// problem bounds; branch-and-bound overlays fixings on top.
-func (s *lpState) init(c *csc, cvec, b []float64, binary []bool) {
-	s.c = c
-	s.m = c.m
-	s.n = c.n
-	s.N = c.n + c.m
+// init sizes the state for p's m rows and n structural columns and
+// loads its matrix, costs, bounds and rhs. Bound arrays hold the *base*
+// problem bounds; branch-and-bound overlays fixings on top. The state
+// reads p.A until release.
+func (s *lpState) init(p Problem) {
+	s.c.load(p.A, len(p.C))
+	s.m = s.c.m
+	s.n = s.c.n
+	s.N = s.n + s.m
 	grow(&s.b, s.m)
-	copy(s.b, b)
+	copy(s.b, p.B)
 	grow(&s.cost, s.N)
 	s.lo, s.up = grow(&s.lo, s.N), grow(&s.up, s.N)
 	s.loTol, s.upTol = grow(&s.loTol, s.N), grow(&s.upTol, s.N)
@@ -135,8 +136,8 @@ func (s *lpState) init(c *csc, cvec, b []float64, binary []bool) {
 
 	for j := 0; j < s.N; j++ {
 		if j < s.n {
-			s.cost[j] = cvec[j]
-			if binary != nil && binary[j] {
+			s.cost[j] = p.C[j]
+			if p.Binary != nil && p.Binary[j] {
 				s.setBounds(j, 0, 1)
 				s.branchable[j>>6] |= 1 << (j & 63)
 			} else {
@@ -151,6 +152,10 @@ func (s *lpState) init(c *csc, cvec, b []float64, binary []bool) {
 	s.degen = 0
 	s.iters = 0
 }
+
+// release drops the state's reference to the caller's rows, so a state
+// back in statePool keeps nothing of a finished problem alive.
+func (s *lpState) release() { s.c.rows = nil }
 
 // setBounds sets column j's bounds and their widened copies.
 func (s *lpState) setBounds(j int, lo, up float64) {
@@ -194,7 +199,7 @@ func (s *lpState) val(j int) float64 {
 // binaries, which start at 1. Always factorizable.
 func (s *lpState) installSlackBasis() {
 	s.slackBasis()
-	if !s.f.factorize(s.c, s.basis) {
+	if !s.f.factorize(&s.c, s.basis) {
 		panic("ilp: slack basis must factorize")
 	}
 }
@@ -286,7 +291,7 @@ func (s *lpState) installBasis() bool {
 	if repaired {
 		return true
 	}
-	return s.f.factorize(s.c, s.basis)
+	return s.f.factorize(&s.c, s.basis)
 }
 
 // adoptRef writes the reference's basis and at-upper flags into the
@@ -461,7 +466,7 @@ func (s *lpState) pivotRow(pat []int32) {
 
 // refresh refactorizes the current basis and recomputes xB and duals.
 func (s *lpState) refresh() bool {
-	if !s.f.factorize(s.c, s.basis) {
+	if !s.f.factorize(&s.c, s.basis) {
 		return false
 	}
 	s.computeXB()

@@ -88,6 +88,10 @@ type Options struct {
 // with depth-first plunging, dual-simplex warm starts from the parent
 // basis, and pseudo-cost/most-fractional branching over the sparse
 // revised-simplex core.
+//
+// Solve reads p and o.WarmStart only while it runs. It writes to
+// neither, and its Result shares no memory with them, so the caller may
+// reuse the arrays behind p.A as soon as Solve returns.
 func Solve(p Problem, o Options) (Result, error) {
 	if err := validate(p); err != nil {
 		return Result{}, err
@@ -357,16 +361,24 @@ func (h *nodeHeap) pop() bbNode {
 	}
 }
 
-// solveSparse is the sparse branch-and-bound; ok=false requests the
-// dense fallback.
+// solveSparse is the sparse branch-and-bound on a pooled state;
+// ok=false requests the dense fallback.
 func solveSparse(p Problem, o Options) (Result, bool) {
+	ls := statePool.Get().(*lpState)
+	defer statePool.Put(ls)
+	res, ok := solveOn(ls, p, o)
+	return res, ok
+}
+
+// solveOn runs the sparse branch-and-bound on ls, whatever problem it
+// held before, and releases p's rows before it returns.
+func solveOn(ls *lpState, p Problem, o Options) (Result, bool) {
 	if testHook.problem != nil {
 		testHook.problem(p)
 	}
 	n := len(p.C)
-	ls := statePool.Get().(*lpState)
-	defer statePool.Put(ls)
-	ls.init(newCSC(p.A, n), p.C, p.B, p.Binary)
+	ls.init(p)
+	defer ls.release()
 	ref := &ls.ref
 	ref.reset(ls.m, ls.n)
 

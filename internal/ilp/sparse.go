@@ -76,7 +76,9 @@ func validate(p Problem) error {
 // csc is the structural constraint matrix A (rows m × cols n) in
 // compressed-sparse-column form, plus the caller's rows as the
 // row-major view. Slack columns (the identity appended by A·x + s = b)
-// are implicit: variable j ≥ n is the slack of row j - n.
+// are implicit: variable j ≥ n is the slack of row j - n. The pooled
+// lpState owns one and reloads it for every problem, so its arrays are
+// allocated once per state, not once per solve.
 type csc struct {
 	m, n int
 	ptr  []int32 // len n+1: column j spans [ptr[j], ptr[j+1])
@@ -85,33 +87,38 @@ type csc struct {
 	rows []Row // the same matrix by rows (may carry explicit zeros)
 }
 
-// newCSC transposes sparse rows into column form, dropping explicit
-// zeros.
-func newCSC(rows []Row, n int) *csc {
-	c := &csc{m: len(rows), n: n, ptr: make([]int32, n+1), rows: rows}
+// load transposes sparse rows into column form, dropping explicit
+// zeros, in the buffers of the previous load. It keeps rows as the
+// row-major view until the state releases it.
+func (c *csc) load(rows []Row, n int) {
+	c.m, c.n, c.rows = len(rows), n, rows
+	// Column j's entries are counted at ptr[j+2], so that after the
+	// prefix sum ptr[j+1] is its start: the fill advances it to the end,
+	// which is column j+1's start.
+	ptr := grow(&c.ptr, n+2)
+	clear(ptr)
 	for _, r := range rows {
 		for k, j := range r.Idx {
 			if r.Val[k] != 0 {
-				c.ptr[j+1]++
+				ptr[j+2]++
 			}
 		}
 	}
 	for j := 0; j < n; j++ {
-		c.ptr[j+1] += c.ptr[j]
+		ptr[j+2] += ptr[j+1]
 	}
-	c.row = make([]int32, c.ptr[n])
-	c.val = make([]float64, c.ptr[n])
-	next := append([]int32(nil), c.ptr[:n]...)
+	nnz := ptr[n+1]
+	row, val := grow(&c.row, int(nnz)), grow(&c.val, int(nnz))
 	for i, r := range rows {
 		for k, j := range r.Idx {
 			if v := r.Val[k]; v != 0 {
-				c.row[next[j]] = int32(i)
-				c.val[next[j]] = v
-				next[j]++
+				q := ptr[j+1]
+				row[q], val[q] = int32(i), v
+				ptr[j+1]++
 			}
 		}
 	}
-	return c
+	c.ptr = ptr[:n+1]
 }
 
 // mulRow computes out = ρᵀ[A I] for a dense row multiplier ρ (len m):

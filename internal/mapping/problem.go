@@ -4,7 +4,7 @@
 // temporal streaming order) and reports utilization, compute cycles, and
 // the DRAM-traffic floor implied by on-chip capacity.
 //
-// Differences from Timeloop, per DESIGN.md: instead of randomly sampling
+// Differences from Timeloop: instead of randomly sampling
 // an unconstrained mapspace, the mapper enumerates the dominant mapping
 // schemes (weight-stationary, output-stationary, 1-D convolution column
 // streaming) with a tensor-padding pre-pass, which is deterministic and

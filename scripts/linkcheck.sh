@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# linkcheck.sh — keep the documentation anchored to the tree. Three
-# checks over README.md and docs/*.md (lint.sh runs this; CI's lint job
-# inherits it):
+# linkcheck.sh — keep the documentation anchored to the tree. Four
+# checks, the first three over README.md and docs/*.md (lint.sh runs
+# this; CI's lint job inherits it):
 #
 #   1. Every relative markdown link [text](path) resolves to a file or
 #      directory in the repo (http(s) and #anchor links are skipped).
@@ -13,6 +13,8 @@
 #   3. Every metric registered in internal/serve/metrics.go and
 #      internal/dispatch/metrics.go appears in docs/OPERATIONS.md's
 #      catalog, and every catalog row names a registered metric.
+#   4. Every NAME.md a comment in a tracked .go file names exists
+#      relative to that file's directory, the repository root or docs/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,6 +83,17 @@ catalog_sync() {
 }
 catalog_sync internal/serve/metrics.go 'fastserve|fast_plan_cache'
 catalog_sync internal/dispatch/metrics.go 'fast_dispatch'
+
+echo "linkcheck: markdown files named in Go comments"
+while IFS=: read -r file line text; do
+	comment=${text#*//}
+	while IFS= read -r name; do
+		if ! [ -e "$(dirname "$file")/$name" ] && ! [ -e "$name" ] && ! [ -e "docs/$name" ]; then
+			echo "linkcheck: FAIL — $file:$line names $name, which is not in $(dirname "$file"), the root or docs/" >&2
+			fail=1
+		fi
+	done < <(grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md([^A-Za-z0-9_]|$)' <<<"$comment" | sed -E 's/[^A-Za-z0-9_]$//')
+done < <(git ls-files -z '*.go' | xargs -0 grep -HnE '//.*[A-Za-z0-9_]\.md([^A-Za-z0-9_]|$)' || true)
 
 if [ "$fail" != 0 ]; then
 	echo "linkcheck: FAIL" >&2
