@@ -379,7 +379,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // BenchmarkFullILPEvaluate measures the exact-ILP fusion evaluate path
 // — the winner re-simulation / reporting-table workload — on three
 // ILP-dominated reference instances with the sparse revised-simplex
-// core (internal/fusion's BenchmarkFullILPDense times the frozen
+// core (internal/ilp's BenchmarkFullILPDense times the frozen
 // dense-tableau reference on the same instances). Each iteration
 // perturbs the clock so the fusion-stage memo misses and every design
 // pays a fresh branch-and-bound solve, while the mapping stage (which

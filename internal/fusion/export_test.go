@@ -25,13 +25,6 @@ func CaptureSolves(fn func(regions []RegionCost, usable []bool, capacity int64))
 	return func() { testHook.solve = nil }
 }
 
-// UseDenseILP routes SolvePlanned's exact solve through the frozen
-// dense-tableau reference solver until the returned function is called.
-func UseDenseILP() (restore func()) {
-	testHook.dense = true
-	return func() { testHook.dense = false }
-}
-
 // SolveExact runs SolvePlanned's exact solve on one instance, warm
 // started from the greedy, with the deadline and the stall limit set
 // apart, so a test can pin a stall stop under a deadline no host

@@ -211,9 +211,6 @@ type Assignment struct {
 var testHook struct {
 	// solve observes every instance entering SolvePlanned's solvers.
 	solve func(regions []RegionCost, usable []bool, capacity int64)
-	// dense routes the exact solve through the frozen dense-tableau
-	// reference solver instead of the sparse revised-simplex core.
-	dense bool
 }
 
 // SolvePlanned computes just the placement assignment — which regions pin

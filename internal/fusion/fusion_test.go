@@ -46,13 +46,6 @@ func optimize(regions []RegionCost, capacity int64, opts Options) Solution {
 	return optimizePlanned(regions, UsableEdges(producers), capacity, opts)
 }
 
-// optimizeDense is optimizePlanned with the exact solve routed through
-// the frozen dense-tableau reference solver.
-func optimizeDense(regions []RegionCost, usable []bool, capacity int64, opts Options) Solution {
-	defer UseDenseILP()()
-	return optimizePlanned(regions, usable, capacity, opts)
-}
-
 func TestDisabled(t *testing.T) {
 	rs := chain(4)
 	sol := optimize(rs, 1<<30, Options{Disable: true})

@@ -1,71 +1,15 @@
 package fusion
 
-// Differential coverage for the sparse exact solve behind the fusion
-// pass: the sparse revised-simplex ILP against the frozen dense-tableau
-// reference (optimizeDense) over randomized fusion instances, plus
-// the Assignment provenance plumbing (Gap, Nodes).
+// The Assignment provenance plumbing (Gap, Nodes) of the exact solve
+// behind the fusion pass. Its differential against the frozen
+// dense-tableau reference runs on the captured problems in
+// internal/ilp (fusiondiff_test.go).
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
 )
-
-// TestSparseILPNeverWorseThanDense solves randomized fusion instances
-// with both exact cores. The sparse solve must prove optimality and
-// never land above the dense solve's total (the dense tableau's
-// absolute tolerances can themselves lose exact optimality on
-// fusion-scaled coefficients, so the comparison is one-sided), and on
-// the instances where both report the identical assignment the whole
-// Solution must match bit for bit.
-func TestSparseILPNeverWorseThanDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	identical := 0
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(14)
-		regions, usable := randomRegions(rng, n)
-		capacity := rng.Int63n(1 << 24)
-		sparse := optimizePlanned(regions, usable, capacity, Options{Deadline: time.Minute})
-		dense := optimizeDense(regions, usable, capacity, Options{Deadline: time.Minute})
-		if sparse.Method == "disabled" || dense.Method == "disabled" {
-			continue
-		}
-		if sparse.Method == "ilp-optimal" && dense.Method == "ilp-optimal" {
-			if sparse.Total > dense.Total+1e-12*(1+math.Abs(dense.Total)) {
-				t.Fatalf("trial %d: sparse total %.15g worse than dense %.15g", trial, sparse.Total, dense.Total)
-			}
-		}
-		// An empty placement still occupies the scheduler's base working
-		// tiles, so the peak floor is max BaseGM even above capacity.
-		var basePeak int64
-		for _, r := range regions {
-			if r.BaseGM > basePeak {
-				basePeak = r.BaseGM
-			}
-		}
-		if limit := max(capacity, basePeak); sparse.GMUsedPeak > limit {
-			t.Fatalf("trial %d: sparse peak %d exceeds %d", trial, sparse.GMUsedPeak, limit)
-		}
-		same := true
-		for i := range regions {
-			if sparse.PinWeight[i] != dense.PinWeight[i] || sparse.EdgeOnChip[i] != dense.EdgeOnChip[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			identical++
-			if sparse.Total != dense.Total || sparse.GMUsedPeak != dense.GMUsedPeak {
-				t.Fatalf("trial %d: identical assignment, different roll-up: %.15g vs %.15g",
-					trial, sparse.Total, dense.Total)
-			}
-		}
-	}
-	if identical == 0 {
-		t.Error("solvers never agreed on an assignment — differential has no teeth")
-	}
-}
 
 // TestILPGapAndNodesPlumbed: an expired deadline must surface the
 // greedy-seeded incumbent as "ilp-incumbent" with a reported gap, and

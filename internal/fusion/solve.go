@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -376,6 +377,7 @@ type rowArena struct {
 	ends  []int
 	start int       // first entry of the row under construction
 	out   []ilp.Row // the rows, as rows() slices them
+	tab   []int32   // buildILP's table of distinct capacity rows
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(rowArena) }}
@@ -387,6 +389,18 @@ func (a *rowArena) reset(rows, entries int) {
 	a.val = slices.Grow(a.val[:0], entries)
 	a.ends = slices.Grow(a.ends[:0], rows)
 	a.start = 0
+}
+
+// table returns the arena's row table, cleared, with a power-of-two
+// length above twice rows, so a probe soon meets an empty slot.
+func (a *rowArena) table(rows int) []int32 {
+	size := 2 << bits.Len(uint(rows))
+	if cap(a.tab) < size {
+		a.tab = make([]int32, size)
+	}
+	a.tab = a.tab[:size]
+	clear(a.tab)
+	return a.tab
 }
 
 // sub applies row[j] -= v to the row under construction, whose entries
@@ -569,12 +583,15 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64, a *rowArena) 
 		}
 		return -1
 	})
-	tight := make(map[string]int) // live-edge signature → capacity row
+	// The distinct rows are found in an open-addressing table, kept in
+	// the arena: slots hold 1 + a row (0 is empty), probed from the hash
+	// of the live edges until an empty slot or a row with the same ones.
+	tab := a.table(n)
+	mask := uint64(len(tab) - 1)
 	var capB []float64
 	var capLive []int32 // each capacity row's live edges, back to back
 	var capEnds []int   // capacity row r's live edges end at capEnds[r]
 	var live []int32    // consumers of the edges spanning k, ascending
-	var sig []byte
 	for k, rk := range regions {
 		for len(live) > 0 && int(live[0]) < k {
 			live = live[1:]
@@ -588,17 +605,21 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64, a *rowArena) 
 			live[q] = j
 		}
 		rhs := float64(capacity - rk.BaseGM)
-		sig = sig[:0]
-		for _, j := range live {
-			sig = append(sig, byte(j), byte(j>>8), byte(j>>16), byte(j>>24))
+		slot := hashLive(live) & mask
+		r := -1
+		for ; tab[slot] != 0; slot = (slot + 1) & mask {
+			if q := int(tab[slot]) - 1; slices.Equal(capLive[liveStart(capEnds, q):capEnds[q]], live) {
+				r = q
+				break
+			}
 		}
-		if prev, dup := tight[string(sig)]; dup {
-			if rhs < capB[prev] {
-				capB[prev] = rhs
+		if r >= 0 {
+			if rhs < capB[r] {
+				capB[r] = rhs
 			}
 			continue
 		}
-		tight[string(sig)] = len(capB)
+		tab[slot] = int32(len(capB) + 1)
 		capB = append(capB, rhs)
 		capLive = append(capLive, live...)
 		capEnds = append(capEnds, len(capLive))
@@ -671,6 +692,23 @@ func buildILP(regions []RegionCost, usable []bool, capacity int64, a *rowArena) 
 	return f, true
 }
 
+// hashLive is the FNV-1a hash of a capacity row's live edges.
+func hashLive(live []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, j := range live {
+		h = (h ^ uint64(uint32(j))) * 1099511628211
+	}
+	return h
+}
+
+// liveStart is where capacity row r's live edges begin in capLive.
+func liveStart(capEnds []int, r int) int {
+	if r == 0 {
+		return 0
+	}
+	return capEnds[r-1]
+}
+
 // exactRelGap is the relative gap at which the exact solve stops short
 // of a proof. Where the root LP already certifies the greedy warm start
 // this close, branching on used to re-prove the bound until the
@@ -736,7 +774,6 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 		RelGap:     exactRelGap,
 		StallNodes: stall,
 		WarmStart:  warm,
-		Dense:      testHook.dense,
 	})
 	if err != nil || !res.Feasible {
 		return Assignment{}, ilp.Result{}

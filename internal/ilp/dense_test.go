@@ -6,13 +6,11 @@ import (
 )
 
 // solveDense is the frozen PR-1 branch-and-bound over the dense
-// two-phase tableau simplex (simplex.go): depth-first, tableau rebuilt
+// two-phase tableau simplex (simplex_test.go): depth-first, tableau rebuilt
 // from scratch at every node, upper bounds materialized as extra rows.
 // It is retained verbatim as the reference oracle for the sparse
 // revised-simplex solver — the differential and fuzz suites pin the new
-// solver's objectives against it — and as the numerical fallback should
-// the sparse path report an unrecoverable factorization failure. Do not
-// "improve" it.
+// solver's objectives against it. Do not "improve" it.
 func solveDense(p Problem, o Options) (Result, error) {
 	n := len(p.C)
 	maxIter := maxSimplexIters
@@ -140,4 +138,17 @@ func solveDense(p Problem, o Options) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// dense expands the constraint rows to dense form, for the frozen
+// dense-tableau solver and the tests' brute force.
+func (p Problem) dense() [][]float64 {
+	a := make([][]float64, len(p.A))
+	for i, r := range p.A {
+		a[i] = make([]float64, len(p.C))
+		for k, j := range r.Idx {
+			a[i][j] = r.Val[k]
+		}
+	}
+	return a
 }

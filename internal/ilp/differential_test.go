@@ -1,7 +1,7 @@
 package ilp
 
 // Differential suite: the sparse revised-simplex solver against the
-// frozen dense-tableau reference (dense.go) and brute force. The dense
+// frozen dense-tableau reference (dense_test.go) and brute force. The dense
 // solver is only a sound oracle while no LP hits its iteration cap, so
 // the generated instances stay small enough that it converges in a few
 // hundred pivots.
@@ -51,17 +51,41 @@ func randMixedProblem(r *rand.Rand) Problem {
 }
 
 // checkAgainstDense solves p with both cores and fails the test on any
-// disagreement in feasibility, optimality, or optimal objective.
-func checkAgainstDense(t *testing.T, trial int, p Problem) {
+// disagreement in feasibility, optimality, or optimal objective. With
+// fail set, the sparse solve runs again with a numerical failure forced
+// at a node drawn from fail, which the retry must mend to the same
+// verdict.
+func checkAgainstDense(t *testing.T, trial int, p Problem, fail *rand.Rand) {
 	t.Helper()
+	de, err := SolveDense(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sp, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, err := Solve(p, Options{Dense: true})
+	checkOneAgainstDense(t, trial, p, sp, de)
+	if fail == nil {
+		return
+	}
+	testHook.failNode = 1 + fail.Intn(sp.Nodes)
+	defer func() { testHook.failNode = 0 }()
+	count := CountFailures()
+	rec, err := Solve(p, Options{})
+	failed, unrecovered := count()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if failed != 1 || unrecovered != 0 {
+		t.Fatalf("trial %d: failure forced at node %d: %d failed, %d unrecovered", trial, testHook.failNode, failed, unrecovered)
+	}
+	checkOneAgainstDense(t, trial, p, rec, de)
+}
+
+// checkOneAgainstDense holds one sparse result to the dense one.
+func checkOneAgainstDense(t *testing.T, trial int, p Problem, sp, de Result) {
+	t.Helper()
 	if sp.Feasible != de.Feasible {
 		t.Fatalf("trial %d: feasible sparse=%v dense=%v (p=%+v)", trial, sp.Feasible, de.Feasible, p)
 	}
@@ -85,11 +109,13 @@ func checkAgainstDense(t *testing.T, trial int, p Problem) {
 
 // TestSparseMatchesDenseRandom is the core differential property: on
 // thousands of random mixed problems the sparse solver agrees with the
-// frozen dense solver on feasibility and optimal objective.
+// frozen dense solver on feasibility and optimal objective, also when
+// one node LP, drawn at random, fails and is solved again.
 func TestSparseMatchesDenseRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
+	fail := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 3000; trial++ {
-		checkAgainstDense(t, trial, randMixedProblem(r))
+		checkAgainstDense(t, trial, randMixedProblem(r), fail)
 	}
 }
 
@@ -277,7 +303,7 @@ func TestSparseFusionShapedExact(t *testing.T) {
 			if !integerFeasible(p, sp.X) {
 				t.Fatalf("trial %d: sparse solution infeasible", trial)
 			}
-			de, err := Solve(p, Options{Dense: true})
+			de, err := SolveDense(p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +323,7 @@ func TestBlandModeMatchesDense(t *testing.T) {
 	defer func() { degenLimit = old }()
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 500; trial++ {
-		checkAgainstDense(t, trial, randMixedProblem(r))
+		checkAgainstDense(t, trial, randMixedProblem(r), nil)
 	}
 }
 
@@ -504,10 +530,13 @@ func TestNegativeCostContinuousRejected(t *testing.T) {
 		B:      []float64{1},
 		Binary: []bool{false, true},
 	}
-	for _, o := range []Options{{}, {Dense: true}, {WarmStart: []float64{0, 1}}} {
+	for _, o := range []Options{{}, {WarmStart: []float64{0, 1}}} {
 		if r, err := Solve(p, o); err == nil {
 			t.Errorf("options %+v: solved a negative-cost continuous column: %+v", o, r)
 		}
+	}
+	if r, err := SolveDense(p, Options{}); err == nil {
+		t.Errorf("the dense reference solved a negative-cost continuous column: %+v", r)
 	}
 	p.Binary[0] = true
 	r, err := Solve(p, Options{})

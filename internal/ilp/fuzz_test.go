@@ -58,7 +58,7 @@ func FuzzILPSparseVsDense(f *testing.F) {
 		if _, err := restore(); err != nil {
 			t.Fatal(err)
 		}
-		de, err := Solve(p, Options{Dense: true})
+		de, err := SolveDense(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

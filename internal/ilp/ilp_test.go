@@ -286,84 +286,93 @@ func TestNodesCounted(t *testing.T) {
 	}
 }
 
-// TestDenseFallbackKeepsSparseProgress: when the sparse search hands
-// over to the dense solver mid-way (numerical failure), the answer is
-// the dense solver's, the nodes already explored still count, and the
-// bound the sparse search proved stays a valid one.
-func TestDenseFallbackKeepsSparseProgress(t *testing.T) {
+// TestFailedNodeRecovered: a node LP that fails numerically is solved
+// again from the slack basis, and the search goes on as if it had not
+// failed. A failure at the root and one mid-search must both end in the
+// clean solve's objective and its proof.
+func TestFailedNodeRecovered(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	p, _ := fusionShapedProblem(r, 9, 4)
 	clean, err := Solve(p, Options{})
 	if err != nil || !clean.Optimal || clean.Nodes < 4 {
 		t.Fatalf("need a proven multi-node instance, got %+v (%v)", clean, err)
 	}
-	testHook.failNode = 3
 	defer func() { testHook.failNode = 0 }()
-	got, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Feasible || math.Abs(got.Objective-clean.Objective) > 1e-9*(1+math.Abs(clean.Objective)) {
-		t.Fatalf("fallback result %+v, want objective %.12g", got, clean.Objective)
-	}
-	if got.Nodes <= 3 {
-		t.Fatalf("fallback reports %d nodes: the 3 sparse nodes were dropped", got.Nodes)
-	}
-	if got.BestBound > clean.Objective+1e-12 || math.IsInf(got.BestBound, -1) {
-		t.Fatalf("fallback bound %g: want the sparse search's finite bound ≤ the optimum %g", got.BestBound, clean.Objective)
+	for _, node := range []int{1, 3} {
+		testHook.failNode = node
+		count := CountFailures()
+		got, err := Solve(p, Options{})
+		failed, unrecovered := count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed != 1 || unrecovered != 0 {
+			t.Fatalf("failure at node %d: %d failed, %d unrecovered; want 1 failure, recovered", node, failed, unrecovered)
+		}
+		if !got.Optimal || got.Objective != clean.Objective || got.BestBound != clean.Objective || got.Gap != 0 {
+			t.Errorf("failure at node %d: %+v; want the clean solve's proven optimum %.17g", node, got, clean.Objective)
+		}
+		if !integerFeasible(p, got.X) {
+			t.Errorf("failure at node %d: infeasible point %v", node, got.X)
+		}
 	}
 }
 
-// TestDenseFallbackNeedsSparseCertificate: the dense tableau claims
-// optimality on its own say-so; after a hand-over that claim stands
-// only when the bound the sparse search kept certifies it. A failure at
-// the second node leaves the root's open bound, below the optimum, so
-// the result must be an incumbent carrying that bound and the gap to it.
-func TestDenseFallbackNeedsSparseCertificate(t *testing.T) {
+// TestUnrecoveredFailureStopsSearch: when the retry fails too, the
+// search stops as a deadline stops it. The incumbent stands, nothing is
+// proven, and the failed node's bound stays in BestBound, which must
+// not exceed the optimum.
+func TestUnrecoveredFailureStopsSearch(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	p, _ := fusionShapedProblem(r, 9, 4)
+	p, warm := fusionShapedProblem(r, 9, 4)
 	clean, err := Solve(p, Options{})
 	if err != nil || !clean.Optimal || clean.Nodes < 4 {
 		t.Fatalf("need a proven multi-node instance, got %+v (%v)", clean, err)
 	}
-	// The open bound after one node, as a cut-off there reports it.
+	// The open bound after one node, as a cut-off there reports it: the
+	// root's LP optimum, which both of its children carry.
 	testHook.nodeLimit = 1
-	cut, err := Solve(p, Options{})
+	cut, err := Solve(p, Options{WarmStart: warm})
 	testHook.nodeLimit = 0
 	if err != nil || !(cut.BestBound < clean.Objective-1e-9) {
 		t.Fatalf("instance too easy: the bound after one node (%g, %v) already certifies %g", cut.BestBound, err, clean.Objective)
 	}
+	if cut.ImprovedAt != 0 {
+		t.Fatalf("the root improved on the warm start; the test needs the warm start as the incumbent at node 2")
+	}
 
-	testHook.failNode = 2
-	defer func() { testHook.failNode = 0 }()
-	got, err := Solve(p, Options{})
+	testHook.failNode, testHook.failRetry = 2, true
+	defer func() { testHook.failNode, testHook.failRetry = 0, false }()
+	count := CountFailures()
+	got, err := Solve(p, Options{WarmStart: warm})
+	failed, unrecovered := count()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Optimal {
-		t.Fatalf("dense hand-over claims optimality with the sparse bound %g below its objective %g", cut.BestBound, got.Objective)
+	if failed != 1 || unrecovered != 1 {
+		t.Fatalf("%d failed, %d unrecovered; want the one forced failure, unrecovered", failed, unrecovered)
 	}
-	if got.BestBound != cut.BestBound {
-		t.Errorf("bound %g after the hand-over, want the sparse search's %g", got.BestBound, cut.BestBound)
+	if got.Optimal || got.WithinTol || got.Nodes != 2 {
+		t.Fatalf("got %+v; want an unproven stop at node 2", got)
 	}
-	if want := relGap(got.Objective, cut.BestBound); got.Gap != want || !(got.Gap > 0) {
+	if !got.Feasible || got.Objective != dot(p.C, warm) {
+		t.Errorf("objective %.17g, want the warm start's %.17g", got.Objective, dot(p.C, warm))
+	}
+	if got.BestBound != cut.BestBound || got.BestBound > clean.Objective {
+		t.Errorf("bound %.17g, want the failed node's %.17g ≤ the optimum %.17g", got.BestBound, cut.BestBound, clean.Objective)
+	}
+	if want := relGap(got.Objective, got.BestBound); got.Gap != want || !(got.Gap > 0) {
 		t.Errorf("gap %g, want %g > 0", got.Gap, want)
 	}
 
-	// A failure in the root LP proves no bound: the dense search is the
-	// only one, and its answer stands as the dense solver alone gives it.
+	// A root that fails twice proves no bound at all.
 	testHook.failNode = 1
-	root, err := Solve(p, Options{})
+	root, err := Solve(p, Options{WarmStart: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := Solve(p, Options{Dense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Optimal != dense.Optimal || root.Objective != dense.Objective {
-		t.Errorf("root hand-over: optimal %v objective %g; the dense solver alone: optimal %v objective %g",
-			root.Optimal, root.Objective, dense.Optimal, dense.Objective)
+	if root.Optimal || root.Nodes != 1 || !math.IsInf(root.BestBound, -1) || !math.IsInf(root.Gap, 1) || root.Objective != dot(p.C, warm) {
+		t.Errorf("root failure: %+v; want the warm start with no bound", root)
 	}
 }
 

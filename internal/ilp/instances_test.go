@@ -56,7 +56,7 @@ func TestKernelsMatchDenseOnFusionInstances(t *testing.T) {
 			// A report solves its softmax variants side by side.
 			var mu sync.Mutex
 			var problems []ilp.Problem
-			restore := ilp.CaptureProblems(func(p ilp.Problem) {
+			restore := ilp.CaptureProblems(func(p ilp.Problem, _ []float64) {
 				mu.Lock()
 				problems = append(problems, p)
 				mu.Unlock()
@@ -84,7 +84,7 @@ func TestKernelsMatchDenseOnFusionInstances(t *testing.T) {
 func TestStateReuseMatchesFresh(t *testing.T) {
 	var mu sync.Mutex
 	var problems []ilp.Problem
-	restore := ilp.CaptureProblems(func(p ilp.Problem) {
+	restore := ilp.CaptureProblems(func(p ilp.Problem, _ []float64) {
 		mu.Lock()
 		problems = append(problems, p)
 		mu.Unlock()
@@ -176,4 +176,28 @@ func TestOpenNodeBytes(t *testing.T) {
 	if perNode > 160 {
 		t.Errorf("an open node retains %.1f bytes, want ≤ 160", perNode)
 	}
+}
+
+// TestFailedRootRecoversOnServedStudy: the winner of serve_fsync's
+// mobilenetv2 seed-2 study (`fast-search -workloads mobilenetv2 -trials
+// 256 -seed 2 -save`) poses a fusion problem whose root LP fails
+// numerically. Solved again from the slack basis, the root recovers and
+// the search proves the greedy warm start optimal, so the study's report
+// says "ilp-optimal" from the sparse search alone.
+func TestFailedRootRecoversOnServedStudy(t *testing.T) {
+	cfg, err := arch.LoadFile("testdata/mobilenetv2_seed2_winner.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := ilp.CountFailures()
+	r := exactReport(t, "mobilenetv2", cfg, time.Minute)
+	failed, unrecovered := count()
+	if failed == 0 {
+		t.Fatal("no node LP failed: the instance no longer exercises the retry")
+	}
+	if unrecovered != 0 || r.Fusion.Method != "ilp-optimal" {
+		t.Fatalf("%d of %d failed node LPs unrecovered, method %s after %d nodes; want every failure recovered and a proof",
+			unrecovered, failed, r.Fusion.Method, r.Fusion.Nodes)
+	}
+	t.Logf("%d failed node LPs recovered, proven in %d nodes", failed, r.Fusion.Nodes)
 }

@@ -93,6 +93,9 @@ type lpState struct {
 	rowMark                 []uint64
 
 	bland bool
+	// safe marks a retry after a numerical failure (see resolve): the
+	// ratio test then prefers the larger pivots.
+	safe  bool
 	degen int
 	iters int // simplex iterations across the whole Solve
 }
@@ -474,6 +477,9 @@ func (s *lpState) refresh() bool {
 	return true
 }
 
+// feasEps is the primal feasibility tolerance at a bound of zero.
+const feasEps = 1e-7
+
 // feasTolFor scales the primal feasibility tolerance with the bound
 // magnitude (capacity rows carry byte counts ~1e9).
 func feasTolFor(bound float64) float64 {
@@ -514,6 +520,35 @@ func (s *lpState) leavingRow() (r int, dir float64) {
 	}
 	return r, dir
 }
+
+// resolve re-solves the LP under the current bounds from the slack
+// basis, after dualSimplex failed numerically on them. The slack basis
+// is dual feasible for every problem validate admits, because a
+// continuous column never costs less than zero, and it always
+// factorizes. The retry's ratio test prefers sturdier pivots (see
+// safePivTol); a solve that does not fail never comes here, so it keeps
+// every pivot.
+func (s *lpState) resolve(maxIter int, deadline time.Time) lpStatus {
+	s.installSlackBasis()
+	s.computeXB()
+	s.computeDuals()
+	s.safe = true
+	status := s.dualSimplex(maxIter, deadline)
+	s.safe = false
+	return status
+}
+
+// safePivTol and harrisTol shape the retry's ratio test. Where the
+// plain rule's column has |α| below safePivTol, the retry looks at the
+// entering candidates whose ratio is within Harris's bound (the minimum
+// ratio with reduced costs relaxed by harrisTol) and takes the largest
+// |α| among them when that reaches safePivTol, else the plain rule's
+// column. Eligibility is the plain rule's, so a retry finds a node
+// infeasible exactly where the plain rule would.
+const (
+	safePivTol = 1e-7
+	harrisTol  = 1e-12
+)
 
 // dualSimplex runs to primal feasibility (= optimality, since dual
 // feasibility is an invariant) under the current bounds.
@@ -581,6 +616,9 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 			// No entering column can repair the violated row: the node's
 			// primal problem is infeasible (dual unbounded).
 			return lpInfeasible
+		}
+		if s.safe && !s.bland && math.Abs(s.alpha[q]) < safePivTol {
+			q = s.saferEntering(q, dir)
 		}
 
 		aq := s.alpha[q]
@@ -654,6 +692,43 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 			justRefreshed = true
 		}
 	}
+}
+
+// saferEntering is the retry's second ratio-test pass over the pivot
+// row: among the eligible columns whose ratio is at most Harris's bound,
+// the one with the largest |α|, if that reaches safePivTol; q, the plain
+// rule's choice, otherwise.
+func (s *lpState) saferEntering(q int, dir float64) int {
+	bound := math.Inf(1)
+	for _, j32 := range s.touched {
+		j := int(j32)
+		if num, a, ok := s.ratioTerms(j, dir); ok {
+			bound = math.Min(bound, (num+harrisTol)/a)
+		}
+	}
+	best, bestAbs := q, safePivTol
+	for _, j32 := range s.touched {
+		j := int(j32)
+		if num, a, ok := s.ratioTerms(j, dir); ok && num/a <= bound && a > bestAbs {
+			best, bestAbs = j, a
+		}
+	}
+	return best
+}
+
+// ratioTerms returns nonbasic column j's ratio-test numerator and |α_j|
+// on the pivot row leaving toward dir, and whether j may enter: the
+// terms dualSimplex's ratio test computes inline, where a call (too
+// costly to inline) would slow every pivot.
+func (s *lpState) ratioTerms(j int, dir float64) (num, a float64, ok bool) {
+	if s.lo[j] == s.up[j] {
+		return 0, 0, false
+	}
+	ab := dir * s.alpha[j]
+	if !s.isUp(j) {
+		return math.Max(s.d[j], 0), math.Abs(ab), ab > etaPivTol
+	}
+	return math.Max(-s.d[j], 0), math.Abs(ab), ab < -etaPivTol
 }
 
 // extract writes the structural solution into s.x (clamped to bounds)

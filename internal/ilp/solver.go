@@ -1,3 +1,14 @@
+// Package ilp is a small exact solver for the 0/1 mixed-integer
+// programs the FAST fusion pass poses, standing in for SCIP v7: binary
+// columns on [0, 1] and continuous columns on [0, +inf) at a
+// non-negative cost, minimized under A·x ≤ b (see Problem). Solve runs
+// best-first branch-and-bound over a sparse bounded-variable dual
+// simplex (revised.go) under the operational contract the paper
+// configures SCIP with: a deadline, after which the best incumbent
+// found so far is returned (§6.1: "if an optimal solution is not found
+// in that time the solver returns the best incumbent solution"). The
+// frozen dense two-phase tableau solver it replaced stays in the tests
+// (dense_test.go, simplex_test.go) as the reference oracle.
 package ilp
 
 import (
@@ -39,8 +50,9 @@ type Result struct {
 	// zero when it is the warm start.
 	ImprovedAt int
 	// BestBound is the proven lower bound on the optimal objective at
-	// exit; equal to Objective when Optimal. The dense reference solver
-	// tracks no global bound and reports -inf on early exit.
+	// exit: equal to Objective when Optimal, otherwise the least bound
+	// of the nodes left open, a node whose LP failed included (-inf when
+	// that is the root).
 	BestBound float64
 	// Gap is the relative optimality gap (Objective − BestBound) /
 	// |Objective| (the absolute gap when Objective is zero): zero when
@@ -49,14 +61,15 @@ type Result struct {
 	Gap float64
 }
 
-// maxSimplexIters caps each LP solve of both the sparse and the dense
-// search.
+// maxSimplexIters caps each LP solve, and again its retry from the
+// slack basis; running into it counts as a numerical failure.
 const maxSimplexIters = 20000
 
-// Options configures Solve. The sparse search ends at the first of a
-// proof, a certified RelGap, StallNodes nodes without improvement, or
-// the Deadline; on any but a proof the best incumbent is returned with
-// Optimal=false, a valid BestBound and its Gap.
+// Options configures Solve. The search ends at the first of a proof, a
+// certified RelGap, StallNodes nodes without improvement, the Deadline,
+// or a node LP that fails numerically twice: once as solved and once
+// re-solved from the slack basis. On any but a proof the best incumbent
+// is returned with Optimal=false, a valid BestBound and its Gap.
 type Options struct {
 	// Deadline bounds the solve; zero means no limit. On expiry the best
 	// incumbent is returned with Optimal=false and the optimality gap
@@ -64,24 +77,17 @@ type Options struct {
 	Deadline time.Time
 	// RelGap stops branch-and-bound once the incumbent is certified
 	// within this relative gap of the best open bound (Result.WithinTol).
-	// Zero proves optimality. The dense reference solver ignores it.
+	// Zero proves optimality.
 	RelGap float64
 	// StallNodes stops branch-and-bound once that many nodes have passed
 	// since the incumbent last improved (the warm start counts as node
 	// 0). Counted in nodes, so the stop is the same on any host. Zero
-	// means no limit. The dense reference solver ignores it.
+	// means no limit.
 	StallNodes int
 	// WarmStart optionally seeds the incumbent with a known integer-
 	// feasible point (the fusion pass hands in its greedy solution, so
 	// branch-and-bound starts with a bound instead of from scratch).
 	WarmStart []float64
-	// Dense routes the solve through the frozen dense-tableau reference
-	// solver instead of the sparse revised-simplex core. It is the one
-	// seam through which other packages' tests reach the reference
-	// solver (fusion's sparse-vs-dense differential and benchmark);
-	// production callers leave it false. The sparse path still falls
-	// back to the dense solver on unrecoverable numerical failure.
-	Dense bool
 }
 
 // Solve runs branch-and-bound with LP-relaxation bounds: best-first
@@ -96,49 +102,10 @@ func Solve(p Problem, o Options) (Result, error) {
 	if err := validate(p); err != nil {
 		return Result{}, err
 	}
-	if o.Dense {
-		return solveDense(p, o)
-	}
-	res, ok := solveSparse(p, o)
-	if ok {
-		return res, nil
-	}
-	// Unrecoverable numerical failure in the sparse path (singular
-	// refactorization or a drifting pivot that a fresh LU cannot fix):
-	// the dense tableau solver is slower but assumption-free. Any
-	// incumbent the sparse search already found seeds the dense solve so
-	// an improvement over the caller's warm start is never discarded.
-	if res.Feasible {
-		o.WarmStart = res.X
-	}
-	de, err := solveDense(p, o)
-	if err != nil {
-		return de, err
-	}
-	// The dense solver tracks no bound and counts its own nodes only;
-	// what the sparse search had explored and proven when it failed
-	// still holds. The dense tableau's absolute tolerances can also
-	// claim an optimum it has not earned: once the sparse search has
-	// proven a bound, the claim stands only if that bound certifies it
-	// (to the 1e-9 the search prunes with). A failure in the root LP
-	// proves no bound, and then the dense search — which, like every
-	// hand-over, starts over from the root — is the only one there is.
-	de.Nodes += res.Nodes
-	if de.ImprovedAt > 0 {
-		de.ImprovedAt += res.Nodes
-	} else {
-		de.ImprovedAt = res.ImprovedAt // the sparse incumbent it was seeded with
-	}
-	if de.Optimal && !math.IsInf(res.BestBound, -1) && res.BestBound < de.Objective-1e-9 {
-		de.Optimal, de.BestBound = false, math.Inf(-1) // the sparse bound replaces it below
-	}
-	if !de.Optimal && res.BestBound > de.BestBound {
-		de.BestBound = res.BestBound
-		if de.Feasible {
-			de.Gap = relGap(de.Objective, de.BestBound)
-		}
-	}
-	return de, nil
+	ls := statePool.Get().(*lpState)
+	defer statePool.Put(ls)
+	res := solveOn(ls, p, o)
+	return res, nil
 }
 
 // relGap is the relative optimality gap of an incumbent against a lower
@@ -162,16 +129,22 @@ var statePool = sync.Pool{New: func() any { return new(lpState) }}
 // testHook holds seams only _test.go files set (via export_test.go);
 // production code leaves it zero.
 var testHook struct {
-	// problem observes every problem entering the sparse solver.
-	problem func(Problem)
+	// problem observes every problem entering the solver, with its warm
+	// start.
+	problem func(p Problem, warm []float64)
 	// nodeLimit > 0 stops branch-and-bound once that many nodes have
 	// been explored, as an expired deadline would; atNodeLimit then sees
 	// the open frontier before it is folded into the result.
 	nodeLimit   int
 	atNodeLimit func(open *nodeHeap)
-	// failNode > 0 makes that node's LP report a numerical failure, the
-	// hand-over to the dense solver.
-	failNode int
+	// failNode > 0 makes that node's LP report a numerical failure,
+	// which the retry from the slack basis then mends; with failRetry
+	// the retry fails too.
+	failNode  int
+	failRetry bool
+	// failed sees every node LP that failed, and whether its retry
+	// mended it.
+	failed func(recovered bool)
 	// pivot sees each dual simplex pivot before it is applied: leaving
 	// row r, pivot row, entering column (s.w, non-zero only at pat).
 	pivot func(s *lpState, r int, pat []int32)
@@ -361,20 +334,11 @@ func (h *nodeHeap) pop() bbNode {
 	}
 }
 
-// solveSparse is the sparse branch-and-bound on a pooled state;
-// ok=false requests the dense fallback.
-func solveSparse(p Problem, o Options) (Result, bool) {
-	ls := statePool.Get().(*lpState)
-	defer statePool.Put(ls)
-	res, ok := solveOn(ls, p, o)
-	return res, ok
-}
-
 // solveOn runs the sparse branch-and-bound on ls, whatever problem it
 // held before, and releases p's rows before it returns.
-func solveOn(ls *lpState, p Problem, o Options) (Result, bool) {
+func solveOn(ls *lpState, p Problem, o Options) Result {
 	if testHook.problem != nil {
-		testHook.problem(p)
+		testHook.problem(p, o.WarmStart)
 	}
 	n := len(p.C)
 	ls.init(p)
@@ -412,7 +376,7 @@ func solveOn(ls *lpState, p Problem, o Options) (Result, bool) {
 	// reinstall entirely, so consecutive nodes share LU factors.
 	var dive bbNode
 	diving := false
-	provedOptimal, failed := true, false
+	provedOptimal := true
 	// openBound folds the bounds of nodes abandoned on early exit so
 	// BestBound stays valid.
 	openBound := math.Inf(1)
@@ -473,13 +437,21 @@ func solveOn(ls *lpState, p Problem, o Options) (Result, bool) {
 		if res.Nodes == testHook.failNode {
 			status = lpFail
 		}
+		if status == lpFail {
+			status = ls.resolve(maxSimplexIters, o.Deadline)
+			if res.Nodes == testHook.failNode && testHook.failRetry {
+				status = lpFail
+			}
+			if testHook.failed != nil {
+				testHook.failed(status != lpFail)
+			}
+		}
 		switch status {
 		case lpDeadline, lpFail:
-			// Abandon the search: on a deadline the incumbent (if any) is
-			// the answer, on a numerical failure the dense solver takes
-			// over. Either way the bound over every subproblem still open
-			// — this one included — stays valid.
-			failed = status == lpFail
+			// Abandon the search, on a numerical failure the retry could
+			// not mend as on a deadline: the incumbent (if any) is the
+			// answer, and the bound over every subproblem still open —
+			// this one included — stays valid.
 			provedOptimal = false
 			if nd.bound < openBound {
 				openBound = nd.bound
@@ -568,7 +540,7 @@ done:
 	} else if res.Feasible && !provedOptimal {
 		res.Gap = math.Inf(1)
 	}
-	return res, !failed
+	return res
 }
 
 // selectBranch picks the branching variable among the fractional

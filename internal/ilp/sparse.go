@@ -22,19 +22,6 @@ type Row struct {
 	Val []float64
 }
 
-// dense expands the constraint rows to dense form, for the frozen
-// dense-tableau solver and the tests' brute force.
-func (p Problem) dense() [][]float64 {
-	a := make([][]float64, len(p.A))
-	for i, r := range p.A {
-		a[i] = make([]float64, len(p.C))
-		for k, j := range r.Idx {
-			a[i][j] = r.Val[k]
-		}
-	}
-	return a
-}
-
 // dot returns the row's inner product with a dense vector.
 func (r Row) dot(x []float64) float64 {
 	var s float64

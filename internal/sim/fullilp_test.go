@@ -2,7 +2,7 @@ package sim
 
 // The exact-ILP fusion evaluate path under concurrency. The sparse
 // solve's differential against the dense reference on these models'
-// instances lives in internal/fusion (refdiff_test.go).
+// instances lives in internal/ilp (fusiondiff_test.go).
 
 import (
 	"sync"
