@@ -336,10 +336,10 @@ func BenchmarkEvaluate(b *testing.B) {
 // BenchmarkEvaluateBatch times the factored evaluator on a sweep-shaped
 // batch: 64 designs mutated a few parameters at a time around FAST-Large
 // (the distribution an ask/tell optimizer batch feeds EvaluateBatch), on
-// a freshly compiled plan each iteration so every stage-cache entry is
-// computed inside the timed region. The gap between evals/s here and in
-// BenchmarkEvaluate (one design, warm caches) brackets the memoization
-// win on real search batches.
+// a freshly compiled plan each iteration so every design's memo entry is
+// filled inside the timed region. The gap between evals/s here and in
+// BenchmarkEvaluate (one design, its entry warm) is what the memo saves
+// when a design is evaluated again on the same plan.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	base := arch.FASTLarge()
 	g := models.MustBuild("efficientnet-b0", base.NativeBatch)

@@ -1,14 +1,13 @@
 // fastlint is the multichecker for the engine's custom static
-// analyzers (internal/analysis): maskcheck, detrange, nondetsource,
-// and poolescape — the compile-time proofs behind the stage-cache
-// soundness and determinism invariants.
+// analyzers (internal/analysis): detrange, nondetsource and poolescape
+// — the compile-time checks behind the determinism invariants and the
+// pooled-scratch discipline.
 //
 // It loads the module from source once and analyzes every matched
-// package against it (the interprocedural maskcheck pass needs function
-// bodies across package boundaries):
+// package against it:
 //
 //	go run ./cmd/fastlint ./...
-//	go run ./cmd/fastlint -analyzers maskcheck,detrange ./internal/sim
+//	go run ./cmd/fastlint -analyzers detrange,poolescape ./internal/sim
 //	go run ./cmd/fastlint -json ./...
 //
 // Exit status: 0 clean, 1 when diagnostics were reported, 2 on usage or
@@ -27,14 +26,12 @@ import (
 	"fast/internal/analysis"
 	"fast/internal/analysis/detrange"
 	"fast/internal/analysis/load"
-	"fast/internal/analysis/maskcheck"
 	"fast/internal/analysis/nondetsource"
 	"fast/internal/analysis/poolescape"
 )
 
 // all lists every analyzer in the suite.
 var all = []*analysis.Analyzer{
-	maskcheck.Analyzer,
 	detrange.Analyzer,
 	nondetsource.Analyzer,
 	poolescape.Analyzer,

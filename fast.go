@@ -266,11 +266,10 @@ func FASTOptions() SimOptions { return sim.FASTOptions() }
 // (workload, options) pair — fusion-region partitioning, per-op
 // shape/FLOPs/cost tables, fusion-candidate enumeration — done once by
 // Compile. Plan.Evaluate then scores a candidate design running only the
-// design-dependent work (schedule mapping, fusion placement, roll-up),
-// with each stage memoized across trials by the sub-tuple of design
-// parameters it reads, so sweeps over a few axes mostly hit warm stage
-// caches. Plan.EvaluateBatch scores many designs at once, walking the
-// batch in stage-key order for cache locality (bit-identical to
+// design-dependent work (schedule mapping, fusion placement, roll-up);
+// the mappings and the fusion placement are memoized per design, so
+// scoring a design again on the same plan repeats only the roll-up.
+// Plan.EvaluateBatch scores many designs at once (bit-identical to
 // per-design Evaluate, results in input order). Plans are safe for
 // concurrent Evaluate/EvaluateBatch calls, so many search workers can
 // share one.

@@ -4,13 +4,7 @@
 // diagnostics, golden tests (internal/analysis/analysistest), and an
 // auditable suppression mechanism.
 //
-// Two comment directives tie the suite to the engine's invariants:
-//
-//	//fast:stage mask=<ParamMask expr> [fixed=<attr,attr,...>]
-//
-// declares, on a memoized stage function, the exact arch.Config
-// sub-tuple its cache key covers (verified by the maskcheck analyzer),
-// and
+// One comment directive ties the suite to the engine's code:
 //
 //	//fast:allow <analyzer> <reason>
 //
@@ -22,7 +16,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -46,10 +39,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *load.Package
-	// Prog is the whole loaded program, for interprocedural analyzers
-	// (maskcheck traces field reads across package boundaries).
-	Prog   *load.Program
-	Report func(Diagnostic)
+	Report   func(Diagnostic)
 }
 
 // A Diagnostic is one finding, positioned at Pos.
@@ -78,7 +68,6 @@ func Run(prog *load.Program, pkgs []*load.Package, analyzers []*Analyzer) ([]Dia
 				Analyzer: a,
 				Fset:     prog.Fset,
 				Pkg:      pkg,
-				Prog:     prog,
 				Report: func(d Diagnostic) {
 					d.Analyzer = a.Name
 					if !allows.suppresses(prog.Fset, d) {
@@ -142,7 +131,7 @@ func collectAllows(fset *token.FileSet, pkg *load.Package, known map[string]bool
 				if len(fields) == 0 || !known[fields[0]] {
 					bad = append(bad, Diagnostic{
 						Pos: c.Pos(), Analyzer: "directive",
-						Message: "fast:allow needs a known analyzer name (maskcheck, detrange, nondetsource, poolescape)",
+						Message: "fast:allow needs a known analyzer name (detrange, nondetsource, poolescape)",
 					})
 					continue
 				}
@@ -163,51 +152,4 @@ func collectAllows(fset *token.FileSet, pkg *load.Package, known map[string]bool
 		}
 	}
 	return idx, bad
-}
-
-// StageDirective is a parsed //fast:stage declaration.
-type StageDirective struct {
-	// MaskExpr is the declared ParamMask expression, verbatim.
-	MaskExpr string
-	// Fixed lists the fixed platform attributes (lower-case tokens:
-	// "cores", "clock", "mem") the stage's cache key carries beside the
-	// masked sub-tuple.
-	Fixed []string
-	// Pos locates the directive comment.
-	Pos token.Pos
-}
-
-// ParseStageDirective extracts the //fast:stage directive from a
-// function's doc comment, if any. A malformed directive returns an
-// error describing the expected grammar.
-func ParseStageDirective(doc *ast.CommentGroup) (*StageDirective, error) {
-	if doc == nil {
-		return nil, nil
-	}
-	for _, c := range doc.List {
-		text, ok := strings.CutPrefix(c.Text, "//fast:stage")
-		if !ok {
-			continue
-		}
-		d := &StageDirective{Pos: c.Pos()}
-		for _, field := range strings.Fields(text) {
-			switch {
-			case strings.HasPrefix(field, "mask="):
-				d.MaskExpr = strings.TrimPrefix(field, "mask=")
-			case strings.HasPrefix(field, "fixed="):
-				for _, tok := range strings.Split(strings.TrimPrefix(field, "fixed="), ",") {
-					if tok != "" {
-						d.Fixed = append(d.Fixed, tok)
-					}
-				}
-			default:
-				return nil, fmt.Errorf("fast:stage: unknown field %q (want mask=<expr> [fixed=<attr,...>])", field)
-			}
-		}
-		if d.MaskExpr == "" {
-			return nil, fmt.Errorf("fast:stage needs mask=<ParamMask expr>")
-		}
-		return d, nil
-	}
-	return nil, nil
 }

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 
 	"fast/internal/analysis/load"
@@ -76,7 +75,7 @@ func d() {}
 	}
 	want := []string{
 		"toy: func a", // no allow
-		"directive: fast:allow needs a known analyzer name (maskcheck, detrange, nondetsource, poolescape)", // nosuch
+		"directive: fast:allow needs a known analyzer name (detrange, nondetsource, poolescape)", // nosuch
 		"toy: func c", // unknown-name allow does not suppress
 		"directive: fast:allow toy needs a reason",
 		"toy: func d", // reason-less allow does not suppress
@@ -94,61 +93,5 @@ func d() {}
 		if diags[i-1].Pos > diags[i].Pos {
 			t.Errorf("diagnostics not position-sorted at %d", i)
 		}
-	}
-}
-
-func TestParseStageDirective(t *testing.T) {
-	group := func(lines ...string) *ast.CommentGroup {
-		cg := &ast.CommentGroup{}
-		for _, l := range lines {
-			cg.List = append(cg.List, &ast.Comment{Text: l})
-		}
-		return cg
-	}
-	cases := []struct {
-		name    string
-		doc     *ast.CommentGroup
-		mask    string
-		fixed   []string
-		errPart string
-		none    bool
-	}{
-		{name: "nil doc", doc: nil, none: true},
-		{name: "no directive", doc: group("// just a comment"), none: true},
-		{name: "mask only", doc: group("// doc", "//fast:stage mask=gridParams"), mask: "gridParams"},
-		{name: "mask and fixed", doc: group("//fast:stage mask=m&^n fixed=cores,clock"), mask: "m&^n", fixed: []string{"cores", "clock"}},
-		{name: "unknown field", doc: group("//fast:stage cover=all"), errPart: `unknown field "cover=all"`},
-		{name: "missing mask", doc: group("//fast:stage fixed=cores"), errPart: "needs mask="},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d, err := ParseStageDirective(tc.doc)
-			if tc.errPart != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.errPart) {
-					t.Fatalf("err = %v, want containing %q", err, tc.errPart)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("err = %v", err)
-			}
-			if tc.none {
-				if d != nil {
-					t.Fatalf("directive = %+v, want none", d)
-				}
-				return
-			}
-			if d == nil || d.MaskExpr != tc.mask {
-				t.Fatalf("directive = %+v, want mask %q", d, tc.mask)
-			}
-			if len(d.Fixed) != len(tc.fixed) {
-				t.Fatalf("fixed = %v, want %v", d.Fixed, tc.fixed)
-			}
-			for i := range tc.fixed {
-				if d.Fixed[i] != tc.fixed[i] {
-					t.Errorf("fixed[%d] = %q, want %q", i, d.Fixed[i], tc.fixed[i])
-				}
-			}
-		})
 	}
 }

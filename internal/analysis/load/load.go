@@ -2,8 +2,7 @@
 // the fastlint analyzers (internal/analysis) using only the standard
 // library: package metadata comes from `go list -deps -export -json`,
 // module packages are parsed and typechecked from source in dependency
-// order (so analyzers can trace call graphs across package boundaries),
-// and standard-library dependencies are imported from the compiled
+// order, and standard-library dependencies are imported from the compiled
 // export data the go command already maintains in its build cache.
 //
 // This is a deliberately small, offline replacement for
@@ -53,17 +52,7 @@ type Program struct {
 	Pkgs []*Package
 	// ByPath indexes Pkgs by import path.
 	ByPath map[string]*Package
-
-	// funcDecls maps every function/method object defined in a module
-	// package to its declaration, so interprocedural analyzers can walk
-	// bodies across package boundaries.
-	funcDecls map[*types.Func]*ast.FuncDecl
 }
-
-// FuncDecl returns the declaration of fn if it is defined in a loaded
-// module package, or nil (e.g. standard-library functions, interface
-// methods, func-typed values).
-func (p *Program) FuncDecl(fn *types.Func) *ast.FuncDecl { return p.funcDecls[fn] }
 
 // listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
@@ -105,11 +94,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		return nil, fmt.Errorf("go list: %v", err)
 	}
 
-	prog := &Program{
-		Fset:      token.NewFileSet(),
-		ByPath:    map[string]*Package{},
-		funcDecls: map[*types.Func]*ast.FuncDecl{},
-	}
+	prog := &Program{Fset: token.NewFileSet(), ByPath: map[string]*Package{}}
 	exports := map[string]string{} // import path -> export data file (non-module deps)
 
 	dec := json.NewDecoder(strings.NewReader(string(out)))
@@ -147,11 +132,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 // export data. Directories must be listed so that dependencies precede
 // dependents.
 func LoadDirs(root string, dirs ...string) (*Program, error) {
-	prog := &Program{
-		Fset:      token.NewFileSet(),
-		ByPath:    map[string]*Package{},
-		funcDecls: map[*types.Func]*ast.FuncDecl{},
-	}
+	prog := &Program{Fset: token.NewFileSet(), ByPath: map[string]*Package{}}
 
 	// Collect the standard-library imports of every testdata file up
 	// front so one `go list` run resolves all export data.
@@ -241,8 +222,7 @@ func stdExports(dir string, paths map[string]bool) (map[string]string, error) {
 	return exports, nil
 }
 
-// typecheck parses and checks one package, registering its function
-// declarations in the program index.
+// typecheck parses and checks one package.
 func typecheck(prog *Program, imp types.Importer, lp listPackage) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
@@ -258,21 +238,7 @@ func typecheck(prog *Program, imp types.Importer, lp listPackage) (*Package, err
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", lp.ImportPath, err)
 	}
-	pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Types: tpkg, Info: info}
-	for id, obj := range info.Defs {
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
-		}
-		for _, f := range files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name == id {
-					prog.funcDecls[fn] = fd
-				}
-			}
-		}
-	}
-	return pkg, nil
+	return &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // chainImporter resolves module packages from the program's

@@ -67,7 +67,7 @@ func (Space) Dims() [NumParams]int {
 
 // Canonical returns idx with its dead coordinates zeroed: with L2
 // disabled, the three L2 multipliers. Two vectors are canonically equal
-// exactly when their designs' SubKey(AllParams) are, so one evaluation
+// exactly when their designs' SubKeys are, so one evaluation
 // serves every alias of a design.
 func (Space) Canonical(idx [NumParams]int) [NumParams]int {
 	if idx[PL2Config] == 0 {

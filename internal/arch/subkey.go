@@ -1,54 +1,25 @@
 package arch
 
-// Parameter-sliced config fingerprints.
+// Design fingerprints.
 //
-// The factored evaluator in internal/sim memoizes per-design work across
-// search trials by the sub-tuple of searched hyperparameters each stage
-// actually reads: the schedule mapper sees only the PE grid, the systolic
-// arrays, and the L1 scratchpads; the fusion stage sees every searched
-// parameter but the native batch, which only selects the plan. SubKey packs such a sub-tuple into one comparable
-// uint64 so a stage cache can be keyed exactly by what the stage reads —
-// no more (a stale hit would be silently wrong) and no less (a too-wide
-// key only costs hit rate).
+// The evaluator in internal/sim memoizes each design's mapping and
+// fusion work per compiled plan, keyed on the whole design. SubKey packs
+// the searched part of that key into one comparable uint64.
 
-// ParamMask selects a subset of the searched hyperparameters (the P*
-// constants) for SubKey. Bit i selects parameter i.
-type ParamMask uint32
-
-// MaskOf builds a ParamMask from parameter indices.
-func MaskOf(params ...int) ParamMask {
-	var m ParamMask
-	for _, p := range params {
-		m |= 1 << p
-	}
-	return m
-}
-
-// Has reports whether the mask selects parameter p.
-func (m ParamMask) Has(p int) bool { return m&(1<<p) != 0 }
-
-// AllParams selects every searched hyperparameter.
-const AllParams = ParamMask(1<<NumParams - 1)
-
-// SubKey returns a compact fingerprint of the masked hyperparameters:
-// each of the 16 searched parameters owns a fixed 4-bit slot (the Table 3
-// domains are all ≤ 11 ordinal values), unmasked slots stay zero. Two
-// validated configs agree on a SubKey if and only if they agree on every
-// masked parameter, so the key is safe to memoize design-dependent work
-// under — provided the mask covers every field the work reads.
+// SubKey returns a compact fingerprint of the 16 searched
+// hyperparameters: each owns a fixed 4-bit slot (the Table 3 domains
+// are all ≤ 11 ordinal values). Two validated configs agree on a SubKey
+// if and only if they agree on every live searched parameter. The fixed
+// platform attributes (Cores, ClockGHz, Mem) and Name are not packed.
 //
 // The encoding canonicalizes dead parameters: with L2 disabled the three
 // L2 multipliers are not stored (they cannot affect any result, and
 // reference designs leave them zero), and GlobalMiB 0 packs as slot
 // value 0. The config must have passed Validate; out-of-domain values
 // would alias.
-func (c *Config) SubKey(mask ParamMask) uint64 {
+func (c *Config) SubKey() uint64 {
 	var k uint64
-	put := func(p int, v uint64) {
-		if mask.Has(p) {
-			k |= v << (4 * p)
-		}
-	}
+	put := func(p int, v uint64) { k |= v << (4 * p) }
 	put(PPEsX, uint64(log2(c.PEsX)))
 	put(PPEsY, uint64(log2(c.PEsY)))
 	put(PSAx, uint64(log2(c.SAx)))

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// TestSubKeyDistinguishesEveryMaskedParam walks every parameter: two
-// configs differing only in that parameter must have different SubKeys
-// when the mask covers it, and identical SubKeys when it does not
-// (except where the differing values are semantically dead — disabled-L2
-// multipliers and the GlobalMiB=0 slot — which must collapse).
+// TestSubKeyDistinguishesEveryMaskedParam walks every parameter (each
+// one owns a slot of the key): two configs differing only in that
+// parameter must have different SubKeys. L2 is enabled unless the walk
+// is over PL2Config, so the multiplier slots are live.
 func TestSubKeyDistinguishesEveryMaskedParam(t *testing.T) {
 	s := Space{}
 	dims := s.Dims()
@@ -17,8 +16,6 @@ func TestSubKeyDistinguishesEveryMaskedParam(t *testing.T) {
 	for p := 0; p < NumParams; p++ {
 		for v := 1; v < dims[p]; v++ {
 			var a, b [NumParams]int
-			// Enable L2 so the multiplier slots are live unless the walk
-			// itself is over PL2Config.
 			if p != PL2Config {
 				a[PL2Config], b[PL2Config] = 1, 1
 			}
@@ -27,13 +24,8 @@ func TestSubKeyDistinguishesEveryMaskedParam(t *testing.T) {
 			if err := ca.Validate(); err != nil {
 				t.Fatalf("decoded config invalid: %v", err)
 			}
-			full := AllParams
-			if ca.SubKey(full) == cb.SubKey(full) {
-				t.Errorf("param %s value %d: SubKey(AllParams) collides", ParamNames[p], v)
-			}
-			without := full &^ MaskOf(p)
-			if ca.SubKey(without) != cb.SubKey(without) {
-				t.Errorf("param %s value %d: SubKey without the param still differs", ParamNames[p], v)
+			if ca.SubKey() == cb.SubKey() {
+				t.Errorf("param %s value %d: SubKey collides", ParamNames[p], v)
 			}
 		}
 	}
@@ -48,19 +40,19 @@ func TestSubKeyCanonicalizesDeadParams(t *testing.T) {
 	a[PL2Config], b[PL2Config] = 0, 0 // disabled
 	a[PL2InputMult], b[PL2InputMult] = 0, 7
 	a[PL2WeightMult], b[PL2WeightMult] = 3, 5
-	if k1, k2 := s.Decode(a, base).SubKey(AllParams), s.Decode(b, base).SubKey(AllParams); k1 != k2 {
+	if k1, k2 := s.Decode(a, base).SubKey(), s.Decode(b, base).SubKey(); k1 != k2 {
 		t.Errorf("disabled-L2 multiplier variants must share a SubKey: %x vs %x", k1, k2)
 	}
 	// Reference designs carry zero-valued multipliers with L2 disabled;
 	// SubKey must accept them (no log2(0) aliasing with real values).
 	for _, name := range designNames() {
 		c := ByName(name)
-		_ = c.SubKey(AllParams)
+		_ = c.SubKey()
 	}
 }
 
 // TestSubKeyRandomInjective cross-checks random config pairs: equal
-// SubKey(AllParams) implies equal live parameters.
+// SubKey() implies equal live parameters.
 func TestSubKeyRandomInjective(t *testing.T) {
 	s := Space{}
 	base := FASTLarge()
@@ -80,7 +72,7 @@ func TestSubKeyRandomInjective(t *testing.T) {
 		for d, card := range s.Dims() {
 			idx[d] = rng.Intn(card)
 		}
-		k := s.Decode(idx, base).SubKey(AllParams)
+		k := s.Decode(idx, base).SubKey()
 		if prev, ok := seen[k]; ok && live(prev.idx) != live(idx) {
 			t.Fatalf("SubKey collision: %v vs %v → %x", prev.idx, idx, k)
 		}
@@ -88,21 +80,7 @@ func TestSubKeyRandomInjective(t *testing.T) {
 	}
 }
 
-// TestMaskOf sanity-checks the mask helpers.
-func TestMaskOf(t *testing.T) {
-	m := MaskOf(PPEsX, PSAy, PNativeBatch)
-	for p := 0; p < NumParams; p++ {
-		want := p == PPEsX || p == PSAy || p == PNativeBatch
-		if m.Has(p) != want {
-			t.Errorf("MaskOf.Has(%s) = %v, want %v", ParamNames[p], m.Has(p), want)
-		}
-	}
-	if !AllParams.Has(PNativeBatch) || AllParams.Has(NumParams) {
-		t.Error("AllParams bounds wrong")
-	}
-}
-
-// TestCanonicalMatchesSubKey ties Space.Canonical to SubKey(AllParams):
+// TestCanonicalMatchesSubKey ties Space.Canonical to SubKey():
 // two vectors are canonically equal exactly when their designs' keys
 // are. Each class of one must be a class of the other, checked over
 // every combination of the conditional dimensions (L2 config and its
@@ -118,7 +96,7 @@ func TestCanonicalMatchesSubKey(t *testing.T) {
 		byKey := map[uint64][NumParams]int{}
 		byCanon := map[[NumParams]int]uint64{}
 		for _, idx := range vecs {
-			k, c := s.Decode(idx, base).SubKey(AllParams), s.Canonical(idx)
+			k, c := s.Decode(idx, base).SubKey(), s.Canonical(idx)
 			if prev, ok := byKey[k]; ok && prev != c {
 				t.Fatalf("equal SubKey %x, canonical %v and %v", k, prev, c)
 			}

@@ -233,10 +233,10 @@ func (ev *evaluator) finish(c *candidate) search.Evaluation {
 // decode to a valid configuration inside the budget (Eq. 4) are grouped
 // by NativeBatch (a searched hyperparameter that selects the compiled
 // plan) and routed through Plan.ScoreBatch one workload at a time, so
-// an ask-batch of near-identical proposals shares memoized mapping /
-// residency / roll-up stages, and fold reads its few scalars off each
-// Result while the per-region tables behind it are reused for the next
-// design; a design is dropped from later workloads as soon as an earlier
+// fold reads its few scalars off each Result while the per-region
+// tables behind it are reused for the next design; fold works per
+// candidate, so the order designs are scored in reaches no answer. A
+// design is dropped from later workloads as soon as an earlier
 // one proves it infeasible. Everything that does not survive keeps the
 // zero (infeasible) Evaluation.
 func (ev *evaluator) evaluateBatch(idxs [][arch.NumParams]int) []search.Evaluation {

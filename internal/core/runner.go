@@ -55,10 +55,9 @@ type runner struct {
 	// Optimizer proposes candidates; required.
 	Optimizer search.Optimizer
 	// BatchObjective evaluates candidates; required. The runner sorts
-	// each ask-batch's unique uncached points lexicographically (grouping
-	// near-identical proposals so a stage-memoizing evaluator hits warm
-	// caches) and fans contiguous chunks across the worker pool; it sees
-	// canonical vectors only. It must be safe for concurrent calls when
+	// each ask-batch's unique uncached points lexicographically and fans
+	// contiguous chunks across the worker pool; it sees canonical vectors
+	// only. It must be safe for concurrent calls when
 	// Parallelism > 1, and deterministic per design (memoization replays
 	// the first evaluation of a design for all its aliases).
 	BatchObjective search.BatchObjective
@@ -268,9 +267,8 @@ func (r *runner) Run(ctx context.Context) (search.Result, error) {
 			return res, nil
 		}
 
-		// Evaluate the batch's unique uncached points, sorted so
-		// proposals that share parameter sub-tuples become neighbours,
-		// in chunks bounded by maxObjectiveChunk so large custom
+		// Evaluate the batch's unique uncached points, sorted, in
+		// chunks bounded by maxObjectiveChunk so large custom
 		// BatchSizes still stop promptly on cancellation. Results are
 		// keyed by index vector, so neither sorting nor chunking
 		// reaches the transcript.

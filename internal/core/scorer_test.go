@@ -11,7 +11,7 @@ import (
 )
 
 // scoredBytes builds the perf-per-tdp scorer for one workload, warms it
-// on a mutation chain around FAST-Large (plan compiled, stage caches
+// on a mutation chain around FAST-Large (plan compiled, memo entries
 // filled), and returns the heap bytes and allocations per design that
 // reaches the simulator when the same batch is scored again, plus the
 // plan's region count.

@@ -46,7 +46,7 @@ func before(a, b heapEntry) bool {
 }
 
 // greedyScratch pools the greedy's per-call working memory; every
-// search trial that misses the fusion stage cache runs one greedy, so
+// search trial that reaches the simulator runs one greedy, so
 // these buffers are the hottest transient allocations of a search.
 type greedyScratch struct {
 	saved []float64
@@ -190,7 +190,7 @@ func density(regions []RegionCost, saved []float64, c *greedyCand) float64 {
 // saving per GM byte is best and capacity allows. Savings saturate at
 // each region's TMin, so marginal values are recomputed as items land.
 //
-// It runs on every search trial that misses the fusion stage cache. Two
+// It runs on every search trial that reaches the simulator. Two
 // structural optimizations over the reference implementation, both
 // selection-order preserving (the frozen references in the tests keep
 // that claim falsifiable, on fuzzed and on compiled-plan instances):

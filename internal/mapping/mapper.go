@@ -57,23 +57,6 @@ func (o Options) effectiveSchemes() []Scheme {
 	return o.Schemes
 }
 
-// SchemeKey fingerprints the effective scheme sequence for memoization:
-// caches of mapper results keyed only by datapath parameters would let a
-// restricted-scheme search (Options.Schemes) silently hit entries
-// computed under the full universe, so any such cache must mix this key
-// in. The encoding is order-sensitive (Best resolves equal-cycle ties to
-// the earlier scheme) and distinguishes nil from a non-nil empty slice
-// via a length prefix; nil deliberately shares the key of an explicit
-// full-universe list, which Best treats identically.
-func (o Options) SchemeKey() uint64 {
-	schemes := o.effectiveSchemes()
-	k := uint64(len(schemes)) + 1 // +1 keeps "none" (0 schemes) distinct from a zero key
-	for _, s := range schemes {
-		k = k<<3 | (uint64(s) + 1)
-	}
-	return k
-}
-
 // Mapping is the mapper's result for one problem on one datapath.
 type Mapping struct {
 	Scheme Scheme

@@ -382,3 +382,17 @@ func (m Mapping) Utilization() float64 { return m.ArrayUtil * m.PEUtil }
 
 // FLOPs returns the problem's multiply-accumulate work ×2.
 func (p Problem) FLOPs() int64 { return 2 * p.Indep * p.M * p.N * p.K }
+
+// TestEffectiveSchemes checks the nil/empty distinction survives.
+func TestEffectiveSchemes(t *testing.T) {
+	if got := (Options{}).effectiveSchemes(); len(got) != len(allSchemes) {
+		t.Errorf("nil Schemes: got %v, want full universe", got)
+	}
+	if got := (Options{Schemes: []Scheme{}}).effectiveSchemes(); len(got) != 0 {
+		t.Errorf("empty Schemes: got %v, want none", got)
+	}
+	restricted := []Scheme{OutputStationary}
+	if got := (Options{Schemes: restricted}).effectiveSchemes(); len(got) != 1 || got[0] != OutputStationary {
+		t.Errorf("restricted Schemes: got %v", got)
+	}
+}

@@ -9,8 +9,8 @@ import (
 
 // nsga2Optimizer is an elitist non-dominated-sorting genetic algorithm
 // (NSGA-II, Deb et al.) speaking the batch ask/tell protocol, so it
-// inherits the study runner's worker pool, memoization, and
-// EvaluateBatch for free.
+// inherits the study runner's worker pool, memoization and batch
+// evaluator for free.
 //
 // Ask serves proposals from a queue that refills one population at a
 // time: the first refill is uniform random; later refills breed

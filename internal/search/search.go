@@ -69,12 +69,10 @@ func (e Evaluation) ObjectiveVector() []float64 {
 // BatchObjective evaluates a whole slice of hyperparameter vectors at
 // once, returning exactly one Evaluation per vector, positionally
 // aligned. It is the one shape objectives take, so an evaluator can
-// amortize shared work across a batch (sim.Plan.EvaluateBatch memoizes
-// per-stage results by parameter sub-key, so a batch of near-identical
-// proposals — the shape adaptive optimizers emit — mostly hits warm
-// caches). The Evaluation of
-// a vector must not depend on what else is in the batch or on evaluation
-// order.
+// amortize per-call work across a batch (core's evaluator groups a batch
+// by compiled plan and reuses its result tables design after design).
+// The Evaluation of a vector must not depend on what else is in the
+// batch or on evaluation order.
 type BatchObjective func(idxs [][arch.NumParams]int) []Evaluation
 
 // Trial records one evaluated point.

@@ -13,12 +13,12 @@ import (
 	"fast/internal/models"
 )
 
-// TestParallelFullILPEvaluateRace hammers the new parallel full-ILP
-// paths on one shared plan: concurrent Evaluates with AutoSoftmax
-// (each spawning the concurrent softmax-variant goroutine, each variant
-// an exact ILP through the pooled revised-simplex state) across designs
-// that alternate between sharing and missing the fusion stage cache.
-// Run under -race in CI.
+// TestParallelFullILPEvaluateRace hammers the parallel full-ILP paths
+// on one shared plan: concurrent Evaluates with AutoSoftmax (each
+// spawning the concurrent softmax-variant goroutine, each variant an
+// exact ILP through the pooled revised-simplex state) over four designs,
+// each evaluated by four goroutines, so some fill a design's memo entry
+// while others wait on it or hit it. Run under -race in CI.
 func TestParallelFullILPEvaluateRace(t *testing.T) {
 	g := models.MustBuild("bert-128", arch.FASTLarge().NativeBatch)
 	opts := FASTOptions()
@@ -31,7 +31,7 @@ func TestParallelFullILPEvaluateRace(t *testing.T) {
 	cfgs := make([]*arch.Config, 4)
 	for i := range cfgs {
 		c := arch.FASTLarge().Clone("race")
-		c.ClockGHz += float64(i) * 0.001 // distinct fusion cache keys
+		c.ClockGHz += float64(i) * 0.001 // distinct memo keys
 		cfgs[i] = c
 	}
 	var wg sync.WaitGroup

@@ -32,11 +32,11 @@ import (
 )
 
 // evalCount counts design evaluations process-wide: every Evaluate call
-// and every design in an EvaluateBatch adds one, regardless of how many
-// memoized stages it hits. Tests use the delta to assert evaluation
-// budgets (e.g. that a multi-objective study costs one evaluation per
-// design, not one per objective); the single relaxed atomic add is
-// noise next to the ~µs evaluate itself.
+// and every design in an EvaluateBatch adds one, whether or not the
+// design's memo entry was already filled. Tests use the delta to assert
+// evaluation budgets (e.g. that a multi-objective study costs one
+// evaluation per design, not one per objective); the single relaxed
+// atomic add is noise next to the ~µs evaluate itself.
 var evalCount atomic.Int64
 
 // EvalCount returns the process-wide design-evaluation count.
@@ -101,9 +101,9 @@ type planRegion struct {
 // Plan is a compiled simulation: every design-independent analysis of one
 // (workload graph, Options) pair, ready to be evaluated against any
 // number of candidate datapaths. The compiled data is immutable after
-// Compile; the stage caches (see stages.go) are internally synchronized,
-// so a Plan is safe for concurrent Evaluate/EvaluateBatch calls from
-// many goroutines.
+// Compile; the design memo (see memo.go) is internally synchronized, so
+// a Plan is safe for concurrent Evaluate/EvaluateBatch calls from many
+// goroutines.
 type Plan struct {
 	graph *hlo.Graph
 	opts  Options
@@ -124,25 +124,14 @@ type Plan struct {
 	// softmax op, and the tie resolves to three-pass, so AutoSoftmax
 	// evaluation can skip the second pass entirely.
 	hasSoftmax bool
-	// hasKV marks plans whose graph reads persistent KV-cache tensors
-	// (decode workloads); encoder plans skip the KV-eligibility stage
-	// entirely.
-	hasKV bool
 
-	// schemeKey fingerprints opts.Mapping's effective scheme set; it
-	// participates in every mapping-stage cache key (see stages.go).
-	schemeKey uint64
 	// pm is the resolved power model (opts.PowerModel or power.Default),
 	// hoisted out of the per-trial roll-up.
 	pm *power.Model
 
-	// Parameter-sliced stage caches, memoizing design-dependent work
-	// across trials by the sub-tuple of config parameters each stage
-	// reads (see stages.go).
-	mapCache    stageCache[mapKey, []mapping.Mapping]
-	floorCache  stageCache[int64, []int64]
-	fusionCache stageCache[fusionKey, fusion.Assignment]
-	kvCache     stageCache[uint64, []bool]
+	// memo keeps each evaluated design's mappings and fusion
+	// assignments (see memo.go).
+	memo designMemo
 }
 
 // SizeBytes estimates the plan's resident size: the immutable
@@ -151,10 +140,9 @@ type Plan struct {
 // accounting unit of core's LRU-bounded plan cache. Two resident costs
 // are deliberately excluded: the workload graph, which is owned by the
 // process-wide graph cache and shared across plans (counting it here
-// would double-charge every plan of the same workload), and the
-// parameter-sliced stage caches, which grow with use but are bounded
-// per plan by their own shard capacity (stageShards × stageShardCap
-// entries per stage).
+// would double-charge every plan of the same workload), and the design
+// memo, which grows with use but is bounded per plan by its own shard
+// capacity (memoShards × memoShardCap designs).
 func (p *Plan) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
 	size += int64(len(p.regions)) * int64(unsafe.Sizeof(planRegion{}))
@@ -175,7 +163,7 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{graph: g, opts: opts, schemeKey: opts.Mapping.SchemeKey()}
+	p := &Plan{graph: g, opts: opts}
 	p.pm = opts.PowerModel
 	if p.pm == nil {
 		p.pm = power.Default()
@@ -231,9 +219,6 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 		if nb > 1 && pr.edgeBytes > 0 && !opts.WholeTensorFusion {
 			pr.resident = pr.edgeBytes / nb
 		}
-		if pr.io.KVBytes > 0 {
-			p.hasKV = true
-		}
 		p.regions = append(p.regions, pr)
 	}
 
@@ -247,8 +232,9 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 
 // Evaluate runs the design-dependent half of the simulation: schedule
 // mapping over the plan's unique matrix problems, fusion placement among
-// the precompiled candidates, and the latency/power roll-up — each stage
-// memoized across trials by the config sub-tuple it reads (stages.go).
+// the precompiled candidates, and the latency/power roll-up. The mappings
+// and the fusion assignment are memoized per design (memo.go), so
+// evaluating a design again on the same plan repeats only the roll-up.
 // It is safe to call concurrently on one shared Plan, and produces
 // bit-identical Results to Simulate(g, cfg, opts) for the graph and
 // options the plan was compiled from.
@@ -259,40 +245,39 @@ func (p *Plan) Evaluate(cfg *arch.Config) (*Result, error) {
 	return p.evaluateValidated(cfg, nil), nil
 }
 
-// evaluateValidated fetches the memoized stages for cfg and runs the
-// softmax-variant selection over them. One stage fetch serves both
-// variant evaluations of an AutoSoftmax run: the mapper never depends on
-// the softmax algorithm. bufs, when non-nil, holds the memory the
-// Results are written into (see ScoreBatch); nil allocates them.
+// evaluateValidated fetches cfg's memo entry and runs the
+// softmax-variant selection over it. One entry serves both variant
+// evaluations of an AutoSoftmax run: the mapper never depends on the
+// softmax algorithm. bufs, when non-nil, holds the memory the Results are
+// written into (see ScoreBatch); nil allocates them.
 func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 	evalCount.Add(1)
-	mapped := p.mappedFor(cfg)
-	extras := p.floorFor(capacityBytes(cfg))
+	e := p.memo.entry(cfg)
 	if p.opts.AutoSoftmax {
 		var a, b *Result
 		if !p.hasSoftmax {
 			// No softmax op: the two-pass variant would produce the
 			// identical timeline, and the a/b tie resolves to a.
-			return p.evaluate(cfg, vpu.ThreePass, mapped, extras, bufs)
+			return p.evaluate(cfg, vpu.ThreePass, e, bufs)
 		}
 		if p.opts.Fusion.GreedyOnly || p.opts.Fusion.Disable {
 			// Search-loop stack: the two variant evaluations are a few
 			// microseconds each, not worth a goroutine.
-			a = p.evaluate(cfg, vpu.ThreePass, mapped, extras, bufs)
-			b = p.evaluate(cfg, vpu.TwoPass, mapped, extras, bufs)
+			a = p.evaluate(cfg, vpu.ThreePass, e, bufs)
+			b = p.evaluate(cfg, vpu.TwoPass, e, bufs)
 		} else {
-			// Full-ILP stack: each variant's fusion stage is an exact
+			// Full-ILP stack: each variant's fusion assignment is an exact
 			// branch-and-bound solve (they differ in vector times and DRAM
-			// extras, hence in their cost tables and cache keys), so the
-			// two instances run concurrently. Selection below is unchanged
+			// extras, hence in their cost tables), so the two instances run
+			// concurrently, each filling its own slot of the entry. Selection below is unchanged
 			// and order-independent, so the result is bit-identical to the
 			// serial path.
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				b = p.evaluate(cfg, vpu.TwoPass, mapped, extras, bufs)
+				b = p.evaluate(cfg, vpu.TwoPass, e, bufs)
 			}()
-			a = p.evaluate(cfg, vpu.ThreePass, mapped, extras, bufs)
+			a = p.evaluate(cfg, vpu.ThreePass, e, bufs)
 			<-done
 		}
 		if !b.ScheduleFailed && (a.ScheduleFailed || b.LatencySec < a.LatencySec) {
@@ -304,22 +289,24 @@ func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 	if p.opts.TwoPassSoftmax {
 		alg = vpu.TwoPass
 	}
-	return p.evaluate(cfg, alg, mapped, extras, bufs)
+	return p.evaluate(cfg, alg, e, bufs)
 }
 
 // evaluate is the per-design hot path. It mirrors the pre-split
 // simulate() arithmetic exactly — same operations, same order — reading
-// every design-independent quantity from the plan's flat tables and
-// every memoized stage result (mapped, extras) from the stage caches.
-// The Result and its tables are fresh when bufs is nil, and otherwise
-// bufs' slot for alg, overwritten.
-func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []mapping.Mapping, extras []int64, bufs *scoreBufs) *Result {
+// every design-independent quantity from the plan's flat tables and the
+// design's mappings and fusion assignment from its memo entry e. The
+// Result and its tables are fresh when bufs is nil, and otherwise bufs'
+// slot for alg, overwritten.
+func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, e *designEntry, bufs *scoreBufs) *Result {
 	g := p.graph
 
 	perCoreBW := cfg.PeakBandwidthGBs() * 1e9 / float64(cfg.Cores)
 	clock := cfg.ClockGHz * 1e9
 
 	capBytes := capacityBytes(cfg)
+	gm := cfg.GlobalBytes()
+	mapped := e.mappings(p, cfg)
 
 	algIdx := 0
 	if alg == vpu.TwoPass {
@@ -337,10 +324,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 	scratch := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(scratch)
 	costs := scratch.regionCosts(len(p.regions))
-	var kvOK []bool
-	if p.hasKV {
-		kvOK = p.kvEligibleFor(cfg)
-	}
+	extras := scratch.trafficExtras(p, capBytes)
 	var totalFLOPs, matrixFLOPs int64
 
 	for ri := range p.regions {
@@ -443,7 +427,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 			// the tensor's only external consumer.
 			c.TEdgeWrite = float64(pr.edgeBytes) / perCoreBW
 		}
-		if kvOK != nil && kvOK[ri] {
+		if io.KVBytes > 0 && io.KVBytes <= gm {
 			// The region's KV-cache slab fits in Global Memory: offer it to
 			// the residency solver as a pin-like hold candidate.
 			c.KVBytes = io.KVBytes
@@ -457,7 +441,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 		matrixFLOPs += io.MatrixFLOPs
 	}
 
-	p.fusionFor(cfg, algIdx, costs, sol)
+	e.resolveFusion(p, cfg, algIdx, costs, sol)
 	res.Fusion = *sol
 
 	// Post-fusion DRAM traffic per region.

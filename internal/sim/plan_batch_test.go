@@ -15,7 +15,7 @@ import (
 // differential property: for every registry model × option set,
 // EvaluateBatch over the reference designs must return results
 // bit-identical to per-design Evaluate AND to the frozen pre-split
-// simulator, in input order, regardless of the internal sub-key sort.
+// simulator, in input order.
 func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential sweep is not short")
@@ -123,8 +123,7 @@ func TestEvaluateBatchRejectsInvalid(t *testing.T) {
 // randomSweep draws n random designs from the Table 3 space around the
 // FAST platform — the design distribution an optimizer batch feeds
 // EvaluateBatch — with heavy parameter sharing between neighbours
-// (each design mutates a few coordinates of the previous one), which is
-// exactly the shape that exercises stage-cache reuse across sub-keys.
+// (each design mutates a few coordinates of the previous one).
 func randomSweep(rng *rand.Rand, n int) []*arch.Config {
 	s := arch.Space{}
 	base := arch.FASTLarge()
@@ -147,8 +146,8 @@ func randomSweep(rng *rand.Rand, n int) []*arch.Config {
 
 // TestEvaluateBatchFuzzSweeps fuzzes the factored/batched evaluator over
 // random design sweeps: every result must stay bit-identical to the
-// frozen pre-split simulator. This is the test that would catch a stage
-// cache keyed too narrowly (a hit returning another design's stage).
+// frozen pre-split simulator. This is the test that would catch a memo
+// keyed too narrowly (a hit returning another design's entry).
 func TestEvaluateBatchFuzzSweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz sweep is not short")
@@ -182,58 +181,65 @@ func TestEvaluateBatchFuzzSweeps(t *testing.T) {
 }
 
 // TestEvaluateBatchConcurrent hammers one shared Plan with EvaluateBatch
-// from many goroutines over overlapping design sweeps; under -race it
-// proves the stage caches synchronize correctly, and every concurrent
-// result must still be bit-identical to its serial Evaluate.
+// from many goroutines over overlapping design sweeps. The references
+// come from a separate plan, so the goroutines race to fill cold memo
+// entries; on bert-128 both softmax variants' fusion slots of one entry
+// are filled concurrently. Under -race it proves the memo synchronizes
+// correctly, and every concurrent result must still be bit-identical to
+// its reference.
 func TestEvaluateBatchConcurrent(t *testing.T) {
-	g := models.MustBuild("efficientnet-b0", 128)
-	plan, err := Compile(g, FASTOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(31))
-	sweep := append(randomSweep(rng, 24), planDesigns()...)
-	refs := make([]*Result, len(sweep))
-	for i, cfg := range sweep {
-		if refs[i], err = plan.Evaluate(cfg); err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+	for _, model := range []string{"efficientnet-b0", "bert-128"} {
+		g := models.MustBuild(model, 128)
+		ref, err := Compile(g, FASTOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		plan, err := Compile(g, FASTOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(31))
+		sweep := append(randomSweep(rng, 24), planDesigns()...)
+		refs, err := ref.EvaluateBatch(sweep)
+		if err != nil {
+			t.Fatalf("%s: %v", model, err)
+		}
 
-	const goroutines = 8
-	const rounds = 3
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines*rounds)
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker walks a rotated view of the sweep so batches
-			// overlap but differ in order.
-			local := make([]*arch.Config, len(sweep))
-			want := make([]*Result, len(sweep))
-			for i := range sweep {
-				j := (i + w*3) % len(sweep)
-				local[i], want[i] = sweep[j], refs[j]
-			}
-			for round := 0; round < rounds; round++ {
-				got, err := plan.EvaluateBatch(local)
-				if err != nil {
-					errs <- fmt.Errorf("worker %d: %v", w, err)
-					return
+		const goroutines = 8
+		const rounds = 3
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines*rounds)
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Each worker walks a rotated view of the sweep so batches
+				// overlap but differ in order.
+				local := make([]*arch.Config, len(sweep))
+				want := make([]*Result, len(sweep))
+				for i := range sweep {
+					j := (i + w*3) % len(sweep)
+					local[i], want[i] = sweep[j], refs[j]
 				}
-				for i := range got {
-					if !reflect.DeepEqual(want[i], got[i]) {
-						errs <- fmt.Errorf("worker %d: concurrent batch result %d diverged", w, i)
+				for round := 0; round < rounds; round++ {
+					got, err := plan.EvaluateBatch(local)
+					if err != nil {
+						errs <- fmt.Errorf("%s worker %d: %v", model, w, err)
 						return
 					}
+					for i := range got {
+						if !reflect.DeepEqual(want[i], got[i]) {
+							errs <- fmt.Errorf("%s worker %d: concurrent batch result %d diverged", model, w, i)
+							return
+						}
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func TestDecodeKVAccounting(t *testing.T) {
 }
 
 // TestDecodeKVCapacityGate: a design whose Global Memory cannot fit a
-// single cache slab must never hold one (the kvEligibleFor stage), and
+// single cache slab must never hold one (evaluate's KV-eligibility gate), and
 // disabling fusion holds nothing anywhere.
 func TestDecodeKVCapacityGate(t *testing.T) {
 	g := models.MustBuild("gpt2-decode-1024", 1)

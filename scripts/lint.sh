@@ -3,7 +3,7 @@
 # exactly this). Runs, in order:
 #
 #   1. fastlint    — the in-tree static-analysis suite (cmd/fastlint):
-#                    stage-cache mask soundness and determinism invariants
+#                    determinism invariants and pooled-scratch discipline
 #   2. linkcheck   — docs stay anchored: markdown links, file:line
 #                    pointers, and the metrics catalog resolve
 #   3. run names   — every -run pattern in ci.yml names existing tests
