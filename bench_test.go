@@ -336,10 +336,10 @@ func BenchmarkEvaluate(b *testing.B) {
 // BenchmarkEvaluateBatch times the factored evaluator on a sweep-shaped
 // batch: 64 designs mutated a few parameters at a time around FAST-Large
 // (the distribution an ask/tell optimizer batch feeds EvaluateBatch), on
-// a freshly compiled plan each iteration so every design's memo entry is
-// filled inside the timed region. The gap between evals/s here and in
-// BenchmarkEvaluate (one design, its entry warm) is what the memo saves
-// when a design is evaluated again on the same plan.
+// a freshly compiled plan each iteration. A greedy plan memoizes nothing
+// Evaluate or EvaluateBatch computes (only ScoreBatch's Scores), so
+// evals/s here and in BenchmarkEvaluate (one design, evaluated again
+// and again) differ by the designs' mix, not by a memo.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	base := arch.FASTLarge()
 	g := models.MustBuild("efficientnet-b0", base.NativeBatch)
@@ -381,10 +381,10 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // ILP-dominated reference instances with the sparse revised-simplex
 // core (internal/ilp's BenchmarkFullILPDense times the frozen
 // dense-tableau reference on the same instances). Each iteration
-// perturbs the clock so the fusion-stage memo misses and every design
-// pays a fresh branch-and-bound solve, while the mapping stage (which
-// never reads the clock) stays warm; the benchmark therefore isolates
-// the ILP. nodes/op reports branch-and-bound nodes explored per
+// perturbs the clock so the plan's fusion-assignment memo misses and
+// every design pays a fresh branch-and-bound solve; the mapping and the
+// roll-up around it are small next to the solve, so the benchmark
+// isolates the ILP. nodes/op reports branch-and-bound nodes explored per
 // iteration across the three instances.
 func BenchmarkFullILPEvaluate(b *testing.B) {
 	instances := []struct {
@@ -407,7 +407,7 @@ func BenchmarkFullILPEvaluate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Warm the clock-independent stages (mapping, floors).
+		// An untimed first evaluation sizes the pooled scratch.
 		if _, err := p.Evaluate(inst.cfg); err != nil {
 			b.Fatal(err)
 		}

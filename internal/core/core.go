@@ -297,8 +297,8 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 // finalReport simulates every design on every workload with opts — the
 // full exact-ILP fusion solve on the reporting paths — through the
 // process-wide plan cache: one compile per (workload, batch), and each
-// design's mappings and fusion placement memoized on its plan, shared
-// with later re-evaluations of the same design. The (design, workload) pairs are independent solves, so
+// design's exact fusion placement memoized on its plan, shared with
+// later re-evaluations of the same design. The (design, workload) pairs are independent solves, so
 // the whole cross product fans out across one ForEach pool; results land
 // in index-addressed slots, keeping reports identical at any
 // parallelism.

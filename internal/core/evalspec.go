@@ -177,10 +177,10 @@ type candidate struct {
 	logSum [numObjectiveKinds]float64
 }
 
-// fold scores one workload result into the per-objective running
+// fold scores one workload's Score into the per-objective running
 // log-sums; false means the design failed Eq. 5 or the latency bound on
 // this workload.
-func (ev *evaluator) fold(r *sim.Result, c *candidate) bool {
+func (ev *evaluator) fold(r sim.Score, c *candidate) bool {
 	if r.ScheduleFailed || r.QPS <= 0 {
 		return false
 	}
@@ -233,9 +233,9 @@ func (ev *evaluator) finish(c *candidate) search.Evaluation {
 // decode to a valid configuration inside the budget (Eq. 4) are grouped
 // by NativeBatch (a searched hyperparameter that selects the compiled
 // plan) and routed through Plan.ScoreBatch one workload at a time, so
-// fold reads its few scalars off each Result while the per-region
-// tables behind it are reused for the next design; fold works per
-// candidate, so the order designs are scored in reaches no answer. A
+// fold reads the four figures of each design's Score, memoized on the
+// shared plan; fold works per candidate, so the order designs are
+// scored in reaches no answer. A
 // design is dropped from later workloads as soon as an earlier
 // one proves it infeasible. Everything that does not survive keeps the
 // zero (infeasible) Evaluation.
@@ -276,7 +276,7 @@ func (ev *evaluator) evaluateBatch(idxs [][arch.NumParams]int) []search.Evaluati
 			}
 			plan, err := plans.get(w, nb, ev.simFP, ev.SimOptions)
 			if err == nil {
-				err = plan.ScoreBatch(cfgs, func(k int, r *sim.Result) {
+				err = plan.ScoreBatch(cfgs, func(k int, r sim.Score) {
 					if !ev.fold(r, &alive[ais[k]]) {
 						dead[ais[k]] = true
 					}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fast/internal/arch"
@@ -11,10 +13,11 @@ import (
 )
 
 // scoredBytes builds the perf-per-tdp scorer for one workload, warms it
-// on a mutation chain around FAST-Large (plan compiled, memo entries
-// filled), and returns the heap bytes and allocations per design that
-// reaches the simulator when the same batch is scored again, plus the
-// plan's region count.
+// (plan compiled, pooled tables sized) and returns the heap bytes and
+// allocations per design that reaches the simulator when batches of
+// designs the plan has never scored go through it, plus the plan's
+// region count. Each such design misses the plan's Score memo, so it is
+// evaluated into the scorer's reused per-region tables.
 func scoredBytes(t *testing.T, workload string) (bytes, allocs float64, regions int) {
 	t.Helper()
 	st := Study{Workloads: []string{workload}, Objective: PerfPerTDP}
@@ -23,19 +26,43 @@ func scoredBytes(t *testing.T, workload string) (bytes, allocs float64, regions 
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := probeSet()[24:]
-	scored := 0
-	for _, idx := range batch {
-		cfg := arch.Space{}.Decode(idx, sp.Base)
-		bd := sp.SimOptions.PowerModel.Evaluate(cfg)
-		if cfg.Validate() == nil && bd.TotalPower() <= sp.Budget.MaxTDPW && bd.TotalArea() <= sp.Budget.MaxAreaMM2 {
-			scored++
+	// runs+2 batches of designs no other batch holds, each a mutation
+	// chain around FAST-Large that keeps its native batch (one plan):
+	// one to warm up, one for AllocsPerRun's untimed warm-up call, runs
+	// measured.
+	const runs = 50
+	rng := rand.New(rand.NewSource(19))
+	dims := arch.Space{}.Dims()
+	seen := map[[arch.NumParams]int]bool{}
+	batches := make([][][arch.NumParams]int, runs+2)
+	for b := range batches {
+		idx := arch.Space{}.Encode(arch.FASTLarge())
+		for len(batches[b]) < 24 {
+			if d := rng.Intn(arch.NumParams); d != arch.PNativeBatch {
+				idx[d] = rng.Intn(dims[d])
+			}
+			if c := (arch.Space{}).Canonical(idx); !seen[c] {
+				seen[c] = true
+				batches[b] = append(batches[b], idx)
+			}
 		}
 	}
-	if scored == 0 {
-		t.Fatalf("%s: no design of the batch reaches the simulator", workload)
+	scored := func(batches [][][arch.NumParams]int) (n int) {
+		for _, batch := range batches {
+			for _, idx := range batch {
+				cfg := arch.Space{}.Decode(idx, sp.Base)
+				bd := sp.SimOptions.PowerModel.Evaluate(cfg)
+				if cfg.Validate() == nil && bd.TotalPower() <= sp.Budget.MaxTDPW && bd.TotalArea() <= sp.Budget.MaxAreaMM2 {
+					n++
+				}
+			}
+		}
+		return n
 	}
-	score(batch)
+	if scored(batches[2:]) < runs {
+		t.Fatalf("%s: too few designs of the batches reach the simulator", workload)
+	}
+	score(batches[0])
 	plan, err := plans.get(workload, arch.FASTLarge().NativeBatch, sp.SimOptions.Fingerprint(), sp.SimOptions)
 	if err != nil {
 		t.Fatal(err)
@@ -45,14 +72,16 @@ func scoredBytes(t *testing.T, workload string) (bytes, allocs float64, regions 
 		t.Fatal(err)
 	}
 
-	const runs = 50
+	next := 1
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	perRun := testing.AllocsPerRun(runs, func() { score(batch) })
+	perRun := testing.AllocsPerRun(runs, func() {
+		score(batches[next])
+		next++
+	})
 	runtime.ReadMemStats(&after)
-	// AllocsPerRun calls the function once more, untimed, as a warm-up.
-	bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64((runs+1)*scored)
-	return bytes, perRun / float64(scored), len(r.Regions)
+	bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(scored(batches[1:]))
+	return bytes, perRun * runs / float64(scored(batches[2:])), len(r.Regions)
 }
 
 // TestScorerBytesFlatInRegions is the allocation guard on the study
@@ -81,17 +110,46 @@ func TestScorerBytesFlatInRegions(t *testing.T) {
 // TestScorerConcurrentHammer runs one study scorer from several
 // goroutines at once over overlapping batches of one shared plan per
 // workload — the Runner's shape at Parallelism > 1 — and holds every
-// concurrent Evaluation to the serial one. bert-128 keeps two softmax
+// concurrent Evaluation to a serial one. bert-128 keeps two softmax
 // variants' Results alive per design; under -race this proves the
-// reused per-region tables are never shared between scorers.
+// reused per-region tables are never shared between scorers. In "warm"
+// every design's Score is memoized before the goroutines start; in
+// "cold" a third are, so hits race cold fills of the rest.
 func TestScorerConcurrentHammer(t *testing.T) {
 	st := Study{Workloads: []string{"efficientnet-b0", "bert-128"}, Objectives: []ObjectiveKind{Perf, Area}}
-	score, err := BuildBatchEvaluator(st.evalSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
 	batch := probeSet()
-	want := score(batch)
+	t.Run("warm", func(t *testing.T) {
+		score, err := BuildBatchEvaluator(st.evalSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammerScorer(t, score, batch, score(batch))
+	})
+	t.Run("cold", func(t *testing.T) {
+		// A base clock no other test, and no earlier -count run of this
+		// one, uses: every design is new to the shared plans, and the
+		// references (Plan.Evaluate) memoize no Score.
+		sp := st.evalSpec()
+		sp.Base.ClockGHz += float64(coldHammers.Add(1)) / 1024
+		score, err := BuildBatchEvaluator(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]search.Evaluation, len(batch))
+		for i, idx := range batch {
+			want[i] = referenceEvaluate(sp, st.Objectives, idx)
+		}
+		score(batch[:len(batch)/3])
+		hammerScorer(t, score, batch, want)
+	})
+}
+
+// coldHammers counts the cold hammer runs of this process.
+var coldHammers atomic.Int64
+
+// hammerScorer scores rotated views of batch from four goroutines,
+// three rounds each, and holds every Evaluation to want's.
+func hammerScorer(t *testing.T, score search.BatchObjective, batch [][arch.NumParams]int, want []search.Evaluation) {
 	feasible := 0
 	for _, ev := range want {
 		if ev.Feasible {

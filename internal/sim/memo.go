@@ -2,28 +2,22 @@ package sim
 
 // Per-plan design memo.
 //
-// Plan.Evaluate's design-dependent work has two expensive parts: the
-// schedule mapping of every unique matrix problem (mapping.Best over the
-// scheme universe) and the fusion placement assignment (the greedy
-// selection, or the exact ILP). Both are memoized per design in one
-// sharded table per Plan, keyed on the whole design: its SubKey (all 16
-// searched parameters, dead L2 multipliers canonicalized) plus the fixed
-// platform attributes. Everything else (the traffic-floor extras, KV
-// eligibility, the latency and power roll-up) costs less than a lookup
-// and is computed on every evaluation.
+// A study scores designs through Plan.ScoreBatch and reads four figures
+// off each (Score). Each plan memoizes them per design, keyed on the
+// whole design: its SubKey (all 16 searched parameters, dead L2
+// multipliers canonicalized) plus the fixed platform attributes. Within
+// one study the runner's canonical memo sends no design to a plan twice;
+// a study re-run or resumed on a shared plan (fast-serve) pays one lookup
+// per repeated design. Everything else is recomputed per evaluation
+// (mappings into pooled scratch, traffic floor, KV eligibility, roll-up)
+// except on a plan whose fusion is an exact solve: there each design's
+// assignment per softmax variant is filled once (sync.Once), sparing a
+// final report or a re-report a second branch-and-bound.
 //
-// The study runner already memoizes per canonical design, so within one
-// study no design reaches a plan twice. What the memo serves is the same
-// design evaluated again on a shared plan: a study re-run or resumed in
-// fast-serve, the final exact report of a study's winner, and
-// fast-experiments reporting one design under several ids.
-//
-// A design's entry holds its mappings and one fusion assignment per
-// softmax variant, each filled at most once (sync.Once), immutable
-// afterwards and shared read-only by concurrent Evaluates. The key covers
-// every arch.Config field but Name (TestMemoKeyCoversConfig), so a hit is
-// bit-identical to recomputation; the differential tests hold the
-// memoized path to the frozen pre-split simulator.
+// The key covers every arch.Config field but Name
+// (TestMemoKeyCoversConfig), so a hit is bit-identical to recomputation.
+// A shard lock covers only its map access, never an evaluation: racing
+// misses on one design each evaluate it to the same Score; one stores it.
 
 import (
 	"fmt"
@@ -34,6 +28,13 @@ import (
 	"fast/internal/fusion"
 	"fast/internal/mapping"
 )
+
+// Score is what a study reads off one design's evaluation: the Result
+// fields of the same names.
+type Score struct {
+	ScheduleFailed              bool
+	LatencySec, QPS, PerfPerTDP float64
+}
 
 // designKey identifies one design: every arch.Config field but Name.
 type designKey struct {
@@ -49,7 +50,7 @@ func keyOf(cfg *arch.Config) designKey {
 
 const (
 	// memoShards spreads entries over independently locked shards so
-	// concurrent Evaluate calls rarely contend.
+	// concurrent evaluations rarely contend.
 	memoShards = 16
 	// memoShardCap bounds each shard; a full shard is dropped wholesale
 	// (recomputation is deterministic, so eviction can never change a
@@ -57,51 +58,42 @@ const (
 	memoShardCap = 256
 )
 
-// designMemo maps designs to their entries. The shard lock covers only
-// the map access, never the work that fills an entry.
-type designMemo struct {
-	shards [memoShards]memoShard
-}
-
-type memoShard struct {
-	mu sync.Mutex
-	m  map[designKey]*designEntry
-}
-
-// designEntry is one design's memoized work on one plan.
-type designEntry struct {
-	mapOnce sync.Once
-	// mapped is the best schedule mapping of every unique matrix
-	// problem, in dense problem order.
-	mapped []mapping.Mapping
-	// fusion holds the placement assignment per softmax variant
-	// (indexed like evaluate's algIdx).
-	fusion [2]struct {
-		once sync.Once
-		asn  fusion.Assignment
+// memo maps designs to one kind of memoized value.
+type memo[V any] struct {
+	shards [memoShards]struct {
+		mu sync.Mutex
+		m  map[designKey]V
 	}
 }
 
-// shard returns the shard that holds k.
-func (c *designMemo) shard(k designKey) *memoShard {
-	return &c.shards[mix(k.sub^math.Float64bits(k.clock)^uint64(k.cores)<<40^uint64(k.mem)<<56)%memoShards]
+// shard returns the index of the shard that holds k.
+func (k designKey) shard() uint64 {
+	return mix(k.sub^math.Float64bits(k.clock)^uint64(k.cores)<<40^uint64(k.mem)<<56) % memoShards
 }
 
-// entry returns cfg's entry, creating an empty one on first use.
-func (c *designMemo) entry(cfg *arch.Config) *designEntry {
-	k := keyOf(cfg)
-	s := c.shard(k)
+// get returns k's value and whether k has one.
+func (c *memo[V]) get(k designKey) (V, bool) {
+	s := &c.shards[k.shard()]
 	s.mu.Lock()
-	e, ok := s.m[k]
-	if !ok {
-		if s.m == nil || len(s.m) >= memoShardCap {
-			s.m = make(map[designKey]*designEntry, 8)
-		}
-		e = new(designEntry)
-		s.m[k] = e
-	}
+	v, ok := s.m[k]
 	s.mu.Unlock()
-	return e
+	return v, ok
+}
+
+// keep stores v under k unless k already holds a value, and returns
+// what k holds. A full shard is dropped before a new key goes in.
+func (c *memo[V]) keep(k designKey, v V) V {
+	s := &c.shards[k.shard()]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.m[k]; ok {
+		return old
+	}
+	if s.m == nil || len(s.m) >= memoShardCap {
+		s.m = make(map[designKey]V, 8)
+	}
+	s.m[k] = v
+	return v
 }
 
 // mix is a Fibonacci-style bit mixer for shard selection.
@@ -110,28 +102,28 @@ func mix(x uint64) uint64 {
 	return x ^ x>>32
 }
 
-// mappings returns the design's schedule mappings, running the mapper
-// on first use. The slice is memo-owned and read-only.
-func (e *designEntry) mappings(p *Plan, cfg *arch.Config) []mapping.Mapping {
-	e.mapOnce.Do(func() {
-		e.mapped = make([]mapping.Mapping, len(p.problems))
-		for i := range p.problems {
-			e.mapped[i] = mapping.Best(p.problems[i], cfg, p.opts.Mapping)
-		}
-	})
-	return e.mapped
+// fusionEntry is one design's fusion assignment per softmax variant
+// (indexed like evaluate's algIdx) on a plan with an exact fusion solve.
+type fusionEntry [2]struct {
+	once sync.Once
+	asn  fusion.Assignment
 }
 
-// resolveFusion resolves the fusion Solution for cfg under softmax
-// variant algIdx into sol: the placement assignment is the memoized one
-// (the first caller pays the greedy or ILP solve on its costs), the
-// per-design roll-up is re-derived into sol's own slices, never the
-// memoized assignment's.
-func (e *designEntry) resolveFusion(p *Plan, cfg *arch.Config, algIdx int, costs []fusion.RegionCost, sol *fusion.Solution) {
-	f := &e.fusion[algIdx]
+// assignment returns the fusion placement of cfg under softmax variant
+// algIdx on its region costs: the memoized one when e is non-nil (its
+// first caller pays the solve), a fresh solve otherwise.
+func (e *fusionEntry) assignment(p *Plan, cfg *arch.Config, algIdx int, costs []fusion.RegionCost) fusion.Assignment {
+	if e == nil {
+		return fusion.SolvePlanned(costs, p.usable, cfg.GlobalBytes(), p.opts.Fusion)
+	}
+	f := &e[algIdx]
 	f.once.Do(func() { f.asn = fusion.SolvePlanned(costs, p.usable, cfg.GlobalBytes(), p.opts.Fusion) })
-	fusion.ResolvePlanned(sol, costs, cfg.GlobalBytes(), f.asn)
+	return f.asn
 }
+
+// fillHook is a seam only _test.go files set (via export_test.go): it
+// sees each Score a ScoreBatch miss evaluates, before the memo stores it.
+var fillHook func(cfg *arch.Config, s Score)
 
 // capacityBytes is the effective blocking capacity for the mapper's
 // traffic floor: the largest on-chip level available for working tiles.
@@ -147,16 +139,28 @@ func capacityBytes(cfg *arch.Config) int64 {
 }
 
 // evalScratch pools the per-evaluate working memory that does not escape
-// into the Result: the fusion region-cost table and the traffic-floor
-// extras. (Per-region stats and op shares are part of the returned
-// Result; only ScoreBatch, whose caller drops each Result before the
-// next, reuses them — resultBuf.)
+// into the Result: the schedule mappings, the fusion region-cost table
+// and the traffic-floor extras (ScoreBatch also reuses Results: resultBuf).
 type evalScratch struct {
+	mapped []mapping.Mapping
 	costs  []fusion.RegionCost
 	extras []int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+
+// mappings fills the scratch's mapping table: the best schedule mapping
+// of each of p's unique matrix problems on cfg, in dense problem order.
+func (s *evalScratch) mappings(p *Plan, cfg *arch.Config) []mapping.Mapping {
+	if cap(s.mapped) < len(p.problems) {
+		s.mapped = make([]mapping.Mapping, len(p.problems))
+	}
+	s.mapped = s.mapped[:len(p.problems)]
+	for i := range p.problems {
+		s.mapped[i] = mapping.Best(p.problems[i], cfg, p.opts.Mapping)
+	}
+	return s.mapped
+}
 
 // regionCosts returns a zeroed region-cost buffer of length n; the
 // owning evalScratch goes back via scratchPool.Put when the evaluation
@@ -224,46 +228,59 @@ func (b *resultBuf) result(nRegions, nOps int) (*Result, *fusion.Solution, []Reg
 	return &b.res, &b.sol, b.stats[:nRegions], b.shares[:0]
 }
 
-// EvaluateBatch evaluates many candidate datapaths against one compiled
-// plan. Results are bit-identical to calling Evaluate per design and
-// positionally aligned with cfgs.
-//
-// Every config is validated up front; an invalid design fails the whole
-// batch (the search engine filters infeasible decodes before reaching
-// the simulator). Safe for concurrent use on one shared Plan.
-func (p *Plan) EvaluateBatch(cfgs []*arch.Config) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	if err := p.evaluateBatch(cfgs, nil, func(i int, r *Result) { results[i] = r }); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// ScoreBatch is EvaluateBatch for a caller that reads a few figures off
-// each Result and drops it — the study evaluator's shape. score receives
-// each design's index in cfgs and its Result, in cfgs order; the Result
-// and everything it references are valid only until score returns,
-// because the next design is written into the same per-region tables
-// instead of fresh ones. Validation and arithmetic are EvaluateBatch's:
-// only who owns the memory differs. Safe for concurrent use on one
-// shared Plan.
-func (p *Plan) ScoreBatch(cfgs []*arch.Config, score func(i int, r *Result)) (err error) {
-	bufs := scorePool.Get().(*scoreBufs)
-	defer scorePool.Put(bufs)
-	err = p.evaluateBatch(cfgs, bufs, score)
-	return
-}
-
-// evaluateBatch validates cfgs, then evaluates them in order into bufs
-// (nil: fresh Results) and hands each design's index and Result to each.
-func (p *Plan) evaluateBatch(cfgs []*arch.Config, bufs *scoreBufs, each func(i int, r *Result)) error {
+// admit validates a batch, failing it whole on any invalid design (the
+// search engine filters infeasible decodes before reaching the
+// simulator), and counts its designs as evaluated.
+func admit(cfgs []*arch.Config) error {
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("sim: batch design %d: %w", i, err)
 		}
 	}
+	evalCount.Add(int64(len(cfgs)))
+	return nil
+}
+
+// EvaluateBatch evaluates many candidate datapaths against one compiled
+// plan. Results are bit-identical to calling Evaluate per design and
+// positionally aligned with cfgs. Every config is validated up front;
+// an invalid design fails the whole batch. Safe for concurrent use on
+// one shared Plan.
+func (p *Plan) EvaluateBatch(cfgs []*arch.Config) ([]*Result, error) {
+	if err := admit(cfgs); err != nil {
+		return nil, err
+	}
+	results := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		each(i, p.evaluateValidated(cfg, bufs))
+		results[i] = p.evaluateValidated(cfg, nil)
+	}
+	return results, nil
+}
+
+// ScoreBatch is EvaluateBatch for the study evaluator, which reads only
+// each design's Score: score receives each design's index in cfgs and
+// its Score, in cfgs order. A design the plan has scored before costs
+// one lookup; any other is evaluated into pooled Result memory reused
+// design after design, and its Score memoized. Validation and arithmetic
+// are EvaluateBatch's. Safe for concurrent use on one shared Plan.
+func (p *Plan) ScoreBatch(cfgs []*arch.Config, score func(i int, s Score)) error {
+	if err := admit(cfgs); err != nil {
+		return err
+	}
+	bufs := scorePool.Get().(*scoreBufs)
+	defer scorePool.Put(bufs)
+	for i, cfg := range cfgs {
+		k := keyOf(cfg)
+		s, ok := p.scores.get(k)
+		if !ok {
+			r := p.evaluateValidated(cfg, bufs)
+			s = Score{ScheduleFailed: r.ScheduleFailed, LatencySec: r.LatencySec, QPS: r.QPS, PerfPerTDP: r.PerfPerTDP}
+			if fillHook != nil {
+				fillHook(cfg, s)
+			}
+			p.scores.keep(k, s)
+		}
+		score(i, s)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,8 +23,14 @@ var memoExempt = map[string]string{
 // change the memo key; a field of a kind the walk cannot perturb, or one
 // whose perturbation leaves the key unchanged, fails the test. So a new
 // Config field must be keyed (or exempted with a reason) before two
-// designs that differ in it can share an entry.
+// designs that differ in it can share an entry. Each perturbed design,
+// scored on a plan that has scored the base design, must get its own
+// Score, bit-identical to its Result's.
 func TestMemoKeyCoversConfig(t *testing.T) {
+	plan, err := Compile(models.MustBuild("efficientnet-b0", 8), FASTOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt := reflect.TypeOf(arch.Config{})
 	for name := range memoExempt {
 		if _, ok := rt.FieldByName(name); !ok {
@@ -53,6 +61,15 @@ func TestMemoKeyCoversConfig(t *testing.T) {
 		} else if same {
 			t.Errorf("field %s is not in the memo key: two designs differing in it share an entry", f.Name)
 		}
+		var got Score
+		if err := plan.ScoreBatch([]*arch.Config{base, &other}, func(i int, s Score) { got = s }); err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		r, err := plan.Evaluate(&other)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		sameScore(t, f.Name+" (scored after the base design)", scoreOf(r), got)
 	}
 }
 
@@ -100,8 +117,9 @@ func simulable(cfg *arch.Config) (ok bool) {
 
 // TestNameDoesNotReachResults: two designs that differ only in Name,
 // each evaluated on a fresh plan, give equal Results apart from Config,
-// and the second design evaluated on the first's plan (a memo hit)
-// equals both.
+// and the second design evaluated on the first's plan equals both.
+// Scored on that plan, the renamed design is a hit on the first's
+// Score.
 func TestNameDoesNotReachResults(t *testing.T) {
 	for _, model := range []string{"efficientnet-b0", "bert-128", "gpt2-decode-1024"} {
 		g := models.MustBuild(model, 8)
@@ -133,16 +151,23 @@ func TestNameDoesNotReachResults(t *testing.T) {
 			}
 			ra := eval(shared, a)
 			sameResult(t, label+" (fresh plans)", ra, eval(nil, b))
-			sameResult(t, label+" (memo hit)", ra, eval(shared, b))
+			sameResult(t, label+" (shared plan)", ra, eval(shared, b))
+			stop := countFills()
+			err = shared.ScoreBatch([]*arch.Config{a, b}, func(i int, s Score) {
+				sameScore(t, fmt.Sprintf("%s design %d (score)", label, i), scoreOf(ra), s)
+			})
+			if fills := stop(); err != nil || fills != 1 {
+				t.Errorf("%s: scoring a design and its renamed copy evaluated %d designs (%v), want 1", label, fills, err)
+			}
 		}
 	}
 }
 
-// TestMemoDropsFullShards evaluates twice as many distinct designs on
-// one plan as the memo holds (memoShards × memoShardCap), so every shard
-// fills and is dropped wholesale, then evaluates the first designs
-// again: each must have been dropped and each result must be
-// bit-identical to a fresh plan's.
+// TestMemoDropsFullShards scores twice as many distinct designs on one
+// plan as the memo holds (memoShards × memoShardCap), so every shard
+// fills and is dropped wholesale, then scores the first designs again:
+// each must have been dropped, must be evaluated again, and must
+// re-score bit-identically to its first Score and to a fresh plan's.
 func TestMemoDropsFullShards(t *testing.T) {
 	g := models.MustBuild("bert-128", 8)
 	plan, err := Compile(g, FASTOptions())
@@ -166,13 +191,17 @@ func TestMemoDropsFullShards(t *testing.T) {
 			designs = append(designs, cfg)
 		}
 	}
-	if _, err := plan.EvaluateBatch(designs); err != nil {
+	const again = 16
+	first := make([]Score, again)
+	if err := plan.ScoreBatch(designs, func(i int, s Score) {
+		if i < again {
+			first[i] = s
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	const again = 16
 	for _, cfg := range designs[:again] {
-		k := keyOf(cfg)
-		if _, kept := plan.memo.shard(k).m[k]; kept {
+		if _, kept := plan.scores.get(keyOf(cfg)); kept {
 			t.Fatalf("design %v survived %d later designs; the test never reaches a shard drop", cfg, len(designs)-1)
 		}
 	}
@@ -180,15 +209,65 @@ func TestMemoDropsFullShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.EvaluateBatch(designs[:again])
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := fresh.EvaluateBatch(designs[:again])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		sameResult(t, designs[i].String()+" (after a shard drop)", want[i], got[i])
+	stop := countFills()
+	err = plan.ScoreBatch(designs[:again], func(i int, s Score) {
+		label := designs[i].String() + " (after a shard drop)"
+		sameScore(t, label, first[i], s)
+		sameScore(t, label, scoreOf(want[i]), s)
+	})
+	if fills := stop(); err != nil || fills != again {
+		t.Errorf("re-scoring %d dropped designs evaluated %d (%v)", again, fills, err)
 	}
+}
+
+// TestScoreMemoBytesPerDesign is the memory guard on the score memo: a
+// greedy plan that has scored 2,000 distinct efficientnet-b7 designs
+// may keep at most 256 B of live heap per design. Keeping each design's
+// mappings and greedy placement cost about 4.6 KB.
+func TestScoreMemoBytesPerDesign(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory and pool drops swamp the figure")
+	}
+	plan, err := Compile(models.MustBuild("efficientnet-b7", 8), FASTOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	s := arch.Space{}
+	seen := map[designKey]bool{}
+	var designs []*arch.Config
+	for rng := rand.New(rand.NewSource(43)); len(designs) < n; {
+		if cfg := s.Random(rng, arch.FASTLarge()); !seen[keyOf(cfg)] {
+			seen[keyOf(cfg)] = true
+			designs = append(designs, cfg)
+		}
+	}
+	// A warm-up batch of other designs sizes the pooled scratch; two
+	// collections empty every sync.Pool before each reading.
+	if err := plan.ScoreBatch(randomSweep(rand.New(rand.NewSource(44)), 8), func(int, Score) {}); err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	if err := plan.ScoreBatch(designs, func(int, Score) {}); err != nil {
+		t.Fatal(err)
+	}
+	after := live()
+	perDesign := (float64(after) - float64(before)) / n
+	t.Logf("the plan keeps %.0f B of live heap per scored design", perDesign)
+	if perDesign > 256 {
+		t.Errorf("the plan keeps %.0f B of live heap per scored design, want at most 256", perDesign)
+	}
+	runtime.KeepAlive(plan)
+	runtime.KeepAlive(designs)
 }

@@ -32,14 +32,14 @@ import (
 )
 
 // evalCount counts design evaluations process-wide: every Evaluate call
-// and every design in an EvaluateBatch adds one, whether or not the
-// design's memo entry was already filled. Tests use the delta to assert
+// and every design of an EvaluateBatch or ScoreBatch adds one, whether
+// its Score was memoized or not. Tests use the delta to assert
 // evaluation budgets (e.g. that a multi-objective study costs one
 // evaluation per design, not one per objective); the single relaxed
 // atomic add is noise next to the ~µs evaluate itself.
 var evalCount atomic.Int64
 
-// EvalCount returns the process-wide design-evaluation count.
+// EvalCount returns the process-wide count of designs evaluated or scored.
 func EvalCount() int64 { return evalCount.Load() }
 
 // dwVPUEff derates VPU throughput for windowed depthwise access under
@@ -129,9 +129,10 @@ type Plan struct {
 	// hoisted out of the per-trial roll-up.
 	pm *power.Model
 
-	// memo keeps each evaluated design's mappings and fusion
-	// assignments (see memo.go).
-	memo designMemo
+	// scores memoizes each scored design's Score; fusions, on a plan
+	// whose fusion is an exact solve, its fusion assignments (memo.go).
+	scores  memo[Score]
+	fusions memo[*fusionEntry]
 }
 
 // SizeBytes estimates the plan's resident size: the immutable
@@ -141,8 +142,10 @@ type Plan struct {
 // are deliberately excluded: the workload graph, which is owned by the
 // process-wide graph cache and shared across plans (counting it here
 // would double-charge every plan of the same workload), and the design
-// memo, which grows with use but is bounded per plan by its own shard
-// capacity (memoShards × memoShardCap designs).
+// memo, which grows with use but is bounded per plan by its shard
+// capacity (memoShards × memoShardCap designs): at most 4,096 Scores,
+// about 0.6 MiB with map overhead, and on an exact plan as many fusion
+// entries of about 0.35 KB plus 3 B per region and softmax variant.
 func (p *Plan) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
 	size += int64(len(p.regions)) * int64(unsafe.Sizeof(planRegion{}))
@@ -232,39 +235,49 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 
 // Evaluate runs the design-dependent half of the simulation: schedule
 // mapping over the plan's unique matrix problems, fusion placement among
-// the precompiled candidates, and the latency/power roll-up. The mappings
-// and the fusion assignment are memoized per design (memo.go), so
-// evaluating a design again on the same plan repeats only the roll-up.
-// It is safe to call concurrently on one shared Plan, and produces
+// the precompiled candidates, and the latency/power roll-up. On a plan
+// whose fusion is an exact solve the fusion assignment is memoized per
+// design (memo.go), so evaluating a design again skips the solve. It is
+// safe to call concurrently on one shared Plan, and produces
 // bit-identical Results to Simulate(g, cfg, opts) for the graph and
 // options the plan was compiled from.
 func (p *Plan) Evaluate(cfg *arch.Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	evalCount.Add(1)
 	return p.evaluateValidated(cfg, nil), nil
 }
 
-// evaluateValidated fetches cfg's memo entry and runs the
-// softmax-variant selection over it. One entry serves both variant
-// evaluations of an AutoSoftmax run: the mapper never depends on the
-// softmax algorithm. bufs, when non-nil, holds the memory the Results are
-// written into (see ScoreBatch); nil allocates them.
+// evaluateValidated maps cfg's matrix problems once, fetches its fusion
+// entry on an exact plan, and runs the softmax-variant selection over
+// both: the mapper never depends on the softmax algorithm. bufs, when
+// non-nil, holds the memory the Results are written into (see
+// ScoreBatch); nil allocates them.
 func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
-	evalCount.Add(1)
-	e := p.memo.entry(cfg)
+	scratch := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(scratch)
+	mapped := scratch.mappings(p, cfg)
+	exact := !p.opts.Fusion.GreedyOnly && !p.opts.Fusion.Disable
+	var e *fusionEntry
+	if exact {
+		k := keyOf(cfg)
+		if e, _ = p.fusions.get(k); e == nil {
+			e = p.fusions.keep(k, new(fusionEntry))
+		}
+	}
 	if p.opts.AutoSoftmax {
 		var a, b *Result
 		if !p.hasSoftmax {
 			// No softmax op: the two-pass variant would produce the
 			// identical timeline, and the a/b tie resolves to a.
-			return p.evaluate(cfg, vpu.ThreePass, e, bufs)
+			return p.evaluate(cfg, vpu.ThreePass, mapped, e, bufs)
 		}
-		if p.opts.Fusion.GreedyOnly || p.opts.Fusion.Disable {
+		if !exact {
 			// Search-loop stack: the two variant evaluations are a few
 			// microseconds each, not worth a goroutine.
-			a = p.evaluate(cfg, vpu.ThreePass, e, bufs)
-			b = p.evaluate(cfg, vpu.TwoPass, e, bufs)
+			a = p.evaluate(cfg, vpu.ThreePass, mapped, e, bufs)
+			b = p.evaluate(cfg, vpu.TwoPass, mapped, e, bufs)
 		} else {
 			// Full-ILP stack: each variant's fusion assignment is an exact
 			// branch-and-bound solve (they differ in vector times and DRAM
@@ -275,9 +288,9 @@ func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				b = p.evaluate(cfg, vpu.TwoPass, e, bufs)
+				b = p.evaluate(cfg, vpu.TwoPass, mapped, e, bufs)
 			}()
-			a = p.evaluate(cfg, vpu.ThreePass, e, bufs)
+			a = p.evaluate(cfg, vpu.ThreePass, mapped, e, bufs)
 			<-done
 		}
 		if !b.ScheduleFailed && (a.ScheduleFailed || b.LatencySec < a.LatencySec) {
@@ -289,16 +302,17 @@ func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 	if p.opts.TwoPassSoftmax {
 		alg = vpu.TwoPass
 	}
-	return p.evaluate(cfg, alg, e, bufs)
+	return p.evaluate(cfg, alg, mapped, e, bufs)
 }
 
 // evaluate is the per-design hot path. It mirrors the pre-split
 // simulate() arithmetic exactly — same operations, same order — reading
-// every design-independent quantity from the plan's flat tables and the
-// design's mappings and fusion assignment from its memo entry e. The
+// every design-independent quantity from the plan's flat tables, the
+// design's schedule mappings from mapped and, on an exact plan, its
+// fusion assignment from its memo entry e (nil: solve it here). The
 // Result and its tables are fresh when bufs is nil, and otherwise bufs'
 // slot for alg, overwritten.
-func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, e *designEntry, bufs *scoreBufs) *Result {
+func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []mapping.Mapping, e *fusionEntry, bufs *scoreBufs) *Result {
 	g := p.graph
 
 	perCoreBW := cfg.PeakBandwidthGBs() * 1e9 / float64(cfg.Cores)
@@ -306,7 +320,6 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, e *designEnt
 
 	capBytes := capacityBytes(cfg)
 	gm := cfg.GlobalBytes()
-	mapped := e.mappings(p, cfg)
 
 	algIdx := 0
 	if alg == vpu.TwoPass {
@@ -441,7 +454,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, e *designEnt
 		matrixFLOPs += io.MatrixFLOPs
 	}
 
-	e.resolveFusion(p, cfg, algIdx, costs, sol)
+	fusion.ResolvePlanned(sol, costs, gm, e.assignment(p, cfg, algIdx, costs))
 	res.Fusion = *sol
 
 	// Post-fusion DRAM traffic per region.

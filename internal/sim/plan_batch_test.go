@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fast/internal/arch"
@@ -58,10 +60,42 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	}
 }
 
+// scoreOf is the Score of a Result: its four fields of the same names.
+func scoreOf(r *Result) Score {
+	return Score{ScheduleFailed: r.ScheduleFailed, LatencySec: r.LatencySec, QPS: r.QPS, PerfPerTDP: r.PerfPerTDP}
+}
+
+// sameScore asserts bit-identical Scores.
+func sameScore(t *testing.T, label string, want, got Score) {
+	t.Helper()
+	bits := func(s Score) [4]uint64 {
+		failed := uint64(0)
+		if s.ScheduleFailed {
+			failed = 1
+		}
+		return [4]uint64{failed, math.Float64bits(s.LatencySec), math.Float64bits(s.QPS), math.Float64bits(s.PerfPerTDP)}
+	}
+	if bits(want) != bits(got) {
+		t.Errorf("%s: score %+v, want %+v", label, got, want)
+	}
+}
+
+// countFills counts the Scores ScoreBatch misses evaluate until the
+// returned function is called, which also reports the count.
+func countFills() (stop func() int64) {
+	var n atomic.Int64
+	restore := OnScoreFill(func(*arch.Config, Score) { n.Add(1) })
+	return func() int64 {
+		restore()
+		return n.Load()
+	}
+}
+
 // TestScoreBatchMatchesEvaluateBatch: ScoreBatch hands each design's
-// Result to the scorer exactly once, and each — written into tables the
-// previous design used — is deep-equal to EvaluateBatch's owned Result:
-// region stats, op shares and fusion solution included. Covers a plan
+// Score to the scorer exactly once, in order, and each is bit-identical
+// to the same four fields of EvaluateBatch's owned Result: on a miss,
+// for a design repeated inside one batch, and on a hit (the same batch
+// scored a second time, which must evaluate nothing). Covers a plan
 // without softmax, one whose AutoSoftmax keeps two variants alive
 // (bert-128) and a KV-holding decode plan, under every option set.
 func TestScoreBatchMatchesEvaluateBatch(t *testing.T) {
@@ -74,20 +108,35 @@ func TestScoreBatchMatchesEvaluateBatch(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			designs := append(randomSweep(rng, 16), planDesigns()...)
+			// The first and a middle design come back at the end of the
+			// batch: a hit on an entry the same batch filled.
+			designs = append(designs, designs[0], designs[len(designs)/2])
 			owned, err := plan.EvaluateBatch(designs)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			seen := make([]int, len(designs))
-			if err := plan.ScoreBatch(designs, func(i int, r *Result) {
-				seen[i]++
-				sameResult(t, fmt.Sprintf("%s design %d (score vs owned)", label, i), owned[i], r)
-			}); err != nil {
-				t.Fatalf("%s: %v", label, err)
+			distinct := map[designKey]bool{}
+			for _, cfg := range designs {
+				distinct[keyOf(cfg)] = true
 			}
-			for i, n := range seen {
-				if n != 1 {
-					t.Errorf("%s: design %d scored %d times", label, i, n)
+			for pass, wantFills := range []int{len(distinct), 0} {
+				seen := make([]int, len(designs))
+				stop := countFills()
+				err := plan.ScoreBatch(designs, func(i int, s Score) {
+					seen[i]++
+					sameScore(t, fmt.Sprintf("%s pass %d design %d (score vs owned)", label, pass, i), scoreOf(owned[i]), s)
+				})
+				fills := stop()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if fills != int64(wantFills) {
+					t.Errorf("%s pass %d: %d designs evaluated, want %d", label, pass, fills, wantFills)
+				}
+				for i, n := range seen {
+					if n != 1 {
+						t.Errorf("%s pass %d: design %d scored %d times", label, pass, i, n)
+					}
 				}
 			}
 		}
@@ -98,7 +147,7 @@ func TestScoreBatchMatchesEvaluateBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.ScoreBatch([]*arch.Config{arch.FASTLarge(), bad}, func(int, *Result) {
+	if err := plan.ScoreBatch([]*arch.Config{arch.FASTLarge(), bad}, func(int, Score) {
 		t.Error("ScoreBatch scored a batch holding an invalid design")
 	}); err == nil {
 		t.Error("ScoreBatch accepted an invalid design")
@@ -180,21 +229,18 @@ func TestEvaluateBatchFuzzSweeps(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchConcurrent hammers one shared Plan with EvaluateBatch
-// from many goroutines over overlapping design sweeps. The references
-// come from a separate plan, so the goroutines race to fill cold memo
-// entries; on bert-128 both softmax variants' fusion slots of one entry
-// are filled concurrently. Under -race it proves the memo synchronizes
-// correctly, and every concurrent result must still be bit-identical to
-// its reference.
+// TestEvaluateBatchConcurrent hammers one shared Plan from many
+// goroutines over overlapping design sweeps, first with EvaluateBatch,
+// then with ScoreBatch. The references come from a separate plan. The
+// score phase scores half the sweep before the goroutines start, so
+// hits on that half race cold fills of the other: every fill, racing
+// fills of one design included, must store the reference Score, and
+// every Score handed out must equal it. Under -race it proves the memo
+// synchronizes correctly.
 func TestEvaluateBatchConcurrent(t *testing.T) {
 	for _, model := range []string{"efficientnet-b0", "bert-128"} {
 		g := models.MustBuild(model, 128)
 		ref, err := Compile(g, FASTOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := Compile(g, FASTOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,42 +250,113 @@ func TestEvaluateBatchConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
+		want := map[designKey]Score{}
+		for i, cfg := range sweep {
+			want[keyOf(cfg)] = scoreOf(refs[i])
+		}
 
-		const goroutines = 8
-		const rounds = 3
-		var wg sync.WaitGroup
-		errs := make(chan error, goroutines*rounds)
-		for w := 0; w < goroutines; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Each worker walks a rotated view of the sweep so batches
-				// overlap but differ in order.
-				local := make([]*arch.Config, len(sweep))
-				want := make([]*Result, len(sweep))
-				for i := range sweep {
-					j := (i + w*3) % len(sweep)
-					local[i], want[i] = sweep[j], refs[j]
-				}
-				for round := 0; round < rounds; round++ {
-					got, err := plan.EvaluateBatch(local)
-					if err != nil {
-						errs <- fmt.Errorf("%s worker %d: %v", model, w, err)
-						return
-					}
-					for i := range got {
-						if !reflect.DeepEqual(want[i], got[i]) {
-							errs <- fmt.Errorf("%s worker %d: concurrent batch result %d diverged", model, w, i)
-							return
-						}
-					}
-				}
-			}(w)
+		plan, err := Compile(g, FASTOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
+		hammer(t, model+" evaluate", func(w, round int) error {
+			local := rotated(sweep, w)
+			got, err := plan.EvaluateBatch(local)
+			if err != nil {
+				return err
+			}
+			for i := range got {
+				if !reflect.DeepEqual(refs[(i+w*3)%len(sweep)], got[i]) {
+					return fmt.Errorf("concurrent batch result %d diverged", i)
+				}
+			}
+			return nil
+		})
+
+		scored, err := Compile(g, FASTOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := scored.ScoreBatch(sweep[:len(sweep)/2], func(int, Score) {}); err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		filled := map[designKey]int{}
+		restore := OnScoreFill(func(cfg *arch.Config, s Score) {
+			// A fill comes straight after its design's evaluation. Taking
+			// every shard lock here would deadlock if the evaluating
+			// goroutine still held one.
+			held := 0
+			for i := range scored.scores.shards {
+				sh := &scored.scores.shards[i]
+				sh.mu.Lock()
+				held += len(sh.m)
+				sh.mu.Unlock()
+			}
+			if held == 0 {
+				t.Errorf("%s: the warm half of the sweep left no Score", model)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			k := keyOf(cfg)
+			filled[k]++
+			if s != want[k] {
+				t.Errorf("%s: a fill stored %+v for a design whose Score is %+v", model, s, want[k])
+			}
+		})
+		hammer(t, model+" score", func(w, round int) error {
+			local := rotated(sweep, w)
+			return scored.ScoreBatch(local, func(i int, s Score) {
+				if k := keyOf(local[i]); s != want[k] {
+					t.Errorf("%s score: worker %d round %d: design %d scored %+v, want %+v", model, w, round, i, s, want[k])
+				}
+			})
+		})
+		restore()
+		for _, cfg := range sweep[len(sweep)/2:] {
+			warm := false
+			for _, c := range sweep[:len(sweep)/2] {
+				warm = warm || keyOf(c) == keyOf(cfg)
+			}
+			if !warm && filled[keyOf(cfg)] == 0 {
+				t.Errorf("%s: cold design %s was never filled", model, cfg.Name)
+			}
+		}
+	}
+}
+
+// rotated is worker w's view of a sweep: the workers' batches overlap
+// but differ in order.
+func rotated(sweep []*arch.Config, w int) []*arch.Config {
+	local := make([]*arch.Config, len(sweep))
+	for i := range sweep {
+		local[i] = sweep[(i+w*3)%len(sweep)]
+	}
+	return local
+}
+
+// hammer runs step from 8 goroutines, 3 rounds each, and reports every
+// error it returns.
+func hammer(t *testing.T, label string, step func(w, round int) error) {
+	t.Helper()
+	const goroutines, rounds = 8, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				if err := step(w, round); err != nil {
+					errs <- fmt.Errorf("%s worker %d round %d: %v", label, w, round, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
