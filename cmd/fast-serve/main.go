@@ -24,8 +24,9 @@
 // Admission is bounded per tenant: -max-studies stored, -max-queued
 // waiting and -max-active running studies; a submission past a bound
 // is shed 429 with Retry-After: 5. -max-trials caps every study's trial
-// target and so its transcript (~200 bytes a trial); -cache-entries and
-// -cache-bytes cap the shared plan cache.
+// target and so its transcript (~200 bytes a trial). The shared plan
+// cache holds at most 512 compiled plans (docs/OPERATIONS.md, "Plan
+// cache sizing").
 //
 // Trial evaluation can be sharded across fast-worker processes:
 // -workers N spawns N local subprocess workers, -connect host:port,...
@@ -37,7 +38,7 @@
 // Usage:
 //
 //	fast-serve -addr :8080 -data /var/lib/fast
-//	fast-serve -data ./studies -parallel 8 -cache-entries 64 -cache-bytes 268435456
+//	fast-serve -data ./studies -parallel 8
 //	fast-serve -data ./studies -workers 4
 package main
 
@@ -54,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"fast"
 	"fast/internal/dispatch"
 	"fast/internal/obsv"
 	"fast/internal/serve"
@@ -63,25 +63,19 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
-		data         = flag.String("data", "fast-studies", "study checkpoint directory")
-		parallel     = flag.Int("parallel", 0, "concurrent evaluations per running study (0 = one per CPU)")
-		maxStudies   = flag.Int("max-studies", 64, "stored studies allowed per tenant")
-		maxActive    = flag.Int("max-active", 2, "concurrently running studies per tenant")
-		maxTrials    = flag.Int("max-trials", 2000, "trial budget allowed per study")
-		maxQueued    = flag.Int("max-queued", 8, "studies allowed to wait per tenant before submissions shed 429")
-		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget (0 = unbounded)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte budget (0 = unbounded)")
-		workers      = flag.Int("workers", 0, "spawn N fast-worker subprocesses for trial evaluation (0 = in-process)")
-		connect      = flag.String("connect", "", "comma-separated fast-worker TCP addresses (host:port,...)")
-		workerBin    = flag.String("worker-bin", "", "fast-worker binary for -workers (default: next to this binary, then PATH)")
+		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
+		data       = flag.String("data", "fast-studies", "study checkpoint directory")
+		parallel   = flag.Int("parallel", 0, "concurrent evaluations per running study (0 = one per CPU)")
+		maxStudies = flag.Int("max-studies", 64, "stored studies allowed per tenant")
+		maxActive  = flag.Int("max-active", 2, "concurrently running studies per tenant")
+		maxTrials  = flag.Int("max-trials", 2000, "trial budget allowed per study")
+		maxQueued  = flag.Int("max-queued", 8, "studies allowed to wait per tenant before submissions shed 429")
+		workers    = flag.Int("workers", 0, "spawn N fast-worker subprocesses for trial evaluation (0 = in-process)")
+		connect    = flag.String("connect", "", "comma-separated fast-worker TCP addresses (host:port,...)")
+		workerBin  = flag.String("worker-bin", "", "fast-worker binary for -workers (default: next to this binary, then PATH)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
-
-	if *cacheEntries > 0 || *cacheBytes > 0 {
-		fast.SetPlanCacheBudget(fast.PlanCacheBudget{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes})
-	}
 
 	st, err := store.Open(*data)
 	if err != nil {

@@ -13,11 +13,12 @@
 //
 // Logs go to stderr in both modes. In stdio mode the process exits when
 // the dispatcher closes its end; in TCP mode it serves connections until
-// killed, keeping its plan cache warm across dispatcher restarts.
+// killed, keeping its plan cache (at most 512 compiled plans) warm
+// across dispatcher restarts.
 //
 // Usage:
 //
-//	fast-worker [-listen host:port] [-cache-entries N] [-cache-bytes B]
+//	fast-worker [-listen host:port]
 package main
 
 import (
@@ -27,23 +28,16 @@ import (
 	"net"
 	"os"
 
-	"fast"
 	"fast/internal/dispatch"
 )
 
 func main() {
 	var (
-		listen       = flag.String("listen", "", "TCP listen address (empty = serve stdin/stdout)")
-		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget (0 = unbounded)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte budget (0 = unbounded)")
+		listen = flag.String("listen", "", "TCP listen address (empty = serve stdin/stdout)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("fast-worker: ")
-
-	if *cacheEntries > 0 || *cacheBytes > 0 {
-		fast.SetPlanCacheBudget(fast.PlanCacheBudget{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes})
-	}
 
 	if *listen == "" {
 		if err := dispatch.ServeConn(os.Stdin, os.Stdout, log.Printf); err != nil {

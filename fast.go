@@ -206,16 +206,6 @@ func WithTranscript(f func(batch []Trial)) Option { return core.WithTranscript(f
 // trials. The snapshot must match the study's algorithm and seed.
 func WithResume(snap Snapshot) Option { return core.WithResume(snap) }
 
-// PlanCacheBudget bounds the process-wide compiled-plan cache by entry
-// count and/or accounted bytes; zero fields are unbounded.
-type PlanCacheBudget = core.PlanCacheBudget
-
-// SetPlanCacheBudget bounds the shared plan cache (LRU eviction).
-// Eviction never changes results — an evicted plan recompiles
-// deterministically on next use. Long-lived multi-tenant servers should
-// set both fields; fast-serve's -cache-entries/-cache-bytes flags do.
-func SetPlanCacheBudget(b PlanCacheBudget) { core.SetPlanCacheBudget(b) }
-
 // BuildModel constructs a workload graph by canonical name (e.g.
 // "efficientnet-b7", "bert-1024", "resnet50", "ocr-rpn",
 // "ocr-recognizer") at the given batch size.

@@ -9,11 +9,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"fast/internal/arch"
-	"fast/internal/hlo"
-	"fast/internal/models"
 	"fast/internal/search"
 	"fast/internal/sim"
 )
@@ -149,45 +146,6 @@ func DefaultPlatform() *arch.Config {
 	return c
 }
 
-// graphCache builds workload graphs lazily per (name, batch);
-// NativeBatch is a searched hyperparameter so each batch size
-// materializes its own graph. Graphs are immutable after construction,
-// so one cache is shared process-wide by every study and evaluation
-// (the working set is small: a handful of workloads × batch points).
-type graphCache struct {
-	mu sync.Mutex
-	m  map[string]*graphEntry
-}
-
-// graphEntry builds its graph at most once; concurrent requesters for
-// the same key wait on the build, while other keys proceed — the global
-// lock is held only for the map lookup, never across models.Build.
-type graphEntry struct {
-	once sync.Once
-	g    *hlo.Graph
-	err  error
-}
-
-func (gc *graphCache) get(name string, batch int64) (*hlo.Graph, error) {
-	key := fmt.Sprintf("%s@%d", name, batch)
-	gc.mu.Lock()
-	if gc.m == nil {
-		gc.m = map[string]*graphEntry{}
-	}
-	e, ok := gc.m[key]
-	if !ok {
-		e = &graphEntry{}
-		gc.m[key] = e
-	}
-	gc.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = models.Build(name, batch) })
-	return e.g, e.err
-}
-
-// graphs is the process-wide workload graph cache shared by Study.Run
-// and EvaluateDesign.
-var graphs = &graphCache{}
-
 // Option configures one Study.Run invocation (concurrency and
 // observability knobs, as opposed to the Study fields that define the
 // experiment itself).
@@ -312,7 +270,7 @@ func finalReport(parallelism int, designs []*arch.Config, workloads []string, op
 	errs := make([]error, len(designs)*nw)
 	ForEach(parallelism, len(errs), func(k int) {
 		cfg, w := designs[k/nw], workloads[k%nw]
-		plan, err := plans.get(w, cfg.NativeBatch, fp, opts)
+		plan, err := planFor(w, cfg.NativeBatch, fp, opts)
 		if err != nil {
 			errs[k] = err
 			return

@@ -187,11 +187,11 @@ func TestGeoMean(t *testing.T) {
 func TestPlanCacheSharing(t *testing.T) {
 	fast := sim.FASTOptions()
 	fp := fast.Fingerprint()
-	p1, err := plans.get("efficientnet-b0", 128, fp, fast)
+	p1, err := planFor("efficientnet-b0", 128, fp, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := plans.get("efficientnet-b0", 128, fp, fast)
+	p2, err := planFor("efficientnet-b0", 128, fp, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,21 +199,21 @@ func TestPlanCacheSharing(t *testing.T) {
 		t.Error("same (workload, batch, fingerprint) must share one compiled plan")
 	}
 	base := sim.BaselineOptions()
-	p3, err := plans.get("efficientnet-b0", 128, base.Fingerprint(), base)
+	p3, err := planFor("efficientnet-b0", 128, base.Fingerprint(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3 == p1 {
 		t.Error("different option fingerprints must compile distinct plans")
 	}
-	p4, err := plans.get("efficientnet-b0", 64, fp, fast)
+	p4, err := planFor("efficientnet-b0", 64, fp, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p4 == p1 {
 		t.Error("different batches must compile distinct plans")
 	}
-	if _, err := plans.get("no-such-model", 128, fp, fast); err == nil {
+	if _, err := planFor("no-such-model", 128, fp, fast); err == nil {
 		t.Error("unknown workload must error")
 	}
 }
@@ -231,7 +231,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p, err := plans.get("resnet50", 128, fp, fast)
+			p, err := planFor("resnet50", 128, fp, fast)
 			if err != nil {
 				t.Error(err)
 				return

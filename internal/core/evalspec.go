@@ -274,7 +274,7 @@ func (ev *evaluator) evaluateBatch(idxs [][arch.NumParams]int) []search.Evaluati
 			for k, ai := range ais {
 				cfgs[k] = alive[ai].cfg
 			}
-			plan, err := plans.get(w, nb, ev.simFP, ev.SimOptions)
+			plan, err := planFor(w, nb, ev.simFP, ev.SimOptions)
 			if err == nil {
 				err = plan.ScoreBatch(cfgs, func(k int, r sim.Score) {
 					if !ev.fold(r, &alive[ais[k]]) {

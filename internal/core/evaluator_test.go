@@ -27,7 +27,7 @@ func referenceEvaluate(sp EvalSpec, objs []ObjectiveKind, idx [arch.NumParams]in
 	}
 	logSum := make([]float64, len(objs))
 	for _, w := range sp.Workloads {
-		plan, err := plans.get(w, cfg.NativeBatch, sp.SimOptions.Fingerprint(), sp.SimOptions)
+		plan, err := planFor(w, cfg.NativeBatch, sp.SimOptions.Fingerprint(), sp.SimOptions)
 		if err != nil {
 			return search.Evaluation{}
 		}

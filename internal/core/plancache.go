@@ -1,203 +1,128 @@
 package core
 
-// The process-wide compiled-plan cache.
+// The process-wide workload-graph and compiled-plan caches.
 //
 // All design-independent simulator analysis for a (workload, batch,
 // options) triple is done once per process by sim.Compile and shared —
 // by every trial of a study, across studies, and across tenants in a
-// long-lived server — so per-trial work reduces to Plan.Evaluate. Under
-// multi-tenancy the cache is shared cross-tenant state, so it is
-// LRU-bounded: SetPlanCacheBudget caps it by entry count and/or by
-// accounted bytes (sim.Plan.SizeBytes), eviction drops the least
-// recently used plan, and PlanCacheInfo exports hit/miss/eviction
-// counters for the metrics endpoint. Eviction can never change a
-// result — plans recompile deterministically — it only costs the next
-// requester one Compile (~100µs).
+// long-lived server — so per-trial work reduces to Plan.ScoreBatch.
+// Under multi-tenancy the caches are shared cross-tenant state, so each
+// holds at most cacheCap entries: a new key arriving at a full cache
+// replaces its map wholesale, as a full shard of a plan's design memo
+// is (internal/sim/memo.go). A drop can never change a result — graphs
+// and plans rebuild deterministically — and a caller still holding a
+// dropped plan keeps using it.
 
 import (
-	"container/list"
 	"sync"
 
+	"fast/internal/hlo"
+	"fast/internal/models"
 	"fast/internal/sim"
 )
 
-// planKey identifies one compiled simulation plan: a workload graph at a
-// specific batch under a specific simulator-options fingerprint.
-type planKey struct {
-	model string
-	batch int64
-	fp    string
+// cacheCap bounds each process-wide cache. fast-experiments -exp all,
+// the largest in-tree user, compiles 221 plans (13.9 MB of
+// Plan.SizeBytes, 44.5 MiB of heap after GC at exit); every registry
+// model (19) at every native batch (9) under the search and report
+// option sets would be 342. A plan's tables average about 63 KB there,
+// plus its design memo's bound (Plan.SizeBytes' comment), so a full
+// cache of search plans holds at most about 512 × (63 KB + 0.6 MiB).
+const cacheCap = 512
+
+// buildCache builds each key's value at most once. The lock covers only
+// the map and the counters, never a build: concurrent requesters for one
+// key wait on that key's sync.Once while other keys proceed, and a
+// requester that found an entry before a drop still gets its value.
+type buildCache[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*buildEntry[V]
+
+	hits, misses, drops uint64
 }
 
-// PlanCacheBudget bounds the process-wide plan cache. Zero fields are
-// unbounded (the default: search workloads are a handful of plans);
-// servers admitting many tenants should set both.
-type PlanCacheBudget struct {
-	// MaxEntries caps the number of cached plans; <= 0 is unbounded.
-	MaxEntries int
-	// MaxBytes caps the accounted resident size (the sum of
-	// sim.Plan.SizeBytes over cached plans); <= 0 is unbounded. A
-	// single plan larger than the whole budget is kept anyway — a cache
-	// that cannot hold the plan it was just asked for would thrash —
-	// so the bound holds whenever the cache has more than one entry.
-	MaxBytes int64
+type buildEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// get returns k's value, running build for it if k is not cached.
+func (c *buildCache[K, V]) get(k K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e, ok := c.m[k]
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+		if len(c.m) >= cacheCap {
+			c.drops += uint64(len(c.m))
+			c.m = nil
+		}
+		if c.m == nil {
+			c.m = make(map[K]*buildEntry[V])
+		}
+		e = new(buildEntry[V])
+		c.m[k] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
+}
+
+// stats snapshots the cache counters.
+func (c *buildCache[K, V]) stats() PlanCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.drops, Entries: len(c.m)}
+}
+
+// graphKey identifies one workload graph: NativeBatch is a searched
+// hyperparameter, so each batch size materializes its own graph.
+type graphKey struct {
+	model string
+	batch int64
+}
+
+// planKey identifies one compiled simulation plan: a workload graph
+// under a specific simulator-options fingerprint.
+type planKey struct {
+	graphKey
+	fp string
+}
+
+// graphs and plans are the process-wide caches shared by Study.Run and
+// EvaluateDesign. Graphs and plans are immutable after construction
+// (a plan's design memo synchronizes itself), so every study evaluates
+// one shared value concurrently.
+var (
+	graphs = &buildCache[graphKey, *hlo.Graph]{}
+	plans  = &buildCache[planKey, *sim.Plan]{}
+)
+
+// planFor returns the compiled plan for (name, batch, opts). fp must be
+// opts.Fingerprint(), hoisted out so per-batch callers don't re-render
+// it (it is constant across a study).
+func planFor(name string, batch int64, fp string, opts sim.Options) (*sim.Plan, error) {
+	gk := graphKey{model: name, batch: batch}
+	return plans.get(planKey{gk, fp}, func() (*sim.Plan, error) {
+		g, err := graphs.get(gk, func() (*hlo.Graph, error) { return models.Build(name, batch) })
+		if err != nil {
+			return nil, err
+		}
+		return sim.Compile(g, opts)
+	})
 }
 
 // PlanCacheStats is a point-in-time snapshot of the plan cache's
 // counters, exported at /debug/vars by internal/serve.
 type PlanCacheStats struct {
-	// Hits and Misses count get requests that found / did not find
-	// their key cached; Evictions counts plans dropped by the budget.
+	// Hits and Misses count requests that found / did not find their
+	// plan cached; Evictions counts plans dropped at the cap.
 	Hits, Misses, Evictions uint64
-	// Entries and Bytes are the current cached plan count and their
-	// accounted resident size.
+	// Entries is the current cached plan count.
 	Entries int
-	Bytes   int64
 }
-
-// planCache is an LRU-bounded once-per-key compile cache. The global
-// lock covers only map/recency bookkeeping, never a compile: each entry
-// compiles at most once (sync.Once), with concurrent requesters for the
-// same key waiting on that compile while other keys proceed. Plans are
-// immutable, so runner workers evaluate one shared Plan concurrently
-// without synchronization, and an evicted plan stays valid for every
-// caller still holding it.
-type planCache struct {
-	mu     sync.Mutex
-	m      map[planKey]*planEntry
-	lru    list.List // of *planEntry; front = most recently used
-	budget PlanCacheBudget
-	bytes  int64
-
-	hits, misses, evictions uint64
-}
-
-type planEntry struct {
-	key  planKey
-	elem *list.Element
-
-	once sync.Once
-	p    *sim.Plan
-	err  error
-
-	// Accounting state, guarded by the cache mutex. bytes is accounted
-	// once, by the creating requester, after the compile finishes;
-	// evicted entries that were never accounted contribute nothing.
-	bytes     int64
-	accounted bool
-	evicted   bool
-}
-
-// get returns the compiled plan for (name, batch, opts). fp must be
-// opts.Fingerprint(), hoisted out so per-trial callers don't re-render
-// it (it is constant across a study).
-func (pc *planCache) get(name string, batch int64, fp string, opts sim.Options) (*sim.Plan, error) {
-	key := planKey{model: name, batch: batch, fp: fp}
-	pc.mu.Lock()
-	if pc.m == nil {
-		pc.m = map[planKey]*planEntry{}
-	}
-	e, ok := pc.m[key]
-	created := false
-	if ok {
-		pc.hits++
-		pc.lru.MoveToFront(e.elem)
-	} else {
-		pc.misses++
-		e = &planEntry{key: key}
-		e.elem = pc.lru.PushFront(e)
-		pc.m[key] = e
-		created = true
-	}
-	pc.mu.Unlock()
-
-	e.once.Do(func() {
-		g, err := graphs.get(name, batch)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.p, e.err = sim.Compile(g, opts)
-	})
-
-	if created {
-		pc.mu.Lock()
-		if !e.accounted && !e.evicted {
-			e.accounted = true
-			if e.p != nil {
-				e.bytes = e.p.SizeBytes()
-			}
-			pc.bytes += e.bytes
-			pc.evictOverLocked(e)
-		}
-		pc.mu.Unlock()
-	}
-	return e.p, e.err
-}
-
-// evictOverLocked drops least-recently-used entries until the budget
-// holds. keep, when non-nil, is never evicted (the entry just inserted:
-// evicting it would make the current request thrash).
-func (pc *planCache) evictOverLocked(keep *planEntry) {
-	over := func() bool {
-		if pc.budget.MaxEntries > 0 && pc.lru.Len() > pc.budget.MaxEntries {
-			return true
-		}
-		if pc.budget.MaxBytes > 0 && pc.bytes > pc.budget.MaxBytes {
-			return true
-		}
-		return false
-	}
-	for over() {
-		el := pc.lru.Back()
-		if el == nil {
-			return
-		}
-		victim := el.Value.(*planEntry)
-		if victim == keep {
-			return // the newest entry alone exceeds the budget
-		}
-		pc.lru.Remove(el)
-		delete(pc.m, victim.key)
-		if victim.accounted {
-			pc.bytes -= victim.bytes
-		}
-		victim.evicted = true
-		pc.evictions++
-	}
-}
-
-// setBudget installs a budget and immediately evicts down to it.
-func (pc *planCache) setBudget(b PlanCacheBudget) {
-	pc.mu.Lock()
-	pc.budget = b
-	pc.evictOverLocked(nil)
-	pc.mu.Unlock()
-}
-
-// stats snapshots the cache counters.
-func (pc *planCache) stats() PlanCacheStats {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return PlanCacheStats{
-		Hits:      pc.hits,
-		Misses:    pc.misses,
-		Evictions: pc.evictions,
-		Entries:   pc.lru.Len(),
-		Bytes:     pc.bytes,
-	}
-}
-
-// plans is the process-wide plan cache shared by Study.Run and
-// EvaluateDesign.
-var plans = &planCache{}
-
-// SetPlanCacheBudget bounds the process-wide compiled-plan cache shared
-// by every study and evaluation. The zero budget (the default) is
-// unbounded; long-lived multi-tenant servers should bound both entries
-// and bytes (fast-serve's -cache-entries/-cache-bytes flags do).
-// Shrinking the budget evicts immediately.
-func SetPlanCacheBudget(b PlanCacheBudget) { plans.setBudget(b) }
 
 // PlanCacheInfo returns a snapshot of the process-wide plan cache's
 // size and hit/miss/eviction counters.

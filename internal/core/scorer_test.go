@@ -63,7 +63,7 @@ func scoredBytes(t *testing.T, workload string) (bytes, allocs float64, regions 
 		t.Fatalf("%s: too few designs of the batches reach the simulator", workload)
 	}
 	score(batches[0])
-	plan, err := plans.get(workload, arch.FASTLarge().NativeBatch, sp.SimOptions.Fingerprint(), sp.SimOptions)
+	plan, err := planFor(workload, arch.FASTLarge().NativeBatch, sp.SimOptions.Fingerprint(), sp.SimOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,18 @@ func scoredBytes(t *testing.T, workload string) (bytes, allocs float64, regions 
 // TestScorerBytesFlatInRegions is the allocation guard on the study
 // scorer: over warm plans, the bytes it allocates per scored design
 // must not grow with the plan's region count — the per-region stats,
-// op shares and fusion slices of each Result are reused across designs.
+// op shares and fusion slices of each Result, and the greedy's
+// placement, are reused across designs.
 // Allocated per design they cost about 160 B per region: 45 kB for each
 // efficientnet-b7 design, against some 600 B for everything else.
 func TestScorerBytesFlatInRegions(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled memory at random")
 	}
+	// One P: sync.Pool caches per P, so a scorer that migrates between
+	// Ps misses its pooled per-region tables and refills them, bytes
+	// that scale with regions but not with designs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	smallBytes, smallAllocs, small := scoredBytes(t, "efficientnet-b0")
 	bigBytes, bigAllocs, big := scoredBytes(t, "efficientnet-b7")
 	if big <= 2*small {
@@ -102,7 +107,7 @@ func TestScorerBytesFlatInRegions(t *testing.T) {
 	perRegion := (bigBytes - smallBytes) / float64(big-small)
 	t.Logf("per scored design: efficientnet-b0 (%d regions) %.0f B / %.1f allocs, efficientnet-b7 (%d regions) %.0f B / %.1f allocs; %.2f B per extra region",
 		small, smallBytes, smallAllocs, big, bigBytes, bigAllocs, perRegion)
-	if perRegion > 8 {
+	if perRegion > 1 {
 		t.Errorf("the scorer allocates %.1f B per design per extra region: per-region tables are allocated per design", perRegion)
 	}
 }

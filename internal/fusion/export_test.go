@@ -10,10 +10,12 @@ import (
 // import the simulator — it imports this package — and so run the
 // greedy on the cost tables compiled plans actually produce.
 
-// Greedy is the production greedy; LazyGreedy its frozen lazy-heap
-// predecessor (lazygreedy_test.go).
+// Greedy is the production greedy, run into fresh slices, GreedyInto
+// the same into its caller's zeroed slices; LazyGreedy their frozen
+// lazy-heap predecessor (lazygreedy_test.go).
 var (
-	Greedy     = greedy
+	Greedy     = freshGreedy
+	GreedyInto = greedy
 	LazyGreedy = lazyGreedy
 )
 
@@ -31,9 +33,17 @@ func CaptureSolves(fn func(regions []RegionCost, usable []bool, capacity int64))
 // reaches.
 func SolveExact(regions []RegionCost, usable []bool, capacity int64, deadline time.Duration, stall int) (Assignment, ilp.Result) {
 	normalizeResident(regions)
-	pin, keep, hold := greedy(regions, usable, capacity)
+	pin, keep, hold := freshGreedy(regions, usable, capacity)
 	return solveILP(regions, usable, capacity, pin, keep, hold, deadline, stall)
 }
 
 // StallNodes is the stall limit SolvePlanned derives from a deadline.
 var StallNodes = stallNodes
+
+// freshGreedy runs greedy into newly allocated placement slices.
+func freshGreedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hold []bool) {
+	n := len(regions)
+	pin, keep, hold = make([]bool, n), make([]bool, n), make([]bool, n)
+	greedy(regions, usable, capacity, pin, keep, hold)
+	return pin, keep, hold
+}

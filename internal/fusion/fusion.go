@@ -213,35 +213,39 @@ var testHook struct {
 	solve func(regions []RegionCost, usable []bool, capacity int64)
 }
 
-// SolvePlanned computes just the placement assignment — which regions pin
-// weights and which keep their primary edge on chip — without the
-// per-region time/peak roll-up. The assignment is the expensive,
-// design-dependent part of the fusion stage (greedy selection, optional
-// ILP); callers that memoize it across evaluations reconstruct full
-// Solutions with ResolvePlanned. usable is the precomputed window
-// analysis (see UsableEdges); it is read, never written, so one slice
-// may be shared by concurrent solves over the same region structure.
-func SolvePlanned(regions []RegionCost, usable []bool, capacity int64, opts Options) Assignment {
+// SolvePlanned computes into *asn just the placement assignment — which
+// regions pin weights and which keep their primary edge on chip —
+// without the per-region time/peak roll-up. The assignment is the
+// expensive, design-dependent part of the fusion stage (greedy
+// selection, optional ILP); callers that memoize it across evaluations
+// reconstruct full Solutions with ResolvePlanned. asn's slices are
+// reused where their capacity allows (a zero Assignment gets fresh
+// ones), so a caller that keeps no assignment solves design after design
+// without allocating. usable is the precomputed window analysis (see
+// UsableEdges); it is read, never written, so one slice may be shared by
+// concurrent solves over the same region structure.
+func SolvePlanned(asn *Assignment, regions []RegionCost, usable []bool, capacity int64, opts Options) {
 	n := len(regions)
+	pin, keep, hold := reset(&asn.Pin, n), reset(&asn.Keep, n), reset(&asn.Hold, n)
+	*asn = Assignment{Pin: pin, Keep: keep, Hold: hold, Method: "disabled"}
 	if opts.Disable || n == 0 || capacity <= 0 {
-		return Assignment{Pin: make([]bool, n), Keep: make([]bool, n), Hold: make([]bool, n), Method: "disabled"}
+		return
 	}
 	normalizeResident(regions)
 	if testHook.solve != nil {
 		testHook.solve(regions, usable, capacity)
 	}
-	pin, keep, hold := greedy(regions, usable, capacity)
-	asn := Assignment{Pin: pin, Keep: keep, Hold: hold, Method: "greedy"}
+	greedy(regions, usable, capacity, pin, keep, hold)
+	asn.Method = "greedy"
 	if !opts.GreedyOnly {
 		deadline := opts.Deadline
 		if deadline == 0 {
 			deadline = 2 * time.Second
 		}
 		if ilpAsn, res := solveILP(regions, usable, capacity, pin, keep, hold, deadline, stallNodes(deadline)); res.Feasible {
-			asn = ilpAsn
+			*asn = ilpAsn
 		}
 	}
-	return asn
 }
 
 // ResolvePlanned reconstructs into *sol the full Solution for a known

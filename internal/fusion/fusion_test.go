@@ -32,8 +32,10 @@ func chain(n int) []RegionCost {
 // optimizePlanned composes the package's two entry points the way
 // sim's fusion stage does: solve the placement, resolve the Solution.
 func optimizePlanned(regions []RegionCost, usable []bool, capacity int64, opts Options) Solution {
+	var asn Assignment
+	SolvePlanned(&asn, regions, usable, capacity, opts)
 	var sol Solution
-	ResolvePlanned(&sol, regions, capacity, SolvePlanned(regions, usable, capacity, opts))
+	ResolvePlanned(&sol, regions, capacity, asn)
 	return sol
 }
 

@@ -119,10 +119,15 @@ func BenchmarkGreedy(b *testing.B) {
 	} {
 		b.Run(tc.model, func(b *testing.B) {
 			in := captureInstances(b, tc.model, []*arch.Config{arch.ByName(tc.design)})[0]
+			n := len(in.regions)
+			pin, keep, hold := make([]bool, n), make([]bool, n), make([]bool, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fusion.Greedy(in.regions, in.usable, in.capacity)
+				clear(pin)
+				clear(keep)
+				clear(hold)
+				fusion.GreedyInto(in.regions, in.usable, in.capacity, pin, keep, hold)
 			}
 		})
 	}

@@ -59,15 +59,17 @@ func TestILPGapAndNodesPlumbed(t *testing.T) {
 // TestResolvePlannedRoundTrips pins the SolvePlanned/ResolvePlanned
 // contract with the Assignment type: a second solve of the same
 // instance resolves to the same Solution (an Assignment is memoizable),
-// and the memoized slices are copied, not retained.
+// also when it reuses an Assignment an earlier instance of another size
+// filled, and the memoized slices are copied, not retained.
 func TestResolvePlannedRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	var asn Assignment
 	for trial := 0; trial < 40; trial++ {
 		regions, usable := randomRegions(rng, 1+rng.Intn(24))
 		capacity := rng.Int63n(1 << 23)
 		opts := Options{GreedyOnly: trial%2 == 0, Deadline: 10 * time.Second}
 		want := optimizePlanned(regions, usable, capacity, opts)
-		asn := SolvePlanned(regions, usable, capacity, opts)
+		SolvePlanned(&asn, regions, usable, capacity, opts)
 		var got Solution
 		ResolvePlanned(&got, regions, capacity, asn)
 		if got.Total != want.Total || got.GMUsedPeak != want.GMUsedPeak || got.Method != want.Method {

@@ -145,7 +145,8 @@ func TestKVResolveRoundTrips(t *testing.T) {
 	opts := Options{GreedyOnly: true}
 	capacity := int64(6 << 20)
 	direct := optimizePlanned(rs, usable, capacity, opts)
-	asn := SolvePlanned(rs, usable, capacity, opts)
+	var asn Assignment
+	SolvePlanned(&asn, rs, usable, capacity, opts)
 	var resolved Solution
 	ResolvePlanned(&resolved, rs, capacity, asn)
 	if direct.Total != resolved.Total || direct.GMUsedPeak != resolved.GMUsedPeak {

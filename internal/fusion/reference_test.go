@@ -173,7 +173,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 		}
 		capacity := rng.Int63n(1 << 24)
 		wantPin, wantKeep := referenceGreedy(regions, usable, capacity)
-		gotPin, gotKeep, _ := greedy(regions, usable, capacity)
+		gotPin, gotKeep, _ := freshGreedy(regions, usable, capacity)
 		if !reflect.DeepEqual(wantPin, gotPin) || !reflect.DeepEqual(wantKeep, gotKeep) {
 			t.Fatalf("trial %d (n=%d, cap=%d): greedy diverged from reference\nwant pin %v keep %v\ngot  pin %v keep %v",
 				trial, n, capacity, wantPin, wantKeep, gotPin, gotKeep)
@@ -219,7 +219,7 @@ func TestGreedyMatchesReferenceTies(t *testing.T) {
 		usable := usableWithin(producers, 1+rng.Intn(4))
 		capacity := int64(1) << (11 + rng.Intn(5))
 		wantPin, wantKeep := referenceGreedy(regions, usable, capacity)
-		gotPin, gotKeep, _ := greedy(regions, usable, capacity)
+		gotPin, gotKeep, _ := freshGreedy(regions, usable, capacity)
 		if !reflect.DeepEqual(wantPin, gotPin) || !reflect.DeepEqual(wantKeep, gotKeep) {
 			t.Fatalf("tie trial %d (n=%d, cap=%d): greedy diverged from reference\nwant pin %v keep %v\ngot  pin %v keep %v",
 				trial, n, capacity, wantPin, wantKeep, gotPin, gotKeep)

@@ -211,11 +211,10 @@ func density(regions []RegionCost, saved []float64, c *greedyCand) float64 {
 //     maximum, equal densities resolve by enumeration order, so the
 //     same candidates land in the same sequence as the reference's
 //     O(candidates) re-scan, at O(log candidates) per touched candidate.
-func greedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hold []bool) {
+//
+// The placement lands in pin, keep and hold: zeroed, one entry per region.
+func greedy(regions []RegionCost, usable []bool, capacity int64, pin, keep, hold []bool) {
 	n := len(regions)
-	pin = make([]bool, n)
-	keep = make([]bool, n)
-	hold = make([]bool, n)
 	gs := greedyPool.Get().(*greedyScratch)
 	defer greedyPool.Put(gs)
 	saved := reset(&gs.saved, n)
@@ -343,7 +342,6 @@ func greedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hol
 		}
 		gs.touch(regions, ci)
 	}
-	return pin, keep, hold
 }
 
 // reset grows *s to n and zeroes it.

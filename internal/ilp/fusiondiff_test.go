@@ -205,7 +205,8 @@ func TestSparseILPNeverWorseThanDense(t *testing.T) {
 		capacity := rng.Int63n(1 << 24)
 		var sol fusion.Solution
 		ins := captureExact(func() {
-			asn := fusion.SolvePlanned(regions, usable, capacity, fusion.Options{Deadline: time.Minute})
+			var asn fusion.Assignment
+			fusion.SolvePlanned(&asn, regions, usable, capacity, fusion.Options{Deadline: time.Minute})
 			fusion.ResolvePlanned(&sol, regions, capacity, asn)
 		})
 		if sol.Method == "disabled" || len(ins) == 0 {

@@ -100,13 +100,10 @@ func newMetrics(r *obsv.Registry) *metrics {
 		"Plan cache lookups that compiled a new plan.",
 		func() float64 { return float64(core.PlanCacheInfo().Misses) })
 	r.NewFunc("fast_plan_cache_evictions_total",
-		"Compiled plans evicted by the cache budget.",
+		"Compiled plans dropped at the plan cache's entry cap.",
 		func() float64 { return float64(core.PlanCacheInfo().Evictions) })
 	r.NewFunc("fast_plan_cache_entries",
 		"Compiled plans currently cached.",
 		func() float64 { return float64(core.PlanCacheInfo().Entries) })
-	r.NewFunc("fast_plan_cache_bytes",
-		"Accounted resident size of the plan cache.",
-		func() float64 { return float64(core.PlanCacheInfo().Bytes) })
 	return m
 }

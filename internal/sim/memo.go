@@ -110,14 +110,16 @@ type fusionEntry [2]struct {
 }
 
 // assignment returns the fusion placement of cfg under softmax variant
-// algIdx on its region costs: the memoized one when e is non-nil (its
-// first caller pays the solve), a fresh solve otherwise.
-func (e *fusionEntry) assignment(p *Plan, cfg *arch.Config, algIdx int, costs []fusion.RegionCost) fusion.Assignment {
+// algIdx on its region costs: the memoized one, owned by the entry, when
+// e is non-nil (its first caller pays the solve), otherwise a fresh
+// solve into buf, whose slices serve design after design.
+func (e *fusionEntry) assignment(p *Plan, cfg *arch.Config, algIdx int, costs []fusion.RegionCost, buf *fusion.Assignment) fusion.Assignment {
 	if e == nil {
-		return fusion.SolvePlanned(costs, p.usable, cfg.GlobalBytes(), p.opts.Fusion)
+		fusion.SolvePlanned(buf, costs, p.usable, cfg.GlobalBytes(), p.opts.Fusion)
+		return *buf
 	}
 	f := &e[algIdx]
-	f.once.Do(func() { f.asn = fusion.SolvePlanned(costs, p.usable, cfg.GlobalBytes(), p.opts.Fusion) })
+	f.once.Do(func() { fusion.SolvePlanned(&f.asn, costs, p.usable, cfg.GlobalBytes(), p.opts.Fusion) })
 	return f.asn
 }
 
@@ -139,12 +141,14 @@ func capacityBytes(cfg *arch.Config) int64 {
 }
 
 // evalScratch pools the per-evaluate working memory that does not escape
-// into the Result: the schedule mappings, the fusion region-cost table
-// and the traffic-floor extras (ScoreBatch also reuses Results: resultBuf).
+// into the Result: the schedule mappings, the fusion region-cost table,
+// the traffic-floor extras and, on a plan that memoizes no fusion
+// assignment, the assignment (ScoreBatch also reuses Results: resultBuf).
 type evalScratch struct {
 	mapped []mapping.Mapping
 	costs  []fusion.RegionCost
 	extras []int64
+	asn    fusion.Assignment
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}

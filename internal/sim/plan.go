@@ -137,9 +137,9 @@ type Plan struct {
 
 // SizeBytes estimates the plan's resident size: the immutable
 // design-independent tables Compile builds (regions, per-op cost
-// records, unique mapping problems, fusion pre-analysis). It is the
-// accounting unit of core's LRU-bounded plan cache. Two resident costs
-// are deliberately excluded: the workload graph, which is owned by the
+// records, unique mapping problems, fusion pre-analysis), reported by
+// the benchmark harness as sim.plan_bytes. Two resident costs are
+// deliberately excluded: the workload graph, which is owned by the
 // process-wide graph cache and shared across plans (counting it here
 // would double-charge every plan of the same workload), and the design
 // memo, which grows with use but is bounded per plan by its shard
@@ -454,7 +454,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 		matrixFLOPs += io.MatrixFLOPs
 	}
 
-	fusion.ResolvePlanned(sol, costs, gm, e.assignment(p, cfg, algIdx, costs))
+	fusion.ResolvePlanned(sol, costs, gm, e.assignment(p, cfg, algIdx, costs, &scratch.asn))
 	res.Fusion = *sol
 
 	// Post-fusion DRAM traffic per region.

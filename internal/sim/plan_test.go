@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"fast/internal/arch"
 	"fast/internal/mapping"
@@ -187,6 +188,20 @@ func TestOptionsFingerprint(t *testing.T) {
 			t.Errorf("variant %q collides with %q: %s", name, prev, fp)
 		}
 		seen[fp] = name
+	}
+	// The ILP deadline keys only plans whose fusion is an exact solve.
+	greedy, exact := FASTOptions(), FASTOptions()
+	exact.Fusion.GreedyOnly = false
+	for _, c := range []struct {
+		name string
+		o    Options
+		same bool
+	}{{"greedy", greedy, true}, {"exact", exact, false}} {
+		d := c.o
+		d.Fusion.Deadline = 3 * time.Second
+		if got := c.o.Fingerprint() == d.Fingerprint(); got != c.same {
+			t.Errorf("%s options differing only in ILP deadline share a key: %t, want %t", c.name, got, c.same)
+		}
 	}
 	// Two equal-by-value power models must share a fingerprint even
 	// though the pointers differ.

@@ -171,9 +171,10 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 		producers[i] = costs[i].EdgeProducer
 	}
 	usable := fusion.UsableEdges(producers)
+	var asn fusion.Assignment
+	fusion.SolvePlanned(&asn, costs, usable, cfg.GlobalBytes(), opts.Fusion)
 	var sol fusion.Solution
-	fusion.ResolvePlanned(&sol, costs, cfg.GlobalBytes(),
-		fusion.SolvePlanned(costs, usable, cfg.GlobalBytes(), opts.Fusion))
+	fusion.ResolvePlanned(&sol, costs, cfg.GlobalBytes(), asn)
 	res.Fusion = sol
 
 	for ri := range stats {

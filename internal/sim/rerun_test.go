@@ -8,6 +8,8 @@ import (
 
 	"fast/internal/arch"
 	"fast/internal/core"
+	"fast/internal/power"
+	"fast/internal/search"
 	"fast/internal/sim"
 )
 
@@ -18,10 +20,21 @@ import (
 // no design on the search plan: every design it scores is a hit on the
 // Score the first run memoized there.
 func TestRerunScoresFromMemo(t *testing.T) {
-	// Start from an empty plan cache, as a freshly started daemon does,
-	// even when -count repeats the test in one process.
-	core.SetPlanCacheBudget(core.PlanCacheBudget{MaxBytes: 1})
-	core.SetPlanCacheBudget(core.PlanCacheBudget{})
+	// Start from a search plan no other test, and no earlier -count run
+	// of this one, has compiled, as a freshly started daemon does: the
+	// study evaluates through a dispatcher that builds its evaluator
+	// under a power model of this run's own, and so a plan-cache key of
+	// its own.
+	pm := *power.Default()
+	pm.FixedPowerW += float64(reruns.Add(1)) / 1024
+	own := core.WithDispatch(func(_ context.Context, spec core.EvalSpec, _ search.BatchObjective) search.BatchObjective {
+		spec.SimOptions.PowerModel = &pm
+		ev, err := core.BuildBatchEvaluator(spec)
+		if err != nil {
+			t.Fatal(err) // Run calls the dispatcher on the test goroutine
+		}
+		return ev
+	})
 	var fills atomic.Int64
 	restore := sim.OnScoreFill(func(*arch.Config, sim.Score) { fills.Add(1) })
 	defer restore()
@@ -30,7 +43,7 @@ func TestRerunScoresFromMemo(t *testing.T) {
 	for run := range transcripts {
 		st := core.Study{Workloads: []string{"resnet50"}, Objective: core.PerfPerTDP, Trials: 256, Seed: 0}
 		before := fills.Load()
-		res, err := st.Run(context.Background(), core.WithBatchSize(8), core.WithParallelism(2))
+		res, err := st.Run(context.Background(), core.WithBatchSize(8), core.WithParallelism(2), own)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,3 +62,6 @@ func TestRerunScoresFromMemo(t *testing.T) {
 		t.Errorf("the re-run evaluated %d designs on the search plan (the first run %d), want 0", filled[1], filled[0])
 	}
 }
+
+// reruns counts the runs of TestRerunScoresFromMemo in this process.
+var reruns atomic.Int64

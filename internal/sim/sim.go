@@ -163,8 +163,14 @@ func (o Options) Fingerprint() string {
 	if o.Mapping.Schemes != nil {
 		schemes = fmt.Sprintf("%v", o.Mapping.Schemes)
 	}
+	// Only the exact solve reads the ILP deadline: greedy and disabled
+	// plans under different deadlines are one plan.
+	fus := o.Fusion
+	if fus.GreedyOnly || fus.Disable {
+		fus.Deadline = 0
+	}
 	return fmt.Sprintf("sm2p=%t auto=%t fus=%+v schemes=%s wtf=%t dwvpu=%t pm=%s",
-		o.TwoPassSoftmax, o.AutoSoftmax, o.Fusion, schemes,
+		o.TwoPassSoftmax, o.AutoSoftmax, fus, schemes,
 		o.WholeTensorFusion, o.DepthwiseOnVPU, pm)
 }
 
