@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"fast/internal/arch"
 	"fast/internal/experiments"
@@ -397,9 +396,8 @@ func BenchmarkFullILPEvaluate(b *testing.B) {
 	}
 	opts := sim.FASTOptions()
 	opts.Fusion.GreedyOnly = false
-	// No deadline pressure: the solver must prove optimality, so ns/op
-	// times full exact solves, not incumbent cutoffs.
-	opts.Fusion.Deadline = 5 * time.Minute
+	// The default node budget leaves these solves far from any stop but
+	// a proof, so ns/op times full exact solves, not incumbent cutoffs.
 	plans := make([]*sim.Plan, len(instances))
 	for i, inst := range instances {
 		g := models.MustBuild(inst.model, inst.cfg.NativeBatch)

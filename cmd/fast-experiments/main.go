@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fast/internal/experiments"
+	"fast/internal/fusion"
 )
 
 func main() {
@@ -25,8 +26,8 @@ func main() {
 		convergo = flag.Int("convergence-trials", 150, "per-curve trials for fig11")
 		repeats  = flag.Int("repeats", 3, "repeats per heuristic for fig11 (paper: 5)")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
-		parallel = flag.Int("parallel", 0, "concurrent evaluations per search and reporting simulations per table (0 = one per CPU); search results are identical at any setting, table cells too unless -ilp-deadline expires mid-solve under load")
-		ilpDl    = flag.Duration("ilp-deadline", time.Second, "deadline per exact fusion-ILP solve on the reporting paths, which ends at the first of a proof, a certified 0.1% gap, 16384 nodes without improvement (scaled up in proportion to deadlines above 2s) or this deadline; a stall or deadline stop reports the greedy-seeded incumbent with its optimality gap")
+		parallel = flag.Int("parallel", 0, "concurrent evaluations per search and reporting simulations per table (0 = one per CPU); search results and table cells are identical at any setting")
+		ilpNodes = flag.Int("ilp-nodes", fusion.DefaultMaxNodes, "branch-and-bound node budget per exact fusion-ILP solve on the reporting paths, which ends at the first of a proof, a certified 0.1% gap, the stall limit (16384 nodes without improvement, a quarter of larger budgets) or this many nodes; a stall or budget stop reports the greedy-seeded incumbent with its optimality gap")
 		markdown = flag.Bool("markdown", false, "emit GitHub markdown")
 		csv      = flag.Bool("csv", false, "emit CSV (for plotting)")
 	)
@@ -38,7 +39,7 @@ func main() {
 		Repeats:           *repeats,
 		Seed:              *seed,
 		Parallelism:       *parallel,
-		ILPDeadline:       *ilpDl,
+		ILPNodes:          *ilpNodes,
 	})
 
 	ids := experiments.IDs()

@@ -5,7 +5,7 @@
 // With -from-search the Perf/TCO improvement is not given but derived:
 // a FAST study searches a design for the named workload, the winner is
 // re-simulated with the exact (sparse branch-and-bound) fusion-ILP
-// solve under -ilp-deadline, and its Perf/TDP against the die-shrunk
+// solve under -ilp-nodes, and its Perf/TDP against the die-shrunk
 // TPU-v3 baseline feeds the ROI model — the Table 4 protocol as a CLI.
 //
 // Usage:
@@ -22,9 +22,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"fast"
+	"fast/internal/fusion"
 )
 
 func main() {
@@ -36,7 +36,7 @@ func main() {
 		trials     = flag.Int("trials", 120, "with -from-search: search-trial budget")
 		seed       = flag.Int64("seed", 1, "with -from-search: deterministic seed")
 		parallel   = flag.Int("parallel", 0, "with -from-search: concurrent evaluations (0 = one per CPU)")
-		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "with -from-search: deadline per exact fusion-ILP solve in the winner re-simulation, which ends at the first of a proof, a certified 0.1% gap, 16384 nodes without improvement (scaled up in proportion to deadlines above 2s) or this deadline; on a stall or deadline stop the greedy-seeded incumbent (with its optimality gap) is used instead of failing")
+		ilpNodes   = flag.Int("ilp-nodes", fusion.DefaultMaxNodes, "with -from-search: branch-and-bound node budget per exact fusion-ILP solve in the winner re-simulation, which ends at the first of a proof, a certified 0.1% gap, the stall limit (16384 nodes without improvement, a quarter of larger budgets) or this many nodes; on a stall or budget stop the greedy-seeded incumbent (with its optimality gap) is used instead of failing")
 	)
 	flag.Parse()
 
@@ -45,7 +45,7 @@ func main() {
 		p.UnitTCO(), p.AccelUnitCost, p.PowerKW, p.YearsDeployed, p.NRE()/1e6)
 
 	if *fromSearch != "" {
-		s, err := searchedSpeedup(*fromSearch, *trials, *seed, *parallel, *ilpDeadln)
+		s, err := searchedSpeedup(*fromSearch, *trials, *seed, *parallel, *ilpNodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fast-roi:", err)
 			os.Exit(1)
@@ -84,11 +84,11 @@ func verdict(r float64) string {
 // design, re-simulate the winner with the exact fusion ILP, and return
 // its Perf/TDP improvement over the die-shrunk TPU-v3 baseline as the
 // Perf/TCO proxy.
-func searchedSpeedup(workload string, trials int, seed int64, parallel int, ilpDeadline time.Duration) (float64, error) {
+func searchedSpeedup(workload string, trials int, seed int64, parallel int, ilpNodes int) (float64, error) {
 	simOpts := fast.FASTOptions()
-	simOpts.Fusion.Deadline = ilpDeadline
-	fmt.Printf("searching %d trials on %s (winner re-simulated with the exact fusion ILP, %v deadline per solve)\n",
-		trials, workload, ilpDeadline)
+	simOpts.Fusion.MaxNodes = ilpNodes
+	fmt.Printf("searching %d trials on %s (winner re-simulated with the exact fusion ILP, a %d-node budget per solve)\n",
+		trials, workload, ilpNodes)
 	res, err := (&fast.Study{
 		Workloads:  []string{workload},
 		Objective:  fast.ObjectivePerfPerTDP,

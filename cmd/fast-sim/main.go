@@ -17,9 +17,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"fast"
+	"fast/internal/fusion"
 	"fast/internal/sim"
 )
 
@@ -31,7 +31,7 @@ func main() {
 		stack      = flag.String("stack", "fast", "software stack: fast (all schedules + fusion) or baseline (production TPU stack)")
 		batch      = flag.Int64("batch", 0, "override the design's native batch size (power of 2)")
 		twoPass    = flag.Bool("two-pass-softmax", false, "force the two-pass softmax (default: auto with -stack fast)")
-		ilpDeadln  = flag.Duration("ilp-deadline", 2*time.Second, "deadline per exact fusion-ILP solve, which ends at the first of a proof, a certified 0.1% gap, 16384 nodes without improvement (scaled up in proportion to deadlines above 2s) or this deadline; an unproven solve reports its incumbent with its optimality gap")
+		ilpNodes   = flag.Int("ilp-nodes", fusion.DefaultMaxNodes, "branch-and-bound node budget per exact fusion-ILP solve, which ends at the first of a proof, a certified 0.1% gap, the stall limit (16384 nodes without improvement, a quarter of larger budgets) or this many nodes; an unproven solve reports its incumbent with its optimality gap")
 		greedyFus  = flag.Bool("greedy-fusion", false, "skip the exact ILP and report the greedy fusion solve (the search-loop stack)")
 		blocks     = flag.Bool("blocks", false, "print the per-block utilization table")
 		dot        = flag.String("dot", "", "write the workload graph (clustered by fusion region) to this DOT file")
@@ -62,7 +62,7 @@ func main() {
 		// The single-design report is a final-metrics path: run the exact
 		// branch-and-bound fusion solve (greedy only on request).
 		opts.Fusion.GreedyOnly = *greedyFus
-		opts.Fusion.Deadline = *ilpDeadln
+		opts.Fusion.MaxNodes = *ilpNodes
 	case "baseline":
 		opts = fast.BaselineOptions()
 	default:
@@ -118,8 +118,8 @@ func main() {
 	case "ilp-optimal":
 		method = fmt.Sprintf("%s, %d nodes", method, r.Fusion.Nodes)
 	case "ilp-within-tol", "ilp-incumbent":
-		// Stopped unproven (on the gap tolerance or the deadline): the
-		// greedy-seeded incumbent with its proven bound.
+		// Stopped unproven (on the gap tolerance, the stall limit or the
+		// node budget): the greedy-seeded incumbent with its proven bound.
 		gap := "gap unbounded"
 		if !math.IsInf(r.Fusion.Gap, 1) {
 			gap = "gap " + percent(r.Fusion.Gap) + "%"

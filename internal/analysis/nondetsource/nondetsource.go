@@ -6,9 +6,11 @@
 // simulator bit-identical across runs only as long as no such source
 // leaks into those paths.
 //
-// Wall-clock time is legal in exactly one place — the ILP deadline
-// seam, where a solver checks its budget — and those sites carry
-// auditable //fast:allow nondetsource directives. Seeded *rand.Rand
+// No evaluation path reads the wall clock: the exact solver's budget
+// is a count of branch-and-bound nodes. The clock reads left are
+// scheduling and logging seams in dispatch and serve, and each carries
+// an auditable //fast:allow nondetsource directive saying why it cannot
+// reach the transcript. Seeded *rand.Rand
 // instances (rand.New(rand.NewSource(seed))) are deterministic and not
 // reported; only the package-level generator is.
 package nondetsource
@@ -118,7 +120,7 @@ func checkCall(pass *analysis.Pass, info *types.Info, call *ast.CallExpr) {
 	case "time":
 		if clockFuncs[fn.Name()] {
 			pass.Report(analysis.Diagnostic{Pos: call.Pos(), Message: fmt.Sprintf(
-				"time.%s reads the wall clock in a deterministic path (only the ILP deadline seam may, behind //fast:allow)", fn.Name())})
+				"time.%s reads the wall clock in a deterministic path (only a scheduling seam that cannot reach the transcript may, behind //fast:allow)", fn.Name())})
 		}
 	case "math/rand", "math/rand/v2":
 		if globalRand[fn.Name()] {

@@ -49,6 +49,6 @@ func tryRecv(a chan int) (int, bool) {
 
 // deadline is the audited exception pattern.
 func deadline() time.Time {
-	//fast:allow nondetsource solver budget seam fixture
+	//fast:allow nondetsource scheduling seam fixture
 	return time.Now()
 }

@@ -246,3 +246,29 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestStudyHonoursPowerModel: a study given its own power model
+// searches, budgets and reports under that model, not the default one.
+func TestStudyHonoursPowerModel(t *testing.T) {
+	pm := *power.Default()
+	pm.FixedPowerW *= 2
+	so := sim.FASTOptions()
+	so.PowerModel = &pm
+	st := &Study{Workloads: []string{"efficientnet-b0"}, Objective: PerfPerTDP, Trials: 32, Seed: 1, SimOptions: &so}
+	if sp := st.evalSpec(); sp.SimOptions.PowerModel != &pm || sp.Budget != power.DefaultBudget(&pm) {
+		t.Fatalf("spec resolved power model %+v and budget %+v, want the study's model and the budget it anchors",
+			sp.SimOptions.PowerModel, sp.Budget)
+	}
+	res, err := st.Run(context.Background(), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best == nil {
+		t.Fatal("no feasible design")
+	}
+	got := res.PerWorkload[0].Result.TDPWatts
+	if want := pm.Evaluate(res.Best).TotalPower(); got != want {
+		t.Errorf("report TDP %g W, want the study's model's %g W (default model: %g W)",
+			got, want, power.Default().Evaluate(res.Best).TotalPower())
+	}
+}

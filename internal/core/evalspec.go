@@ -62,20 +62,22 @@ type EvalSpec struct {
 
 // evalSpec resolves the study's defaults into the EvalSpec every
 // evaluation of one Run is built from: the default platform, the
-// default power model and the budget it anchors.
+// study's power model (the default one unless SimOptions sets it) and
+// the budget that model anchors.
 func (s *Study) evalSpec() EvalSpec {
-	pm := power.Default()
 	sp := EvalSpec{
 		Workloads:       s.Workloads,
 		LatencyBoundSec: s.LatencyBoundSec,
 		Base:            DefaultPlatform(),
-		Budget:          power.DefaultBudget(pm),
 		SimOptions:      sim.FASTOptions(),
 	}
 	if s.SimOptions != nil {
 		sp.SimOptions = *s.SimOptions
 	}
-	sp.SimOptions.PowerModel = pm
+	if sp.SimOptions.PowerModel == nil {
+		sp.SimOptions.PowerModel = power.Default()
+	}
+	sp.Budget = power.DefaultBudget(sp.SimOptions.PowerModel)
 	if len(s.Objectives) > 0 {
 		for _, o := range s.Objectives {
 			sp.Objectives = append(sp.Objectives, o.String())

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"fast/internal/arch"
 	"fast/internal/search"
@@ -220,21 +219,21 @@ func TestPlanCacheBudgetSoak(t *testing.T) {
 	}
 }
 
-// deadlineProbes counts the runs of TestGreedyPlansIgnoreILPDeadline in
-// this process, so each run's deadlines are its own.
-var deadlineProbes atomic.Int64
+// budgetProbes counts the runs of TestGreedyPlansIgnoreILPNodes in
+// this process, so each run's node budgets are its own.
+var budgetProbes atomic.Int64
 
-// TestGreedyPlansIgnoreILPDeadline runs four 16-trial resnet50 studies
-// that differ only in their exact-ILP deadline, as fast-serve runs
-// studies that set ilp_deadline_sec. The search plans are greedy and
-// never read the deadline, so they are shared: each study after the
-// first compiles only its report plan (one design, one workload).
-func TestGreedyPlansIgnoreILPDeadline(t *testing.T) {
+// TestGreedyPlansIgnoreILPNodes runs four 16-trial resnet50 studies
+// that differ only in their exact-ILP node budget, as fast-serve runs
+// studies that set ilp_nodes. The search plans are greedy and never
+// read the budget, so they are shared: each study after the first
+// compiles only its report plan (one design, one workload).
+func TestGreedyPlansIgnoreILPNodes(t *testing.T) {
 	emptyPlans()
-	n := deadlineProbes.Add(1)
+	n := budgetProbes.Add(1)
 	for k := int64(0); k < 4; k++ {
 		so := sim.FASTOptions()
-		so.Fusion.Deadline = time.Second + time.Duration(4*n+k)*time.Millisecond
+		so.Fusion.MaxNodes = 1<<16 + int(4*n+k)
 		st := Study{Workloads: []string{"resnet50"}, Trials: 16, Seed: 1, SimOptions: &so}
 		before := PlanCacheInfo().Misses
 		if _, err := st.Run(context.Background(), WithBatchSize(8), WithParallelism(2)); err != nil {

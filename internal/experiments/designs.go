@@ -23,7 +23,7 @@ func baselinePerfPerTDP(workload string) float64 {
 
 // table5Designs reproduces Table 5: the modeled TPU-v3, FAST-Large and
 // FAST-Small designs on EfficientNet-B7. The FAST columns use the
-// exact-ILP fusion solve (deadline per Options), run concurrently.
+// exact-ILP fusion solve (node budget per Options), run concurrently.
 func table5Designs(o Options) Table {
 	o = o.withDefaults()
 	t := Table{

@@ -4,13 +4,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
-// tinyOpts compresses search budgets so the whole registry runs in test
-// time.
+// tinyOpts compresses search and solver budgets so the whole registry
+// runs in test time.
 var tinyOpts = Options{SearchTrials: 12, ConvergenceTrials: 12, Repeats: 1, Seed: 1,
-	ILPDeadline: 200 * time.Millisecond}
+	ILPNodes: 2048}
 
 func cell(t Table, row, col int) float64 {
 	s := strings.Fields(t.Rows[row][col])[0]

@@ -9,16 +9,9 @@ package experiments
 // branch-and-bound solve; simAll fans them across a bounded worker pool
 // (Options.Parallelism, the same knob the studies use) with
 // index-slotted results. Job order — and therefore table layout — is
-// independent of parallelism; cell values are too, except that
-// ILPDeadline is a wall-clock budget per solve, so a loaded or
-// oversubscribed machine can demote a borderline cell from a proven
-// optimum to the greedy-seeded incumbent (the same SCIP-timeout
-// caveat every exact-ILP path in this repo carries). A solve that ends
-// on its stall limit, 16,384 nodes without improvement, ends at the
-// same node on any host; only solves whose nodes are too slow to reach
-// that limit inside ILPDeadline carry the caveat. On a 2-vCPU host at
-// -parallel 2, 9 of the tables' unproven sparse solves end on the
-// deadline and 11 on the limit (docs/PERFORMANCE.md).
+// independent of parallelism, and so are cell values: every solve stops
+// on a count of branch-and-bound nodes, never on the clock, so a loaded
+// machine reports the same cells as an idle one.
 
 import (
 	"fast/internal/arch"
@@ -27,13 +20,13 @@ import (
 )
 
 // fullILP is the reporting software stack: the FAST stack with the
-// exact ILP fusion solve enabled under o's per-solve deadline (a
-// deadline or stall stop keeps the greedy-seeded incumbent and reports
+// exact ILP fusion solve enabled under o's per-solve node budget (a
+// budget or stall stop keeps the greedy-seeded incumbent and reports
 // its gap).
 func (o Options) fullILP() sim.Options {
 	s := sim.FASTOptions()
 	s.Fusion.GreedyOnly = false
-	s.Fusion.Deadline = o.ILPDeadline
+	s.Fusion.MaxNodes = o.ILPNodes
 	return s
 }
 

@@ -16,13 +16,13 @@ import (
 )
 
 // runStudy executes one FAST search study at the harness parallelism.
-// The study's software stack carries the harness ILP deadline, so the
-// final winner re-simulation (the study's exact-ILP pass) honours the
-// same per-solve budget as the reporting tables.
+// The study's software stack carries the harness ILP node budget, so
+// the final winner re-simulation (the study's exact-ILP pass) honours
+// the same per-solve budget as the reporting tables.
 func runStudy(o Options, workloads []string, obj core.ObjectiveKind, trials int, seed int64) *core.StudyResult {
 	o = o.withDefaults()
 	simOpts := sim.FASTOptions()
-	simOpts.Fusion.Deadline = o.ILPDeadline
+	simOpts.Fusion.MaxNodes = o.ILPNodes
 	res, err := (&core.Study{
 		Workloads:  workloads,
 		Objective:  obj,

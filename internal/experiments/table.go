@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Table is a rendered experiment result.
@@ -88,16 +87,14 @@ type Options struct {
 	Seed int64
 	// Parallelism bounds concurrent candidate evaluations per study and
 	// concurrent reporting simulations per table (0 = one worker per
-	// CPU). Search trajectories are identical at any setting; reporting
-	// cells are too unless a wall-clock ILPDeadline expires mid-solve
-	// under contention (the cell then shows the greedy-seeded incumbent
-	// instead of the proven optimum).
+	// CPU). Search trajectories and reporting cells are identical at any
+	// setting.
 	Parallelism int
-	// ILPDeadline bounds each exact fusion-ILP solve on the reporting
-	// paths (default 1s). A deadline or stall stop reports the
-	// greedy-seeded incumbent with its optimality gap instead of failing
-	// the table.
-	ILPDeadline time.Duration
+	// ILPNodes bounds each exact fusion-ILP solve on the reporting paths
+	// in branch-and-bound nodes (0 = fusion.DefaultMaxNodes). A budget or
+	// stall stop reports the greedy-seeded incumbent with its optimality
+	// gap instead of failing the table.
+	ILPNodes int
 }
 
 func (o Options) withDefaults() Options {
@@ -109,9 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Repeats == 0 {
 		o.Repeats = 3
-	}
-	if o.ILPDeadline == 0 {
-		o.ILPDeadline = time.Second
 	}
 	return o
 }

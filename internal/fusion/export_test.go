@@ -1,10 +1,6 @@
 package fusion
 
-import (
-	"time"
-
-	"fast/internal/ilp"
-)
+import "fast/internal/ilp"
 
 // Bridges for the external tests (package fusion_test), which can
 // import the simulator — it imports this package — and so run the
@@ -28,17 +24,17 @@ func CaptureSolves(fn func(regions []RegionCost, usable []bool, capacity int64))
 }
 
 // SolveExact runs SolvePlanned's exact solve on one instance, warm
-// started from the greedy, with the deadline and the stall limit set
-// apart, so a test can pin a stall stop under a deadline no host
-// reaches.
-func SolveExact(regions []RegionCost, usable []bool, capacity int64, deadline time.Duration, stall int) (Assignment, ilp.Result) {
+// started from the greedy, with the node budget and the stall limit set
+// apart, so a test can pin a stall stop at any limit.
+func SolveExact(regions []RegionCost, usable []bool, capacity int64, total, stall int) (Assignment, ilp.Result) {
 	normalizeResident(regions)
 	pin, keep, hold := freshGreedy(regions, usable, capacity)
-	return solveILP(regions, usable, capacity, pin, keep, hold, deadline, stall)
+	return solveILP(regions, usable, capacity, pin, keep, hold, total, stall)
 }
 
-// StallNodes is the stall limit SolvePlanned derives from a deadline.
-var StallNodes = stallNodes
+// NodeLimits is the node budget and stall limit SolvePlanned derives
+// from Options.MaxNodes.
+var NodeLimits = nodeLimits
 
 // freshGreedy runs greedy into newly allocated placement slices.
 func freshGreedy(regions []RegionCost, usable []bool, capacity int64) (pin, keep, hold []bool) {

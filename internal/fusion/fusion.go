@@ -4,10 +4,11 @@
 // execution time under the GM capacity constraint.
 //
 // The Figure 8 ILP is built faithfully and solved with internal/ilp
-// (branch-and-bound with a deadline, returning the incumbent on timeout —
-// the paper's SCIP contract — or once the incumbent stalls). A
-// density-greedy warm start with saturation handling seeds the
-// incumbent, so even a zero deadline yields a sound, feasible solution.
+// (branch-and-bound under a node budget, returning the incumbent when it
+// runs out — the paper's SCIP timeout contract, counted in nodes — or
+// once the incumbent stalls). A density-greedy warm start with
+// saturation handling seeds the incumbent, so even a one-node budget
+// yields a sound, feasible solution.
 //
 // Two adaptations of the Fig. 8 formulation:
 //
@@ -31,7 +32,6 @@ package fusion
 import (
 	"math"
 	"sync"
-	"time"
 )
 
 // residencyWindow is the residency window W (see package comment).
@@ -105,7 +105,8 @@ type Solution struct {
 	GMUsedPeak int64
 	// Method records how the solution was obtained: "ilp-optimal"
 	// (proven), "ilp-within-tol" (certified within the exact solve's
-	// relative-gap stop), "ilp-incumbent" (stall limit or deadline hit),
+	// relative-gap stop), "ilp-incumbent" (stopped unproven: the stall
+	// limit, the node budget or a node LP that failed twice),
 	// "greedy", or "disabled".
 	Method string
 	// Gap is the relative optimality gap the ILP certified when it
@@ -120,14 +121,13 @@ type Solution struct {
 
 // Options configures SolvePlanned.
 type Options struct {
-	// Deadline bounds the ILP solve (default 2s). The solve ends at the
-	// first of four events: optimality is proven, the incumbent is
-	// certified within a 0.1% relative gap, 16,384 branch-and-bound nodes
-	// pass without an improvement, or the deadline expires. The stall
-	// limit grows in proportion to deadlines above 2 s, so a longer
-	// deadline still buys a deeper search. The paper uses a 20-minute
-	// SCIP timeout; experiments here size deadlines to the harness.
-	Deadline time.Duration
+	// MaxNodes bounds the exact ILP solve in branch-and-bound nodes
+	// (0 = DefaultMaxNodes). The solve ends at the first of a proof, a
+	// certified 0.1% relative gap, the stall limit (16,384 nodes without
+	// an improvement, or a quarter of a larger budget, so that it buys a
+	// deeper search) or MaxNodes nodes. The paper bounds each solve by a
+	// 20-minute SCIP timeout; a node count stops every host alike.
+	MaxNodes int
 	// Disable turns fusion off entirely (ablation): nothing is placed in
 	// GM.
 	Disable bool
@@ -238,11 +238,8 @@ func SolvePlanned(asn *Assignment, regions []RegionCost, usable []bool, capacity
 	greedy(regions, usable, capacity, pin, keep, hold)
 	asn.Method = "greedy"
 	if !opts.GreedyOnly {
-		deadline := opts.Deadline
-		if deadline == 0 {
-			deadline = 2 * time.Second
-		}
-		if ilpAsn, res := solveILP(regions, usable, capacity, pin, keep, hold, deadline, stallNodes(deadline)); res.Feasible {
+		total, stall := nodeLimits(opts.MaxNodes)
+		if ilpAsn, res := solveILP(regions, usable, capacity, pin, keep, hold, total, stall); res.Feasible {
 			*asn = ilpAsn
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // memBoundRegion builds a memory-bound region: TMax far above TMin with
@@ -190,7 +189,7 @@ func TestILPMatchesGreedyOrBetter(t *testing.T) {
 		}
 		capacity := int64(4+r.Intn(20)) << 20
 		g := optimize(rs, capacity, Options{GreedyOnly: true})
-		x := optimize(rs, capacity, Options{Deadline: 3 * time.Second})
+		x := optimize(rs, capacity, Options{})
 		if x.Total > g.Total+1e-9 {
 			t.Fatalf("trial %d: ILP total %.4f worse than greedy %.4f (method %s)",
 				trial, x.Total, g.Total, x.Method)
@@ -211,7 +210,7 @@ func TestILPBeatsGreedyOnSaturationTrap(t *testing.T) {
 	}
 	capacity := int64(6 << 20)
 	g := optimize(rs, capacity, Options{GreedyOnly: true})
-	x := optimize(rs, capacity, Options{Deadline: 3 * time.Second})
+	x := optimize(rs, capacity, Options{})
 	if x.Total > g.Total {
 		t.Errorf("ILP (%.2f) worse than greedy (%.2f)", x.Total, g.Total)
 	}
@@ -227,7 +226,7 @@ func TestTimesMonotoneInCapacity(t *testing.T) {
 	rs := chain(8)
 	prev := math.Inf(1)
 	for capMiB := int64(0); capMiB <= 64; capMiB += 8 {
-		sol := optimize(rs, capMiB<<20, Options{Deadline: time.Second})
+		sol := optimize(rs, capMiB<<20, Options{})
 		if sol.Total > prev+1e-9 {
 			t.Errorf("total time increased at capacity %d MiB: %.4f > %.4f", capMiB, sol.Total, prev)
 		}

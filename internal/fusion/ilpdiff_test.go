@@ -8,17 +8,16 @@ package fusion
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
-// TestILPGapAndNodesPlumbed: an expired deadline must surface the
+// TestILPGapAndNodesPlumbed: a one-node budget must surface the
 // greedy-seeded incumbent as "ilp-incumbent" with a reported gap, and
 // node counts must flow through; a proven solve reports gap zero.
 func TestILPGapAndNodesPlumbed(t *testing.T) {
 	rs := chain(6)
 	capacity := int64(5 << 20)
 
-	proven := optimize(rs, capacity, Options{Deadline: time.Minute})
+	proven := optimize(rs, capacity, Options{})
 	if proven.Method != "ilp-optimal" {
 		t.Fatalf("method = %s, want ilp-optimal", proven.Method)
 	}
@@ -29,11 +28,11 @@ func TestILPGapAndNodesPlumbed(t *testing.T) {
 		t.Errorf("proven solve nodes = %d, want ≥ 1", proven.Nodes)
 	}
 
-	rushed := optimize(rs, capacity, Options{Deadline: time.Nanosecond})
+	rushed := optimize(rs, capacity, Options{MaxNodes: 1})
 	switch rushed.Method {
 	case "ilp-incumbent":
 		if !(rushed.Gap > 0) {
-			t.Errorf("deadline-hit gap = %g, want > 0 (or +Inf)", rushed.Gap)
+			t.Errorf("budget-stop gap = %g, want > 0 (or +Inf)", rushed.Gap)
 		}
 		// The incumbent is greedy-seeded: never worse than pure greedy.
 		greedy := optimize(rs, capacity, Options{GreedyOnly: true})
@@ -41,10 +40,10 @@ func TestILPGapAndNodesPlumbed(t *testing.T) {
 			t.Errorf("incumbent total %.15g worse than greedy %.15g", rushed.Total, greedy.Total)
 		}
 	case "ilp-optimal":
-		// A nanosecond can, in principle, still be enough on this tiny
-		// instance; then the gap must be zero.
+		// The root can, in principle, prove this tiny instance; then
+		// the gap must be zero.
 		if rushed.Gap != 0 {
-			t.Errorf("optimal-after-deadline gap = %g", rushed.Gap)
+			t.Errorf("optimal-at-the-root gap = %g", rushed.Gap)
 		}
 	default:
 		t.Fatalf("method = %s", rushed.Method)
@@ -67,7 +66,7 @@ func TestResolvePlannedRoundTrips(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		regions, usable := randomRegions(rng, 1+rng.Intn(24))
 		capacity := rng.Int63n(1 << 23)
-		opts := Options{GreedyOnly: trial%2 == 0, Deadline: 10 * time.Second}
+		opts := Options{GreedyOnly: trial%2 == 0}
 		want := optimizePlanned(regions, usable, capacity, opts)
 		SolvePlanned(&asn, regions, usable, capacity, opts)
 		var got Solution

@@ -5,13 +5,13 @@ package fusion_test
 // so the pivots, the branch-and-bound node count and the assignment of
 // every proven reference pair are those of the dense-LU solver. A
 // kernel change that reorders one accumulation shows up here as a node
-// count.
+// count. Every stop is counted in nodes, so an unproven solve pins as
+// firmly as a proven one.
 
 import (
 	"hash/fnv"
 	"runtime"
 	"testing"
-	"time"
 
 	"fast/internal/arch"
 	"fast/internal/fusion"
@@ -21,15 +21,19 @@ import (
 
 func TestExactSolvePinned(t *testing.T) {
 	for _, tc := range []struct {
-		model, design string
-		nodes         int
-		assignment    uint64 // FNV-1a over the pin, keep and hold flags
+		model, design, method string
+		nodes                 int
+		assignment            uint64 // FNV-1a over the pin, keep and hold flags
 	}{
-		{"ocr-rpn", "fast-small", 171, 0x50822ef5d4d4de66},
-		{"bert-128", "fast-small", 605, 0xa6a6250c1e20f87d},
-		{"bert-1024", "fast-small", 25, 0x808af48b1277eadd},
-		{"resnet50", "fast-small", 13, 0x45baca9bd267d2c6},
-		{"bert-128", "tpu-v3", 689, 0xa6a6250c1e20f87d},
+		{"ocr-rpn", "fast-small", "ilp-optimal", 171, 0x50822ef5d4d4de66},
+		{"bert-128", "fast-small", "ilp-optimal", 605, 0xa6a6250c1e20f87d},
+		{"bert-1024", "fast-small", "ilp-optimal", 25, 0x808af48b1277eadd},
+		{"resnet50", "fast-small", "ilp-optimal", 13, 0x45baca9bd267d2c6},
+		{"bert-128", "tpu-v3", "ilp-optimal", 689, 0xa6a6250c1e20f87d},
+		// The winning solve of the two softmax variants, which improves
+		// at node 3,363 and then stalls; under a wall-clock deadline a
+		// loaded host stopped it at 14,723 nodes instead.
+		{"gpt2-decode-1024", "fast-large", "ilp-incumbent", 19747, 0x16d526dd93006b59},
 	} {
 		t.Run(tc.model+"/"+tc.design, func(t *testing.T) {
 			cfg := arch.ByName(tc.design)
@@ -39,16 +43,13 @@ func TestExactSolvePinned(t *testing.T) {
 			}
 			opts := sim.FASTOptions()
 			opts.Fusion.GreedyOnly = false
-			// The count is deterministic only when the solve finishes; a
-			// minute is two orders of magnitude of head room.
-			opts.Fusion.Deadline = time.Minute
 			r, err := sim.Simulate(g, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h := assignmentHash(r.Fusion); r.Fusion.Method != "ilp-optimal" || r.Fusion.Nodes != tc.nodes || h != tc.assignment {
-				t.Errorf("method %s, %d nodes, assignment %#x; want ilp-optimal, %d nodes, %#x",
-					r.Fusion.Method, r.Fusion.Nodes, h, tc.nodes, tc.assignment)
+			if h := assignmentHash(r.Fusion); r.Fusion.Method != tc.method || r.Fusion.Nodes != tc.nodes || h != tc.assignment {
+				t.Errorf("method %s, %d nodes, assignment %#x; want %s, %d nodes, %#x",
+					r.Fusion.Method, r.Fusion.Nodes, h, tc.method, tc.nodes, tc.assignment)
 			}
 		})
 	}
@@ -80,8 +81,7 @@ func flagsHash(pin, keep, hold []bool) uint64 {
 // workloads, and the two solves that used to branch until the deadline
 // (efficientnet-b7, ocr-recognizer) stop at the root, whose LP bound
 // already certifies the greedy warm start within the tolerance; the
-// other three prove optimality as before. The minute-long deadline
-// keeps the outcome independent of the host.
+// other three prove optimality as before.
 func TestMulti64WinnerStopsAtRoot(t *testing.T) {
 	cfg, err := arch.LoadFile("testdata/multi64_seed1_winner.json")
 	if err != nil {
@@ -108,7 +108,6 @@ func TestMulti64WinnerStopsAtRoot(t *testing.T) {
 			}
 			opts := sim.FASTOptions()
 			opts.Fusion.GreedyOnly = false
-			opts.Fusion.Deadline = time.Minute
 			r, err := sim.Simulate(g, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -135,7 +134,8 @@ func soleInstance(tb testing.TB, model string, cfg *arch.Config) instance {
 }
 
 // reportHardInstance is report_hard's solve: efficientnet-b0 on the
-// seed-9 winner, whose greedy placement no deadline up to 2 s improves.
+// seed-9 winner, whose greedy placement the default budget does not
+// improve.
 func reportHardInstance(tb testing.TB) instance {
 	tb.Helper()
 	cfg, err := arch.LoadFile("../../cmd/fast-bench/testdata/b0_seed9_winner.json")
@@ -164,32 +164,30 @@ var stallInstances = []struct {
 	{"table6_b7_16MiB", table6Instance},
 }
 
-// TestStallLimit pins how the limit follows the deadline: one number up
-// to the 2 s default, then in proportion.
+// TestStallLimit pins how the stall limit follows the node budget: one
+// number up to the default budget, then a quarter of it.
 func TestStallLimit(t *testing.T) {
 	for _, tc := range []struct {
-		deadline time.Duration
-		nodes    int
+		maxNodes, total, stall int
 	}{
-		{time.Second, 16384}, {2 * time.Second, 16384}, {3 * time.Second, 24576}, {40 * time.Second, 327680},
+		{0, 65536, 16384}, {1, 1, 16384}, {65536, 65536, 16384}, {98304, 98304, 24576}, {1310720, 1310720, 327680},
 	} {
-		if got := fusion.StallNodes(tc.deadline); got != tc.nodes {
-			t.Errorf("StallNodes(%v) = %d, want %d", tc.deadline, got, tc.nodes)
+		if total, stall := fusion.NodeLimits(tc.maxNodes); total != tc.total || stall != tc.stall {
+			t.Errorf("NodeLimits(%d) = %d, %d; want %d, %d", tc.maxNodes, total, stall, tc.total, tc.stall)
 		}
 	}
 }
 
 // TestStallStopPinned pins the stall stop on both stall instances: at
-// the default limit each solve ends after exactly that many nodes and
-// keeps the greedy placement it was warm started with. The minute-long
-// deadline keeps the outcome independent of the host.
+// the default limits each solve ends after exactly the stall limit's
+// nodes and keeps the greedy placement it was warm started with.
 func TestStallStopPinned(t *testing.T) {
+	total, stall := fusion.NodeLimits(0)
 	for _, tc := range stallInstances {
 		t.Run(tc.name, func(t *testing.T) {
 			in := tc.instance(t)
 			pin, keep, hold := fusion.Greedy(in.regions, in.usable, in.capacity)
-			stall := fusion.StallNodes(2 * time.Second)
-			asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, stall)
+			asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, total, stall)
 			if asn.Method != "ilp-incumbent" || asn.Nodes != stall || res.ImprovedAt != 0 {
 				t.Errorf("method %s, %d nodes, improved at %d; want ilp-incumbent after %d nodes on the warm start",
 					asn.Method, asn.Nodes, res.ImprovedAt, stall)
@@ -205,11 +203,11 @@ func TestStallStopPinned(t *testing.T) {
 }
 
 // BenchmarkExactStall prices a stall-phase branch-and-bound node: each
-// stall instance solved to the default limit under a deadline no host
-// reaches, reported per node. Every node there keeps the warm start,
-// so the figure is the cost of the node itself.
+// stall instance solved to the default stall limit, reported per node.
+// Every node there keeps the warm start, so the figure is the cost of
+// the node itself.
 func BenchmarkExactStall(b *testing.B) {
-	stall := fusion.StallNodes(2 * time.Second)
+	total, stall := fusion.NodeLimits(0)
 	for _, tc := range stallInstances {
 		b.Run(tc.name, func(b *testing.B) {
 			in := tc.instance(b)
@@ -217,7 +215,7 @@ func BenchmarkExactStall(b *testing.B) {
 			b.ResetTimer()
 			nodes := 0
 			for i := 0; i < b.N; i++ {
-				asn, _ := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, stall)
+				asn, _ := fusion.SolveExact(in.regions, in.usable, in.capacity, total, stall)
 				if asn.Nodes != stall {
 					b.Fatalf("%s after %d nodes, want the stall limit at %d", asn.Method, asn.Nodes, stall)
 				}
@@ -241,7 +239,8 @@ func b7LargeInstance(tb testing.TB) instance {
 // solveB7Root solves b7LargeInstance and fails unless the root proves
 // it.
 func solveB7Root(tb testing.TB, in instance) {
-	asn, _ := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, fusion.StallNodes(2*time.Second))
+	total, stall := fusion.NodeLimits(0)
+	asn, _ := fusion.SolveExact(in.regions, in.usable, in.capacity, total, stall)
 	if asn.Method != "ilp-optimal" || asn.Nodes != 1 {
 		tb.Fatalf("%s after %d nodes, want ilp-optimal at the root", asn.Method, asn.Nodes)
 	}
@@ -288,16 +287,17 @@ func TestExactRootAllocs(t *testing.T) {
 // the search just short of it.
 func TestStallFloorPinned(t *testing.T) {
 	in := soleInstance(t, "ocr-rpn", arch.ByName("tpu-v3"))
+	total, stall := fusion.NodeLimits(0)
 	for _, tc := range []struct {
 		stall         int
 		method        string
 		nodes, improv int
 	}{
-		{fusion.StallNodes(2 * time.Second), "ilp-within-tol", 14450, 14450},
+		{stall, "ilp-within-tol", 14450, 14450},
 		{14139, "ilp-within-tol", 14450, 14450},
 		{14138, "ilp-incumbent", 14449, 311},
 	} {
-		asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, tc.stall)
+		asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, total, tc.stall)
 		if asn.Method != tc.method || asn.Nodes != tc.nodes || res.ImprovedAt != tc.improv {
 			t.Errorf("stall %d: method %s, %d nodes, improved at %d; want %s, %d nodes, improved at %d",
 				tc.stall, asn.Method, asn.Nodes, res.ImprovedAt, tc.method, tc.nodes, tc.improv)
@@ -305,19 +305,21 @@ func TestStallFloorPinned(t *testing.T) {
 	}
 }
 
-// TestStallLimitSlope: a raised deadline still buys a deeper search.
-// report_hard's greedy placement is not optimal; the limit a 40 s
-// deadline allows reaches a better one, far past the default limit.
-// About 4 s of solving, which the race detector stretches past the
-// deadline; the -race runs leave it out.
+// TestStallLimitSlope: a raised node budget still buys a deeper search.
+// report_hard's greedy placement is not optimal; the stall limit of a
+// 20-fold budget reaches a better one, far past the default limit.
+// About 4 s of solving, which the race detector stretches tenfold; the
+// -race runs leave it out.
 func TestStallLimitSlope(t *testing.T) {
 	if raceEnabled {
-		t.Skip("87k nodes outlast the deadline under -race")
+		t.Skip("87k nodes take about 40 s under -race")
 	}
 	in := reportHardInstance(t)
 	pin, keep, hold := fusion.Greedy(in.regions, in.usable, in.capacity)
-	asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, time.Minute, fusion.StallNodes(40*time.Second))
-	if res.ImprovedAt <= fusion.StallNodes(2*time.Second) {
+	_, stall := fusion.NodeLimits(0)
+	total, deeper := fusion.NodeLimits(20 * fusion.DefaultMaxNodes)
+	asn, res := fusion.SolveExact(in.regions, in.usable, in.capacity, total, deeper)
+	if res.ImprovedAt <= stall {
 		t.Errorf("improved at node %d (%s, %d nodes); want past the default limit", res.ImprovedAt, asn.Method, asn.Nodes)
 	}
 	if flagsHash(asn.Pin, asn.Keep, asn.Hold) == flagsHash(pin, keep, hold) {

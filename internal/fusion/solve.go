@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"time"
 
 	"fast/internal/ilp"
 )
@@ -714,28 +713,35 @@ func liveStart(capEnds []int, r int) int {
 // 0.1% stop rule reaches").
 const exactRelGap = 1e-3
 
-// exactStallNodes is the stall limit at the default 2 s deadline: the
-// exact solve stops this many nodes after its incumbent last improved.
-// It is 16% above the longest stall before an improvement in the
-// measured corpus (ocr-rpn/tpu-v3: 14,139 nodes, then an improvement at
-// node 14,450). Solves that never improve on the greedy warm start used
-// to branch until the deadline (docs/PERFORMANCE.md, "What the stall
-// limit reaches").
+// exactStallNodes is the stall limit at the default budget: the exact
+// solve stops this many nodes after its incumbent last improved. It is
+// 16% above the longest stall before an improvement in the measured
+// corpus (ocr-rpn/tpu-v3: 14,139 nodes, then an improvement at node
+// 14,450). Solves that never improve on the greedy warm start used to
+// branch until the deadline (docs/PERFORMANCE.md, "What the stall limit
+// reaches").
 const exactStallNodes = 1 << 14
 
-// stallNodes scales exactStallNodes in proportion to the deadline, so a
-// longer deadline still buys a deeper search; below 2 s it stays at
-// exactStallNodes.
-func stallNodes(deadline time.Duration) int {
-	return int(exactStallNodes * max(1, deadline.Seconds()/2))
+// DefaultMaxNodes is the exact solve's node budget when Options.MaxNodes
+// is zero: four stall limits, 3.3 times the longest solve measured
+// (docs/PERFORMANCE.md, "A node budget in place of the deadline").
+const DefaultMaxNodes = 4 * exactStallNodes
+
+// nodeLimits resolves Options.MaxNodes into the node budget and the
+// stall limit: exactStallNodes, or a quarter of a larger budget.
+func nodeLimits(maxNodes int) (total, stall int) {
+	if maxNodes <= 0 {
+		maxNodes = DefaultMaxNodes
+	}
+	return maxNodes, max(exactStallNodes, maxNodes/4)
 }
 
 // solveILP solves the reduced Figure 8 ILP with branch-and-bound, warm
 // started from the greedy placement. It ends at the first of a proof, a
-// certified exactRelGap, stall nodes without improvement, or the
-// deadline. The assignment is valid only when the result is Feasible.
+// certified exactRelGap, stall nodes without improvement, or total
+// nodes. The assignment is valid only when the result is Feasible.
 func solveILP(regions []RegionCost, usable []bool, capacity int64,
-	warmPin, warmKeep, warmHold []bool, deadline time.Duration, stall int) (Assignment, ilp.Result) {
+	warmPin, warmKeep, warmHold []bool, total, stall int) (Assignment, ilp.Result) {
 
 	n := len(regions)
 	if n == 0 {
@@ -767,8 +773,7 @@ func solveILP(regions []RegionCost, usable []bool, capacity int64,
 	}
 
 	res, err := ilp.Solve(f.prob, ilp.Options{
-		//fast:allow nondetsource sets the ILP budget deadline; a timeout falls back to the deterministic greedy placement
-		Deadline:   time.Now().Add(deadline),
+		MaxNodes:   total,
 		RelGap:     exactRelGap,
 		StallNodes: stall,
 		WarmStart:  warm,

@@ -1,9 +1,6 @@
 package ilp
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // solveDense is the frozen PR-1 branch-and-bound over the dense
 // two-phase tableau simplex (simplex_test.go): depth-first, tableau rebuilt
@@ -37,11 +34,6 @@ func solveDense(p Problem, o Options) (Result, error) {
 		res.X = append([]float64(nil), o.WarmStart...)
 	}
 
-	expired := func() bool {
-		//fast:allow nondetsource branch-and-bound deadline seam: time only truncates the search, never changes a returned incumbent's value
-		return !o.Deadline.IsZero() && time.Now().After(o.Deadline)
-	}
-
 	// node fixes a subset of binary variables.
 	type node struct {
 		fixVar []int
@@ -51,7 +43,7 @@ func solveDense(p Problem, o Options) (Result, error) {
 	provedOptimal := true
 
 	for len(stack) > 0 {
-		if expired() {
+		if o.MaxNodes > 0 && res.Nodes >= o.MaxNodes {
 			provedOptimal = false
 			break
 		}
@@ -74,7 +66,7 @@ func solveDense(p Problem, o Options) (Result, error) {
 				b = append(b, nd.fixVal[k], -nd.fixVal[k])
 			}
 		}
-		lp := simplexDeadline(p.C, a, b, maxIter, o.Deadline)
+		lp := simplex(p.C, a, b, maxIter)
 		if !lp.feasible {
 			continue
 		}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // randColumns draws n columns in the class Solve takes: a third of them
@@ -397,10 +396,10 @@ func TestInfeasibleAfterBranching(t *testing.T) {
 	}
 }
 
-// TestDeadlineGapReported: an expired deadline with a warm incumbent
-// must report a non-optimal result with a positive (possibly infinite)
-// gap and the incumbent intact.
-func TestDeadlineGapReported(t *testing.T) {
+// TestBudgetGapReported: a node budget that stops the search after the
+// root, with a warm incumbent, must report a non-optimal result with a
+// positive (possibly infinite) gap and the incumbent intact.
+func TestBudgetGapReported(t *testing.T) {
 	p := Problem{
 		C:      []float64{-60, -100, -120},
 		A:      DenseRows([][]float64{{10, 20, 30}}),
@@ -408,14 +407,14 @@ func TestDeadlineGapReported(t *testing.T) {
 		Binary: []bool{true, true, true},
 	}
 	r, err := Solve(p, Options{
-		Deadline:  time.Now().Add(-time.Second),
+		MaxNodes:  1,
 		WarmStart: []float64{1, 1, 0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Feasible || r.Optimal {
-		t.Fatalf("expected non-optimal incumbent, got %+v", r)
+	if !r.Feasible || r.Optimal || r.Nodes != 1 {
+		t.Fatalf("expected a non-optimal incumbent after 1 node, got %+v", r)
 	}
 	if !(r.Gap > 0) {
 		t.Errorf("expected positive optimality gap, got %g", r.Gap)

@@ -74,14 +74,13 @@ func CountFailures() (restore func() (failed, unrecovered int)) {
 	}
 }
 
-// StopAtNodes cuts every branch-and-bound off after limit nodes, as an
-// expired deadline would, until the returned function is called. At the
-// cut-off fn receives the number of open nodes and a function that
-// drops them (and everything only they keep alive).
-func StopAtNodes(limit int, fn func(open int, release func())) (restore func()) {
-	testHook.nodeLimit = limit
-	testHook.atNodeLimit = func(h *nodeHeap) {
+// AtMaxNodes hands fn every branch-and-bound stopped at
+// Options.MaxNodes, until the returned function is called: the number of
+// open nodes and a function that drops them (and everything only they
+// keep alive).
+func AtMaxNodes(fn func(open int, release func())) (restore func()) {
+	testHook.atMaxNodes = func(h *nodeHeap) {
 		fn(len(*h), func() { *h = nil })
 	}
-	return func() { testHook.nodeLimit, testHook.atNodeLimit = 0, nil }
+	return func() { testHook.atMaxNodes = nil }
 }

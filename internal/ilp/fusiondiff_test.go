@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"fast/internal/arch"
 	"fast/internal/fusion"
@@ -50,11 +49,10 @@ func captureExact(fn func()) []captured {
 }
 
 // solveBoth solves one captured problem with the sparse solver and with
-// the dense reference, from its warm start and under a deadline no
-// proof here comes near.
+// the dense reference, from its warm start and without a node budget.
 func solveBoth(t testing.TB, c captured) (sparse, dense ilp.Result) {
 	t.Helper()
-	o := ilp.Options{WarmStart: c.warm, Deadline: time.Now().Add(time.Minute)}
+	o := ilp.Options{WarmStart: c.warm}
 	sparse, err := ilp.Solve(c.p, o)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,7 @@ func TestSparseILPMatchesDenseOnReferenceInstances(t *testing.T) {
 	problems := 0
 	for _, tc := range suite {
 		for _, cfg := range tc.cfgs {
-			ins := captureExact(func() { exactReport(t, tc.model, cfg, 2*time.Second) })
+			ins := captureExact(func() { exactReport(t, tc.model, cfg) })
 			if len(ins) == 0 {
 				t.Fatalf("%s/%s: no fusion problem", tc.model, cfg.Name)
 			}
@@ -206,7 +204,7 @@ func TestSparseILPNeverWorseThanDense(t *testing.T) {
 		var sol fusion.Solution
 		ins := captureExact(func() {
 			var asn fusion.Assignment
-			fusion.SolvePlanned(&asn, regions, usable, capacity, fusion.Options{Deadline: time.Minute})
+			fusion.SolvePlanned(&asn, regions, usable, capacity, fusion.Options{})
 			fusion.ResolvePlanned(&sol, regions, capacity, asn)
 		})
 		if sol.Method == "disabled" || len(ins) == 0 {
@@ -246,16 +244,16 @@ func TestSparseILPNeverWorseThanDense(t *testing.T) {
 func BenchmarkFullILPDense(b *testing.B) {
 	var ins []captured
 	for _, model := range []string{"ocr-rpn", "resnet50", "bert-1024"} {
-		ins = append(ins, captureExact(func() { exactReport(b, model, arch.FASTSmall(), 2*time.Second) })...)
+		ins = append(ins, captureExact(func() { exactReport(b, model, arch.FASTSmall()) })...)
 	}
 	var nodes int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range ins {
-			// No deadline pressure: the solve must prove optimality, so
-			// ns/op times full exact solves, not incumbent cutoffs.
-			r, err := ilp.SolveDense(in.p, ilp.Options{WarmStart: in.warm, Deadline: time.Now().Add(5 * time.Minute)})
+			// No node budget: the solve must prove optimality, so ns/op
+			// times full exact solves, not incumbent cutoffs.
+			r, err := ilp.SolveDense(in.p, ilp.Options{WarmStart: in.warm})
 			if err != nil || !r.Optimal {
 				b.Fatalf("dense solve %+v (%v), want proven optimality", r, err)
 			}

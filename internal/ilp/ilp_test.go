@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestSimplexBasicLP(t *testing.T) {
@@ -130,9 +129,10 @@ func TestSolveMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
-func TestDeadlineReturnsIncumbent(t *testing.T) {
-	// With an already-expired deadline and a warm start, Solve must
-	// return the warm start as a non-optimal incumbent.
+func TestBudgetReturnsIncumbent(t *testing.T) {
+	// With a one-node budget, which the root LP's fractional optimum
+	// leaves unproven, and a warm start, Solve must return the warm
+	// start as a non-optimal incumbent.
 	p := Problem{
 		C:      []float64{-60, -100, -120},
 		A:      DenseRows([][]float64{{10, 20, 30}}),
@@ -141,7 +141,7 @@ func TestDeadlineReturnsIncumbent(t *testing.T) {
 	}
 	warm := []float64{1, 1, 0} // value 160, feasible
 	r, err := Solve(p, Options{
-		Deadline:  time.Now().Add(-time.Second),
+		MaxNodes:  1,
 		WarmStart: warm,
 	})
 	if err != nil {
@@ -319,7 +319,7 @@ func TestFailedNodeRecovered(t *testing.T) {
 }
 
 // TestUnrecoveredFailureStopsSearch: when the retry fails too, the
-// search stops as a deadline stops it. The incumbent stands, nothing is
+// search stops as the node budget stops it. The incumbent stands, nothing is
 // proven, and the failed node's bound stays in BestBound, which must
 // not exceed the optimum.
 func TestUnrecoveredFailureStopsSearch(t *testing.T) {
@@ -331,9 +331,7 @@ func TestUnrecoveredFailureStopsSearch(t *testing.T) {
 	}
 	// The open bound after one node, as a cut-off there reports it: the
 	// root's LP optimum, which both of its children carry.
-	testHook.nodeLimit = 1
-	cut, err := Solve(p, Options{WarmStart: warm})
-	testHook.nodeLimit = 0
+	cut, err := Solve(p, Options{WarmStart: warm, MaxNodes: 1})
 	if err != nil || !(cut.BestBound < clean.Objective-1e-9) {
 		t.Fatalf("instance too easy: the bound after one node (%g, %v) already certifies %g", cut.BestBound, err, clean.Objective)
 	}

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"fast/internal/arch"
 	"fast/internal/ilp"
@@ -17,8 +16,8 @@ import (
 )
 
 // exactReport simulates model on cfg with the exact fusion solve on, as
-// fast-sim does, under the given deadline.
-func exactReport(t testing.TB, model string, cfg *arch.Config, deadline time.Duration) *sim.Result {
+// fast-sim does, under the default node budget.
+func exactReport(t testing.TB, model string, cfg *arch.Config) *sim.Result {
 	t.Helper()
 	g, err := models.Build(model, cfg.NativeBatch)
 	if err != nil {
@@ -26,7 +25,6 @@ func exactReport(t testing.TB, model string, cfg *arch.Config, deadline time.Dur
 	}
 	opts := sim.FASTOptions()
 	opts.Fusion.GreedyOnly = false
-	opts.Fusion.Deadline = deadline
 	r, err := sim.Simulate(g, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +59,7 @@ func TestKernelsMatchDenseOnFusionInstances(t *testing.T) {
 				problems = append(problems, p)
 				mu.Unlock()
 			})
-			// The problems are captured on entry, so the solve itself
-			// only needs to end: fast-sim's default deadline.
-			exactReport(t, tc.model, tc.cfg, 2*time.Second)
+			exactReport(t, tc.model, tc.cfg)
 			restore()
 			if len(problems) == 0 {
 				t.Fatal("the report ran no exact solve")
@@ -89,8 +85,8 @@ func TestStateReuseMatchesFresh(t *testing.T) {
 		problems = append(problems, p)
 		mu.Unlock()
 	})
-	exactReport(t, "efficientnet-b7", arch.ByName("fast-large"), 2*time.Second)
-	exactReport(t, "ocr-rpn", arch.ByName("fast-small"), 2*time.Second)
+	exactReport(t, "efficientnet-b7", arch.ByName("fast-large"))
+	exactReport(t, "ocr-rpn", arch.ByName("fast-small"))
 	restore()
 	if len(problems) < 2 {
 		t.Fatalf("the reports ran %d exact solves, want at least 2", len(problems))
@@ -102,7 +98,7 @@ func TestStateReuseMatchesFresh(t *testing.T) {
 // (checkPivot) at every pivot of the two solves that run to the stall
 // limit on their greedy warm start — table6's efficientnet-b7 cell with
 // 16 MiB of Global Memory and report_hard's efficientnet-b0 seed-9
-// winner — cut at the default limit's 16,384 nodes, where those solves
+// winner — to the default limit's 16,384 nodes, where those solves
 // stop.
 func TestPivotSweepsOnStallInstances(t *testing.T) {
 	hard, err := arch.LoadFile("../../cmd/fast-bench/testdata/b0_seed9_winner.json")
@@ -119,16 +115,14 @@ func TestPivotSweepsOnStallInstances(t *testing.T) {
 		{"table6_b7_16MiB", "efficientnet-b7", gm16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stop := ilp.StopAtNodes(16384, func(int, func()) {})
-			defer stop()
 			restore := ilp.CheckEveryPivot()
-			r := exactReport(t, tc.model, tc.cfg, time.Minute)
+			r := exactReport(t, tc.model, tc.cfg)
 			pivots, err := restore()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if r.Fusion.Nodes != 16384 {
-				t.Fatalf("solve ended %s after %d nodes, want the cut at 16384", r.Fusion.Method, r.Fusion.Nodes)
+				t.Fatalf("solve ended %s after %d nodes, want the stall limit at 16384", r.Fusion.Method, r.Fusion.Nodes)
 			}
 			t.Logf("%d pivots checked", pivots)
 		})
@@ -137,21 +131,28 @@ func TestPivotSweepsOnStallInstances(t *testing.T) {
 
 // TestOpenNodeBytes is the memory guard for branch-and-bound: on the
 // efficientnet-b0 seed-9 winner (report_hard's instance, never proven
-// inside any deadline) the search is cut at a fixed node count and the
-// heap bytes that dropping the open frontier frees, per open node, must
-// stay under 160 — a path + basis + bitset copy per node was ~4 KB.
-// Under a wall-clock deadline a faster solver turns speed into frontier;
-// this bound is what keeps that from becoming peak RSS.
+// inside any budget the harness sets) the search is cut at a fixed node
+// count and the heap bytes that dropping the open frontier frees, per
+// open node, must stay under 160 — a path + basis + bitset copy per node
+// was ~4 KB. A larger node budget turns into frontier; this bound is
+// what keeps that from becoming peak RSS.
 func TestOpenNodeBytes(t *testing.T) {
 	cfg, err := arch.LoadFile("../../cmd/fast-bench/testdata/b0_seed9_winner.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// efficientnet has no softmax: the report poses one problem.
+	var p ilp.Problem
+	var warm []float64
+	capture := ilp.CaptureProblems(func(q ilp.Problem, w []float64) { p, warm = q, w })
+	exactReport(t, "efficientnet-b0", cfg)
+	capture()
+
 	const cut = 20000
 	var solves, open int
 	var freed uint64
-	restore := ilp.StopAtNodes(cut, func(n int, release func()) {
-		solves++ // efficientnet has no softmax: one solve, nothing concurrent
+	restore := ilp.AtMaxNodes(func(n int, release func()) {
+		solves++
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -161,9 +162,9 @@ func TestOpenNodeBytes(t *testing.T) {
 		open, freed = n, before.HeapAlloc-after.HeapAlloc
 	})
 	defer restore()
-	r := exactReport(t, "efficientnet-b0", cfg, time.Minute)
-	if r.Fusion.Nodes != cut || r.Fusion.Method != "ilp-incumbent" {
-		t.Fatalf("solve ended %s after %d nodes; the guard needs the cut-off at %d", r.Fusion.Method, r.Fusion.Nodes, cut)
+	r, err := ilp.Solve(p, ilp.Options{WarmStart: warm, MaxNodes: cut})
+	if err != nil || r.Nodes != cut || r.Optimal {
+		t.Fatalf("solve ended after %d nodes (optimal %v, %v); the guard needs the cut-off at %d", r.Nodes, r.Optimal, err, cut)
 	}
 	if solves != 1 {
 		t.Fatalf("%d solves reached the cut-off, want 1", solves)
@@ -190,7 +191,7 @@ func TestFailedRootRecoversOnServedStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := ilp.CountFailures()
-	r := exactReport(t, "mobilenetv2", cfg, time.Minute)
+	r := exactReport(t, "mobilenetv2", cfg)
 	failed, unrecovered := count()
 	if failed == 0 {
 		t.Fatal("no node LP failed: the instance no longer exercises the retry")

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 func sameBits(a, b float64) bool {
@@ -338,7 +337,7 @@ func checkKernelsOnProblem(t testing.TB, p Problem, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	bases := 0
 	for depth := 0; depth < 4; depth++ {
-		if ls.dualSimplex(20000, time.Time{}) != lpOptimal {
+		if ls.dualSimplex(20000) != lpOptimal {
 			break
 		}
 		if r, _ := leavingRowFull(ls); r >= 0 {
@@ -409,7 +408,7 @@ func TestSelectBranchMatchesFullScan(t *testing.T) {
 			pcDn[j], pcUp[j] = rng.Float64(), rng.Float64()
 		}
 		for depth := 0; depth < 6; depth++ {
-			if ls.dualSimplex(maxSimplexIters, time.Time{}) != lpOptimal {
+			if ls.dualSimplex(maxSimplexIters) != lpOptimal {
 				break
 			}
 			if r, _ := leavingRowFull(ls); r >= 0 {

@@ -1,22 +1,13 @@
 package ilp
 
-// Test-only oracles and helpers: the dense simplex without a deadline,
-// exhaustive enumeration, the full-scan branching rule, a greedy
+// Test-only oracles and helpers: exhaustive enumeration, the full-scan branching rule, a greedy
 // knapsack, and dense-to-sparse row conversion for hand-written
 // problems.
 
 import (
 	"math"
 	"sort"
-	"time"
 )
-
-// simplex is simplexDeadline without a deadline: it minimizes c·x
-// subject to A·x ≤ b, 0 ≤ x (upper bounds are expressed as extra rows
-// by the caller).
-func simplex(c []float64, a [][]float64, b []float64, maxIter int) lpResult {
-	return simplexDeadline(c, a, b, maxIter, time.Time{})
-}
 
 // DenseRows converts dense constraint rows to the sparse form Problem
 // carries, dropping zero coefficients.

@@ -3,7 +3,6 @@ package ilp
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 // Bounded-variable dual simplex over the sparse revised representation.
@@ -37,7 +36,6 @@ type lpStatus int
 const (
 	lpOptimal lpStatus = iota
 	lpInfeasible
-	lpDeadline
 	lpFail
 )
 
@@ -528,12 +526,12 @@ func (s *lpState) leavingRow() (r int, dir float64) {
 // factorizes. The retry's ratio test prefers sturdier pivots (see
 // safePivTol); a solve that does not fail never comes here, so it keeps
 // every pivot.
-func (s *lpState) resolve(maxIter int, deadline time.Time) lpStatus {
+func (s *lpState) resolve(maxIter int) lpStatus {
 	s.installSlackBasis()
 	s.computeXB()
 	s.computeDuals()
 	s.safe = true
-	status := s.dualSimplex(maxIter, deadline)
+	status := s.dualSimplex(maxIter)
 	s.safe = false
 	return status
 }
@@ -552,7 +550,7 @@ const (
 
 // dualSimplex runs to primal feasibility (= optimality, since dual
 // feasibility is an invariant) under the current bounds.
-func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
+func (s *lpState) dualSimplex(maxIter int) lpStatus {
 	justRefreshed := false
 	start := s.iters
 	for {
@@ -560,10 +558,6 @@ func (s *lpState) dualSimplex(maxIter int, deadline time.Time) lpStatus {
 			return lpFail
 		}
 		s.iters++
-		//fast:allow nondetsource simplex deadline seam: expiry aborts to the greedy fallback, it does not alter pivots
-		if s.iters%64 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			return lpDeadline
-		}
 
 		r, dir := s.leavingRow()
 		if r < 0 {

@@ -3,10 +3,7 @@ package ilp
 // The frozen dense two-phase tableau simplex under solveDense
 // (dense_test.go), kept as the reference oracle.
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // eps is the dense tableau's pivot and pricing tolerance.
 const eps = 1e-9
@@ -20,12 +17,10 @@ type lpResult struct {
 	iterations int
 }
 
-// simplexDeadline minimizes c·x subject to A·x ≤ b, 0 ≤ x (upper bounds
-// are expressed as extra rows by the caller). Two-phase tableau method
-// with Bland's rule for anti-cycling. The optional wall-clock cutoff is
-// checked every 64 iterations; on expiry the current point is returned
-// as-is (callers treat it as a bound, not a certificate).
-func simplexDeadline(c []float64, a [][]float64, b []float64, maxIter int, deadline time.Time) lpResult {
+// simplex minimizes c·x subject to A·x ≤ b, 0 ≤ x (upper bounds are
+// expressed as extra rows by the caller). Two-phase tableau method with
+// Bland's rule for anti-cycling.
+func simplex(c []float64, a [][]float64, b []float64, maxIter int) lpResult {
 	m, n := len(a), len(c)
 	// Tableau columns: n structural + m slacks + up to m artificials + rhs.
 	// Normalize rows so b >= 0.
@@ -99,10 +94,6 @@ func simplexDeadline(c []float64, a [][]float64, b []float64, maxIter int, deadl
 	runPhase := func(obj []float64, objVal *float64, limit int) bool {
 		for iter < maxIter {
 			iter++
-			//fast:allow nondetsource simplex deadline seam: expiry aborts to the greedy fallback, it does not alter pivots
-			if iter%64 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-				return true // treat as converged; caller re-checks deadline
-			}
 			// Bland's rule: smallest-index entering column with negative
 			// reduced cost (within limit columns).
 			pc := -1

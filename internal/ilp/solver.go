@@ -4,7 +4,7 @@
 // non-negative cost, minimized under A·x ≤ b (see Problem). Solve runs
 // best-first branch-and-bound over a sparse bounded-variable dual
 // simplex (revised.go) under the operational contract the paper
-// configures SCIP with: a deadline, after which the best incumbent
+// configures SCIP with: a node budget, after which the best incumbent
 // found so far is returned (§6.1: "if an optimal solution is not found
 // in that time the solver returns the best incumbent solution"). The
 // frozen dense two-phase tableau solver it replaced stays in the tests
@@ -16,7 +16,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"time"
 )
 
 // Problem is min C·x subject to A·x ≤ B and x ≥ 0, with x[i] ∈ {0,1}
@@ -38,7 +37,7 @@ type Result struct {
 	Objective float64
 	// Feasible is false when no integer-feasible point was found.
 	Feasible bool
-	// Optimal is true when optimality was proven before the deadline.
+	// Optimal is true when optimality was proven.
 	Optimal bool
 	// WithinTol is true when the search stopped on Options.RelGap: the
 	// incumbent is certified within that relative gap of the optimum
@@ -66,15 +65,15 @@ type Result struct {
 const maxSimplexIters = 20000
 
 // Options configures Solve. The search ends at the first of a proof, a
-// certified RelGap, StallNodes nodes without improvement, the Deadline,
-// or a node LP that fails numerically twice: once as solved and once
-// re-solved from the slack basis. On any but a proof the best incumbent
-// is returned with Optimal=false, a valid BestBound and its Gap.
+// certified RelGap, StallNodes nodes without improvement, MaxNodes
+// nodes, or a node LP that fails numerically twice: once as solved and
+// once re-solved from the slack basis. On any but a proof the best
+// incumbent is returned with Optimal=false, a valid BestBound and its Gap.
 type Options struct {
-	// Deadline bounds the solve; zero means no limit. On expiry the best
-	// incumbent is returned with Optimal=false and the optimality gap
-	// filled in (the SCIP-timeout contract from §6.1).
-	Deadline time.Time
+	// MaxNodes bounds the nodes explored; zero means no limit. It is the
+	// SCIP-timeout contract from §6.1, counted: the best incumbent is
+	// returned with Optimal=false and the optimality gap filled in.
+	MaxNodes int
 	// RelGap stops branch-and-bound once the incumbent is certified
 	// within this relative gap of the best open bound (Result.WithinTol).
 	// Zero proves optimality.
@@ -132,11 +131,9 @@ var testHook struct {
 	// problem observes every problem entering the solver, with its warm
 	// start.
 	problem func(p Problem, warm []float64)
-	// nodeLimit > 0 stops branch-and-bound once that many nodes have
-	// been explored, as an expired deadline would; atNodeLimit then sees
-	// the open frontier before it is folded into the result.
-	nodeLimit   int
-	atNodeLimit func(open *nodeHeap)
+	// atMaxNodes sees the open frontier of a search stopped at
+	// Options.MaxNodes before it is folded into the result.
+	atMaxNodes func(open *nodeHeap)
 	// failNode > 0 makes that node's LP report a numerical failure,
 	// which the retry from the slack basis then mends; with failRetry
 	// the retry fails too.
@@ -352,10 +349,6 @@ func solveOn(ls *lpState, p Problem, o Options) Result {
 		res.Objective = dot(p.C, o.WarmStart)
 		res.X = append([]float64(nil), o.WarmStart...)
 	}
-	expired := func() bool {
-		//fast:allow nondetsource branch-and-bound deadline seam: time only truncates the search, never changes a returned incumbent's value
-		return !o.Deadline.IsZero() && time.Now().After(o.Deadline)
-	}
 
 	// Pseudo-costs: mean objective degradation per unit of fraction
 	// rounded away, kept per binary and per direction.
@@ -396,14 +389,10 @@ func solveOn(ls *lpState, p Problem, o Options) Result {
 				break
 			}
 		}
-		if expired() {
+		if o.MaxNodes > 0 && res.Nodes >= o.MaxNodes {
 			provedOptimal = false
-			break
-		}
-		if lim := testHook.nodeLimit; lim > 0 && res.Nodes >= lim {
-			provedOptimal = false
-			if testHook.atNodeLimit != nil {
-				testHook.atNodeLimit(&heap)
+			if testHook.atMaxNodes != nil {
+				testHook.atMaxNodes(&heap)
 			}
 			break
 		}
@@ -433,12 +422,12 @@ func solveOn(ls *lpState, p Problem, o Options) Result {
 		}
 		res.Nodes++
 
-		status := ls.dualSimplex(maxSimplexIters, o.Deadline)
+		status := ls.dualSimplex(maxSimplexIters)
 		if res.Nodes == testHook.failNode {
 			status = lpFail
 		}
 		if status == lpFail {
-			status = ls.resolve(maxSimplexIters, o.Deadline)
+			status = ls.resolve(maxSimplexIters)
 			if res.Nodes == testHook.failNode && testHook.failRetry {
 				status = lpFail
 			}
@@ -447,9 +436,9 @@ func solveOn(ls *lpState, p Problem, o Options) Result {
 			}
 		}
 		switch status {
-		case lpDeadline, lpFail:
+		case lpFail:
 			// Abandon the search, on a numerical failure the retry could
-			// not mend as on a deadline: the incumbent (if any) is the
+			// not mend as at MaxNodes: the incumbent (if any) is the
 			// answer, and the bound over every subproblem still open —
 			// this one included — stays valid.
 			provedOptimal = false

@@ -150,11 +150,13 @@ type createRequest struct {
 	// A study that hits it fails with a retryable "deadline exceeded"
 	// error; the durable prefix stays resumable.
 	DeadlineSec float64 `json:"deadline_sec"`
-	// ILPDeadlineSec bounds each final-report exact-ILP fusion solve
-	// (0 = simulator default); above 2 s it also raises the solve's
-	// stall limit in proportion. Spec-fixed so resumes solve under the
-	// same deadline the original run would have.
-	ILPDeadlineSec float64 `json:"ilp_deadline_sec"`
+	// ILPNodes bounds each final-report exact-ILP fusion solve in
+	// branch-and-bound nodes (0 = fusion.DefaultMaxNodes). Spec-fixed so
+	// resumes solve under the budget the original run had.
+	ILPNodes int `json:"ilp_nodes"`
+	// RemovedILPDeadline catches the wall-clock bound ilp_nodes replaced,
+	// so a client still sending it is told instead of ignored.
+	RemovedILPDeadline json.RawMessage `json:"ilp_deadline_sec"`
 }
 
 var validAlgorithms = map[string]bool{
@@ -191,8 +193,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown algorithm %q", req.Algorithm)
 		return
 	}
-	if req.DeadlineSec < 0 || req.ILPDeadlineSec < 0 {
-		httpError(w, http.StatusBadRequest, "deadline_sec and ilp_deadline_sec must be >= 0")
+	if req.RemovedILPDeadline != nil {
+		httpError(w, http.StatusBadRequest, "ilp_deadline_sec was removed: bound the exact fusion solve with ilp_nodes (a branch-and-bound node count) instead")
+		return
+	}
+	if req.DeadlineSec < 0 || req.ILPNodes < 0 {
+		httpError(w, http.StatusBadRequest, "deadline_sec and ilp_nodes must be >= 0")
 		return
 	}
 	sp := store.Spec{
@@ -208,7 +214,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		FrontCap:        req.FrontCap,
 		LatencyBoundSec: req.LatencyBoundSec,
 		DeadlineSec:     req.DeadlineSec,
-		ILPDeadlineSec:  req.ILPDeadlineSec,
+		ILPNodes:        req.ILPNodes,
 		Created:         s.now(),
 	}
 	// Parse objectives now so an unknown name is a 400, not a failed

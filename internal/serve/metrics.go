@@ -76,7 +76,7 @@ func newMetrics(r *obsv.Registry) *metrics {
 			"Bytes of transcript appended, before fsync."),
 
 		ilpDeadlineHits: r.NewCounter("fastserve_ilp_deadline_hits_total",
-			"Final-report fusion solves that returned an incumbent at the ILP deadline or stall limit instead of a proven optimum."),
+			"Final-report fusion solves that ended unproven (ilp-incumbent): stopped at the stall limit, the node budget or a twice-failed node LP with an incumbent instead of a proven optimum."),
 
 		shedTotal: r.NewCounter("fastserve_shed_total",
 			"Requests shed with Retry-After, all overload reasons."),

@@ -189,6 +189,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	for _, sd := range stored {
 		sp := sd.Spec()
+		if d := sd.DroppedILPDeadlineSec(); d > 0 {
+			c.Logf("level=warn msg=\"ilp_deadline_sec is no longer read; the study's final report runs under the default ILP node budget\" tenant=%s id=%s ilp_deadline_sec=%g",
+				sp.Tenant, sp.ID, d)
+		}
 		status, serr := sd.Status()
 		if serr != nil {
 			c.Logf("level=warn msg=\"skipping study with unreadable status\" tenant=%s id=%s err=%q",
@@ -347,13 +351,12 @@ func coreStudy(sp store.Spec, trials int) (*core.Study, error) {
 		}
 		cs.Objective = o
 	}
-	if sp.ILPDeadlineSec > 0 {
-		// The exact-ILP deadline comes from the spec, never from the
-		// remaining wall clock: it is algorithmic state (it can change
-		// the final report's fusion solutions), so a resumed study must
-		// solve under the same deadline the original run would have.
+	if sp.ILPNodes > 0 {
+		// The node budget is algorithmic state (it can change the final
+		// report's fusion solutions), so it lives in the spec and a
+		// resumed study solves under the budget the original run had.
 		so := sim.FASTOptions()
-		so.Fusion.Deadline = time.Duration(sp.ILPDeadlineSec * float64(time.Second))
+		so.Fusion.MaxNodes = sp.ILPNodes
 		cs.SimOptions = &so
 	}
 	return cs, nil

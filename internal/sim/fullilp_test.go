@@ -7,7 +7,6 @@ package sim
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"fast/internal/arch"
 	"fast/internal/models"
@@ -23,7 +22,6 @@ func TestParallelFullILPEvaluateRace(t *testing.T) {
 	g := models.MustBuild("bert-128", arch.FASTLarge().NativeBatch)
 	opts := FASTOptions()
 	opts.Fusion.GreedyOnly = false
-	opts.Fusion.Deadline = 5 * time.Second
 	plan, err := Compile(g, opts)
 	if err != nil {
 		t.Fatal(err)

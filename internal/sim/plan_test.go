@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"fast/internal/arch"
 	"fast/internal/mapping"
@@ -189,7 +188,7 @@ func TestOptionsFingerprint(t *testing.T) {
 		}
 		seen[fp] = name
 	}
-	// The ILP deadline keys only plans whose fusion is an exact solve.
+	// The ILP node budget keys only plans whose fusion is an exact solve.
 	greedy, exact := FASTOptions(), FASTOptions()
 	exact.Fusion.GreedyOnly = false
 	for _, c := range []struct {
@@ -198,9 +197,9 @@ func TestOptionsFingerprint(t *testing.T) {
 		same bool
 	}{{"greedy", greedy, true}, {"exact", exact, false}} {
 		d := c.o
-		d.Fusion.Deadline = 3 * time.Second
+		d.Fusion.MaxNodes = 3 << 16
 		if got := c.o.Fingerprint() == d.Fingerprint(); got != c.same {
-			t.Errorf("%s options differing only in ILP deadline share a key: %t, want %t", c.name, got, c.same)
+			t.Errorf("%s options differing only in ILP node budget share a key: %t, want %t", c.name, got, c.same)
 		}
 	}
 	// Two equal-by-value power models must share a fingerprint even

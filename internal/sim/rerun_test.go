@@ -9,7 +9,6 @@ import (
 	"fast/internal/arch"
 	"fast/internal/core"
 	"fast/internal/power"
-	"fast/internal/search"
 	"fast/internal/sim"
 )
 
@@ -22,28 +21,21 @@ import (
 func TestRerunScoresFromMemo(t *testing.T) {
 	// Start from a search plan no other test, and no earlier -count run
 	// of this one, has compiled, as a freshly started daemon does: the
-	// study evaluates through a dispatcher that builds its evaluator
-	// under a power model of this run's own, and so a plan-cache key of
-	// its own.
+	// study runs under a power model of this run's own, and so a
+	// plan-cache key of its own.
 	pm := *power.Default()
 	pm.FixedPowerW += float64(reruns.Add(1)) / 1024
-	own := core.WithDispatch(func(_ context.Context, spec core.EvalSpec, _ search.BatchObjective) search.BatchObjective {
-		spec.SimOptions.PowerModel = &pm
-		ev, err := core.BuildBatchEvaluator(spec)
-		if err != nil {
-			t.Fatal(err) // Run calls the dispatcher on the test goroutine
-		}
-		return ev
-	})
+	so := sim.FASTOptions()
+	so.PowerModel = &pm
 	var fills atomic.Int64
 	restore := sim.OnScoreFill(func(*arch.Config, sim.Score) { fills.Add(1) })
 	defer restore()
 	var transcripts [2][]byte
 	var filled [2]int64
 	for run := range transcripts {
-		st := core.Study{Workloads: []string{"resnet50"}, Objective: core.PerfPerTDP, Trials: 256, Seed: 0}
+		st := core.Study{Workloads: []string{"resnet50"}, Objective: core.PerfPerTDP, Trials: 256, Seed: 0, SimOptions: &so}
 		before := fills.Load()
-		res, err := st.Run(context.Background(), core.WithBatchSize(8), core.WithParallelism(2), own)
+		res, err := st.Run(context.Background(), core.WithBatchSize(8), core.WithParallelism(2))
 		if err != nil {
 			t.Fatal(err)
 		}

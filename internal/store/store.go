@@ -82,11 +82,10 @@ type Spec struct {
 	// scheduling bound — it never reaches evaluation semantics, so a
 	// deadlined study resumes bit-identically.
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
-	// ILPDeadlineSec overrides the exact-ILP fusion solve deadline used
-	// by the final report's full re-simulations (the CLI's
-	// -ilp-deadline). Part of the spec, not derived from remaining
-	// wall-clock, so every run of the study solves under the same bound.
-	ILPDeadlineSec float64 `json:"ilp_deadline_sec,omitempty"`
+	// ILPNodes overrides the node budget of the final report's exact-ILP
+	// fusion solves (the CLIs' -ilp-nodes). Part of the spec, so every
+	// run of the study solves under the same bound.
+	ILPNodes int `json:"ilp_nodes,omitempty"`
 
 	// Created is an RFC 3339 timestamp stamped by the caller (the store
 	// itself never reads the clock).
@@ -259,7 +258,10 @@ func (st *Store) Get(tenant, id string) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: read spec %s/%s: %w", tenant, id, err)
 	}
-	var sp Spec
+	var sp struct {
+		Spec
+		ILPDeadlineSec float64 `json:"ilp_deadline_sec"` // from before ILPNodes
+	}
 	if err := json.Unmarshal(data, &sp); err != nil {
 		return nil, fmt.Errorf("store: spec %s/%s: %w: %v", tenant, id, errCorrupt, err)
 	}
@@ -267,7 +269,7 @@ func (st *Store) Get(tenant, id string) (*Study, error) {
 		return nil, fmt.Errorf("store: spec %s/%s has format version %d, this binary writes %d: %w",
 			tenant, id, sp.FormatVersion, FormatVersion, errVersionMismatch)
 	}
-	return &Study{store: st, spec: sp, dir: dir}, nil
+	return &Study{store: st, spec: sp.Spec, dir: dir, droppedILPDeadlineSec: sp.ILPDeadlineSec}, nil
 }
 
 // List opens every study in the store, sorted by (tenant, id). It fails
@@ -373,12 +375,19 @@ type Study struct {
 	store *Store
 	spec  Spec
 	dir   string
+	// droppedILPDeadlineSec: see DroppedILPDeadlineSec.
+	droppedILPDeadlineSec float64
 
 	transcript *os.File // lazily opened append handle
 }
 
 // Spec returns the study's immutable definition.
 func (s *Study) Spec() Spec { return s.spec }
+
+// DroppedILPDeadlineSec is the ilp_deadline_sec of a spec written
+// before the exact fusion solve was bounded in nodes, zero if it has
+// none. Nothing reads it: the study runs under the default node budget.
+func (s *Study) DroppedILPDeadlineSec() float64 { return s.droppedILPDeadlineSec }
 
 // Dir returns the study's directory.
 func (s *Study) Dir() string { return s.dir }
