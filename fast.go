@@ -59,8 +59,8 @@
 // no additional plan evaluations. Scalar studies are the 1-objective
 // special case and keep their exact trajectories.
 //
-// See examples/ for runnable walkthroughs and cmd/fast-experiments for
-// the paper's tables and figures.
+// See example_test.go for walkthroughs whose output go test checks and
+// cmd/fast-experiments for the paper's tables and figures.
 package fast
 
 import (

@@ -23,6 +23,19 @@ import (
 	"fast/internal/analysis/load"
 )
 
+// InDeterministicScope reports whether the package at path is held to
+// the determinism invariants detrange and nondetsource check: every
+// fast/internal package except obsv (instrumentation, which reads the
+// clock by design) and the analyzers themselves.
+func InDeterministicScope(path string) bool {
+	rest, ok := strings.CutPrefix(path, "fast/internal/")
+	if !ok {
+		return false
+	}
+	top, _, _ := strings.Cut(rest, "/")
+	return top != "obsv" && top != "analysis"
+}
+
 // An Analyzer describes one fastlint pass.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //fast:allow

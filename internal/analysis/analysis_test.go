@@ -95,3 +95,19 @@ func d() {}
 		}
 	}
 }
+
+// TestDeterministicScope: the one scope both determinism analyzers read
+// covers every internal package but the instrumentation and the
+// analyzers themselves.
+func TestDeterministicScope(t *testing.T) {
+	for path, want := range map[string]bool{
+		"fast/internal/models":            true,
+		"fast/internal/obsv":              false,
+		"fast/internal/analysis/detrange": false,
+		"fast/cmd/fast-serve":             false,
+	} {
+		if got := InDeterministicScope(path); got != want {
+			t.Errorf("InDeterministicScope(%q) = %v, want %v", path, got, want)
+		}
+	}
+}

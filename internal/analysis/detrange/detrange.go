@@ -23,41 +23,15 @@ import (
 	"fast/internal/analysis"
 )
 
-// scopePaths lists the import paths (exact, or prefix of sub-packages)
-// whose map ranges are checked — the paths where iteration order can
-// reach simulation results, optimizer transcripts, or reports.
-var scopePaths = []string{
-	"fast/internal/sim",
-	"fast/internal/search",
-	"fast/internal/core",
-	"fast/internal/ilp",
-	"fast/internal/fusion",
-	"fast/internal/experiments",
-	// dispatch folds worker replies back into positional result slots;
-	// map iteration there must never decide anything observable.
-	"fast/internal/dispatch",
-	// serve fans studies and events out of maps; iteration order must
-	// never reach listings, transcripts, or event payloads unaudited.
-	"fast/internal/serve",
-	// chaoshttp compares faulted transcripts byte-for-byte; any
-	// order-sensitive fold there would fake (or mask) divergence.
-	"fast/internal/chaoshttp",
-}
+// inScope is analysis.InDeterministicScope; a test points it at its
+// testdata package.
+var inScope = analysis.InDeterministicScope
 
 // Analyzer is the detrange pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "detrange",
 	Doc:  "flag map iteration whose order can reach results in deterministic paths",
 	Run:  run,
-}
-
-func inScope(path string) bool {
-	for _, s := range scopePaths {
-		if path == s || strings.HasPrefix(path, s+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 func run(pass *analysis.Pass) error {

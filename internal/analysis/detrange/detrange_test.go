@@ -7,8 +7,8 @@ import (
 )
 
 func TestDetrange(t *testing.T) {
-	old := scopePaths
-	scopePaths = []string{"detr"}
-	defer func() { scopePaths = old }()
+	old := inScope
+	inScope = func(path string) bool { return path == "detr" }
+	defer func() { inScope = old }()
 	analysistest.Run(t, "testdata", Analyzer, "detr")
 }

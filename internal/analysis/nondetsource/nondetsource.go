@@ -19,38 +19,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"fast/internal/analysis"
 )
 
-// scopePaths lists the import paths (exact, or prefix of sub-packages)
-// treated as evaluation/transcript paths.
-var scopePaths = []string{
-	"fast/internal/sim",
-	"fast/internal/search",
-	"fast/internal/core",
-	"fast/internal/ilp",
-	"fast/internal/fusion",
-	"fast/internal/mapping",
-	"fast/internal/vpu",
-	"fast/internal/power",
-	"fast/internal/hlo",
-	"fast/internal/tensor",
-	"fast/internal/arch",
-	// dispatch ships evaluation chunks to remote workers; its timer and
-	// liveness seams are real nondeterminism sources, so every one must
-	// carry an audited //fast:allow directive explaining why it cannot
-	// reach the transcript.
-	"fast/internal/dispatch",
-	// serve drives studies whose transcripts must be bit-identical
-	// across restarts; its clocks (request logging, status stamps) and
-	// select races are audited the same way.
-	"fast/internal/serve",
-	// chaoshttp is the whole-system fault harness; its fault schedules
-	// must come from seeded plans, never the wall clock.
-	"fast/internal/chaoshttp",
-}
+// inScope is analysis.InDeterministicScope; a test points it at its
+// testdata package.
+var inScope = analysis.InDeterministicScope
 
 // Analyzer is the nondetsource pass.
 var Analyzer = &analysis.Analyzer{
@@ -74,15 +49,6 @@ var globalRand = map[string]bool{
 	"N": true, "IntN": true, "Int32": true, "Int32N": true,
 	"Int64": true, "Int64N": true, "UintN": true, "Uint": true,
 	"Uint32N": true, "Uint64N": true,
-}
-
-func inScope(path string) bool {
-	for _, s := range scopePaths {
-		if path == s || strings.HasPrefix(path, s+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 func run(pass *analysis.Pass) error {

@@ -7,8 +7,8 @@ import (
 )
 
 func TestNondetsource(t *testing.T) {
-	old := scopePaths
-	scopePaths = []string{"nds"}
-	defer func() { scopePaths = old }()
+	old := inScope
+	inScope = func(path string) bool { return path == "nds" }
+	defer func() { inScope = old }()
 	analysistest.Run(t, "testdata", Analyzer, "nds")
 }

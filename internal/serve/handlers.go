@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strings"
 
 	"fast/internal/arch"
 	"fast/internal/core"
@@ -34,6 +35,14 @@ func (s *Server) buildMux() {
 // httpError writes the uniform error body.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// decodeBody decodes a request body into v and refuses any key v does
+// not declare, so a misspelled option is a 400 instead of a default.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -154,9 +163,6 @@ type createRequest struct {
 	// branch-and-bound nodes (0 = fusion.DefaultMaxNodes). Spec-fixed so
 	// resumes solve under the budget the original run had.
 	ILPNodes int `json:"ilp_nodes"`
-	// RemovedILPDeadline catches the wall-clock bound ilp_nodes replaced,
-	// so a client still sending it is told instead of ignored.
-	RemovedILPDeadline json.RawMessage `json:"ilp_deadline_sec"`
 }
 
 var validAlgorithms = map[string]bool{
@@ -166,7 +172,12 @@ var validAlgorithms = map[string]bool{
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
+		if strings.Contains(err.Error(), `"ilp_deadline_sec"`) {
+			// The wall-clock bound ilp_nodes replaced: say what to send.
+			httpError(w, http.StatusBadRequest, "ilp_deadline_sec was removed: bound the exact fusion solve with ilp_nodes (a branch-and-bound node count) instead")
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -191,10 +202,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if !validAlgorithms[req.Algorithm] {
 		httpError(w, http.StatusBadRequest, "unknown algorithm %q", req.Algorithm)
-		return
-	}
-	if req.RemovedILPDeadline != nil {
-		httpError(w, http.StatusBadRequest, "ilp_deadline_sec was removed: bound the exact fusion solve with ilp_nodes (a branch-and-bound node count) instead")
 		return
 	}
 	if req.DeadlineSec < 0 || req.ILPNodes < 0 {
@@ -366,7 +373,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 	var req resumeRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}

@@ -430,6 +430,9 @@ func TestValidation(t *testing.T) {
 		{"workloads": []string{"mobilenetv2"}, "trials": 8, "objective": "qps-per-dollar"},
 		{"workloads": []string{"mobilenetv2"}, "trials": 8, "id": "../escape"},
 		{"workloads": []string{"mobilenetv2"}, "trials": 8, "tenant": "a/b"},
+		// Misspelled keys are refused, not dropped in favour of a default.
+		{"workloads": []string{"mobilenetv2"}, "trials": 8, "ilp_node": 5},
+		{"workloads": []string{"mobilenetv2"}, "trials": 8, "batchsize": 4},
 	}
 	for _, c := range cases {
 		if code := rawStatus(t, "POST", base+"/v1/studies", c); code < 400 || code >= 500 {
@@ -449,6 +452,7 @@ func TestValidation(t *testing.T) {
 	waitFor(t, base, id, "done", stateIs(store.StateDone))
 	// Terminal studies reject cancel and double resume rejects while queued/running.
 	doJSON(t, "POST", base+"/v1/studies/"+id+"/cancel", nil, http.StatusConflict)
+	doJSON(t, "POST", base+"/v1/studies/"+id+"/resume", map[string]any{"trial": 16}, http.StatusBadRequest)
 }
 
 func rawStatus(t *testing.T, method, url string, body any) int {

@@ -26,11 +26,12 @@ PROFILE=${COVER_GATE_PROFILE:-coverage.out}
 
 go test -count=1 -timeout 300s -coverprofile="$PROFILE" ./...
 
-# The fastlint CLI wiring (flag parsing, vet-protocol plumbing in
-# cmd/fastlint) is exercised end-to-end by the fastlint CI job rather
-# than unit tests, and the fast-serve main (flag parsing, signal
-# handling) by the serve-smoke job (scripts/docs_smoke.sh); keep both
-# out of the statement-coverage floor. The daemon's actual logic
+# The fastlint CLI wiring (flag parsing, output formats in
+# cmd/fastlint) is driven end to end through `run` by TestTreeIsClean
+# rather than by unit tests of each flag, and the fast-serve main (flag
+# parsing, signal handling) by the serve-smoke job
+# (scripts/docs_smoke.sh); keep both out of the statement-coverage
+# floor. The daemon's actual logic
 # (internal/serve, internal/store, internal/obsv) stays gated.
 GATED="$PROFILE.gated"
 grep -v -e '^fast/cmd/fastlint/' -e '^fast/cmd/fast-serve/' "$PROFILE" > "$GATED"
