@@ -89,7 +89,7 @@ func main() {
 		}
 	}
 
-	st := &fast.Study{
+	st, err := fast.Study{
 		Workloads:       ws,
 		Objective:       obj,
 		Objectives:      objs,
@@ -98,15 +98,14 @@ func main() {
 		Trials:          *trials,
 		Seed:            *seed,
 		LatencyBoundSec: *latency / 1e3,
+	}.Resolved()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fast-search:", err)
+		os.Exit(2)
 	}
-	algName, objName := *algorithm, *objective
+	objName := *objective
 	if objs != nil {
 		objName = *objectives
-		if algName == "" {
-			algName = string(fast.AlgorithmNSGA2)
-		}
-	} else if algName == "" {
-		algName = string(fast.AlgorithmLCS)
 	}
 	// With -json, stdout carries only the JSON document (the doc
 	// comment promises `-json > front.json` parses); status goes to
@@ -115,7 +114,7 @@ func main() {
 	if *jsonOut {
 		status = os.Stderr
 	}
-	fmt.Fprintf(status, "searching %d trials (%s, %s) over %s\n", *trials, algName, objName, strings.Join(ws, ", "))
+	fmt.Fprintf(status, "searching %d trials (%s, %s) over %s\n", *trials, st.Algorithm, objName, strings.Join(ws, ", "))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -188,8 +188,10 @@ func WithDispatch(f DispatchFunc) Option { return core.WithDispatch(f) }
 // Snapshot is a checkpoint of an optimizer's state: its constructor
 // parameters plus the full ask/tell transcript. Optimizer state evolves
 // only through that transcript, so the snapshot restores the search
-// exactly (WithResume), and JSON round-trips it bit-exactly — the
-// durable format of the fast-serve daemon's checkpoints.
+// exactly (WithResume), and JSON round-trips it bit-exactly. The
+// fast-serve daemon does not write Snapshots: it appends each told
+// batch to a JSONL transcript and rebuilds a Snapshot from that file
+// when it restarts or resumes a study.
 type Snapshot = search.Snapshot
 
 // WithTranscript registers the observer hook of one Study.Run: f

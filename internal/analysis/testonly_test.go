@@ -17,7 +17,7 @@ import (
 // only tests use them. Each entry says why it cannot live in a _test.go
 // file.
 var testOnlyAllowed = map[string]string{
-	"fast/internal/analysis/analysistest.Run": "the analyzers' golden-test harness, shared by five analyzer packages' tests",
+	"fast/internal/analysis/analysistest.Run": "the analyzers' golden-test harness, shared by the three analyzers' tests and its own",
 	"fast/internal/dispatch.LoopbackDialer":   "in-process workers for chaoshttp's daemon soak, a test in another package",
 
 	"fast/internal/arch.Space.Encode":             "Decode's inverse: core's tests and the root benchmarks seed studies from a named design",

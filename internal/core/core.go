@@ -94,7 +94,9 @@ type Study struct {
 	// crowding distance (most-crowded point evicted first). 0 uses
 	// DefaultFrontCap; negative is unbounded.
 	FrontCap int
-	// Algorithm selects the optimizer (random / lcs / bayesian).
+	// Algorithm selects the optimizer family: random, lcs, bayesian or
+	// nsga2. Empty selects lcs for a scalar study and nsga2 when
+	// Objectives is set; any other name is an error.
 	Algorithm search.Algorithm
 	// Trials bounds the evaluation count (the paper runs 5000; these
 	// simulations are ~10^4× faster than the paper's, so a few hundred
@@ -174,9 +176,33 @@ func WithBatchSize(n int) Option {
 	return func(c *runConfig) { c.batchSize = n }
 }
 
+// Resolved returns the study with its defaults filled in (Algorithm
+// lcs, or nsga2 with Objectives; FrontCap DefaultFrontCap for 0), or
+// why it cannot run: non-positive Trials, an unknown Algorithm, or
+// workloads and objectives BuildBatchEvaluator refuses. Run starts here.
+func (s Study) Resolved() (Study, error) {
+	if s.Trials <= 0 {
+		return s, fmt.Errorf("core: trials must be positive")
+	}
+	if s.Algorithm == "" {
+		s.Algorithm = search.AlgLCS
+		if len(s.Objectives) > 0 {
+			s.Algorithm = search.AlgNSGA2
+		}
+	}
+	if s.FrontCap == 0 {
+		s.FrontCap = DefaultFrontCap
+	}
+	if err := s.Algorithm.Validate(); err != nil {
+		return s, err
+	}
+	_, err := BuildBatchEvaluator(s.evalSpec())
+	return s, err
+}
+
 // Run executes the study until the trial budget is exhausted or ctx is
-// canceled. Every study takes the same path: the Study's defaults
-// resolve into an EvalSpec, BuildBatchEvaluator compiles it, an optional
+// canceled. Every study takes the same path: Resolved fills in its
+// defaults, BuildBatchEvaluator compiles its EvalSpec, an optional
 // DispatchFunc wraps the evaluator, one runner drives the optimizer, and
 // finalReport re-simulates the winner (or the whole front) with the
 // exact fusion solve. Cancellation is graceful: in-flight evaluations
@@ -188,10 +214,11 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 	for _, o := range opts {
 		o(&rc)
 	}
-	if s.Trials <= 0 {
-		return nil, fmt.Errorf("core: trials must be positive")
+	st, err := s.Resolved()
+	if err != nil {
+		return nil, err
 	}
-	spec := s.evalSpec()
+	spec := st.evalSpec()
 	evaluate, err := BuildBatchEvaluator(spec)
 	if err != nil {
 		return nil, err
@@ -200,15 +227,12 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 		evaluate = rc.dispatch(ctx, spec, evaluate)
 	}
 
-	multi := len(s.Objectives) > 0
-	primary, alg := s.Objective, search.AlgLCS
+	multi := len(st.Objectives) > 0
+	primary := st.Objective
 	if multi {
-		primary, alg = s.Objectives[0], search.AlgNSGA2
+		primary = st.Objectives[0]
 	}
-	if s.Algorithm != "" {
-		alg = s.Algorithm
-	}
-	rn, prior, err := s.buildRunner(rc, alg, evaluate)
+	rn, prior, err := st.buildRunner(rc, evaluate)
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +243,11 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 	if sr.Best.Feasible {
 		out.BestValue = rawValue(primary, sr.Best.Value)
 		out.Best = arch.Space{}.Decode(sr.Best.Index, spec.Base)
-		out.Best.Name = fmt.Sprintf("fast-%s-%s", primary, shortName(s.Workloads))
+		out.Best.Name = fmt.Sprintf("fast-%s-%s", primary, shortName(st.Workloads))
 	}
 	var designs []*arch.Config // what finalReport re-simulates
 	if multi {
-		out.front = s.paretoFront(sr.History, spec.Base)
+		out.front = st.paretoFront(sr.History, spec.Base)
 		for _, pt := range out.front {
 			designs = append(designs, pt.Design)
 		}
@@ -238,7 +262,7 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 
 	finalOpts := spec.SimOptions
 	finalOpts.Fusion.GreedyOnly = false
-	reports, err := finalReport(rc.parallelism, designs, s.Workloads, finalOpts)
+	reports, err := finalReport(rc.parallelism, designs, st.Workloads, finalOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fast/internal/arch"
@@ -28,6 +30,70 @@ func TestStudyValidation(t *testing.T) {
 	}
 	if _, err := (&Study{Workloads: w, Trials: 5, Objectives: []ObjectiveKind{Perf, ObjectiveKind(9)}}).Run(context.Background()); err == nil {
 		t.Error("out-of-range objective kind must error")
+	}
+}
+
+// TestResolved pins the defaults a study resolves to and the
+// definitions it refuses; Run, fast-serve and fast-search all take them
+// from Resolved.
+func TestResolved(t *testing.T) {
+	w := []string{"efficientnet-b0"}
+	pa := []ObjectiveKind{Perf, Area}
+	for _, tc := range []struct {
+		name     string
+		in       Study
+		alg      search.Algorithm
+		frontCap int
+		refused  bool
+	}{
+		{"scalar", Study{Workloads: w, Trials: 1}, search.AlgLCS, DefaultFrontCap, false},
+		{"vector", Study{Workloads: w, Trials: 1, Objectives: pa}, search.AlgNSGA2, DefaultFrontCap, false},
+		{"explicit algorithm", Study{Workloads: w, Trials: 1, Objectives: pa, Algorithm: search.AlgRandom}, search.AlgRandom, DefaultFrontCap, false},
+		{"explicit cap", Study{Workloads: w, Trials: 1, Objectives: pa, FrontCap: 4}, search.AlgNSGA2, 4, false},
+		{"unbounded cap", Study{Workloads: w, Trials: 1, Objectives: pa, FrontCap: -1}, search.AlgNSGA2, -1, false},
+		{"zero trials", Study{Workloads: w}, "", 0, true},
+		{"unknown algorithm", Study{Workloads: w, Trials: 1, Algorithm: "bogus"}, "", 0, true},
+		{"duplicate objective", Study{Workloads: w, Trials: 1, Objectives: []ObjectiveKind{Perf, TDP, Perf}}, "", 0, true},
+		{"scalar tdp", Study{Workloads: w, Trials: 1, Objective: TDP}, "", 0, true},
+		{"unknown workload", Study{Workloads: []string{"nope"}, Trials: 1}, "", 0, true},
+	} {
+		got, err := tc.in.Resolved()
+		if tc.refused {
+			if err == nil {
+				t.Errorf("%s: resolved, want an error", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got.Algorithm != tc.alg || got.FrontCap != tc.frontCap {
+			t.Errorf("%s: resolved to (%s, cap %d), want (%s, cap %d)", tc.name, got.Algorithm, got.FrontCap, tc.alg, tc.frontCap)
+		}
+		if again, err := got.Resolved(); err != nil || again.Algorithm != got.Algorithm || again.FrontCap != got.FrontCap {
+			t.Errorf("%s: resolving twice changed the study: (%s, cap %d), %v", tc.name, again.Algorithm, again.FrontCap, err)
+		}
+	}
+}
+
+// TestUnknownAlgorithmRefused: Run refuses an algorithm name no
+// optimizer family answers to before it evaluates a single design,
+// instead of quietly running another optimizer.
+func TestUnknownAlgorithmRefused(t *testing.T) {
+	var evaluated atomic.Bool
+	spy := func(_ context.Context, _ EvalSpec, local search.BatchObjective) search.BatchObjective {
+		return func(idxs [][arch.NumParams]int) []search.Evaluation {
+			evaluated.Store(true)
+			return local(idxs)
+		}
+	}
+	st := &Study{Workloads: []string{"efficientnet-b0"}, Algorithm: "bogus", Trials: 8}
+	if _, err := st.Run(context.Background(), WithDispatch(spy)); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("Run with algorithm bogus: err = %v, want one naming it", err)
+	}
+	if evaluated.Load() {
+		t.Error("Run evaluated designs for an unknown algorithm")
 	}
 }
 

@@ -59,13 +59,10 @@ func rawValue(o ObjectiveKind, v float64) float64 {
 // front. The front is the non-dominated subset of the full history — not
 // of the optimizer's final population — folded in deterministic tell
 // order, so it is identical at any parallelism and no early discovery is
-// lost to population churn. PerWorkload is left for finalReport.
+// lost to population churn. PerWorkload is left for finalReport. s is
+// resolved, so its FrontCap is final.
 func (s *Study) paretoFront(history []search.Trial, base *arch.Config) []FrontPoint {
-	frontCap := s.FrontCap
-	if frontCap == 0 {
-		frontCap = DefaultFrontCap
-	}
-	archive := search.NewParetoArchive(frontCap)
+	archive := search.NewParetoArchive(s.FrontCap)
 	for _, tr := range history {
 		archive.Add(tr)
 	}

@@ -64,19 +64,17 @@ func WithResume(snap search.Snapshot) Option {
 	return func(c *runConfig) { c.resume = &snap }
 }
 
-// buildRunner assembles the Run's engine, restoring the optimizer from
-// a resume snapshot when one was given. The returned prior slice holds
-// the resumed trials (nil on a fresh run); callers fold it back into
-// the result with mergePrior.
-func (s *Study) buildRunner(rc runConfig, alg search.Algorithm,
-	evaluate search.BatchObjective) (*runner, []search.Trial, error) {
-
+// buildRunner assembles the Run's engine for the resolved study s,
+// restoring the optimizer from a resume snapshot when one was given.
+// The returned prior slice holds the resumed trials (nil on a fresh
+// run); callers fold it back into the result with mergePrior.
+func (s *Study) buildRunner(rc runConfig, evaluate search.BatchObjective) (*runner, []search.Trial, error) {
 	var opt search.Optimizer
 	var prior []search.Trial
 	if rc.resume != nil {
 		snap := *rc.resume
-		if snap.Algorithm != alg {
-			return nil, nil, fmt.Errorf("core: resume snapshot was taken with algorithm %q, study uses %q", snap.Algorithm, alg)
+		if snap.Algorithm != s.Algorithm {
+			return nil, nil, fmt.Errorf("core: resume snapshot was taken with algorithm %q, study uses %q", snap.Algorithm, s.Algorithm)
 		}
 		if snap.Seed != s.Seed {
 			return nil, nil, fmt.Errorf("core: resume snapshot was taken with seed %d, study uses %d", snap.Seed, s.Seed)
@@ -88,7 +86,7 @@ func (s *Study) buildRunner(rc runConfig, alg search.Algorithm,
 		opt = restored
 		prior = snap.Trials
 	} else {
-		opt = search.New(alg, s.Seed, s.Trials)
+		opt = search.New(s.Algorithm, s.Seed, s.Trials)
 	}
 	return &runner{
 		Optimizer:      opt,

@@ -74,8 +74,8 @@ func (t Table) Markdown() string {
 	return b.String()
 }
 
-// Options sizes the expensive experiments. Zero values select defaults
-// suitable for the bench harness; cmd/fast-experiments raises them.
+// Options sizes the expensive experiments. Zero values select the
+// defaults below, which cmd/fast-experiments' flags default to as well.
 type Options struct {
 	// SearchTrials per search study (default 120).
 	SearchTrials int

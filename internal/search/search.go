@@ -13,6 +13,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -178,21 +179,32 @@ type Optimizer interface {
 	Tell(trials []Trial)
 }
 
+// families is the one list of valid Algorithm names, with constructors.
+var families = map[Algorithm]func(seed int64, budget int) Optimizer{
+	AlgRandom: newRandom,
+	AlgLCS:    newLCS,
+	AlgBayes:  newBayesian,
+	AlgNSGA2:  newNSGA2,
+}
+
+// Validate refuses a name that is not one of the optimizer families.
+func (a Algorithm) Validate() error {
+	if families[a] == nil {
+		return fmt.Errorf("search: unknown algorithm %q (want random, lcs, bayesian or nsga2)", a)
+	}
+	return nil
+}
+
 // New constructs a fresh optimizer for the algorithm with a
 // deterministic seed. budget is the expected total trial count, used by
 // annealing schedules (Bayesian exploration decay) and for sizing (LCS
-// swarm); budget <= 0 selects family defaults.
+// swarm); budget <= 0 selects family defaults. It panics on a name
+// Validate refuses.
 func New(alg Algorithm, seed int64, budget int) Optimizer {
-	switch alg {
-	case AlgLCS:
-		return newLCS(seed, budget)
-	case AlgBayes:
-		return newBayesian(seed, budget)
-	case AlgNSGA2:
-		return newNSGA2(seed, budget)
-	default:
-		return newRandom(seed)
+	if err := alg.Validate(); err != nil {
+		panic(err)
 	}
+	return families[alg](seed, budget)
 }
 
 // randomOptimizer samples the space uniformly; Tell is a no-op
@@ -202,8 +214,8 @@ type randomOptimizer struct {
 	dims [arch.NumParams]int
 }
 
-// newRandom returns the uniform-sampling optimizer.
-func newRandom(seed int64) Optimizer {
+// newRandom returns the uniform-sampling optimizer (budget is unused).
+func newRandom(seed int64, _ int) Optimizer {
 	return &randomOptimizer{r: rand.New(rand.NewSource(seed)), dims: arch.Space{}.Dims()}
 }
 

@@ -46,9 +46,12 @@ func (s *Snapshot) Append(batch []Trial) {
 	}
 }
 
-// Validate checks the snapshot's internal consistency: every ask size
-// positive and the sizes summing to the trial count.
+// Validate checks the snapshot's internal consistency: a known
+// algorithm, positive ask sizes summing to the trial count.
 func (s Snapshot) Validate() error {
+	if s.Algorithm.Validate() != nil {
+		return fmt.Errorf("search: snapshot names unknown algorithm %q", s.Algorithm)
+	}
 	sum := 0
 	for _, n := range s.AskSizes {
 		if n <= 0 {

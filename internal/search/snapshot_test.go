@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fast/internal/arch"
@@ -111,6 +112,14 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	bad.Seed = 6
 	if _, err := Restore(bad); err == nil {
 		t.Fatal("Restore accepted a snapshot under the wrong seed")
+	}
+
+	// A header naming no optimizer family is refused by name, not
+	// replayed into a mismatch.
+	unknown := snap
+	unknown.Algorithm = "gradient-descent"
+	if _, err := Restore(unknown); err == nil || !strings.Contains(err.Error(), `"gradient-descent"`) {
+		t.Fatalf("Restore of an unknown algorithm: err = %v, want one naming it", err)
 	}
 
 	// Corrupt trial payloads must fail Validate or replay.

@@ -9,8 +9,6 @@ import (
 	"strings"
 
 	"fast/internal/arch"
-	"fast/internal/core"
-	"fast/internal/models"
 	"fast/internal/search"
 	"fast/internal/sim"
 	"fast/internal/store"
@@ -100,7 +98,7 @@ func (s *Server) summaryLocked(st *study) summaryJSON {
 		Workloads:    st.spec.Workloads,
 		Objective:    st.spec.Objective,
 		Objectives:   st.spec.Objectives,
-		Algorithm:    string(resolveAlgorithm(st.spec)),
+		Algorithm:    string(st.cs.Algorithm),
 		Seed:         st.spec.Seed,
 		TrialsDone:   st.trialsDone,
 		TrialsTarget: st.trialsTarget,
@@ -115,10 +113,8 @@ func (s *Server) summaryLocked(st *study) summaryJSON {
 // units, as GET .../result does: search values are maximize-oriented,
 // so a minimized objective is negated back. Scalar studies maximize.
 func bestValue(st *study) float64 {
-	if st.best.Feasible && len(st.spec.Objectives) > 0 {
-		if o, err := core.ParseObjective(st.spec.Objectives[0]); err == nil && !o.Maximize() {
-			return -st.best.Value
-		}
+	if st.best.Feasible && len(st.cs.Objectives) > 0 && !st.cs.Objectives[0].Maximize() {
+		return -st.best.Value
 	}
 	return st.best.Value
 }
@@ -165,11 +161,6 @@ type createRequest struct {
 	ILPNodes int `json:"ilp_nodes"`
 }
 
-var validAlgorithms = map[string]bool{
-	"": true, string(search.AlgRandom): true, string(search.AlgLCS): true,
-	string(search.AlgBayes): true, string(search.AlgNSGA2): true,
-}
-
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -186,22 +177,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = tenantOf(r)
 	}
-	if len(req.Workloads) == 0 {
-		httpError(w, http.StatusBadRequest, "workloads must be non-empty")
-		return
-	}
-	for _, wl := range req.Workloads {
-		if err := models.Validate(wl); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
 	if req.Trials <= 0 || req.Trials > s.cfg.MaxTrialsPerStudy {
 		httpError(w, http.StatusBadRequest, "trials must be in 1..%d", s.cfg.MaxTrialsPerStudy)
-		return
-	}
-	if !validAlgorithms[req.Algorithm] {
-		httpError(w, http.StatusBadRequest, "unknown algorithm %q", req.Algorithm)
 		return
 	}
 	if req.DeadlineSec < 0 || req.ILPNodes < 0 {
@@ -224,9 +201,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		ILPNodes:        req.ILPNodes,
 		Created:         s.now(),
 	}
-	// Parse objectives now so an unknown name is a 400, not a failed
-	// study later.
-	if _, err := coreStudy(sp, sp.Trials); err != nil {
+	// Resolve now so an invalid spec (workloads, objectives, algorithm)
+	// is a 400, not a failed study later.
+	cs, err := coreStudy(sp)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -300,6 +278,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		tenant:       sp.Tenant,
 		id:           sp.ID,
 		spec:         sp,
+		cs:           cs,
 		stored:       stored,
 		state:        store.StateQueued,
 		trialsTarget: sp.Trials,

@@ -49,7 +49,7 @@ func TestCreateRejectsILPDeadline(t *testing.T) {
 	}
 	waitFor(t, base, "bench", "done", stateIs(store.StateDone))
 
-	cs, err := coreStudy(store.Spec{Workloads: []string{"mobilenetv2"}, ILPNodes: 4096}, 8)
+	cs, err := coreStudy(store.Spec{Workloads: []string{"mobilenetv2"}, Trials: 8, ILPNodes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,9 @@ func TestRestartDerivesProgressFromTranscript(t *testing.T) {
 
 // TestSummaryBestValueIsRaw: the summary's best_value is the raw first
 // objective value, as the result document reports it, also when the
-// first objective is minimized and across a restart.
+// first objective is minimized and across a restart. The spec names no
+// algorithm: the summary and the transcript header carry the one the
+// study resolved to, nsga2.
 func TestSummaryBestValueIsRaw(t *testing.T) {
 	dir := t.TempDir()
 	ts := newTestServer(t, dir, nil)
@@ -209,11 +211,22 @@ func TestSummaryBestValueIsRaw(t *testing.T) {
 	if sum["best_value"] != best {
 		t.Errorf("summary best_value = %v, result best_value = %v", sum["best_value"], best)
 	}
+	if sum["algorithm"] != string(search.AlgNSGA2) {
+		t.Errorf("summary algorithm = %v, want nsga2", sum["algorithm"])
+	}
 	ts.stop()
 
 	ts2 := newTestServer(t, dir, nil)
 	defer ts2.stop()
-	if got := doJSON(t, "GET", ts2.http.URL+"/v1/studies/area", nil, http.StatusOK)["best_value"]; got != best {
-		t.Errorf("best_value after restart = %v, want %v", got, best)
+	sum = doJSON(t, "GET", ts2.http.URL+"/v1/studies/area", nil, http.StatusOK)
+	if sum["best_value"] != best || sum["algorithm"] != string(search.AlgNSGA2) {
+		t.Errorf("after restart best_value = %v, algorithm = %v, want %v, nsga2", sum["best_value"], sum["algorithm"], best)
+	}
+	stored, err := ts2.srv.cfg.Store.Get("default", "area")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, _, err := stored.Snapshot(); err != nil || snap.Algorithm != search.AlgNSGA2 {
+		t.Errorf("transcript header algorithm = %q (err %v), want nsga2", snap.Algorithm, err)
 	}
 }

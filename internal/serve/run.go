@@ -76,13 +76,9 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 	defer s.metrics.studiesActive.Add(-1)
 	s.cfg.Logf("level=info msg=running tenant=%s id=%s target=%d", st.tenant, st.id, target)
 
-	alg := resolveAlgorithm(st.spec)
-	cs, err := coreStudy(st.spec, target)
-	if err != nil {
-		s.finish(st, hub, nil, err)
-		return
-	}
-	if err := st.stored.BeginTranscript(alg, st.spec.Seed, st.spec.Trials); err != nil {
+	cs := st.cs
+	cs.Trials = target
+	if err := st.stored.BeginTranscript(cs.Algorithm, cs.Seed, st.spec.Trials); err != nil {
 		s.finish(st, hub, nil, err)
 		return
 	}
@@ -93,11 +89,7 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 	// matches the eventual result.
 	var archive *search.ParetoArchive
 	if len(cs.Objectives) > 0 {
-		frontCap := cs.FrontCap
-		if frontCap == 0 {
-			frontCap = core.DefaultFrontCap
-		}
-		archive = search.NewParetoArchive(frontCap)
+		archive = search.NewParetoArchive(cs.FrontCap)
 		if snap != nil {
 			for _, t := range snap.Trials {
 				archive.Add(t)

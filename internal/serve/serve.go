@@ -133,6 +133,7 @@ type Server struct {
 type study struct {
 	tenant, id string
 	spec       store.Spec
+	cs         core.Study // spec, resolved; fixed for the study's life
 	stored     *store.Study
 
 	state        string
@@ -199,6 +200,12 @@ func New(cfg Config) (*Server, error) {
 				sp.Tenant, sp.ID, serr)
 			continue
 		}
+		cs, rerr := coreStudy(sp)
+		if rerr != nil {
+			c.Logf("level=warn msg=\"skipping study with invalid spec\" tenant=%s id=%s err=%q",
+				sp.Tenant, sp.ID, rerr)
+			continue
+		}
 		if status.State == store.StateRunning || status.State == store.StateQueued {
 			// Orphaned by the previous process: no run goroutine exists
 			// anymore, so the durable transcript is the whole truth.
@@ -213,6 +220,7 @@ func New(cfg Config) (*Server, error) {
 			tenant:       sp.Tenant,
 			id:           sp.ID,
 			spec:         sp,
+			cs:           cs,
 			stored:       sd,
 			state:        status.State,
 			trialsTarget: status.TrialsTarget,
@@ -309,45 +317,29 @@ func (s *Server) slot(tenant string) chan struct{} {
 	return ch
 }
 
-// resolveAlgorithm maps a spec to the algorithm core will actually run,
-// which is what the transcript header and resume must use.
-func resolveAlgorithm(sp store.Spec) search.Algorithm {
-	if sp.Algorithm != "" {
-		return search.Algorithm(sp.Algorithm)
-	}
-	if len(sp.Objectives) > 0 {
-		return search.AlgNSGA2
-	}
-	return search.AlgLCS
-}
-
-// coreStudy maps a stored spec onto a core.Study with the given trial
-// target.
-func coreStudy(sp store.Spec, trials int) (*core.Study, error) {
-	cs := &core.Study{
+// coreStudy maps a stored spec onto the resolved core.Study that its
+// summaries, transcript header and streamed front read (Trials is the
+// spec's; each run sets its own target).
+func coreStudy(sp store.Spec) (core.Study, error) {
+	cs := core.Study{
 		Workloads:       sp.Workloads,
 		Algorithm:       search.Algorithm(sp.Algorithm),
-		Trials:          trials,
+		Trials:          sp.Trials,
 		Seed:            sp.Seed,
 		FrontCap:        sp.FrontCap,
 		LatencyBoundSec: sp.LatencyBoundSec,
 	}
-	if len(sp.Objectives) > 0 {
-		for _, name := range sp.Objectives {
-			o, err := core.ParseObjective(name)
-			if err != nil {
-				return nil, err
-			}
-			cs.Objectives = append(cs.Objectives, o)
-		}
-	} else {
-		name := sp.Objective
-		if name == "" {
-			name = "perf-per-tdp"
-		}
+	for _, name := range sp.Objectives {
 		o, err := core.ParseObjective(name)
 		if err != nil {
-			return nil, err
+			return cs, err
+		}
+		cs.Objectives = append(cs.Objectives, o)
+	}
+	if len(sp.Objectives) == 0 && sp.Objective != "" {
+		o, err := core.ParseObjective(sp.Objective)
+		if err != nil {
+			return cs, err
 		}
 		cs.Objective = o
 	}
@@ -359,5 +351,5 @@ func coreStudy(sp store.Spec, trials int) (*core.Study, error) {
 		so.Fusion.MaxNodes = sp.ILPNodes
 		cs.SimOptions = &so
 	}
-	return cs, nil
+	return cs.Resolved()
 }
