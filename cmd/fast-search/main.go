@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"fast"
+	"fast/internal/core"
 	"fast/internal/dispatch"
 )
 
@@ -73,20 +74,13 @@ func main() {
 		ws = fast.MultiWorkloadSuite()
 	}
 	obj, err := fast.ParseObjective(*objective)
+	var objs []fast.ObjectiveKind
+	if err == nil && *objectives != "" {
+		objs, err = core.ParseObjectives(strings.Split(*objectives, ","))
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fast-search:", err)
 		os.Exit(2)
-	}
-	var objs []fast.ObjectiveKind
-	if *objectives != "" {
-		for _, name := range strings.Split(*objectives, ",") {
-			o, err := fast.ParseObjective(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fast-search:", err)
-				os.Exit(2)
-			}
-			objs = append(objs, o)
-		}
 	}
 
 	st, err := fast.Study{
@@ -157,11 +151,9 @@ func main() {
 		opts = append(opts, fast.WithDispatch(pool.Dispatch()))
 	}
 	if *progress > 0 {
-		// Trial.Value is maximize-oriented: for a minimization first
-		// objective (tdp, area) it is the negated metric, so track the
-		// running max and un-negate for display.
+		// Trial.Value is maximize-oriented: track the running max and
+		// show it in the first objective's natural units.
 		n, best := 0, math.Inf(-1)
-		negate := objs != nil && !objs[0].Maximize()
 		opts = append(opts, fast.WithTranscript(func(batch []fast.Trial) {
 			for _, t := range batch {
 				n++
@@ -171,14 +163,10 @@ func main() {
 				if n%*progress != 0 {
 					continue
 				}
-				shown := best
-				if negate {
-					shown = -best
-				}
 				if math.IsInf(best, -1) {
 					fmt.Fprintf(os.Stderr, "  trial %d/%d  best -\n", n, *trials)
 				} else {
-					fmt.Fprintf(os.Stderr, "  trial %d/%d  best %.4g\n", n, *trials, shown)
+					fmt.Fprintf(os.Stderr, "  trial %d/%d  best %.4g\n", n, *trials, st.Primary().Raw(best))
 				}
 			}
 		}))

@@ -250,7 +250,20 @@ var unsetFieldsAllowed = map[string]string{
 	"fast/internal/dispatch.Options.RespawnBudget": "cross-package test seam: the tests of dispatch and chaoshttp shorten the re-dial allowance",
 	"fast/internal/dispatch/chaos.Plan":            "fault plans are written in the tests that run them",
 	"fast/internal/fusion.RegionCost.BaseGM":       "the paper's B_i capacity term, which sim always passes as 0 until the exact solver's capacity rows are rebuilt",
+	"fast/internal/store.Spec.Objective":           decodedSpec,
+	"fast/internal/store.Spec.Objectives":          decodedSpec,
+	"fast/internal/store.Spec.Algorithm":           decodedSpec,
+	"fast/internal/store.Spec.BatchSize":           decodedSpec,
+	"fast/internal/store.Spec.FrontCap":            decodedSpec,
+	"fast/internal/store.Spec.LatencyBoundSec":     decodedSpec,
+	"fast/internal/store.Spec.DeadlineSec":         decodedSpec,
+	"fast/internal/store.Spec.ILPNodes":            decodedSpec,
 }
+
+// decodedSpec is the reason for the store.Spec fields only encoding/json
+// sets: fast-serve decodes a create request's body straight into the
+// spec, and Store.Get decodes spec.json.
+const decodedSpec = "set by encoding/json: fast-serve decodes the create body into a store.Spec, Store.Get decodes spec.json"
 
 // TestNoUnsetFields fails when an exported field of an exported struct
 // in a non-main package is set by no non-test file of the module. A

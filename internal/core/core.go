@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"fast/internal/arch"
 	"fast/internal/search"
@@ -57,6 +59,16 @@ func (o ObjectiveKind) String() string {
 // metrics, false for the cost metrics (TDP, area).
 func (o ObjectiveKind) Maximize() bool { return o == Perf || o == PerfPerTDP }
 
+// Raw converts a search value of this objective, which is
+// maximize-oriented (a minimized metric is negated), back to its
+// natural units. Every report of a search value goes through it.
+func (o ObjectiveKind) Raw(v float64) float64 {
+	if o.Maximize() {
+		return v
+	}
+	return -v
+}
+
 // ParseObjective resolves an objective name as accepted by the CLIs:
 // "perf-per-tdp" (or "perf/tdp"), "perf", "tdp", "area".
 func ParseObjective(name string) (ObjectiveKind, error) {
@@ -71,6 +83,24 @@ func ParseObjective(name string) (ObjectiveKind, error) {
 		return Area, nil
 	}
 	return 0, fmt.Errorf("core: unknown objective %q (want perf-per-tdp, perf, tdp, or area)", name)
+}
+
+// ParseObjectives resolves a list of names, each trimmed of spaces. A
+// repeated objective is refused: it would double-weight itself in
+// dominance and collapse in keyed outputs.
+func ParseObjectives(names []string) ([]ObjectiveKind, error) {
+	var objs []ObjectiveKind
+	for _, name := range names {
+		o, err := ParseObjective(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		if slices.Contains(objs, o) {
+			return nil, fmt.Errorf("core: duplicate objective %s", o)
+		}
+		objs = append(objs, o)
+	}
+	return objs, nil
 }
 
 // Study describes one FAST search experiment.
@@ -200,6 +230,15 @@ func (s Study) Resolved() (Study, error) {
 	return s, err
 }
 
+// Primary is the objective Best and BestValue rank by: the first of
+// Objectives, or Objective for a scalar study.
+func (s Study) Primary() ObjectiveKind {
+	if len(s.Objectives) > 0 {
+		return s.Objectives[0]
+	}
+	return s.Objective
+}
+
 // Run executes the study until the trial budget is exhausted or ctx is
 // canceled. Every study takes the same path: Resolved fills in its
 // defaults, BuildBatchEvaluator compiles its EvalSpec, an optional
@@ -228,10 +267,7 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 	}
 
 	multi := len(st.Objectives) > 0
-	primary := st.Objective
-	if multi {
-		primary = st.Objectives[0]
-	}
+	primary := st.Primary()
 	rn, prior, err := st.buildRunner(rc, evaluate)
 	if err != nil {
 		return nil, err
@@ -241,7 +277,7 @@ func (s *Study) Run(ctx context.Context, opts ...Option) (*StudyResult, error) {
 
 	out := &StudyResult{Search: sr}
 	if sr.Best.Feasible {
-		out.BestValue = rawValue(primary, sr.Best.Value)
+		out.BestValue = primary.Raw(sr.Best.Value)
 		out.Best = arch.Space{}.Decode(sr.Best.Index, spec.Base)
 		out.Best.Name = fmt.Sprintf("fast-%s-%s", primary, shortName(st.Workloads))
 	}

@@ -136,19 +136,9 @@ func BuildBatchEvaluator(sp EvalSpec) (search.BatchObjective, error) {
 	if ev.scalar {
 		names = []string{sp.Objective}
 	}
-	seen := map[ObjectiveKind]bool{}
-	for _, name := range names {
-		o, err := ParseObjective(name)
-		if err != nil {
-			return nil, err
-		}
-		if seen[o] {
-			// A repeated objective would double-weight itself in
-			// dominance and collapse in keyed outputs.
-			return nil, fmt.Errorf("core: duplicate objective %s", o)
-		}
-		seen[o] = true
-		ev.objs = append(ev.objs, o)
+	var err error
+	if ev.objs, err = ParseObjectives(names); err != nil {
+		return nil, err
 	}
 	if ev.scalar && !ev.objs[0].Maximize() {
 		return nil, fmt.Errorf("core: scalar studies maximize perf or perf-per-tdp; use Objectives for %s", ev.objs[0])

@@ -46,15 +46,6 @@ type FrontPoint struct {
 // was found.
 func (r *StudyResult) Front() []FrontPoint { return r.front }
 
-// rawValue converts a maximize-oriented search value back to the
-// objective's natural units.
-func rawValue(o ObjectiveKind, v float64) float64 {
-	if o.Maximize() {
-		return v
-	}
-	return -v
-}
-
 // paretoFront folds a multi-objective study's trial history into its
 // front. The front is the non-dominated subset of the full history — not
 // of the optimizer's final population — folded in deterministic tell
@@ -72,7 +63,7 @@ func (s *Study) paretoFront(history []search.Trial, base *arch.Config) []FrontPo
 	for i, tr := range trials {
 		raw := make([]float64, len(tr.Values))
 		for k, v := range tr.Values {
-			raw[k] = rawValue(s.Objectives[k], v)
+			raw[k] = s.Objectives[k].Raw(v)
 		}
 		cfg := arch.Space{}.Decode(tr.Index, base)
 		cfg.Name = fmt.Sprintf("fast-front%02d-%s", i, shortName(s.Workloads))

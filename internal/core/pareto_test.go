@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"fast/internal/power"
@@ -118,6 +119,29 @@ func TestDuplicateObjectivesRejected(t *testing.T) {
 	}).Run(context.Background())
 	if err == nil {
 		t.Fatal("duplicate objectives must error")
+	}
+}
+
+// TestParseObjectives: the one objective-list parser trims names, keeps
+// their order, and refuses unknown and repeated ones; Raw undoes the
+// search's negation of exactly the minimized objectives.
+func TestParseObjectives(t *testing.T) {
+	got, err := ParseObjectives([]string{"perf", " tdp", "area ", "perf/tdp"})
+	if err != nil || !slices.Equal(got, []ObjectiveKind{Perf, TDP, Area, PerfPerTDP}) {
+		t.Errorf("ParseObjectives = %v, %v", got, err)
+	}
+	if got, err := ParseObjectives(nil); got != nil || err != nil {
+		t.Errorf("ParseObjectives(nil) = %v, %v, want nil, nil", got, err)
+	}
+	for _, names := range [][]string{{"perf", "bogus"}, {"perf", "perf"}, {"perf-per-tdp", "perf/tdp"}} {
+		if _, err := ParseObjectives(names); err == nil {
+			t.Errorf("ParseObjectives(%q) accepted", names)
+		}
+	}
+	for o, want := range map[ObjectiveKind]float64{Perf: 2, PerfPerTDP: 2, TDP: -2, Area: -2} {
+		if got := o.Raw(2); got != want {
+			t.Errorf("%s.Raw(2) = %v, want %v", o, got, want)
+		}
 	}
 }
 

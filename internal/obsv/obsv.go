@@ -7,10 +7,10 @@
 // (set-point values: active studies, queue depth), Func (values
 // computed on read from another subsystem: plan-cache residency from
 // core.PlanCacheInfo), and Meter (trailing-window rates: trials/s).
-// Every instrument registers under a unique name with a help string;
-// Catalog lists them for the operations runbook, and Snapshot/Handler
-// render current values with deterministic (sorted) key order so
-// scrapes diff cleanly.
+// Every instrument registers under a unique name with a help string,
+// which the operations runbook (docs/OPERATIONS.md) documents;
+// Snapshot/Handler render current values with deterministic (sorted)
+// key order so scrapes diff cleanly.
 //
 // The package deliberately stays out of the fastlint determinism scope:
 // rates need wall-clock time, which the search/simulator layers ban.

@@ -8,10 +8,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -351,4 +354,72 @@ func TestCreateWritesOutsideLock(t *testing.T) {
 		t.Fatalf("create = %d, want 201", code)
 	}
 	waitFor(t, base, "slow", "slow done", stateIs(store.StateDone))
+}
+
+// TestCreateFaultIsRetryable: a create whose status.json fsync fails is
+// a 503 with Retry-After, not a 400, and burns nothing: once the disk
+// recovers the same body creates the study, which runs to done.
+func TestCreateFaultIsRetryable(t *testing.T) {
+	var failing atomic.Bool
+	failing.Store(true)
+	dir := t.TempDir()
+	ts := newTestServer(t, dir, func(c *Config) {
+		c.Store.SetFaultHook(func(op store.FaultOp, path string) error {
+			if failing.Load() && op == store.OpSync && filepath.Base(path) == "status.json" &&
+				filepath.Base(filepath.Dir(path)) == "flaky" {
+				return errors.New("EIO")
+			}
+			return nil
+		})
+	})
+	defer ts.stop()
+	base := ts.http.URL
+
+	resp, body := postJSON(t, base+"/v1/studies", smallSpec("flaky", 8, 8))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("create with a failing status fsync = %d (Retry-After %q, body %v), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "default", "flaky")); !os.IsNotExist(err) {
+		t.Errorf("failed create left its study directory behind (stat err %v)", err)
+	}
+	doJSON(t, "GET", base+"/v1/studies/flaky", nil, http.StatusNotFound)
+
+	failing.Store(false)
+	doJSON(t, "POST", base+"/v1/studies", smallSpec("flaky", 8, 8), http.StatusCreated)
+	waitFor(t, base, "flaky", "done", stateIs(store.StateDone))
+}
+
+// TestCreateIDOnDiskConflicts: an id whose study is on disk but was
+// skipped at start-up (its spec no longer resolves) is a 409, as an id
+// in memory is; an invalid id stays a 400.
+func TestCreateIDOnDiskConflicts(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Create(store.Spec{Tenant: "default", ID: "stale", Workloads: []string{"no-such-net"}, Trials: 8}); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, dir, nil)
+	defer ts.stop()
+	doJSON(t, "POST", ts.http.URL+"/v1/studies", smallSpec("stale", 8, 8), http.StatusConflict)
+	doJSON(t, "POST", ts.http.URL+"/v1/studies", smallSpec("a.b", 8, 8), http.StatusBadRequest)
+}
+
+// TestCreateRefusesServerKeys: the server stamps format_version and
+// created, so a body that sets either is a 400 naming the key.
+func TestCreateRefusesServerKeys(t *testing.T) {
+	ts := newTestServer(t, t.TempDir(), nil)
+	defer ts.stop()
+	for key, v := range map[string]any{"format_version": 1, "created": "2026-01-01T00:00:00Z"} {
+		body := smallSpec("owned", 8, 8)
+		body[key] = v
+		refused := doJSON(t, "POST", ts.http.URL+"/v1/studies", body, http.StatusBadRequest)
+		if msg, _ := refused["error"].(string); !strings.Contains(msg, key) {
+			t.Errorf("error %q does not name %s", msg, key)
+		}
+	}
+	doJSON(t, "GET", ts.http.URL+"/v1/studies/owned", nil, http.StatusNotFound)
 }

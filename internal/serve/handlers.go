@@ -2,13 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"sort"
-	"strings"
 
 	"fast/internal/arch"
+	"fast/internal/fault"
 	"fast/internal/search"
 	"fast/internal/sim"
 	"fast/internal/store"
@@ -91,7 +92,7 @@ type summaryJSON struct {
 }
 
 func (s *Server) summaryLocked(st *study) summaryJSON {
-	return summaryJSON{
+	sum := summaryJSON{
 		Tenant:       st.tenant,
 		ID:           st.id,
 		State:        st.state,
@@ -102,21 +103,15 @@ func (s *Server) summaryLocked(st *study) summaryJSON {
 		Seed:         st.spec.Seed,
 		TrialsDone:   st.trialsDone,
 		TrialsTarget: st.trialsTarget,
-		BestValue:    bestValue(st),
 		BestFeasible: st.best.Feasible,
 		Error:        st.errMsg,
 		ErrorClass:   st.errClass,
 	}
-}
-
-// bestValue renders the best trial in its first objective's natural
-// units, as GET .../result does: search values are maximize-oriented,
-// so a minimized objective is negated back. Scalar studies maximize.
-func bestValue(st *study) float64 {
-	if st.best.Feasible && len(st.cs.Objectives) > 0 && !st.cs.Objectives[0].Maximize() {
-		return -st.best.Value
+	if st.best.Feasible {
+		// In natural units, as GET .../result reports it.
+		sum.BestValue = st.cs.Primary().Raw(st.best.Value)
 	}
-	return st.best.Value
+	return sum
 }
 
 func (s *Server) summary(st *study) summaryJSON {
@@ -138,69 +133,47 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *study {
 	return st
 }
 
-// createRequest is the POST /v1/studies body.
-type createRequest struct {
-	Tenant          string   `json:"tenant"`
-	ID              string   `json:"id"`
-	Workloads       []string `json:"workloads"`
-	Objective       string   `json:"objective"`
-	Objectives      []string `json:"objectives"`
-	Algorithm       string   `json:"algorithm"`
-	Trials          int      `json:"trials"`
-	Seed            int64    `json:"seed"`
-	BatchSize       int      `json:"batch_size"`
-	FrontCap        int      `json:"front_cap"`
-	LatencyBoundSec float64  `json:"latency_bound_sec"`
-	// DeadlineSec bounds the study's wall-clock run time (0 = none).
-	// A study that hits it fails with a retryable "deadline exceeded"
-	// error; the durable prefix stays resumable.
-	DeadlineSec float64 `json:"deadline_sec"`
-	// ILPNodes bounds each final-report exact-ILP fusion solve in
-	// branch-and-bound nodes (0 = fusion.DefaultMaxNodes). Spec-fixed so
-	// resumes solve under the budget the original run had.
-	ILPNodes int `json:"ilp_nodes"`
-}
-
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
+	// The body is a store.Spec less the keys a client may not set: the
+	// server stamps format_version and created, and ilp_nodes replaced
+	// ilp_deadline_sec.
+	var req struct {
+		store.Spec
+		FormatVersion  json.RawMessage `json:"format_version"`
+		Created        json.RawMessage `json:"created"`
+		ILPDeadlineSec json.RawMessage `json:"ilp_deadline_sec"`
+	}
 	if err := decodeBody(r, &req); err != nil {
-		if strings.Contains(err.Error(), `"ilp_deadline_sec"`) {
-			// The wall-clock bound ilp_nodes replaced: say what to send.
-			httpError(w, http.StatusBadRequest, "ilp_deadline_sec was removed: bound the exact fusion solve with ilp_nodes (a branch-and-bound node count) instead")
-			return
-		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	switch {
+	case req.ILPDeadlineSec != nil:
+		// The wall-clock bound ilp_nodes replaced: say what to send.
+		httpError(w, http.StatusBadRequest, "ilp_deadline_sec was removed: bound the exact fusion solve with ilp_nodes (a branch-and-bound node count) instead")
+		return
+	case req.FormatVersion != nil:
+		httpError(w, http.StatusBadRequest, "format_version is set by the server; leave it out")
+		return
+	case req.Created != nil:
+		httpError(w, http.StatusBadRequest, "created is set by the server; leave it out")
+		return
+	}
+	sp := req.Spec
 	// The body's tenant wins; fall back to ?tenant= so creation addresses
 	// tenants the same way every read endpoint does.
-	if req.Tenant == "" {
-		req.Tenant = tenantOf(r)
+	if sp.Tenant == "" {
+		sp.Tenant = tenantOf(r)
 	}
-	if req.Trials <= 0 || req.Trials > s.cfg.MaxTrialsPerStudy {
+	if sp.Trials <= 0 || sp.Trials > s.cfg.MaxTrialsPerStudy {
 		httpError(w, http.StatusBadRequest, "trials must be in 1..%d", s.cfg.MaxTrialsPerStudy)
 		return
 	}
-	if req.DeadlineSec < 0 || req.ILPNodes < 0 {
+	if sp.DeadlineSec < 0 || sp.ILPNodes < 0 {
 		httpError(w, http.StatusBadRequest, "deadline_sec and ilp_nodes must be >= 0")
 		return
 	}
-	sp := store.Spec{
-		Tenant:          req.Tenant,
-		ID:              req.ID,
-		Workloads:       req.Workloads,
-		Objective:       req.Objective,
-		Objectives:      req.Objectives,
-		Algorithm:       req.Algorithm,
-		Trials:          req.Trials,
-		Seed:            req.Seed,
-		BatchSize:       req.BatchSize,
-		FrontCap:        req.FrontCap,
-		LatencyBoundSec: req.LatencyBoundSec,
-		DeadlineSec:     req.DeadlineSec,
-		ILPNodes:        req.ILPNodes,
-		Created:         s.now(),
-	}
+	sp.Created = s.now()
 	// Resolve now so an invalid spec (workloads, objectives, algorithm)
 	// is a 400, not a failed study later.
 	cs, err := coreStudy(sp)
@@ -265,7 +238,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	delete(s.creating, key)
 	if err != nil {
 		s.mu.Unlock()
-		httpError(w, http.StatusBadRequest, "%v", err)
+		createFailed(w, err)
 		return
 	}
 	if s.closed {
@@ -292,6 +265,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.studiesCreated.Inc()
 	s.cfg.Logf("level=info msg=created tenant=%s id=%s trials=%d", sp.Tenant, sp.ID, sp.Trials)
 	writeJSON(w, http.StatusCreated, out)
+}
+
+// createFailed answers a Store.Create error by its class: an id already
+// on disk is a conflict, a retryable disk fault a 503 the client may
+// retry (the store removed what it wrote), and the rest, an invalid
+// tenant or id, the client's error.
+func createFailed(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, store.ErrExists):
+		httpError(w, http.StatusConflict, "%v", err)
+	case fault.ClassOf(err) == fault.ClassRetryable:
+		w.Header().Set("Retry-After", retryAfterSecs)
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		httpError(w, http.StatusBadRequest, "%v", err)
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -8,8 +8,8 @@ import (
 )
 
 // metrics is the daemon's instrument bundle. Every name, kind, and help
-// string here is surfaced by obsv.Registry.Catalog and documented in
-// docs/OPERATIONS.md — keep the three in sync.
+// string here is documented in docs/OPERATIONS.md — keep the two in
+// sync.
 type metrics struct {
 	httpRequests *obsv.Counter
 

@@ -5,10 +5,13 @@ package serve
 // finished, and the transcript is the only record of progress.
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -188,25 +191,60 @@ func TestRestartDerivesProgressFromTranscript(t *testing.T) {
 	}
 }
 
-// TestSummaryBestValueIsRaw: the summary's best_value is the raw first
-// objective value, as the result document reports it, also when the
-// first objective is minimized and across a restart. The spec names no
-// algorithm: the summary and the transcript header carry the one the
-// study resolved to, nsga2.
+// TestSummaryBestValueIsRaw: the summary's best_value and the streamed
+// front frames carry raw objective values, as the result document
+// reports them, also when the first objective is minimized and across
+// a restart. The spec names no algorithm: the summary and the
+// transcript header carry the one the study resolved to, nsga2.
 func TestSummaryBestValueIsRaw(t *testing.T) {
 	dir := t.TempDir()
-	ts := newTestServer(t, dir, nil)
+	// The batch hook parks the study until the event stream is attached,
+	// so no front frame is published before the subscription.
+	attached := make(chan struct{})
+	var gate sync.Once
+	release := func() { gate.Do(func() { close(attached) }) }
+	ts := newTestServer(t, dir, func(c *Config) {
+		c.batchHook = func(string, string) { <-attached }
+	})
 	defer ts.stop()
+	defer release()
 	doJSON(t, "POST", ts.http.URL+"/v1/studies", map[string]any{
 		"id": "area", "workloads": []string{"mobilenetv2"},
 		"objectives": []string{"area", "perf-per-tdp"}, "trials": 32, "seed": 2,
 		"batch_size": 8, "front_cap": 4,
 	}, http.StatusCreated)
+	streamed := lastFrontFrame(t, ts.http.URL+"/v1/studies/area/events", release)
 	sum := waitFor(t, ts.http.URL, "area", "done", stateIs(store.StateDone))
 	res := doJSON(t, "GET", ts.http.URL+"/v1/studies/area/result", nil, http.StatusOK)
 	best, _ := res["best_value"].(float64)
 	if best <= 0 {
 		t.Fatalf("result best_value = %v, want a positive area", res["best_value"])
+	}
+	var resultFront []string
+	for _, pt := range res["front"].([]any) {
+		resultFront = append(resultFront, fmt.Sprint(pt.(map[string]any)["values"]))
+	}
+	if len(streamed) == 0 {
+		t.Fatal("no front frame streamed")
+	}
+	var streamedFront []string
+	for _, pt := range streamed {
+		for _, v := range pt.Values {
+			if v <= 0 {
+				t.Errorf("streamed front value %v, want natural units (positive)", v)
+			}
+		}
+		// Decoded as []any, like the result document's values.
+		vals := make([]any, len(pt.Values))
+		for k, v := range pt.Values {
+			vals[k] = v
+		}
+		streamedFront = append(streamedFront, fmt.Sprint(vals))
+	}
+	sort.Strings(resultFront)
+	sort.Strings(streamedFront)
+	if strings.Join(resultFront, ";") != strings.Join(streamedFront, ";") {
+		t.Errorf("last front frame %v, result front %v", streamedFront, resultFront)
 	}
 	if sum["best_value"] != best {
 		t.Errorf("summary best_value = %v, result best_value = %v", sum["best_value"], best)
@@ -229,4 +267,37 @@ func TestSummaryBestValueIsRaw(t *testing.T) {
 	if snap, _, err := stored.Snapshot(); err != nil || snap.Algorithm != search.AlgNSGA2 {
 		t.Errorf("transcript header algorithm = %q (err %v), want nsga2", snap.Algorithm, err)
 	}
+}
+
+// lastFrontFrame reads a study's event stream to its done frame and
+// returns the last front frame's points; attached runs once the stream
+// is subscribed.
+func lastFrontFrame(t *testing.T, url string, attached func()) []struct{ Values []float64 } {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	attached()
+	var front []struct{ Values []float64 }
+	event := ""
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "event: "); ok {
+			event = name
+			if event == "done" {
+				return front
+			}
+		}
+		if data, ok := strings.CutPrefix(line, "data: "); ok && event == "front" {
+			front = nil
+			if err := json.Unmarshal([]byte(data), &front); err != nil {
+				t.Fatalf("front frame %s: %v", data, err)
+			}
+		}
+	}
+	t.Fatalf("event stream ended without a done frame (err %v)", sc.Err())
+	return nil
 }

@@ -127,7 +127,7 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, st *study, 
 				moved = archive.Add(t) || moved
 			}
 			if moved {
-				hub.publish(event{name: "front", data: frontEvent(archive.Front())})
+				hub.publish(event{name: "front", data: frontEvent(cs.Objectives, archive.Front())})
 			}
 		}
 	}
@@ -178,11 +178,16 @@ func (s *Server) hubOf(st *study) *eventHub {
 }
 
 // frontEvent compresses a front for the event stream: indices and
-// objective values only (full designs come from GET .../result).
-func frontEvent(front []search.Trial) []map[string]any {
+// objective values in natural units, as GET .../result reports them
+// (full designs come from GET .../result).
+func frontEvent(objs []core.ObjectiveKind, front []search.Trial) []map[string]any {
 	out := make([]map[string]any, len(front))
 	for i, t := range front {
-		out[i] = map[string]any{"index": t.Index, "values": t.Values}
+		vals := make([]float64, len(objs))
+		for k, o := range objs {
+			vals[k] = o.Raw(t.Values[k])
+		}
+		out[i] = map[string]any{"index": t.Index, "values": vals}
 	}
 	return out
 }

@@ -329,19 +329,14 @@ func coreStudy(sp store.Spec) (core.Study, error) {
 		FrontCap:        sp.FrontCap,
 		LatencyBoundSec: sp.LatencyBoundSec,
 	}
-	for _, name := range sp.Objectives {
-		o, err := core.ParseObjective(name)
-		if err != nil {
-			return cs, err
-		}
-		cs.Objectives = append(cs.Objectives, o)
+	var err error
+	if cs.Objectives, err = core.ParseObjectives(sp.Objectives); err != nil {
+		return cs, err
 	}
 	if len(sp.Objectives) == 0 && sp.Objective != "" {
-		o, err := core.ParseObjective(sp.Objective)
-		if err != nil {
+		if cs.Objective, err = core.ParseObjective(sp.Objective); err != nil {
 			return cs, err
 		}
-		cs.Objective = o
 	}
 	if sp.ILPNodes > 0 {
 		// The node budget is algorithmic state (it can change the final

@@ -50,7 +50,8 @@ const FormatVersion = 1
 // Sentinel errors. Callers branch on these with errors.Is; every error
 // carries the study path for the operator.
 var (
-	errExists          = errors.New("study already exists")
+	// ErrExists: Create found the study already on disk.
+	ErrExists          = errors.New("study already exists")
 	errNotFound        = errors.New("study not found")
 	errCorrupt         = errors.New("checkpoint corrupt")
 	errVersionMismatch = errors.New("checkpoint format version mismatch")
@@ -221,20 +222,31 @@ func (st *Store) dir(tenant, id string) (string, error) {
 
 // Create allocates the study directory and durably writes its spec and
 // an initial queued status. ErrExists if the (tenant, id) pair is
-// taken.
-func (st *Store) Create(sp Spec) (*Study, error) {
+// taken. A create that fails after writing removes what it wrote, so
+// the id is free for a retry; disk faults come back classified
+// retryable.
+func (st *Store) Create(sp Spec) (s *Study, err error) {
 	dir, err := st.dir(sp.Tenant, sp.ID)
 	if err != nil {
 		return nil, err
 	}
 	sp.FormatVersion = FormatVersion
 	if _, err := os.Stat(filepath.Join(dir, specFile)); err == nil {
-		return nil, fmt.Errorf("store: %s/%s: %w", sp.Tenant, sp.ID, errExists)
+		return nil, fmt.Errorf("store: %s/%s: %w", sp.Tenant, sp.ID, ErrExists)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create %s: %w", dir, err)
+		return nil, fault.Retryable("store.create", fmt.Errorf("store: create %s: %w", dir, err))
 	}
-	s := &Study{store: st, spec: sp, dir: dir}
+	defer func() {
+		if err != nil {
+			// Best effort (err already reports the failure): a spec
+			// left here would make the id read as taken.
+			os.Remove(filepath.Join(dir, statusFile))
+			os.Remove(filepath.Join(dir, specFile))
+			os.Remove(dir)
+		}
+	}()
+	s = &Study{store: st, spec: sp, dir: dir}
 	if err := st.writeFileAtomic(filepath.Join(dir, specFile), mustJSON(sp)); err != nil {
 		return nil, err
 	}

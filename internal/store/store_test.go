@@ -49,7 +49,7 @@ func TestCreateGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Create(sp); !errors.Is(err, errExists) {
+	if _, err := st.Create(sp); !errors.Is(err, ErrExists) {
 		t.Fatalf("second Create = %v, want ErrExists", err)
 	}
 
@@ -110,6 +110,39 @@ func TestDirSyncFaultIsReported(t *testing.T) {
 	err = s.SetStatus(Status{State: StateDone, TrialsTarget: 24})
 	if err == nil || fault.ClassOf(err) != fault.ClassRetryable {
 		t.Errorf("SetStatus with a failing directory fsync = %v, want a retryable error", err)
+	}
+}
+
+// TestFailedCreateFreesID: a create whose status or directory fsync
+// fails after the spec landed comes back retryable and leaves no
+// directory behind, so the same id creates cleanly once the disk does.
+func TestFailedCreateFreesID(t *testing.T) {
+	for _, failing := range []string{statusFile, "dir"} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := testSpec("acme", "flaky")
+		dir := filepath.Join(st.Root(), "acme", "flaky")
+		st.SetFaultHook(func(op FaultOp, path string) error {
+			if op == OpSync && (filepath.Base(path) == failing || failing == "dir" && path == dir) {
+				return errors.New("EIO")
+			}
+			return nil
+		})
+		if _, err := st.Create(sp); err == nil || fault.ClassOf(err) != fault.ClassRetryable {
+			t.Fatalf("%s fsync fault: Create = %v, want a retryable error", failing, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s fsync fault: study directory left behind (stat err %v)", failing, err)
+		}
+		st.SetFaultHook(nil)
+		if _, err := st.Create(sp); err != nil {
+			t.Fatalf("%s fsync fault: retried Create = %v", failing, err)
+		}
+		if _, err := st.Get("acme", "flaky"); err != nil {
+			t.Errorf("%s fsync fault: Get after the retry = %v", failing, err)
+		}
 	}
 }
 
