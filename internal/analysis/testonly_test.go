@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -250,27 +251,11 @@ var unsetFieldsAllowed = map[string]string{
 	"fast/internal/dispatch.Options.RespawnBudget": "cross-package test seam: the tests of dispatch and chaoshttp shorten the re-dial allowance",
 	"fast/internal/dispatch/chaos.Plan":            "fault plans are written in the tests that run them",
 	"fast/internal/fusion.RegionCost.BaseGM":       "the paper's B_i capacity term, which sim always passes as 0 until the exact solver's capacity rows are rebuilt",
-	"fast/internal/store.Spec.Objective":           decodedSpec,
-	"fast/internal/store.Spec.Objectives":          decodedSpec,
-	"fast/internal/store.Spec.Algorithm":           decodedSpec,
-	"fast/internal/store.Spec.BatchSize":           decodedSpec,
-	"fast/internal/store.Spec.FrontCap":            decodedSpec,
-	"fast/internal/store.Spec.LatencyBoundSec":     decodedSpec,
-	"fast/internal/store.Spec.DeadlineSec":         decodedSpec,
-	"fast/internal/store.Spec.ILPNodes":            decodedSpec,
 }
 
-// decodedSpec is the reason for the store.Spec fields only encoding/json
-// sets: fast-serve decodes a create request's body straight into the
-// spec, and Store.Get decodes spec.json.
-const decodedSpec = "set by encoding/json: fast-serve decodes the create body into a store.Spec, Store.Get decodes spec.json"
-
 // TestNoUnsetFields fails when an exported field of an exported struct
-// in a non-main package is set by no non-test file of the module. A
-// field is set by a composite-literal key (or an unkeyed literal), by
-// an assignment or inc/dec whose target selects it, or by taking its
-// address. A write inside the struct's own withDefaults method fills in
-// that method's copy and does not count. A field nothing outside tests
+// in a non-main package is set by no non-test file of the module
+// (fieldsSet says what sets a field). A field nothing outside tests
 // sets is a knob no program turns: it goes, or onto unsetFieldsAllowed
 // with its reason.
 func TestNoUnsetFields(t *testing.T) {
@@ -281,38 +266,7 @@ func TestNoUnsetFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	set := map[*types.Var]bool{}
-	for _, pkg := range prog.Pkgs {
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				own := defaultsOf(info, decl)
-				ast.Inspect(decl, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.CompositeLit:
-						markLiteral(info, n, set)
-					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							markTarget(info, lhs, own, set)
-						}
-					case *ast.RangeStmt:
-						if n.Tok == token.ASSIGN {
-							markTarget(info, n.Key, own, set)
-							markTarget(info, n.Value, own, set)
-						}
-					case *ast.IncDecStmt:
-						markTarget(info, n.X, own, set)
-					case *ast.UnaryExpr:
-						if n.Op == token.AND {
-							markTarget(info, n.X, own, set)
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-
+	set := fieldsSet(prog)
 	var unset []string
 	seen := map[string]bool{}
 	for _, pkg := range prog.Pkgs {
@@ -357,6 +311,124 @@ func TestNoUnsetFields(t *testing.T) {
 	sort.Strings(unset)
 	for _, u := range unset {
 		t.Errorf("%s is set by no non-test file: delete the field or give it a caller", u)
+	}
+}
+
+// fieldsSet returns the struct fields prog's files set: by a
+// composite-literal key (or an unkeyed literal), by an assignment or
+// inc/dec whose target selects the field, by taking its address, or by
+// passing the address of its struct to encoding/json's decoders
+// (markDecoded). A write inside the struct's own withDefaults method
+// fills in that method's copy and does not count.
+func fieldsSet(prog *load.Program) map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	for _, pkg := range prog.Pkgs {
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				own := defaultsOf(info, decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						markLiteral(info, n, set)
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							markTarget(info, lhs, own, set)
+						}
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							markTarget(info, n.Key, own, set)
+							markTarget(info, n.Value, own, set)
+						}
+					case *ast.IncDecStmt:
+						markTarget(info, n.X, own, set)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							markTarget(info, n.X, own, set)
+						}
+					case *ast.CallExpr:
+						markDecoded(info, n, set)
+					}
+					return true
+				})
+			}
+		}
+	}
+	return set
+}
+
+// TestDecodedFieldsCountAsSet holds fieldsSet to encoding/json on
+// testdata/src/jsonset: the fields of a struct decoded by
+// json.Unmarshal or a json.Decoder count as set, an embedded struct's
+// included, but not one its json tag hides, and not those of a struct
+// that is only encoded.
+func TestDecodedFieldsCountAsSet(t *testing.T) {
+	prog, err := load.LoadDirs("testdata/src", "jsonset")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := fieldsSet(prog)
+	scope := prog.ByPath["jsonset"].Types.Scope()
+	for key, want := range map[string]bool{
+		"Decoded.A": true, "Decoded.B": true, "Inner.C": true, "Streamed.D": true,
+		"Decoded.Hidden": false, "Encoded.E": false,
+	} {
+		typ, field, _ := strings.Cut(key, ".")
+		st := scope.Lookup(typ).Type().Underlying().(*types.Struct)
+		var v *types.Var
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i).Name() == field {
+				v = st.Field(i)
+			}
+		}
+		if v == nil {
+			t.Fatalf("jsonset has no field %s", key)
+		}
+		if set[v] != want {
+			t.Errorf("%s counts as set: %v, want %v", key, set[v], want)
+		}
+	}
+}
+
+// markDecoded records the fields encoding/json fills when call passes
+// &x to json.Unmarshal or (*json.Decoder).Decode: every exported field
+// of x's struct type whose json tag is not "-", and through an embedded
+// struct the fields it promotes.
+func markDecoded(info *types.Info, call *ast.CallExpr, set map[*types.Var]bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || (fn.FullName() != "encoding/json.Unmarshal" && fn.FullName() != "(*encoding/json.Decoder).Decode") {
+		return
+	}
+	addr, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.UnaryExpr)
+	if !ok || addr.Op != token.AND {
+		return
+	}
+	markJSONFields(info.TypeOf(addr.X), set)
+}
+
+// markJSONFields records the JSON-visible exported fields of typ, a
+// struct type, recursing into embedded structs.
+func markJSONFields(typ types.Type, set map[*types.Var]bool) {
+	if p, ok := typ.Underlying().(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	st, ok := typ.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if !f.Exported() || reflect.StructTag(st.Tag(i)).Get("json") == "-" {
+			continue
+		}
+		set[f.Origin()] = true
+		if f.Embedded() {
+			markJSONFields(f.Type(), set)
+		}
 	}
 }
 

@@ -26,8 +26,9 @@ import (
 // Plan.SizeBytes, 44.5 MiB of heap after GC at exit); every registry
 // model (19) at every native batch (9) under the search and report
 // option sets would be 342. A plan's tables average about 63 KB there,
-// plus its design memo's bound (Plan.SizeBytes' comment), so a full
-// cache of search plans holds at most about 512 × (63 KB + 0.6 MiB).
+// plus its memo's bound (Plan.SizeBytes' comment: 0.6 MiB of scores,
+// 0.2 MiB of latencies by timing key), so a full cache of search plans
+// holds at most about 512 × (63 KB + 0.8 MiB).
 const cacheCap = 512
 
 // buildCache builds each key's value at most once. The lock covers only

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -16,6 +17,39 @@ import (
 // out, each with the reason the simulator cannot see it.
 var memoExempt = map[string]string{
 	"Name": "a label: no simulated quantity reads it",
+}
+
+// perturbation is one field of arch.Config set to another valid value:
+// other is base with that field changed; ok is false when the walk
+// found no valid value for it.
+type perturbation struct {
+	field       string
+	base, other *arch.Config
+	ok          bool
+}
+
+// configPerturbations walks every field of arch.Config by reflection
+// and perturbs each on its own, from a design newBase returns (with L2
+// on for the L2 fields, whose multipliers are dead while L2 is off).
+func configPerturbations(t *testing.T, newBase func() *arch.Config) []perturbation {
+	t.Helper()
+	rt := reflect.TypeOf(arch.Config{})
+	var out []perturbation
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		base := newBase()
+		if strings.HasPrefix(f.Name, "L2") {
+			base.L2Config = arch.Private
+			base.L2InputMult, base.L2WeightMult, base.L2OutputMult = 2, 2, 2
+		}
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: base design invalid: %v", f.Name, err)
+		}
+		other := *base
+		ok := perturb(reflect.ValueOf(&other).Elem().Field(i), &other)
+		out = append(out, perturbation{f.Name, base, &other, ok})
+	}
+	return out
 }
 
 // TestMemoKeyCoversConfig walks every field of arch.Config by reflection.
@@ -37,39 +71,134 @@ func TestMemoKeyCoversConfig(t *testing.T) {
 			t.Errorf("exempt field %s is not a field of arch.Config", name)
 		}
 	}
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		base := arch.FASTLarge()
-		if strings.HasPrefix(f.Name, "L2") {
-			// The multipliers are dead, and not keyed, while L2 is off.
-			base.L2Config = arch.Private
-			base.L2InputMult, base.L2WeightMult, base.L2OutputMult = 2, 2, 2
-		}
-		if err := base.Validate(); err != nil {
-			t.Fatalf("%s: base design invalid: %v", f.Name, err)
-		}
-		other := *base
-		if !perturb(reflect.ValueOf(&other).Elem().Field(i), &other) {
-			t.Errorf("field %s (%s): no valid perturbation; key it or exempt it", f.Name, f.Type)
+	for _, pt := range configPerturbations(t, arch.FASTLarge) {
+		if !pt.ok {
+			t.Errorf("field %s: no valid perturbation; key it or exempt it", pt.field)
 			continue
 		}
-		same := keyOf(base) == keyOf(&other)
-		if _, exempt := memoExempt[f.Name]; exempt {
+		same := keyOf(pt.base) == keyOf(pt.other)
+		if _, exempt := memoExempt[pt.field]; exempt {
 			if !same {
-				t.Errorf("exempt field %s changes the memo key", f.Name)
+				t.Errorf("exempt field %s changes the memo key", pt.field)
 			}
 		} else if same {
-			t.Errorf("field %s is not in the memo key: two designs differing in it share an entry", f.Name)
+			t.Errorf("field %s is not in the memo key: two designs differing in it share an entry", pt.field)
 		}
 		var got Score
-		if err := plan.ScoreBatch([]*arch.Config{base, &other}, func(i int, s Score) { got = s }); err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+		if err := plan.ScoreBatch([]*arch.Config{pt.base, pt.other}, func(i int, s Score) { got = s }); err != nil {
+			t.Fatalf("%s: %v", pt.field, err)
 		}
-		r, err := plan.Evaluate(&other)
+		r, err := plan.Evaluate(pt.other)
 		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+			t.Fatalf("%s: %v", pt.field, err)
 		}
-		sameScore(t, f.Name+" (scored after the base design)", scoreOf(r), got)
+		sameScore(t, pt.field+" (scored after the base design)", scoreOf(r), got)
+	}
+}
+
+// timingKeyOn returns cfg's timing key on plan p, as a design-memo
+// miss computes it.
+func timingKeyOn(p *Plan, cfg *arch.Config) (timingKey, bool) {
+	var s evalScratch
+	tm := timingOf(cfg)
+	return tm.key(s.mappings(p, cfg))
+}
+
+// TestTimingKeyCoversEvaluate perturbs one arch.Config field at a time
+// (TestMemoKeyCoversConfig's walk) on efficientnet-b0, bert-128 under
+// automatic, three-pass and two-pass softmax, and gpt2-decode-1024 (KV
+// holds), from FAST-Large and from FAST-Small without Global Memory
+// (where the blocking capacity falls to 192 KiB of L1, small enough
+// for the traffic floor to bite), plus one pair the walk cannot reach:
+// a design whose capacity falls to 2 MiB of L1 and its twin with 2 MiB
+// of Global Memory, which share a capacity. Wherever a perturbed
+// design keeps the base design's timing key, it must time the same:
+// fresh plans' Evaluate gives both designs a bit-identical latency.
+// Scored after the base design on a shared plan, where its Score comes
+// from the timing memo, every perturbed design's Score must equal its
+// own Result's. An L1-size perturbation of FAST-Large keeps the key, so
+// each plan has a hit to check; a value evaluate reads that the key
+// leaves out (the clock, say) fails it.
+func TestTimingKeyCoversEvaluate(t *testing.T) {
+	noGM := func() *arch.Config {
+		cfg := arch.FASTSmall()
+		cfg.GlobalMiB = 0
+		return cfg
+	}
+	l1Cap := arch.FASTLarge()
+	l1Cap.GlobalMiB, l1Cap.L1OutputKiB = 0, 16 // 64 PEs × 32 KiB
+	gmCap := *l1Cap
+	gmCap.GlobalMiB = 2
+	if capacityBytes(l1Cap) != capacityBytes(&gmCap) {
+		t.Fatal("the twins' blocking capacities differ")
+	}
+	twins := perturbation{"GlobalMiB (to the L1 capacity)", l1Cap, &gmCap, true}
+	threePass := FASTOptions()
+	threePass.AutoSoftmax = false
+	twoPass := threePass
+	twoPass.TwoPassSoftmax = true
+	for _, tc := range []struct {
+		model, optName string
+		opts           Options
+	}{
+		{"efficientnet-b0", "fast", FASTOptions()},
+		{"bert-128", "fast", FASTOptions()},
+		{"bert-128", "three-pass", threePass},
+		{"bert-128", "two-pass", twoPass},
+		{"gpt2-decode-1024", "fast", FASTOptions()},
+	} {
+		label := tc.model + "/" + tc.optName
+		g := models.MustBuild(tc.model, 8)
+		compile := func() *Plan {
+			p, err := Compile(g, tc.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			return p
+		}
+		fresh := func(cfg *arch.Config) *Result {
+			r, err := compile().Evaluate(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			return r
+		}
+		shared := compile()
+		l1Hits := 0
+		walk := append(configPerturbations(t, arch.FASTLarge), configPerturbations(t, noGM)...)
+		for _, pt := range append(walk, twins) {
+			if !pt.ok {
+				continue // TestMemoKeyCoversConfig reports it
+			}
+			kb, ok := timingKeyOn(shared, pt.base)
+			if !ok {
+				t.Fatalf("%s: %s: the base design does not map", label, pt.field)
+			}
+			ko, ok := timingKeyOn(shared, pt.other)
+			hit := ok && ko == kb
+			var got Score
+			if err := shared.ScoreBatch([]*arch.Config{pt.base, pt.other}, func(i int, s Score) { got = s }); err != nil {
+				t.Fatalf("%s: %s: %v", label, pt.field, err)
+			}
+			want := fresh(pt.other)
+			sameScore(t, label+": "+pt.field+" (scored after the base design)", scoreOf(want), got)
+			if !hit {
+				continue
+			}
+			if _, held := shared.latencies.get(kb); !held {
+				t.Fatalf("%s: %s: the base design's latency is not memoized", label, pt.field)
+			}
+			if base := fresh(pt.base); math.Float64bits(base.LatencySec) != math.Float64bits(want.LatencySec) {
+				t.Errorf("%s: field %s keeps the timing key but moves the latency %v → %v: evaluate reads a value the key leaves out",
+					label, pt.field, base.LatencySec, want.LatencySec)
+			}
+			if pt.base.GlobalMiB > 0 && strings.HasPrefix(pt.field, "L1") && strings.HasSuffix(pt.field, "KiB") {
+				l1Hits++
+			}
+		}
+		if l1Hits == 0 {
+			t.Errorf("%s: no L1-size perturbation of FAST-Large keeps its timing key; the test checks no hit", label)
+		}
 	}
 }
 

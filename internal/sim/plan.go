@@ -129,10 +129,12 @@ type Plan struct {
 	// hoisted out of the per-trial roll-up.
 	pm *power.Model
 
-	// scores memoizes each scored design's Score; fusions, on a plan
-	// whose fusion is an exact solve, its fusion assignments (memo.go).
-	scores  memo[Score]
-	fusions memo[*fusionEntry]
+	// scores memoizes each scored design's Score, latencies each timed
+	// timing key's latency and fusions, on a plan whose fusion is an
+	// exact solve, each timing key's fusion assignments (memo.go).
+	scores    memo[designKey, Score]
+	latencies memo[timingKey, float64]
+	fusions   memo[timingKey, *fusionEntry]
 }
 
 // SizeBytes estimates the plan's resident size: the immutable
@@ -141,11 +143,12 @@ type Plan struct {
 // the benchmark harness as sim.plan_bytes. Two resident costs are
 // deliberately excluded: the workload graph, which is owned by the
 // process-wide graph cache and shared across plans (counting it here
-// would double-charge every plan of the same workload), and the design
-// memo, which grows with use but is bounded per plan by its shard
-// capacity (memoShards × memoShardCap designs): at most 4,096 Scores,
-// about 0.6 MiB with map overhead, and on an exact plan as many fusion
-// entries of about 0.35 KB plus 3 B per region and softmax variant.
+// would double-charge every plan of the same workload), and the memo,
+// which grows with use but is bounded per plan by its shard capacity
+// (memoShards × memoShardCap keys per level): at most 4,096 Scores,
+// about 0.6 MiB with map overhead, 4,096 latencies by timing key,
+// about 0.2 MiB, and on an exact plan 4,096 fusion entries of about
+// 0.35 KB plus 3 B per region and softmax variant.
 func (p *Plan) SizeBytes() int64 {
 	size := int64(unsafe.Sizeof(*p))
 	size += int64(len(p.regions)) * int64(unsafe.Sizeof(planRegion{}))
@@ -237,7 +240,8 @@ func Compile(g *hlo.Graph, opts Options) (*Plan, error) {
 // mapping over the plan's unique matrix problems, fusion placement among
 // the precompiled candidates, and the latency/power roll-up. On a plan
 // whose fusion is an exact solve the fusion assignment is memoized per
-// design (memo.go), so evaluating a design again skips the solve. It is
+// timing key (memo.go), so evaluating a design again, or one with the
+// same timing, skips the solve. It is
 // safe to call concurrently on one shared Plan, and produces
 // bit-identical Results to Simulate(g, cfg, opts) for the graph and
 // options the plan was compiled from.
@@ -249,35 +253,44 @@ func (p *Plan) Evaluate(cfg *arch.Config) (*Result, error) {
 	return p.evaluateValidated(cfg, nil), nil
 }
 
-// evaluateValidated maps cfg's matrix problems once, fetches its fusion
-// entry on an exact plan, and runs the softmax-variant selection over
-// both: the mapper never depends on the softmax algorithm. bufs, when
-// non-nil, holds the memory the Results are written into (see
-// ScoreBatch); nil allocates them.
+// exactFusion reports whether the plan's fusion placement is the exact
+// solve (final reports), not the greedy or none.
+func (p *Plan) exactFusion() bool {
+	return !p.opts.Fusion.GreedyOnly && !p.opts.Fusion.Disable
+}
+
+// evaluateValidated maps cfg's matrix problems and, on an exact plan,
+// fetches its timing key's fusion entry, then evaluates it
+// (evaluateMapped). bufs, when non-nil, holds the memory the Results
+// are written into (see ScoreBatch); nil allocates them.
 func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 	scratch := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(scratch)
+	t := timingOf(cfg)
 	mapped := scratch.mappings(p, cfg)
-	exact := !p.opts.Fusion.GreedyOnly && !p.opts.Fusion.Disable
 	var e *fusionEntry
-	if exact {
-		k := keyOf(cfg)
-		if e, _ = p.fusions.get(k); e == nil {
-			e = p.fusions.keep(k, new(fusionEntry))
-		}
+	if k, ok := t.key(mapped); ok {
+		e = p.fusionEntry(k)
 	}
+	return p.evaluateMapped(cfg, &t, mapped, e, bufs)
+}
+
+// evaluateMapped runs the softmax-variant selection over cfg's timing t,
+// its mappings and its fusion entry e (nil: solve each assignment
+// afresh): the mapper never depends on the softmax algorithm.
+func (p *Plan) evaluateMapped(cfg *arch.Config, t *timing, mapped []mapping.Mapping, e *fusionEntry, bufs *scoreBufs) *Result {
 	if p.opts.AutoSoftmax {
 		var a, b *Result
 		if !p.hasSoftmax {
 			// No softmax op: the two-pass variant would produce the
 			// identical timeline, and the a/b tie resolves to a.
-			return p.evaluate(cfg, vpu.ThreePass, mapped, e, bufs)
+			return p.evaluate(cfg, t, vpu.ThreePass, mapped, e, bufs)
 		}
-		if !exact {
+		if !p.exactFusion() {
 			// Search-loop stack: the two variant evaluations are a few
 			// microseconds each, not worth a goroutine.
-			a = p.evaluate(cfg, vpu.ThreePass, mapped, e, bufs)
-			b = p.evaluate(cfg, vpu.TwoPass, mapped, e, bufs)
+			a = p.evaluate(cfg, t, vpu.ThreePass, mapped, e, bufs)
+			b = p.evaluate(cfg, t, vpu.TwoPass, mapped, e, bufs)
 		} else {
 			// Full-ILP stack: each variant's fusion assignment is an exact
 			// branch-and-bound solve (they differ in vector times and DRAM
@@ -288,9 +301,9 @@ func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				b = p.evaluate(cfg, vpu.TwoPass, mapped, e, bufs)
+				b = p.evaluate(cfg, t, vpu.TwoPass, mapped, e, bufs)
 			}()
-			a = p.evaluate(cfg, vpu.ThreePass, mapped, e, bufs)
+			a = p.evaluate(cfg, t, vpu.ThreePass, mapped, e, bufs)
 			<-done
 		}
 		if !b.ScheduleFailed && (a.ScheduleFailed || b.LatencySec < a.LatencySec) {
@@ -302,24 +315,23 @@ func (p *Plan) evaluateValidated(cfg *arch.Config, bufs *scoreBufs) *Result {
 	if p.opts.TwoPassSoftmax {
 		alg = vpu.TwoPass
 	}
-	return p.evaluate(cfg, alg, mapped, e, bufs)
+	return p.evaluate(cfg, t, alg, mapped, e, bufs)
 }
 
 // evaluate is the per-design hot path. It mirrors the pre-split
 // simulate() arithmetic exactly — same operations, same order — reading
 // every design-independent quantity from the plan's flat tables, the
-// design's schedule mappings from mapped and, on an exact plan, its
-// fusion assignment from its memo entry e (nil: solve it here). The
-// Result and its tables are fresh when bufs is nil, and otherwise bufs'
-// slot for alg, overwritten.
-func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []mapping.Mapping, e *fusionEntry, bufs *scoreBufs) *Result {
+// design's timing from t, its schedule mappings from mapped and, on an
+// exact plan, its fusion assignment from its memo entry e (nil: solve
+// it here). Its latency reads nothing else of the design, which is what
+// lets designs with one timing key share it (memo.go). The Result and
+// its tables are fresh when bufs is nil, and otherwise bufs' slot for
+// alg, overwritten.
+func (p *Plan) evaluate(cfg *arch.Config, t *timing, alg vpu.SoftmaxAlgorithm, mapped []mapping.Mapping, e *fusionEntry, bufs *scoreBufs) *Result {
 	g := p.graph
 
-	perCoreBW := cfg.PeakBandwidthGBs() * 1e9 / float64(cfg.Cores)
-	clock := cfg.ClockGHz * 1e9
-
-	capBytes := capacityBytes(cfg)
-	gm := cfg.GlobalBytes()
+	perCoreBW, clock, vpuPeak := t.perCoreBW, t.clock, t.vpuPeak
+	capBytes, gm := t.capBytes, t.gm
 
 	algIdx := 0
 	if alg == vpu.TwoPass {
@@ -359,7 +371,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 			var opExtra int64
 			switch po.class {
 			case classDWVPU:
-				opSec = vpu.Time(po.dwOps, cfg)
+				opSec = vpu.Time(po.dwOps, vpuPeak)
 				vectorSec += opSec
 			case classMatrix:
 				pi := po.problem
@@ -376,7 +388,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 				}
 				matrixSec += opSec
 				if po.gateOps > 0 {
-					gates := vpu.Time(po.gateOps, cfg)
+					gates := vpu.Time(po.gateOps, vpuPeak)
 					vectorSec += gates
 					opSec += gates
 				}
@@ -389,7 +401,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 					fi = 0
 				}
 				c := po.cost[algIdx][fi]
-				opSec = vpu.Time(c.VectorOps, cfg)
+				opSec = vpu.Time(c.VectorOps, vpuPeak)
 				opExtra = c.ExtraDRAMBytes
 				if po.serial {
 					serialSec += opSec
@@ -454,7 +466,7 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 		matrixFLOPs += io.MatrixFLOPs
 	}
 
-	fusion.ResolvePlanned(sol, costs, gm, e.assignment(p, cfg, algIdx, costs, &scratch.asn))
+	fusion.ResolvePlanned(sol, costs, gm, e.assignment(p, gm, algIdx, costs, &scratch.asn))
 	res.Fusion = *sol
 
 	// Post-fusion DRAM traffic per region.
@@ -491,8 +503,8 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 	}
 	res.Regions = stats
 	res.LatencySec = latency
+	res.QPS, res.TDPWatts, res.AreaMM2, res.PerfPerTDP = p.rates(cfg, latency)
 	if latency > 0 {
-		res.QPS = float64(cfg.Cores) * float64(g.NativeBatch()) / latency
 		// Fraction of peak FLOPS, measured against the systolic arrays
 		// (the paper's metric): vector-unit work is excluded so the ratio
 		// is bounded by 1 on any datapath.
@@ -513,12 +525,20 @@ func (p *Plan) evaluate(cfg *arch.Config, alg vpu.SoftmaxAlgorithm, mapped []map
 	if stall := preLatency - computeTotal; stall > 0 {
 		res.FusionEfficiency = (preLatency - latency) / stall
 	}
-
-	eval := p.pm.Evaluate(cfg)
-	res.TDPWatts = eval.TotalPower()
-	res.AreaMM2 = eval.TotalArea()
-	if res.TDPWatts > 0 {
-		res.PerfPerTDP = res.QPS / res.TDPWatts
-	}
 	return res
+}
+
+// rates returns cfg's throughput at latency and its power-model
+// figures: QPS, TDP, area and Perf/TDP. evaluate and a timing-memo hit
+// (Plan.score) both take them from here.
+func (p *Plan) rates(cfg *arch.Config, latency float64) (qps, tdp, area, perfPerTDP float64) {
+	if latency > 0 {
+		qps = float64(cfg.Cores) * float64(p.graph.NativeBatch()) / latency
+	}
+	eval := p.pm.Evaluate(cfg)
+	tdp, area = eval.TotalPower(), eval.TotalArea()
+	if tdp > 0 {
+		perfPerTDP = qps / tdp
+	}
+	return qps, tdp, area, perfPerTDP
 }

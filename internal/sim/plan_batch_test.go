@@ -325,6 +325,64 @@ func TestEvaluateBatchConcurrent(t *testing.T) {
 	}
 }
 
+// TestScoreSharedTimingConcurrent scores, from 8 goroutines on one cold
+// plan, 16 FAST-Large designs that differ only in L1 sizes and L1
+// configuration and so share one timing key: bert-128 on the search
+// plan (both softmax variants) and efficientnet-b0 on a plan whose
+// fusion is the exact solve. Racing misses on the key fill its latency
+// and fusion entry once; every Score must equal a fresh plan's Result's.
+// Under -race it proves the timing memo synchronizes correctly.
+func TestScoreSharedTimingConcurrent(t *testing.T) {
+	exact := FASTOptions()
+	exact.Fusion.GreedyOnly = false
+	var designs []*arch.Config
+	for _, l1 := range []arch.BufferConfig{arch.Shared, arch.Private} {
+		for _, in := range []int64{8, 64} {
+			for _, w := range []int64{8, 64} {
+				for _, out := range []int64{8, 64} {
+					cfg := arch.FASTLarge()
+					cfg.L1Config, cfg.L1InputKiB, cfg.L1WeightKiB, cfg.L1OutputKiB = l1, in, w, out
+					designs = append(designs, cfg)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		model string
+		opts  Options
+	}{{"bert-128", FASTOptions()}, {"efficientnet-b0", exact}} {
+		g := models.MustBuild(tc.model, 8)
+		compile := func() *Plan {
+			p, err := Compile(g, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		plan := compile()
+		key, _ := timingKeyOn(plan, designs[0])
+		want := make([]Score, len(designs))
+		for i, cfg := range designs {
+			if k, ok := timingKeyOn(plan, cfg); !ok || k != key {
+				t.Fatalf("%s: %s does not share FAST-Large's timing key", tc.model, cfg)
+			}
+			r, err := compile().Evaluate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = scoreOf(r)
+		}
+		hammer(t, tc.model+" score", func(w, round int) error {
+			local := rotated(designs, w)
+			return plan.ScoreBatch(local, func(i int, s Score) {
+				if k := (i + w*3) % len(designs); s != want[k] {
+					t.Errorf("%s: worker %d round %d: %s scored %+v, want %+v", tc.model, w, round, local[i], s, want[k])
+				}
+			})
+		})
+	}
+}
+
 // rotated is worker w's view of a sweep: the workers' batches overlap
 // but differ in order.
 func rotated(sweep []*arch.Config, w int) []*arch.Config {

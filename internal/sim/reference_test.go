@@ -77,7 +77,7 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 			var opExtra int64
 			if opts.DepthwiseOnVPU && op.Kind == hlo.KDepthwiseConv2D {
 				macs := float64(hlo.FLOPs(op)) / 2
-				opSec = vpu.Time(macs/dwVPUEff, cfg)
+				opSec = vpu.Time(macs/dwVPUEff, vpu.Peak(cfg))
 				vectorSec += opSec
 			} else if p, ok := mapping.FromOp(op); ok {
 				m, hit := mapCache[p]
@@ -98,7 +98,7 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 				}
 				matrixSec += opSec
 				if op.Kind == hlo.KLSTMCell {
-					gates := vpu.Time(vpu.LSTMGateOps(op), cfg)
+					gates := vpu.Time(vpu.LSTMGateOps(op), vpu.Peak(cfg))
 					vectorSec += gates
 					opSec += gates
 				}
@@ -108,7 +108,7 @@ func referenceSimulateAlg(g *hlo.Graph, cfg *arch.Config, opts Options, alg vpu.
 					softmaxFits = op.Output.Bytes()*2 <= capBytes
 				}
 				c := vpu.OpCost(op, alg, softmaxFits)
-				opSec = vpu.Time(c.VectorOps, cfg)
+				opSec = vpu.Time(c.VectorOps, vpu.Peak(cfg))
 				opExtra = c.ExtraDRAMBytes
 				if isSerialVec(op.Kind) {
 					serialSec += opSec

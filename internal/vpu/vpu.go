@@ -109,9 +109,15 @@ func OpCost(op *hlo.Op, alg SoftmaxAlgorithm, softmaxFitsOnChip bool) Cost {
 	return Cost{VectorOps: per * float64(op.Output.Elems())}
 }
 
-// Time converts vector ops into seconds on the config's VPUs.
-func Time(vectorOps float64, c *arch.Config) float64 {
-	peak := c.PeakVectorOps() / float64(c.Cores) * vpuEfficiency * lanesOpsPerCycle
+// Peak returns the sustained vector ops per second of one core's VPUs
+// on config c, the rate Time divides by.
+func Peak(c *arch.Config) float64 {
+	return c.PeakVectorOps() / float64(c.Cores) * vpuEfficiency * lanesOpsPerCycle
+}
+
+// Time converts vector ops into seconds at a per-core VPU rate peak
+// (Peak of a config); a rate of zero or less costs nothing.
+func Time(vectorOps, peak float64) float64 {
 	if peak <= 0 {
 		return 0
 	}

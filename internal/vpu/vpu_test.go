@@ -40,7 +40,7 @@ func TestSoftmaxUtilizationTiny(t *testing.T) {
 	// implies compute utilization ≈ vectorOps/time/peakFLOPs < 1%.
 	tpu := arch.TPUv3()
 	cost := softmaxCost(12*1024, 1024, ThreePass, false, 2)
-	secs := Time(cost.VectorOps, tpu)
+	secs := Time(cost.VectorOps, Peak(tpu))
 	elems := float64(12 * 1024 * 1024)
 	util := (elems * 5) / (secs * tpu.PeakFLOPs() / float64(tpu.Cores))
 	if util > 0.02 {
@@ -76,10 +76,10 @@ func TestTimeScalesWithVPUWidth(t *testing.T) {
 	wide := small.Clone("wide")
 	wide.VectorMult = 4
 	ops := 1e9
-	if Time(ops, wide) >= Time(ops, small) {
+	if Time(ops, Peak(wide)) >= Time(ops, Peak(small)) {
 		t.Error("wider VPU must be faster")
 	}
-	ratio := Time(ops, small) / Time(ops, wide)
+	ratio := Time(ops, Peak(small)) / Time(ops, Peak(wide))
 	if ratio < 3.9 || ratio > 4.1 {
 		t.Errorf("4x lanes should give ~4x speedup, got %.2f", ratio)
 	}
