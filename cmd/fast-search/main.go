@@ -237,24 +237,17 @@ func main() {
 		}
 		perWorkload = wr
 	}
+	base, err := fast.EvaluateDesign(fast.DieShrunkTPUv3(), ws, fast.BaselineOptions())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fast-search:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("%-18s %10s %10s %8s %10s %9s\n", "workload", "QPS", "latency", "util", "Perf/TDP", "vs TPU-v3")
-	for _, wr := range perWorkload {
-		// Baseline comparison.
-		tpu := fast.DieShrunkTPUv3()
-		bg, err := fast.BuildModel(wr.Name, tpu.NativeBatch)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fast-search:", err)
-			os.Exit(1)
-		}
-		base, err := fast.Simulate(bg, tpu, fast.BaselineOptions())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fast-search:", err)
-			os.Exit(1)
-		}
+	for i, wr := range perWorkload {
 		r := wr.Result
 		fmt.Printf("%-18s %10.1f %8.2fms %8.3f %10.4f %8.2fx\n",
 			wr.Name, r.QPS, r.LatencySec*1e3, r.Utilization, r.PerfPerTDP,
-			r.PerfPerTDP/base.PerfPerTDP)
+			r.PerfPerTDP/base[i].Result.PerfPerTDP)
 	}
 	if canceled {
 		// The report above is complete, but the search was cut short —

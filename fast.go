@@ -274,10 +274,12 @@ func Compile(g *Graph, opts SimOptions) (*Plan, error) {
 	return sim.Compile(g, opts)
 }
 
-// Simulate runs the architectural simulator for a workload graph on a
-// design. It is a thin Compile+Evaluate wrapper; Study.Run and
-// EvaluateDesign share compiled plans via a process-wide cache keyed by
-// (workload, batch, options fingerprint).
+// Simulate runs the architectural simulator for a graph the caller
+// built (say, with BuildModel at a batch of its choosing) on a design.
+// It is a thin Compile+Evaluate wrapper that compiles afresh on every
+// call; to simulate a named workload use EvaluateDesign, which shares
+// graphs and compiled plans with Study.Run via process-wide caches keyed
+// by (workload, batch, options fingerprint).
 func Simulate(g *Graph, d *Design, opts SimOptions) (*SimResult, error) {
 	return sim.Simulate(g, d, opts)
 }

@@ -38,17 +38,26 @@ type simJob struct {
 	opts  sim.Options
 }
 
-// simAll runs the jobs concurrently and returns results in job order.
-// Each job goes through core.EvaluateDesign and therefore the
-// process-wide compiled-plan cache: a (workload, design, options)
-// simulation repeated across tables — Table 5's FAST-Large column is
-// also Figure 14's fused row — pays its compile and exact-ILP solve
-// once per fast-experiments run. Like the serial sim.Simulate call
-// sites this replaces, an error (unknown model, invalid design) panics
-// — these are table-generator programming errors, not runtime
-// conditions.
+// simAll runs the jobs concurrently (parallelism 0 = one worker per
+// CPU) and returns results in job order. Each job goes through
+// core.EvaluateDesign and therefore the process-wide graph and plan
+// caches, so each (workload, batch, options) graph is built and
+// compiled once per fast-experiments run — Table 5's FAST-Large column
+// is also Figure 14's fused row, and Figure 12 re-simulates every
+// sampled design on one EfficientNet-B7 plan. An error (unknown model,
+// invalid design) panics — these are table-generator programming
+// errors, not runtime conditions.
 func simAll(parallelism int, jobs []simJob) []*sim.Result {
 	out := make([]*sim.Result, len(jobs))
+	simEach(parallelism, jobs, func(i int, r *sim.Result) { out[i] = r })
+	return out
+}
+
+// simEach is simAll for a table that keeps only a summary of each
+// result: fn sees job i's result on the worker that simulated it, and
+// the Result is garbage once fn returns. Figure 12 keeps three numbers
+// of each of thousands of sampled designs this way.
+func simEach(parallelism int, jobs []simJob, fn func(i int, r *sim.Result)) {
 	errs := make([]error, len(jobs))
 	core.ForEach(parallelism, len(jobs), func(i int) {
 		j := jobs[i]
@@ -57,12 +66,11 @@ func simAll(parallelism int, jobs []simJob) []*sim.Result {
 			errs[i] = err
 			return
 		}
-		out[i] = wr[0].Result
+		fn(i, wr[0].Result)
 	})
 	for _, err := range errs {
 		if err != nil {
 			panic(err)
 		}
 	}
-	return out
 }

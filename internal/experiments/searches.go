@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fast/internal/arch"
@@ -232,19 +233,17 @@ func fig12Pareto(o Options) Table {
 		Notes: "Paper shape: FAST finds a frontier strictly dominating the baseline " +
 			"point, spanning embedded-class (tiny, slower) to datacenter-class designs.",
 	}
-	tpuCfg := arch.DieShrunkTPUv3()
-	base, err := sim.Simulate(models.MustBuild("efficientnet-b7", tpuCfg.NativeBatch), tpuCfg, sim.BaselineOptions())
-	if err != nil {
-		panic(err)
-	}
+	base := simAll(o.Parallelism, []simJob{{"efficientnet-b7", arch.DieShrunkTPUv3(), sim.BaselineOptions()}})[0]
 	baseStep := 1.0 / base.QPS
 
 	// Sample the space and keep Pareto-optimal feasible points in the
 	// (step time, TDP) plane.
 	pm := power.Default()
 	budget := power.DefaultBudget(pm)
-	type point struct{ step, tdp, area float64 }
-	var pts []point
+	type point struct {
+		step, tdp, area float64
+		failed          bool
+	}
 	res, err := (&core.Study{
 		Workloads: []string{"efficientnet-b7"},
 		Objective: core.PerfPerTDP,
@@ -255,23 +254,23 @@ func fig12Pareto(o Options) Table {
 	if err != nil {
 		panic(err)
 	}
-	space := arch.Space{}
+	var jobs []simJob
 	platform := core.DefaultPlatform()
 	for _, tr := range res.Search.History {
-		if !tr.Feasible {
-			continue
+		if tr.Feasible {
+			jobs = append(jobs, simJob{"efficientnet-b7", arch.Space{}.Decode(tr.Index, platform), sim.FASTOptions()})
 		}
-		cfg := space.Decode(tr.Index, platform)
-		r, err := sim.Simulate(models.MustBuild("efficientnet-b7", cfg.NativeBatch), cfg, sim.FASTOptions())
-		if err != nil || r.ScheduleFailed {
-			continue
-		}
-		pts = append(pts, point{
-			step: (1.0 / r.QPS) / baseStep,
-			tdp:  r.TDPWatts / budget.MaxTDPW / (base.TDPWatts / budget.MaxTDPW),
-			area: r.AreaMM2 / base.AreaMM2,
-		})
 	}
+	pts := make([]point, len(jobs))
+	simEach(o.Parallelism, jobs, func(i int, r *sim.Result) {
+		pts[i] = point{
+			step:   (1.0 / r.QPS) / baseStep,
+			tdp:    r.TDPWatts / budget.MaxTDPW / (base.TDPWatts / budget.MaxTDPW),
+			area:   r.AreaMM2 / base.AreaMM2,
+			failed: r.ScheduleFailed,
+		}
+	})
+	pts = slices.DeleteFunc(pts, func(p point) bool { return p.failed })
 	sort.Slice(pts, func(i, j int) bool { return pts[i].tdp < pts[j].tdp })
 	bestStep := math.Inf(1)
 	var frontier []point
@@ -307,11 +306,13 @@ func frontierTradeoff(o Options) Table {
 			"brackets the published designs — FAST-Large near the big, fast end, " +
 			"FAST-Small near the small end at higher efficiency per area.",
 	}
-	tpu := arch.DieShrunkTPUv3()
-	base, err := sim.Simulate(models.MustBuild("efficientnet-b7", tpu.NativeBatch), tpu, sim.BaselineOptions())
-	if err != nil {
-		panic(err)
+	refs := []*arch.Config{arch.FASTLarge(), arch.FASTSmall()}
+	jobs := []simJob{{"efficientnet-b7", arch.DieShrunkTPUv3(), sim.BaselineOptions()}}
+	for _, ref := range refs {
+		jobs = append(jobs, simJob{"efficientnet-b7", ref, sim.FASTOptions()})
 	}
+	sims := simAll(o.Parallelism, jobs)
+	base := sims[0]
 	res, err := (&core.Study{
 		Workloads:  []string{"efficientnet-b7"},
 		Objectives: []core.ObjectiveKind{core.PerfPerTDP, core.Area},
@@ -329,11 +330,8 @@ func frontierTradeoff(o Options) Table {
 			f2(p.Values[1] / base.AreaMM2),
 		})
 	}
-	for _, ref := range []*arch.Config{arch.FASTLarge(), arch.FASTSmall()} {
-		r, err := sim.Simulate(models.MustBuild("efficientnet-b7", ref.NativeBatch), ref, sim.FASTOptions())
-		if err != nil {
-			panic(err)
-		}
+	for i, ref := range refs {
+		r := sims[i+1]
 		t.Rows = append(t.Rows, []string{
 			ref.Name,
 			f2(r.PerfPerTDP / base.PerfPerTDP),

@@ -37,12 +37,7 @@ func table1WorkingSets() Table {
 // table2OpBreakdown reproduces Table 2: EfficientNet-B7 per-op-class FLOP
 // and runtime shares on the TPU-v3 baseline.
 func table2OpBreakdown() Table {
-	cfg := arch.TPUv3()
-	g := models.MustBuild("efficientnet-b7", cfg.NativeBatch)
-	r, err := sim.Simulate(g, cfg, sim.BaselineOptions())
-	if err != nil {
-		panic(err)
-	}
+	r := simAll(0, []simJob{{"efficientnet-b7", arch.TPUv3(), sim.BaselineOptions()}})[0]
 	t := Table{
 		ID:     "table2",
 		Title:  "EfficientNet-B7 per-op shares on TPU-v3",
@@ -72,20 +67,16 @@ func fig2StepTimeVsAccuracy() Table {
 		Notes: "Paper shape: FAST-Large shifts the whole latency/accuracy frontier left " +
 			"by ~3-6x; accuracy is unchanged (FAST does not modify models).",
 	}
-	tpu := arch.TPUv3()
-	fl := arch.FASTLarge()
+	tpu, fl := arch.TPUv3(), arch.FASTLarge()
+	var jobs []simJob
 	for v := 0; v <= 7; v++ {
 		name := fmt.Sprintf("efficientnet-b%d", v)
-		bt, err := sim.Simulate(models.MustBuild(name, tpu.NativeBatch), tpu, sim.BaselineOptions())
-		if err != nil {
-			panic(err)
-		}
-		bf, err := sim.Simulate(models.MustBuild(name, fl.NativeBatch), fl, sim.FASTOptions())
-		if err != nil {
-			panic(err)
-		}
-		perImgTPU := 1e3 / bt.QPS
-		perImgFL := 1e3 / bf.QPS
+		jobs = append(jobs, simJob{name, tpu, sim.BaselineOptions()}, simJob{name, fl, sim.FASTOptions()})
+	}
+	sims := simAll(0, jobs)
+	for v := 0; v <= 7; v++ {
+		perImgTPU := 1e3 / sims[2*v].QPS
+		perImgFL := 1e3 / sims[2*v+1].QPS
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("B%d", v),
 			f1(models.EfficientNetAccuracy[v]),
@@ -137,12 +128,7 @@ func fig3OpIntensity() Table {
 // fig4PerLayerUtil reproduces Figure 4: EfficientNet-B7 per-block
 // fraction of peak FLOPs on TPU-v3.
 func fig4PerLayerUtil() Table {
-	cfg := arch.TPUv3()
-	g := models.MustBuild("efficientnet-b7", cfg.NativeBatch)
-	r, err := sim.Simulate(g, cfg, sim.BaselineOptions())
-	if err != nil {
-		panic(err)
-	}
+	r := simAll(0, []simJob{{"efficientnet-b7", arch.TPUv3(), sim.BaselineOptions()}})[0]
 	t := Table{
 		ID:     "fig4",
 		Title:  "EfficientNet-B7 per-layer fraction of peak FLOPs on TPU-v3",
@@ -168,18 +154,18 @@ func fig5BERTBreakdown() Table {
 	}
 	cfg := arch.TPUv3().Clone("bert-sweep")
 	cfg.NativeBatch = 8
-	for _, seq := range []int64{128, 256, 512, 1024, 2048} {
-		g := models.BERTBase(cfg.NativeBatch, seq)
-		r, err := sim.Simulate(g, cfg, sim.BaselineOptions())
-		if err != nil {
-			panic(err)
-		}
+	seqs := []int64{128, 256, 512, 1024, 2048}
+	jobs := make([]simJob, len(seqs))
+	for i, seq := range seqs {
+		jobs[i] = simJob{fmt.Sprintf("bert-%d", seq), cfg, sim.BaselineOptions()}
+	}
+	for i, r := range simAll(0, jobs) {
 		shares := map[string]float64{}
 		for _, row := range r.ByClass(sim.ClassifyBERT) {
 			shares[row.Class] = row.RuntimeShare * 100
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", seq),
+			fmt.Sprintf("%d", seqs[i]),
 			f1(shares["QKV projection"]),
 			f1(shares["Feed-forward"]),
 			f1(shares["Self-attention"]),

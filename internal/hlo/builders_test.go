@@ -51,11 +51,6 @@ func TestBuilderShapes(t *testing.T) {
 		t.Error("reshape must be free")
 	}
 
-	tr := g.Transpose("tr", x, tensor.NewShape(tensor.BF16, 2, 16, 8, 8))
-	if tr.Kind != KTranspose || FLOPs(tr) != tr.Output.Elems() {
-		t.Errorf("transpose cost = %d", FLOPs(tr))
-	}
-
 	cc := g.Concat("cc", 3, x, y)
 	if cc.Output.Dim(3) != 32 {
 		t.Errorf("concat channels = %d, want 32", cc.Output.Dim(3))
@@ -74,11 +69,6 @@ func TestBuilderShapes(t *testing.T) {
 	}
 	if emb.WeightBytes() != 1000*64*2 {
 		t.Errorf("gather table bytes = %d", emb.WeightBytes())
-	}
-
-	c := g.Const("table", tensor.NewShape(tensor.BF16, 100))
-	if !c.HasWeights() || c.WeightBytes() != 200 {
-		t.Errorf("const weights = %d", c.WeightBytes())
 	}
 
 	out := g.Output(emb)
@@ -103,9 +93,6 @@ func TestBuilderPanics(t *testing.T) {
 	x := g.Input("x", tensor.NewShape(tensor.BF16, 2, 8, 8, 16))
 	expectPanic("bad reshape", func() {
 		g.Reshape("r", x, tensor.NewShape(tensor.BF16, 3, 3))
-	})
-	expectPanic("bad transpose", func() {
-		g.Transpose("t", x, tensor.NewShape(tensor.BF16, 7))
 	})
 	expectPanic("slice on rank-4", func() {
 		g.SliceStep("s", x, 0)
@@ -173,16 +160,4 @@ func TestValidateCatchesMissingEinsum(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Error("matrix op without einsum params must fail validation")
 	}
-}
-
-// Const adds a constant tensor (counted as weights: it must be fetched
-// from DRAM like any parameter).
-func (g *Graph) Const(name string, shape tensor.Shape) *Op {
-	return g.add(&Op{Name: name, Kind: KConst, Output: shape, Weights: shape})
-}
-
-// Transpose adds a data movement op producing the given shape.
-func (g *Graph) Transpose(name string, x *Op, shape tensor.Shape) *Op {
-	g.check(shape.Elems() == x.Output.Elems(), "transpose %s elems mismatch", name)
-	return g.add(&Op{Name: name, Kind: KTranspose, Inputs: []*Op{x}, Output: shape, VecOpsPerElem: 1})
 }

@@ -21,7 +21,7 @@ func FLOPs(op *Op) int64 {
 			flops += int64(op.VecOpsPerElem) * op.Output.Elems()
 		}
 		return flops
-	case KInput, KConst, KOutput, KReshape, KKVCache:
+	case KInput, KOutput, KReshape, KKVCache:
 		return 0
 	default:
 		per := op.VecOpsPerElem

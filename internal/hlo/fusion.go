@@ -42,12 +42,12 @@ func (p *Partition) Consumers() [][]int {
 }
 
 // RegionOf returns the region index of op id, or -1 for ops outside any
-// region (inputs, constants, output markers).
+// region (inputs, KV caches, output markers).
 func (p *Partition) RegionOf(id int) int { return p.regionOf[id] }
 
 // skipRegion reports whether the op never belongs to a region.
 func skipRegion(op *Op) bool {
-	return op.Kind == KInput || op.Kind == KConst || op.Kind == KOutput || op.Kind == KKVCache
+	return op.Kind == KInput || op.Kind == KOutput || op.Kind == KKVCache
 }
 
 func newPartition(g *Graph) *Partition {
@@ -246,9 +246,6 @@ func (p *Partition) IO(r *Region) RegionIO {
 		for _, in := range op.Inputs {
 			if p.regionOf[in.ID] != r.ID && !seen[in.ID] {
 				seen[in.ID] = true
-				if in.Kind == KConst {
-					continue // already counted as weights by the const op
-				}
 				if in.Kind == KKVCache {
 					io.KVBytes += in.Output.Bytes()
 					continue

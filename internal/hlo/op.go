@@ -26,8 +26,6 @@ type Kind int
 const (
 	// KInput is a graph parameter (model input activation).
 	KInput Kind = iota
-	// KConst is a constant tensor (e.g. position embeddings).
-	KConst
 	// KConv2D is a standard 2-D convolution.
 	KConv2D
 	// KDepthwiseConv2D is a depthwise 2-D convolution (filter depth 1).
@@ -56,12 +54,8 @@ const (
 	// KGlobalPool is global average pooling (squeeze in SE blocks, final
 	// pooling in CNNs).
 	KGlobalPool
-	// KReduce is a general reduction (sums, means).
-	KReduce
 	// KReshape is a layout-only op; free in the cost model.
 	KReshape
-	// KTranspose is a data-movement-only op; costed as a copy.
-	KTranspose
 	// KConcat concatenates along a dimension; costed as a copy.
 	KConcat
 	// KSlice extracts a sub-tensor; costed as a copy.
@@ -82,13 +76,12 @@ const (
 )
 
 var kindNames = map[Kind]string{
-	KInput: "input", KConst: "const", KConv2D: "conv2d",
+	KInput: "input", KConv2D: "conv2d",
 	KDepthwiseConv2D: "depthwise-conv2d", KMatMul: "matmul",
 	KEinsum: "einsum", KAdd: "add", KMul: "multiply",
 	KActivation: "activation", KSoftmax: "softmax", KLayerNorm: "layernorm",
 	KBatchNorm: "batchnorm", KPool: "pool", KGlobalPool: "global-pool",
-	KReduce: "reduce", KReshape: "reshape", KTranspose: "transpose",
-	KConcat: "concat", KSlice: "slice", KGather: "gather",
+	KReshape: "reshape", KConcat: "concat", KSlice: "slice", KGather: "gather",
 	KLSTMCell: "lstm-cell", KOutput: "output", KKVCache: "kv-cache",
 }
 
@@ -111,7 +104,7 @@ func (k Kind) IsMatrix() bool {
 
 // IsFree reports whether the op is layout-only and costless.
 func (k Kind) IsFree() bool {
-	return k == KReshape || k == KInput || k == KConst || k == KOutput || k == KKVCache
+	return k == KReshape || k == KInput || k == KOutput || k == KKVCache
 }
 
 // ConvParams carries convolution geometry. Layout is NHWC activations and

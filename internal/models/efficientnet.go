@@ -1,8 +1,9 @@
 // Package models is the workload zoo: programmatic HLO-graph builders for
 // every model the paper evaluates (EfficientNet-B0..B7, ResNet-50v2,
 // BERT-Base at arbitrary sequence length, and the two OCR pipeline
-// stages). Shapes follow the published architectures so FLOP and byte
-// accounting matches the real XLA graphs to first order.
+// stages), plus MobileNetV2 and the GPT-2-small prefill and decode
+// serving phases. Shapes follow the published architectures so FLOP and
+// byte accounting matches the real XLA graphs to first order.
 package models
 
 import (
@@ -13,9 +14,24 @@ import (
 	"fast/internal/tensor"
 )
 
-// swishCost is the VPU op count per element for x·sigmoid(x): a
-// table-lookup sigmoid (2 ops) plus the multiply.
-const swishCost = 3
+// activation is a pointwise nonlinearity: its op-name suffix and its
+// VPU op count per element.
+type activation struct {
+	name string
+	cost float64
+}
+
+var (
+	// swish is x·sigmoid(x): a table-lookup sigmoid (2 ops) plus the
+	// multiply.
+	swish = activation{"swish", 3}
+	relu6 = activation{"relu6", 1}
+)
+
+// apply appends the activation to x as op "<name>.<activation>".
+func (a activation) apply(g *hlo.Graph, name string, x *hlo.Op) *hlo.Op {
+	return g.Activation(name+"."+a.name, x, a.cost)
+}
 
 // mbBlockSpec is one stage of the EfficientNet-B0 baseline.
 type mbBlockSpec struct {
@@ -88,7 +104,7 @@ func roundRepeats(repeats int64, depth float64) int64 {
 func seBlock(g *hlo.Graph, name string, x *hlo.Op, seCh int64) *hlo.Op {
 	pooled := g.GlobalPool(name+".se.squeeze", x)
 	reduce := g.Conv2D(name+".se.reduce", pooled, seCh, 1, 1, 1, true)
-	reduce = g.Activation(name+".se.swish", reduce, swishCost)
+	reduce = swish.apply(g, name+".se", reduce)
 	expand := g.Conv2D(name+".se.expand", reduce, x.Output.Dim(3), 1, 1, 1, true)
 	gate := g.Activation(name+".se.sigmoid", expand, 3)
 	// Broadcast multiply of [B,1,1,C] gate over [B,H,W,C] activations: the
@@ -96,24 +112,25 @@ func seBlock(g *hlo.Graph, name string, x *hlo.Op, seCh int64) *hlo.Op {
 	return g.Mul(name+".se.excite", x, gate)
 }
 
-// mbConv appends one inverted-residual block (MBConv).
-func mbConv(g *hlo.Graph, name string, x *hlo.Op, spec mbBlockSpec, outCh int64, stride int64) *hlo.Op {
+// mbConv appends one inverted-residual block (MBConv): an optional 1×1
+// expansion, the depthwise convolution, squeeze-excite when se is set,
+// and the 1×1 projection, with act after the first two. EfficientNet
+// uses swish with squeeze-excite; MobileNetV2 uses ReLU6 without.
+func mbConv(g *hlo.Graph, name string, x *hlo.Op, spec mbBlockSpec, outCh, stride int64, act activation, se bool) *hlo.Op {
 	inCh := x.Output.Dim(3)
 	block := x
 	expanded := inCh * spec.expand
 	if spec.expand != 1 {
 		block = g.Conv2D(name+".expand", block, expanded, 1, 1, 1, true)
 		block = g.BatchNorm(name+".expand.bn", block)
-		block = g.Activation(name+".expand.swish", block, swishCost)
+		block = act.apply(g, name+".expand", block)
 	}
 	block = g.DepthwiseConv2D(name+".dwconv", block, spec.kernel, spec.kernel, stride, true)
 	block = g.BatchNorm(name+".dwconv.bn", block)
-	block = g.Activation(name+".dwconv.swish", block, swishCost)
-	seCh := inCh / 4
-	if seCh < 1 {
-		seCh = 1
+	block = act.apply(g, name+".dwconv", block)
+	if se {
+		block = seBlock(g, name, block, max(inCh/4, 1))
 	}
-	block = seBlock(g, name, block, seCh)
 	block = g.Conv2D(name+".project", block, outCh, 1, 1, 1, true)
 	block = g.BatchNorm(name+".project.bn", block)
 	if stride == 1 && inCh == outCh {
@@ -136,7 +153,7 @@ func EfficientNet(variant int, batch int64) *hlo.Graph {
 	stemCh := roundFilters(32, sc.width)
 	h := g.Conv2D("stem.conv", x, stemCh, 3, 3, 2, true)
 	h = g.BatchNorm("stem.bn", h)
-	h = g.Activation("stem.swish", h, swishCost)
+	h = swish.apply(g, "stem", h)
 
 	for si, spec := range efficientNetB0Blocks {
 		outCh := roundFilters(spec.filters, sc.width)
@@ -148,7 +165,7 @@ func EfficientNet(variant int, batch int64) *hlo.Graph {
 			if r > 0 {
 				stride = 1
 			}
-			h = mbConv(g, blockName, h, spec, outCh, stride)
+			h = mbConv(g, blockName, h, spec, outCh, stride, swish, true)
 		}
 	}
 
@@ -156,7 +173,7 @@ func EfficientNet(variant int, batch int64) *hlo.Graph {
 	headCh := roundFilters(1280, sc.width)
 	h = g.Conv2D("head.conv", h, headCh, 1, 1, 1, true)
 	h = g.BatchNorm("head.bn", h)
-	h = g.Activation("head.swish", h, swishCost)
+	h = swish.apply(g, "head", h)
 	h = g.GlobalPool("head.pool", h)
 	h = g.Reshape("head.flatten", h, tensor.NewShape(tensor.BF16, batch, headCh))
 	h = g.MatMul("head.logits", h, 1000)

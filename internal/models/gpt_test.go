@@ -107,7 +107,7 @@ func TestGPTStructureScales(t *testing.T) {
 		{2, 4, 128, 64},
 		{4, 8, 512, 256},
 	} {
-		cfg := gptConfig{
+		cfg := transformerConfig{
 			Layers: tc.layers, Hidden: tc.hidden, Heads: tc.heads,
 			FFN: 4 * tc.hidden, VocabSize: 1000,
 			Context: tc.context, Batch: 2,

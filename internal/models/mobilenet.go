@@ -32,7 +32,7 @@ func mobileNetV2(batch int64) *hlo.Graph {
 	x := g.Input("images", tensor.NewShape(tensor.BF16, batch, 224, 224, 3))
 	h := g.Conv2D("stem.conv", x, 32, 3, 3, 2, true)
 	h = g.BatchNorm("stem.bn", h)
-	h = g.Activation("stem.relu6", h, 1)
+	h = relu6.apply(g, "stem", h)
 
 	for si, st := range mobileNetV2Stages {
 		for rep := int64(0); rep < st.n; rep++ {
@@ -42,29 +42,14 @@ func mobileNetV2(batch int64) *hlo.Graph {
 			if rep == 0 {
 				stride = st.s
 			}
-			inCh := h.Output.Dim(3)
-			block := h
-			if st.t != 1 {
-				block = g.Conv2D(name+".expand", block, inCh*st.t, 1, 1, 1, true)
-				block = g.BatchNorm(name+".expand.bn", block)
-				block = g.Activation(name+".expand.relu6", block, 1)
-			}
-			block = g.DepthwiseConv2D(name+".dwconv", block, 3, 3, stride, true)
-			block = g.BatchNorm(name+".dwconv.bn", block)
-			block = g.Activation(name+".dwconv.relu6", block, 1)
-			block = g.Conv2D(name+".project", block, st.c, 1, 1, 1, true)
-			block = g.BatchNorm(name+".project.bn", block)
-			if stride == 1 && inCh == st.c {
-				block = g.Add(name+".residual", block, h)
-			}
-			h = block
+			h = mbConv(g, name, h, mbBlockSpec{expand: st.t, kernel: 3}, st.c, stride, relu6, false)
 		}
 	}
 
 	g.InBlock("head")
 	h = g.Conv2D("head.conv", h, 1280, 1, 1, 1, true)
 	h = g.BatchNorm("head.bn", h)
-	h = g.Activation("head.relu6", h, 1)
+	h = relu6.apply(g, "head", h)
 	h = g.GlobalPool("head.pool", h)
 	h = g.Reshape("head.flatten", h, tensor.NewShape(tensor.BF16, batch, 1280))
 	h = g.MatMul("head.logits", h, 1000)

@@ -128,7 +128,7 @@ func TestResNet50Weights(t *testing.T) {
 }
 
 func TestBERTStructure(t *testing.T) {
-	g := BERTBase(1, 128)
+	g := bert(bertBaseConfig(1, 128))
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestBERTQuadraticAttention(t *testing.T) {
 	// Softmax + attention FLOPs scale quadratically with sequence length;
 	// QKV/FFN scale linearly (§4.3).
 	attnFLOPs := func(seq int64) (attn, linear int64) {
-		g := BERTBase(1, seq)
+		g := bert(bertBaseConfig(1, seq))
 		for _, op := range g.Ops {
 			f := hlo.FLOPs(op)
 			switch {

@@ -50,7 +50,7 @@ func builder(name string) (func(batch int64) *hlo.Graph, error) {
 		if err != nil || seq < 1 {
 			return nil, fmt.Errorf("models: bad BERT sequence length in %q", name)
 		}
-		return func(batch int64) *hlo.Graph { return BERTBase(batch, seq) }, nil
+		return func(batch int64) *hlo.Graph { return bert(bertBaseConfig(batch, seq)) }, nil
 	case name == "ocr-rpn":
 		return ocrRPN, nil
 	case name == "ocr-recognizer":

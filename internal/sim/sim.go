@@ -177,9 +177,10 @@ func (o Options) Fingerprint() string {
 // Simulate runs the full pipeline for graph g (built at any batch; it is
 // rebatched to cfg.NativeBatch by the caller when desired) on cfg.
 //
-// It is a thin Compile+Evaluate wrapper (see plan.go): callers that
-// evaluate one workload against many candidate designs should Compile
-// once and share the Plan.
+// It is a thin Compile+Evaluate wrapper (see plan.go) for a graph the
+// caller builds (fast-sim -batch, tests). Workloads named by the model
+// registry go through core.EvaluateDesign instead, whose process-wide
+// caches build each graph and compile each plan once.
 func Simulate(g *hlo.Graph, cfg *arch.Config, opts Options) (*Result, error) {
 	// Check cfg before paying for Compile (and to keep the historical
 	// cfg-before-graph error precedence); Evaluate re-validates for
